@@ -10,7 +10,7 @@ vectors: f(x) = x @ matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .intmat import (
     DimensionMismatch,
@@ -349,14 +349,27 @@ def homology_at(d_in: Optional[AbHom], d_out: AbHom) -> SubquotientData:
 
 
 @dataclass(frozen=True)
+class Checks:
+    """Named verdicts of a verification, each with a witness (or None)."""
+
+    entries: tuple[tuple[str, bool, Any], ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _ in self.entries)
+
+    def failures(self) -> list[str]:
+        return [name for name, ok, _ in self.entries if not ok]
+
+    def verdicts(self) -> dict[str, bool]:
+        return {name: ok for name, ok, _ in self.entries}
+
+
+@dataclass(frozen=True)
 class SixTermReport:
     groups: tuple[FgAbelianGroup, ...]  # ker u, ker vu, ker v, cok u, cok vu, cok v
     maps: tuple[AbHom, ...]  # the five connecting homs
-    exact: tuple[bool, ...]  # per-spot verdicts, length 6
-
-    @property
-    def all_exact(self) -> bool:
-        return all(self.exact)
+    checks: Checks  # exact-at-<spot>, one per group
 
 
 def six_term_sequence(u: AbHom, v: AbHom) -> SixTermReport:
@@ -399,15 +412,15 @@ def six_term_sequence(u: AbHom, v: AbHom) -> SixTermReport:
     # cok vu -> cok v: identity on the ambient of C.
     f5 = AbHom(c_vu, c_v, identity(v.target.ambient_rank))
 
-    exact = (
-        f1.is_injective(),
-        is_exact_at(f1, f2),
-        is_exact_at(f2, f3),
-        is_exact_at(f3, f4),
-        is_exact_at(f4, f5),
-        f5.is_surjective(),
-    )
-    return SixTermReport((k_u, k_vu, k_v, c_u, c_vu, c_v), (f1, f2, f3, f4, f5), exact)
+    checks = Checks((
+        ("exact-at-ker-u", f1.is_injective(), None),
+        ("exact-at-ker-vu", is_exact_at(f1, f2), None),
+        ("exact-at-ker-v", is_exact_at(f2, f3), None),
+        ("exact-at-cok-u", is_exact_at(f3, f4), None),
+        ("exact-at-cok-vu", is_exact_at(f4, f5), None),
+        ("exact-at-cok-v", f5.is_surjective(), None),
+    ))
+    return SixTermReport((k_u, k_vu, k_v, c_u, c_vu, c_v), (f1, f2, f3, f4, f5), checks)
 
 
 def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:

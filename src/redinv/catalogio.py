@@ -130,7 +130,7 @@ def verify_catalog(catalog: CatalogFile) -> None:
     for entry in catalog.entries:
         d = entry.datum()
         rep = validate(d)
-        _require(rep.valid, entry.spec, f"datum invalid: {rep.failures()}")
+        _require(rep.passed, entry.spec, f"datum invalid: {rep.failures()}")
         got = {
             "characterGroup": invariants_json(character_group(d).group),
             "muDual": invariants_json(mu_dual(d).group),

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .intmat import IntMatrix, identity, mat, zeros
 from .abgrp import (
     AbHom,
+    Checks,
     FgAbelianGroup,
-    SubquotientData,
     direct_sum,
     homology_at,
     power,
@@ -141,8 +141,12 @@ def cochain_group(inp: CechInput, i: int) -> FgAbelianGroup:
 
 
 def build_complex(inp: CechInput, max_degree: int) -> CechComplex:
-    if max_degree > MAX_DEGREE_CAP:
-        raise DegreeCapExceeded(f"max degree capped at {MAX_DEGREE_CAP}")
+    """C^0 .. C^max_degree; 3 is the least degree whose homotopy identity
+    (in degree 2) can be checked."""
+    if not 3 <= max_degree <= MAX_DEGREE_CAP:
+        raise DegreeCapExceeded(f"max degree must be between 3 and {MAX_DEGREE_CAP}")
+    if not inp.phi.is_well_defined():
+        raise ValueError("phi does not map the relations of F(X) into those of F(G)")
     groups = tuple(cochain_group(inp, i) for i in range(max_degree + 1))
     deltas = tuple(
         AbHom(groups[i], groups[i + 1], _delta_matrix(inp, i))
@@ -157,24 +161,12 @@ def homotopy_map(cx: CechComplex, i: int) -> AbHom:
     return AbHom(cx.group(i), cx.group(i - 1), _lambda_matrix(cx.inp, i))
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    def failures(self) -> list[str]:
-        return [name for name, ok in self.checks if not ok]
-
-
-def contraction_check(cx: CechComplex) -> ContractionReport:
+def contraction_check(cx: CechComplex) -> Checks:
     """Verify delta o delta = 0 and the homotopy identity in degrees
     2 <= i <= max_degree - 1."""
     checks = []
     for i in range(cx.max_degree - 1):
-        checks.append((f"delta-squared-{i}", cx.delta(i).then(cx.delta(i + 1)).is_zero()))
+        checks.append((f"delta-squared-{i}", cx.delta(i).then(cx.delta(i + 1)).is_zero(), None))
     for i in range(2, cx.max_degree):
         lam_i = homotopy_map(cx, i)
         lam_next = homotopy_map(cx, i + 1)
@@ -184,8 +176,8 @@ def contraction_check(cx: CechComplex) -> ContractionReport:
         ok = all(
             grp.contains_in_relations(diff.row(k)) for k in range(diff.rows)
         )
-        checks.append((f"homotopy-identity-{i}", ok))
-    return ContractionReport(tuple(checks))
+        checks.append((f"homotopy-identity-{i}", ok, None))
+    return Checks(tuple(checks))
 
 
 def cech_cohomology(cx: CechComplex, i: int) -> FgAbelianGroup:
@@ -193,10 +185,3 @@ def cech_cohomology(cx: CechComplex, i: int) -> FgAbelianGroup:
         raise ValueError("degree out of range for this complex")
     d_in = cx.delta(i - 1) if i > 0 else None
     return homology_at(d_in, cx.delta(i)).group
-
-
-def cech_cohomology_data(cx: CechComplex, i: int) -> SubquotientData:
-    if not 0 <= i <= cx.max_degree - 1:
-        raise ValueError("degree out of range for this complex")
-    d_in = cx.delta(i - 1) if i > 0 else None
-    return homology_at(d_in, cx.delta(i))

@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from .intmat import IntMatrix, hnf, snf
-from .abgrp import FgAbelianGroup
+from .abgrp import Checks
 from .catalogio import (
     CatalogError,
     ResultRecord,
@@ -22,12 +23,13 @@ from .catalogio import (
 )
 from .cech import (
     CechInput,
-    DegreeCapExceeded,
     build_complex,
     cech_cohomology,
     contraction_check,
 )
 from .rootdata import (
+    InvalidDatum,
+    ReductiveDatum,
     UnknownGroupSpec,
     character_group,
     from_catalog,
@@ -54,19 +56,41 @@ def _fmt_group(inv: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _emit(args, record: ResultRecord, human_lines: list[str]) -> None:
+def _load_spec(spec: str) -> Optional[ReductiveDatum]:
+    """The datum of a group spec, or None after reporting an input error."""
+    try:
+        return from_catalog(spec)
+    except (UnknownGroupSpec, InvalidDatum) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return None
+
+
+def _emit(args, command: str, digest_payload: dict, outputs: dict,
+          checks: Checks, lines: list[str]) -> int:
+    """Print the result and return the exit code.
+
+    JSON mode prints exactly one record; human mode prints the lines and
+    one line per check.  When a check fails, its name and witness go to
+    stdout in human mode and to stderr in JSON mode.
+    """
+    verdicts = checks.verdicts()
     if args.format == "json":
+        record = ResultRecord(command, input_digest(digest_payload), outputs, verdicts)
         sys.stdout.write(record.to_json())
     else:
-        for line in human_lines:
-            print(line)
+        lines = lines + [f"check {name}: {ok}" for name, ok in verdicts.items()]
+        print("\n".join(lines))
+    if checks.passed:
+        return EXIT_OK
+    witness = {name: w for name, ok, w in checks.entries if not ok}
+    print(json.dumps({"failures": witness}, sort_keys=True),
+          file=sys.stderr if args.format == "json" else sys.stdout)
+    return EXIT_CHECK_FAILED
 
 
 def cmd_invariants(args) -> int:
-    try:
-        d = from_catalog(args.spec)
-    except UnknownGroupSpec as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    d = _load_spec(args.spec)
+    if d is None:
         return EXIT_INPUT_ERROR
     rep = validate(d)
     outputs = {
@@ -75,8 +99,7 @@ def cmd_invariants(args) -> int:
         "pi1": invariants_json(pi1(d).group),
         "radicalCharacters": invariants_json(radical_characters(d).group),
     }
-    verdicts = {"datum-valid": rep.valid}
-    mismatch = None
+    entries = [("datum-valid", rep.passed, rep.failures())]
     try:
         catalog = load_catalog(args.catalog, self_test=False)
         for entry in catalog.entries:
@@ -87,38 +110,30 @@ def cmd_invariants(args) -> int:
                     "pi1": entry.expected_pi1,
                 }
                 got = {k: outputs[k] for k in want}
-                verdicts["matches-catalog"] = got == want
-                if got != want:
-                    mismatch = {"expected": want, "computed": got}
+                entries.append(
+                    ("matches-catalog", got == want, {"expected": want, "computed": got})
+                )
                 break
     except (OSError, CatalogError):
         pass  # catalog is advisory for this command
-    record = ResultRecord(
-        "invariants", input_digest({"spec": args.spec}), outputs, verdicts
-    )
     lines = [
         f"group:              {args.spec}",
         f"character group G*: {_fmt_group(outputs['characterGroup'])}",
         f"Pic = mu*:          {_fmt_group(outputs['muDual'])}",
         f"pi_1:               {_fmt_group(outputs['pi1'])}",
         f"radical characters: {_fmt_group(outputs['radicalCharacters'])}",
-        f"datum valid:        {rep.valid}",
     ]
+    checks = Checks(tuple(entries))
+    verdicts = checks.verdicts()
+    lines.append(f"datum valid:        {verdicts['datum-valid']}")
     if "matches-catalog" in verdicts:
         lines.append(f"matches catalog:    {verdicts['matches-catalog']}")
-    _emit(args, record, lines)
-    if not all(verdicts.values()):
-        if mismatch is not None and args.format != "json":
-            print(json.dumps(mismatch, sort_keys=True))
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _emit(args, "invariants", {"spec": args.spec}, outputs, checks, lines)
 
 
 def cmd_pi1d(args) -> int:
-    try:
-        d = from_catalog(args.spec)
-    except UnknownGroupSpec as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    d = _load_spec(args.spec)
+    if d is None:
         return EXIT_INPUT_ERROR
     res = (
         canonical_tresolution(d)
@@ -126,7 +141,6 @@ def cmd_pi1d(args) -> int:
         else pushout_tresolution(d)
     )
     cx = pi1d_from_resolution(res)
-    ftc = four_term_check(res)
     outputs = {
         "resolution": args.resolution,
         "rhoStar": res.rho_star.hom.matrix.to_json(),
@@ -135,13 +149,6 @@ def cmd_pi1d(args) -> int:
         "H-1": invariants_json(cx.cohomology_data(-1).group),
         "H0": invariants_json(cx.cohomology_data(0).group),
     }
-    verdicts = {name: ok for name, ok in ftc.checks}
-    record = ResultRecord(
-        "pi1d",
-        input_digest({"spec": args.spec, "resolution": args.resolution}),
-        outputs,
-        verdicts,
-    )
     lines = [
         f"group:      {args.spec}",
         f"resolution: {args.resolution}",
@@ -149,9 +156,9 @@ def cmd_pi1d(args) -> int:
         f"T* ({outputs['TstarGenerators']} gens)] in degrees -1, 0",
         f"H^-1:       {_fmt_group(outputs['H-1'])}",
         f"H^0:        {_fmt_group(outputs['H0'])}",
-    ] + [f"check {name}: {ok}" for name, ok in ftc.checks]
-    _emit(args, record, lines)
-    return EXIT_OK if ftc.passed else EXIT_CHECK_FAILED
+    ]
+    payload = {"spec": args.spec, "resolution": args.resolution}
+    return _emit(args, "pi1d", payload, outputs, four_term_check(res), lines)
 
 
 def cmd_check_ses(args) -> int:
@@ -160,34 +167,19 @@ def cmd_check_ses(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    _, _, rep = ses_to_complex_ses(ses)
+    _, _, checks, les = ses_to_complex_ses(ses)
     outputs = {}
-    if rep.les is not None:
+    lines = [f"fixture: {args.file}"]
+    if les is not None:
         outputs["sequence"] = [
             {"label": label, "group": invariants_json(g)}
-            for label, g in zip(rep.les.labels, rep.les.groups)
+            for label, g in zip(les.labels, les.groups)
         ]
-    verdicts = {name: ok for name, ok in rep.checks}
-    if rep.les is not None:
-        for label, ok in zip(rep.les.labels, rep.les.exact):
-            verdicts[f"exact-at-{label}"] = ok
-    record = ResultRecord(
-        "check-ses", input_digest({"file": args.file}), outputs, verdicts
-    )
-    lines = [f"fixture: {args.file}"]
-    if rep.les is not None:
         chain = " -> ".join(
-            f"{label}={_fmt_group(invariants_json(g))}"
-            for label, g in zip(rep.les.labels, rep.les.groups)
+            f"{item['label']}={_fmt_group(item['group'])}" for item in outputs["sequence"]
         )
         lines.append("long exact sequence: 0 -> " + chain + " -> 0")
-    lines += [f"check {name}: {ok}" for name, ok in verdicts.items()]
-    _emit(args, record, lines)
-    if not rep.passed:
-        if args.format != "json":
-            print(json.dumps({"failures": rep.failures()}, sort_keys=True))
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _emit(args, "check-ses", {"file": args.file}, outputs, checks, lines)
 
 
 def cmd_cech(args) -> int:
@@ -195,26 +187,17 @@ def cmd_cech(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             inp = CechInput.from_json(json.load(fh))
         cx = build_complex(inp, args.max_degree)
-    except (OSError, KeyError, ValueError, DegreeCapExceeded) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    rep = contraction_check(cx)
     cohs = {
         str(i): invariants_json(cech_cohomology(cx, i))
         for i in range(args.max_degree)
     }
-    verdicts = {name: ok for name, ok in rep.checks}
-    record = ResultRecord(
-        "cech",
-        input_digest({"file": args.file, "maxDegree": args.max_degree}),
-        {"cohomology": cohs},
-        verdicts,
-    )
     lines = [f"input: {args.file} (degrees up to {args.max_degree})"]
-    lines += [f"H^{i} = {_fmt_group(v)}" for i, v in sorted(cohs.items(), key=lambda kv: int(kv[0]))]
-    lines += [f"check {name}: {ok}" for name, ok in rep.checks]
-    _emit(args, record, lines)
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    lines += [f"H^{i} = {_fmt_group(cohs[str(i)])}" for i in range(args.max_degree)]
+    payload = {"file": args.file, "maxDegree": args.max_degree}
+    return _emit(args, "cech", payload, {"cohomology": cohs}, contraction_check(cx), lines)
 
 
 def cmd_matrix(args) -> int:
@@ -232,14 +215,8 @@ def cmd_matrix(args) -> int:
         u, dd, v = snf(m)
         outputs = {"U": u.to_json(), "D": dd.to_json(), "V": v.to_json()}
         lines = [f"D = {dd.to_json()}", f"U = {u.to_json()}", f"V = {v.to_json()}"]
-    record = ResultRecord(
-        "matrix",
-        input_digest({"kind": args.kind, "matrix": m.to_json()}),
-        outputs,
-        {},
-    )
-    _emit(args, record, lines)
-    return EXIT_OK
+    payload = {"kind": args.kind, "matrix": m.to_json()}
+    return _emit(args, "matrix", payload, outputs, Checks(()), lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,6 @@ from .abgrp import (
     AbHom,
     FgAbelianGroup,
     IllDefinedHom,
-    SubquotientData,
     homology_at,
     kernel,
     cokernel,
@@ -374,12 +373,3 @@ def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:
     d_out = bar_differential(module, i)
     d_in = bar_differential(module, i - 1) if i > 0 else None
     return homology_at(d_in, d_out).group
-
-
-def group_cohomology_data(module: GammaModule, i: int) -> SubquotientData:
-    """Like group_cohomology, but keeps cocycle lifts for class computations."""
-    if i not in (0, 1, 2):
-        raise ValueError(f"unsupported cohomology degree {i}")
-    d_out = bar_differential(module, i)
-    d_in = bar_differential(module, i - 1) if i > 0 else None
-    return homology_at(d_in, d_out)

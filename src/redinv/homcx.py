@@ -14,12 +14,15 @@ from typing import Optional
 from .intmat import IntMatrix, block_diag, hstack, identity, mat, vstack, zeros
 from .abgrp import (
     AbHom,
+    Checks,
     FgAbelianGroup,
     IllDefinedHom,
     NotComposable,
     SubquotientData,
+    direct_sum,
     homology_at,
     is_exact_at,
+    kernel,
     member_coords,
 )
 from .gammamod import (
@@ -42,8 +45,6 @@ def zero_module(gamma: FiniteGroup) -> GammaModule:
 
 
 def direct_sum_modules(a: GammaModule, b: GammaModule) -> GammaModule:
-    from .abgrp import direct_sum
-
     return GammaModule(
         a.gamma,
         direct_sum(a.group, b.group),
@@ -290,8 +291,6 @@ def truncate(c: BoundedComplex, n: int) -> tuple[BoundedComplex, ChainMap]:
         return z, ChainMap(z, c, {})
     if n >= c.hi:
         return c, identity_chain_map(c)
-    from .abgrp import kernel
-
     ker_grp, ker_inc = kernel(c.diff(n).hom)
     actions = induced_action_on_subgroup(c.term(n), ker_inc.matrix, ker_grp)
     ker_mod = GammaModule(c.gamma, ker_grp, actions)
@@ -321,18 +320,7 @@ def truncate(c: BoundedComplex, n: int) -> tuple[BoundedComplex, ChainMap]:
     return trunc, ChainMap(trunc, c, comps)
 
 
-@dataclass(frozen=True)
-class TriangleReport:
-    degree: int
-    exact: tuple[bool, ...]
-    labels: tuple[str, ...]
-
-    @property
-    def all_exact(self) -> bool:
-        return all(self.exact)
-
-
-def truncation_triangle_check(c: BoundedComplex, n: int) -> TriangleReport:
+def truncation_triangle_check(c: BoundedComplex, n: int) -> Checks:
     """Verify the long sequence of tau_{<=n-1} c -> tau_{<=n} c -> H^n(c)[-n].
 
     Every connecting map of the sequence has zero source or zero target,
@@ -377,22 +365,20 @@ def truncation_triangle_check(c: BoundedComplex, n: int) -> TriangleReport:
         p_comps[n] = GammaHom(src, hn, AbHom(src.group, hn.group, m))
     p_map = ChainMap(t_cur, hn_complex, p_comps)
 
-    labels = []
-    verdicts = []
+    checks = []
     lo = min(t_prev.lo, c.lo)
     hi = max(t_cur.hi, n) + 1
     for m_deg in range(lo, hi + 1):
         hi_prev = induced_on_cohomology(i_map, m_deg)
         hp = induced_on_cohomology(p_map, m_deg)
-        # spot at H^m(t_prev): injectivity (incoming connecting map is zero)
-        labels.append(f"H^{m_deg}(low truncation)")
-        verdicts.append(hi_prev.is_injective())
-        labels.append(f"H^{m_deg}(high truncation)")
-        verdicts.append(is_exact_at(hi_prev, hp))
-        # spot at H^m of the cohomology spike: surjectivity
-        labels.append(f"H^{m_deg}(top cohomology)")
-        verdicts.append(hp.is_surjective())
-    return TriangleReport(n, tuple(verdicts), tuple(labels))
+        checks += [
+            # spot at H^m(t_prev): injectivity (incoming connecting map is zero)
+            (f"H^{m_deg}(low truncation)", hi_prev.is_injective(), None),
+            (f"H^{m_deg}(high truncation)", is_exact_at(hi_prev, hp), None),
+            # spot at H^m of the cohomology spike: surjectivity
+            (f"H^{m_deg}(top cohomology)", hp.is_surjective(), None),
+        ]
+    return Checks(tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -400,11 +386,7 @@ class LongExactReport:
     labels: tuple[str, ...]
     groups: tuple[FgAbelianGroup, ...]
     maps: tuple[AbHom, ...]
-    exact: tuple[bool, ...]
-
-    @property
-    def all_exact(self) -> bool:
-        return all(self.exact)
+    checks: Checks  # exact-at-<label>, one per group
 
 
 def levelwise_exact(i: ChainMap, p: ChainMap) -> bool:
@@ -476,9 +458,9 @@ def les_of_ses(i: ChainMap, p: ChainMap) -> LongExactReport:
         maps.append(induced_on_cohomology(i, n))
         maps.append(induced_on_cohomology(p, n))
         prev_group = hc
-    verdicts = []
+    checks = []
     for k, g in enumerate(groups):
         incoming = maps[k - 1] if k > 0 else AbHom.zero(FgAbelianGroup.trivial(), g)
         outgoing = maps[k] if k < len(maps) else AbHom.zero(g, FgAbelianGroup.trivial())
-        verdicts.append(is_exact_at(incoming, outgoing))
-    return LongExactReport(tuple(labels), tuple(groups), tuple(maps), tuple(verdicts))
+        checks.append((f"exact-at-{labels[k]}", is_exact_at(incoming, outgoing), None))
+    return LongExactReport(tuple(labels), tuple(groups), tuple(maps), Checks(tuple(checks)))

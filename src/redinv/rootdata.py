@@ -20,13 +20,15 @@ from typing import Optional
 
 from .intmat import (
     IntMatrix,
+    det,
     identity,
     inverse_unimodular,
     kernel_basis,
     mat,
+    rank as mat_rank,
     zeros,
 )
-from .abgrp import AbHom, FgAbelianGroup
+from .abgrp import AbHom, Checks, FgAbelianGroup
 from .gammamod import (
     FiniteGroup,
     GammaHom,
@@ -85,8 +87,6 @@ def is_finite_cartan_matrix(c: IntMatrix) -> bool:
                     return False
                 if (c[i, j] == 0) != (c[j, i] == 0):
                     return False
-    from .intmat import det
-
     for k in range(1, r + 1):
         minor = mat([[c[i, j] for j in range(k)] for i in range(k)], k)
         if det(minor) <= 0:
@@ -126,19 +126,7 @@ class ReductiveDatum:
         return tuple(perm)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[tuple[str, bool, str], ...]  # (name, verdict, detail)
-
-    @property
-    def valid(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self) -> list[str]:
-        return [name for name, ok, _ in self.checks if not ok]
-
-
-def validate(d: ReductiveDatum) -> ValidationReport:
+def validate(d: ReductiveDatum) -> Checks:
     checks: list[tuple[str, bool, str]] = []
     rd = d.datum
     n, r = rd.rank, rd.semisimple_rank
@@ -149,7 +137,7 @@ def validate(d: ReductiveDatum) -> ValidationReport:
     ok_counts = len(rd.simple_roots) == len(rd.simple_coroots)
     checks.append(("root-coroot-count", ok_counts, f"{r} simple roots"))
     if not (ok_len and ok_counts):
-        return ValidationReport(tuple(checks))
+        return Checks(tuple(checks))
 
     c = rd.cartan_pairing()
     ok_diag = all(c[i, i] == 2 for i in range(r))
@@ -159,8 +147,6 @@ def validate(d: ReductiveDatum) -> ValidationReport:
 
     roots_m = mat([list(a) for a in rd.simple_roots], n) if r else zeros(0, n)
     coroots_m = mat([list(a) for a in rd.simple_coroots], n) if r else zeros(0, n)
-    from .intmat import rank as mat_rank
-
     checks.append(("roots-independent", mat_rank(roots_m) == r, ""))
     checks.append(("coroots-independent", mat_rank(coroots_m) == r, ""))
 
@@ -169,7 +155,7 @@ def validate(d: ReductiveDatum) -> ValidationReport:
         checks.append(("action-valid", True, ""))
     except Exception as exc:  # InvalidAction or matrix failures
         checks.append(("action-valid", False, str(exc)))
-        return ValidationReport(tuple(checks))
+        return Checks(tuple(checks))
 
     duals = d.dual_actions()
     for g in d.gamma.elements():
@@ -184,24 +170,19 @@ def validate(d: ReductiveDatum) -> ValidationReport:
             for i in range(r)
         )
         checks.append((f"action-{g}-permutes-coroots", ok_co, str(perm)))
-    return ValidationReport(tuple(checks))
+    return Checks(tuple(checks))
 
 
 def weight_module(d: ReductiveDatum) -> GammaModule:
     """P = Hom(Z Phi-dual, Z) on the fundamental-weight basis, with the
     permutation action induced by the root permutations."""
-    r = d.datum.semisimple_rank
     actions = []
     for g in d.gamma.elements():
         perm = d.root_permutation(g)
         if perm is None:
             raise InvalidDatum("action does not permute the simple roots")
-        rows = []
-        for i in range(r):
-            row = [0] * r
-            row[perm[i]] = 1
-            rows.append(row)
-        actions.append(mat(rows, r) if r else zeros(0, 0))
+        actions.append(_perm_matrix(perm))
+    r = d.datum.semisimple_rank
     return GammaModule(d.gamma, FgAbelianGroup.free(r), tuple(actions))
 
 
@@ -242,18 +223,7 @@ def cocharacter_module(d: ReductiveDatum) -> GammaModule:
 def coroot_lattice_map(d: ReductiveDatum) -> GammaHom:
     """The map Z^r -> X-dual sending basis vector j to the j-th coroot."""
     n, r = d.datum.rank, d.datum.semisimple_rank
-    src_actions = []
-    for g in d.gamma.elements():
-        perm = d.root_permutation(g)
-        if perm is None:
-            raise InvalidDatum("action does not permute the simple roots")
-        rows = []
-        for i in range(r):
-            row = [0] * r
-            row[perm[i]] = 1
-            rows.append(row)
-        src_actions.append(mat(rows, r) if r else zeros(0, 0))
-    src = GammaModule(d.gamma, FgAbelianGroup.free(r), tuple(src_actions))
+    src = weight_module(d)
     m = mat([list(a) for a in d.datum.simple_coroots], n) if r else zeros(0, n)
     return GammaHom(src, cocharacter_module(d), AbHom(
         src.group, FgAbelianGroup.free(n), m
@@ -435,10 +405,14 @@ def from_catalog(spec: str) -> ReductiveDatum:
     if twist is None:
         return d
     if twist == "flip":
-        return outer_flip_twist(d)
-    if twist == "triality":
-        return triality_twist(d)
-    raise UnknownGroupSpec(f"unknown twist {twist!r}")
+        d = outer_flip_twist(d)
+    elif twist == "triality":
+        d = triality_twist(d)
+    else:
+        raise UnknownGroupSpec(f"unknown twist {twist!r}")
+    if any(d.root_permutation(g) is None for g in d.gamma.elements()):
+        raise InvalidDatum(f"the {twist} twist does not permute the simple roots of {base}")
+    return d
 
 
 def _parse_base(base: str) -> ReductiveDatum:

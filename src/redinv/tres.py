@@ -10,11 +10,11 @@ the finite group mu' = coker[X -> X_rad (+) P] into an induced torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .intmat import IntMatrix, block_diag, hstack, identity, mat, vstack, zeros
 from .abgrp import (
     AbHom,
+    Checks,
     FgAbelianGroup,
     cokernel,
     direct_sum,
@@ -27,6 +27,7 @@ from .gammamod import (
     GammaModule,
     fixed_points,
     group_cohomology,
+    induced_action_on_subgroup,
     induced_module,
 )
 from .homcx import (
@@ -42,8 +43,10 @@ from .homcx import (
 from .rootdata import (
     InvalidDatum,
     ReductiveDatum,
+    cartan_matrix,
     character_group,
     character_inclusion,
+    from_catalog,
     mu_dual,
     pairing_map,
     radical_characters,
@@ -115,7 +118,6 @@ def pushout_tresolution_with_diagnostics(
     injective = emb.is_injective()
     if not injective:
         raise InvalidDatum("character embedding into X_rad (+) P is not injective")
-    mu_prime_grp, proj = cokernel(emb)
     mu_prime_grp = FgAbelianGroup(
         n + r, vstack(target.group.relations, emb_matrix)
     )
@@ -166,8 +168,6 @@ def pushout_tresolution_with_diagnostics(
     sum_matrix = vstack(top, s_matrix)
     sum_hom = GammaHom(src, mu_prime, AbHom(src.group, mu_prime_grp, sum_matrix))
     r_grp, r_inc = kernel(sum_hom.hom)
-    from .gammamod import induced_action_on_subgroup
-
     r_actions = induced_action_on_subgroup(src, r_inc.matrix, r_grp)
     r_star = GammaModule(gamma, r_grp, r_actions)
 
@@ -217,40 +217,31 @@ def pi1d_from_resolution(res: TResolutionData) -> BoundedComplex:
     return two_term_complex(res.rho_star, lo=-1)
 
 
-@dataclass(frozen=True)
-class FourTermReport:
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    def failures(self) -> list[str]:
-        return [name for name, ok in self.checks if not ok]
-
-
-def four_term_check(res: TResolutionData) -> FourTermReport:
+def four_term_check(res: TResolutionData) -> Checks:
     """Exactness of 0 -> (G^tor)* -> R* -> T* -> mu* -> 0, and for pushout
     resolutions also of 0 -> R*/(G^tor)* -> T* -> mu* -> 0."""
-    checks = []
     cm = res.char_map.hom
     rho = res.rho_star.hom
     l = res.l_star.hom
-    checks.append(("char-map-injective", cm.is_injective()))
-    checks.append(("char-map-equivariant", res.char_map.is_equivariant()))
-    checks.append(("rho-equivariant", res.rho_star.is_equivariant()))
-    checks.append(("l-equivariant", res.l_star.is_equivariant()))
-    checks.append(("exact-at-Rstar", is_exact_at(cm, rho)))
-    checks.append(("exact-at-Tstar", is_exact_at(rho, l)))
-    checks.append(("l-star-surjective", l.is_surjective()))
+    checks = [
+        ("char-map-injective", cm.is_injective(), None),
+        ("char-map-equivariant", res.char_map.is_equivariant(), None),
+        ("rho-equivariant", res.rho_star.is_equivariant(), None),
+        ("l-equivariant", res.l_star.is_equivariant(), None),
+        ("exact-at-Rstar", is_exact_at(cm, rho), None),
+        ("exact-at-Tstar", is_exact_at(rho, l), None),
+        ("l-star-surjective", l.is_surjective(), None),
+    ]
     if res.provenance == "pushout":
-        r1_grp, r1_proj = cokernel(cm)
+        r1_grp, _ = cokernel(cm)
         # induced map R*/(G^tor)* -> T* (rho* kills the character group)
         induced = AbHom(r1_grp, l.source, rho.matrix)
-        checks.append(("quotient-map-well-defined", induced.is_well_defined()))
-        checks.append(("quotient-injective", induced.is_injective()))
-        checks.append(("quotient-exact-at-Tstar", is_exact_at(induced, l)))
-    return FourTermReport(tuple(checks))
+        checks += [
+            ("quotient-map-well-defined", induced.is_well_defined(), None),
+            ("quotient-injective", induced.is_injective(), None),
+            ("quotient-exact-at-Tstar", is_exact_at(induced, l), None),
+        ]
+    return Checks(tuple(checks))
 
 
 def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
@@ -300,7 +291,7 @@ def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
 @dataclass(frozen=True)
 class ComparisonVerdict:
     verdict: str  # "certified" | "evidence-only" | "mismatch"
-    details: tuple[tuple[str, bool], ...]
+    checks: Checks
 
     @property
     def agrees(self) -> bool:
@@ -332,20 +323,21 @@ def compare_resolutions(
             ok2 = from_h0.is_isomorphism() and eq2
         except InvalidDatum:
             ok1 = ok2 = False
-        details.append((f"{tag}-H-1-canonical-iso", ok1))
-        details.append((f"{tag}-H0-canonical-iso", ok2))
+        details.append((f"{tag}-H-1-canonical-iso", ok1, None))
+        details.append((f"{tag}-H0-canonical-iso", ok2, None))
         certified = certified and ok1 and ok2
     if certified:
-        return ComparisonVerdict("certified", tuple(details))
+        return ComparisonVerdict("certified", Checks(tuple(details)))
     cx1, cx2 = pi1d_from_resolution(res1), pi1d_from_resolution(res2)
     agree = True
     for deg in (-1, 0):
         e1 = _evidence(cx1.cohomology(deg))
         e2 = _evidence(cx2.cohomology(deg))
         same = e1 == e2
-        details.append((f"evidence-degree-{deg}", same))
+        details.append((f"evidence-degree-{deg}", same, (e1, e2)))
         agree = agree and same
-    return ComparisonVerdict("evidence-only" if agree else "mismatch", tuple(details))
+    verdict = "evidence-only" if agree else "mismatch"
+    return ComparisonVerdict(verdict, Checks(tuple(details)))
 
 
 @dataclass(frozen=True)
@@ -357,28 +349,6 @@ class SESData:
     x2_to_x1: IntMatrix
     part1: tuple[int, ...]  # indices of g2's simple roots coming from g1
     part3: tuple[int, ...]  # indices coming from g3
-
-
-@dataclass(frozen=True)
-class SESReport:
-    checks: tuple[tuple[str, bool], ...]
-    les: Optional[LongExactReport]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks) and (
-            self.les is None or self.les.all_exact
-        )
-
-    def failures(self) -> list[str]:
-        out = [name for name, ok in self.checks if not ok]
-        if self.les is not None:
-            out += [
-                label
-                for label, ok in zip(self.les.labels, self.les.exact)
-                if not ok
-            ]
-        return out
 
 
 def validate_ses_data(s: SESData) -> list[tuple[str, bool]]:
@@ -458,12 +428,19 @@ def validate_ses_data(s: SESData) -> list[tuple[str, bool]]:
     return checks
 
 
-def ses_to_complex_ses(s: SESData) -> tuple[ChainMap, ChainMap, SESReport]:
+def ses_to_complex_ses(
+    s: SESData,
+) -> tuple[ChainMap, ChainMap, Checks, LongExactReport | None]:
     """Build 0 -> pi1D(G3) -> pi1D(G2) -> pi1D(G1) -> 0 and its long
-    exact cohomology sequence."""
-    checks = validate_ses_data(s)
-    if not all(ok for _, ok in checks):
-        return None, None, SESReport(tuple(checks), None)  # type: ignore[return-value]
+    exact cohomology sequence.
+
+    The checks are the fixture's, then the two chain-map checks, then one
+    exact-at-<label> per spot of the sequence.  A failed group ends the
+    build, and what it would have built is returned as None.
+    """
+    checks = [(name, ok, None) for name, ok in validate_ses_data(s)]
+    if not all(ok for _, ok, _ in checks):
+        return None, None, Checks(tuple(checks)), None  # type: ignore[return-value]
     c3 = canonical_pi1d(s.g3)
     c2 = canonical_pi1d(s.g2)
     c1 = canonical_pi1d(s.g1)
@@ -491,18 +468,16 @@ def ses_to_complex_ses(s: SESData) -> tuple[ChainMap, ChainMap, SESReport]:
         0: GammaHom(c2.term(0), c1.term(0), AbHom(
             c2.term(0).group, c1.term(0).group, p21)),
     })
-    checks.append(("i-chain-map", i_map.is_valid()))
-    checks.append(("p-chain-map", p_map.is_valid()))
-    if not all(ok for _, ok in checks):
-        return i_map, p_map, SESReport(tuple(checks), None)
+    checks.append(("i-chain-map", i_map.is_valid(), None))
+    checks.append(("p-chain-map", p_map.is_valid(), None))
+    if not all(ok for _, ok, _ in checks):
+        return i_map, p_map, Checks(tuple(checks)), None
     les = les_of_ses(i_map, p_map)
-    return i_map, p_map, SESReport(tuple(checks), les)
+    return i_map, p_map, Checks(tuple(checks) + les.checks.entries), les
 
 
 def ses_gm_gl_pgl(n: int) -> SESData:
     """The central extension of PGL(n) by the scaling torus inside GL(n)."""
-    from .rootdata import from_catalog
-
     g1 = from_catalog("T(1)")
     g2 = from_catalog(f"GL({n})")
     g3 = from_catalog(f"PGL({n})")
@@ -518,8 +493,6 @@ def ses_gm_gl_pgl(n: int) -> SESData:
 
 def ses_sl_gl_gm(n: int) -> SESData:
     """SL(n) inside GL(n) with determinant quotient."""
-    from .rootdata import from_catalog
-
     g1 = from_catalog(f"SL({n})")
     g2 = from_catalog(f"GL({n})")
     g3 = from_catalog("T(1)")
@@ -540,8 +513,6 @@ def ses_sl_gl_gm(n: int) -> SESData:
 
 def sl_to_pgl_induced_map(n: int) -> ChainMap:
     """pi1D(PGL(n)) -> pi1D(SL(n)) for the isogeny SL(n) -> PGL(n)."""
-    from .rootdata import cartan_matrix, from_catalog
-
     sl = from_catalog(f"SL({n})")
     pgl = from_catalog(f"PGL({n})")
     return induced_map(pgl, sl, cartan_matrix("A", n - 1), identity(n - 1))

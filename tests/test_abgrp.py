@@ -223,7 +223,7 @@ class TestSixTerm:
         u = AbHom(Z, Z, mat([[2]]))
         v = AbHom(Z, Z, mat([[3]]))
         rep = six_term_sequence(u, v)
-        assert rep.all_exact
+        assert rep.checks.passed
         invs = [g.invariants() for g in rep.groups]
         assert invs == [(0, ()), (0, ()), (0, ()), (0, (2,)), (0, (6,)), (0, (3,))]
 
@@ -232,7 +232,7 @@ class TestSixTerm:
         u = AbHom(Z, Z, mat([[2]]))
         v = AbHom(Z, g4, mat([[1]]))
         rep = six_term_sequence(u, v)
-        assert rep.all_exact
+        assert rep.checks.passed
         assert rep.groups[2].invariants() == (1, ())  # ker v = 4Z
 
     def test_random_pairs(self):
@@ -244,7 +244,7 @@ class TestSixTerm:
             u = constructive_hom(rng, a, da, b, db)
             v = constructive_hom(rng, b, db, c, dc)
             rep = six_term_sequence(u, v)
-            assert rep.all_exact
+            assert rep.checks.passed
             for f in rep.maps:
                 assert f.is_well_defined()
 

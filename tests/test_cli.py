@@ -52,12 +52,13 @@ class TestInvariants:
         )
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(raw))
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "invariants", "SL(2)", "--catalog", str(p), "--format", "json"
         )
         assert code == 1
         rec = json.loads(out)
         assert rec["verdicts"]["matches-catalog"] is False
+        assert "matches-catalog" in err
 
     def test_env_catalog_override(self, capsys, tmp_path, monkeypatch):
         other = tmp_path / "cat.json"
@@ -100,6 +101,34 @@ class TestPi1d:
         assert rec["outputs"]["H0"] == {"rank": 0, "torsion": [2, 2]}
 
 
+# SO(7), GL(3) and Spin(10) fail inside from_catalog's twist constructors;
+# Sp(4) flip and SL(5) triality build a twist that permutes no simple roots.
+MALFORMED_TWISTS = (
+    "SO(7)xGamma:flip",
+    "GL(3)xGamma:flip",
+    "Spin(10)xGamma:triality",
+    "Sp(4)xGamma:flip",
+    "SL(5)xGamma:triality",
+)
+
+
+@pytest.mark.parametrize("spec", MALFORMED_TWISTS)
+@pytest.mark.parametrize("command", ["invariants", "pi1d", "check-ses"])
+def test_malformed_twist_exit_2(capsys, tmp_path, command, spec):
+    arg = spec
+    if command == "check-ses":
+        with open(os.path.join(DATA_DIR, "ses_gm_gl2_pgl2.json")) as fh:
+            obj = json.load(fh)
+        obj["g3"] = spec
+        fixture = tmp_path / "ses.json"
+        fixture.write_text(json.dumps(obj))
+        arg = str(fixture)
+    for fmt in ("human", "json"):
+        code, out, err = run(capsys, command, arg, "--format", fmt)
+        assert code == 2, (fmt, err)
+        assert "input error" in err and not out
+
+
 class TestCheckSes:
     def test_shipped_fixture(self, capsys):
         path = os.path.join(DATA_DIR, "ses_sl3_gl3_gm.json")
@@ -121,11 +150,12 @@ class TestCheckSes:
         obj["x3ToX2"] = [["1", "0"]]  # not the root embedding
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
-        code, out, _ = run(capsys, "check-ses", str(bad), "--format", "json")
+        code, out, err = run(capsys, "check-ses", str(bad), "--format", "json")
         assert code == 1
         rec = json.loads(out)
         failed = [k for k, v in rec["verdicts"].items() if not v]
         assert failed
+        assert all(name in err for name in failed)
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "check-ses", "/nonexistent/ses.json")
@@ -160,11 +190,24 @@ class TestCech:
         assert rec["outputs"]["cohomology"]["4"] == {"rank": 0, "torsion": []}
 
     def test_degree_cap_exit_2(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "cech", self._write_input(tmp_path), "--max-degree", "9"
-        )
+        path = self._write_input(tmp_path)
+        for degree in ("9", "0", "-3", "1", "2"):
+            code, out, err = run(capsys, "cech", path, "--max-degree", degree)
+            assert code == 2, degree
+            assert "input error" in err and not out
+
+    def test_ill_defined_phi_exit_2(self, capsys, tmp_path):
+        # Z/2 -> Z, 1 -> 1 sends the relation 2 to 2, which is not 0 in Z
+        obj = {
+            "fx": {"ambientRank": 1, "relations": [["2"]]},
+            "fg": {"ambientRank": 1, "relations": []},
+            "phi": [["1"]],
+        }
+        p = tmp_path / "cech.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "cech", str(p))
         assert code == 2
-        assert "input error" in err
+        assert "input error" in err and not out
 
 
 class TestMatrix:

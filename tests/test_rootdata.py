@@ -69,18 +69,18 @@ class TestValidation:
         for spec in ALL_SPECS:
             d = from_catalog(spec)
             rep = validate(d)
-            assert rep.valid, (spec, rep.failures())
+            assert rep.passed, (spec, rep.failures())
 
     def test_bad_pairing_rejected(self):
         # alpha paired with its own coroot must give 2, not 3
         bad = RootDatum(1, ((1,),), ((3,),))
         rep = validate(ReductiveDatum.untwisted("bad", bad))
-        assert not rep.valid
+        assert not rep.passed
 
     def test_length_mismatch_rejected(self):
         bad = RootDatum(2, ((1, 0),), ((1,),))
         rep = validate(ReductiveDatum.untwisted("bad", bad))
-        assert not rep.valid
+        assert not rep.passed
         assert "vector-lengths" in rep.failures()
 
     def test_unknown_spec(self):

@@ -86,7 +86,7 @@ class TestComparison:
             v = compare_resolutions(
                 d, canonical_tresolution(d), pushout_tresolution(d)
             )
-            assert v.verdict == "certified", (spec, v.details)
+            assert v.verdict == "certified", (spec, v.checks)
 
     def test_cohomology_agrees(self):
         for spec in ("PGL(4)", "SO(5)", "E7ad"):
@@ -123,9 +123,9 @@ class TestSESFixtures:
 
     def test_gm_gl_pgl_les(self):
         for n in (2, 3, 4):
-            _, _, rep = ses_to_complex_ses(ses_gm_gl_pgl(n))
+            _, _, rep, les = ses_to_complex_ses(ses_gm_gl_pgl(n))
             assert rep.passed, (n, rep.failures())
-            invs = [g.invariants() for g in rep.les.groups]
+            invs = [g.invariants() for g in les.groups]
             # H^-1 row: 0 -> Z -> Z; H^0 row: Z/n -> 0 -> 0
             assert invs == [
                 (0, ()), (1, ()), (1, ()),
@@ -134,9 +134,9 @@ class TestSESFixtures:
 
     def test_sl_gl_gm_les(self):
         for n in (2, 3, 4):
-            _, _, rep = ses_to_complex_ses(ses_sl_gl_gm(n))
+            _, _, rep, les = ses_to_complex_ses(ses_sl_gl_gm(n))
             assert rep.passed, (n, rep.failures())
-            invs = [g.invariants() for g in rep.les.groups]
+            invs = [g.invariants() for g in les.groups]
             # H^-1 row: Z (scaling characters) -> Z (GL determinant) -> 0;
             # H^0 row is zero since mu*(SL(n)) is trivial
             assert invs == [
@@ -148,8 +148,8 @@ class TestSESFixtures:
         # in the scaling-torus sequence the H^-1(G1) -> H^0(G3) connecting
         # map Z -> Z/n is surjective, matching multiplication by a unit
         for n in (2, 3, 5):
-            _, _, rep = ses_to_complex_ses(ses_gm_gl_pgl(n))
-            conn = [m for k, m in enumerate(rep.les.maps) if k % 3 == 2]
+            _, _, rep, les = ses_to_complex_ses(ses_gm_gl_pgl(n))
+            conn = [m for k, m in enumerate(les.maps) if k % 3 == 2]
             nontrivial = [m for m in conn if not m.is_zero()]
             assert len(nontrivial) == 1
             assert nontrivial[0].is_surjective()
