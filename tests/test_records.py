@@ -1,7 +1,9 @@
 """Golden records: the JSON stdout of every catalog, fixture and cech command.
 
 ``data/records.json`` maps each argv, joined by single spaces, to the
-sha256 of the record that ``--format json`` prints.  ``check-ses`` and
+sha256 of the record that ``--format json`` prints.  Besides the catalog,
+it pins five classical specs of rank 14 or more, whose pushout resolutions
+solve the largest subgroup-coordinate systems.  ``check-ses`` and
 ``cech`` hash the path string into the input digest, so they run from the
 input's directory with a bare file name.
 """
@@ -28,6 +30,9 @@ CECH_INPUT = {
     "phi": [["3", "0"], ["2", "5"]],
 }
 
+# no catalog spec reaches rank 14
+LARGE_SPECS = ("SL(17)", "PGL(17)", "GL(16)", "Sp(32)", "PSO(32)")
+
 
 def test_every_catalog_spec_and_fixture_is_covered():
     want = set()
@@ -35,6 +40,11 @@ def test_every_catalog_spec_and_fixture_is_covered():
         want |= {
             f"invariants {spec} --format json",
             f"pi1d {spec} --format json",
+            f"pi1d {spec} --resolution pushout --format json",
+        }
+    for spec in LARGE_SPECS:
+        want |= {
+            f"invariants {spec} --format json",
             f"pi1d {spec} --resolution pushout --format json",
         }
     want |= {
