@@ -48,8 +48,7 @@ class FgAbelianGroup:
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
         h, _ = hnf(self.relations)
-        rows = [r for r in h.data if any(r)]
-        h = mat(rows, self.ambient_rank) if rows else zeros(0, self.ambient_rank)
+        h = mat((r for r in h.data if any(r)), self.ambient_rank)
         pivots = []
         for i, row in enumerate(h.data):
             j = next(k for k, a in enumerate(row) if a)
@@ -107,6 +106,10 @@ class FgAbelianGroup:
 
     def contains_in_relations(self, coords: Sequence[int]) -> bool:
         return not any(self.reduce(coords))
+
+    def contains_rows(self, m: IntMatrix) -> bool:
+        """True iff every row of m lies in the relation lattice."""
+        return all(self.contains_in_relations(r) for r in m.data)
 
     @staticmethod
     def free(n: int) -> "FgAbelianGroup":
@@ -166,11 +169,7 @@ class AbHom:
             )
 
     def is_well_defined(self) -> bool:
-        return all(
-            member_coords(self.target.relations, zeros(0, self.target.ambient_rank), r)
-            is not None
-            for r in (self.matrix.apply_to_row(rel) for rel in self.source.relations.data)
-        )
+        return self.target.contains_rows(self.source.relations @ self.matrix)
 
     def check_well_defined(self) -> None:
         if not self.is_well_defined():
@@ -190,10 +189,7 @@ class AbHom:
         return AbHom(self.source, g.target, self.matrix @ g.matrix)
 
     def is_zero(self) -> bool:
-        return all(
-            self.target.contains_in_relations(self.matrix.row(i))
-            for i in range(self.matrix.rows)
-        )
+        return self.target.contains_rows(self.matrix)
 
     def is_injective(self) -> bool:
         return kernel(self)[0].is_trivial()
@@ -226,35 +222,24 @@ class AbHom:
         return AbHom(src, tgt, IntMatrix.from_json(obj["matrix"], cols=tgt.ambient_rank))
 
 
-def compose(f: AbHom, g: AbHom) -> AbHom:
-    """g o f (apply f first)."""
-    return f.then(g)
+def member_coords(gens: IntMatrix, rels: IntMatrix, vecs: IntMatrix) -> Optional[IntMatrix]:
+    """Coordinates C with C @ gens = vecs modulo the lattice spanned by rels.
 
-
-def member_coords(
-    gens: IntMatrix, rels: IntMatrix, v: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """Coordinates c with c @ gens = v modulo the lattice spanned by rels.
-
-    Returns None when v is not in the subgroup generated by the rows of
-    ``gens`` modulo ``rels``.
+    Row k of C writes row k of ``vecs`` on the rows of ``gens``.  Returns
+    None when some row of vecs is not in the subgroup generated by the
+    rows of ``gens`` modulo ``rels``.  All rows share one Smith form.
     """
-    stacked = vstack(gens, rels)
-    x, _ = solve_linear(stacked.transpose(), v)
+    x = solve_linear(vstack(gens, rels).transpose(), vecs)
     if x is None:
         return None
-    return tuple(x[: gens.rows])
+    return mat((r[: gens.rows] for r in x.data), gens.rows)
 
 
 def preimage_lattice(a: IntMatrix, target_rels: IntMatrix) -> IntMatrix:
     """Basis of {x : x @ a lies in the lattice spanned by target_rels}."""
-    stacked = vstack(a, target_rels)
-    full = kernel_basis(stacked.transpose())
-    rows = [r[: a.rows] for r in full.data]
-    m = mat(rows, a.rows) if rows else zeros(0, a.rows)
-    h, _ = hnf(m)
-    nz = [r for r in h.data if any(r)]
-    return mat(nz, a.rows) if nz else zeros(0, a.rows)
+    full = kernel_basis(vstack(a, target_rels).transpose())
+    h, _ = hnf(mat((r[: a.rows] for r in full.data), a.rows))
+    return mat((r for r in h.data if any(r)), a.rows)
 
 
 def subgroup(gens: IntMatrix, ambient: FgAbelianGroup) -> tuple[FgAbelianGroup, AbHom]:
@@ -287,15 +272,8 @@ def image(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
 def preimage_element(f: AbHom, y: GroupElement) -> Optional[GroupElement]:
     if y.group != f.target:
         raise ValueError("element not in the target group")
-    c = member_coords(f.matrix, f.target.relations, y.coords)
-    if c is None:
-        return None
-    x = [0] * f.source.ambient_rank
-    for ci, row in zip(c, identity(f.source.ambient_rank).data):
-        if ci:
-            for k in range(f.source.ambient_rank):
-                x[k] += ci * row[k]
-    return f.source.element(x)
+    c = member_coords(f.matrix, f.target.relations, mat([y.coords], y.group.ambient_rank))
+    return None if c is None else f.source.element(c.row(0))
 
 
 def subgroups_equal(
@@ -303,13 +281,8 @@ def subgroups_equal(
 ) -> bool:
     """Mutual membership of generators modulo the ambient relations."""
     rels = ambient.relations
-    for r in gens_a.data:
-        if member_coords(gens_b, rels, r) is None:
-            return False
-    for r in gens_b.data:
-        if member_coords(gens_a, rels, r) is None:
-            return False
-    return True
+    return (member_coords(gens_b, rels, gens_a) is not None
+            and member_coords(gens_a, rels, gens_b) is not None)
 
 
 def is_exact_at(f: AbHom, g: AbHom) -> bool:
@@ -328,8 +301,9 @@ class SubquotientData:
     gens: IntMatrix  # rows: lifts of the generators in the middle ambient
     denominator: IntMatrix  # middle relations stacked with the image rows
 
-    def class_coords(self, ambient_vector: Sequence[int]) -> Optional[tuple[int, ...]]:
-        return member_coords(self.gens, self.denominator, ambient_vector)
+    def class_coords(self, vecs: IntMatrix) -> Optional[IntMatrix]:
+        """Class coordinates of the rows of vecs, or None if one is no cycle."""
+        return member_coords(self.gens, self.denominator, vecs)
 
 
 def subquotient(
@@ -387,24 +361,16 @@ def six_term_sequence(u: AbHom, v: AbHom) -> SixTermReport:
     c_vu, proj_vu = cokernel(vu)
     c_v, proj_v = cokernel(v)
 
-    def coords_in(sub_gens: IntMatrix, ambient: FgAbelianGroup, vec) -> tuple[int, ...]:
-        c = member_coords(sub_gens, ambient.relations, vec)
+    def coords_in(sub_gens: IntMatrix, ambient: FgAbelianGroup, vecs: IntMatrix) -> IntMatrix:
+        c = member_coords(sub_gens, ambient.relations, vecs)
         if c is None:
             raise IllDefinedHom("canonical map escapes its target subgroup")
         return c
 
     # ker u -> ker vu: inclusion, expressed on the chosen generators.
-    m1 = mat(
-        [coords_in(inc_vu.matrix, u.source, row) for row in inc_u.matrix.data],
-        k_vu.ambient_rank,
-    ) if k_u.ambient_rank else zeros(0, k_vu.ambient_rank)
-    f1 = AbHom(k_u, k_vu, m1)
+    f1 = AbHom(k_u, k_vu, coords_in(inc_vu.matrix, u.source, inc_u.matrix))
     # ker vu -> ker v: apply u.
-    m2 = mat(
-        [coords_in(inc_v.matrix, v.source, u.matrix.apply_to_row(row)) for row in inc_vu.matrix.data],
-        k_v.ambient_rank,
-    ) if k_vu.ambient_rank else zeros(0, k_v.ambient_rank)
-    f2 = AbHom(k_vu, k_v, m2)
+    f2 = AbHom(k_vu, k_v, coords_in(inc_v.matrix, v.source, inc_vu.matrix @ u.matrix))
     # ker v -> cok u: include into B, then project.
     f3 = AbHom(k_v, c_u, inc_v.matrix)
     # cok u -> cok vu: induced by v (ambients of cokernels are B and C).

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .intmat import IntMatrix
 from .abgrp import FgAbelianGroup
-from .gammamod import GammaModule
 from .rootdata import (
     ReductiveDatum,
     character_group,
@@ -41,10 +40,6 @@ def _dump(obj) -> str:
 def invariants_json(g: FgAbelianGroup) -> dict:
     rank, torsion = g.invariants()
     return {"rank": rank, "torsion": list(torsion)}
-
-
-def module_invariants_json(m: GammaModule) -> dict:
-    return invariants_json(m.group)
 
 
 @dataclass(frozen=True)
@@ -239,6 +234,12 @@ def ses_to_json(s: SESData) -> str:
     })
 
 
+def _indices(obj, field: str) -> tuple[int, ...]:
+    if not (isinstance(obj, list) and all(isinstance(i, int) for i in obj)):
+        raise ValueError(f"{field}: expected a list of integer root indices")
+    return tuple(obj)
+
+
 def ses_from_json(text: str) -> SESData:
     obj = json.loads(text)
     g1 = from_catalog(obj["g1"])
@@ -248,8 +249,8 @@ def ses_from_json(text: str) -> SESData:
         g1, g2, g3,
         IntMatrix.from_json(obj["x3ToX2"], cols=g2.datum.rank),
         IntMatrix.from_json(obj["x2ToX1"], cols=g1.datum.rank),
-        tuple(obj["part1"]),
-        tuple(obj["part3"]),
+        _indices(obj["part1"], "part1"),
+        _indices(obj["part3"], "part3"),
     )
 
 

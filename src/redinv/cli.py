@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Any, Callable
 
 from .intmat import IntMatrix, hnf, snf
 from .abgrp import Checks
@@ -28,9 +28,6 @@ from .cech import (
     contraction_check,
 )
 from .rootdata import (
-    InvalidDatum,
-    ReductiveDatum,
-    UnknownGroupSpec,
     character_group,
     from_catalog,
     mu_dual,
@@ -56,13 +53,23 @@ def _fmt_group(inv: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _load_spec(spec: str) -> Optional[ReductiveDatum]:
-    """The datum of a group spec, or None after reporting an input error."""
+def _load(parse: Callable[[], Any]) -> Any:
+    """parse(), or None after reporting an input error on stderr.
+
+    Unknown specs, invalid data and bad values raise ValueError (which
+    covers UnknownGroupSpec and InvalidDatum); a file of the wrong JSON
+    shape raises KeyError or TypeError; a missing file raises OSError.
+    """
     try:
-        return from_catalog(spec)
-    except (UnknownGroupSpec, InvalidDatum) as exc:
+        return parse()
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return None
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _emit(args, command: str, digest_payload: dict, outputs: dict,
@@ -89,7 +96,7 @@ def _emit(args, command: str, digest_payload: dict, outputs: dict,
 
 
 def cmd_invariants(args) -> int:
-    d = _load_spec(args.spec)
+    d = _load(lambda: from_catalog(args.spec))
     if d is None:
         return EXIT_INPUT_ERROR
     rep = validate(d)
@@ -132,7 +139,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_pi1d(args) -> int:
-    d = _load_spec(args.spec)
+    d = _load(lambda: from_catalog(args.spec))
     if d is None:
         return EXIT_INPUT_ERROR
     res = (
@@ -162,10 +169,8 @@ def cmd_pi1d(args) -> int:
 
 
 def cmd_check_ses(args) -> int:
-    try:
-        ses = load_ses(args.file)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    ses = _load(lambda: load_ses(args.file))
+    if ses is None:
         return EXIT_INPUT_ERROR
     _, _, checks, les = ses_to_complex_ses(ses)
     outputs = {}
@@ -183,12 +188,9 @@ def cmd_check_ses(args) -> int:
 
 
 def cmd_cech(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            inp = CechInput.from_json(json.load(fh))
-        cx = build_complex(inp, args.max_degree)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    cx = _load(lambda: build_complex(
+        CechInput.from_json(_read_json(args.file)), args.max_degree))
+    if cx is None:
         return EXIT_INPUT_ERROR
     cohs = {
         str(i): invariants_json(cech_cohomology(cx, i))
@@ -201,11 +203,8 @@ def cmd_cech(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            m = IntMatrix.from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    m = _load(lambda: IntMatrix.from_json(_read_json(args.file)))
+    if m is None:
         return EXIT_INPUT_ERROR
     if args.kind == "hnf":
         h, u = hnf(m)

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intmat import IntMatrix, block_diag, hstack, identity, mat, vstack, zeros
+from .intmat import IntMatrix, hstack, identity, mat
 from .abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -170,37 +170,25 @@ class GammaModule:
         return self.group.reduce(self.actions[g].apply_to_row(coords))
 
     def check(self) -> None:
-        e = self.gamma.identity
-        ide = identity(self.group.ambient_rank)
-        for i in range(self.group.ambient_rank):
-            diff = [a - b for a, b in zip(self.actions[e].row(i), ide.row(i))]
-            if not self.group.contains_in_relations(diff):
-                raise InvalidAction("identity element does not act trivially")
+        if not self.group.contains_rows(
+            self.actions[self.gamma.identity] - identity(self.group.ambient_rank)
+        ):
+            raise InvalidAction("identity element does not act trivially")
         for g in self.gamma.elements():
             h = self.action_hom(g)
             if not h.is_well_defined():
                 raise InvalidAction(f"action of element {g} breaks the relations")
             if not h.is_isomorphism():
                 raise InvalidAction(f"action of element {g} is not invertible")
-        n = self.group.ambient_rank
         for g in self.gamma.elements():
             for h in self.gamma.elements():
                 lhs = self.actions[h] @ self.actions[g]
-                gh = self.gamma.mul(g, h)
-                for i in range(n):
-                    diff = [a - b for a, b in zip(lhs.row(i), self.actions[gh].row(i))]
-                    if not self.group.contains_in_relations(diff):
-                        raise InvalidAction("composition law fails")
+                if not self.group.contains_rows(lhs - self.actions[self.gamma.mul(g, h)]):
+                    raise InvalidAction("composition law fails")
 
     def is_trivial_action(self) -> bool:
-        n = self.group.ambient_rank
-        ide = identity(n)
-        for m in self.actions:
-            for i in range(n):
-                diff = [a - b for a, b in zip(m.row(i), ide.row(i))]
-                if not self.group.contains_in_relations(diff):
-                    return False
-        return True
+        ide = identity(self.group.ambient_rank)
+        return all(self.group.contains_rows(m - ide) for m in self.actions)
 
     def to_json(self) -> dict:
         return {
@@ -263,14 +251,10 @@ class GammaHom:
         if self.source.gamma != self.target.gamma:
             return False
         a = self.hom.matrix
-        for g in self.source.gamma.elements():
-            lhs = self.source.actions[g] @ a
-            rhs = a @ self.target.actions[g]
-            for i in range(lhs.rows):
-                diff = [x - y for x, y in zip(lhs.row(i), rhs.row(i))]
-                if not self.target.group.contains_in_relations(diff):
-                    return False
-        return True
+        return all(
+            self.target.group.contains_rows(self.source.actions[g] @ a - a @ self.target.actions[g])
+            for g in self.source.gamma.elements()
+        )
 
     def check(self) -> None:
         self.hom.check_well_defined()
@@ -286,15 +270,11 @@ def induced_action_on_subgroup(
 ) -> tuple[IntMatrix, ...]:
     """Action matrices on a stable subgroup, written on the given generators."""
     out = []
-    for g in module.gamma.elements():
-        rows = []
-        for i in range(gens.rows):
-            moved = module.actions[g].apply_to_row(gens.row(i))
-            c = member_coords(gens, module.group.relations, moved)
-            if c is None:
-                raise InvalidAction("subgroup is not stable under the action")
-            rows.append(list(c))
-        out.append(mat(rows, gens.rows) if rows else zeros(0, 0))
+    for act in module.actions:
+        c = member_coords(gens, module.group.relations, gens @ act)
+        if c is None:
+            raise InvalidAction("subgroup is not stable under the action")
+        out.append(c)
     return tuple(out)
 
 
@@ -362,8 +342,7 @@ def bar_differential(module: GammaModule, i: int) -> AbHom:
             rows.append(row)
     src = cochain_group(module, i)
     tgt = cochain_group(module, i + 1)
-    m = mat(rows, tgt.ambient_rank) if rows else zeros(0, tgt.ambient_rank)
-    return AbHom(src, tgt, m)
+    return AbHom(src, tgt, mat(rows, tgt.ambient_rank))
 
 
 def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intmat import IntMatrix, block_diag, hstack, identity, mat, vstack, zeros
+from .intmat import block_diag, hstack, identity, vstack, zeros
 from .abgrp import (
     AbHom,
     Checks,
@@ -112,19 +112,12 @@ class BoundedComplex:
 
     def cohomology(self, n: int) -> GammaModule:
         data = self.cohomology_data(n)
-        module = self.term(n)
         actions = []
-        for g in self.gamma.elements():
-            rows = []
-            for i in range(data.gens.rows):
-                moved = module.actions[g].apply_to_row(data.gens.row(i))
-                c = data.class_coords(moved)
-                if c is None:
-                    raise InvalidAction("action does not preserve cocycles")
-                rows.append(list(c))
-            actions.append(
-                mat(rows, data.gens.rows) if rows else zeros(0, data.gens.rows)
-            )
+        for act in self.term(n).actions:
+            c = data.class_coords(data.gens @ act)
+            if c is None:
+                raise InvalidAction("action does not preserve cocycles")
+            actions.append(c)
         return GammaModule(self.gamma, data.group, tuple(actions))
 
     def is_acyclic(self) -> bool:
@@ -164,11 +157,8 @@ class ChainMap:
         for n in range(lo, hi):
             left = self.component(n).hom.then(self.target.diff(n).hom)
             right = self.source.diff(n).hom.then(self.component(n + 1).hom)
-            diff = left.matrix - right.matrix
-            tgt = self.target.term(n + 1).group
-            for i in range(diff.rows):
-                if not tgt.contains_in_relations(diff.row(i)):
-                    raise IllDefinedHom(f"square at degree {n} does not commute")
+            if not self.target.term(n + 1).group.contains_rows(left.matrix - right.matrix):
+                raise IllDefinedHom(f"square at degree {n} does not commute")
 
     def is_valid(self) -> bool:
         try:
@@ -227,9 +217,7 @@ def cone(u: ChainMap) -> BoundedComplex:
         un = u.component(n + 1).hom.matrix
         ra1, rb = a.term(n + 1).group.ambient_rank, b.term(n).group.ambient_rank
         ra2, rb2 = a.term(n + 2).group.ambient_rank, b.term(n + 1).group.ambient_rank
-        top = hstack(-da, un) if ra1 else zeros(0, ra2 + rb2)
-        bot = hstack(zeros(rb, ra2), db) if rb else zeros(0, ra2 + rb2)
-        m = vstack(top, bot)
+        m = vstack(hstack(-da, un), hstack(zeros(rb, ra2), db))
         diffs.append(GammaHom(src, tgt, AbHom(src.group, tgt.group, m)))
     return BoundedComplex(gamma, lo, tuple(terms), tuple(diffs))
 
@@ -246,9 +234,9 @@ def cone_triangle(u: ChainMap) -> tuple[BoundedComplex, ChainMap, ChainMap]:
         ra = a.term(n + 1).group.ambient_rank
         rb = b.term(n).group.ambient_rank
         # inclusion of B^n as the second summand
-        incl = hstack(zeros(rb, ra), identity(rb)) if rb else zeros(0, ra + rb)
+        incl = hstack(zeros(rb, ra), identity(rb))
         w_comps[n] = GammaHom(b.term(n), cn, AbHom(b.term(n).group, cn.group, incl))
-        proj = vstack(-identity(ra), zeros(rb, ra)) if (ra + rb) else zeros(0, ra)
+        proj = vstack(-identity(ra), zeros(rb, ra))
         v_comps[n] = GammaHom(cn, a1.term(n), AbHom(cn.group, a1.term(n).group, proj))
     return c, ChainMap(b, c, w_comps), ChainMap(c, a1, v_comps)
 
@@ -272,15 +260,9 @@ def induced_on_cohomology(u: ChainMap, n: int) -> AbHom:
     """The map H^n(source) -> H^n(target) on the subquotient presentations."""
     sdata = u.source.cohomology_data(n)
     tdata = u.target.cohomology_data(n)
-    comp = u.component(n).hom
-    rows = []
-    for i in range(sdata.gens.rows):
-        moved = comp.matrix.apply_to_row(sdata.gens.row(i))
-        c = tdata.class_coords(moved)
-        if c is None:
-            raise IllDefinedHom("chain map does not send cocycles to cocycles")
-        rows.append(list(c))
-    m = mat(rows, tdata.gens.rows) if rows else zeros(0, tdata.gens.rows)
+    m = tdata.class_coords(sdata.gens @ u.component(n).hom.matrix)
+    if m is None:
+        raise IllDefinedHom("chain map does not send cocycles to cocycles")
     return AbHom(sdata.group, tdata.group, m)
 
 
@@ -299,14 +281,9 @@ def truncate(c: BoundedComplex, n: int) -> tuple[BoundedComplex, ChainMap]:
     if n > c.lo:
         # corestrict d^{n-1} through the kernel inclusion
         prev = c.term(n - 1)
-        d = c.diff(n - 1).hom
-        rows = []
-        for i in range(prev.group.ambient_rank):
-            cc = member_coords(ker_inc.matrix, c.term(n).group.relations, d.matrix.row(i))
-            if cc is None:
-                raise InvalidComplex("d^{n-1} does not land in ker d^n")
-            rows.append(list(cc))
-        m = mat(rows, ker_grp.ambient_rank) if rows else zeros(0, ker_grp.ambient_rank)
+        m = member_coords(ker_inc.matrix, c.term(n).group.relations, c.diff(n - 1).hom.matrix)
+        if m is None:
+            raise InvalidComplex("d^{n-1} does not land in ker d^n")
         diffs.append(GammaHom(prev, ker_mod, AbHom(prev.group, ker_grp, m)))
     trunc = BoundedComplex(c.gamma, c.lo, tuple(terms), tuple(diffs))
     comps = {
@@ -334,16 +311,13 @@ def truncation_triangle_check(c: BoundedComplex, n: int) -> Checks:
     for m_deg in range(t_prev.lo, t_prev.hi + 1):
         src = t_prev.term(m_deg)
         tgt = t_cur.term(m_deg)
-        amb = c.term(m_deg).group
-        rows = []
-        gens_tgt = inc_cur.component(m_deg).hom.matrix if m_deg <= t_cur.hi else zeros(0, amb.ambient_rank)
-        for i in range(src.group.ambient_rank):
-            vec = inc_prev.component(m_deg).hom.matrix.row(i)
-            cc = member_coords(gens_tgt, amb.relations, vec)
-            if cc is None:
-                raise InvalidComplex("truncation inclusion mismatch")
-            rows.append(list(cc))
-        m = mat(rows, tgt.group.ambient_rank) if rows else zeros(0, tgt.group.ambient_rank)
+        m = member_coords(
+            inc_cur.component(m_deg).hom.matrix,
+            c.term(m_deg).group.relations,
+            inc_prev.component(m_deg).hom.matrix,
+        )
+        if m is None:
+            raise InvalidComplex("truncation inclusion mismatch")
         comps[m_deg] = GammaHom(src, tgt, AbHom(src.group, tgt.group, m))
     i_map = ChainMap(t_prev, t_cur, comps)
 
@@ -354,14 +328,9 @@ def truncation_triangle_check(c: BoundedComplex, n: int) -> Checks:
     p_comps = {}
     if t_cur.lo <= n <= t_cur.hi:
         src = t_cur.term(n)
-        rows = []
-        for i in range(src.group.ambient_rank):
-            vec = inc_cur.component(n).hom.matrix.row(i)
-            cc = hn_data.class_coords(vec)
-            if cc is None:
-                raise InvalidComplex("kernel element has no cohomology class")
-            rows.append(list(cc))
-        m = mat(rows, hn.group.ambient_rank) if rows else zeros(0, hn.group.ambient_rank)
+        m = hn_data.class_coords(inc_cur.component(n).hom.matrix)
+        if m is None:
+            raise InvalidComplex("kernel element has no cohomology class")
         p_comps[n] = GammaHom(src, hn, AbHom(src.group, hn.group, m))
     p_map = ChainMap(t_cur, hn_complex, p_comps)
 
@@ -411,28 +380,19 @@ def connecting_map(i: ChainMap, p: ChainMap, n: int) -> AbHom:
     a, b, c = i.source, i.target, p.target
     c_data = c.cohomology_data(n)
     a_data = a.cohomology_data(n + 1)
-    rows = []
-    for idx in range(c_data.gens.rows):
-        z = c_data.gens.row(idx)  # cocycle in C^n
-        lift = member_coords(p.component(n).hom.matrix, c.term(n).group.relations, z)
-        if lift is None:
-            raise IllDefinedHom("levelwise surjectivity failed during lifting")
-        # lift is an ambient vector of B^n (coefficients of the standard rows)
-        db = b.diff(n).hom.matrix.apply_to_row(lift)
-        aa = member_coords(
-            i.component(n + 1).hom.matrix, b.term(n + 1).group.relations, db
-        )
-        if aa is None:
-            raise IllDefinedHom("boundary does not come from the subcomplex")
-        cls = a_data.class_coords(aa)
-        if cls is None:
-            raise IllDefinedHom("connecting image is not a cocycle class")
-        rows.append(list(cls))
-    m = (
-        mat(rows, a_data.group.ambient_rank)
-        if rows
-        else zeros(0, a_data.group.ambient_rank)
+    # lift the cocycles of C^n to ambient vectors of B^n
+    lifts = member_coords(p.component(n).hom.matrix, c.term(n).group.relations, c_data.gens)
+    if lifts is None:
+        raise IllDefinedHom("levelwise surjectivity failed during lifting")
+    pulled = member_coords(
+        i.component(n + 1).hom.matrix, b.term(n + 1).group.relations,
+        lifts @ b.diff(n).hom.matrix,
     )
+    if pulled is None:
+        raise IllDefinedHom("boundary does not come from the subcomplex")
+    m = a_data.class_coords(pulled)
+    if m is None:
+        raise IllDefinedHom("connecting image is not a cocycle class")
     return AbHom(c_data.group, a_data.group, m)
 
 

@@ -363,52 +363,35 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(x for x in diagonal(d) if x != 0)
 
 
-def solve_linear(
-    m: IntMatrix, b: Sequence[int]
-) -> tuple[Optional[tuple[int, ...]], IntMatrix]:
-    """Solve m @ x = b over the integers.
+def solve_linear(m: IntMatrix, rhs: IntMatrix) -> Optional[IntMatrix]:
+    """Solve m @ x = b over the integers for every row b of rhs.
 
-    Returns (x, K) where x is one particular solution (or None when the
-    system has no integral solution) and the rows of K are a basis of
-    {x : m @ x = 0}.  The kernel basis is returned even when the system
-    is unsolvable.
+    Returns one particular solution per row of rhs, as the rows of a
+    matrix, or None when some row has no integral solution.  m is put in
+    Smith form once, and not at all when rhs has no rows.
     """
     r, c = m.shape
-    if len(b) != r:
-        raise DimensionMismatch(f"rhs of length {len(b)} for {m.shape}")
+    if rhs.cols != r:
+        raise DimensionMismatch(f"rhs of width {rhs.cols} for {m.shape}")
+    if not rhs.rows:
+        return zeros(0, c)
     u, d, v = snf(m)
-    diag = diagonal(d)
-    cp = u.apply_to_column(b)
-    n = len(diag)
-    y = [0] * c
-    ok = True
-    for i in range(r):
-        if i < n and diag[i] != 0:
-            if cp[i] % diag[i]:
-                ok = False
-                break
-            y[i] = cp[i] // diag[i]
-        elif cp[i] != 0:
-            ok = False
-            break
-    x = tuple(v.apply_to_column(y)) if ok else None
-    free = [i for i in range(c) if i >= n or diag[i] == 0]
-    kernel_rows = [v.column(i) for i in free]
-    kern = mat(kernel_rows, c) if kernel_rows else zeros(0, c)
-    h, _ = hnf(kern)
-    basis = mat([row for row in h.data if any(row)], c) if h.rows else kern
-    return x, basis
+    # D = U m V, so m x = b iff D y = U b with x = V y
+    diag = diagonal(d) + (0,) * (r - min(r, c))  # one entry per row of D
+    cp = rhs @ u.transpose()  # row k: U @ b_k
+    if any(a % p if p else a for row in cp.data for a, p in zip(row, diag)):
+        return None
+    y = mat(([a // p if p else 0 for a, p in zip(row, diag[:c])] + [0] * (c - r)
+             for row in cp.data), c)
+    return y @ v.transpose()  # row k: V @ y_k
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis (rows) of the saturated lattice {x : m @ x^T = 0}."""
     mt = _transpose(m)
     h, u = hnf(mt)
-    rows = [u.row(i) for i in range(h.rows) if not any(h.row(i))]
-    kern = mat(rows, m.cols) if rows else zeros(0, m.cols)
-    h2, _ = hnf(kern)
-    nz = [row for row in h2.data if any(row)]
-    return mat(nz, m.cols) if nz else zeros(0, m.cols)
+    h2, _ = hnf(mat((u.row(i) for i in range(h.rows) if not any(h.row(i))), m.cols))
+    return mat((row for row in h2.data if any(row)), m.cols)
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -26,7 +26,6 @@ from .intmat import (
     kernel_basis,
     mat,
     rank as mat_rank,
-    zeros,
 )
 from .abgrp import AbHom, Checks, FgAbelianGroup
 from .gammamod import (
@@ -145,10 +144,8 @@ def validate(d: ReductiveDatum) -> Checks:
     ok_cartan = is_finite_cartan_matrix(c) if r else True
     checks.append(("finite-cartan-matrix", ok_cartan, "finite-type criterion"))
 
-    roots_m = mat([list(a) for a in rd.simple_roots], n) if r else zeros(0, n)
-    coroots_m = mat([list(a) for a in rd.simple_coroots], n) if r else zeros(0, n)
-    checks.append(("roots-independent", mat_rank(roots_m) == r, ""))
-    checks.append(("coroots-independent", mat_rank(coroots_m) == r, ""))
+    checks.append(("roots-independent", mat_rank(mat(rd.simple_roots, n)) == r, ""))
+    checks.append(("coroots-independent", mat_rank(mat(rd.simple_coroots, n)) == r, ""))
 
     try:
         d.x_module().check()
@@ -222,11 +219,10 @@ def cocharacter_module(d: ReductiveDatum) -> GammaModule:
 
 def coroot_lattice_map(d: ReductiveDatum) -> GammaHom:
     """The map Z^r -> X-dual sending basis vector j to the j-th coroot."""
-    n, r = d.datum.rank, d.datum.semisimple_rank
+    n = d.datum.rank
     src = weight_module(d)
-    m = mat([list(a) for a in d.datum.simple_coroots], n) if r else zeros(0, n)
     return GammaHom(src, cocharacter_module(d), AbHom(
-        src.group, FgAbelianGroup.free(n), m
+        src.group, FgAbelianGroup.free(n), mat(d.datum.simple_coroots, n)
     ))
 
 
@@ -244,13 +240,7 @@ def saturation(rows: IntMatrix) -> IntMatrix:
 def radical_characters(d: ReductiveDatum) -> GammaModule:
     """X_rad = X / saturation(root lattice)."""
     n = d.datum.rank
-    roots_m = (
-        mat([list(a) for a in d.datum.simple_roots], n)
-        if d.datum.simple_roots
-        else zeros(0, n)
-    )
-    sat = saturation(roots_m)
-    grp = FgAbelianGroup(n, sat)
+    grp = FgAbelianGroup(n, saturation(mat(d.datum.simple_roots, n)))
     return GammaModule(d.gamma, grp, d.actions)
 
 
@@ -388,7 +378,11 @@ def triality_twist(d: ReductiveDatum) -> ReductiveDatum:
     )
 
 
-_SPEC_RE = re.compile(r"^([A-Za-z]+)\((\d+)\)$")
+_SPEC_RE = re.compile(r"^([A-Za-z]+)\((\d{1,9})\)$")
+
+# Largest datum rank a spec may ask for.  At rank 64 every command takes
+# a second or two; an unbounded n would allocate and compute without limit.
+MAX_SPEC_RANK = 64
 
 
 def from_catalog(spec: str) -> ReductiveDatum:
@@ -419,6 +413,12 @@ def _parse_base(base: str) -> ReductiveDatum:
     m = _SPEC_RE.match(base)
     if m:
         head, num = m.group(1), int(m.group(2))
+        if head in ("Sp", "SO", "Spin", "PSO"):
+            rank = num // 2
+        else:
+            rank = num - 1 if head in ("SL", "PGL") else num
+        if rank > MAX_SPEC_RANK:
+            raise UnknownGroupSpec(f"{base} asks for datum rank {rank}, above {MAX_SPEC_RANK}")
         if head == "SL":
             if num < 2:
                 raise UnknownGroupSpec("SL(n) needs n >= 2")

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, block_diag, hstack, identity, mat, vstack, zeros
+from .intmat import IntMatrix, hstack, identity, mat, vstack, zeros
 from .abgrp import (
     AbHom,
     Checks,
     FgAbelianGroup,
     cokernel,
-    direct_sum,
     is_exact_at,
     kernel,
     member_coords,
@@ -33,9 +32,7 @@ from .gammamod import (
 from .homcx import (
     BoundedComplex,
     ChainMap,
-    compose_chain_maps,
     direct_sum_modules,
-    induced_on_cohomology,
     les_of_ses,
     LongExactReport,
     two_term_complex,
@@ -159,7 +156,7 @@ def pushout_tresolution_with_diagnostics(
         e_j[reps[i]] = 1
         for g in gamma.elements():
             s_rows.append(list(mu_prime.actions[g].apply_to_row(e_j)))
-    s_matrix = mat(s_rows, n + r) if s_rows else zeros(0, n + r)
+    s_matrix = mat(s_rows, n + r)
     s = GammaHom(t_star, mu_prime, AbHom(t_star.group, mu_prime_grp, s_matrix))
 
     # R* = ker[(a, b) in X_rad (+) T* -> q(a, 0) + s(b)]
@@ -172,10 +169,7 @@ def pushout_tresolution_with_diagnostics(
     r_star = GammaModule(gamma, r_grp, r_actions)
 
     # rho* = T*-coordinate projection of the kernel inclusion
-    rho_matrix = mat(
-        [list(r_inc.matrix.row(i))[n:] for i in range(r_inc.matrix.rows)],
-        k * q,
-    ) if r_inc.matrix.rows else zeros(0, k * q)
+    rho_matrix = mat((row[n:] for row in r_inc.matrix.data), k * q)
     rho_star = GammaHom(r_star, t_star, AbHom(r_grp, t_star.group, rho_matrix))
 
     # l* = s followed by the projection mu' -> mu (drop the X_rad part)
@@ -186,16 +180,12 @@ def pushout_tresolution_with_diagnostics(
 
     # character group included into R* as chi -> (chi mod rad span, 0)
     chi_inc = character_inclusion(d)
-    rows = []
-    for i in range(chi_inc.hom.matrix.rows):
-        vec = list(chi_inc.hom.matrix.row(i)) + [0] * (k * q)
-        c = member_coords(r_inc.matrix, src.group.relations, vec)
-        if c is None:
-            raise InvalidDatum("character group does not land in R*")
-        rows.append(list(c))
-    char_matrix = (
-        mat(rows, r_grp.ambient_rank) if rows else zeros(0, r_grp.ambient_rank)
+    chi = chi_inc.hom.matrix
+    char_matrix = member_coords(
+        r_inc.matrix, src.group.relations, hstack(chi, zeros(chi.rows, k * q))
     )
+    if char_matrix is None:
+        raise InvalidDatum("character group does not land in R*")
     char_map = GammaHom(
         chi_inc.source, r_star, AbHom(chi_inc.source.group, r_grp, char_matrix)
     )
@@ -255,34 +245,12 @@ def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
     x0 = character_group(res.datum)
     mu = mu_dual(res.datum)
 
-    rows = []
-    ok = True
-    for i in range(res.char_map.hom.matrix.rows):
-        c = hm1_data.class_coords(res.char_map.hom.matrix.row(i))
-        if c is None:
-            ok = False
-            break
-        rows.append(list(c))
-    if not ok:
+    classes = hm1_data.class_coords(res.char_map.hom.matrix)
+    if classes is None:
         raise InvalidDatum("character classes are not rho*-cocycles")
-    to_hm1 = AbHom(
-        x0.group,
-        hm1.group,
-        mat(rows, hm1.group.ambient_rank)
-        if rows
-        else zeros(0, hm1.group.ambient_rank),
-    )
-
-    rows = []
-    for i in range(h0_data.gens.rows):
-        rows.append(list(res.l_star.hom.apply_coords(h0_data.gens.row(i))))
-    from_h0 = AbHom(
-        h0.group,
-        mu.group,
-        mat(rows, mu.group.ambient_rank)
-        if rows
-        else zeros(0, mu.group.ambient_rank),
-    )
+    to_hm1 = AbHom(x0.group, hm1.group, classes)
+    from_h0 = AbHom(h0.group, mu.group, mat(
+        map(res.l_star.hom.apply_coords, h0_data.gens.data), mu.group.ambient_rank))
     eq1 = GammaHom(x0, hm1, to_hm1).is_equivariant()
     eq2 = GammaHom(h0, mu, from_h0).is_equivariant()
     return to_hm1, from_h0, eq1, eq2
@@ -351,8 +319,9 @@ class SESData:
     part3: tuple[int, ...]  # indices coming from g3
 
 
-def validate_ses_data(s: SESData) -> list[tuple[str, bool]]:
-    checks: list[tuple[str, bool]] = []
+def validate_ses_data(s: SESData) -> Checks:
+    """The fixture's own checks; a failed shape or partition check ends them."""
+    checks = []
     n1, n2, n3 = s.g1.datum.rank, s.g2.datum.rank, s.g3.datum.rank
     r1, r2, r3 = (
         s.g1.datum.semisimple_rank,
@@ -360,29 +329,29 @@ def validate_ses_data(s: SESData) -> list[tuple[str, bool]]:
         s.g3.datum.semisimple_rank,
     )
     checks.append(("shapes", s.x3_to_x2.shape == (n3, n2)
-                   and s.x2_to_x1.shape == (n2, n1)))
+                   and s.x2_to_x1.shape == (n2, n1), None))
     checks.append(("partition", sorted(s.part1 + s.part3) == list(range(r2))
-                   and len(s.part1) == r1 and len(s.part3) == r3))
-    if not all(ok for _, ok in checks):
-        return checks
+                   and len(s.part1) == r1 and len(s.part3) == r3, None))
+    if not all(ok for _, ok, _ in checks):
+        return Checks(tuple(checks))
     f32 = AbHom(FgAbelianGroup.free(n3), FgAbelianGroup.free(n2), s.x3_to_x2)
     f21 = AbHom(FgAbelianGroup.free(n2), FgAbelianGroup.free(n1), s.x2_to_x1)
-    checks.append(("lattice-injective", f32.is_injective()))
-    checks.append(("lattice-surjective", f21.is_surjective()))
-    checks.append(("lattice-exact", is_exact_at(f32, f21)))
+    checks.append(("lattice-injective", f32.is_injective(), None))
+    checks.append(("lattice-surjective", f21.is_surjective(), None))
+    checks.append(("lattice-exact", is_exact_at(f32, f21), None))
     # root identifications
     ok_roots3 = all(
         tuple(s.x3_to_x2.apply_to_row(s.g3.datum.simple_roots[j]))
         == s.g2.datum.simple_roots[s.part3[j]]
         for j in range(r3)
     )
-    checks.append(("g3-roots-match", ok_roots3))
+    checks.append(("g3-roots-match", ok_roots3, None))
     ok_roots1 = all(
         tuple(s.x2_to_x1.apply_to_row(s.g2.datum.simple_roots[s.part1[j]]))
         == s.g1.datum.simple_roots[j]
         for j in range(r1)
     )
-    checks.append(("g1-roots-match", ok_roots1))
+    checks.append(("g1-roots-match", ok_roots1, None))
     # part-1 roots die in X1? no: they map to g1's roots; part-3 roots must
     # pair to zero with nothing here.  Coroot identifications:
     ok_co3 = all(
@@ -390,13 +359,13 @@ def validate_ses_data(s: SESData) -> list[tuple[str, bool]]:
         == s.g3.datum.simple_coroots[j]
         for j in range(r3)
     )
-    checks.append(("g3-coroots-match", ok_co3))
+    checks.append(("g3-coroots-match", ok_co3, None))
     ok_co1 = all(
         tuple(s.x2_to_x1.apply_to_column(s.g1.datum.simple_coroots[j]))
         == s.g2.datum.simple_coroots[s.part1[j]]
         for j in range(r1)
     )
-    checks.append(("g1-coroots-match", ok_co1))
+    checks.append(("g1-coroots-match", ok_co1, None))
     # part-1 coroots pair to zero with the image of X3
     ok_orth = all(
         all(
@@ -411,10 +380,10 @@ def validate_ses_data(s: SESData) -> list[tuple[str, bool]]:
         )
         for j in range(r1)
     )
-    checks.append(("part1-coroots-kill-x3", ok_orth))
+    checks.append(("part1-coroots-kill-x3", ok_orth, None))
     # gamma actions commute with the lattice maps
     ok_g = s.g1.gamma == s.g2.gamma == s.g3.gamma
-    checks.append(("same-gamma", ok_g))
+    checks.append(("same-gamma", ok_g, None))
     if ok_g:
         ok_eq = True
         for g in s.g2.gamma.elements():
@@ -424,8 +393,8 @@ def validate_ses_data(s: SESData) -> list[tuple[str, bool]]:
             lhs = s.g2.actions[g] @ s.x2_to_x1
             rhs = s.x2_to_x1 @ s.g1.actions[g]
             ok_eq = ok_eq and lhs.data == rhs.data
-        checks.append(("gamma-equivariant", ok_eq))
-    return checks
+        checks.append(("gamma-equivariant", ok_eq, None))
+    return Checks(tuple(checks))
 
 
 def ses_to_complex_ses(
@@ -438,7 +407,7 @@ def ses_to_complex_ses(
     exact-at-<label> per spot of the sequence.  A failed group ends the
     build, and what it would have built is returned as None.
     """
-    checks = [(name, ok, None) for name, ok in validate_ses_data(s)]
+    checks = list(validate_ses_data(s).entries)
     if not all(ok for _, ok, _ in checks):
         return None, None, Checks(tuple(checks)), None  # type: ignore[return-value]
     c3 = canonical_pi1d(s.g3)
@@ -450,12 +419,8 @@ def ses_to_complex_ses(
         s.g3.datum.semisimple_rank,
     )
     # degree 0: P3 -> P2 places the g3 coordinates, P2 -> P1 projects
-    p32 = zeros(r3, r2) if r3 == 0 else mat(
-        [[1 if j == s.part3[i] else 0 for j in range(r2)] for i in range(r3)], r2
-    )
-    p21 = zeros(r2, r1) if r2 == 0 else mat(
-        [[1 if s.part1[j] == i else 0 for j in range(r1)] for i in range(r2)], r1
-    )
+    p32 = mat([[1 if j == s.part3[i] else 0 for j in range(r2)] for i in range(r3)], r2)
+    p21 = mat([[1 if s.part1[j] == i else 0 for j in range(r1)] for i in range(r2)], r1)
     i_map = ChainMap(c3, c2, {
         -1: GammaHom(c3.term(-1), c2.term(-1), AbHom(
             c3.term(-1).group, c2.term(-1).group, s.x3_to_x2)),

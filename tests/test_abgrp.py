@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from redinv.intmat import hnf, identity, mat, zeros
+from redinv import intmat
+from redinv.intmat import hnf, hstack, identity, mat, zeros
 from redinv.abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -158,17 +160,17 @@ class TestKernelCokernelImage:
 class TestMembership:
     def test_member_coords(self):
         gens = mat([[2, 0], [0, 3]])
-        c = member_coords(gens, zeros(0, 2), (4, 6))
-        assert c == (2, 2)
-        assert member_coords(gens, zeros(0, 2), (1, 0)) is None
+        c = member_coords(gens, zeros(0, 2), mat([[4, 6]]))
+        assert c.data == ((2, 2),)
+        assert member_coords(gens, zeros(0, 2), mat([[1, 0]])) is None
 
     def test_member_coords_mod_relations(self):
         # (1, 0) is in <(3, 0)> inside Z/2 x Z.
         gens = mat([[3, 0]])
         rels = mat([[2, 0]])
-        c = member_coords(gens, rels, (1, 0))
+        c = member_coords(gens, rels, mat([[1, 0]]))
         assert c is not None
-        assert (c[0] * 3 - 1) % 2 == 0
+        assert (c[0, 0] * 3 - 1) % 2 == 0
 
     def test_preimage_lattice(self):
         # x such that x * (1) lies in 2Z: that is exactly 2Z.
@@ -180,6 +182,55 @@ class TestMembership:
         g, inc = subgroup(mat([[2, 0], [0, 0]]), Z2)
         assert g.invariants() == (1, ())
         assert inc.is_injective()
+
+
+def _matrices(rows: int, cols: int):
+    row = st.lists(st.integers(-5, 5), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(lambda r: mat(r, cols))
+
+
+@st.composite
+def _member_batches(draw):
+    """(gens, rels, vecs) with every row of vecs equal to C @ gens + R @ rels."""
+    n = draw(st.integers(1, 4))
+    gens = draw(_matrices(draw(st.integers(0, 3)), n))
+    rels = draw(_matrices(draw(st.integers(0, 3)), n))
+    k = draw(st.integers(1, 4))
+    vecs = draw(_matrices(k, gens.rows)) @ gens + draw(_matrices(k, rels.rows)) @ rels
+    return gens, rels, vecs
+
+
+class TestBatchedMembership:
+    @settings(max_examples=80, deadline=None)
+    @given(_member_batches())
+    def test_every_row_solves_modulo_relations(self, batch):
+        gens, rels, vecs = batch
+        x = member_coords(gens, rels, vecs)
+        assert x is not None and x.shape == (vecs.rows, gens.rows)
+        # the HNF reduction, not the Smith-form solver, decides membership
+        grp = FgAbelianGroup(gens.cols, rels)
+        assert all(grp.contains_in_relations(r) for r in (x @ gens - vecs).data)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_member_batches(), st.data())
+    def test_one_row_outside_gives_none(self, batch, data):
+        gens, rels, vecs = batch
+        # an extra ambient coordinate that no generator or relation touches
+        def pad(m):
+            return hstack(m, zeros(m.rows, 1))
+        rows = list(pad(vecs).data)
+        rows.insert(data.draw(st.integers(0, len(rows))), (0,) * gens.cols + (1,))
+        assert member_coords(pad(gens), pad(rels), mat(rows, gens.cols + 1)) is None
+
+    def test_one_smith_form_per_batch(self, monkeypatch):
+        calls = []
+        real = intmat.snf
+        monkeypatch.setattr(intmat, "snf", lambda m: calls.append(m) or real(m))
+        gens, rels = mat([[2, 0], [0, 3]]), mat([[4, 0]])
+        assert member_coords(gens, rels, mat([[2, 3], [4, 0], [0, 9]])) is not None
+        assert len(calls) == 1
+        assert member_coords(gens, rels, zeros(0, 2)) == zeros(0, 2)
+        assert len(calls) == 1
 
 
 class TestExactness:
@@ -211,10 +262,10 @@ class TestExactness:
         d_out = AbHom(Z, Z, mat([[0]]))
         h = homology_at(d_in, d_out)
         assert h.group.invariants() == (0, (4,))
-        assert h.class_coords((5,)) is not None
-        c5 = h.class_coords((5,))
-        c1 = h.class_coords((1,))
-        assert h.group.reduce(c5) == h.group.reduce(c1)
+        assert h.class_coords(mat([[5]])) is not None
+        c5 = h.class_coords(mat([[5]]))
+        c1 = h.class_coords(mat([[1]]))
+        assert h.group.reduce(c5.row(0)) == h.group.reduce(c1.row(0))
 
 
 class TestSixTerm:

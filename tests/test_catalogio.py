@@ -152,7 +152,7 @@ class TestSesSerialization:
         assert back.x3_to_x2.data == s.x3_to_x2.data
         assert back.x2_to_x1.data == s.x2_to_x1.data
         assert back.part1 == s.part1 and back.part3 == s.part3
-        assert all(ok for _, ok in validate_ses_data(back))
+        assert validate_ses_data(back).passed
 
     def test_shipped_fixtures_valid(self):
         data_dir = os.path.join(
@@ -165,7 +165,7 @@ class TestSesSerialization:
         for name in names:
             s = load_ses(os.path.join(data_dir, name))
             checks = validate_ses_data(s)
-            assert all(ok for _, ok in checks), (name, checks)
+            assert checks.passed, (name, checks.failures())
 
     def test_byte_identical(self):
         s = ses_gm_gl_pgl(2)

@@ -129,6 +129,44 @@ def test_malformed_twist_exit_2(capsys, tmp_path, command, spec):
         assert "input error" in err and not out
 
 
+with open(os.path.join(DATA_DIR, "ses_gm_gl2_pgl2.json")) as fh:
+    SES_OK = json.load(fh)
+CECH_OK = {
+    "fx": {"ambientRank": 1, "relations": []},
+    "fg": {"ambientRank": 1, "relations": []},
+    "phi": [["3"]],
+}
+WRONG_SHAPES = {
+    "ses-top-level-list": ("check-ses", [SES_OK]),
+    "ses-number-spec": ("check-ses", {**SES_OK, "g1": 7}),
+    "ses-string-index": ("check-ses", {**SES_OK, "part3": ["a", 1]}),
+    "cech-top-level-list": ("cech", [CECH_OK]),
+    "cech-number-group": ("cech", {**CECH_OK, "fx": 3}),
+    "matrix-bare-number": ("matrix snf", 5),
+    "matrix-nested-entry": ("matrix hnf", [["1", ["2"]]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_wrong_json_shape_exit_2(capsys, tmp_path, case):
+    command, content = WRONG_SHAPES[case]
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(content))
+    for fmt in ("human", "json"):
+        code, out, err = run(capsys, *command.split(), str(p), "--format", fmt)
+        assert code == 2, (fmt, err)
+        assert err.startswith("input error:") and not out
+
+
+def test_spec_rank_bound(capsys):
+    code, _, _ = run(capsys, "invariants", "T(64)", "--format", "json")
+    assert code == 0
+    for spec in ("T(65)", "SL(200000)", "GL(99999999999)"):
+        code, out, err = run(capsys, "invariants", spec)
+        assert code == 2, spec
+        assert err.startswith("input error:") and not out
+
+
 class TestCheckSes:
     def test_shipped_fixture(self, capsys):
         path = os.path.join(DATA_DIR, "ses_sl3_gl3_gm.json")

@@ -82,23 +82,23 @@ class TestSnf:
 
 class TestSolveLinear:
     def test_simple(self):
-        x, k = solve_linear(mat([[2]]), (4,))
-        assert x == (2,)
-        assert k.rows == 0
+        x = solve_linear(mat([[2]]), mat([[4]]))
+        assert x.data == ((2,),)
+        assert kernel_basis(mat([[2]])).rows == 0
 
     def test_unsolvable(self):
-        x, _ = solve_linear(mat([[2]]), (3,))
-        assert x is None
+        assert solve_linear(mat([[2]]), mat([[3]])) is None
 
     def test_kernel(self):
-        x, k = solve_linear(mat([[1, 1]]), (0,))
-        assert x == (0, 0)
+        x = solve_linear(mat([[1, 1]]), mat([[0]]))
+        assert x.data == ((0, 0),)
+        k = kernel_basis(mat([[1, 1]]))
         assert k.rows == 1
         assert k.row(0) in ((1, -1), (-1, 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve_linear(mat([[1, 2]]), (1, 2))
+            solve_linear(mat([[1, 2]]), mat([[1, 2]]))
 
     def test_random_consistency(self):
         rng = random.Random(3)
@@ -106,11 +106,19 @@ class TestSolveLinear:
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 5)
             xs = [rng.randint(-4, 4) for _ in range(m.cols)]
             b = tuple(m.apply_to_column(xs))
-            x, k = solve_linear(m, b)
+            x = solve_linear(m, mat([b], m.rows))
             assert x is not None
-            assert tuple(m.apply_to_column(x)) == b
+            assert tuple(m.apply_to_column(x.row(0))) == b
+            k = kernel_basis(m)
             for i in range(k.rows):
                 assert all(a == 0 for a in m.apply_to_column(k.row(i)))
+
+    def test_batch_and_empty_rhs(self):
+        m = mat([[2, 0], [0, 3]])
+        x = solve_linear(m, mat([[4, 6], [0, 0], [-2, 9]]))
+        assert x.data == ((2, 2), (0, 0), (-1, 3))
+        assert solve_linear(m, mat([[4, 6], [1, 0]])) is None
+        assert solve_linear(m, zeros(0, 2)) == zeros(0, 2)
 
 
 class TestKernelBasis:

@@ -3,6 +3,7 @@ import pytest
 from redinv.intmat import det, identity, mat
 from redinv.gammamod import fixed_points, group_cohomology
 from redinv.rootdata import (
+    MAX_SPEC_RANK,
     InvalidDatum,
     ReductiveDatum,
     RootDatum,
@@ -88,6 +89,16 @@ class TestValidation:
             from_catalog("Sporadic(1)")
         with pytest.raises(UnknownGroupSpec):
             from_catalog("SL(3)xGamma:unknown-twist")
+
+    def test_spec_rank_bound(self):
+        # one spec at the bound for each way a spec's number gives its rank
+        for spec in ("T(64)", "SL(65)", "Sp(128)"):
+            assert from_catalog(spec).datum.rank == MAX_SPEC_RANK
+        for spec in ("T(65)", "GL(65)", "SL(66)", "PGL(66)", "Sp(130)", "SO(130)",
+                     "SO(131)", "Spin(130)", "PSO(130)", "SL(200000)"):
+            with pytest.raises(UnknownGroupSpec):
+                from_catalog(spec)
+        assert from_catalog("PGL(60)").datum.rank == 59
 
 
 class TestInvariantsUntwisted:

@@ -113,13 +113,13 @@ class TestSESFixtures:
         for n in (2, 3, 4):
             s = ses_gm_gl_pgl(n)
             checks = validate_ses_data(s)
-            assert all(ok for _, ok in checks), (n, checks)
+            assert checks.passed, (n, checks.failures())
 
     def test_sl_gl_gm_validates(self):
         for n in (2, 3, 4):
             s = ses_sl_gl_gm(n)
             checks = validate_ses_data(s)
-            assert all(ok for _, ok in checks), (n, checks)
+            assert checks.passed, (n, checks.failures())
 
     def test_gm_gl_pgl_les(self):
         for n in (2, 3, 4):
@@ -162,8 +162,8 @@ class TestSESFixtures:
             s.x2_to_x1, s.part1, s.part3,
         )
         checks = validate_ses_data(bad)
-        assert not all(ok for _, ok in checks)
-        failed = [name for name, ok in checks if not ok]
+        assert not checks.passed
+        failed = checks.failures()
         assert "g3-roots-match" in failed or "lattice-exact" in failed
 
 
