@@ -150,7 +150,7 @@ def cmd_pi1d(args) -> int:
     cx = pi1d_from_resolution(res)
     outputs = {
         "resolution": args.resolution,
-        "rhoStar": res.rho_star.hom.matrix.to_json(),
+        "rhoStar": res.rho_star.matrix.to_json(),
         "RstarGenerators": res.Rstar.group.ambient_rank,
         "TstarGenerators": res.Tstar.group.ambient_rank,
         "H-1": invariants_json(cx.cohomology_data(-1).group),

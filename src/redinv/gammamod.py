@@ -13,7 +13,7 @@ so the composition law reads M_{gh} = M_h @ M_g.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .intmat import IntMatrix, hstack, identity, mat
@@ -239,18 +239,21 @@ def induced_module(gamma: FiniteGroup, k: int) -> GammaModule:
 
 @dataclass(frozen=True)
 class GammaHom:
+    """A map of Gamma-modules: one matrix, with the modules as its ends."""
+
     source: GammaModule
     target: GammaModule
-    hom: AbHom
+    matrix: IntMatrix
+    hom: AbHom = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.hom.source != self.source.group or self.hom.target != self.target.group:
-            raise IllDefinedHom("underlying hom does not match the modules")
+        # AbHom raises DimensionMismatch for a matrix of the wrong shape
+        object.__setattr__(self, "hom", AbHom(self.source.group, self.target.group, self.matrix))
 
     def is_equivariant(self) -> bool:
         if self.source.gamma != self.target.gamma:
             return False
-        a = self.hom.matrix
+        a = self.matrix
         return all(
             self.target.group.contains_rows(self.source.actions[g] @ a - a @ self.target.actions[g])
             for g in self.source.gamma.elements()
@@ -260,9 +263,6 @@ class GammaHom:
         self.hom.check_well_defined()
         if not self.is_equivariant():
             raise IllDefinedHom("hom does not commute with the group action")
-
-    def then(self, g: "GammaHom") -> "GammaHom":
-        return GammaHom(self.source, g.target, self.hom.then(g.hom))
 
 
 def induced_action_on_subgroup(
@@ -282,13 +282,13 @@ def equivariant_kernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:
     k, inc = kernel(f.hom)
     actions = induced_action_on_subgroup(f.source, inc.matrix, k)
     km = GammaModule(f.source.gamma, k, actions)
-    return km, GammaHom(km, f.source, inc)
+    return km, GammaHom(km, f.source, inc.matrix)
 
 
 def equivariant_cokernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:
     c, proj = cokernel(f.hom)
     cm = GammaModule(f.target.gamma, c, f.target.actions)
-    return cm, GammaHom(f.target, cm, proj)
+    return cm, GammaHom(f.target, cm, proj.matrix)
 
 
 def fixed_points(module: GammaModule) -> tuple[FgAbelianGroup, AbHom]:

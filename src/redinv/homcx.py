@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intmat import block_diag, hstack, identity, vstack, zeros
+from .intmat import IntMatrix, block_diag, hstack, identity, vstack, zeros
 from .abgrp import (
     AbHom,
     Checks,
@@ -52,16 +52,12 @@ def direct_sum_modules(a: GammaModule, b: GammaModule) -> GammaModule:
     )
 
 
-def zero_gamma_hom(a: GammaModule, b: GammaModule) -> GammaHom:
-    return GammaHom(a, b, AbHom.zero(a.group, b.group))
-
-
 @dataclass(frozen=True)
 class BoundedComplex:
     gamma: FiniteGroup
     lo: int
     terms: tuple[GammaModule, ...]
-    diffs: tuple[GammaHom, ...]  # diffs[k]: terms[k] -> terms[k+1]
+    diffs: tuple[IntMatrix, ...]  # diffs[k]: terms[k] -> terms[k+1]
 
     @property
     def hi(self) -> int:
@@ -73,10 +69,9 @@ class BoundedComplex:
         if len(self.diffs) != len(self.terms) - 1:
             raise InvalidComplex("need one differential per adjacent pair of terms")
         for k, d in enumerate(self.diffs):
-            if d.source is not self.terms[k] and d.source != self.terms[k]:
-                raise InvalidComplex(f"differential {k} has the wrong source")
-            if d.target is not self.terms[k + 1] and d.target != self.terms[k + 1]:
-                raise InvalidComplex(f"differential {k} has the wrong target")
+            ends = (self.terms[k].group.ambient_rank, self.terms[k + 1].group.ambient_rank)
+            if d.shape != ends:
+                raise InvalidComplex(f"differential {k} has shape {d.shape}, not {ends}")
 
     def term(self, n: int) -> GammaModule:
         if self.lo <= n <= self.hi:
@@ -84,15 +79,16 @@ class BoundedComplex:
         return zero_module(self.gamma)
 
     def diff(self, n: int) -> GammaHom:
+        src, tgt = self.term(n), self.term(n + 1)
         if self.lo <= n < self.hi:
-            return self.diffs[n - self.lo]
-        return zero_gamma_hom(self.term(n), self.term(n + 1))
+            return GammaHom(src, tgt, self.diffs[n - self.lo])
+        return GammaHom(src, tgt, zeros(src.group.ambient_rank, tgt.group.ambient_rank))
 
     def check(self) -> None:
-        for d in self.diffs:
-            d.check()
+        for n in range(self.lo, self.hi):
+            self.diff(n).check()
         for k in range(len(self.diffs) - 1):
-            if not self.diffs[k].hom.then(self.diffs[k + 1].hom).is_zero():
+            if not self.terms[k + 2].group.contains_rows(self.diffs[k] @ self.diffs[k + 1]):
                 raise InvalidComplex(f"d o d != 0 at degree {self.lo + k}")
 
     def is_valid(self) -> bool:
@@ -103,12 +99,11 @@ class BoundedComplex:
             return False
 
     def cohomology_data(self, n: int) -> SubquotientData:
-        d_out = self.diff(n).hom
-        d_in = self.diff(n - 1).hom if n > self.lo else None
         if n < self.lo or n > self.hi:
-            trivial = zero_module(self.gamma)
-            return homology_at(None, AbHom.zero(trivial.group, trivial.group))
-        return homology_at(d_in, d_out)
+            trivial = FgAbelianGroup.trivial()
+            return homology_at(None, AbHom.zero(trivial, trivial))
+        d_in = self.diff(n - 1).hom if n > self.lo else None
+        return homology_at(d_in, self.diff(n).hom)
 
     def cohomology(self, n: int) -> GammaModule:
         data = self.cohomology_data(n)
@@ -129,7 +124,7 @@ class BoundedComplex:
 
 def two_term_complex(d: GammaHom, lo: int = -1) -> BoundedComplex:
     """The complex [source -> target] in degrees lo, lo + 1."""
-    return BoundedComplex(d.source.gamma, lo, (d.source, d.target), (d,))
+    return BoundedComplex(d.source.gamma, lo, (d.source, d.target), (d.matrix,))
 
 
 def single_term_complex(m: GammaModule, degree: int) -> BoundedComplex:
@@ -140,24 +135,28 @@ def single_term_complex(m: GammaModule, degree: int) -> BoundedComplex:
 class ChainMap:
     source: BoundedComplex
     target: BoundedComplex
-    components: dict[int, GammaHom]  # degree -> component; missing means zero
+    components: dict[int, IntMatrix]  # degree -> component; missing means zero
 
     def component(self, n: int) -> GammaHom:
-        if n in self.components:
-            return self.components[n]
-        return zero_gamma_hom(self.source.term(n), self.target.term(n))
+        src, tgt = self.source.term(n), self.target.term(n)
+        m = self.components.get(n)
+        if m is None:
+            m = zeros(src.group.ambient_rank, tgt.group.ambient_rank)
+        return GammaHom(src, tgt, m)
 
     def check(self) -> None:
-        for n, f in self.components.items():
-            if f.source != self.source.term(n) or f.target != self.target.term(n):
-                raise IllDefinedHom(f"component at degree {n} has wrong ends")
-            f.check()
+        for n, m in self.components.items():
+            ends = (self.source.term(n).group.ambient_rank,
+                    self.target.term(n).group.ambient_rank)
+            if m.shape != ends:
+                raise IllDefinedHom(f"component at degree {n} has shape {m.shape}, not {ends}")
+            self.component(n).check()
         lo = min(self.source.lo, self.target.lo)
         hi = max(self.source.hi, self.target.hi)
         for n in range(lo, hi):
-            left = self.component(n).hom.then(self.target.diff(n).hom)
-            right = self.source.diff(n).hom.then(self.component(n + 1).hom)
-            if not self.target.term(n + 1).group.contains_rows(left.matrix - right.matrix):
+            left = self.component(n).matrix @ self.target.diff(n).matrix
+            right = self.source.diff(n).matrix @ self.component(n + 1).matrix
+            if not self.target.term(n + 1).group.contains_rows(left - right):
                 raise IllDefinedHom(f"square at degree {n} does not commute")
 
     def is_valid(self) -> bool:
@@ -169,10 +168,7 @@ class ChainMap:
 
 
 def identity_chain_map(c: BoundedComplex) -> ChainMap:
-    comps = {
-        n: GammaHom(c.term(n), c.term(n), AbHom.identity_on(c.term(n).group))
-        for n in range(c.lo, c.hi + 1)
-    }
+    comps = {n: identity(c.term(n).group.ambient_rank) for n in range(c.lo, c.hi + 1)}
     return ChainMap(c, c, comps)
 
 
@@ -182,22 +178,14 @@ def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
         raise NotComposable("target(f) != source(g)")
     lo = min(f.source.lo, g.target.lo)
     hi = max(f.source.hi, g.target.hi)
-    comps = {}
-    for n in range(lo, hi + 1):
-        comps[n] = f.component(n).then(g.component(n))
+    comps = {n: f.component(n).matrix @ g.component(n).matrix for n in range(lo, hi + 1)}
     return ChainMap(f.source, g.target, comps)
 
 
 def shift(c: BoundedComplex, k: int) -> BoundedComplex:
     """c[k]^n = c^{n+k}, with differential multiplied by (-1)^k."""
-    sign = -1 if k % 2 else 1
-    terms = c.terms
-    diffs = tuple(
-        GammaHom(d.source, d.target, AbHom(d.hom.source, d.hom.target,
-                                           d.hom.matrix if sign == 1 else -d.hom.matrix))
-        for d in c.diffs
-    )
-    return BoundedComplex(c.gamma, c.lo - k, terms, diffs)
+    diffs = tuple(-d for d in c.diffs) if k % 2 else c.diffs
+    return BoundedComplex(c.gamma, c.lo - k, c.terms, diffs)
 
 
 def cone(u: ChainMap) -> BoundedComplex:
@@ -210,15 +198,10 @@ def cone(u: ChainMap) -> BoundedComplex:
         terms.append(direct_sum_modules(a.term(n + 1), b.term(n)))
     diffs = []
     for n in range(lo, hi):
-        src = terms[n - lo]
-        tgt = terms[n + 1 - lo]
-        da = a.diff(n + 1).hom.matrix
-        db = b.diff(n).hom.matrix
-        un = u.component(n + 1).hom.matrix
-        ra1, rb = a.term(n + 1).group.ambient_rank, b.term(n).group.ambient_rank
-        ra2, rb2 = a.term(n + 2).group.ambient_rank, b.term(n + 1).group.ambient_rank
-        m = vstack(hstack(-da, un), hstack(zeros(rb, ra2), db))
-        diffs.append(GammaHom(src, tgt, AbHom(src.group, tgt.group, m)))
+        da = a.diff(n + 1).matrix
+        db = b.diff(n).matrix
+        un = u.component(n + 1).matrix
+        diffs.append(vstack(hstack(-da, un), hstack(zeros(db.rows, da.cols), db)))
     return BoundedComplex(gamma, lo, tuple(terms), tuple(diffs))
 
 
@@ -230,14 +213,11 @@ def cone_triangle(u: ChainMap) -> tuple[BoundedComplex, ChainMap, ChainMap]:
     w_comps = {}
     v_comps = {}
     for n in range(c.lo, c.hi + 1):
-        cn = c.term(n)
         ra = a.term(n + 1).group.ambient_rank
         rb = b.term(n).group.ambient_rank
         # inclusion of B^n as the second summand
-        incl = hstack(zeros(rb, ra), identity(rb))
-        w_comps[n] = GammaHom(b.term(n), cn, AbHom(b.term(n).group, cn.group, incl))
-        proj = vstack(-identity(ra), zeros(rb, ra))
-        v_comps[n] = GammaHom(cn, a1.term(n), AbHom(cn.group, a1.term(n).group, proj))
+        w_comps[n] = hstack(zeros(rb, ra), identity(rb))
+        v_comps[n] = vstack(-identity(ra), zeros(rb, ra))
     return c, ChainMap(b, c, w_comps), ChainMap(c, a1, v_comps)
 
 
@@ -260,7 +240,7 @@ def induced_on_cohomology(u: ChainMap, n: int) -> AbHom:
     """The map H^n(source) -> H^n(target) on the subquotient presentations."""
     sdata = u.source.cohomology_data(n)
     tdata = u.target.cohomology_data(n)
-    m = tdata.class_coords(sdata.gens @ u.component(n).hom.matrix)
+    m = tdata.class_coords(sdata.gens @ u.component(n).matrix)
     if m is None:
         raise IllDefinedHom("chain map does not send cocycles to cocycles")
     return AbHom(sdata.group, tdata.group, m)
@@ -280,20 +260,13 @@ def truncate(c: BoundedComplex, n: int) -> tuple[BoundedComplex, ChainMap]:
     diffs = list(c.diffs[: max(0, n - 1 - c.lo)])
     if n > c.lo:
         # corestrict d^{n-1} through the kernel inclusion
-        prev = c.term(n - 1)
-        m = member_coords(ker_inc.matrix, c.term(n).group.relations, c.diff(n - 1).hom.matrix)
+        m = member_coords(ker_inc.matrix, c.term(n).group.relations, c.diff(n - 1).matrix)
         if m is None:
             raise InvalidComplex("d^{n-1} does not land in ker d^n")
-        diffs.append(GammaHom(prev, ker_mod, AbHom(prev.group, ker_grp, m)))
+        diffs.append(m)
     trunc = BoundedComplex(c.gamma, c.lo, tuple(terms), tuple(diffs))
-    comps = {
-        m_deg: GammaHom(
-            trunc.term(m_deg), c.term(m_deg),
-            AbHom.identity_on(c.term(m_deg).group),
-        )
-        for m_deg in range(c.lo, n)
-    }
-    comps[n] = GammaHom(ker_mod, c.term(n), AbHom(ker_grp, c.term(n).group, ker_inc.matrix))
+    comps = {m_deg: identity(c.term(m_deg).group.ambient_rank) for m_deg in range(c.lo, n)}
+    comps[n] = ker_inc.matrix
     return trunc, ChainMap(trunc, c, comps)
 
 
@@ -309,16 +282,14 @@ def truncation_triangle_check(c: BoundedComplex, n: int) -> Checks:
     # tau_{<=n-1} includes into tau_{<=n} through c; build it directly
     comps = {}
     for m_deg in range(t_prev.lo, t_prev.hi + 1):
-        src = t_prev.term(m_deg)
-        tgt = t_cur.term(m_deg)
         m = member_coords(
-            inc_cur.component(m_deg).hom.matrix,
+            inc_cur.component(m_deg).matrix,
             c.term(m_deg).group.relations,
-            inc_prev.component(m_deg).hom.matrix,
+            inc_prev.component(m_deg).matrix,
         )
         if m is None:
             raise InvalidComplex("truncation inclusion mismatch")
-        comps[m_deg] = GammaHom(src, tgt, AbHom(src.group, tgt.group, m))
+        comps[m_deg] = m
     i_map = ChainMap(t_prev, t_cur, comps)
 
     hn = c.cohomology(n)
@@ -327,11 +298,10 @@ def truncation_triangle_check(c: BoundedComplex, n: int) -> Checks:
     # degree-n component: ker d^n -> H^n, by taking classes
     p_comps = {}
     if t_cur.lo <= n <= t_cur.hi:
-        src = t_cur.term(n)
-        m = hn_data.class_coords(inc_cur.component(n).hom.matrix)
+        m = hn_data.class_coords(inc_cur.component(n).matrix)
         if m is None:
             raise InvalidComplex("kernel element has no cohomology class")
-        p_comps[n] = GammaHom(src, hn, AbHom(src.group, hn.group, m))
+        p_comps[n] = m
     p_map = ChainMap(t_cur, hn_complex, p_comps)
 
     checks = []
@@ -381,12 +351,12 @@ def connecting_map(i: ChainMap, p: ChainMap, n: int) -> AbHom:
     c_data = c.cohomology_data(n)
     a_data = a.cohomology_data(n + 1)
     # lift the cocycles of C^n to ambient vectors of B^n
-    lifts = member_coords(p.component(n).hom.matrix, c.term(n).group.relations, c_data.gens)
+    lifts = member_coords(p.component(n).matrix, c.term(n).group.relations, c_data.gens)
     if lifts is None:
         raise IllDefinedHom("levelwise surjectivity failed during lifting")
     pulled = member_coords(
-        i.component(n + 1).hom.matrix, b.term(n + 1).group.relations,
-        lifts @ b.diff(n).hom.matrix,
+        i.component(n + 1).matrix, b.term(n + 1).group.relations,
+        lifts @ b.diff(n).matrix,
     )
     if pulled is None:
         raise IllDefinedHom("boundary does not come from the subcomplex")

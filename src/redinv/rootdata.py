@@ -27,7 +27,7 @@ from .intmat import (
     mat,
     rank as mat_rank,
 )
-from .abgrp import AbHom, Checks, FgAbelianGroup
+from .abgrp import Checks, FgAbelianGroup
 from .gammamod import (
     FiniteGroup,
     GammaHom,
@@ -189,9 +189,7 @@ def pairing_map(d: ReductiveDatum) -> GammaHom:
     b = mat(
         [[d.datum.simple_coroots[j][i] for j in range(r)] for i in range(n)], r
     )
-    return GammaHom(d.x_module(), weight_module(d), AbHom(
-        FgAbelianGroup.free(n), FgAbelianGroup.free(r), b
-    ))
+    return GammaHom(d.x_module(), weight_module(d), b)
 
 
 def character_group(d: ReductiveDatum) -> GammaModule:
@@ -220,10 +218,7 @@ def cocharacter_module(d: ReductiveDatum) -> GammaModule:
 def coroot_lattice_map(d: ReductiveDatum) -> GammaHom:
     """The map Z^r -> X-dual sending basis vector j to the j-th coroot."""
     n = d.datum.rank
-    src = weight_module(d)
-    return GammaHom(src, cocharacter_module(d), AbHom(
-        src.group, FgAbelianGroup.free(n), mat(d.datum.simple_coroots, n)
-    ))
+    return GammaHom(weight_module(d), cocharacter_module(d), mat(d.datum.simple_coroots, n))
 
 
 def pi1(d: ReductiveDatum) -> GammaModule:

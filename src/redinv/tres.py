@@ -71,9 +71,7 @@ def canonical_tresolution(d: ReductiveDatum) -> TResolutionData:
     beta = pairing_map(d)
     mu = mu_dual(d)
     p = weight_module(d)
-    l_star = GammaHom(p, mu, AbHom(
-        p.group, mu.group, identity(p.group.ambient_rank)
-    ))
+    l_star = GammaHom(p, mu, identity(p.group.ambient_rank))
     return TResolutionData(
         datum=d,
         Tstar=p,
@@ -110,7 +108,7 @@ def pushout_tresolution_with_diagnostics(
     beta = pairing_map(d)
     target = direct_sum_modules(x_rad, p)
     # X -> X_rad (+) P, chi -> (chi mod saturated root span, beta(chi))
-    emb_matrix = hstack(identity(n), beta.hom.matrix)
+    emb_matrix = hstack(identity(n), beta.matrix)
     emb = AbHom(FgAbelianGroup.free(n), target.group, emb_matrix)
     injective = emb.is_injective()
     if not injective:
@@ -132,19 +130,8 @@ def pushout_tresolution_with_diagnostics(
         if not any(cls):
             seen.add(cls)
             continue
-        # record the whole orbit of this generator class
-        orbit = {mu_prime_grp.reduce(m.apply_to_row(cls)) for m in mu_prime.actions}
-        frontier = set(orbit)
-        while frontier:
-            new = set()
-            for v in frontier:
-                for m in mu_prime.actions:
-                    w = mu_prime_grp.reduce(m.apply_to_row(v))
-                    if w not in orbit:
-                        orbit.add(w)
-                        new.add(w)
-            frontier = new
-        seen |= orbit
+        # the actions cover every element of Gamma, so this is the whole orbit
+        seen |= {mu_prime_grp.reduce(m.apply_to_row(cls)) for m in mu_prime.actions}
         reps.append(j)
 
     k = len(reps)
@@ -157,38 +144,31 @@ def pushout_tresolution_with_diagnostics(
         for g in gamma.elements():
             s_rows.append(list(mu_prime.actions[g].apply_to_row(e_j)))
     s_matrix = mat(s_rows, n + r)
-    s = GammaHom(t_star, mu_prime, AbHom(t_star.group, mu_prime_grp, s_matrix))
 
     # R* = ker[(a, b) in X_rad (+) T* -> q(a, 0) + s(b)]
     src = direct_sum_modules(x_rad, t_star)
     top = hstack(identity(n), zeros(n, r))  # X_rad ambient -> mu' ambient
-    sum_matrix = vstack(top, s_matrix)
-    sum_hom = GammaHom(src, mu_prime, AbHom(src.group, mu_prime_grp, sum_matrix))
-    r_grp, r_inc = kernel(sum_hom.hom)
+    r_grp, r_inc = kernel(AbHom(src.group, mu_prime_grp, vstack(top, s_matrix)))
     r_actions = induced_action_on_subgroup(src, r_inc.matrix, r_grp)
     r_star = GammaModule(gamma, r_grp, r_actions)
 
     # rho* = T*-coordinate projection of the kernel inclusion
     rho_matrix = mat((row[n:] for row in r_inc.matrix.data), k * q)
-    rho_star = GammaHom(r_star, t_star, AbHom(r_grp, t_star.group, rho_matrix))
+    rho_star = GammaHom(r_star, t_star, rho_matrix)
 
     # l* = s followed by the projection mu' -> mu (drop the X_rad part)
-    mu = mu_dual(d)
     drop = vstack(zeros(n, r), identity(r))
-    mu_proj = AbHom(mu_prime_grp, mu.group, drop)
-    l_star = GammaHom(t_star, mu, s.hom.then(mu_proj))
+    l_star = GammaHom(t_star, mu_dual(d), s_matrix @ drop)
 
     # character group included into R* as chi -> (chi mod rad span, 0)
     chi_inc = character_inclusion(d)
-    chi = chi_inc.hom.matrix
+    chi = chi_inc.matrix
     char_matrix = member_coords(
         r_inc.matrix, src.group.relations, hstack(chi, zeros(chi.rows, k * q))
     )
     if char_matrix is None:
         raise InvalidDatum("character group does not land in R*")
-    char_map = GammaHom(
-        chi_inc.source, r_star, AbHom(chi_inc.source.group, r_grp, char_matrix)
-    )
+    char_map = GammaHom(chi_inc.source, r_star, char_matrix)
 
     res = TResolutionData(
         datum=d,
@@ -245,15 +225,13 @@ def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
     x0 = character_group(res.datum)
     mu = mu_dual(res.datum)
 
-    classes = hm1_data.class_coords(res.char_map.hom.matrix)
+    classes = hm1_data.class_coords(res.char_map.matrix)
     if classes is None:
         raise InvalidDatum("character classes are not rho*-cocycles")
-    to_hm1 = AbHom(x0.group, hm1.group, classes)
-    from_h0 = AbHom(h0.group, mu.group, mat(
+    to_hm1 = GammaHom(x0, hm1, classes)
+    from_h0 = GammaHom(h0, mu, mat(
         map(res.l_star.hom.apply_coords, h0_data.gens.data), mu.group.ambient_rank))
-    eq1 = GammaHom(x0, hm1, to_hm1).is_equivariant()
-    eq2 = GammaHom(h0, mu, from_h0).is_equivariant()
-    return to_hm1, from_h0, eq1, eq2
+    return to_hm1.hom, from_h0.hom, to_hm1.is_equivariant(), from_h0.is_equivariant()
 
 
 @dataclass(frozen=True)
@@ -421,18 +399,8 @@ def ses_to_complex_ses(
     # degree 0: P3 -> P2 places the g3 coordinates, P2 -> P1 projects
     p32 = mat([[1 if j == s.part3[i] else 0 for j in range(r2)] for i in range(r3)], r2)
     p21 = mat([[1 if s.part1[j] == i else 0 for j in range(r1)] for i in range(r2)], r1)
-    i_map = ChainMap(c3, c2, {
-        -1: GammaHom(c3.term(-1), c2.term(-1), AbHom(
-            c3.term(-1).group, c2.term(-1).group, s.x3_to_x2)),
-        0: GammaHom(c3.term(0), c2.term(0), AbHom(
-            c3.term(0).group, c2.term(0).group, p32)),
-    })
-    p_map = ChainMap(c2, c1, {
-        -1: GammaHom(c2.term(-1), c1.term(-1), AbHom(
-            c2.term(-1).group, c1.term(-1).group, s.x2_to_x1)),
-        0: GammaHom(c2.term(0), c1.term(0), AbHom(
-            c2.term(0).group, c1.term(0).group, p21)),
-    })
+    i_map = ChainMap(c3, c2, {-1: s.x3_to_x2, 0: p32})
+    p_map = ChainMap(c2, c1, {-1: s.x2_to_x1, 0: p21})
     checks.append(("i-chain-map", i_map.is_valid(), None))
     checks.append(("p-chain-map", p_map.is_valid(), None))
     if not all(ok for _, ok, _ in checks):
@@ -497,16 +465,11 @@ def induced_map(
     """
     c2 = canonical_pi1d(d2)
     c1 = canonical_pi1d(d1)
-    b1 = pairing_map(d1).hom.matrix
-    b2 = pairing_map(d2).hom.matrix
+    b1 = pairing_map(d1).matrix
+    b2 = pairing_map(d2).matrix
     f0 = coroot_matrix.transpose()
     if (char_pullback @ b1).data != (b2 @ f0).data:
         raise InvalidDatum("char pullback and coroot matrix are incompatible")
-    u = ChainMap(c2, c1, {
-        -1: GammaHom(c2.term(-1), c1.term(-1), AbHom(
-            c2.term(-1).group, c1.term(-1).group, char_pullback)),
-        0: GammaHom(c2.term(0), c1.term(0), AbHom(
-            c2.term(0).group, c1.term(0).group, f0)),
-    })
+    u = ChainMap(c2, c1, {-1: char_pullback, 0: f0})
     u.check()
     return u

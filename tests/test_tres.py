@@ -190,7 +190,7 @@ class TestInducedMaps:
         # the SL(3) -> PGL(3) map agrees with itself composed with identities
         u = sl_to_pgl_induced_map(3)
         v = compose_chain_maps(u, ses_identity(u.target))
-        assert v.component(0).hom.matrix.data == u.component(0).hom.matrix.data
+        assert v.component(0).matrix.data == u.component(0).matrix.data
 
 
 def ses_identity(c):
