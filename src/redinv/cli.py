@@ -7,6 +7,7 @@ witness is printed), 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from typing import Any, Callable
@@ -19,7 +20,7 @@ from .catalogio import (
     input_digest,
     invariants_json,
     load_catalog,
-    load_ses,
+    ses_from_json,
 )
 from .cech import (
     CechInput,
@@ -70,6 +71,17 @@ def _load(parse: Callable[[], Any]) -> Any:
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _parse_file(path: str, parse: Callable[[str], Any]) -> tuple[dict, Any]:
+    """The digest payload of the file's bytes, and parse() of its text.
+
+    The digest names the content, not the path, so a file gives the
+    same record from any directory.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return {"fileSha256": hashlib.sha256(data).hexdigest()}, parse(data.decode("utf-8"))
 
 
 def _emit(args, command: str, digest_payload: dict, outputs: dict,
@@ -169,9 +181,10 @@ def cmd_pi1d(args) -> int:
 
 
 def cmd_check_ses(args) -> int:
-    ses = _load(lambda: load_ses(args.file))
-    if ses is None:
+    loaded = _load(lambda: _parse_file(args.file, ses_from_json))
+    if loaded is None:
         return EXIT_INPUT_ERROR
+    payload, ses = loaded
     _, _, checks, les = ses_to_complex_ses(ses)
     outputs = {}
     lines = [f"fixture: {args.file}"]
@@ -184,21 +197,22 @@ def cmd_check_ses(args) -> int:
             f"{item['label']}={_fmt_group(item['group'])}" for item in outputs["sequence"]
         )
         lines.append("long exact sequence: 0 -> " + chain + " -> 0")
-    return _emit(args, "check-ses", {"file": args.file}, outputs, checks, lines)
+    return _emit(args, "check-ses", payload, outputs, checks, lines)
 
 
 def cmd_cech(args) -> int:
-    cx = _load(lambda: build_complex(
-        CechInput.from_json(_read_json(args.file)), args.max_degree))
-    if cx is None:
+    loaded = _load(lambda: _parse_file(args.file, lambda text: build_complex(
+        CechInput.from_json(json.loads(text)), args.max_degree)))
+    if loaded is None:
         return EXIT_INPUT_ERROR
+    payload, cx = loaded
     cohs = {
         str(i): invariants_json(cech_cohomology(cx, i))
         for i in range(args.max_degree)
     }
     lines = [f"input: {args.file} (degrees up to {args.max_degree})"]
     lines += [f"H^{i} = {_fmt_group(cohs[str(i)])}" for i in range(args.max_degree)]
-    payload = {"file": args.file, "maxDegree": args.max_degree}
+    payload["maxDegree"] = args.max_degree
     return _emit(args, "cech", payload, {"cohomology": cohs}, contraction_check(cx), lines)
 
 

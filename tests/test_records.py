@@ -3,14 +3,15 @@
 ``data/records.json`` maps each argv, joined by single spaces, to the
 sha256 of the record that ``--format json`` prints.  Besides the catalog,
 it pins five classical specs of rank 14 or more, whose pushout resolutions
-solve the largest subgroup-coordinate systems.  ``check-ses`` and
-``cech`` hash the path string into the input digest, so they run from the
-input's directory with a bare file name.
+solve the largest subgroup-coordinate systems.  ``check-ses`` and ``cech``
+hash the input file's bytes into the input digest; their keys name the
+fixture in the shipped data directory, or the cech input written below.
 """
 
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -55,14 +56,41 @@ def test_every_catalog_spec_and_fixture_is_covered():
     assert set(GOLDEN) == want
 
 
+def _record(argv, capsys) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_record_is_byte_identical(command, capsys, monkeypatch, tmp_path):
+def test_record_is_byte_identical(command, capsys, tmp_path):
     argv = command.split(" ")
     if argv[0] == "check-ses":
-        monkeypatch.chdir(DATA_DIR)
+        argv[1] = os.path.join(DATA_DIR, argv[1])
     elif argv[0] == "cech":
-        (tmp_path / argv[1]).write_text(json.dumps(CECH_INPUT))
-        monkeypatch.chdir(tmp_path)
-    assert main(argv) == 0
-    out = capsys.readouterr().out
+        argv[1] = str(tmp_path / argv[1])
+        (tmp_path / "cech.json").write_text(json.dumps(CECH_INPUT))
+    out = _record(argv, capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", ["check-ses", "cech"])
+def test_digest_follows_content_not_path(command, capsys, tmp_path):
+    if command == "check-ses":
+        names = sorted(n for n in os.listdir(DATA_DIR) if n.startswith("ses_"))
+        first, second = (os.path.join(DATA_DIR, n) for n in names[:2])
+    else:
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(json.dumps(CECH_INPUT))
+        other = dict(CECH_INPUT, phi=[["0", "0"], ["0", "1"]])
+        second.write_text(json.dumps(other))
+    records = []
+    for k, src in enumerate((first, first, second)):
+        # the first file copied into two directories, then a different
+        # file under the same name
+        (tmp_path / str(k)).mkdir()
+        path = tmp_path / str(k) / "input.json"
+        shutil.copyfile(src, path)
+        records.append(_record([command, str(path), "--format", "json"], capsys))
+    assert records[0] == records[1]
+    digests = [json.loads(r)["inputDigest"] for r in records]
+    assert digests[0] != digests[2]
