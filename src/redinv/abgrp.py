@@ -48,7 +48,7 @@ class FgAbelianGroup:
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
         h, _ = hnf(self.relations)
-        h = mat((r for r in h.data if any(r)), self.ambient_rank)
+        h = IntMatrix(tuple(r for r in h.data if any(r)), self.ambient_rank)
         pivots = []
         for i, row in enumerate(h.data):
             j = next(k for k, a in enumerate(row) if a)
@@ -232,14 +232,14 @@ def member_coords(gens: IntMatrix, rels: IntMatrix, vecs: IntMatrix) -> Optional
     x = solve_linear(vstack(gens, rels).transpose(), vecs)
     if x is None:
         return None
-    return mat((r[: gens.rows] for r in x.data), gens.rows)
+    return IntMatrix(tuple(r[: gens.rows] for r in x.data), gens.rows)
 
 
 def preimage_lattice(a: IntMatrix, target_rels: IntMatrix) -> IntMatrix:
     """Basis of {x : x @ a lies in the lattice spanned by target_rels}."""
     full = kernel_basis(vstack(a, target_rels).transpose())
-    h, _ = hnf(mat((r[: a.rows] for r in full.data), a.rows))
-    return mat((r for r in h.data if any(r)), a.rows)
+    h, _ = hnf(IntMatrix(tuple(r[: a.rows] for r in full.data), a.rows))
+    return IntMatrix(tuple(r for r in h.data if any(r)), a.rows)
 
 
 def subgroup(gens: IntMatrix, ambient: FgAbelianGroup) -> tuple[FgAbelianGroup, AbHom]:

@@ -42,6 +42,15 @@ def invariants_json(g: FgAbelianGroup) -> dict:
     return {"rank": rank, "torsion": list(torsion)}
 
 
+def datum_invariants(d: ReductiveDatum) -> dict:
+    """The invariants a catalog entry records for a datum."""
+    return {
+        "characterGroup": invariants_json(character_group(d).group),
+        "muDual": invariants_json(mu_dual(d).group),
+        "pi1": invariants_json(pi1(d).group),
+    }
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     spec: str
@@ -52,6 +61,14 @@ class CatalogEntry:
 
     def datum(self) -> ReductiveDatum:
         return from_catalog(self.spec)
+
+    def expected(self) -> dict:
+        """The stored invariants, keyed as datum_invariants keys them."""
+        return {
+            "characterGroup": self.expected_character,
+            "muDual": self.expected_mu_dual,
+            "pi1": self.expected_pi1,
+        }
 
 
 @dataclass(frozen=True)
@@ -126,16 +143,7 @@ def verify_catalog(catalog: CatalogFile) -> None:
         d = entry.datum()
         rep = validate(d)
         _require(rep.passed, entry.spec, f"datum invalid: {rep.failures()}")
-        got = {
-            "characterGroup": invariants_json(character_group(d).group),
-            "muDual": invariants_json(mu_dual(d).group),
-            "pi1": invariants_json(pi1(d).group),
-        }
-        want = {
-            "characterGroup": entry.expected_character,
-            "muDual": entry.expected_mu_dual,
-            "pi1": entry.expected_pi1,
-        }
+        got, want = datum_invariants(d), entry.expected()
         _require(got == want, entry.spec,
                  f"recomputed invariants {got} differ from stored {want}")
 
@@ -146,11 +154,7 @@ def catalog_to_json(catalog: CatalogFile) -> str:
         "entries": [
             {
                 "spec": e.spec,
-                "expected": {
-                    "characterGroup": e.expected_character,
-                    "muDual": e.expected_mu_dual,
-                    "pi1": e.expected_pi1,
-                },
+                "expected": e.expected(),
                 "provenance": e.provenance,
             }
             for e in catalog.entries
@@ -167,14 +171,9 @@ def build_catalog(specs: list[str], provenance: str) -> CatalogFile:
     """Compute expected invariants for the given group specs."""
     entries = []
     for spec in specs:
-        d = from_catalog(spec)
-        entries.append(CatalogEntry(
-            spec=spec,
-            expected_character=invariants_json(character_group(d).group),
-            expected_mu_dual=invariants_json(mu_dual(d).group),
-            expected_pi1=invariants_json(pi1(d).group),
-            provenance=provenance,
-        ))
+        got = datum_invariants(from_catalog(spec))
+        entries.append(CatalogEntry(spec, got["characterGroup"], got["muDual"],
+                                    got["pi1"], provenance))
     return CatalogFile(SCHEMA_VERSION, tuple(entries))
 
 

@@ -17,6 +17,7 @@ from .abgrp import Checks
 from .catalogio import (
     CatalogError,
     ResultRecord,
+    datum_invariants,
     input_digest,
     invariants_json,
     load_catalog,
@@ -28,14 +29,7 @@ from .cech import (
     cech_cohomology,
     contraction_check,
 )
-from .rootdata import (
-    character_group,
-    from_catalog,
-    mu_dual,
-    pi1,
-    radical_characters,
-    validate,
-)
+from .rootdata import from_catalog, radical_characters, validate
 from .tres import (
     canonical_tresolution,
     four_term_check,
@@ -112,23 +106,14 @@ def cmd_invariants(args) -> int:
     if d is None:
         return EXIT_INPUT_ERROR
     rep = validate(d)
-    outputs = {
-        "characterGroup": invariants_json(character_group(d).group),
-        "muDual": invariants_json(mu_dual(d).group),
-        "pi1": invariants_json(pi1(d).group),
-        "radicalCharacters": invariants_json(radical_characters(d).group),
-    }
+    got = datum_invariants(d)
+    outputs = dict(got, radicalCharacters=invariants_json(radical_characters(d).group))
     entries = [("datum-valid", rep.passed, rep.failures())]
     try:
         catalog = load_catalog(args.catalog, self_test=False)
         for entry in catalog.entries:
             if entry.spec == args.spec:
-                want = {
-                    "characterGroup": entry.expected_character,
-                    "muDual": entry.expected_mu_dual,
-                    "pi1": entry.expected_pi1,
-                }
-                got = {k: outputs[k] for k in want}
+                want = entry.expected()
                 entries.append(
                     ("matches-catalog", got == want, {"expected": want, "computed": got})
                 )

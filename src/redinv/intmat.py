@@ -256,7 +256,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         for i in range(pr):
             rowsub(i, pr, a[i][col] // a[pr][col])
         pr += 1
-    return mat(a, c), mat(u, r)
+    return IntMatrix(tuple(map(tuple, a)), c), IntMatrix(tuple(map(tuple, u)), r)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -350,7 +350,8 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 a[t][j] = -a[t][j]
             for j in range(r):
                 u[t][j] = -u[t][j]
-    return mat(u, r), mat(a, c), mat(v, c)
+    return (IntMatrix(tuple(map(tuple, u)), r), IntMatrix(tuple(map(tuple, a)), c),
+            IntMatrix(tuple(map(tuple, v)), c))
 
 
 def diagonal(d: IntMatrix) -> tuple[int, ...]:
@@ -381,8 +382,8 @@ def solve_linear(m: IntMatrix, rhs: IntMatrix) -> Optional[IntMatrix]:
     cp = rhs @ u.transpose()  # row k: U @ b_k
     if any(a % p if p else a for row in cp.data for a, p in zip(row, diag)):
         return None
-    y = mat(([a // p if p else 0 for a, p in zip(row, diag[:c])] + [0] * (c - r)
-             for row in cp.data), c)
+    y = IntMatrix(tuple(tuple([a // p if p else 0 for a, p in zip(row, diag[:c])]
+                              + [0] * (c - r)) for row in cp.data), c)
     return y @ v.transpose()  # row k: V @ y_k
 
 
@@ -390,8 +391,8 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis (rows) of the saturated lattice {x : m @ x^T = 0}."""
     mt = _transpose(m)
     h, u = hnf(mt)
-    h2, _ = hnf(mat((u.row(i) for i in range(h.rows) if not any(h.row(i))), m.cols))
-    return mat((row for row in h2.data if any(row)), m.cols)
+    h2, _ = hnf(IntMatrix(tuple(u.row(i) for i in range(h.rows) if not any(h.row(i))), m.cols))
+    return IntMatrix(tuple(row for row in h2.data if any(row)), m.cols)
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from redinv.intmat import identity, mat
+from redinv.intmat import DimensionMismatch, identity, mat
 from redinv.abgrp import FgAbelianGroup, subgroups_equal
 from redinv.gammamod import (
     FiniteGroup,
@@ -217,6 +217,12 @@ class TestEquivariantHoms:
         bad = GammaHom(m, t, mat([[1], [0]]))
         assert good.is_equivariant()
         assert not bad.is_equivariant()
+
+    def test_wrong_shape_rejected(self):
+        m = self._swap()
+        t = trivial_module(cyclic_group(2), FgAbelianGroup.free(1))
+        with pytest.raises(DimensionMismatch):
+            GammaHom(m, t, mat([[1, 1]]))
 
     def test_equivariant_kernel(self):
         m = self._swap()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from redinv.intmat import IntMatrix, identity, mat, zeros
-from redinv.abgrp import FgAbelianGroup
+from redinv.abgrp import FgAbelianGroup, IllDefinedHom
 from redinv.gammamod import (
     GammaHom,
     GammaModule,
@@ -71,6 +71,11 @@ class TestComplexes:
         with pytest.raises(InvalidComplex):
             c.check()
 
+    def test_wrong_shape_differential(self):
+        m1, m2 = free_mod(1), free_mod(2)
+        with pytest.raises(InvalidComplex):
+            BoundedComplex(G1, 0, (m1, m2), (mat([[1]]),))
+
     def test_three_term(self):
         # Z --(1,0)--> Z^2 --(0,1)^T--> Z is exact except H^2 = Z
         m1, m2, m3 = free_mod(1), free_mod(2), free_mod(1)
@@ -98,6 +103,16 @@ class TestComplexes:
         assert h.group.invariants() == (1, ())
         # the kernel line (1, -1) is negated by the swap
         assert h.actions[1].data == ((-1,),)
+
+
+class TestChainMapShape:
+    def test_wrong_shape_component(self):
+        a = free_complex(mat([[2]]))
+        b = free_complex(mat([[2, 0]]))
+        u = ChainMap(a, b, {0: mat([[1]])})  # b^0 has rank 2, so 1 x 2 is needed
+        with pytest.raises(IllDefinedHom):
+            u.check()
+        assert not u.is_valid()
 
 
 class TestShift:

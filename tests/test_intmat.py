@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redinv.intmat import (
     DimensionMismatch,
@@ -160,3 +161,63 @@ class TestMisc:
         m = mat([[10**40, 1], [1, 10**40]])
         _, d, _ = snf(m)
         assert det(m) == d[0, 0] * d[1, 1] or det(m) == -(d[0, 0] * d[1, 1])
+
+
+def _matrices(max_rows: int = 5, max_cols: int = 5):
+    shape = st.tuples(st.integers(1, max_rows), st.integers(1, max_cols))
+    return shape.flatmap(lambda rc: st.lists(
+        st.lists(st.integers(-9, 9), min_size=rc[1], max_size=rc[1]),
+        min_size=rc[0], max_size=rc[0],
+    ).map(lambda rows: mat(rows, rc[1])))
+
+
+class TestNormalFormProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices())
+    def test_hnf(self, m):
+        h, u = hnf(m)
+        assert (u @ m).data == h.data
+        assert is_unimodular(u)
+        # reduced echelon: zero rows last, pivot columns increasing, pivots
+        # positive, zeros below and entries in [0, pivot) above each pivot
+        pivots = [next((j for j, a in enumerate(r) if a), None) for r in h.data]
+        nonzero = [j for j in pivots if j is not None]
+        assert pivots[: len(nonzero)] == nonzero
+        assert nonzero == sorted(set(nonzero))
+        for i, j in enumerate(nonzero):
+            p = h[i, j]
+            assert p > 0
+            assert all(0 <= h[k, j] < p for k in range(i))
+            assert all(h[k, j] == 0 for k in range(i + 1, h.rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices())
+    def test_snf(self, m):
+        u, d, v = snf(m)
+        assert (u @ m @ v).data == d.data
+        assert is_unimodular(u) and is_unimodular(v)
+        assert all(d[i, j] == 0 for i in range(d.rows) for j in range(d.cols) if i != j)
+        diag = [d[i, i] for i in range(min(d.rows, d.cols))]
+        assert all(a >= 0 for a in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0 if a else b == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices(4, 4))
+    def test_kernel_basis(self, m):
+        k = kernel_basis(m)
+        assert k.cols == m.cols
+        assert k.rows == m.cols - rank(m)
+        assert (m @ k.transpose()).is_zero()
+        # saturated: the maximal minors of k are coprime (independent oracle)
+        assert gcd_of_minors_invariants(k) == [1] * k.rows
+
+
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    rng = random.Random(6)
+    for _ in range(150):
+        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 12)
+        got = normalforms.invariant_factors(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
+        assert invariant_factors(m) == tuple(abs(int(x)) for x in got if x != 0)
