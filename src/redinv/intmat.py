@@ -136,6 +136,11 @@ def mat(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> IntMatrix:
     return IntMatrix(tup, cols)
 
 
+def _from_lists(rows: Iterable[Sequence[int]], cols: int) -> IntMatrix:
+    """Like mat, for rows already holding Python ints: no per-entry int()."""
+    return IntMatrix(tuple(map(tuple, rows)), cols)
+
+
 def identity(n: int) -> IntMatrix:
     return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
@@ -256,7 +261,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         for i in range(pr):
             rowsub(i, pr, a[i][col] // a[pr][col])
         pr += 1
-    return IntMatrix(tuple(map(tuple, a)), c), IntMatrix(tuple(map(tuple, u)), r)
+    return _from_lists(a, c), _from_lists(u, r)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -350,8 +355,7 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 a[t][j] = -a[t][j]
             for j in range(r):
                 u[t][j] = -u[t][j]
-    return (IntMatrix(tuple(map(tuple, u)), r), IntMatrix(tuple(map(tuple, a)), c),
-            IntMatrix(tuple(map(tuple, v)), c))
+    return _from_lists(u, r), _from_lists(a, c), _from_lists(v, c)
 
 
 def diagonal(d: IntMatrix) -> tuple[int, ...]:
@@ -382,8 +386,8 @@ def solve_linear(m: IntMatrix, rhs: IntMatrix) -> Optional[IntMatrix]:
     cp = rhs @ u.transpose()  # row k: U @ b_k
     if any(a % p if p else a for row in cp.data for a, p in zip(row, diag)):
         return None
-    y = IntMatrix(tuple(tuple([a // p if p else 0 for a, p in zip(row, diag[:c])]
-                              + [0] * (c - r)) for row in cp.data), c)
+    y = _from_lists(([a // p if p else 0 for a, p in zip(row, diag[:c])] + [0] * (c - r)
+                     for row in cp.data), c)
     return y @ v.transpose()  # row k: V @ y_k
 
 
