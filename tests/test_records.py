@@ -67,8 +67,9 @@ def test_record_is_byte_identical(command, capsys, tmp_path):
     if argv[0] == "check-ses":
         argv[1] = os.path.join(DATA_DIR, argv[1])
     elif argv[0] == "cech":
-        argv[1] = str(tmp_path / argv[1])
-        (tmp_path / "cech.json").write_text(json.dumps(CECH_INPUT))
+        path = tmp_path / argv[1]
+        path.write_text(json.dumps(CECH_INPUT))
+        argv[1] = str(path)
     out = _record(argv, capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 
