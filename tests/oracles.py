@@ -6,8 +6,8 @@ import itertools
 import random
 from math import gcd
 
-from redinv.intmat import IntMatrix, mat, zeros
-from redinv.abgrp import AbHom, FgAbelianGroup
+from redinv.intmat import IntMatrix, mat
+from redinv.abgrp import AbHom, FgAbelianGroup, homology_at, power
 
 
 def gcd_of_minors_invariants(m: IntMatrix) -> list[int]:
@@ -118,3 +118,45 @@ def constructive_hom(rng: random.Random, src, src_diag, tgt, tgt_diag,
                 row.append(step * rng.randint(-bound, bound))
         rows.append(row)
     return AbHom(src, tgt, mat(rows, tgt.ambient_rank))
+
+
+def full_bar_differential(module, i: int) -> AbHom:
+    """Degree-i differential of the full inhomogeneous bar complex.
+
+    One copy of M per i-tuple of group elements, the identity included:
+    q^i copies.  Written straight from the definition by a scan over every
+    (source tuple, target tuple) pair, independent of the normalized
+    complex in ``gammamod``.
+    """
+    gamma = module.gamma
+    q = gamma.order
+    n = module.group.ambient_rank
+    tgt_tuples = list(itertools.product(range(q), repeat=i + 1))
+    rows = []
+    for t in itertools.product(range(q), repeat=i):
+        for k in range(n):
+            row = [0] * (n * len(tgt_tuples))
+            # basis cochain: value e_k at tuple t, zero elsewhere
+            for b, s in enumerate(tgt_tuples):
+                base = n * b
+                # first face: g1 . c(g2..g_{i+1})
+                if s[1:] == t:
+                    for a, x in enumerate(module.actions[s[0]].row(k)):
+                        row[base + a] += x
+                # middle faces: (-1)^j c(.., g_j g_{j+1}, ..)
+                for j in range(1, i + 1):
+                    if s[: j - 1] + (gamma.mul(s[j - 1], s[j]),) + s[j + 1:] == t:
+                        row[base + k] += -1 if j % 2 else 1
+                # last face: (-1)^{i+1} c(g1..g_i)
+                if s[:i] == t:
+                    row[base + k] += -1 if (i + 1) % 2 else 1
+            rows.append(row)
+    src = power(module.group, q ** i)
+    tgt = power(module.group, q ** (i + 1))
+    return AbHom(src, tgt, mat(rows, tgt.ambient_rank))
+
+
+def full_bar_cohomology(module, i: int) -> FgAbelianGroup:
+    """H^i(Gamma, M) of the full bar complex, for i >= 0."""
+    d_in = full_bar_differential(module, i - 1) if i > 0 else None
+    return homology_at(d_in, full_bar_differential(module, i)).group

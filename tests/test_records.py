@@ -6,17 +6,24 @@ it pins five classical specs of rank 14 or more, whose pushout resolutions
 solve the largest subgroup-coordinate systems.  ``check-ses`` and ``cech``
 hash the input file's bytes into the input digest; their keys name the
 fixture in the shipped data directory, or the cech input written below.
+``matrix hnf`` and ``matrix snf`` records pin H, U, D and V byte for byte
+on three matrices written below: a sparse 0/+-1 bar matrix and two dense
+ones.
 """
 
 import hashlib
 import json
 import os
+import random
 import shutil
 
 import pytest
 
 from redinv.catalogio import default_catalog_path, load_catalog
 from redinv.cli import main
+from redinv.gammamod import dihedral_group, induced_module
+
+from oracles import full_bar_differential, random_matrix
 
 
 DATA_DIR = os.path.dirname(default_catalog_path())
@@ -33,6 +40,14 @@ CECH_INPUT = {
 
 # no catalog spec reaches rank 14
 LARGE_SPECS = ("SL(17)", "PGL(17)", "GL(16)", "Sp(32)", "PSO(32)")
+
+# the transposed degree-1 bar differential of Z[S3] (216 x 36), as the
+# kernel computations of group cohomology see it, and two dense matrices
+MATRIX_INPUTS = {
+    "bar.json": full_bar_differential(induced_module(dihedral_group(3), 1), 1).matrix.transpose(),
+    "dense12.json": random_matrix(random.Random(12), 12, 12, 9),
+    "dense24.json": random_matrix(random.Random(24), 24, 24, 9),
+}
 
 
 def test_every_catalog_spec_and_fixture_is_covered():
@@ -53,6 +68,10 @@ def test_every_catalog_spec_and_fixture_is_covered():
         for name in os.listdir(DATA_DIR) if name.startswith("ses_")
     }
     want |= {f"cech cech.json --max-degree {k} --format json" for k in range(3, 9)}
+    want |= {
+        f"matrix {kind} {name} --format json"
+        for kind in ("hnf", "snf") for name in MATRIX_INPUTS
+    }
     assert set(GOLDEN) == want
 
 
@@ -70,6 +89,10 @@ def test_record_is_byte_identical(command, capsys, tmp_path):
         path = tmp_path / argv[1]
         path.write_text(json.dumps(CECH_INPUT))
         argv[1] = str(path)
+    elif argv[0] == "matrix":
+        path = tmp_path / argv[2]
+        path.write_text(json.dumps(MATRIX_INPUTS[argv[2]].to_json()))
+        argv[2] = str(path)
     out = _record(argv, capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 
