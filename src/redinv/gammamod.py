@@ -301,52 +301,61 @@ def fixed_points(module: GammaModule) -> tuple[FgAbelianGroup, AbHom]:
     return kernel(f)
 
 
-def _tuples(q: int, i: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(q), repeat=i))
-
-
 def cochain_group(module: GammaModule, i: int) -> FgAbelianGroup:
-    """Maps Gamma^i -> M as a plain group: one copy of M per tuple."""
-    return power(module.group, module.gamma.order ** i)
+    """Normalized i-cochains as a plain group: one copy of M per i-tuple
+    of non-identity elements, so (q - 1)^i copies."""
+    return power(module.group, (module.gamma.order - 1) ** i)
 
 
 def bar_differential(module: GammaModule, i: int) -> AbHom:
-    """The standard degree-i differential of the inhomogeneous bar complex."""
+    """The degree-i differential of the normalized inhomogeneous bar complex.
+
+    Normalized cochains vanish on every tuple with an identity entry, so
+    they live on tuples of non-identity elements; the complex computes the
+    same cohomology as the full one (Brown, Cohomology of Groups, III.1).
+    Each target tuple s = (g1, ..., g_{i+1}) has i + 2 faces, and each
+    face adds one n x n block to the rows of its source tuple in the
+    columns of s.  A middle face whose merged product is the identity
+    falls on a cochain that vanishes, and is dropped.
+    """
     gamma = module.gamma
-    q = gamma.order
+    e = gamma.identity
+    nonid = [g for g in gamma.elements() if g != e]
     n = module.group.ambient_rank
-    src_tuples = _tuples(q, i)
-    tgt_tuples = _tuples(q, i + 1)
-    tgt_index = {t: a for a, t in enumerate(tgt_tuples)}
-    src_index = {t: a for a, t in enumerate(src_tuples)}
-    rows = []
-    for t in src_tuples:
-        for k in range(n):
-            row = [0] * (n * len(tgt_tuples))
-            # basis cochain: value e_k at tuple t, zero elsewhere
-            for s in tgt_tuples:
-                base = n * tgt_index[s]
-                # first face: g1 . c(g2..g_{i+1})
-                if s[1:] == t:
-                    moved = module.actions[s[0]].row(k)
-                    for a in range(n):
-                        row[base + a] += moved[a]
-                # middle faces: (-1)^j c(.., g_j g_{j+1}, ..)
-                for j in range(1, i + 1):
-                    merged = s[: j - 1] + (gamma.mul(s[j - 1], s[j]),) + s[j + 1 :]
-                    if merged == t:
-                        row[base + k] += -1 if j % 2 else 1
-                # last face: (-1)^{i+1} c(g1..g_i)
-                if s[:i] == t:
-                    row[base + k] += -1 if (i + 1) % 2 else 1
-            rows.append(row)
+    src_index = {t: a for a, t in enumerate(itertools.product(nonid, repeat=i))}
+    tgt_tuples = list(itertools.product(nonid, repeat=i + 1))
+    width = n * len(tgt_tuples)
+    rows = [[0] * width for _ in range(n * len(src_index))]
+    for b, s in enumerate(tgt_tuples):
+        base = n * b
+        # first face: g1 . c(g2..g_{i+1}), the block M_{g1}
+        top = n * src_index[s[1:]]
+        for k, moved in enumerate(module.actions[s[0]].data):
+            row = rows[top + k]
+            for a, x in enumerate(moved):
+                if x:
+                    row[base + a] += x
+        # middle faces (-1)^j c(.., g_j g_{j+1}, ..), then the last face
+        # (-1)^{i+1} c(g1..g_i): each a signed identity block
+        for j in range(1, i + 2):
+            if j <= i:
+                merged = gamma.mul(s[j - 1], s[j])
+                if merged == e:
+                    continue
+                t = s[: j - 1] + (merged,) + s[j + 1:]
+            else:
+                t = s[:i]
+            top = n * src_index[t]
+            sign = -1 if j % 2 else 1
+            for k in range(n):
+                rows[top + k][base + k] += sign
     src = cochain_group(module, i)
     tgt = cochain_group(module, i + 1)
-    return AbHom(src, tgt, mat(rows, tgt.ambient_rank))
+    return AbHom(src, tgt, IntMatrix(tuple(map(tuple, rows)), width))
 
 
 def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:
-    """H^i(Gamma, M) of the bar cochain complex, for i in {0, 1, 2}."""
+    """H^i(Gamma, M) of the normalized bar cochain complex, for i in {0, 1, 2}."""
     if i not in (0, 1, 2):
         raise ValueError(f"unsupported cohomology degree {i}")
     d_out = bar_differential(module, i)

@@ -4,6 +4,9 @@ All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
 Pivots are always chosen with minimal nonzero absolute value, ties broken
 by lowest (row, col) index, so the transforms U and V are reproducible.
+The row operations of ``hnf`` touch only the nonzero entries of the pivot
+row, so sparse input (such as the 0/+-1 bar differentials) costs in
+proportion to its nonzeros rather than its width.
 """
 
 from __future__ import annotations
@@ -227,14 +230,25 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     a = m.to_lists()
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
-    def rowsub(i: int, k: int, q: int) -> None:
-        if q:
-            ai, ak = a[i], a[k]
-            for j in range(c):
-                ai[j] -= q * ak[j]
-            ui, uk = u[i], u[k]
-            for j in range(r):
-                ui[j] -= q * uk[j]
+    def reduce_by(k: int, rows: Iterable[int], col: int) -> None:
+        """Subtract from each row i != k of ``rows`` the multiple
+        a[i][col] // a[k][col] of row k, touching only the nonzero
+        entries of row k in a and in u.  The support of row k is found
+        at the first nonzero multiple, and not at all without one."""
+        p = a[k][col]
+        support = None
+        for i in rows:
+            q = a[i][col] // p
+            if not q or i == k:
+                continue
+            if support is None:
+                support = ([(j, x) for j, x in enumerate(a[k]) if x],
+                           [(j, x) for j, x in enumerate(u[k]) if x])
+            ai, ui = a[i], u[i]
+            for j, x in support[0]:
+                ai[j] -= q * x
+            for j, x in support[1]:
+                ui[j] -= q * x
 
     pr = 0
     for col in range(c):
@@ -244,10 +258,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             live = [i for i in range(pr, r) if a[i][col] != 0]
             if len(live) <= 1:
                 break
-            piv = _min_abs_pivot(a, live, col)
-            for i in live:
-                if i != piv:
-                    rowsub(i, piv, a[i][col] // a[piv][col])
+            reduce_by(_min_abs_pivot(a, live, col), live, col)
         live = [i for i in range(pr, r) if a[i][col] != 0]
         if not live:
             continue
@@ -258,8 +269,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if a[pr][col] < 0:
             a[pr] = [-x for x in a[pr]]
             u[pr] = [-x for x in u[pr]]
-        for i in range(pr):
-            rowsub(i, pr, a[i][col] // a[pr][col])
+        reduce_by(pr, range(pr), col)
         pr += 1
     return _from_lists(a, c), _from_lists(u, r)
 

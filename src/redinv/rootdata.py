@@ -20,7 +20,6 @@ from typing import Optional
 
 from .intmat import (
     IntMatrix,
-    det,
     identity,
     inverse_unimodular,
     kernel_basis,
@@ -86,10 +85,19 @@ def is_finite_cartan_matrix(c: IntMatrix) -> bool:
                     return False
                 if (c[i, j] == 0) != (c[j, i] == 0):
                     return False
-    for k in range(1, r + 1):
-        minor = mat([[c[i, j] for j in range(k)] for i in range(k)], k)
-        if det(minor) <= 0:
+    # Bareiss elimination without pivoting: its k-th pivot is the k-th
+    # leading principal minor, and each division is exact while the
+    # previous pivot is nonzero.
+    a = c.to_lists()
+    prev = 1
+    for k in range(r):
+        p = a[k][k]
+        if p <= 0:
             return False
+        for i in range(k + 1, r):
+            for j in range(k + 1, r):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
     return True
 
 

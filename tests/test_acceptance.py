@@ -39,7 +39,7 @@ from redinv.rootdata import (
     simply_connected_datum,
 )
 from redinv.cech import CechInput, build_complex, cech_cohomology, contraction_check
-from redinv.abgrp import AbHom, cokernel, kernel
+from redinv.abgrp import cokernel, kernel
 from redinv.catalogio import load_catalog
 from redinv.tres import (
     canonical_h_maps,

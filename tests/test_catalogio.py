@@ -5,7 +5,6 @@ import pytest
 
 from redinv.catalogio import (
     CatalogError,
-    CatalogFile,
     ResultRecord,
     build_catalog,
     catalog_to_json,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,8 @@ from redinv.gammamod import (
     trivial_group,
     trivial_module,
 )
+
+from oracles import full_bar_cohomology
 
 
 def all_small_groups():
@@ -174,7 +177,8 @@ class TestCohomology:
         assert group_cohomology(sign_module(), 2).is_trivial()
 
     def test_induced_vanishing(self):
-        for gamma in (cyclic_group(2), cyclic_group(3), dihedral_group(3)):
+        for gamma in (cyclic_group(2), cyclic_group(3), dihedral_group(3),
+                      dihedral_group(4), quaternion_group()):
             m = induced_module(gamma, 1)
             assert group_cohomology(m, 1).is_trivial()
             assert group_cohomology(m, 2).is_trivial()
@@ -191,15 +195,59 @@ class TestCohomology:
             assert d1.then(d2).is_zero()
 
     def test_cochain_group_sizes(self):
+        # normalized cochains: one copy of Z^2 per tuple of non-identity elements
         m = trivial_module(cyclic_group(3), FgAbelianGroup.free(2))
         assert cochain_group(m, 0).ambient_rank == 2
-        assert cochain_group(m, 1).ambient_rank == 6
-        assert cochain_group(m, 2).ambient_rank == 18
+        assert cochain_group(m, 1).ambient_rank == 4
+        assert cochain_group(m, 2).ambient_rank == 8
 
     def test_finite_module_cohomology(self):
         # H^1(C2, Z/2 trivial) = Hom(C2, Z/2) = Z/2
         m = trivial_module(cyclic_group(2), FgAbelianGroup.cyclic(2))
         assert group_cohomology(m, 1).invariants() == (0, (2,))
+
+
+def sign_characters(gamma):
+    """Every nontrivial homomorphism Gamma -> {+1, -1}, as a tuple of signs."""
+    out = []
+    for signs in itertools.product((1, -1), repeat=gamma.order):
+        if -1 in signs and all(
+            signs[gamma.mul(a, b)] == signs[a] * signs[b]
+            for a in gamma.elements() for b in gamma.elements()
+        ):
+            out.append(signs)
+    return out
+
+
+def small_modules():
+    """Every group of order <= 4 and S3, each with trivial Z^2 and Z/4,
+    Z[Gamma] and Z[Gamma]^2, and Z and Z/4 twisted by each sign character
+    (for C2: sign_module() and Z/4 with the generator acting by -1)."""
+    c2 = cyclic_group(2)
+    groups = [trivial_group(), c2, cyclic_group(3), cyclic_group(4),
+              direct_product(c2, c2), dihedral_group(3)]
+    for gamma in groups:
+        mods = [trivial_module(gamma, FgAbelianGroup.free(2)),
+                trivial_module(gamma, FgAbelianGroup.cyclic(4)),
+                induced_module(gamma, 1), induced_module(gamma, 2)]
+        for signs in sign_characters(gamma):
+            for group in (FgAbelianGroup.free(1), FgAbelianGroup.cyclic(4)):
+                mods.append(GammaModule(gamma, group, tuple(mat([[x]]) for x in signs)))
+        yield from mods
+
+
+class TestAgainstFullBarComplex:
+    def test_sign_characters_cover_c2(self):
+        c2 = cyclic_group(2)
+        (signs,) = sign_characters(c2)
+        assert GammaModule(c2, FgAbelianGroup.free(1),
+                           tuple(mat([[x]]) for x in signs)) == sign_module()
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_normalized_matches_full(self, degree):
+        for m in small_modules():
+            assert (group_cohomology(m, degree).invariants()
+                    == full_bar_cohomology(m, degree).invariants())
 
 
 class TestEquivariantHoms:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from redinv.intmat import IntMatrix, identity, mat, zeros
+from redinv.intmat import IntMatrix, identity, mat
 from redinv.abgrp import FgAbelianGroup, IllDefinedHom
 from redinv.gammamod import (
     GammaHom,

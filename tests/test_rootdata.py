@@ -1,10 +1,10 @@
 import pytest
 
+from redinv.catalogio import default_catalog_path, load_catalog
 from redinv.intmat import det, identity, mat
 from redinv.gammamod import fixed_points, group_cohomology
 from redinv.rootdata import (
     MAX_SPEC_RANK,
-    InvalidDatum,
     ReductiveDatum,
     RootDatum,
     UnknownGroupSpec,
@@ -59,6 +59,27 @@ class TestCartanMatrices:
         assert not is_finite_cartan_matrix(mat([[1]]))
         # positive off-diagonal entry
         assert not is_finite_cartan_matrix(mat([[2, 1], [1, 2]]))
+
+    def test_one_pass_matches_per_minor_det(self):
+        # the one Bareiss pass against one det per leading principal minor
+        def minors_positive(c):
+            return all(det(mat([[c[i, j] for j in range(k)] for i in range(k)], k)) > 0
+                       for k in range(1, c.rows + 1))
+
+        specs = load_catalog(default_catalog_path(), self_test=False).specs()
+        cartans = [from_catalog(spec).datum.cartan_pairing() for spec in specs]
+        cartans = [c for c in cartans if c.rows]
+        cartans += [cartan_matrix(kind, rank) for kind, rank in self.DETS]
+        cartans += [cartan_matrix("A", 20), cartan_matrix("D", 30)]
+        for c in cartans:
+            assert is_finite_cartan_matrix(c) and minors_positive(c)
+        not_finite = [
+            mat([[2, -2], [-2, 2]]),  # affine A1~: minors 2, 0
+            mat([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]),  # affine A2~: 2, 3, 0
+            mat([[2, -1, -1], [-1, 2, -2], [-1, -2, 2]]),  # hyperbolic: 2, 3, -8
+        ]
+        for c in not_finite:
+            assert not is_finite_cartan_matrix(c) and not minors_positive(c)
 
     def test_pairing_bound_rejected(self):
         # <alpha, alpha_check> = -4 never occurs in a finite Cartan matrix

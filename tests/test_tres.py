@@ -2,8 +2,8 @@ import pytest
 
 from redinv.intmat import identity, mat
 from redinv.gammamod import fixed_points
-from redinv.homcx import compose_chain_maps, induced_on_cohomology, les_of_ses
-from redinv.rootdata import cartan_matrix, from_catalog
+from redinv.homcx import compose_chain_maps, induced_on_cohomology
+from redinv.rootdata import from_catalog
 from redinv.tres import (
     SESData,
     canonical_pi1d,
