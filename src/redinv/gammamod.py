@@ -336,15 +336,12 @@ def bar_differential(module: GammaModule, i: int) -> AbHom:
                 if x:
                     row[base + a] += x
         # middle faces (-1)^j c(.., g_j g_{j+1}, ..), then the last face
-        # (-1)^{i+1} c(g1..g_i): each a signed identity block
-        for j in range(1, i + 2):
-            if j <= i:
-                merged = gamma.mul(s[j - 1], s[j])
-                if merged == e:
-                    continue
-                t = s[: j - 1] + (merged,) + s[j + 1:]
-            else:
-                t = s[:i]
+        # (-1)^{i+1} c(g1..g_i): each a signed identity block, unless a
+        # merged product is the identity
+        merged = [s[: j - 1] + (gamma.mul(s[j - 1], s[j]),) + s[j + 1:] for j in range(1, i + 1)]
+        for j, t in enumerate(merged + [s[:i]], start=1):
+            if e in t:
+                continue
             top = n * src_index[t]
             sign = -1 if j % 2 else 1
             for k in range(n):

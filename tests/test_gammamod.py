@@ -222,7 +222,7 @@ def sign_characters(gamma):
 def small_modules():
     """Every group of order <= 4 and S3, each with trivial Z^2 and Z/4,
     Z[Gamma] and Z[Gamma]^2, and Z and Z/4 twisted by each sign character
-    (for C2: sign_module() and Z/4 with the generator acting by -1)."""
+    (for C2: the sign module and Z/4 with the generator acting by -1)."""
     c2 = cyclic_group(2)
     groups = [trivial_group(), c2, cyclic_group(3), cyclic_group(4),
               direct_product(c2, c2), dihedral_group(3)]
@@ -237,12 +237,6 @@ def small_modules():
 
 
 class TestAgainstFullBarComplex:
-    def test_sign_characters_cover_c2(self):
-        c2 = cyclic_group(2)
-        (signs,) = sign_characters(c2)
-        assert GammaModule(c2, FgAbelianGroup.free(1),
-                           tuple(mat([[x]]) for x in signs)) == sign_module()
-
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_normalized_matches_full(self, degree):
         for m in small_modules():
