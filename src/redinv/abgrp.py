@@ -16,11 +16,13 @@ from .intmat import (
     DimensionMismatch,
     IntMatrix,
     block_diag,
+    echelon_reduce,
     hnf,
     identity,
     invariant_factors,
     kernel_basis,
     mat,
+    pivots,
     solve_linear,
     vstack,
     zeros,
@@ -48,13 +50,9 @@ class FgAbelianGroup:
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
         h, _ = hnf(self.relations)
-        h = IntMatrix(tuple(r for r in h.data if any(r)), self.ambient_rank)
-        pivots = []
-        for i, row in enumerate(h.data):
-            j = next(k for k, a in enumerate(row) if a)
-            pivots.append((i, j))
-        object.__setattr__(self, "_hnf", h)
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        piv = pivots(h)
+        object.__setattr__(self, "_hnf", IntMatrix(h.data[: len(piv)], self.ambient_rank))
+        object.__setattr__(self, "_pivots", piv)
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion invariants d1 | d2 | ..., each > 1)."""
@@ -89,13 +87,7 @@ class FgAbelianGroup:
                 f"coords of length {len(coords)} in ambient Z^{self.ambient_rank}"
             )
         x = list(coords)
-        for i, j in self._pivots:
-            p = self._hnf[i, j]
-            q = x[j] // p
-            if q:
-                row = self._hnf.row(i)
-                for k in range(self.ambient_rank):
-                    x[k] -= q * row[k]
+        echelon_reduce(self._hnf, self._pivots, x)
         return tuple(x)
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
@@ -128,7 +120,9 @@ class FgAbelianGroup:
 
     @staticmethod
     def from_json(obj: dict) -> "FgAbelianGroup":
-        n = int(obj["ambientRank"])
+        n = obj["ambientRank"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"ambientRank: expected a non-negative integer, got {n!r}")
         return FgAbelianGroup(n, IntMatrix.from_json(obj["relations"], cols=n))
 
 
@@ -147,9 +141,6 @@ class GroupElement:
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
-
-    def scale(self, n: int) -> "GroupElement":
-        return self.group.element([n * a for a in self.coords])
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -204,10 +195,6 @@ class AbHom:
     def zero(source: FgAbelianGroup, target: FgAbelianGroup) -> "AbHom":
         return AbHom(source, target, zeros(source.ambient_rank, target.ambient_rank))
 
-    @staticmethod
-    def identity_on(g: FgAbelianGroup) -> "AbHom":
-        return AbHom(g, g, identity(g.ambient_rank))
-
     def to_json(self) -> dict:
         return {
             "source": self.source.to_json(),
@@ -227,19 +214,20 @@ def member_coords(gens: IntMatrix, rels: IntMatrix, vecs: IntMatrix) -> Optional
 
     Row k of C writes row k of ``vecs`` on the rows of ``gens``.  Returns
     None when some row of vecs is not in the subgroup generated by the
-    rows of ``gens`` modulo ``rels``.  All rows share one Smith form.
+    rows of ``gens`` modulo ``rels``.  All rows are reduced against one
+    Hermite form of gens stacked on rels.
     """
-    x = solve_linear(vstack(gens, rels).transpose(), vecs)
+    x = solve_linear(vstack(gens, rels), vecs)
     if x is None:
         return None
     return IntMatrix(tuple(r[: gens.rows] for r in x.data), gens.rows)
 
 
 def preimage_lattice(a: IntMatrix, target_rels: IntMatrix) -> IntMatrix:
-    """Basis of {x : x @ a lies in the lattice spanned by target_rels}."""
-    full = kernel_basis(vstack(a, target_rels).transpose())
-    h, _ = hnf(IntMatrix(tuple(r[: a.rows] for r in full.data), a.rows))
-    return IntMatrix(tuple(r for r in h.data if any(r)), a.rows)
+    """Hermite basis of {x : x @ a lies in the lattice spanned by target_rels}:
+    the leading a.rows columns of the Hermite basis of ker [a; target_rels]."""
+    full = kernel_basis(vstack(a, target_rels))
+    return IntMatrix(tuple(r[: a.rows] for r in full.data if any(r[: a.rows])), a.rows)
 
 
 def subgroup(gens: IntMatrix, ambient: FgAbelianGroup) -> tuple[FgAbelianGroup, AbHom]:

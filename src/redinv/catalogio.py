@@ -234,7 +234,7 @@ def ses_to_json(s: SESData) -> str:
 
 
 def _indices(obj, field: str) -> tuple[int, ...]:
-    if not (isinstance(obj, list) and all(isinstance(i, int) for i in obj)):
+    if not (isinstance(obj, list) and all(type(i) is int for i in obj)):
         raise ValueError(f"{field}: expected a list of integer root indices")
     return tuple(obj)
 

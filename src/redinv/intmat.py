@@ -1,5 +1,8 @@
 """Exact integer matrices: Hermite/Smith normal forms, solving, kernels.
 
+Vectors are rows (f(x) = x @ matrix).  Solving x @ a = v, the kernel
+{x : x @ m = 0} and the rank all come from the row Hermite form H = U @ a.
+
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
 Pivots are always chosen with minimal nonzero absolute value, ties broken
@@ -11,6 +14,7 @@ proportion to its nonzeros rather than its width.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -47,11 +51,10 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.data[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.data)
-
     def transpose(self) -> "IntMatrix":
-        return _transpose(self)
+        if not self.data:
+            return IntMatrix(((),) * self.cols, 0)
+        return IntMatrix(tuple(zip(*self.data)), self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -116,7 +119,9 @@ class IntMatrix:
 
     @staticmethod
     def from_json(obj: Iterable[Iterable[str]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = [tuple(int(a) for a in r) for r in obj]
+        if not all(isinstance(r, list) for r in obj):
+            raise ValueError("a matrix is a list of rows, each a list")
+        rows = [tuple(int_from_json(a) for a in r) for r in obj]
         if cols is None:
             if not rows:
                 raise ValueError("column count required for an empty matrix")
@@ -124,10 +129,11 @@ class IntMatrix:
         return IntMatrix(tuple(rows), cols)
 
 
-def _transpose(m: IntMatrix) -> IntMatrix:
-    if not m.data:
-        return IntMatrix(tuple(() for _ in range(m.cols)), 0)
-    return IntMatrix(tuple(zip(*m.data)), m.rows)
+def int_from_json(a: object) -> int:
+    """A JSON integer that is no boolean, or a string matching -?[0-9]+."""
+    if not (type(a) is int or isinstance(a, str) and re.fullmatch("-?[0-9]+", a)):
+        raise ValueError(f"not an integer: {a!r}")
+    return int(a)
 
 
 def mat(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> IntMatrix:
@@ -342,23 +348,13 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 continue
             # Cross is clear; enforce divisibility of the trailing block.
             p = a[t][t]
-            bad = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, r)
+                        if any(a[i][j] % p for j in range(t + 1, c))), None)
             if bad is None:
                 break
             rowsub(t, bad, -1)  # pull the offending row up, re-pivot
-        if all(a[t][j] == 0 for j in range(t, c)) and all(
-            a[i][t] == 0 for i in range(t, r)
-        ):
-            if a[t][t] == 0:
-                # trailing block is zero
-                break
+        if a[t][t] == 0:  # no pivot was found: the trailing block is zero
+            break
     for t in range(n):
         if a[t][t] < 0:
             for j in range(c):
@@ -378,35 +374,50 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(x for x in diagonal(d) if x != 0)
 
 
-def solve_linear(m: IntMatrix, rhs: IntMatrix) -> Optional[IntMatrix]:
-    """Solve m @ x = b over the integers for every row b of rhs.
+def pivots(h: IntMatrix) -> tuple[tuple[int, int], ...]:
+    """(row, column) of the leading entry of each nonzero row of an echelon form."""
+    return tuple((i, next(j for j, a in enumerate(r) if a))
+                 for i, r in enumerate(h.data) if any(r))
 
-    Returns one particular solution per row of rhs, as the rows of a
-    matrix, or None when some row has no integral solution.  m is put in
-    Smith form once, and not at all when rhs has no rows.
-    """
-    r, c = m.shape
-    if rhs.cols != r:
-        raise DimensionMismatch(f"rhs of width {rhs.cols} for {m.shape}")
-    if not rhs.rows:
-        return zeros(0, c)
-    u, d, v = snf(m)
-    # D = U m V, so m x = b iff D y = U b with x = V y
-    diag = diagonal(d) + (0,) * (r - min(r, c))  # one entry per row of D
-    cp = rhs @ u.transpose()  # row k: U @ b_k
-    if any(a % p if p else a for row in cp.data for a, p in zip(row, diag)):
-        return None
-    y = _from_lists(([a // p if p else 0 for a, p in zip(row, diag[:c])] + [0] * (c - r)
-                     for row in cp.data), c)
-    return y @ v.transpose()  # row k: V @ y_k
+
+def echelon_reduce(h: IntMatrix, piv: Sequence[tuple[int, int]], x: list[int]) -> list[int]:
+    """Subtract x[j] // h[i, j] times row i of h from x, for each pivot (i, j) in
+    turn, touching only the row's nonzero entries; return those multiples."""
+    qs = []
+    for i, j in piv:
+        row = h.data[i]
+        q = x[j] // row[j]
+        qs.append(q)
+        if q:
+            for k in range(j, len(row)):
+                if row[k]:
+                    x[k] -= q * row[k]
+    return qs
+
+
+def solve_linear(a: IntMatrix, vecs: IntMatrix) -> Optional[IntMatrix]:
+    """C with C @ a = vecs, or None when a row of vecs is outside the row
+    lattice of a.  Each row is reduced against one H = U @ a; C is the
+    multiples taken times the first rank(a) rows of U."""
+    if vecs.cols != a.cols:
+        raise DimensionMismatch(f"vectors of width {vecs.cols} for {a.shape}")
+    if not vecs.rows:
+        return zeros(0, a.rows)
+    h, u = hnf(a)
+    piv = pivots(h)
+    qs = []
+    for v in vecs.data:
+        x = list(v)
+        qs.append(echelon_reduce(h, piv, x))
+        if any(x):
+            return None
+    return _from_lists(qs, len(piv)) @ IntMatrix(u.data[: len(piv)], a.rows)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis (rows) of the saturated lattice {x : m @ x^T = 0}."""
-    mt = _transpose(m)
-    h, u = hnf(mt)
-    h2, _ = hnf(IntMatrix(tuple(u.row(i) for i in range(h.rows) if not any(h.row(i))), m.cols))
-    return IntMatrix(tuple(row for row in h2.data if any(row)), m.cols)
+    """Hermite basis of {x : x @ m = 0}: of the rows of U below rank(m)."""
+    h, u = hnf(m)
+    return hnf(IntMatrix(u.data[len(pivots(h)):], m.rows))[0]
 
 
 def is_unimodular(m: IntMatrix) -> bool:
@@ -414,8 +425,7 @@ def is_unimodular(m: IntMatrix) -> bool:
 
 
 def rank(m: IntMatrix) -> int:
-    h, _ = hnf(m)
-    return sum(1 for row in h.data if any(row))
+    return len(pivots(hnf(m)[0]))
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

@@ -237,7 +237,7 @@ def pi1(d: ReductiveDatum) -> GammaModule:
 
 def saturation(rows: IntMatrix) -> IntMatrix:
     """Basis of the saturation of the row span (double orthogonal complement)."""
-    return kernel_basis(kernel_basis(rows))
+    return kernel_basis(kernel_basis(rows.transpose()).transpose())
 
 
 def radical_characters(d: ReductiveDatum) -> GammaModule:

@@ -6,7 +6,7 @@ import itertools
 import random
 from math import gcd
 
-from redinv.intmat import IntMatrix, mat
+from redinv.intmat import IntMatrix, diagonal, mat, snf
 from redinv.abgrp import AbHom, FgAbelianGroup, homology_at, power
 
 
@@ -50,6 +50,25 @@ def gcd_of_minors_invariants(m: IntMatrix) -> list[int]:
         out.append(g // g_prev)
         g_prev = g
     return out
+
+
+def smith_solve(a: IntMatrix, vecs: IntMatrix) -> IntMatrix | None:
+    """C with C @ a = vecs, or None, read off one Smith form of a.
+
+    The Smith-form solver that ``intmat.solve_linear`` replaced, kept as
+    its reference: with D = P @ a^T @ Q, a^T c = v iff D y = P v with
+    c = Q y, so v is solvable iff each (P v)_i is divisible by d_i.
+    """
+    m = a.transpose()
+    r, c = m.shape
+    p, d, q = snf(m)
+    diag = diagonal(d) + (0,) * (r - min(r, c))  # one entry per row of D
+    pv = vecs @ p.transpose()
+    if any(x % e if e else x for row in pv.data for x, e in zip(row, diag)):
+        return None
+    y = mat([[x // e if e else 0 for x, e in zip(row, diag[:c])] + [0] * (c - r)
+             for row in pv.data], c)
+    return y @ q.transpose()
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:

@@ -207,7 +207,7 @@ class TestBatchedMembership:
         gens, rels, vecs = batch
         x = member_coords(gens, rels, vecs)
         assert x is not None and x.shape == (vecs.rows, gens.rows)
-        # the HNF reduction, not the Smith-form solver, decides membership
+        # the relation lattice's own HNF reduction decides membership
         grp = FgAbelianGroup(gens.cols, rels)
         assert all(grp.contains_in_relations(r) for r in (x @ gens - vecs).data)
 
@@ -222,10 +222,11 @@ class TestBatchedMembership:
         rows.insert(data.draw(st.integers(0, len(rows))), (0,) * gens.cols + (1,))
         assert member_coords(pad(gens), pad(rels), mat(rows, gens.cols + 1)) is None
 
-    def test_one_smith_form_per_batch(self, monkeypatch):
+    def test_one_hermite_form_per_batch(self, monkeypatch):
         calls = []
-        real = intmat.snf
-        monkeypatch.setattr(intmat, "snf", lambda m: calls.append(m) or real(m))
+        real = intmat.hnf
+        monkeypatch.setattr(intmat, "hnf", lambda m: calls.append(m) or real(m))
+        monkeypatch.setattr(intmat, "snf", lambda m: pytest.fail("snf called"))
         gens, rels = mat([[2, 0], [0, 3]]), mat([[4, 0]])
         assert member_coords(gens, rels, mat([[2, 3], [4, 0], [0, 9]])) is not None
         assert len(calls) == 1

@@ -144,6 +144,17 @@ WRONG_SHAPES = {
     "cech-number-group": ("cech", {**CECH_OK, "fx": 3}),
     "matrix-bare-number": ("matrix snf", 5),
     "matrix-nested-entry": ("matrix hnf", [["1", ["2"]]]),
+    # values that int() accepts silently, each read as a plausible wrong input
+    "matrix-float-entry": ("matrix hnf", [[1.5, "2"], ["3", "4"]]),
+    "matrix-bool-entry": ("matrix hnf", [[True, "2"], ["3", "4"]]),
+    "matrix-underscore-entry": ("matrix snf", [["1_0", "2"], ["3", "4"]]),
+    "matrix-padded-entry": ("matrix hnf", [[" 7 ", "2"], ["3", "4"]]),
+    "matrix-string-rows": ("matrix hnf", ["12", "34"]),
+    "ses-padded-entry": ("check-ses", {**SES_OK, "x3ToX2": [[" 1", "-1"]]}),
+    "ses-bool-index": ("check-ses", {**SES_OK, "part3": [False]}),
+    "cech-fractional-rank": ("cech", {**CECH_OK, "fx": {"ambientRank": 1.9, "relations": []}}),
+    "cech-bool-rank": ("cech", {**CECH_OK, "fg": {"ambientRank": True, "relations": []}}),
+    "cech-negative-rank": ("cech", {**CECH_OK, "fx": {"ambientRank": -1, "relations": []}}),
 }
 
 

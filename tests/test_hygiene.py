@@ -1,13 +1,17 @@
-"""Source hygiene: every name imported with ``from ... import`` is used.
+"""Source hygiene: no unused imports and no dead public definitions.
 
-No linter ships with the project, so this scan of ``src/`` and ``tests/``
-keeps the imports clean.  A name counts as used when it appears as a
-bare name (which covers the base of an attribute) or inside a string
-annotation.
+No linter ships with the project, so two ``ast`` scans keep the code
+clean.  Every name imported with ``from ... import`` in ``src/`` or
+``tests/`` is used: it appears as a bare name (which covers the base of
+an attribute) or inside a string annotation.  Every public function,
+method or class defined in ``src/`` is referenced somewhere in ``src/``,
+``tests/`` or ``perfbench/``: as a name, an attribute, or a string of
+dotted names (``perfbench/tracing.py`` names the methods it wraps so).
 """
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -15,8 +19,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 IGNORED = {"annotations"}  # from __future__ import annotations
 
 
-def _python_files():
-    for top in ("src", "tests"):
+def _python_files(tops=("src", "tests")):
+    for top in tops:
         for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
             for name in sorted(names):
                 if name.endswith(".py"):
@@ -58,3 +62,41 @@ def test_scan_flags_an_unused_name():
 def test_no_unused_from_imports(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert unused_from_imports(fh.read()) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names, attributes and the parts of dotted-name strings in source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.]+", node.value)):
+            out |= set(node.value.split("."))
+    return out
+
+
+def public_definitions(source: str) -> list[str]:
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_dead_scan_flags_an_unreferenced_definition():
+    src = ("class A:\n    def used(self): pass\n    def dead(self): pass\n"
+           "    def _private(self): pass\n"
+           "def f(): return A().used()\nHOOKS = ('mod.f',)\n")
+    assert [n for n in public_definitions(src) if n not in referenced_names(src)] == ["dead"]
+
+
+def test_no_unreferenced_public_definitions():
+    sources = {}
+    for path in _python_files(("src", "tests", "perfbench")):
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    referenced = set().union(*map(referenced_names, sources.values()))
+    dead = [f"{path}: {name}" for path, src in sources.items() if path.startswith("src")
+            for name in public_definitions(src) if name not in referenced]
+    assert dead == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from redinv.intmat import (
     zeros,
 )
 
-from oracles import gcd_of_minors_invariants, random_matrix
+from oracles import gcd_of_minors_invariants, random_matrix, smith_solve
 
 
 class TestHnf:
@@ -82,6 +83,8 @@ class TestSnf:
 
 
 class TestSolveLinear:
+    """Row convention: solve_linear(a, vecs) returns C with C @ a = vecs."""
+
     def test_simple(self):
         x = solve_linear(mat([[2]]), mat([[4]]))
         assert x.data == ((2,),)
@@ -91,28 +94,28 @@ class TestSolveLinear:
         assert solve_linear(mat([[2]]), mat([[3]])) is None
 
     def test_kernel(self):
-        x = solve_linear(mat([[1, 1]]), mat([[0]]))
+        x = solve_linear(mat([[1], [1]]), mat([[0]]))
         assert x.data == ((0, 0),)
-        k = kernel_basis(mat([[1, 1]]))
+        k = kernel_basis(mat([[1], [1]]))
         assert k.rows == 1
         assert k.row(0) in ((1, -1), (-1, 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve_linear(mat([[1, 2]]), mat([[1, 2]]))
+            solve_linear(mat([[1], [2]]), mat([[1, 2]]))
 
     def test_random_consistency(self):
         rng = random.Random(3)
         for _ in range(100):
-            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 5)
-            xs = [rng.randint(-4, 4) for _ in range(m.cols)]
-            b = tuple(m.apply_to_column(xs))
-            x = solve_linear(m, mat([b], m.rows))
+            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 5).transpose()
+            xs = [rng.randint(-4, 4) for _ in range(m.rows)]
+            b = m.apply_to_row(xs)
+            x = solve_linear(m, mat([b], m.cols))
             assert x is not None
-            assert tuple(m.apply_to_column(x.row(0))) == b
+            assert m.apply_to_row(x.row(0)) == b
             k = kernel_basis(m)
             for i in range(k.rows):
-                assert all(a == 0 for a in m.apply_to_column(k.row(i)))
+                assert all(a == 0 for a in m.apply_to_row(k.row(i)))
 
     def test_batch_and_empty_rhs(self):
         m = mat([[2, 0], [0, 3]])
@@ -123,12 +126,14 @@ class TestSolveLinear:
 
 
 class TestKernelBasis:
+    """Row convention: kernel_basis(m) spans {x : x @ m = 0}."""
+
     def test_zero_matrix(self):
         k = kernel_basis(zeros(2, 2))
         assert k.data == identity(2).data
 
     def test_line(self):
-        k = kernel_basis(mat([[1, -1]]))
+        k = kernel_basis(mat([[1], [-1]]))
         assert k.rows == 1
         assert k.row(0) in ((1, 1), (-1, -1))
 
@@ -139,12 +144,12 @@ class TestKernelBasis:
     def test_rank_nullity(self):
         rng = random.Random(4)
         for _ in range(100):
-            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 8)
+            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 8).transpose()
             k = kernel_basis(m)
             assert rank(k) == k.rows
-            assert k.rows + rank(m) == m.cols
+            assert k.rows + rank(m) == m.rows
             for i in range(k.rows):
-                assert all(a == 0 for a in m.apply_to_column(k.row(i)))
+                assert all(a == 0 for a in m.apply_to_row(k.row(i)))
 
 
 class TestMisc:
@@ -205,12 +210,51 @@ class TestNormalFormProperties:
     @settings(max_examples=150, deadline=None)
     @given(_matrices(4, 4))
     def test_kernel_basis(self, m):
+        m = m.transpose()
         k = kernel_basis(m)
-        assert k.cols == m.cols
-        assert k.rows == m.cols - rank(m)
-        assert (m @ k.transpose()).is_zero()
+        assert k.cols == m.rows
+        assert k.rows == m.rows - rank(m)
+        assert (k @ m).is_zero()
         # saturated: the maximal minors of k are coprime (independent oracle)
         assert gcd_of_minors_invariants(k) == [1] * k.rows
+
+
+@st.composite
+def _systems(draw):
+    """(a, vecs): a up to 5 x 5; vecs random, or C @ a for a random C."""
+    a = draw(_matrices())
+
+    def exact(rows, cols):
+        row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+        return mat(draw(st.lists(row, min_size=rows, max_size=rows)), cols)
+
+    rows = draw(st.integers(1, 3))
+    return a, exact(rows, a.rows) @ a if draw(st.booleans()) else exact(rows, a.cols)
+
+
+class TestAgainstSmithOracle:
+    """The Hermite-form solver against the Smith-form one it replaced, and
+    kernels against rank and minors from sympy over Q and Z."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_systems())
+    def test_solve_linear(self, system):
+        a, vecs = system
+        c = solve_linear(a, vecs)
+        assert (c is None) == (smith_solve(a, vecs) is None)
+        if c is not None:
+            assert c @ a == vecs
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices())
+    def test_kernel_basis(self, m):
+        sympy = pytest.importorskip("sympy")
+        k = kernel_basis(m)
+        assert (k @ m).is_zero()
+        assert k.rows == m.rows - sympy.Matrix(m.to_lists()).rank()
+        minors = [sympy.Matrix([[r[j] for j in cols] for r in k.data]).det()
+                  for cols in itertools.combinations(range(k.cols), k.rows)]
+        assert sympy.gcd_list(minors) == 1  # saturated
 
 
 def test_invariant_factors_match_sympy():
