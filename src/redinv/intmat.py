@@ -5,11 +5,12 @@ Vectors are rows (f(x) = x @ matrix).  Solving x @ a = v, the kernel
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
-Pivots are always chosen with minimal nonzero absolute value, ties broken
-by lowest (row, col) index, so the transforms U and V are reproducible.
-The row operations of ``hnf`` touch only the nonzero entries of the pivot
-row, so sparse input (such as the 0/+-1 bar differentials) costs in
-proportion to its nonzeros rather than its width.
+The pivots of ``hnf`` are always chosen with minimal nonzero absolute
+value, ties broken by lowest row index, so its transform U is
+reproducible.  Its row operations touch only the nonzero entries of the
+pivot row, so sparse input (such as the 0/+-1 bar differentials) costs in
+proportion to its nonzeros rather than its width.  ``snf`` is a loop of
+row and column Hermite forms and inherits their determinism.
 """
 
 from __future__ import annotations
@@ -281,87 +282,32 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form.
+    """Smith normal form from alternating row and column Hermite forms
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
     Returns (U, D, V) with D = U @ m @ V, U and V unimodular, D diagonal
-    with nonnegative entries satisfying d1 | d2 | ... .
+    with nonnegative entries satisfying d1 | d2 | ... and zeros last.
+    A diagonal that breaks the chain at d_i, d_j (i < j) gets column j
+    added to column i before the next pair of Hermite forms.
     """
-    r, c = m.shape
-    a = m.to_lists()
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    a, u, v = m, identity(m.rows), identity(m.cols)
+    while True:
+        if all(x == 0 for i, row in enumerate(a.data) for j, x in enumerate(row) if i != j):
+            d = diagonal(a)
+            bad = next(((i, j) for i, di in enumerate(d) for j in range(i + 1, len(d))
+                        if (d[j] % di if di else d[j])), None)
+            if bad is None and all(x >= 0 for x in d):
+                return u, a, v
+            if bad is not None:
+                a, v = _add_column(a, *bad), _add_column(v, *bad)
+        h, x = hnf(a)
+        h, y = hnf(h.transpose())
+        a, u, v = h.transpose(), x @ u, v @ y.transpose()
 
-    def rowsub(i: int, k: int, q: int) -> None:
-        if q:
-            for j in range(c):
-                a[i][j] -= q * a[k][j]
-            for j in range(r):
-                u[i][j] -= q * u[k][j]
 
-    def colsub(j: int, k: int, q: int) -> None:
-        if q:
-            for i in range(r):
-                a[i][j] -= q * a[i][k]
-            for i in range(c):
-                v[i][j] -= q * v[i][k]
-
-    def rowswap(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def colswap(j: int, k: int) -> None:
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    n = min(r, c)
-    for t in range(n):
-        while True:
-            # Deterministic pivot: minimal |entry| in the trailing block,
-            # lowest (row, col) on ties.
-            piv = None
-            piv_abs = None
-            for i in range(t, r):
-                for j in range(t, c):
-                    val = abs(a[i][j])
-                    if val and (piv_abs is None or val < piv_abs):
-                        piv, piv_abs = (i, j), val
-            if piv is None:
-                break
-            if piv[0] != t:
-                rowswap(t, piv[0])
-            if piv[1] != t:
-                colswap(t, piv[1])
-            dirty = False
-            for i in range(t + 1, r):
-                if a[i][t]:
-                    rowsub(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, c):
-                if a[t][j]:
-                    colsub(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # Cross is clear; enforce divisibility of the trailing block.
-            p = a[t][t]
-            bad = next((i for i in range(t + 1, r)
-                        if any(a[i][j] % p for j in range(t + 1, c))), None)
-            if bad is None:
-                break
-            rowsub(t, bad, -1)  # pull the offending row up, re-pivot
-        if a[t][t] == 0:  # no pivot was found: the trailing block is zero
-            break
-    for t in range(n):
-        if a[t][t] < 0:
-            for j in range(c):
-                a[t][j] = -a[t][j]
-            for j in range(r):
-                u[t][j] = -u[t][j]
-    return _from_lists(u, r), _from_lists(a, c), _from_lists(v, c)
+def _add_column(m: IntMatrix, i: int, j: int) -> IntMatrix:
+    """m with column j added to column i."""
+    return _from_lists([r[:i] + (r[i] + r[j],) + r[i + 1:] for r in m.data], m.cols)
 
 
 def diagonal(d: IntMatrix) -> tuple[int, ...]:
