@@ -94,10 +94,10 @@ def _require(cond: bool, field: str, msg: str) -> None:
 
 def _check_invariant_dict(obj, field: str) -> dict:
     _require(isinstance(obj, dict), field, "expected an object")
-    _require(isinstance(obj.get("rank"), int) and obj["rank"] >= 0, field,
+    _require(type(obj.get("rank")) is int and obj["rank"] >= 0, field,
              "rank must be a nonnegative integer")
     tor = obj.get("torsion")
-    _require(isinstance(tor, list) and all(isinstance(d, int) and d > 1 for d in tor),
+    _require(isinstance(tor, list) and all(type(d) is int and d > 1 for d in tor),
              field, "torsion must be a list of integers > 1")
     for a, b in zip(tor, tor[1:]):
         _require(b % a == 0, field, "torsion must form a divisibility chain")

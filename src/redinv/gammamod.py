@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .intmat import IntMatrix, hstack, identity, mat
+from .intmat import IntMatrix, hstack, identity, int_from_json, mat
 from .abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -87,7 +87,10 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteGroup":
-        return FiniteGroup(tuple(tuple(int(x) for x in r) for r in obj["table"]))
+        rows = obj["table"]
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise InvalidGroupTable("a table is a list of rows, each a list")
+        return FiniteGroup(tuple(tuple(int_from_json(x) for x in r) for r in rows))
 
 
 def trivial_group() -> FiniteGroup:

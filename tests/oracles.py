@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
-from redinv.intmat import IntMatrix, diagonal, mat, snf
+from redinv.intmat import IntMatrix, mat, vstack
 from redinv.abgrp import AbHom, FgAbelianGroup, homology_at, power
 
 
@@ -52,23 +52,17 @@ def gcd_of_minors_invariants(m: IntMatrix) -> list[int]:
     return out
 
 
-def smith_solve(a: IntMatrix, vecs: IntMatrix) -> IntMatrix | None:
-    """C with C @ a = vecs, or None, read off one Smith form of a.
+def in_row_lattice(a: IntMatrix, vecs: IntMatrix) -> bool:
+    """Whether every row of vecs is an integer combination of the rows of a.
 
-    The Smith-form solver that ``intmat.solve_linear`` replaced, kept as
-    its reference: with D = P @ a^T @ Q, a^T c = v iff D y = P v with
-    c = Q y, so v is solvable iff each (P v)_i is divisible by d_i.
+    The rows of vstack(a, vecs) span a lattice containing that of a; the
+    two are equal iff they have the same rank and the same index in their
+    common saturation, i.e. the same number of invariant factors with the
+    same product.  Read off the gcd of minors, with no normal-form code.
     """
-    m = a.transpose()
-    r, c = m.shape
-    p, d, q = snf(m)
-    diag = diagonal(d) + (0,) * (r - min(r, c))  # one entry per row of D
-    pv = vecs @ p.transpose()
-    if any(x % e if e else x for row in pv.data for x, e in zip(row, diag)):
-        return None
-    y = mat([[x // e if e else 0 for x, e in zip(row, diag[:c])] + [0] * (c - r)
-             for row in pv.data], c)
-    return y @ q.transpose()
+    before = gcd_of_minors_invariants(a)
+    after = gcd_of_minors_invariants(vstack(a, vecs))
+    return len(before) == len(after) and prod(before) == prod(after)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:

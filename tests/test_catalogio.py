@@ -102,6 +102,16 @@ class TestDiagnostics:
         with pytest.raises(CatalogError, match="SL\\(2\\)"):
             load_catalog(path, self_test=True)
 
+    def test_boolean_rank(self, tmp_path):
+        with open(default_catalog_path(), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        entry = next(e for e in raw["entries"] if e["spec"] == "GL(2)")
+        assert entry["expected"]["characterGroup"]["rank"] == 1
+        entry["expected"]["characterGroup"]["rank"] = True
+        path = self._write(tmp_path, raw)
+        with pytest.raises(CatalogError, match="characterGroup: rank"):
+            load_catalog(path)
+
     def test_empty_entries(self, tmp_path):
         path = self._write(tmp_path, {"schemaVersion": 1, "entries": []})
         with pytest.raises(CatalogError, match="entries"):

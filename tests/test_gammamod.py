@@ -88,6 +88,17 @@ class TestGroups:
         g = dihedral_group(4)
         assert FiniteGroup.from_json(g.to_json()).table == g.table
 
+    @pytest.mark.parametrize("table", [
+        pytest.param([[0, 1.7], [True, "0"]], id="float-bool"),  # int() reads C2
+        pytest.param([[0, 1], [1, True]], id="bool"),
+        pytest.param([[0, 1.0], [1, 0]], id="integral-float"),
+        pytest.param(["01", "10"], id="string-rows"),
+        pytest.param("0110", id="string-table"),
+    ])
+    def test_from_json_rejects_non_integers(self, table):
+        with pytest.raises(ValueError):
+            FiniteGroup.from_json({"table": table})
+
 
 class TestModules:
     def test_sign_module_checks(self):

@@ -8,6 +8,7 @@ from redinv.intmat import (
     DimensionMismatch,
     IntMatrix,
     det,
+    diagonal,
     hnf,
     identity,
     invariant_factors,
@@ -21,7 +22,7 @@ from redinv.intmat import (
     zeros,
 )
 
-from oracles import gcd_of_minors_invariants, random_matrix, smith_solve
+from oracles import gcd_of_minors_invariants, in_row_lattice, random_matrix
 
 
 class TestHnf:
@@ -58,11 +59,27 @@ class TestSnf:
         u, d, v = snf(identity(2))
         assert d.data == identity(2).data
 
-    def test_example(self):
-        m = mat([[2, 4], [6, 8]])
+    @pytest.mark.parametrize("m, want", [
+        pytest.param(mat([[2, 4], [6, 8]]), (2, 4), id="dense"),
+        pytest.param(mat([[2, 0], [0, 3]]), (1, 6), id="coprime-diagonal"),
+        pytest.param(mat([[0, 0], [0, 2]]), (2, 0), id="zero-first"),
+        pytest.param(mat([[-2, 0], [0, 4]]), (2, 4), id="negative"),
+        pytest.param(mat([[4, 0, 0], [0, 6, 0], [0, 0, 0]]), (2, 12, 0), id="broken-chain"),
+        pytest.param(mat([[6, 10, 15]]), (1,), id="row"),
+        pytest.param(zeros(0, 3), (), id="0x3"),
+        pytest.param(zeros(3, 0), (), id="3x0"),
+    ])
+    def test_example(self, m, want):
         u, d, v = snf(m)
-        assert d.data == ((2, 0), (0, 4))
+        assert diagonal(d) == want
         assert (u @ m @ v).data == d.data
+
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_dense_transforms_stay_small(self, seed):
+        m = random_matrix(random.Random(seed), 40, 40, 99)
+        u, d, v = snf(m)
+        assert (u @ m @ v).data == d.data
+        assert max(len(str(abs(x))) for t in (u, v) for r in t.data for x in r) < 400
 
     def test_cartan_a2(self):
         m = mat([[2, -1], [-1, 2]])
@@ -233,15 +250,15 @@ def _systems(draw):
 
 
 class TestAgainstSmithOracle:
-    """The Hermite-form solver against the Smith-form one it replaced, and
-    kernels against rank and minors from sympy over Q and Z."""
+    """Solvability against the gcd-of-minors invariant factors, and kernels
+    against rank and minors from sympy over Q and Z."""
 
     @settings(max_examples=200, deadline=None)
     @given(_systems())
     def test_solve_linear(self, system):
         a, vecs = system
         c = solve_linear(a, vecs)
-        assert (c is None) == (smith_solve(a, vecs) is None)
+        assert (c is None) == (not in_row_lattice(a, vecs))
         if c is not None:
             assert c @ a == vecs
 
