@@ -296,10 +296,10 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             d = diagonal(a)
             bad = next(((i, j) for i, di in enumerate(d) for j in range(i + 1, len(d))
                         if (d[j] % di if di else d[j])), None)
-            if bad is None and all(x >= 0 for x in d):
-                return u, a, v
             if bad is not None:
                 a, v = _add_column(a, *bad), _add_column(v, *bad)
+            elif all(x >= 0 for x in d):
+                return u, a, v
         h, x = hnf(a)
         h, y = hnf(h.transpose())
         a, u, v = h.transpose(), x @ u, v @ y.transpose()

@@ -8,7 +8,6 @@ from redinv.intmat import (
     DimensionMismatch,
     IntMatrix,
     det,
-    diagonal,
     hnf,
     identity,
     invariant_factors,
@@ -71,7 +70,8 @@ class TestSnf:
     ])
     def test_example(self, m, want):
         u, d, v = snf(m)
-        assert diagonal(d) == want
+        assert d.data == tuple(tuple(want[i] if i == j else 0 for j in range(m.cols))
+                               for i in range(m.rows))
         assert (u @ m @ v).data == d.data
 
     @pytest.mark.parametrize("seed", [40, 41, 42])
@@ -258,7 +258,7 @@ class TestAgainstSmithOracle:
     def test_solve_linear(self, system):
         a, vecs = system
         c = solve_linear(a, vecs)
-        assert (c is None) == (not in_row_lattice(a, vecs))
+        assert (c is not None) == in_row_lattice(a, vecs)
         if c is not None:
             assert c @ a == vecs
 
