@@ -7,7 +7,15 @@ convention the matrices compose in reverse order:
 
     (g h) . v  =  g . (h . v)  =  (v @ M_h) @ M_g,
 
-so the composition law reads M_{gh} = M_h @ M_g.
+so the composition law reads M_{gh} = M_h @ M_g, and an element
+sum c_g g of Z[Gamma] acts as sum c_g M_g.
+
+Group cohomology in degrees 0-2 comes from a presentation <S | R> of
+Gamma and its partial free resolution Z[Gamma]^R -> Z[Gamma]^S ->
+Z[Gamma] -> Z by left Fox derivatives (Brown, Cohomology of Groups,
+GTM 87, II.5; Lyndon, Ann. of Math. 52, 1950): the cochains are C^0 = M,
+C^1 = M^S and C^2 = M^R, and with no third term a 2-cochain is a cocycle
+when it vanishes on the Z-lattice ker(Z[Gamma]^R -> Z[Gamma]^S).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .intmat import IntMatrix, hstack, identity, int_from_json, mat
+from .intmat import IntMatrix, identity, int_from_json, kernel_basis, mat
 from .abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -294,70 +302,112 @@ def equivariant_cokernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:
     return cm, GammaHom(f.target, cm, proj.matrix)
 
 
-def fixed_points(module: GammaModule) -> tuple[FgAbelianGroup, AbHom]:
-    """The subgroup of elements fixed by every group element."""
-    n = module.group.ambient_rank
-    ide = identity(n)
-    blocks = [module.actions[g] - ide for g in module.gamma.elements()]
-    stacked = hstack(*blocks)  # n x (n*|Gamma|): column blocks are (M_g - 1)
-    f = AbHom(module.group, power(module.group, module.gamma.order), stacked)
-    return kernel(f)
+Word = tuple[tuple[int, int], ...]  # letters (j, e): generator S[j] to the power e = +-1
 
 
-def cochain_group(module: GammaModule, i: int) -> FgAbelianGroup:
-    """Normalized i-cochains as a plain group: one copy of M per i-tuple
-    of non-identity elements, so (q - 1)^i copies."""
-    return power(module.group, (module.gamma.order - 1) ** i)
+def presentation(gamma: FiniteGroup) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+    """Generators S and relators R of Gamma, read off its Cayley graph.
 
-
-def bar_differential(module: GammaModule, i: int) -> AbHom:
-    """The degree-i differential of the normalized inhomogeneous bar complex.
-
-    Normalized cochains vanish on every tuple with an identity entry, so
-    they live on tuples of non-identity elements; the complex computes the
-    same cohomology as the full one (Brown, Cohomology of Groups, III.1).
-    Each target tuple s = (g1, ..., g_{i+1}) has i + 2 faces, and each
-    face adds one n x n block to the rows of its source tuple in the
-    columns of s.  A middle face whose merged product is the identity
-    falls on a cochain that vanishes, and is dropped.
+    Each generator, picked greedily, makes the generated subgroup largest,
+    the smallest label winning ties; S is kept in label order.  The
+    breadth-first tree of the right Cayley graph g -> g s gives each element
+    a word w(g), and each non-tree edge (g, s) the relator w(g) s w(gs)^-1,
+    so |R| = q (|S| - 1) + 1.  They generate ker(F(S) -> Gamma) (Schreier).
     """
-    gamma = module.gamma
     e = gamma.identity
-    nonid = [g for g in gamma.elements() if g != e]
+
+    def tree(gens: list[int]) -> dict[int, Word]:
+        words, order = {e: ()}, [e]
+        for g in order:  # grows while it is walked: breadth first
+            for j, s in enumerate(gens):
+                h = gamma.mul(g, s)
+                if h not in words:
+                    words[h] = words[g] + ((j, 1),)
+                    order.append(h)
+        return words
+
+    gens: list[int] = []
+    while len(words := tree(gens)) < gamma.order:
+        best = min((-len(tree(gens + [x])), x) for x in gamma.elements() if x not in words)
+        gens = sorted(gens + [best[1]])
+    relators = tuple(
+        words[g] + ((j, 1),) + tuple((i, -x) for i, x in reversed(words[gamma.mul(g, s)]))
+        for g in words for j, s in enumerate(gens)
+        if words[gamma.mul(g, s)] != words[g] + ((j, 1),)
+    )
+    return tuple(gens), relators
+
+
+def fox_derivatives(gamma: FiniteGroup, gens: Sequence[int], word: Word) -> list[list[int]]:
+    """Row j holds the coefficients over Gamma of the left Fox derivative
+    d word / d S[j], with d(uv)/ds = du/ds + u dv/ds: a letter s after the
+    prefix p adds p, and a letter s^-1 adds -p s^-1."""
+    inverses = [gamma.inverse(s) for s in gens]
+    out = [[0] * gamma.order for _ in gens]
+    p = gamma.identity
+    for j, x in word:
+        if x > 0:
+            out[j][p] += 1
+            p = gamma.mul(p, gens[j])
+        else:
+            p = gamma.mul(p, inverses[j])
+            out[j][p] -= 1
+    return out
+
+
+def _ring_blocks(module: GammaModule, rows: int, cols: int, entries) -> IntMatrix:
+    """The rows x cols matrix of n x n blocks whose block (a, b) is the
+    element of Z[Gamma] acting on M: sum c M_g over the entries (a, b, g, c)."""
     n = module.group.ambient_rank
-    src_index = {t: a for a, t in enumerate(itertools.product(nonid, repeat=i))}
-    tgt_tuples = list(itertools.product(nonid, repeat=i + 1))
-    width = n * len(tgt_tuples)
-    rows = [[0] * width for _ in range(n * len(src_index))]
-    for b, s in enumerate(tgt_tuples):
-        base = n * b
-        # first face: g1 . c(g2..g_{i+1}), the block M_{g1}
-        top = n * src_index[s[1:]]
-        for k, moved in enumerate(module.actions[s[0]].data):
-            row = rows[top + k]
-            for a, x in enumerate(moved):
-                if x:
-                    row[base + a] += x
-        # middle faces (-1)^j c(.., g_j g_{j+1}, ..), then the last face
-        # (-1)^{i+1} c(g1..g_i): each a signed identity block, unless a
-        # merged product is the identity
-        merged = [s[: j - 1] + (gamma.mul(s[j - 1], s[j]),) + s[j + 1:] for j in range(1, i + 1)]
-        for j, t in enumerate(merged + [s[:i]], start=1):
-            if e in t:
-                continue
-            top = n * src_index[t]
-            sign = -1 if j % 2 else 1
-            for k in range(n):
-                rows[top + k][base + k] += sign
-    src = cochain_group(module, i)
-    tgt = cochain_group(module, i + 1)
-    return AbHom(src, tgt, IntMatrix(tuple(map(tuple, rows)), width))
+    support = [[(i, j, x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
+               for m in module.actions]
+    out = [[0] * (n * cols) for _ in range(n * rows)]
+    for a, b, g, c in entries:
+        for i, j, x in support[g]:
+            out[n * a + i][n * b + j] += c * x
+    return IntMatrix(tuple(map(tuple, out)), n * cols)
+
+
+def presentation_differential(module: GammaModule, i: int) -> AbHom:
+    """The degree-i map of Hom_Gamma(P, M), P the resolution of ``presentation``.
+
+    d0 : M -> M^S has the block M_s - M_e (s - 1 on M) at s, and d1 : M^S -> M^R
+    the block d r / d s at (s, r).  Degree 2 is the cocycle test z2 : M^R -> M^K,
+    for K the Hermite basis of the lattice ker d2, whose row (r, g) holds the
+    coefficients of g . d r / d s; its block (r, k) is sum_g K[k][(r, g)] M_g.
+    """
+    gamma, group, q = module.gamma, module.group, module.gamma.order
+    gens, relators = presentation(gamma)
+    if i == 0:
+        entries = [(0, j, g, c) for j, s in enumerate(gens)
+                   for g, c in ((s, 1), (gamma.identity, -1))]
+        return AbHom(group, power(group, len(gens)), _ring_blocks(module, 1, len(gens), entries))
+    fox = [fox_derivatives(gamma, gens, r) for r in relators]
+    if i == 1:
+        entries = [(j, r, g, c) for r, d in enumerate(fox) for j, dj in enumerate(d)
+                   for g, c in enumerate(dj) if c]
+        d1 = _ring_blocks(module, len(gens), len(relators), entries)
+        return AbHom(power(group, len(gens)), power(group, len(relators)), d1)
+    inv = [gamma.inverse(g) for g in gamma.elements()]  # row (r, g) of d2: g . d r / d s
+    d2 = tuple(tuple(dj[gamma.mul(inv[g], x)] for dj in d for x in gamma.elements())
+               for d in fox for g in gamma.elements())
+    k = kernel_basis(IntMatrix(d2, q * len(gens)))
+    entries = [(a // q, b, a % q, c) for b, kr in enumerate(k.data) for a, c in enumerate(kr) if c]
+    z2 = _ring_blocks(module, len(relators), k.rows, entries)
+    return AbHom(power(group, len(relators)), power(group, k.rows), z2)
+
+
+def fixed_points(module: GammaModule) -> tuple[FgAbelianGroup, AbHom]:
+    """The elements fixed by every generator, hence by Gamma: ker d0."""
+    return kernel(presentation_differential(module, 0))
 
 
 def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:
-    """H^i(Gamma, M) of the normalized bar cochain complex, for i in {0, 1, 2}."""
+    """H^i(Gamma, M) for i in {0, 1, 2}, from the Fox-derivative resolution
+    of ``presentation`` (Brown, Cohomology of Groups, GTM 87, II.5; Lyndon,
+    Ann. of Math. 52, 1950): H^0 = ker d0, H^1 = ker d1 / im d0 and
+    H^2 = ker z2 / im d1, where z2 tests that a 2-cochain vanishes on ker d2."""
     if i not in (0, 1, 2):
         raise ValueError(f"unsupported cohomology degree {i}")
-    d_out = bar_differential(module, i)
-    d_in = bar_differential(module, i - 1) if i > 0 else None
-    return homology_at(d_in, d_out).group
+    d_in = presentation_differential(module, i - 1) if i > 0 else None
+    return homology_at(d_in, presentation_differential(module, i)).group

@@ -262,7 +262,7 @@ def test_criterion_7_group_cohomology_values(capsys):
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 20.0
     report(capsys, 7, ok,
-           "bar cohomology: H^1 of lattices vanishes for all 14 groups of "
+           "group cohomology: H^1 of lattices vanishes for all 14 groups of "
            "order <= 8, H^2(Z/n, Z) = Z/n, H^1(Z/2, sign) = Z/2, and "
            "induced modules are acyclic", elapsed)
     assert ok

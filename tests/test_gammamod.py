@@ -3,31 +3,37 @@ import random
 
 import pytest
 
-from redinv.intmat import DimensionMismatch, identity, mat
-from redinv.abgrp import FgAbelianGroup, subgroups_equal
+from redinv.intmat import DimensionMismatch, hstack, identity, mat
+from redinv.abgrp import AbHom, FgAbelianGroup, kernel, power, subgroups_equal
 from redinv.gammamod import (
     FiniteGroup,
     GammaHom,
     GammaModule,
     InvalidAction,
     InvalidGroupTable,
-    bar_differential,
-    cochain_group,
     cyclic_group,
     dihedral_group,
     direct_product,
     equivariant_cokernel,
     equivariant_kernel,
     fixed_points,
+    fox_derivatives,
     group_cohomology,
     induced_module,
+    presentation,
+    presentation_differential,
     quaternion_group,
     sign_module,
     trivial_group,
     trivial_module,
 )
 
-from oracles import full_bar_cohomology
+from oracles import (
+    bar_differential,
+    cochain_group,
+    full_bar_cohomology,
+    normalized_bar_cohomology,
+)
 
 
 def all_small_groups():
@@ -49,6 +55,19 @@ def all_small_groups():
         dihedral_group(4),
         quaternion_group(),
     ]
+
+
+def relabel(gamma, perm):
+    """The same group with element x renamed perm[x]."""
+    back = {y: x for x, y in enumerate(perm)}
+    return FiniteGroup(tuple(
+        tuple(perm[gamma.mul(back[a], back[b])] for b in gamma.elements())
+        for a in gamma.elements()
+    ))
+
+
+def seeded_relabelling(gamma, rng):
+    return relabel(gamma, rng.sample(range(gamma.order), gamma.order))
 
 
 class TestGroups:
@@ -160,6 +179,69 @@ class TestFixedPoints:
             fix, _ = fixed_points(induced_module(gamma, 2))
             assert fix.invariants() == (2, ())
 
+    def test_equals_kernel_of_all_elements(self):
+        # the kernel of d0 (one block per generator) is the kernel of the
+        # map stacking M_g - 1 for every g: same Hermite basis, same group
+        modules = list(small_modules()) + [induced_module(g, 1) for g in all_small_groups()]
+        for m in modules:
+            ide = identity(m.group.ambient_rank)
+            stacked = hstack(*(a - ide for a in m.actions))
+            f = AbHom(m.group, power(m.group, m.gamma.order), stacked)
+            assert fixed_points(m) == kernel(f)
+
+
+def presentation_groups():
+    """Every group of order <= 8 and three seeded relabellings each of D4
+    and Q8, since the presentation depends on the labels."""
+    rng = random.Random(8)
+    relabelled = [seeded_relabelling(g, rng) for g in (dihedral_group(4), quaternion_group())
+                  for _ in range(3)]
+    return all_small_groups() + relabelled
+
+
+def evaluate(gamma, gens, word):
+    g = gamma.identity
+    for j, x in word:
+        g = gamma.mul(g, gens[j] if x > 0 else gamma.inverse(gens[j]))
+    return g
+
+
+class TestPresentation:
+    def test_relators_evaluate_to_identity(self):
+        for gamma in presentation_groups():
+            gens, relators = presentation(gamma)
+            assert all(evaluate(gamma, gens, r) == gamma.identity for r in relators)
+
+    def test_relator_count(self):
+        for gamma in presentation_groups():
+            gens, relators = presentation(gamma)
+            assert len(relators) == gamma.order * (len(gens) - 1) + 1
+
+    def test_generator_counts(self):
+        # greedy picks: C2 x C2 needs 2, C2^3 needs 3, S3, D4 and Q8 need 2
+        counts = [len(presentation(g)[0]) for g in all_small_groups()]
+        assert counts == [0, 1, 1, 1, 2, 1, 1, 2, 1, 1, 2, 3, 2, 2]
+
+    def test_cyclic_one_generator_one_relator(self):
+        assert presentation(trivial_group()) == ((), ())
+        for n in range(2, 9):
+            for gamma in (cyclic_group(n), seeded_relabelling(cyclic_group(n), random.Random(n))):
+                gens, relators = presentation(gamma)
+                assert len(gens) == 1 and len(relators) == 1
+                assert relators[0] == ((0, 1),) * n
+
+    def test_fox_fundamental_formula(self):
+        # sum_s (d r / d s)(s - 1) = r - 1, which is 0 in Z[Gamma]
+        for gamma in presentation_groups():
+            gens, relators = presentation(gamma)
+            for r in relators:
+                total = [0] * gamma.order
+                for s, coeffs in zip(gens, fox_derivatives(gamma, gens, r)):
+                    for h, c in enumerate(coeffs):
+                        total[gamma.mul(h, s)] += c
+                        total[h] -= c
+                assert total == [0] * gamma.order
+
 
 class TestCohomology:
     def test_h0_is_fixed_points(self):
@@ -251,8 +333,25 @@ class TestAgainstFullBarComplex:
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_normalized_matches_full(self, degree):
         for m in small_modules():
-            assert (group_cohomology(m, degree).invariants()
-                    == full_bar_cohomology(m, degree).invariants())
+            full = full_bar_cohomology(m, degree).invariants()
+            assert group_cohomology(m, degree).invariants() == full
+            assert normalized_bar_cohomology(m, degree).invariants() == full
+
+    @pytest.mark.parametrize("relabelled", [False, True], ids=["labels", "relabelled"])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_every_group_of_order_at_most_8(self, degree, relabelled):
+        # trivial Z, trivial Z/4 and each sign character over Z
+        rng = random.Random(degree)
+        for gamma in all_small_groups():
+            if relabelled:
+                gamma = seeded_relabelling(gamma, rng)
+            modules = [trivial_module(gamma, FgAbelianGroup.free(1)),
+                       trivial_module(gamma, FgAbelianGroup.cyclic(4))]
+            modules += [GammaModule(gamma, FgAbelianGroup.free(1), tuple(mat([[x]]) for x in s))
+                        for s in sign_characters(gamma)]
+            for m in modules:
+                assert (group_cohomology(m, degree).invariants()
+                        == full_bar_cohomology(m, degree).invariants())
 
 
 class TestEquivariantHoms:
@@ -315,9 +414,9 @@ class TestRandomized:
             )
             m = induced_module(gamma, rng.randint(1, 2))
             m.check()
-            d0 = bar_differential(m, 0)
-            d1 = bar_differential(m, 1)
+            d0, d1, z2 = (presentation_differential(m, i) for i in (0, 1, 2))
             assert d0.then(d1).is_zero()
+            assert d1.then(z2).is_zero()
             fix, _ = fixed_points(m)
             h0 = group_cohomology(m, 0)
             assert h0.invariants() == fix.invariants()
