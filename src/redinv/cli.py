@@ -222,11 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("human", "json"), default="human")
     common.add_argument("--catalog", default=None,
                         help="catalog path (default: shipped file or REDINV_CATALOG)")
-    common.add_argument("-v", "--verbose", action="count", default=0)
     parser = argparse.ArgumentParser(
         prog="redinv",
         description="Invariants and exact sequences of reductive data",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

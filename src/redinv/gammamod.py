@@ -8,7 +8,9 @@ convention the matrices compose in reverse order:
     (g h) . v  =  g . (h . v)  =  (v @ M_h) @ M_g,
 
 so the composition law reads M_{gh} = M_h @ M_g, and an element
-sum c_g g of Z[Gamma] acts as sum c_g M_g.
+sum c_g g of Z[Gamma] acts as sum c_g M_g.  A stable subquotient (a
+kernel, a cohomology group) inherits its action through one path,
+``subquotient_module``.
 
 Group cohomology in degrees 0-2 comes from a presentation <S | R> of
 Gamma and its partial free resolution Z[Gamma]^R -> Z[Gamma]^S ->
@@ -29,10 +31,10 @@ from .abgrp import (
     AbHom,
     FgAbelianGroup,
     IllDefinedHom,
+    SubquotientData,
     homology_at,
     kernel,
     cokernel,
-    member_coords,
     power,
 )
 
@@ -276,24 +278,22 @@ class GammaHom:
             raise IllDefinedHom("hom does not commute with the group action")
 
 
-def induced_action_on_subgroup(
-    module: GammaModule, gens: IntMatrix, sub: FgAbelianGroup
-) -> tuple[IntMatrix, ...]:
-    """Action matrices on a stable subgroup, written on the given generators."""
-    out = []
+def subquotient_module(module: GammaModule, data: SubquotientData) -> GammaModule:
+    """A subquotient of the ambient of ``module`` with the action it inherits:
+    M_g writes the moved generators, data.gens @ M_g, in class coordinates."""
+    actions = []
     for act in module.actions:
-        c = member_coords(gens, module.group.relations, gens @ act)
+        c = data.class_coords(data.gens @ act)
         if c is None:
-            raise InvalidAction("subgroup is not stable under the action")
-        out.append(c)
-    return tuple(out)
+            raise InvalidAction("subquotient is not stable under the action")
+        actions.append(c)
+    return GammaModule(module.gamma, data.group, tuple(actions))
 
 
 def equivariant_kernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:
-    k, inc = kernel(f.hom)
-    actions = induced_action_on_subgroup(f.source, inc.matrix, k)
-    km = GammaModule(f.source.gamma, k, actions)
-    return km, GammaHom(km, f.source, inc.matrix)
+    data = homology_at(None, f.hom)
+    km = subquotient_module(f.source, data)
+    return km, GammaHom(km, f.source, data.gens)
 
 
 def equivariant_cokernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:

@@ -22,7 +22,6 @@ from .abgrp import (
     direct_sum,
     homology_at,
     is_exact_at,
-    kernel,
     member_coords,
 )
 from .gammamod import (
@@ -30,7 +29,8 @@ from .gammamod import (
     GammaHom,
     GammaModule,
     InvalidAction,
-    induced_action_on_subgroup,
+    equivariant_kernel,
+    subquotient_module,
 )
 
 
@@ -106,14 +106,7 @@ class BoundedComplex:
         return homology_at(d_in, self.diff(n).hom)
 
     def cohomology(self, n: int) -> GammaModule:
-        data = self.cohomology_data(n)
-        actions = []
-        for act in self.term(n).actions:
-            c = data.class_coords(data.gens @ act)
-            if c is None:
-                raise InvalidAction("action does not preserve cocycles")
-            actions.append(c)
-        return GammaModule(self.gamma, data.group, tuple(actions))
+        return subquotient_module(self.term(n), self.cohomology_data(n))
 
     def is_acyclic(self) -> bool:
         return all(
@@ -253,9 +246,7 @@ def truncate(c: BoundedComplex, n: int) -> tuple[BoundedComplex, ChainMap]:
         return z, ChainMap(z, c, {})
     if n >= c.hi:
         return c, identity_chain_map(c)
-    ker_grp, ker_inc = kernel(c.diff(n).hom)
-    actions = induced_action_on_subgroup(c.term(n), ker_inc.matrix, ker_grp)
-    ker_mod = GammaModule(c.gamma, ker_grp, actions)
+    ker_mod, ker_inc = equivariant_kernel(c.diff(n))
     terms = list(c.terms[: n - c.lo]) + [ker_mod]
     diffs = list(c.diffs[: max(0, n - 1 - c.lo)])
     if n > c.lo:

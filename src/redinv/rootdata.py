@@ -10,6 +10,10 @@ A reductive datum adds a finite group acting on X by based
 automorphisms: each group element permutes the simple roots, and the
 dual (inverse-transpose) action permutes the simple coroots the same
 way.
+
+A group spec names a family of the table ``_FAMILIES`` and an argument;
+the table gives the least argument, the datum rank it asks for and the
+datum of that rank.
 """
 
 from __future__ import annotations
@@ -206,11 +210,6 @@ def character_group(d: ReductiveDatum) -> GammaModule:
     return module
 
 
-def character_inclusion(d: ReductiveDatum) -> GammaHom:
-    _, inc = equivariant_kernel(pairing_map(d))
-    return inc
-
-
 def mu_dual(d: ReductiveDatum) -> GammaModule:
     """mu* = coker beta; the Picard group of the datum."""
     module, _ = equivariant_cokernel(pairing_map(d))
@@ -304,49 +303,38 @@ def simply_connected_datum(kind: str, rank: int) -> RootDatum:
     """X = weight lattice coordinates: roots are the Cartan rows, coroots
     the standard basis."""
     c = cartan_matrix(kind, rank)
-    n = c.rows
-    roots = tuple(tuple(c.row(i)) for i in range(n))
-    coroots = tuple(tuple(identity(n).row(i)) for i in range(n))
-    return RootDatum(n, roots, coroots)
+    return RootDatum(c.rows, c.data, identity(c.rows).data)
 
 
 def adjoint_datum(kind: str, rank: int) -> RootDatum:
     """X = root lattice coordinates: roots are the standard basis, coroots
     the Cartan columns."""
     c = cartan_matrix(kind, rank)
-    n = c.rows
-    roots = tuple(tuple(identity(n).row(i)) for i in range(n))
-    coroots = tuple(tuple(c[i, j] for i in range(n)) for j in range(n))
-    return RootDatum(n, roots, coroots)
+    return RootDatum(c.rows, identity(c.rows).data, c.transpose().data)
 
 
 def torus_datum(n: int) -> RootDatum:
     return RootDatum(n, (), ())
 
 
+def _chain(n: int) -> list[tuple[int, ...]]:
+    """The vectors e_i - e_{i+1} of Z^n, i < n - 1."""
+    return [tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(n))
+            for i in range(n - 1)]
+
+
 def gl_datum(n: int) -> RootDatum:
     """X = Z^n with roots e_i - e_{i+1}; coroots the same vectors in the dual."""
-    vecs = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        vecs.append(tuple(v))
-    return RootDatum(n, tuple(vecs), tuple(vecs))
+    vecs = tuple(_chain(n))
+    return RootDatum(n, vecs, vecs)
 
 
 def so_even_datum(n: int) -> RootDatum:
     """SO(2n): X = Z^n, alpha_i = e_i - e_{i+1} (i < n), alpha_n = e_{n-1} + e_n."""
     if n < 3:
         raise InvalidDatum("SO(2n) datum needs n >= 3")
-    vecs = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        vecs.append(tuple(v))
-    w = [0] * n
-    w[n - 2], w[n - 1] = 1, 1
-    vecs.append(tuple(w))
-    return RootDatum(n, tuple(vecs), tuple(vecs))
+    vecs = tuple(_chain(n) + [tuple(1 if j >= n - 2 else 0 for j in range(n))])
+    return RootDatum(n, vecs, vecs)
 
 
 def _perm_matrix(perm: tuple[int, ...]) -> IntMatrix:
@@ -412,53 +400,36 @@ def from_catalog(spec: str) -> ReductiveDatum:
     return d
 
 
+# (head, argument parity or None) -> (least argument, datum rank of the
+# argument, datum of that rank)
+_FAMILIES = {
+    ("SL", None): (2, lambda m: m - 1, lambda n: simply_connected_datum("A", n)),
+    ("PGL", None): (2, lambda m: m - 1, lambda n: adjoint_datum("A", n)),
+    ("GL", None): (0, lambda m: m, gl_datum),
+    ("T", None): (0, lambda m: m, torus_datum),
+    ("Sp", 0): (4, lambda m: m // 2, lambda n: simply_connected_datum("C", n)),
+    ("SO", 1): (5, lambda m: m // 2, lambda n: adjoint_datum("B", n)),
+    ("SO", 0): (6, lambda m: m // 2, so_even_datum),
+    ("Spin", 1): (5, lambda m: m // 2, lambda n: simply_connected_datum("B", n)),
+    ("Spin", 0): (6, lambda m: m // 2, lambda n: simply_connected_datum("D", n)),
+    ("PSO", 0): (6, lambda m: m // 2, lambda n: adjoint_datum("D", n)),
+}
+
+
 def _parse_base(base: str) -> ReductiveDatum:
     m = _SPEC_RE.match(base)
     if m:
         head, num = m.group(1), int(m.group(2))
-        if head in ("Sp", "SO", "Spin", "PSO"):
-            rank = num // 2
-        else:
-            rank = num - 1 if head in ("SL", "PGL") else num
-        if rank > MAX_SPEC_RANK:
-            raise UnknownGroupSpec(f"{base} asks for datum rank {rank}, above {MAX_SPEC_RANK}")
-        if head == "SL":
-            if num < 2:
-                raise UnknownGroupSpec("SL(n) needs n >= 2")
-            return ReductiveDatum.untwisted(base, simply_connected_datum("A", num - 1))
-        if head == "PGL":
-            if num < 2:
-                raise UnknownGroupSpec("PGL(n) needs n >= 2")
-            return ReductiveDatum.untwisted(base, adjoint_datum("A", num - 1))
-        if head == "GL":
-            return ReductiveDatum.untwisted(base, gl_datum(num))
-        if head == "Sp":
-            if num < 4 or num % 2:
-                raise UnknownGroupSpec("Sp(2n) needs even argument >= 4")
-            return ReductiveDatum.untwisted(base, simply_connected_datum("C", num // 2))
-        if head == "SO":
-            if num % 2:
-                if num < 5:
-                    raise UnknownGroupSpec("SO(2n+1) needs argument >= 5")
-                return ReductiveDatum.untwisted(base, adjoint_datum("B", num // 2))
-            if num < 6:
-                raise UnknownGroupSpec("SO(2n) needs argument >= 6")
-            return ReductiveDatum.untwisted(base, so_even_datum(num // 2))
-        if head == "Spin":
-            if num % 2 == 0:
-                if num < 6:
-                    raise UnknownGroupSpec("Spin(2n) needs argument >= 6")
-                return ReductiveDatum.untwisted(base, simply_connected_datum("D", num // 2))
-            if num < 5:
-                raise UnknownGroupSpec("Spin(2n+1) needs argument >= 5")
-            return ReductiveDatum.untwisted(base, simply_connected_datum("B", num // 2))
-        if head == "PSO":
-            if num % 2 or num < 6:
-                raise UnknownGroupSpec("PSO(2n) needs even argument >= 6")
-            return ReductiveDatum.untwisted(base, adjoint_datum("D", num // 2))
-        if head == "T":
-            return ReductiveDatum.untwisted(base, torus_datum(num))
-        raise UnknownGroupSpec(f"unknown constructor {head!r}")
+        family = _FAMILIES.get((head, num % 2)) or _FAMILIES.get((head, None))
+        if family is None:
+            raise UnknownGroupSpec(f"no family {head!r} takes the argument {num}")
+        least, rank_of, datum = family
+        if num < least:
+            raise UnknownGroupSpec(f"{base}: {head} needs an argument >= {least}")
+        if rank_of(num) > MAX_SPEC_RANK:
+            raise UnknownGroupSpec(
+                f"{base} asks for datum rank {rank_of(num)}, above {MAX_SPEC_RANK}")
+        return ReductiveDatum.untwisted(base, datum(rank_of(num)))
     exc = re.match(r"^(G2|F4|E6|E7|E8)(sc|ad)?$", base)
     if exc:
         kind, iso = exc.group(1), exc.group(2)

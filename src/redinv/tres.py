@@ -18,16 +18,17 @@ from .abgrp import (
     FgAbelianGroup,
     cokernel,
     is_exact_at,
-    kernel,
     member_coords,
 )
 from .gammamod import (
     GammaHom,
     GammaModule,
+    equivariant_cokernel,
+    equivariant_kernel,
     fixed_points,
     group_cohomology,
-    induced_action_on_subgroup,
     induced_module,
+    subquotient_module,
 )
 from .homcx import (
     BoundedComplex,
@@ -41,13 +42,9 @@ from .rootdata import (
     InvalidDatum,
     ReductiveDatum,
     cartan_matrix,
-    character_group,
-    character_inclusion,
     from_catalog,
-    mu_dual,
     pairing_map,
     radical_characters,
-    weight_module,
 )
 
 
@@ -69,61 +66,39 @@ def canonical_pi1d(d: ReductiveDatum) -> BoundedComplex:
 
 def canonical_tresolution(d: ReductiveDatum) -> TResolutionData:
     beta = pairing_map(d)
-    mu = mu_dual(d)
-    p = weight_module(d)
-    l_star = GammaHom(p, mu, identity(p.group.ambient_rank))
+    _, char_map = equivariant_kernel(beta)
+    _, l_star = equivariant_cokernel(beta)
     return TResolutionData(
         datum=d,
-        Tstar=p,
+        Tstar=beta.target,
         Rstar=beta.source,
         rho_star=beta,
         l_star=l_star,
-        char_map=character_inclusion(d),
+        char_map=char_map,
         provenance="canonical",
     )
 
 
-@dataclass(frozen=True)
-class PushoutDiagnostics:
-    mu_prime: GammaModule
-    embedding_injective: bool
-    orbit_representatives: tuple[int, ...]
-
-
 def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     """Resolve through the induced torus covering mu' = coker[X -> X_rad (+) P]."""
-    res, _ = pushout_tresolution_with_diagnostics(d)
-    return res
-
-
-def pushout_tresolution_with_diagnostics(
-    d: ReductiveDatum,
-) -> tuple[TResolutionData, PushoutDiagnostics]:
     n = d.datum.rank
     r = d.datum.semisimple_rank
     gamma = d.gamma
     q = gamma.order
     x_rad = radical_characters(d)
-    p = weight_module(d)
     beta = pairing_map(d)
-    target = direct_sum_modules(x_rad, p)
+    target = direct_sum_modules(x_rad, beta.target)
     # X -> X_rad (+) P, chi -> (chi mod saturated root span, beta(chi))
     emb_matrix = hstack(identity(n), beta.matrix)
-    emb = AbHom(FgAbelianGroup.free(n), target.group, emb_matrix)
-    injective = emb.is_injective()
-    if not injective:
+    if not AbHom(FgAbelianGroup.free(n), target.group, emb_matrix).is_injective():
         raise InvalidDatum("character embedding into X_rad (+) P is not injective")
-    mu_prime_grp = FgAbelianGroup(
-        n + r, vstack(target.group.relations, emb_matrix)
-    )
+    mu_prime_grp = FgAbelianGroup(n + r, vstack(target.group.relations, emb_matrix))
     mu_prime = GammaModule(gamma, mu_prime_grp, target.actions)
 
     # orbit representatives among the classes of the ambient generators
     seen: set[tuple[int, ...]] = set()
     reps: list[int] = []
-    for j in range(n + r):
-        e_j = [0] * (n + r)
-        e_j[j] = 1
+    for j, e_j in enumerate(identity(n + r).data):
         cls = mu_prime_grp.reduce(e_j)
         if cls in seen:
             continue
@@ -136,21 +111,14 @@ def pushout_tresolution_with_diagnostics(
 
     k = len(reps)
     t_star = induced_module(gamma, k)
-    # s: T* -> mu', basis vector (i, g) -> g . (class of ambient generator reps[i])
-    s_rows = []
-    for i in range(k):
-        e_j = [0] * (n + r)
-        e_j[reps[i]] = 1
-        for g in gamma.elements():
-            s_rows.append(list(mu_prime.actions[g].apply_to_row(e_j)))
-    s_matrix = mat(s_rows, n + r)
+    # s: T* -> mu', basis vector (i, g) -> g . (ambient generator reps[i]),
+    # which is row reps[i] of M_g
+    s_matrix = mat((m.row(j) for j in reps for m in mu_prime.actions), n + r)
 
     # R* = ker[(a, b) in X_rad (+) T* -> q(a, 0) + s(b)]
     src = direct_sum_modules(x_rad, t_star)
     top = hstack(identity(n), zeros(n, r))  # X_rad ambient -> mu' ambient
-    r_grp, r_inc = kernel(AbHom(src.group, mu_prime_grp, vstack(top, s_matrix)))
-    r_actions = induced_action_on_subgroup(src, r_inc.matrix, r_grp)
-    r_star = GammaModule(gamma, r_grp, r_actions)
+    r_star, r_inc = equivariant_kernel(GammaHom(src, mu_prime, vstack(top, s_matrix)))
 
     # rho* = T*-coordinate projection of the kernel inclusion
     rho_matrix = mat((row[n:] for row in r_inc.matrix.data), k * q)
@@ -158,28 +126,27 @@ def pushout_tresolution_with_diagnostics(
 
     # l* = s followed by the projection mu' -> mu (drop the X_rad part)
     drop = vstack(zeros(n, r), identity(r))
-    l_star = GammaHom(t_star, mu_dual(d), s_matrix @ drop)
+    mu, _ = equivariant_cokernel(beta)
+    l_star = GammaHom(t_star, mu, s_matrix @ drop)
 
     # character group included into R* as chi -> (chi mod rad span, 0)
-    chi_inc = character_inclusion(d)
+    x0, chi_inc = equivariant_kernel(beta)
     chi = chi_inc.matrix
     char_matrix = member_coords(
         r_inc.matrix, src.group.relations, hstack(chi, zeros(chi.rows, k * q))
     )
     if char_matrix is None:
         raise InvalidDatum("character group does not land in R*")
-    char_map = GammaHom(chi_inc.source, r_star, char_matrix)
 
-    res = TResolutionData(
+    return TResolutionData(
         datum=d,
         Tstar=t_star,
         Rstar=r_star,
         rho_star=rho_star,
         l_star=l_star,
-        char_map=char_map,
+        char_map=GammaHom(x0, r_star, char_matrix),
         provenance="pushout",
     )
-    return res, PushoutDiagnostics(mu_prime, injective, tuple(reps))
 
 
 def pi1d_from_resolution(res: TResolutionData) -> BoundedComplex:
@@ -219,11 +186,11 @@ def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
     equivariance verdicts."""
     cx = pi1d_from_resolution(res)
     hm1_data = cx.cohomology_data(-1)
-    hm1 = cx.cohomology(-1)
     h0_data = cx.cohomology_data(0)
-    h0 = cx.cohomology(0)
-    x0 = character_group(res.datum)
-    mu = mu_dual(res.datum)
+    hm1 = subquotient_module(cx.term(-1), hm1_data)
+    h0 = subquotient_module(cx.term(0), h0_data)
+    x0 = res.char_map.source
+    mu = res.l_star.target
 
     classes = hm1_data.class_coords(res.char_map.matrix)
     if classes is None:

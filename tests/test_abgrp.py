@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redinv import intmat
-from redinv.intmat import hnf, hstack, identity, mat, zeros
+from redinv.intmat import hnf, hstack, identity, kernel_basis, mat, vstack, zeros
 from redinv.abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -299,6 +300,83 @@ class TestSixTerm:
             assert rep.checks.passed
             for f in rep.maps:
                 assert f.is_well_defined()
+
+
+def _kills(f: AbHom, g: AbHom, diag: list[int]) -> bool:
+    """g o f = 0 into a diagonal target, read entry by entry: column j of
+    f @ g is 0 modulo diag[j] (exactly 0 where diag[j] = 0)."""
+    return all(x % d == 0 if d else x == 0
+               for row in (f.matrix @ g.matrix).data for x, d in zip(row, diag))
+
+
+def _killing_map(rng, f: AbHom, tgt: FgAbelianGroup, tgt_diag: list[int]) -> AbHom:
+    """A well-defined g: B -> C with g o f = 0: column j is a combination of
+    the right kernel of [f; relations of B], plus a multiple of tgt_diag[j]."""
+    k = kernel_basis(vstack(f.matrix, f.target.relations).transpose())
+    cols = []
+    for d in tgt_diag:
+        coeffs = [rng.randint(-3, 3) for _ in range(k.rows)]
+        cols.append([sum(c * row[i] for c, row in zip(coeffs, k.data)) + d * rng.randint(-3, 3)
+                     for i in range(f.target.ambient_rank)])
+    return AbHom(f.target, tgt, mat(zip(*cols), tgt.ambient_rank) if cols
+                 else zeros(f.target.ambient_rank, 0))
+
+
+class TestCokernelUniversalProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_factors_exactly_when_composite_vanishes(self, seed, killing):
+        rng = random.Random(seed)
+        a, da = random_diagonal_group(rng, 3, 6)
+        b, db = random_diagonal_group(rng, 3, 6)
+        c, dc = random_diagonal_group(rng, 3, 6)
+        f = constructive_hom(rng, a, da, b, db)
+        g = _killing_map(rng, f, c, dc) if killing else constructive_hom(rng, b, db, c, dc)
+        assert g.is_well_defined()
+        assert not killing or _kills(f, g, dc)
+        q, proj = cokernel(f)
+        # proj is onto, so g has at most one factorization h with proj.then(h) = g;
+        # proj is the identity on the ambient, so the candidate is g's matrix
+        assert proj.is_surjective()
+        h = AbHom(q, c, g.matrix)
+        assert h.is_well_defined() == _kills(f, g, dc)
+        assert proj.then(h).matrix == g.matrix
+
+
+@st.composite
+def _finite_diagonal_groups(draw) -> tuple[FgAbelianGroup, list[int]]:
+    diag = draw(st.lists(st.integers(1, 6), max_size=2))
+    n = len(diag)
+    rows = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diag)]
+    return FgAbelianGroup(n, mat(rows, n)), diag
+
+
+def _elements(g: FgAbelianGroup) -> set[tuple[int, ...]]:
+    """Every element of a finite group, as canonical coordinates."""
+    _, torsion = g.invariants()
+    e = torsion[-1] if torsion else 1
+    out = {g.reduce(x) for x in itertools.product(range(e), repeat=g.ambient_rank)}
+    assert len(out) == g.order()
+    return out
+
+
+class TestSixTermByEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_at_every_spot(self, data):
+        (a, da), (b, db), (c, dc) = (data.draw(_finite_diagonal_groups()) for _ in range(3))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        u = constructive_hom(rng, a, da, b, db)
+        v = constructive_hom(rng, b, db, c, dc)
+        rep = six_term_sequence(u, v)
+        assert rep.checks.passed
+        groups = rep.groups
+        for k, g in enumerate(groups):
+            image = ({rep.maps[k - 1].apply_coords(x) for x in _elements(groups[k - 1])}
+                     if k > 0 else {g.reduce([0] * g.ambient_rank)})
+            kernel_set = ({y for y in _elements(g) if not any(rep.maps[k].apply_coords(y))}
+                          if k < len(rep.maps) else _elements(g))
+            assert image == kernel_set, k
 
 
 class TestSums:

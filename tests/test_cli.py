@@ -178,6 +178,20 @@ def test_spec_rank_bound(capsys):
         assert err.startswith("input error:") and not out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "invariants", "SL(2)"],
+    ["--catalog", "catalog.json", "invariants", "SL(2)"],
+    ["invariants", "SL(2)", "-v"],
+    ["-v", "invariants", "SL(2)"],
+])
+def test_options_outside_a_command_exit_2(capsys, argv):
+    # options belong to the subcommand; argparse exits 2 on the rest
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not capsys.readouterr().out
+
+
 class TestCheckSes:
     def test_shipped_fixture(self, capsys):
         path = os.path.join(DATA_DIR, "ses_sl3_gl3_gm.json")

@@ -3,8 +3,16 @@ import random
 
 import pytest
 
-from redinv.intmat import DimensionMismatch, hstack, identity, mat
-from redinv.abgrp import AbHom, FgAbelianGroup, kernel, power, subgroups_equal
+from redinv.intmat import DimensionMismatch, hstack, identity, mat, zeros
+from redinv.abgrp import (
+    AbHom,
+    FgAbelianGroup,
+    is_exact_at,
+    kernel,
+    power,
+    subgroups_equal,
+    subquotient,
+)
 from redinv.gammamod import (
     FiniteGroup,
     GammaHom,
@@ -24,6 +32,7 @@ from redinv.gammamod import (
     presentation_differential,
     quaternion_group,
     sign_module,
+    subquotient_module,
     trivial_group,
     trivial_module,
 )
@@ -329,6 +338,36 @@ def small_modules():
         yield from mods
 
 
+def equivariant_endomorphism(rng: random.Random, m: GammaModule) -> GammaHom:
+    """The norm sum_g M_{g^-1} A M_g of a random A, of rank one half the time.
+    Every module of ``small_modules`` has relations 4 I or none, so any A is
+    well defined."""
+    n = m.group.ambient_rank
+    if rng.random() < 0.5:
+        u, v = ([rng.randint(-2, 2) for _ in range(n)] for _ in range(2))
+        a = mat([[x * y for y in v] for x in u], n)
+    else:
+        a = mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], n)
+    gamma = m.gamma
+    norm = zeros(n, n)
+    for g in gamma.elements():
+        norm = norm + m.actions[gamma.inverse(g)] @ a @ m.actions[g]
+    return GammaHom(m, m, norm)
+
+
+def test_equivariant_kernel_of_random_maps():
+    rng = random.Random(5)
+    for m in small_modules():
+        for _ in range(2):
+            f = equivariant_endomorphism(rng, m)
+            f.check()
+            km, inc = equivariant_kernel(f)
+            km.check()
+            inc.check()
+            assert inc.hom.is_injective()
+            assert is_exact_at(inc.hom, f.hom)
+
+
 class TestAgainstFullBarComplex:
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_normalized_matches_full(self, degree):
@@ -397,12 +436,11 @@ class TestEquivariantHoms:
         assert proj.is_equivariant()
 
     def test_unstable_subgroup_rejected(self):
-        from redinv.gammamod import induced_action_on_subgroup
-
+        # the swap moves the first coordinate line off itself
         m = self._swap()
-        sub = FgAbelianGroup.free(1)
+        data = subquotient(mat([[1, 0]]), m.group.relations, zeros(0, 2))
         with pytest.raises(InvalidAction):
-            induced_action_on_subgroup(m, mat([[1, 0]]), sub)
+            subquotient_module(m, data)
 
 
 class TestRandomized:

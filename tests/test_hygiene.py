@@ -1,12 +1,14 @@
-"""Source hygiene: no unused imports and no dead public definitions.
+"""Source hygiene: no unused imports, parameters or public definitions.
 
-No linter ships with the project, so two ``ast`` scans keep the code
+No linter ships with the project, so three ``ast`` scans keep the code
 clean.  Every name imported with ``from ... import`` in ``src/`` or
 ``tests/`` is used: it appears as a bare name (which covers the base of
 an attribute) or inside a string annotation.  Every public function,
 method or class defined in ``src/`` is referenced somewhere in ``src/``,
 ``tests/`` or ``perfbench/``: as a name, an attribute, or a string of
 dotted names (``perfbench/tracing.py`` names the methods it wraps so).
+Every parameter of a function or lambda in ``src/`` is read in its body,
+except ``self``, ``cls`` and names that start with ``_``.
 """
 
 import ast
@@ -62,6 +64,37 @@ def test_scan_flags_an_unused_name():
 def test_no_unused_from_imports(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert unused_from_imports(fh.read()) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter its body never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + [a.vararg] + a.kwonlyargs + [a.kwarg]
+                  if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        out += [f"{name}.{p}" for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return out
+
+
+def test_scan_flags_an_unused_parameter():
+    src = ("def f(self, a, b, _c, *args, d=1, **kw):\n"
+           "    def g():\n        return a\n    return g, kw\n"
+           "h = lambda x, y: x\n")
+    assert unused_parameters(src) == ["f.b", "f.args", "f.d", "lambda.y"]
+
+
+@pytest.mark.parametrize("path", sorted(_python_files(("src",))))
+def test_no_unused_parameters(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        assert unused_parameters(fh.read()) == []
 
 
 def referenced_names(source: str) -> set[str]:

@@ -1,9 +1,11 @@
 import pytest
 
 from redinv.catalogio import default_catalog_path, load_catalog
+from redinv.cli import main
 from redinv.intmat import det, identity, mat
 from redinv.gammamod import fixed_points, group_cohomology
 from redinv.rootdata import (
+    _FAMILIES,
     MAX_SPEC_RANK,
     ReductiveDatum,
     RootDatum,
@@ -235,3 +237,20 @@ class TestConstructors:
         sc = simply_connected_datum("A", 2)
         # coroots are the standard basis in the sc form
         assert sc.simple_coroots == tuple(identity(2).row(i) for i in range(2))
+
+
+@pytest.mark.parametrize("key", sorted(_FAMILIES, key=str), ids=str)
+def test_family_table_row(key, capsys):
+    head, parity = key
+    least, rank_of, _ = _FAMILIES[key]
+    assert from_catalog(f"{head}({least})").datum.rank == rank_of(least)
+    # the argument below the least one that the row would take
+    bad = [f"{head}({least - (1 if parity is None else 2)})"]
+    # and one of the other parity, unless another row of the head takes it
+    if parity is not None and (head, 1 - parity) not in _FAMILIES:
+        bad.append(f"{head}({least + 1})")
+    for spec in bad:
+        with pytest.raises(UnknownGroupSpec):
+            from_catalog(spec)
+        assert main(["invariants", spec]) == 2, spec
+        assert not capsys.readouterr().out

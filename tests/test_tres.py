@@ -1,6 +1,7 @@
 import pytest
 
-from redinv.intmat import identity, mat
+from redinv.intmat import hstack, identity, mat
+from redinv.abgrp import AbHom, FgAbelianGroup, cokernel, direct_sum
 from redinv.gammamod import fixed_points
 from redinv.homcx import compose_chain_maps, induced_on_cohomology
 from redinv.rootdata import from_catalog
@@ -13,14 +14,13 @@ from redinv.tres import (
     induced_map,
     pi1d_from_resolution,
     pushout_tresolution,
-    pushout_tresolution_with_diagnostics,
     ses_gm_gl_pgl,
     ses_sl_gl_gm,
     ses_to_complex_ses,
     sl_to_pgl_induced_map,
     validate_ses_data,
 )
-from redinv.rootdata import character_group, mu_dual
+from redinv.rootdata import character_group, mu_dual, pairing_map, radical_characters
 
 SPECS = [
     "SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "GL(2)", "GL(3)",
@@ -53,18 +53,25 @@ class TestCanonicalResolution:
 
 
 class TestPushoutResolution:
-    def test_pgl2_shape(self):
-        d = from_catalog("PGL(2)")
-        res, diag = pushout_tresolution_with_diagnostics(d)
-        assert diag.embedding_injective
-        assert res.provenance == "pushout"
-        # trivial Gamma: T* has one ambient generator per orbit representative
-        assert res.Tstar.group.ambient_rank == len(diag.orbit_representatives)
+    def test_tstar_ranks(self):
+        # one induced summand Z[Gamma] per orbit of generators of mu'
+        # (rank 3 = |Gamma| for the triality twist)
+        for spec, rank in (("PGL(2)", 1), ("PGL(3)", 2), ("SO(8)", 1),
+                           ("PSO(8)xGamma:triality", 3)):
+            res = pushout_tresolution(from_catalog(spec))
+            assert res.provenance == "pushout"
+            assert res.Tstar.group.ambient_rank == rank, spec
 
     def test_mu_prime_finite(self):
+        # mu' = coker[X -> X_rad (+) P], chi -> (chi, beta(chi))
         for spec in ("PGL(2)", "PGL(3)", "SO(8)", "PSO(8)xGamma:triality"):
-            _, diag = pushout_tresolution_with_diagnostics(from_catalog(spec))
-            assert diag.mu_prime.group.order() is not None, spec
+            d = from_catalog(spec)
+            n = d.datum.rank
+            beta = pairing_map(d)
+            target = direct_sum(radical_characters(d).group, beta.target.group)
+            emb = AbHom(FgAbelianGroup.free(n), target, hstack(identity(n), beta.matrix))
+            mu_prime, _ = cokernel(emb)
+            assert mu_prime.order() is not None, spec
 
     def test_four_term(self):
         for spec in SPECS:
