@@ -1,11 +1,15 @@
 """Golden records: the JSON stdout of every catalog, fixture and cech command.
 
 ``data/records.json`` maps each argv, joined by single spaces, to the
-sha256 of the record that ``--format json`` prints.  Besides the catalog,
+sha256 of the record that ``--format json`` prints, and of the human
+output of ``pi1d`` (both resolutions) and ``check-ses``, whose check
+lines follow the order of the checks.  Besides the catalog,
 it pins five classical specs of rank 14 or more, whose pushout resolutions
 solve the largest subgroup-coordinate systems.  ``check-ses`` and ``cech``
 hash the input file's bytes into the input digest; their keys name the
 fixture in the shipped data directory, or the cech input written below.
+``check-ses`` runs from the data directory, since its human output
+names the file as given.
 ``matrix hnf`` and ``matrix snf`` records pin H, U, D and V byte for byte
 on three matrices written below: a sparse 0/+-1 bar matrix and two dense
 ones.
@@ -57,6 +61,8 @@ def test_every_catalog_spec_and_fixture_is_covered():
             f"invariants {spec} --format json",
             f"pi1d {spec} --format json",
             f"pi1d {spec} --resolution pushout --format json",
+            f"pi1d {spec} --format human",
+            f"pi1d {spec} --resolution pushout --format human",
         }
     for spec in LARGE_SPECS:
         want |= {
@@ -64,8 +70,9 @@ def test_every_catalog_spec_and_fixture_is_covered():
             f"pi1d {spec} --resolution pushout --format json",
         }
     want |= {
-        f"check-ses {name} --format json"
+        f"check-ses {name} --format {fmt}"
         for name in os.listdir(DATA_DIR) if name.startswith("ses_")
+        for fmt in ("json", "human")
     }
     want |= {f"cech cech.json --max-degree {k} --format json" for k in range(3, 9)}
     want |= {
@@ -81,10 +88,10 @@ def _record(argv, capsys) -> str:
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_record_is_byte_identical(command, capsys, tmp_path):
+def test_record_is_byte_identical(command, capsys, tmp_path, monkeypatch):
     argv = command.split(" ")
     if argv[0] == "check-ses":
-        argv[1] = os.path.join(DATA_DIR, argv[1])
+        monkeypatch.chdir(DATA_DIR)
     elif argv[0] == "cech":
         path = tmp_path / argv[1]
         path.write_text(json.dumps(CECH_INPUT))

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from redinv.intmat import hstack, identity, mat
 from redinv.abgrp import AbHom, FgAbelianGroup, cokernel, direct_sum
-from redinv.gammamod import fixed_points
+from redinv.gammamod import cyclic_group, fixed_points
 from redinv.homcx import compose_chain_maps, induced_on_cohomology
-from redinv.rootdata import from_catalog
+from redinv.rootdata import ReductiveDatum, from_catalog
 from redinv.tres import (
     SESData,
     canonical_pi1d,
@@ -172,6 +174,52 @@ class TestSESFixtures:
         assert not checks.passed
         failed = checks.failures()
         assert "g3-roots-match" in failed or "lattice-exact" in failed
+
+
+def _flipped(d: ReductiveDatum, m) -> ReductiveDatum:
+    """d with Gamma = Z/2 acting on X by m."""
+    return ReductiveDatum(d.name, d.datum, cyclic_group(2), (identity(d.datum.rank), m))
+
+
+def _with_coroots(d: ReductiveDatum, coroots) -> ReductiveDatum:
+    return replace(d, datum=replace(d.datum, simple_coroots=coroots))
+
+
+_SWAP = mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # on X(GL(3)): e0 <-> e2
+
+# Each fixture breaks one check of validate_ses_data (named by its key),
+# and fails exactly the listed checks.  The base fixtures are
+# T(1) -> GL(3) -> PGL(3) (x3 -> x2 places the roots) and
+# SL(3) -> GL(3) -> T(1) (x3 -> x2 is the scaling character).
+_GM, _SL = ses_gm_gl_pgl(3), ses_sl_gl_gm(3)
+BROKEN_SES = {
+    "lattice-injective": (replace(_SL, x3_to_x2=mat([[0, 0, 0]])),
+                          ["lattice-injective", "lattice-exact"]),
+    "lattice-surjective": (replace(_GM, x2_to_x1=mat([[2], [2], [2]])),
+                           ["lattice-surjective"]),
+    "g3-roots-match": (replace(_GM, part3=(1, 0)), ["g3-roots-match", "g3-coroots-match"]),
+    "g1-roots-match": (replace(_SL, part1=(1, 0)), ["g1-roots-match", "g1-coroots-match"]),
+    "g3-coroots-match": (replace(_GM, g3=_with_coroots(_GM.g3, ((2, -1), (-1, 3)))),
+                         ["g3-coroots-match"]),
+    "g1-coroots-match": (replace(_SL, g1=_with_coroots(_SL.g1, ((1, 0), (0, 2)))),
+                         ["g1-coroots-match"]),
+    "part1-coroots-kill-x3": (replace(_SL, x3_to_x2=mat([[1, 0, 0]])),
+                              ["lattice-exact", "part1-coroots-kill-x3"]),
+    # the flip of X(GL(3)) moves the roots of PGL(3); fixing X(PGL(3)) breaks x3 -> x2
+    "gamma-equivariant": (replace(_GM, g1=_flipped(_GM.g1, identity(1)),
+                                  g2=_flipped(_GM.g2, _SWAP), g3=_flipped(_GM.g3, identity(2))),
+                          ["gamma-equivariant"]),
+    "twisted-and-equivariant": (
+        replace(_GM, g1=_flipped(_GM.g1, identity(1)), g2=_flipped(_GM.g2, _SWAP),
+                g3=_flipped(_GM.g3, mat([[0, -1], [-1, 0]]))),
+        []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_SES))
+def test_broken_ses_fails_exactly_its_checks(name):
+    s, failed = BROKEN_SES[name]
+    assert validate_ses_data(s).failures() == failed
 
 
 class TestInducedMaps:
