@@ -29,6 +29,12 @@ from .intmat import (
 )
 
 
+# Largest ambient rank of a group read from JSON, and largest datum rank a
+# group spec may ask for.  At rank 64 every command takes a few seconds; an
+# unbounded rank would allocate and compute without limit.
+MAX_RANK = 64
+
+
 class IllDefinedHom(ValueError):
     """The matrix does not map the source relations into the target relations."""
 
@@ -121,8 +127,8 @@ class FgAbelianGroup:
     @staticmethod
     def from_json(obj: dict) -> "FgAbelianGroup":
         n = obj["ambientRank"]
-        if type(n) is not int or n < 0:
-            raise ValueError(f"ambientRank: expected a non-negative integer, got {n!r}")
+        if type(n) is not int or not 0 <= n <= MAX_RANK:
+            raise ValueError(f"ambientRank: expected an integer from 0 to {MAX_RANK}, got {n!r}")
         return FgAbelianGroup(n, IntMatrix.from_json(obj["relations"], cols=n))
 
 
@@ -327,14 +333,34 @@ class Checks:
         return {name: ok for name, ok, _ in self.entries}
 
 
+def exactness(maps: Sequence[AbHom], names: Sequence[str]) -> tuple[tuple[str, bool, Any], ...]:
+    """One (name, ok, None) entry per group of 0 -> G_0 -> ... -> G_k -> 0,
+    where maps[i]: G_i -> G_{i+1}: injective at G_0, exact at each inner
+    group, surjective at G_k."""
+    oks = ([maps[0].is_injective()]
+           + [is_exact_at(f, g) for f, g in zip(maps, maps[1:])]
+           + [maps[-1].is_surjective()])
+    return tuple((name, ok, None) for name, ok in zip(names, oks, strict=True))
+
+
 @dataclass(frozen=True)
-class SixTermReport:
-    groups: tuple[FgAbelianGroup, ...]  # ker u, ker vu, ker v, cok u, cok vu, cok v
-    maps: tuple[AbHom, ...]  # the five connecting homs
-    checks: Checks  # exact-at-<spot>, one per group
+class ExactSequence:
+    """0 -> G_0 -> ... -> G_k -> 0 with maps[i]: G_i -> G_{i+1}, and one
+    exact-at-<label> check per group."""
+
+    labels: tuple[str, ...]
+    maps: tuple[AbHom, ...]
+    groups: tuple[FgAbelianGroup, ...] = field(init=False)
+    checks: Checks = field(init=False)
+
+    def __post_init__(self) -> None:
+        groups = tuple(f.source for f in self.maps) + (self.maps[-1].target,)
+        object.__setattr__(self, "groups", groups)
+        names = [f"exact-at-{label}" for label in self.labels]
+        object.__setattr__(self, "checks", Checks(exactness(self.maps, names)))
 
 
-def six_term_sequence(u: AbHom, v: AbHom) -> SixTermReport:
+def six_term_sequence(u: AbHom, v: AbHom) -> ExactSequence:
     """The kernel-cokernel exact sequence of the composable pair (u, v).
 
     0 -> ker u -> ker vu -> ker v -> cok u -> cok vu -> cok v -> 0
@@ -366,15 +392,8 @@ def six_term_sequence(u: AbHom, v: AbHom) -> SixTermReport:
     # cok vu -> cok v: identity on the ambient of C.
     f5 = AbHom(c_vu, c_v, identity(v.target.ambient_rank))
 
-    checks = Checks((
-        ("exact-at-ker-u", f1.is_injective(), None),
-        ("exact-at-ker-vu", is_exact_at(f1, f2), None),
-        ("exact-at-ker-v", is_exact_at(f2, f3), None),
-        ("exact-at-cok-u", is_exact_at(f3, f4), None),
-        ("exact-at-cok-vu", is_exact_at(f4, f5), None),
-        ("exact-at-cok-v", f5.is_surjective(), None),
-    ))
-    return SixTermReport((k_u, k_vu, k_v, c_u, c_vu, c_v), (f1, f2, f3, f4, f5), checks)
+    labels = ("ker-u", "ker-vu", "ker-v", "cok-u", "cok-vu", "cok-v")
+    return ExactSequence(labels, (f1, f2, f3, f4, f5))
 
 
 def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, int_from_json
 from .abgrp import FgAbelianGroup
 from .rootdata import (
     ReductiveDatum,
@@ -107,7 +107,7 @@ def _check_invariant_dict(obj, field: str) -> dict:
 def load_catalog(path: Optional[str] = None, self_test: bool = True) -> CatalogFile:
     path = path or default_catalog_path()
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_int=int_from_json)
     _require(isinstance(raw, dict), "(root)", "expected an object")
     _require(raw.get("schemaVersion") == SCHEMA_VERSION, "schemaVersion",
              f"expected {SCHEMA_VERSION}")
@@ -240,7 +240,7 @@ def _indices(obj, field: str) -> tuple[int, ...]:
 
 
 def ses_from_json(text: str) -> SESData:
-    obj = json.loads(text)
+    obj = json.loads(text, parse_int=int_from_json)
     g1 = from_catalog(obj["g1"])
     g2 = from_catalog(obj["g2"])
     g3 = from_catalog(obj["g3"])

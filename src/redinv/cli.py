@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Any, Callable
 
-from .intmat import IntMatrix, hnf, snf
+from .intmat import IntMatrix, hnf, int_from_json, snf
 from .abgrp import Checks
 from .catalogio import (
     CatalogError,
@@ -64,7 +64,7 @@ def _load(parse: Callable[[], Any]) -> Any:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=int_from_json)
 
 
 def _parse_file(path: str, parse: Callable[[str], Any]) -> tuple[dict, Any]:
@@ -187,7 +187,7 @@ def cmd_check_ses(args) -> int:
 
 def cmd_cech(args) -> int:
     loaded = _load(lambda: _parse_file(args.file, lambda text: build_complex(
-        CechInput.from_json(json.loads(text)), args.max_degree)))
+        CechInput.from_json(json.loads(text, parse_int=int_from_json)), args.max_degree)))
     if loaded is None:
         return EXIT_INPUT_ERROR
     payload, cx = loaded
@@ -257,7 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # results may pass Python's limit on int/str conversion (absent before
+    # 3.10.7); inputs keep it through intmat.int_from_json
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -9,19 +9,19 @@ cone -> A[1] is the negative of the canonical projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .intmat import IntMatrix, block_diag, hstack, identity, vstack, zeros
 from .abgrp import (
     AbHom,
     Checks,
+    ExactSequence,
     FgAbelianGroup,
     IllDefinedHom,
     NotComposable,
     SubquotientData,
     direct_sum,
+    exactness,
     homology_at,
-    is_exact_at,
     member_coords,
 )
 from .gammamod import (
@@ -298,42 +298,22 @@ def truncation_triangle_check(c: BoundedComplex, n: int) -> Checks:
     checks = []
     lo = min(t_prev.lo, c.lo)
     hi = max(t_cur.hi, n) + 1
+    spots = ("low truncation", "high truncation", "top cohomology")
     for m_deg in range(lo, hi + 1):
-        hi_prev = induced_on_cohomology(i_map, m_deg)
-        hp = induced_on_cohomology(p_map, m_deg)
-        checks += [
-            # spot at H^m(t_prev): injectivity (incoming connecting map is zero)
-            (f"H^{m_deg}(low truncation)", hi_prev.is_injective(), None),
-            (f"H^{m_deg}(high truncation)", is_exact_at(hi_prev, hp), None),
-            # spot at H^m of the cohomology spike: surjectivity
-            (f"H^{m_deg}(top cohomology)", hp.is_surjective(), None),
-        ]
+        maps = (induced_on_cohomology(i_map, m_deg), induced_on_cohomology(p_map, m_deg))
+        checks += exactness(maps, [f"H^{m_deg}({spot})" for spot in spots])
     return Checks(tuple(checks))
-
-
-@dataclass(frozen=True)
-class LongExactReport:
-    labels: tuple[str, ...]
-    groups: tuple[FgAbelianGroup, ...]
-    maps: tuple[AbHom, ...]
-    checks: Checks  # exact-at-<label>, one per group
 
 
 def levelwise_exact(i: ChainMap, p: ChainMap) -> bool:
     """0 -> A -> B -> C -> 0 exact in every degree."""
     a, b, c = i.source, i.target, p.target
-    lo = min(a.lo, b.lo, c.lo)
-    hi = max(a.hi, b.hi, c.hi)
-    for n in range(lo, hi + 1):
-        fi = i.component(n).hom
-        fp = p.component(n).hom
-        if not fi.is_injective():
-            return False
-        if not is_exact_at(fi, fp):
-            return False
-        if not fp.is_surjective():
-            return False
-    return True
+    return all(
+        ok
+        for n in range(min(a.lo, b.lo, c.lo), max(a.hi, b.hi, c.hi) + 1)
+        for _, ok, _ in exactness((i.component(n).hom, p.component(n).hom),
+                                  [f"A^{n}", f"B^{n}", f"C^{n}"])
+    )
 
 
 def connecting_map(i: ChainMap, p: ChainMap, n: int) -> AbHom:
@@ -357,31 +337,17 @@ def connecting_map(i: ChainMap, p: ChainMap, n: int) -> AbHom:
     return AbHom(c_data.group, a_data.group, m)
 
 
-def les_of_ses(i: ChainMap, p: ChainMap) -> LongExactReport:
+def les_of_ses(i: ChainMap, p: ChainMap) -> ExactSequence:
     """The long exact cohomology sequence of 0 -> A -> B -> C -> 0."""
     if not levelwise_exact(i, p):
         raise InvalidComplex("the chain maps are not a levelwise short exact sequence")
     a, b, c = i.source, i.target, p.target
     lo = min(a.lo, b.lo, c.lo)
-    hi = max(a.hi, b.hi, c.hi)
     labels: list[str] = []
-    groups: list[FgAbelianGroup] = []
     maps: list[AbHom] = []
-    prev_group: Optional[FgAbelianGroup] = None
-    for n in range(lo, hi + 1):
-        ha = a.cohomology_data(n).group
-        hb = b.cohomology_data(n).group
-        hc = c.cohomology_data(n).group
-        if prev_group is not None:
+    for n in range(lo, max(a.hi, b.hi, c.hi) + 1):
+        if n > lo:
             maps.append(connecting_map(i, p, n - 1))
         labels += [f"H^{n}(A)", f"H^{n}(B)", f"H^{n}(C)"]
-        groups += [ha, hb, hc]
-        maps.append(induced_on_cohomology(i, n))
-        maps.append(induced_on_cohomology(p, n))
-        prev_group = hc
-    checks = []
-    for k, g in enumerate(groups):
-        incoming = maps[k - 1] if k > 0 else AbHom.zero(FgAbelianGroup.trivial(), g)
-        outgoing = maps[k] if k < len(maps) else AbHom.zero(g, FgAbelianGroup.trivial())
-        checks.append((f"exact-at-{labels[k]}", is_exact_at(incoming, outgoing), None))
-    return LongExactReport(tuple(labels), tuple(groups), tuple(maps), Checks(tuple(checks)))
+        maps += [induced_on_cohomology(i, n), induced_on_cohomology(p, n)]
+    return ExactSequence(tuple(labels), tuple(maps))

@@ -105,12 +105,6 @@ class IntMatrix:
                         acc[j] += a * b
         return tuple(acc)
 
-    def apply_to_column(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Column-vector action self @ v."""
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"{self.shape} @ vector of length {len(v)}")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.data)
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.data]
 
@@ -130,10 +124,19 @@ class IntMatrix:
         return IntMatrix(tuple(rows), cols)
 
 
+# Most decimal digits of an input integer: Python's default limit on int/str
+# conversion, which the CLI lifts so that results may be longer.
+MAX_INPUT_DIGITS = 4300
+
+
 def int_from_json(a: object) -> int:
-    """A JSON integer that is no boolean, or a string matching -?[0-9]+."""
+    """A JSON integer that is no boolean, or a string matching -?[0-9]+ of
+    at most MAX_INPUT_DIGITS digits.  As ``parse_int`` of ``json.loads`` it
+    bounds the number literals of a JSON text too."""
     if not (type(a) is int or isinstance(a, str) and re.fullmatch("-?[0-9]+", a)):
         raise ValueError(f"not an integer: {a!r}")
+    if isinstance(a, str) and len(a.lstrip("-")) > MAX_INPUT_DIGITS:
+        raise ValueError(f"an integer of more than {MAX_INPUT_DIGITS} digits")
     return int(a)
 
 

@@ -30,7 +30,7 @@ from .intmat import (
     mat,
     rank as mat_rank,
 )
-from .abgrp import Checks, FgAbelianGroup
+from .abgrp import MAX_RANK as MAX_SPEC_RANK, Checks, FgAbelianGroup
 from .gammamod import (
     FiniteGroup,
     GammaHom,
@@ -370,10 +370,6 @@ def triality_twist(d: ReductiveDatum) -> ReductiveDatum:
 
 
 _SPEC_RE = re.compile(r"^([A-Za-z]+)\((\d{1,9})\)$")
-
-# Largest datum rank a spec may ask for.  At rank 64 every command takes
-# a second or two; an unbounded n would allocate and compute without limit.
-MAX_SPEC_RANK = 64
 
 
 def from_catalog(spec: str) -> ReductiveDatum:

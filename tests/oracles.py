@@ -65,6 +65,38 @@ def in_row_lattice(a: IntMatrix, vecs: IntMatrix) -> bool:
     return len(before) == len(after) and prod(before) == prod(after)
 
 
+def elements(g: FgAbelianGroup) -> set[tuple[int, ...]]:
+    """Every element of a finite group, as canonical coordinates: the
+    closure of {0} under adding the ambient generators."""
+    n = g.ambient_rank
+    seen = {g.reduce([0] * n)}
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for i in range(n):
+            y = g.reduce([a + (j == i) for j, a in enumerate(x)])
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    assert len(seen) == g.order()
+    return seen
+
+
+def inexact_spots(seq) -> list[str]:
+    """Labels of the groups of a finite ExactSequence where the image of the
+    incoming map and the kernel of the outgoing one differ, element by element."""
+    groups, maps = seq.groups, seq.maps
+    out = []
+    for k, g in enumerate(groups):
+        image = ({maps[k - 1].apply_coords(x) for x in elements(groups[k - 1])}
+                 if k > 0 else {g.reduce([0] * g.ambient_rank)})
+        kernel_set = ({y for y in elements(g) if not any(maps[k].apply_coords(y))}
+                      if k < len(maps) else elements(g))
+        if image != kernel_set:
+            out.append(seq.labels[k])
+    return out
+
+
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:
     return mat(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -7,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from redinv import intmat
 from redinv.intmat import hnf, hstack, identity, kernel_basis, mat, vstack, zeros
 from redinv.abgrp import (
+    MAX_RANK,
     AbHom,
     FgAbelianGroup,
     IllDefinedHom,
     NotComposable,
     cokernel,
     direct_sum,
+    exactness,
     homology_at,
     image,
     is_exact_at,
@@ -26,7 +27,13 @@ from redinv.abgrp import (
     subgroups_equal,
 )
 
-from oracles import constructive_hom, random_diagonal_group, random_group, random_hom
+from oracles import (
+    constructive_hom,
+    inexact_spots,
+    random_diagonal_group,
+    random_group,
+    random_hom,
+)
 
 
 Z = FgAbelianGroup.free(1)
@@ -351,15 +358,6 @@ def _finite_diagonal_groups(draw) -> tuple[FgAbelianGroup, list[int]]:
     return FgAbelianGroup(n, mat(rows, n)), diag
 
 
-def _elements(g: FgAbelianGroup) -> set[tuple[int, ...]]:
-    """Every element of a finite group, as canonical coordinates."""
-    _, torsion = g.invariants()
-    e = torsion[-1] if torsion else 1
-    out = {g.reduce(x) for x in itertools.product(range(e), repeat=g.ambient_rank)}
-    assert len(out) == g.order()
-    return out
-
-
 class TestSixTermByEnumeration:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -369,14 +367,35 @@ class TestSixTermByEnumeration:
         u = constructive_hom(rng, a, da, b, db)
         v = constructive_hom(rng, b, db, c, dc)
         rep = six_term_sequence(u, v)
+        assert inexact_spots(rep) == []
         assert rep.checks.passed
-        groups = rep.groups
-        for k, g in enumerate(groups):
-            image = ({rep.maps[k - 1].apply_coords(x) for x in _elements(groups[k - 1])}
-                     if k > 0 else {g.reduce([0] * g.ambient_rank)})
-            kernel_set = ({y for y in _elements(g) if not any(rep.maps[k].apply_coords(y))}
-                          if k < len(rep.maps) else _elements(g))
-            assert image == kernel_set, k
+
+
+class TestExactnessEntries:
+    def test_verdicts_under_the_given_names(self):
+        # Z --2--> Z --1--> Z/2 is exact at every group
+        maps = (AbHom(Z, Z, mat([[2]])), AbHom(Z, FgAbelianGroup.cyclic(2), mat([[1]])))
+        assert exactness(maps, "abc") == (("a", True, None), ("b", True, None), ("c", True, None))
+
+    def test_first_inner_and_last_can_fail(self):
+        # Z --0--> Z --0--> Z/2: not injective, im 0 != ker Z, not onto Z/2
+        maps = (AbHom(Z, Z, mat([[0]])), AbHom(Z, FgAbelianGroup.cyclic(2), mat([[0]])))
+        names = ("injective", "exact", "surjective")
+        assert exactness(maps, names) == tuple((name, False, None) for name in names)
+        # Z --2--> Z --0--> Z/2 fails only at the inner group and the end
+        maps = (AbHom(Z, Z, mat([[2]])), AbHom(Z, FgAbelianGroup.cyclic(2), mat([[0]])))
+        assert [ok for _, ok, _ in exactness(maps, names)] == [True, False, False]
+
+    def test_one_name_per_group(self):
+        with pytest.raises(ValueError):
+            exactness((AbHom(Z, Z, mat([[1]])),), ("only-one",))
+
+
+def test_json_rank_bound():
+    free = {"ambientRank": MAX_RANK, "relations": []}
+    assert FgAbelianGroup.from_json(free).free_rank == MAX_RANK
+    with pytest.raises(ValueError):
+        FgAbelianGroup.from_json(dict(free, ambientRank=MAX_RANK + 1))
 
 
 class TestSums:

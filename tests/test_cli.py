@@ -1,5 +1,8 @@
+import contextlib
 import json
 import os
+import random
+import sys
 
 import pytest
 
@@ -9,7 +12,7 @@ from redinv.catalogio import (
     default_catalog_path,
     save_catalog,
 )
-from redinv.intmat import mat
+from redinv.intmat import MAX_INPUT_DIGITS, mat
 
 
 DATA_DIR = os.path.dirname(default_catalog_path())
@@ -297,3 +300,102 @@ class TestMatrix:
         p.write_text("not json")
         code, _, err = run(capsys, "matrix", "snf", str(p))
         assert code == 2
+
+
+@contextlib.contextmanager
+def _any_int_length():
+    """Lift Python's limit on int/str conversion while the test reads results."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _digits(rng, n: int) -> str:
+    return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(n - 1))
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestLongIntegers:
+    """Results may pass Python's 4300-digit int/str limit; inputs may not."""
+
+    def test_normal_forms_of_4000_digit_entries(self, capsys, tmp_path):
+        rng = random.Random(4000)
+        entries = [[_digits(rng, 4000) for _ in range(2)] for _ in range(2)]
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(entries))
+        for kind in ("hnf", "snf"):
+            code, out, _ = run(capsys, "matrix", kind, str(p), "--format", "human")
+            assert code == 0 and out
+            code, out, _ = run(capsys, "matrix", kind, str(p), "--format", "json")
+            assert code == 0
+            with _any_int_length():
+                m = [[int(a) for a in row] for row in entries]
+                got = {k: [[int(a) for a in row] for row in v]
+                       for k, v in json.loads(out)["outputs"].items()}
+                if kind == "hnf":
+                    assert got["H"] == _product(got["U"], m)
+                    assert max(len(str(abs(a))) for row in got["H"] for a in row) > 4300
+                else:
+                    assert got["D"] == _product(_product(got["U"], m), got["V"])
+
+    def test_cech_torsion_of_5700_digits(self, capsys, tmp_path):
+        # fx = 0 and fg = Z/(10^3000 + 1) + Z/2^9000, so H^1 = fg
+        big = ["1" + "0" * 2999 + "1", str(2 ** 9000)]
+        obj = {
+            "fx": {"ambientRank": 0, "relations": []},
+            "fg": {"ambientRank": 2, "relations": [[big[0], "0"], ["0", big[1]]]},
+            "phi": [],
+        }
+        p = tmp_path / "cech.json"
+        p.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "cech", str(p), "--max-degree", "3")
+        assert code == 0 and "H^1 = Z/" in out
+        code, out, _ = run(capsys, "cech", str(p), "--max-degree", "3", "--format", "json")
+        assert code == 0
+        with _any_int_length():  # group invariants are JSON numbers
+            h1 = json.loads(out)["outputs"]["cohomology"]["1"]
+            assert h1 == {"rank": 0, "torsion": [(10 ** 3000 + 1) * 2 ** 9000]}
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_input_entry_of_4301_digits_exit_2(self, capsys, tmp_path, literal):
+        entry = "7" * (MAX_INPUT_DIGITS + 1)
+        p = tmp_path / "m.json"
+        p.write_text(f"[[{entry}]]" if literal else json.dumps([[entry]]))
+        for fmt in ("human", "json"):
+            code, out, err = run(capsys, "matrix", "hnf", str(p), "--format", fmt)
+            assert code == 2, fmt
+            assert err.startswith("input error:") and not out
+        p.write_text(json.dumps([["7" * MAX_INPUT_DIGITS]]))
+        assert run(capsys, "matrix", "hnf", str(p))[0] == 0
+
+    def test_interpreter_limit_restored(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        fixture = json.loads(open(os.path.join(DATA_DIR, "ses_gm_gl2_pgl2.json")).read())
+        fixture["x3ToX2"] = [["1", "0"]]  # exit 1: not the root embedding
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(fixture))
+        for argv, want in ((["invariants", "SL(2)"], 0), (["check-ses", str(bad)], 1),
+                           (["invariants", "Nope(5)"], 2)):
+            assert run(capsys, *argv)[0] == want
+            assert sys.get_int_max_str_digits() == limit
+
+
+def test_json_group_rank_bound(capsys, tmp_path):
+    p = tmp_path / "cech.json"
+    for rank, want in ((10 ** 6, 2), (65, 2), (64, 0)):
+        obj = {
+            "fx": {"ambientRank": 0, "relations": []},
+            "fg": {"ambientRank": rank, "relations": []},
+            "phi": [],
+        }
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "cech", str(p), "--max-degree", "3")
+        assert code == want, rank
+        if want == 2:
+            assert err.startswith("input error:") and not out

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from redinv.intmat import IntMatrix, identity, mat
-from redinv.abgrp import FgAbelianGroup, IllDefinedHom
+from redinv.intmat import IntMatrix, hstack, identity, mat, vstack, zeros
+from redinv.abgrp import FgAbelianGroup, IllDefinedHom, direct_sum
 from redinv.gammamod import (
     GammaHom,
     GammaModule,
@@ -31,7 +32,7 @@ from redinv.homcx import (
     zero_module,
 )
 
-from oracles import random_matrix
+from oracles import constructive_hom, inexact_spots, random_matrix
 
 G1 = trivial_group()
 
@@ -295,3 +296,56 @@ class TestLongExactSequence:
             u = free_chain_pair(x, y)
             _, w, v = cone_triangle(u)
             assert les_of_ses(w, v).checks.passed
+
+
+# diagonals of the finite diagonal groups of order <= 6
+SMALL_DIAGONALS = [[]] + [[d] for d in range(1, 7)] + [
+    [a, b] for a in range(1, 7) for b in range(1, 7) if a * b <= 6]
+
+
+@st.composite
+def _small_chain_maps(draw) -> ChainMap:
+    """A chain map u: A -> B of two-term complexes of finite diagonal groups
+    (trivial Gamma), each piece of order <= 6.  Either u^{-1} includes A^{-1}
+    into B^{-1} = A^{-1} + F with d_B = (d_A u^0; f), or u^0 projects
+    A^0 = B^0 + E onto B^0 with d_A = (u^{-1} d_B, e); the square commutes."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    (p, dp), (q, dq), (r, dr), (s, ds) = (
+        (FgAbelianGroup(len(d), mat([[d[i] if i == j else 0 for j in range(len(d))]
+                                     for i in range(len(d))], len(d))), d)
+        for d in (draw(st.sampled_from(SMALL_DIAGONALS)) for _ in range(4)))
+
+    def hom(src, src_diag, tgt, tgt_diag) -> IntMatrix:
+        return constructive_hom(rng, src, src_diag, tgt, tgt_diag).matrix
+
+    if draw(st.booleans()):
+        # A = [p -> q], F = s, B = [p + s -> r]
+        d_a, u0, f = hom(p, dp, q, dq), hom(q, dq, r, dr), hom(s, ds, r, dr)
+        a_terms, b_terms = (p, q), (direct_sum(p, s), r)
+        u_1 = hstack(identity(p.ambient_rank), zeros(p.ambient_rank, s.ambient_rank))
+        d_b = vstack(d_a @ u0, f)
+    else:
+        # B = [q -> r], E = s, A = [p -> r + s]
+        u_1, d_b, e = hom(p, dp, q, dq), hom(q, dq, r, dr), hom(p, dp, s, ds)
+        a_terms, b_terms = (p, direct_sum(r, s)), (q, r)
+        d_a = hstack(u_1 @ d_b, e)
+        u0 = vstack(identity(r.ambient_rank), zeros(s.ambient_rank, r.ambient_rank))
+
+    def complex_of(terms, d) -> BoundedComplex:
+        src, tgt = (trivial_module(G1, t) for t in terms)
+        return two_term_complex(GammaHom(src, tgt, d))
+
+    u = ChainMap(complex_of(a_terms, d_a), complex_of(b_terms, d_b), {-1: u_1, 0: u0})
+    assert u.is_valid()
+    return u
+
+
+class TestLongExactByEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(_small_chain_maps())
+    def test_cone_sequence_exact_at_every_spot(self, u):
+        # 0 -> B -> cone(u) -> A[1] -> 0, checked element by element
+        _, w, v = cone_triangle(u)
+        seq = les_of_ses(w, v)
+        assert inexact_spots(seq) == []
+        assert seq.checks.passed
