@@ -127,16 +127,15 @@ class IntMatrix:
 # Most decimal digits of an input integer: Python's default limit on int/str
 # conversion, which the CLI lifts so that results may be longer.
 MAX_INPUT_DIGITS = 4300
+_DECIMAL = re.compile(f"-?[0-9]{{1,{MAX_INPUT_DIGITS}}}")
 
 
 def int_from_json(a: object) -> int:
     """A JSON integer that is no boolean, or a string matching -?[0-9]+ of
     at most MAX_INPUT_DIGITS digits.  As ``parse_int`` of ``json.loads`` it
     bounds the number literals of a JSON text too."""
-    if not (type(a) is int or isinstance(a, str) and re.fullmatch("-?[0-9]+", a)):
-        raise ValueError(f"not an integer: {a!r}")
-    if isinstance(a, str) and len(a.lstrip("-")) > MAX_INPUT_DIGITS:
-        raise ValueError(f"an integer of more than {MAX_INPUT_DIGITS} digits")
+    if not (type(a) is int or isinstance(a, str) and _DECIMAL.fullmatch(a)):
+        raise ValueError(f"not an integer of at most {MAX_INPUT_DIGITS} digits: {a!r:.80}")
     return int(a)
 
 

@@ -303,6 +303,12 @@ SMALL_DIAGONALS = [[]] + [[d] for d in range(1, 7)] + [
     [a, b] for a in range(1, 7) for b in range(1, 7) if a * b <= 6]
 
 
+def _diagonal_group(diag: list[int]) -> FgAbelianGroup:
+    n = len(diag)
+    return FgAbelianGroup(n, mat([[d if i == j else 0 for j in range(n)]
+                                  for i, d in enumerate(diag)], n))
+
+
 @st.composite
 def _small_chain_maps(draw) -> ChainMap:
     """A chain map u: A -> B of two-term complexes of finite diagonal groups
@@ -310,32 +316,30 @@ def _small_chain_maps(draw) -> ChainMap:
     into B^{-1} = A^{-1} + F with d_B = (d_A u^0; f), or u^0 projects
     A^0 = B^0 + E onto B^0 with d_A = (u^{-1} d_B, e); the square commutes."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    (p, dp), (q, dq), (r, dr), (s, ds) = (
-        (FgAbelianGroup(len(d), mat([[d[i] if i == j else 0 for j in range(len(d))]
-                                     for i in range(len(d))], len(d))), d)
-        for d in (draw(st.sampled_from(SMALL_DIAGONALS)) for _ in range(4)))
+    dp, dq, dr, ds = (draw(st.sampled_from(SMALL_DIAGONALS)) for _ in range(4))
+    p, q, r, s = map(_diagonal_group, (dp, dq, dr, ds))
 
     def hom(src, src_diag, tgt, tgt_diag) -> IntMatrix:
         return constructive_hom(rng, src, src_diag, tgt, tgt_diag).matrix
 
     if draw(st.booleans()):
         # A = [p -> q], F = s, B = [p + s -> r]
-        d_a, u0, f = hom(p, dp, q, dq), hom(q, dq, r, dr), hom(s, ds, r, dr)
+        d_a, u_0, f = hom(p, dp, q, dq), hom(q, dq, r, dr), hom(s, ds, r, dr)
         a_terms, b_terms = (p, q), (direct_sum(p, s), r)
-        u_1 = hstack(identity(p.ambient_rank), zeros(p.ambient_rank, s.ambient_rank))
-        d_b = vstack(d_a @ u0, f)
+        u_m1 = hstack(identity(p.ambient_rank), zeros(p.ambient_rank, s.ambient_rank))
+        d_b = vstack(d_a @ u_0, f)
     else:
         # B = [q -> r], E = s, A = [p -> r + s]
-        u_1, d_b, e = hom(p, dp, q, dq), hom(q, dq, r, dr), hom(p, dp, s, ds)
+        u_m1, d_b, e = hom(p, dp, q, dq), hom(q, dq, r, dr), hom(p, dp, s, ds)
         a_terms, b_terms = (p, direct_sum(r, s)), (q, r)
-        d_a = hstack(u_1 @ d_b, e)
-        u0 = vstack(identity(r.ambient_rank), zeros(s.ambient_rank, r.ambient_rank))
+        d_a = hstack(u_m1 @ d_b, e)
+        u_0 = vstack(identity(r.ambient_rank), zeros(s.ambient_rank, r.ambient_rank))
 
     def complex_of(terms, d) -> BoundedComplex:
         src, tgt = (trivial_module(G1, t) for t in terms)
         return two_term_complex(GammaHom(src, tgt, d))
 
-    u = ChainMap(complex_of(a_terms, d_a), complex_of(b_terms, d_b), {-1: u_1, 0: u0})
+    u = ChainMap(complex_of(a_terms, d_a), complex_of(b_terms, d_b), {-1: u_m1, 0: u_0})
     assert u.is_valid()
     return u
 
