@@ -68,6 +68,8 @@ def in_row_lattice(a: IntMatrix, vecs: IntMatrix) -> bool:
 def elements(g: FgAbelianGroup) -> set[tuple[int, ...]]:
     """Every element of a finite group, as canonical coordinates: the
     closure of {0} under adding the ambient generators."""
+    order = g.order()
+    assert order is not None, "an infinite group has no finite list of elements"
     n = g.ambient_rank
     seen = {g.reduce([0] * n)}
     todo = list(seen)
@@ -78,7 +80,7 @@ def elements(g: FgAbelianGroup) -> set[tuple[int, ...]]:
             if y not in seen:
                 seen.add(y)
                 todo.append(y)
-    assert len(seen) == g.order()
+    assert len(seen) == order
     return seen
 
 
