@@ -1,8 +1,8 @@
 """Finitely generated abelian groups presented as cokernels.
 
 A group is Z^n modulo the lattice spanned by the rows of a relation
-matrix.  Elements are row vectors in the ambient Z^n, kept in a canonical
-form reduced against the Hermite form of the relation lattice, so
+matrix.  Elements are row vectors in the ambient Z^n; ``reduce`` gives
+their canonical form against the Hermite form of the relation lattice, so
 equality is a plain coordinate comparison.  Homomorphisms act on row
 vectors: f(x) = x @ matrix.
 """
@@ -21,7 +21,6 @@ from .intmat import (
     identity,
     invariant_factors,
     kernel_basis,
-    mat,
     pivots,
     solve_linear,
     vstack,
@@ -66,14 +65,6 @@ class FgAbelianGroup:
         torsion = tuple(d for d in factors if d > 1)
         return self.ambient_rank - len(factors), torsion
 
-    @property
-    def free_rank(self) -> int:
-        return self.invariants()[0]
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        return self.invariants()[1]
-
     def is_trivial(self) -> bool:
         return self.invariants() == (0, ())
 
@@ -96,12 +87,6 @@ class FgAbelianGroup:
         echelon_reduce(self._hnf, self._pivots, x)
         return tuple(x)
 
-    def element(self, coords: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, self.reduce(coords))
-
-    def zero(self) -> "GroupElement":
-        return self.element([0] * self.ambient_rank)
-
     def contains_in_relations(self, coords: Sequence[int]) -> bool:
         return not any(self.reduce(coords))
 
@@ -114,15 +99,8 @@ class FgAbelianGroup:
         return FgAbelianGroup(n, zeros(0, n))
 
     @staticmethod
-    def cyclic(n: int) -> "FgAbelianGroup":
-        return FgAbelianGroup(1, mat([[n]]))
-
-    @staticmethod
     def trivial() -> "FgAbelianGroup":
         return FgAbelianGroup(0, zeros(0, 0))
-
-    def to_json(self) -> dict:
-        return {"ambientRank": self.ambient_rank, "relations": self.relations.to_json()}
 
     @staticmethod
     def from_json(obj: dict) -> "FgAbelianGroup":
@@ -130,26 +108,6 @@ class FgAbelianGroup:
         if type(n) is not int or not 0 <= n <= MAX_RANK:
             raise ValueError(f"ambientRank: expected an integer from 0 to {MAX_RANK}, got {n!r}")
         return FgAbelianGroup(n, IntMatrix.from_json(obj["relations"], cols=n))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    group: FgAbelianGroup
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if self.group != other.group:
-            raise ValueError("elements of different groups")
-        return self.group.element([a + b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "GroupElement":
-        return self.group.element([-a for a in self.coords])
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
 
 @dataclass(frozen=True)
@@ -171,11 +129,6 @@ class AbHom:
     def check_well_defined(self) -> None:
         if not self.is_well_defined():
             raise IllDefinedHom("matrix does not preserve relation lattices")
-
-    def apply(self, x: GroupElement) -> GroupElement:
-        if x.group != self.source:
-            raise ValueError("element not in the source group")
-        return self.target.element(self.matrix.apply_to_row(x.coords))
 
     def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         return self.target.reduce(self.matrix.apply_to_row(coords))
@@ -200,19 +153,6 @@ class AbHom:
     @staticmethod
     def zero(source: FgAbelianGroup, target: FgAbelianGroup) -> "AbHom":
         return AbHom(source, target, zeros(source.ambient_rank, target.ambient_rank))
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "matrix": self.matrix.to_json(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "AbHom":
-        src = FgAbelianGroup.from_json(obj["source"])
-        tgt = FgAbelianGroup.from_json(obj["target"])
-        return AbHom(src, tgt, IntMatrix.from_json(obj["matrix"], cols=tgt.ambient_rank))
 
 
 def member_coords(gens: IntMatrix, rels: IntMatrix, vecs: IntMatrix) -> Optional[IntMatrix]:
@@ -257,17 +197,6 @@ def cokernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
         f.target.ambient_rank, vstack(f.target.relations, f.matrix)
     )
     return grp, AbHom(f.target, grp, identity(f.target.ambient_rank))
-
-
-def image(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
-    return subgroup(f.matrix, f.target)
-
-
-def preimage_element(f: AbHom, y: GroupElement) -> Optional[GroupElement]:
-    if y.group != f.target:
-        raise ValueError("element not in the target group")
-    c = member_coords(f.matrix, f.target.relations, mat([y.coords], y.group.ambient_rank))
-    return None if c is None else f.source.element(c.row(0))
 
 
 def subgroups_equal(

@@ -59,9 +59,6 @@ class CatalogEntry:
     expected_pi1: dict
     provenance: str
 
-    def datum(self) -> ReductiveDatum:
-        return from_catalog(self.spec)
-
     def expected(self) -> dict:
         """The stored invariants, keyed as datum_invariants keys them."""
         return {
@@ -140,7 +137,7 @@ def load_catalog(path: Optional[str] = None, self_test: bool = True) -> CatalogF
 
 def verify_catalog(catalog: CatalogFile) -> None:
     for entry in catalog.entries:
-        d = entry.datum()
+        d = from_catalog(entry.spec)
         rep = validate(d)
         _require(rep.passed, entry.spec, f"datum invalid: {rep.failures()}")
         got, want = datum_invariants(d), entry.expected()
@@ -160,11 +157,6 @@ def catalog_to_json(catalog: CatalogFile) -> str:
             for e in catalog.entries
         ],
     })
-
-
-def save_catalog(catalog: CatalogFile, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(catalog_to_json(catalog))
 
 
 def build_catalog(specs: list[str], provenance: str) -> CatalogFile:
@@ -192,31 +184,11 @@ class ResultRecord:
             "verdicts": self.verdicts,
         })
 
-    @staticmethod
-    def from_json(text: str) -> "ResultRecord":
-        obj = json.loads(text)
-        return ResultRecord(
-            command=obj["command"],
-            input_digest=obj["inputDigest"],
-            outputs=obj["outputs"],
-            verdicts=obj["verdicts"],
-        )
-
 
 def input_digest(payload) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-
-
-def write_result(record: ResultRecord, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(record.to_json())
-
-
-def read_result(path: str) -> ResultRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ResultRecord.from_json(fh.read())
 
 
 # --- SES fixture serialization ---------------------------------------------
@@ -251,13 +223,3 @@ def ses_from_json(text: str) -> SESData:
         _indices(obj["part1"], "part1"),
         _indices(obj["part3"], "part3"),
     )
-
-
-def load_ses(path: str) -> SESData:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ses_from_json(fh.read())
-
-
-def save_ses(s: SESData, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ses_to_json(s))

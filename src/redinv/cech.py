@@ -48,13 +48,6 @@ class CechInput:
         if self.phi.source != self.fx or self.phi.target != self.fg:
             raise ValueError("phi must map F(X) to F(G)")
 
-    def to_json(self) -> dict:
-        return {
-            "fx": self.fx.to_json(),
-            "fg": self.fg.to_json(),
-            "phi": self.phi.matrix.to_json(),
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "CechInput":
         fx = FgAbelianGroup.from_json(obj["fx"])
@@ -69,12 +62,6 @@ class CechComplex:
     max_degree: int
     groups: tuple[FgAbelianGroup, ...]  # C^0 .. C^max_degree
     deltas: tuple[AbHom, ...]  # delta^0 .. delta^{max_degree - 1}
-
-    def group(self, i: int) -> FgAbelianGroup:
-        return self.groups[i]
-
-    def delta(self, i: int) -> AbHom:
-        return self.deltas[i]
 
 
 def _assemble(nrows: int, ncols: int, blocks) -> IntMatrix:
@@ -97,29 +84,26 @@ def _delta_matrix(inp: CechInput, i: int) -> IntMatrix:
     tgt = nx + (i + 1) * ng
     blocks = []
 
-    def fg_col(k: int) -> int:  # column offset of target component c_k
-        return nx + (k - 1) * ng
-
-    def fg_row(k: int) -> int:  # row offset of source component b_k
+    def fg(k: int) -> int:  # offset of the k-th F(G) summand, in rows or in columns
         return nx + (k - 1) * ng
 
     if i == 0:
-        blocks.append((0, fg_col(1), phi, 1))
+        blocks.append((0, fg(1), phi, 1))
     elif i % 2 == 0:
         r = i // 2
-        blocks.append((0, fg_col(1), phi, 1))
-        blocks.append((fg_row(1), fg_col(1), ide, -1))
+        blocks.append((0, fg(1), phi, 1))
+        blocks.append((fg(1), fg(1), ide, -1))
         for k in range(1, r):
-            blocks.append((fg_row(2 * k), fg_col(2 * k + 1), ide, 1))
-            blocks.append((fg_row(2 * k + 1), fg_col(2 * k + 1), ide, -1))
-        blocks.append((fg_row(2 * r), fg_col(2 * r + 1), ide, 1))
+            blocks.append((fg(2 * k), fg(2 * k + 1), ide, 1))
+            blocks.append((fg(2 * k + 1), fg(2 * k + 1), ide, -1))
+        blocks.append((fg(2 * r), fg(2 * r + 1), ide, 1))
     else:
         r = (i - 1) // 2
         blocks.append((0, 0, identity(nx), 1))
-        blocks.append((0, fg_col(1), phi, 1))
+        blocks.append((0, fg(1), phi, 1))
         for k in range(1, r + 1):
-            blocks.append((fg_row(2 * k), fg_col(2 * k), ide, 1))
-            blocks.append((fg_row(2 * k), fg_col(2 * k + 1), ide, 1))
+            blocks.append((fg(2 * k), fg(2 * k), ide, 1))
+            blocks.append((fg(2 * k), fg(2 * k + 1), ide, 1))
     return _assemble(src, tgt, blocks)
 
 
@@ -158,7 +142,7 @@ def build_complex(inp: CechInput, max_degree: int) -> CechComplex:
 def homotopy_map(cx: CechComplex, i: int) -> AbHom:
     if not 2 <= i <= cx.max_degree:
         raise ValueError("homotopy defined for degrees 2 and up")
-    return AbHom(cx.group(i), cx.group(i - 1), _lambda_matrix(cx.inp, i))
+    return AbHom(cx.groups[i], cx.groups[i - 1], _lambda_matrix(cx.inp, i))
 
 
 def contraction_check(cx: CechComplex) -> Checks:
@@ -166,12 +150,12 @@ def contraction_check(cx: CechComplex) -> Checks:
     2 <= i <= max_degree - 1."""
     checks = []
     for i in range(cx.max_degree - 1):
-        checks.append((f"delta-squared-{i}", cx.delta(i).then(cx.delta(i + 1)).is_zero(), None))
+        checks.append((f"delta-squared-{i}", cx.deltas[i].then(cx.deltas[i + 1]).is_zero(), None))
     for i in range(2, cx.max_degree):
         lam_i = homotopy_map(cx, i)
         lam_next = homotopy_map(cx, i + 1)
-        combo = lam_i.then(cx.delta(i - 1)).matrix + cx.delta(i).then(lam_next).matrix
-        grp = cx.group(i)
+        combo = lam_i.then(cx.deltas[i - 1]).matrix + cx.deltas[i].then(lam_next).matrix
+        grp = cx.groups[i]
         ok = grp.contains_rows(combo - identity(grp.ambient_rank))
         checks.append((f"homotopy-identity-{i}", ok, None))
     return Checks(tuple(checks))
@@ -180,5 +164,5 @@ def contraction_check(cx: CechComplex) -> Checks:
 def cech_cohomology(cx: CechComplex, i: int) -> FgAbelianGroup:
     if not 0 <= i <= cx.max_degree - 1:
         raise ValueError("degree out of range for this complex")
-    d_in = cx.delta(i - 1) if i > 0 else None
-    return homology_at(d_in, cx.delta(i)).group
+    d_in = cx.deltas[i - 1] if i > 0 else None
+    return homology_at(d_in, cx.deltas[i]).group

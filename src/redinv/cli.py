@@ -15,7 +15,6 @@ from typing import Any, Callable
 from .intmat import IntMatrix, hnf, int_from_json, snf
 from .abgrp import Checks
 from .catalogio import (
-    CatalogError,
     ResultRecord,
     datum_invariants,
     input_digest,
@@ -52,12 +51,13 @@ def _load(parse: Callable[[], Any]) -> Any:
     """parse(), or None after reporting an input error on stderr.
 
     Unknown specs, invalid data and bad values raise ValueError (which
-    covers UnknownGroupSpec and InvalidDatum); a file of the wrong JSON
-    shape raises KeyError or TypeError; a missing file raises OSError.
+    covers UnknownGroupSpec, InvalidDatum and JSONDecodeError); a file of
+    the wrong JSON shape raises KeyError or TypeError, one nested too deep
+    RecursionError; a missing file raises OSError.
     """
     try:
         return parse()
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return None
 
@@ -110,16 +110,16 @@ def cmd_invariants(args) -> int:
     outputs = dict(got, radicalCharacters=invariants_json(radical_characters(d).group))
     entries = [("datum-valid", rep.passed, rep.failures())]
     try:
-        catalog = load_catalog(args.catalog, self_test=False)
-        for entry in catalog.entries:
-            if entry.spec == args.spec:
-                want = entry.expected()
-                entries.append(
-                    ("matches-catalog", got == want, {"expected": want, "computed": got})
-                )
-                break
-    except (OSError, CatalogError):
-        pass  # catalog is advisory for this command
+        catalog = load_catalog(args.catalog, self_test=False).entries
+    except (OSError, ValueError, RecursionError):
+        catalog = ()  # the catalog is advisory: a missing or broken one gives no verdict
+    for entry in catalog:
+        if entry.spec == args.spec:
+            want = entry.expected()
+            entries.append(
+                ("matches-catalog", got == want, {"expected": want, "computed": got})
+            )
+            break
     lines = [
         f"group:              {args.spec}",
         f"character group G*: {_fmt_group(outputs['characterGroup'])}",

@@ -33,7 +33,6 @@ from .abgrp import (
     IllDefinedHom,
     SubquotientData,
     homology_at,
-    kernel,
     cokernel,
     power,
 )
@@ -91,9 +90,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "table": [list(r) for r in self.table]}
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteGroup":
@@ -179,9 +175,6 @@ class GammaModule:
     def action_hom(self, g: int) -> AbHom:
         return AbHom(self.group, self.group, self.actions[g])
 
-    def act(self, g: int, coords: Sequence[int]) -> tuple[int, ...]:
-        return self.group.reduce(self.actions[g].apply_to_row(coords))
-
     def check(self) -> None:
         if not self.group.contains_rows(
             self.actions[self.gamma.identity] - identity(self.group.ambient_rank)
@@ -198,17 +191,6 @@ class GammaModule:
                 lhs = self.actions[h] @ self.actions[g]
                 if not self.group.contains_rows(lhs - self.actions[self.gamma.mul(g, h)]):
                     raise InvalidAction("composition law fails")
-
-    def is_trivial_action(self) -> bool:
-        ide = identity(self.group.ambient_rank)
-        return all(self.group.contains_rows(m - ide) for m in self.actions)
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma.to_json(),
-            "group": self.group.to_json(),
-            "action": {str(g): self.actions[g].to_json() for g in self.gamma.elements()},
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "GammaModule":
@@ -395,11 +377,6 @@ def presentation_differential(module: GammaModule, i: int) -> AbHom:
     entries = [(a // q, b, a % q, c) for b, kr in enumerate(k.data) for a, c in enumerate(kr) if c]
     z2 = _ring_blocks(module, len(relators), k.rows, entries)
     return AbHom(power(group, len(relators)), power(group, k.rows), z2)
-
-
-def fixed_points(module: GammaModule) -> tuple[FgAbelianGroup, AbHom]:
-    """The elements fixed by every generator, hence by Gamma: ker d0."""
-    return kernel(presentation_differential(module, 0))
 
 
 def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:

@@ -17,7 +17,6 @@ from .abgrp import (
     ExactSequence,
     FgAbelianGroup,
     IllDefinedHom,
-    NotComposable,
     SubquotientData,
     direct_sum,
     exactness,
@@ -91,13 +90,6 @@ class BoundedComplex:
             if not self.terms[k + 2].group.contains_rows(self.diffs[k] @ self.diffs[k + 1]):
                 raise InvalidComplex(f"d o d != 0 at degree {self.lo + k}")
 
-    def is_valid(self) -> bool:
-        try:
-            self.check()
-            return True
-        except (InvalidComplex, IllDefinedHom, InvalidAction):
-            return False
-
     def cohomology_data(self, n: int) -> SubquotientData:
         if n < self.lo or n > self.hi:
             trivial = FgAbelianGroup.trivial()
@@ -163,16 +155,6 @@ class ChainMap:
 def identity_chain_map(c: BoundedComplex) -> ChainMap:
     comps = {n: identity(c.term(n).group.ambient_rank) for n in range(c.lo, c.hi + 1)}
     return ChainMap(c, c, comps)
-
-
-def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    """g o f (apply f first)."""
-    if f.target != g.source:
-        raise NotComposable("target(f) != source(g)")
-    lo = min(f.source.lo, g.target.lo)
-    hi = max(f.source.hi, g.target.hi)
-    comps = {n: f.component(n).matrix @ g.component(n).matrix for n in range(lo, hi + 1)}
-    return ChainMap(f.source, g.target, comps)
 
 
 def shift(c: BoundedComplex, k: int) -> BoundedComplex:

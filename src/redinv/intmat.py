@@ -140,17 +140,14 @@ def int_from_json(a: object) -> int:
 
 
 def mat(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> IntMatrix:
-    tup = tuple(tuple(int(a) for a in r) for r in rows)
+    """The matrix of rows of Python ints; input read from outside the
+    program goes through ``int_from_json`` instead."""
+    tup = tuple(map(tuple, rows))
     if cols is None:
         if not tup:
             raise ValueError("column count required for an empty matrix")
         cols = len(tup[0])
     return IntMatrix(tup, cols)
-
-
-def _from_lists(rows: Iterable[Sequence[int]], cols: int) -> IntMatrix:
-    """Like mat, for rows already holding Python ints: no per-entry int()."""
-    return IntMatrix(tuple(map(tuple, rows)), cols)
 
 
 def identity(n: int) -> IntMatrix:
@@ -280,7 +277,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             u[pr] = [-x for x in u[pr]]
         reduce_by(pr, range(pr), col)
         pr += 1
-    return _from_lists(a, c), _from_lists(u, r)
+    return mat(a, c), mat(u, r)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -309,7 +306,7 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def _add_column(m: IntMatrix, i: int, j: int) -> IntMatrix:
     """m with column j added to column i."""
-    return _from_lists([r[:i] + (r[i] + r[j],) + r[i + 1:] for r in m.data], m.cols)
+    return mat([r[:i] + (r[i] + r[j],) + r[i + 1:] for r in m.data], m.cols)
 
 
 def diagonal(d: IntMatrix) -> tuple[int, ...]:
@@ -359,7 +356,7 @@ def solve_linear(a: IntMatrix, vecs: IntMatrix) -> Optional[IntMatrix]:
         qs.append(echelon_reduce(h, piv, x))
         if any(x):
             return None
-    return _from_lists(qs, len(piv)) @ IntMatrix(u.data[: len(piv)], a.rows)
+    return mat(qs, len(piv)) @ IntMatrix(u.data[: len(piv)], a.rows)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

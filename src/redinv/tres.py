@@ -27,8 +27,6 @@ from .gammamod import (
     GammaModule,
     equivariant_cokernel,
     equivariant_kernel,
-    fixed_points,
-    group_cohomology,
     induced_module,
     subquotient_module,
 )
@@ -204,32 +202,23 @@ def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
 
 @dataclass(frozen=True)
 class ComparisonVerdict:
-    verdict: str  # "certified" | "evidence-only" | "mismatch"
+    verdict: str  # "certified" | "mismatch"
     checks: Checks
 
     @property
     def agrees(self) -> bool:
-        return self.verdict in ("certified", "evidence-only")
-
-
-def _evidence(module: GammaModule):
-    fp, _ = fixed_points(module)
-    return (
-        fp.invariants(),
-        group_cohomology(module, 1).invariants(),
-        group_cohomology(module, 2).invariants(),
-        module.group.invariants(),
-    )
+        return self.verdict == "certified"
 
 
 def compare_resolutions(
     d: ReductiveDatum, res1: TResolutionData, res2: TResolutionData
 ) -> ComparisonVerdict:
-    """Certify that two resolutions present the same H^-1 and H^0."""
+    """Certify that two resolutions present the same H^-1 and H^0: each
+    resolution's canonical maps X_0 -> H^-1 and H^0 -> mu* are equivariant
+    isomorphisms.  Any other outcome is a mismatch."""
     if res1.datum != d or res2.datum != d:
         raise InvalidDatum("resolutions belong to different data")
     details = []
-    certified = True
     for tag, res in (("first", res1), ("second", res2)):
         try:
             to_hm1, from_h0, eq1, eq2 = canonical_h_maps(res)
@@ -239,19 +228,8 @@ def compare_resolutions(
             ok1 = ok2 = False
         details.append((f"{tag}-H-1-canonical-iso", ok1, None))
         details.append((f"{tag}-H0-canonical-iso", ok2, None))
-        certified = certified and ok1 and ok2
-    if certified:
-        return ComparisonVerdict("certified", Checks(tuple(details)))
-    cx1, cx2 = pi1d_from_resolution(res1), pi1d_from_resolution(res2)
-    agree = True
-    for deg in (-1, 0):
-        e1 = _evidence(cx1.cohomology(deg))
-        e2 = _evidence(cx2.cohomology(deg))
-        same = e1 == e2
-        details.append((f"evidence-degree-{deg}", same, (e1, e2)))
-        agree = agree and same
-    verdict = "evidence-only" if agree else "mismatch"
-    return ComparisonVerdict(verdict, Checks(tuple(details)))
+    checks = Checks(tuple(details))
+    return ComparisonVerdict("certified" if checks.passed else "mismatch", checks)
 
 
 @dataclass(frozen=True)

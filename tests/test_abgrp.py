@@ -15,12 +15,10 @@ from redinv.abgrp import (
     direct_sum,
     exactness,
     homology_at,
-    image,
     is_exact_at,
     kernel,
     member_coords,
     power,
-    preimage_element,
     preimage_lattice,
     six_term_sequence,
     subgroup,
@@ -38,6 +36,7 @@ from oracles import (
 
 Z = FgAbelianGroup.free(1)
 Z2 = FgAbelianGroup.free(2)
+C2, C3, C4 = (FgAbelianGroup(1, mat([[n]])) for n in (2, 3, 4))  # Z/n
 
 
 class TestGroups:
@@ -45,7 +44,7 @@ class TestGroups:
         assert Z2.invariants() == (2, ())
 
     def test_invariants_of_cyclic(self):
-        assert FgAbelianGroup.cyclic(6).invariants() == (0, (6,))
+        assert FgAbelianGroup(1, mat([[6]])).invariants() == (0, (6,))
 
     def test_trivial(self):
         g = FgAbelianGroup.trivial()
@@ -61,9 +60,8 @@ class TestGroups:
         assert Z.order() is None
 
     def test_reduce_canonical(self):
-        g = FgAbelianGroup.cyclic(4)
-        assert g.reduce((7,)) == g.reduce((3,))
-        assert g.element((4,)).is_zero()
+        assert C4.reduce((7,)) == C4.reduce((3,))
+        assert C4.contains_in_relations((4,))
 
     def test_presentation_invariance(self):
         # Unimodular change of the relation rows gives the same invariants.
@@ -86,31 +84,25 @@ class TestGroups:
 
 class TestHoms:
     def test_well_defined(self):
-        f = AbHom(FgAbelianGroup.cyclic(2), FgAbelianGroup.cyclic(4), mat([[2]]))
+        f = AbHom(C2, C4, mat([[2]]))
         assert f.is_well_defined()
 
     def test_ill_defined(self):
-        f = AbHom(FgAbelianGroup.cyclic(2), FgAbelianGroup.cyclic(4), mat([[1]]))
+        f = AbHom(C2, C4, mat([[1]]))
         assert not f.is_well_defined()
         with pytest.raises(IllDefinedHom):
             f.check_well_defined()
 
     def test_apply(self):
         f = AbHom(Z2, Z, mat([[1], [1]]))
-        assert f.apply(Z2.element((2, 3))).coords == (5,)
+        assert f.apply_coords((2, 3)) == (5,)
 
     def test_compose(self):
         f = AbHom(Z, Z, mat([[2]]))
-        g = AbHom(Z, FgAbelianGroup.cyclic(4), mat([[1]]))
+        g = AbHom(Z, C4, mat([[1]]))
         assert f.then(g).matrix.data == ((2,),)
         with pytest.raises(NotComposable):
             g.then(f)
-
-    def test_json_round_trip(self):
-        f = AbHom(Z2, FgAbelianGroup.cyclic(3), mat([[1], [2]]))
-        g = AbHom.from_json(f.to_json())
-        assert g.matrix.data == f.matrix.data
-        assert g.source == f.source and g.target == f.target
 
 
 class TestKernelCokernelImage:
@@ -120,7 +112,7 @@ class TestKernelCokernelImage:
         assert k.is_trivial()
 
     def test_kernel_of_projection(self):
-        f = AbHom(Z, FgAbelianGroup.cyclic(3), mat([[1]]))
+        f = AbHom(Z, C3, mat([[1]]))
         k, inc = kernel(f)
         assert k.invariants() == (1, ())
         # the inclusion lands in 3Z
@@ -134,22 +126,20 @@ class TestKernelCokernelImage:
 
     def test_image(self):
         f = AbHom(Z2, Z, mat([[2], [4]]))
-        im, inc = image(f)
+        im, inc = subgroup(f.matrix, Z)
         assert im.invariants() == (1, ())
         assert subgroups_equal(inc.matrix, mat([[2]]), Z)
 
     def test_torsion_kernel(self):
         # x -> 2x on Z/4 has kernel Z/2 and cokernel Z/2.
-        g = FgAbelianGroup.cyclic(4)
-        f = AbHom(g, g, mat([[2]]))
+        f = AbHom(C4, C4, mat([[2]]))
         assert kernel(f)[0].invariants() == (0, (2,))
         assert cokernel(f)[0].invariants() == (0, (2,))
 
     def test_preimage_element(self):
         f = AbHom(Z, Z, mat([[3]]))
-        x = preimage_element(f, Z.element((6,)))
-        assert x is not None and x.coords == (2,)
-        assert preimage_element(f, Z.element((5,))) is None
+        assert member_coords(f.matrix, f.target.relations, mat([[6]])) == mat([[2]])
+        assert member_coords(f.matrix, f.target.relations, mat([[5]])) is None
 
     def test_first_isomorphism(self):
         rng = random.Random(8)
@@ -158,11 +148,12 @@ class TestKernelCokernelImage:
             tgt = random_group(rng, 3, 6)
             f = random_hom(rng, src, tgt)
             k, _ = kernel(f)
-            im, _ = image(f)
+            im, _ = subgroup(f.matrix, tgt)
             c, _ = cokernel(f)
             # rank counting: rk(src) = rk(ker) + rk(im), rk(tgt) = rk(im) + rk(cok)
-            assert src.free_rank == k.free_rank + im.free_rank
-            assert tgt.free_rank == im.free_rank + c.free_rank
+            rk = [g.invariants()[0] for g in (src, k, im, tgt, c)]
+            assert rk[0] == rk[1] + rk[2]
+            assert rk[3] == rk[2] + rk[4]
 
 
 class TestMembership:
@@ -246,13 +237,13 @@ class TestExactness:
     def test_exact_pair(self):
         # 0 -> Z --2--> Z -> Z/2 -> 0 is exact in the middle.
         f = AbHom(Z, Z, mat([[2]]))
-        g = AbHom(Z, FgAbelianGroup.cyclic(2), mat([[1]]))
+        g = AbHom(Z, C2, mat([[1]]))
         assert is_exact_at(f, g)
 
     def test_inexact_pair(self):
         # image 4Z is strictly inside kernel 2Z of Z -> Z/2... taken mod 4.
         f = AbHom(Z, Z, mat([[4]]))
-        g = AbHom(Z, FgAbelianGroup.cyclic(2), mat([[1]]))
+        g = AbHom(Z, C2, mat([[1]]))
         assert not is_exact_at(f, g)
 
     def test_homology_at(self):
@@ -288,9 +279,8 @@ class TestSixTerm:
         assert invs == [(0, ()), (0, ()), (0, ()), (0, (2,)), (0, (6,)), (0, (3,))]
 
     def test_with_torsion(self):
-        g4 = FgAbelianGroup.cyclic(4)
         u = AbHom(Z, Z, mat([[2]]))
-        v = AbHom(Z, g4, mat([[1]]))
+        v = AbHom(Z, C4, mat([[1]]))
         rep = six_term_sequence(u, v)
         assert rep.checks.passed
         assert rep.groups[2].invariants() == (1, ())  # ker v = 4Z
@@ -374,16 +364,16 @@ class TestSixTermByEnumeration:
 class TestExactnessEntries:
     def test_verdicts_under_the_given_names(self):
         # Z --2--> Z --1--> Z/2 is exact at every group
-        maps = (AbHom(Z, Z, mat([[2]])), AbHom(Z, FgAbelianGroup.cyclic(2), mat([[1]])))
+        maps = (AbHom(Z, Z, mat([[2]])), AbHom(Z, C2, mat([[1]])))
         assert exactness(maps, "abc") == (("a", True, None), ("b", True, None), ("c", True, None))
 
     def test_first_inner_and_last_can_fail(self):
         # Z --0--> Z --0--> Z/2: not injective, im 0 != ker Z, not onto Z/2
-        maps = (AbHom(Z, Z, mat([[0]])), AbHom(Z, FgAbelianGroup.cyclic(2), mat([[0]])))
+        maps = (AbHom(Z, Z, mat([[0]])), AbHom(Z, C2, mat([[0]])))
         names = ("injective", "exact", "surjective")
         assert exactness(maps, names) == tuple((name, False, None) for name in names)
         # Z --2--> Z --0--> Z/2 fails only at the inner group and the end
-        maps = (AbHom(Z, Z, mat([[2]])), AbHom(Z, FgAbelianGroup.cyclic(2), mat([[0]])))
+        maps = (AbHom(Z, Z, mat([[2]])), AbHom(Z, C2, mat([[0]])))
         assert [ok for _, ok, _ in exactness(maps, names)] == [True, False, False]
 
     def test_one_name_per_group(self):
@@ -393,16 +383,16 @@ class TestExactnessEntries:
 
 def test_json_rank_bound():
     free = {"ambientRank": MAX_RANK, "relations": []}
-    assert FgAbelianGroup.from_json(free).free_rank == MAX_RANK
+    assert FgAbelianGroup.from_json(free).invariants() == (MAX_RANK, ())
     with pytest.raises(ValueError):
         FgAbelianGroup.from_json(dict(free, ambientRank=MAX_RANK + 1))
 
 
 class TestSums:
     def test_direct_sum(self):
-        s = direct_sum(Z, FgAbelianGroup.cyclic(2), FgAbelianGroup.cyclic(4))
+        s = direct_sum(Z, C2, C4)
         assert s.invariants() == (1, (2, 4))
 
     def test_power(self):
-        assert power(FgAbelianGroup.cyclic(3), 2).invariants() == (0, (3, 3))
+        assert power(C3, 2).invariants() == (0, (3, 3))
         assert power(Z, 0).is_trivial()

@@ -7,11 +7,7 @@ import sys
 import pytest
 
 from redinv.cli import main
-from redinv.catalogio import (
-    build_catalog,
-    default_catalog_path,
-    save_catalog,
-)
+from redinv.catalogio import build_catalog, catalog_to_json, default_catalog_path
 from redinv.intmat import MAX_INPUT_DIGITS, mat
 
 
@@ -46,7 +42,6 @@ class TestInvariants:
         assert "input error" in err
 
     def test_catalog_mismatch_exit_1(self, capsys, tmp_path):
-        catalog = build_catalog(["SL(2)"], "test")
         raw = json.loads(
             '{"schemaVersion":1,"entries":[{"spec":"SL(2)","expected":'
             '{"characterGroup":{"rank":0,"torsion":[]},'
@@ -65,12 +60,21 @@ class TestInvariants:
 
     def test_env_catalog_override(self, capsys, tmp_path, monkeypatch):
         other = tmp_path / "cat.json"
-        save_catalog(build_catalog(["G2"], "env"), str(other))
+        other.write_text(catalog_to_json(build_catalog(["G2"], "env")))
         monkeypatch.setenv("REDINV_CATALOG", str(other))
         # G2 is in the override catalog, so the verdict appears
         code, out, _ = run(capsys, "invariants", "G2", "--format", "json")
         assert code == 0
         assert json.loads(out)["verdicts"]["matches-catalog"] is True
+
+    def test_broken_catalog_gives_no_verdict(self, capsys, tmp_path):
+        # the catalog is advisory: one that is not JSON counts as missing
+        p = tmp_path / "cat.json"
+        p.write_text('{"schemaVersion": 1, "entries": [')
+        code, out, err = run(capsys, "invariants", "SL(2)", "--catalog", str(p),
+                             "--format", "json")
+        assert code == 0 and not err
+        assert "matches-catalog" not in json.loads(out)["verdicts"]
 
     def test_human_and_json_verdicts_agree(self, capsys):
         code_h, out_h, _ = run(capsys, "invariants", "SO(8)")
@@ -178,6 +182,27 @@ def test_spec_rank_bound(capsys):
     for spec in ("T(65)", "SL(200000)", "GL(99999999999)"):
         code, out, err = run(capsys, "invariants", spec)
         assert code == 2, spec
+        assert err.startswith("input error:") and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cech", "FILE"],
+    ["check-ses", "FILE"],
+    ["matrix", "hnf", "FILE"],
+    ["matrix", "snf", "FILE"],
+    ["invariants", "SL(2)", "--catalog", "FILE"],
+], ids=["cech", "check-ses", "matrix-hnf", "matrix-snf", "catalog"])
+def test_deep_nesting(capsys, tmp_path, argv):
+    # 1000 nested arrays pass the interpreter's recursion limit in json
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 1000 + "]" * 1000)
+    argv = [str(p) if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    if argv[0] == "invariants":
+        assert code == 0 and not err
+        assert "matches-catalog" not in json.loads(out)["verdicts"]
+    else:
+        assert code == 2
         assert err.startswith("input error:") and not out
 
 

@@ -9,13 +9,25 @@ method or class defined in ``src/`` is referenced somewhere in ``src/``,
 dotted names (``perfbench/tracing.py`` names the methods it wraps so).
 Every parameter of a function or lambda in ``src/`` is read in its body,
 except ``self``, ``cls`` and names that start with ``_``.
+
+A reach guard runs the command line over a small corpus and lists the
+public functions and methods of ``src/`` that no command calls; each must
+have a reason to stay in ``UNREACHED``.
 """
 
 import ast
+import contextlib
+import io
+import json
 import os
 import re
+import sys
 
 import pytest
+
+import redinv
+from redinv import cli, rootdata
+from redinv.catalogio import default_catalog_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 IGNORED = {"annotations"}  # from __future__ import annotations
@@ -133,3 +145,135 @@ def test_no_unreferenced_public_definitions():
     dead = [f"{path}: {name}" for path, src in sources.items() if path.startswith("src")
             for name in public_definitions(src) if name not in referenced]
     assert dead == []
+
+
+# Public functions and methods of src/ that no command of the reach corpus
+# calls, each with what does: an acceptance criterion (tests/test_acceptance.py),
+# a benchmark op or its set-up (perfbench), the builders that regenerate
+# src/redinv/data/, or an oracle: a check that the unit tests run on the group
+# tables and complexes that reached code builds.
+UNREACHED = {
+    "abgrp.AbHom.apply_coords": "acceptance",
+    "abgrp.AbHom.zero": "acceptance",
+    "abgrp.FgAbelianGroup.order": "acceptance",
+    "abgrp.six_term_sequence": "acceptance",
+    "catalogio.CatalogFile.specs": "acceptance",
+    "catalogio.build_catalog": "regen",
+    "catalogio.catalog_to_json": "regen",
+    "catalogio.ses_to_json": "regen",
+    "catalogio.verify_catalog": "benchmark",
+    "gammamod.FiniteGroup.check": "oracle",
+    "gammamod.FiniteGroup.from_json": "benchmark",
+    "gammamod.FiniteGroup.inverse": "acceptance",
+    "gammamod.GammaModule.from_json": "benchmark",
+    "gammamod.dihedral_group": "acceptance",
+    "gammamod.direct_product": "acceptance",
+    "gammamod.fox_derivatives": "acceptance",
+    "gammamod.group_cohomology": "acceptance",
+    "gammamod.presentation": "acceptance",
+    "gammamod.presentation_differential": "acceptance",
+    "gammamod.quaternion_group": "acceptance",
+    "gammamod.sign_module": "acceptance",
+    "gammamod.trivial_module": "acceptance",
+    "homcx.BoundedComplex.check": "oracle",
+    "homcx.BoundedComplex.cohomology": "acceptance",
+    "homcx.BoundedComplex.is_acyclic": "acceptance",
+    "homcx.cohomology_isomorphism_check": "acceptance",
+    "homcx.cone": "acceptance",
+    "homcx.cone_triangle": "acceptance",
+    "homcx.identity_chain_map": "acceptance",
+    "homcx.is_quasi_iso": "acceptance",
+    "homcx.shift": "acceptance",
+    "homcx.single_term_complex": "acceptance",
+    "homcx.truncate": "acceptance",
+    "homcx.truncation_triangle_check": "acceptance",
+    "intmat.det": "acceptance",
+    "intmat.is_unimodular": "acceptance",
+    "tres.ComparisonVerdict.agrees": "acceptance",
+    "tres.canonical_h_maps": "acceptance",
+    "tres.compare_resolutions": "acceptance",
+    "tres.induced_map": "acceptance",
+    "tres.ses_gm_gl_pgl": "regen",
+    "tres.ses_sl_gl_gm": "regen",
+    "tres.sl_to_pgl_induced_map": "acceptance",
+}
+
+
+def public_functions(source: str, module: str) -> dict[int, str]:
+    """First line -> ``module.name`` or ``module.Class.name`` of each public
+    function at module level or in the body of a public class.  The first
+    line is that of the first decorator, as the code object reports it."""
+    out = {}
+
+    def visit(body, prefix):
+        for node in body:
+            if not isinstance(node, (ast.ClassDef, ast.FunctionDef)) or node.name[0] == "_":
+                continue
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            else:
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                out[first] = f"{module}.{prefix}{node.name}"
+
+    visit(ast.parse(source).body, "")
+    return out
+
+
+def test_public_functions_scan():
+    src = ("def f(): pass\ndef _g(): pass\nclass A:\n    @property\n"
+           "    def p(self): pass\n    def _q(self): pass\n"
+           "    def r(self):\n        def inner(): pass\nclass _B:\n    def s(self): pass\n")
+    assert public_functions(src, "m") == {1: "m.f", 4: "m.A.p", 7: "m.A.r"}
+
+
+def reach_corpus(tmp_path) -> list[list[str]]:
+    """Every subcommand in both formats: one spec per row of the family
+    table (its least argument + 2 keeps the row's parity), an exceptional type and both twists through invariants and both
+    resolutions, two SES fixtures, one cech input, both normal forms and
+    one bad spec."""
+    specs = [f"{head}({least + 2})" for (head, _), (least, _, _) in rootdata._FAMILIES.items()]
+    specs += ["G2", "SL(3)xGamma:flip", "PSO(8)xGamma:triality"]
+    cech = tmp_path / "cech.json"
+    cech.write_text(json.dumps({"fx": {"ambientRank": 2, "relations": [["4", "0"]]},
+                                "fg": {"ambientRank": 2, "relations": [["6", "0"]]},
+                                "phi": [["3", "0"], ["2", "5"]]}))
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps([["2", "4"], ["6", "8"]]))
+    data = os.path.dirname(default_catalog_path())
+    argvs = [argv for spec in specs for argv in (
+        ["invariants", spec], ["pi1d", spec], ["pi1d", spec, "--resolution", "pushout"])]
+    argvs += [["check-ses", os.path.join(data, name)]
+              for name in ("ses_gm_gl3_pgl3.json", "ses_sl3_gl3_gm.json")]
+    argvs += [["cech", str(cech)], ["matrix", "hnf", str(matrix)],
+              ["matrix", "snf", str(matrix)], ["invariants", "Nope(3)"]]
+    return [argv + ["--format", fmt] for argv in argvs for fmt in ("human", "json")]
+
+
+def test_every_unreached_definition_has_a_reason(tmp_path, monkeypatch):
+    monkeypatch.delenv("REDINV_CATALOG", raising=False)
+    package = os.path.dirname(os.path.realpath(redinv.__file__))
+    defined = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as fh:
+                for line, qualname in public_functions(fh.read(), name[:-3]).items():
+                    defined[path, line] = qualname
+    called = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    corpus = reach_corpus(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            codes = [cli.main(argv) for argv in corpus]
+        finally:
+            sys.setprofile(None)
+    assert codes.count(2) == 2 and set(codes) == {0, 2}  # only the bad spec fails
+    reached = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in called}
+    unreached = {qualname for key, qualname in defined.items() if key not in reached}
+    assert set(UNREACHED.values()) <= {"acceptance", "benchmark", "regen", "oracle"}
+    assert unreached == set(UNREACHED)

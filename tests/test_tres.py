@@ -2,10 +2,10 @@ from dataclasses import replace
 
 import pytest
 
-from redinv.intmat import hstack, identity, mat
+from redinv.intmat import hstack, identity, mat, zeros
 from redinv.abgrp import AbHom, FgAbelianGroup, cokernel, direct_sum
-from redinv.gammamod import cyclic_group, fixed_points
-from redinv.homcx import compose_chain_maps, induced_on_cohomology
+from redinv.gammamod import GammaHom, cyclic_group, group_cohomology
+from redinv.homcx import identity_chain_map, induced_on_cohomology
 from redinv.rootdata import ReductiveDatum, from_catalog
 from redinv.tres import (
     SESData,
@@ -97,6 +97,16 @@ class TestComparison:
             )
             assert v.verdict == "certified", (spec, v.checks)
 
+    def test_non_isomorphic_canonical_map_is_a_mismatch(self):
+        # l*: T* -> mu* set to zero makes H^0 -> mu* = Z/2 the zero map
+        d = from_catalog("PGL(2)")
+        res = canonical_tresolution(d)
+        l_star = res.l_star
+        zero = GammaHom(l_star.source, l_star.target, zeros(*l_star.matrix.shape))
+        v = compare_resolutions(d, res, replace(res, l_star=zero))
+        assert v.verdict == "mismatch" and not v.agrees
+        assert v.checks.failures() == ["second-H0-canonical-iso"]
+
     def test_cohomology_agrees(self):
         for spec in ("PGL(4)", "SO(5)", "E7ad"):
             d = from_catalog(spec)
@@ -112,8 +122,8 @@ class TestComparison:
         c1 = pi1d_from_resolution(canonical_tresolution(d))
         c2 = pi1d_from_resolution(pushout_tresolution(d))
         for deg in (-1, 0):
-            f1, _ = fixed_points(c1.cohomology(deg))
-            f2, _ = fixed_points(c2.cohomology(deg))
+            f1 = group_cohomology(c1.cohomology(deg), 0)
+            f2 = group_cohomology(c2.cohomology(deg), 0)
             assert f1.invariants() == f2.invariants()
 
 
@@ -242,13 +252,10 @@ class TestInducedMaps:
             induced_map(pgl, sl, identity(2), identity(2))
 
     def test_functoriality_through_gl(self):
-        # the SL(3) -> PGL(3) map agrees with itself composed with identities
+        # on cohomology, the SL(3) -> PGL(3) map followed by the identity is itself
         u = sl_to_pgl_induced_map(3)
-        v = compose_chain_maps(u, ses_identity(u.target))
-        assert v.component(0).matrix.data == u.component(0).matrix.data
-
-
-def ses_identity(c):
-    from redinv.homcx import identity_chain_map
-
-    return identity_chain_map(c)
+        ide = identity_chain_map(u.target)
+        for n in (-1, 0):
+            f = induced_on_cohomology(u, n)
+            g = f.then(induced_on_cohomology(ide, n))
+            assert f.target.contains_rows(g.matrix - f.matrix)
