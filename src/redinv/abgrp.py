@@ -17,7 +17,7 @@ from .intmat import (
     IntMatrix,
     block_diag,
     echelon_reduce,
-    hnf,
+    hermite_basis,
     identity,
     invariant_factors,
     kernel_basis,
@@ -54,14 +54,13 @@ class FgAbelianGroup:
             raise DimensionMismatch(
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
-        h, _ = hnf(self.relations)
-        piv = pivots(h)
-        object.__setattr__(self, "_hnf", IntMatrix(h.data[: len(piv)], self.ambient_rank))
-        object.__setattr__(self, "_pivots", piv)
+        h = hermite_basis(self.relations)
+        object.__setattr__(self, "_hnf", h)
+        object.__setattr__(self, "_pivots", pivots(h))
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion invariants d1 | d2 | ..., each > 1)."""
-        factors = invariant_factors(self.relations)
+        factors = invariant_factors(self._hnf)
         torsion = tuple(d for d in factors if d > 1)
         return self.ambient_rank - len(factors), torsion
 

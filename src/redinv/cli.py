@@ -12,8 +12,8 @@ import json
 import sys
 from typing import Any, Callable
 
-from .intmat import IntMatrix, hnf, int_from_json, snf
-from .abgrp import Checks
+from .intmat import MAX_MATRIX_DIGITS, IntMatrix, hnf, int_from_json, snf
+from .abgrp import MAX_RANK, Checks
 from .catalogio import (
     ResultRecord,
     datum_invariants,
@@ -201,8 +201,23 @@ def cmd_cech(args) -> int:
     return _emit(args, "cech", payload, {"cohomology": cohs}, contraction_check(cx), lines)
 
 
+def _bounded_matrix(obj) -> IntMatrix:
+    """The matrix of obj, if its shorter side is at most MAX_RANK, its
+    longer side at most 4 * MAX_RANK and its entries have at most
+    MAX_MATRIX_DIGITS digits in all, so that its normal forms stay cheap."""
+    m = IntMatrix.from_json(obj)
+    short, long = sorted(m.shape)
+    if short > MAX_RANK or long > 4 * MAX_RANK:
+        raise ValueError(f"matrix of shape {m.shape}: at most {MAX_RANK} on the "
+                         f"shorter side and {4 * MAX_RANK} on the longer")
+    digits = sum(len(str(abs(a))) for r in m.data for a in r)
+    if digits > MAX_MATRIX_DIGITS:
+        raise ValueError(f"matrix of {digits} digits: at most {MAX_MATRIX_DIGITS}")
+    return m
+
+
 def cmd_matrix(args) -> int:
-    m = _load(lambda: IntMatrix.from_json(_read_json(args.file)))
+    m = _load(lambda: _bounded_matrix(_read_json(args.file)))
     if m is None:
         return EXIT_INPUT_ERROR
     if args.kind == "hnf":

@@ -78,15 +78,18 @@ class FiniteGroup:
         raise InvalidGroupTable(f"element {a} has no inverse")
 
     def check(self) -> None:
-        n = self.order
+        """Raise InvalidGroupTable unless the table has an identity, every
+        row contains it (a right inverse) and the law is associative:
+        together these make a finite group."""
         e = self.identity  # raises when missing
-        for a in range(n):
-            self.inverse(a)  # raises when missing
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                        raise InvalidGroupTable("associativity fails")
+        t = self.table
+        for a, row in enumerate(t):
+            if e not in row:
+                raise InvalidGroupTable(f"element {a} has no inverse")
+        for row in t:  # row a: (ab)c is t[ab][c], a(bc) is row[t[b][c]]
+            for ab, tb in zip(row, t):
+                if t[ab] != tuple(map(row.__getitem__, tb)):
+                    raise InvalidGroupTable("associativity fails")
 
     def elements(self) -> range:
         return range(self.order)
@@ -96,7 +99,9 @@ class FiniteGroup:
         rows = obj["table"]
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             raise InvalidGroupTable("a table is a list of rows, each a list")
-        return FiniteGroup(tuple(tuple(int_from_json(x) for x in r) for r in rows))
+        gamma = FiniteGroup(tuple(tuple(int_from_json(x) for x in r) for r in rows))
+        gamma.check()
+        return gamma
 
 
 def trivial_group() -> FiniteGroup:

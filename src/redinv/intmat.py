@@ -5,18 +5,23 @@ Vectors are rows (f(x) = x @ matrix).  Solving x @ a = v, the kernel
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
-The pivots of ``hnf`` are always chosen with minimal nonzero absolute
-value, ties broken by lowest row index, so its transform U is
-reproducible.  Its row operations touch only the nonzero entries of the
-pivot row, so sparse input (such as the 0/+-1 bar differentials) costs in
-proportion to its nonzeros rather than its width.  ``snf`` is a loop of
-row and column Hermite forms and inherits their determinism.
+One elimination kernel, ``_echelon``, serves every Hermite form.  Its
+pivots are always chosen with minimal nonzero absolute value, ties broken
+by lowest row index, so the transform U of ``hnf`` (the identity carried
+along as extra columns) is reproducible.  Its row operations touch only
+the nonzero entries of the pivot row, so sparse input (such as the 0/+-1
+presentation differentials) costs in proportion to its nonzeros rather
+than its width.  Callers that never read U take ``hermite_basis``, which
+carries no transform.  ``invariant_factors`` alternates such Hermite
+bases of a matrix and its transpose; ``snf`` is the same loop on ``hnf``,
+carrying U and V, and inherits its determinism.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -129,6 +134,17 @@ class IntMatrix:
 MAX_INPUT_DIGITS = 4300
 _DECIMAL = re.compile(f"-?[0-9]{{1,{MAX_INPUT_DIGITS}}}")
 
+# Most decimal digits, summed over all entries, of a matrix read by the
+# ``matrix`` command, whose shorter side is also capped at abgrp.MAX_RANK
+# and its longer side at 4 * MAX_RANK (the 216 x 36 bar differential
+# of Z[S3] is a golden record).  The whole command at the bound, one run
+# each on 2 vCPUs (Python 3.11): 256 x 64 of 1-digit entries, 19 s for hnf
+# and 21 s for snf, with a 52 MB record; 128 x 64 of 2-digit entries, 15 s;
+# 64 x 64 of 4-digit entries, 3.1 s; 32 x 32 of 16-digit entries, 0.8 s;
+# 16 x 16 of 64-digit entries, 0.5 s.  Tall matrices cost the most, in the
+# kernel rows of the transform U.
+MAX_MATRIX_DIGITS = 16384
+
 
 def int_from_json(a: object) -> int:
     """A JSON integer that is no boolean, or a string matching -?[0-9]+ of
@@ -151,7 +167,10 @@ def mat(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> IntMatrix:
 
 
 def identity(n: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return mat(rows, n)
 
 
 def zeros(r: int, c: int) -> IntMatrix:
@@ -214,15 +233,48 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _min_abs_pivot(a: list[list[int]], rows: Sequence[int], col: int) -> Optional[int]:
-    """Row index among ``rows`` minimizing |a[i][col]| over nonzero entries."""
-    best = None
-    best_abs = None
-    for i in rows:
-        v = abs(a[i][col])
-        if v and (best_abs is None or v < best_abs):
-            best, best_abs = i, v
-    return best
+def _echelon(rows: list[list[int]], c: int) -> int:
+    """Bring the first c columns of ``rows`` to row Hermite form in place,
+    carrying any further columns along, and return the rank.
+
+    Each pivot has minimal nonzero absolute value in its column, ties
+    broken by lowest row index.  A row operation subtracts a multiple of
+    the pivot row over its nonzero entries, found once per pivot and not
+    at all when no multiple is nonzero.
+    """
+    r = len(rows)
+
+    def reduce_by(k: int, targets: Iterable[int], col: int) -> None:
+        p = rows[k][col]
+        support = None
+        for i in targets:
+            q = rows[i][col] // p
+            if not q or i == k:
+                continue
+            if support is None:
+                support = [(j, x) for j, x in enumerate(rows[k]) if x]
+            row = rows[i]
+            for j, x in support:
+                row[j] -= q * x
+
+    pr = 0
+    for col in range(c):
+        if pr >= r:
+            break
+        live = [i for i in range(pr, r) if rows[i][col]]
+        while len(live) > 1:
+            reduce_by(min(live, key=lambda i: abs(rows[i][col])), live, col)
+            live = [i for i in live if rows[i][col]]
+        if not live:
+            continue
+        i0 = live[0]
+        if i0 != pr:
+            rows[pr], rows[i0] = rows[i0], rows[pr]
+        if rows[pr][col] < 0:
+            rows[pr] = [-x for x in rows[pr]]
+        reduce_by(pr, range(pr), col)
+        pr += 1
+    return pr
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -230,54 +282,18 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
     with positive pivots and entries above each pivot reduced into
-    [0, pivot).
+    [0, pivot).  U is the identity carried along the elimination of m.
     """
     r, c = m.shape
-    a = m.to_lists()
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    rows = [list(row + e) for row, e in zip(m.data, identity(r).data)]
+    _echelon(rows, c)
+    return mat([row[:c] for row in rows], c), mat([row[c:] for row in rows], r)
 
-    def reduce_by(k: int, rows: Iterable[int], col: int) -> None:
-        """Subtract from each row i != k of ``rows`` the multiple
-        a[i][col] // a[k][col] of row k, touching only the nonzero
-        entries of row k in a and in u.  The support of row k is found
-        at the first nonzero multiple, and not at all without one."""
-        p = a[k][col]
-        support = None
-        for i in rows:
-            q = a[i][col] // p
-            if not q or i == k:
-                continue
-            if support is None:
-                support = ([(j, x) for j, x in enumerate(a[k]) if x],
-                           [(j, x) for j, x in enumerate(u[k]) if x])
-            ai, ui = a[i], u[i]
-            for j, x in support[0]:
-                ai[j] -= q * x
-            for j, x in support[1]:
-                ui[j] -= q * x
 
-    pr = 0
-    for col in range(c):
-        if pr >= r:
-            break
-        while True:
-            live = [i for i in range(pr, r) if a[i][col] != 0]
-            if len(live) <= 1:
-                break
-            reduce_by(_min_abs_pivot(a, live, col), live, col)
-        live = [i for i in range(pr, r) if a[i][col] != 0]
-        if not live:
-            continue
-        i0 = live[0]
-        if i0 != pr:
-            a[pr], a[i0] = a[i0], a[pr]
-            u[pr], u[i0] = u[i0], u[pr]
-        if a[pr][col] < 0:
-            a[pr] = [-x for x in a[pr]]
-            u[pr] = [-x for x in u[pr]]
-        reduce_by(pr, range(pr), col)
-        pr += 1
-    return mat(a, c), mat(u, r)
+def hermite_basis(m: IntMatrix) -> IntMatrix:
+    """The nonzero rows of the Hermite form of m, with no transform."""
+    rows = m.to_lists()
+    return mat(rows[: _echelon(rows, m.cols)], m.cols)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -314,9 +330,19 @@ def diagonal(d: IntMatrix) -> tuple[int, ...]:
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form."""
-    _, d, _ = snf(m)
-    return tuple(x for x in diagonal(d) if x != 0)
+    """Nonzero diagonal of the Smith form, with no transforms: Hermite bases
+    of m and of its transpose in turn until one is diagonal, then (gcd, lcm)
+    swaps that sort the positive diagonal into a divisibility chain."""
+    a = hermite_basis(m)
+    # an echelon form is diagonal when no row has an entry right of it
+    while any(any(row[i + 1:]) for i, row in enumerate(a.data)):
+        a = hermite_basis(a.transpose())
+    d = list(diagonal(a))
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
 
 
 def pivots(h: IntMatrix) -> tuple[tuple[int, int], ...]:
@@ -362,7 +388,7 @@ def solve_linear(a: IntMatrix, vecs: IntMatrix) -> Optional[IntMatrix]:
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Hermite basis of {x : x @ m = 0}: of the rows of U below rank(m)."""
     h, u = hnf(m)
-    return hnf(IntMatrix(u.data[len(pivots(h)):], m.rows))[0]
+    return hermite_basis(IntMatrix(u.data[len(pivots(h)):], m.rows))
 
 
 def is_unimodular(m: IntMatrix) -> bool:
@@ -370,7 +396,7 @@ def is_unimodular(m: IntMatrix) -> bool:
 
 
 def rank(m: IntMatrix) -> int:
-    return len(pivots(hnf(m)[0]))
+    return hermite_basis(m).rows
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

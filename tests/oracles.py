@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import gcd, prod
+from typing import Iterable, Optional, Sequence
 
 from redinv.intmat import IntMatrix, mat, vstack
 from redinv.abgrp import AbHom, FgAbelianGroup, homology_at, power
@@ -97,6 +98,75 @@ def inexact_spots(seq) -> list[str]:
         if image != kernel_set:
             out.append(seq.labels[k])
     return out
+
+
+def _min_abs_pivot(a: list[list[int]], rows: Sequence[int], col: int) -> Optional[int]:
+    """Row index among ``rows`` minimizing |a[i][col]| over nonzero entries."""
+    best = None
+    best_abs = None
+    for i in rows:
+        v = abs(a[i][col])
+        if v and (best_abs is None or v < best_abs):
+            best, best_abs = i, v
+    return best
+
+
+def reference_hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row Hermite normal form by a loop that updates m and U separately,
+    which ``intmat.hnf`` must match step for step: U is not unique for
+    singular or non-square m, so the records of ``matrix hnf`` and ``snf``
+    pin this exact sequence of row operations.
+
+    Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
+    with positive pivots and entries above each pivot reduced into
+    [0, pivot).
+    """
+    r, c = m.shape
+    a = m.to_lists()
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+
+    def reduce_by(k: int, rows: Iterable[int], col: int) -> None:
+        """Subtract from each row i != k of ``rows`` the multiple
+        a[i][col] // a[k][col] of row k, touching only the nonzero
+        entries of row k in a and in u.  The support of row k is found
+        at the first nonzero multiple, and not at all without one."""
+        p = a[k][col]
+        support = None
+        for i in rows:
+            q = a[i][col] // p
+            if not q or i == k:
+                continue
+            if support is None:
+                support = ([(j, x) for j, x in enumerate(a[k]) if x],
+                           [(j, x) for j, x in enumerate(u[k]) if x])
+            ai, ui = a[i], u[i]
+            for j, x in support[0]:
+                ai[j] -= q * x
+            for j, x in support[1]:
+                ui[j] -= q * x
+
+    pr = 0
+    for col in range(c):
+        if pr >= r:
+            break
+        while True:
+            live = [i for i in range(pr, r) if a[i][col] != 0]
+            if len(live) <= 1:
+                break
+            reduce_by(_min_abs_pivot(a, live, col), live, col)
+        live = [i for i in range(pr, r) if a[i][col] != 0]
+        if not live:
+            continue
+        i0 = live[0]
+        if i0 != pr:
+            a[pr], a[i0] = a[i0], a[pr]
+            u[pr], u[i0] = u[i0], u[pr]
+        if a[pr][col] < 0:
+            a[pr] = [-x for x in a[pr]]
+            u[pr] = [-x for x in u[pr]]
+        reduce_by(pr, range(pr), col)
+        pr += 1
+    return mat(a, c), mat(u, r)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:

@@ -301,6 +301,10 @@ class TestCech:
         assert "input error" in err and not out
 
 
+def _digits(rng, n: int) -> str:
+    return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(n - 1))
+
+
 class TestMatrix:
     def _write_matrix(self, tmp_path, m):
         p = tmp_path / "m.json"
@@ -326,6 +330,21 @@ class TestMatrix:
         code, _, err = run(capsys, "matrix", "snf", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("rows", [
+        pytest.param([["1"] * 65] * 65, id="65x65"),
+        pytest.param([["1"]] * 257, id="257x1"),
+        pytest.param([["1"] * 257], id="1x257"),
+        pytest.param([[_digits(random.Random(5), 4000)] * 5], id="5-entries-of-4000-digits"),
+    ])
+    def test_over_the_work_bound_exit_2(self, capsys, tmp_path, rows):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(rows))
+        for kind in ("hnf", "snf"):
+            for fmt in ("human", "json"):
+                code, out, err = run(capsys, "matrix", kind, str(p), "--format", fmt)
+                assert code == 2 and not out
+                assert err.startswith("input error:")
+
 
 @contextlib.contextmanager
 def _any_int_length():
@@ -336,10 +355,6 @@ def _any_int_length():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def _digits(rng, n: int) -> str:
-    return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(n - 1))
 
 
 def _product(a, b):

@@ -113,6 +113,17 @@ class TestGroups:
         with pytest.raises(InvalidGroupTable):
             FiniteGroup(((0, 0), (0, 0))).check()
 
+    def test_json_non_associative_latin_square(self):
+        # identity 0 and every row a permutation, but (1*2)*2 = 4 != 1*(2*2) = 1;
+        # unchecked, its trivial action on Z gives the plausible H^0 = Z, H^1 = H^2 = 0
+        table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                 [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        obj = {"gamma": {"table": table},
+               "group": {"ambientRank": 1, "relations": []},
+               "action": {str(g): [[1]] for g in range(5)}}
+        with pytest.raises(InvalidGroupTable, match="associativity"):
+            GammaModule.from_json(obj)
+
     def test_json_round_trip(self):
         g = dihedral_group(4)
         assert FiniteGroup.from_json({"table": [list(r) for r in g.table]}).table == g.table

@@ -8,6 +8,7 @@ from redinv.intmat import (
     DimensionMismatch,
     IntMatrix,
     det,
+    hermite_basis,
     hnf,
     identity,
     invariant_factors,
@@ -21,7 +22,7 @@ from redinv.intmat import (
     zeros,
 )
 
-from oracles import gcd_of_minors_invariants, in_row_lattice, random_matrix
+from oracles import gcd_of_minors_invariants, in_row_lattice, random_matrix, reference_hnf
 
 
 class TestHnf:
@@ -73,6 +74,7 @@ class TestSnf:
         assert d.data == tuple(tuple(want[i] if i == j else 0 for j in range(m.cols))
                                for i in range(m.rows))
         assert (u @ m @ v).data == d.data
+        assert invariant_factors(m) == tuple(x for x in want if x)
 
     @pytest.mark.parametrize("seed", [40, 41, 42])
     def test_dense_transforms_stay_small(self, seed):
@@ -193,6 +195,25 @@ def _matrices(max_rows: int = 5, max_cols: int = 5):
     ).map(lambda rows: mat(rows, rc[1])))
 
 
+@st.composite
+def _hnf_inputs(draw):
+    """Wide, tall and square matrices, with 0 rows or 0 columns too: dense,
+    sparse over 0/+-1, or a product of two thin ones (rank below the size)."""
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+
+    def entries(rows, cols, values):
+        row = st.lists(values, min_size=cols, max_size=cols)
+        return mat(draw(st.lists(row, min_size=rows, max_size=rows)), cols)
+
+    kind = draw(st.sampled_from(("dense", "sparse", "singular")))
+    if kind == "dense":
+        return entries(r, c, st.integers(-20, 20))
+    if kind == "sparse":
+        return entries(r, c, st.sampled_from((0, 0, 1, -1)))
+    k = draw(st.integers(0, max(min(r, c) - 1, 0)))
+    return entries(r, k, st.integers(-5, 5)) @ entries(k, c, st.integers(-5, 5))
+
+
 class TestNormalFormProperties:
     @settings(max_examples=150, deadline=None)
     @given(_matrices())
@@ -200,6 +221,7 @@ class TestNormalFormProperties:
         h, u = hnf(m)
         assert (u @ m).data == h.data
         assert is_unimodular(u)
+        assert hermite_basis(m) == mat([r for r in h.data if any(r)], m.cols)
         # reduced echelon: zero rows last, pivot columns increasing, pivots
         # positive, zeros below and entries in [0, pivot) above each pivot
         pivots = [next((j for j, a in enumerate(r) if a), None) for r in h.data]
@@ -211,6 +233,13 @@ class TestNormalFormProperties:
             assert p > 0
             assert all(0 <= h[k, j] < p for k in range(i))
             assert all(h[k, j] == 0 for k in range(i + 1, h.rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hnf_inputs())
+    def test_hnf_matches_reference(self, m):
+        # U is not unique unless m is square and nonsingular, so records
+        # depend on the exact sequence of row operations
+        assert hnf(m) == reference_hnf(m)
 
     @settings(max_examples=150, deadline=None)
     @given(_matrices())
