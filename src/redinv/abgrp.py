@@ -103,10 +103,12 @@ class FgAbelianGroup:
 
     @staticmethod
     def from_json(obj: dict) -> "FgAbelianGroup":
+        """The group of the relation rows' Hermite basis: at most ambientRank
+        rows, however many the input lists, so later kernels stay small."""
         n = obj["ambientRank"]
         if type(n) is not int or not 0 <= n <= MAX_RANK:
             raise ValueError(f"ambientRank: expected an integer from 0 to {MAX_RANK}, got {n!r}")
-        return FgAbelianGroup(n, IntMatrix.from_json(obj["relations"], cols=n))
+        return FgAbelianGroup(n, hermite_basis(IntMatrix.from_json(obj["relations"], cols=n)))
 
 
 @dataclass(frozen=True)

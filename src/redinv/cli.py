@@ -232,7 +232,20 @@ def cmd_matrix(args) -> int:
     return _emit(args, "matrix", payload, outputs, Checks(()), lines)
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: ``parse_args`` keeps no state between calls, and no default
+    depends on the environment (the catalog path is read per command)."""
+    global _parser
+    if _parser is None:
+        _parser = _new_parser()
+    return _parser
+
+
+def _new_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "json"), default="human")
     common.add_argument("--catalog", default=None,
@@ -246,39 +259,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", parents=[common],
                        help="character group, Pic, pi_1 of a group spec")
     p.add_argument("spec")
-    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("pi1d", parents=[common], help="the fundamental complex and its cohomology")
     p.add_argument("spec")
     p.add_argument("--resolution", choices=("canonical", "pushout"),
                    default="canonical")
-    p.set_defaults(func=cmd_pi1d)
 
     p = sub.add_parser("check-ses", parents=[common], help="verify a short-exact-sequence fixture")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check_ses)
 
     p = sub.add_parser("cech", parents=[common], help="cochain complex of a map F(X) -> F(G)")
     p.add_argument("file")
     p.add_argument("--max-degree", type=int, default=6)
-    p.set_defaults(func=cmd_cech)
 
     p = sub.add_parser("matrix", parents=[common], help="normal forms of an integer matrix")
     p.add_argument("kind", choices=("snf", "hnf"))
     p.add_argument("file")
-    p.set_defaults(func=cmd_matrix)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at each call, so the shared parser holds no command function
+    # and a wrapper put on one after the first call still runs
+    command = {"invariants": cmd_invariants, "pi1d": cmd_pi1d, "check-ses": cmd_check_ses,
+               "cech": cmd_cech, "matrix": cmd_matrix}[args.command]
     # results may pass Python's limit on int/str conversion (absent before
     # 3.10.7); inputs keep it through intmat.int_from_json
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return command(args)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

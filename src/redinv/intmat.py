@@ -119,7 +119,7 @@ class IntMatrix:
 
     @staticmethod
     def from_json(obj: Iterable[Iterable[str]], cols: Optional[int] = None) -> "IntMatrix":
-        if not all(isinstance(r, list) for r in obj):
+        if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
             raise ValueError("a matrix is a list of rows, each a list")
         rows = [tuple(int_from_json(a) for a in r) for r in obj]
         if cols is None:
@@ -291,9 +291,20 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def hermite_basis(m: IntMatrix) -> IntMatrix:
-    """The nonzero rows of the Hermite form of m, with no transform."""
+    """The nonzero rows of the Hermite form of m, with no transform.
+
+    A tall m is taken cols rows at a time, each block reduced together with
+    the basis of the rows before it, so no elimination has more than
+    2 * cols rows.  The Hermite form of a lattice is unique, so the rows
+    are those of one elimination of m.
+    """
+    c, step = m.cols, max(m.cols, 1)
     rows = m.to_lists()
-    return mat(rows[: _echelon(rows, m.cols)], m.cols)
+    basis: list[list[int]] = []
+    for k in range(0, len(rows), step):
+        block = basis + rows[k:k + step]
+        basis = block[: _echelon(block, c)]
+    return mat(basis, c)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .intmat import (
@@ -50,10 +51,6 @@ class UnknownGroupSpec(ValueError):
     """The group-spec string does not parse."""
 
 
-def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class RootDatum:
     rank: int
@@ -66,42 +63,55 @@ class RootDatum:
 
     def cartan_pairing(self) -> IntMatrix:
         """The matrix <alpha_i, alpha_j-dual>."""
-        r = self.semisimple_rank
-        return mat(
-            [[dot(self.simple_roots[i], self.simple_coroots[j]) for j in range(r)]
-             for i in range(r)],
-            r,
-        )
+        n = self.rank
+        return mat(self.simple_roots, n) @ mat(self.simple_coroots, n).transpose()
 
 
 def is_finite_cartan_matrix(c: IntMatrix) -> bool:
     """Diagonal 2, off-diagonal <= 0 with symmetric zero pattern, and all
-    leading principal minors positive (finite-type criterion)."""
+    leading principal minors positive (finite-type criterion).
+
+    Gaussian elimination without pivoting over the nonzero entries of each
+    row: pivot p of row k turns each row i below it, with f in column k,
+    into p * row i - f * row k, divided by the gcd of its entries.  That
+    scales the leading minors containing row i by a positive number, so
+    the k-th pivot has the sign of the k-th leading minor over the
+    (k-1)-th, and the minors are all positive exactly when the pivots are.
+    An updated row is the primitive integer multiple of its row in the
+    Schur complement, whose entries are minors of c over one common
+    denominator, so no entry outgrows those minors.
+    """
     r = c.rows
     if c.cols != r:
         return False
-    for i in range(r):
-        if c[i, i] != 2:
+    rows = [{j: a for j, a in enumerate(row) if a} for row in c.data]
+    for i, row in enumerate(rows):
+        if row.get(i) != 2:
             return False
-        for j in range(r):
-            if i != j:
-                if c[i, j] > 0:
-                    return False
-                if (c[i, j] == 0) != (c[j, i] == 0):
-                    return False
-    # Bareiss elimination without pivoting: its k-th pivot is the k-th
-    # leading principal minor, and each division is exact while the
-    # previous pivot is nonzero.
-    a = c.to_lists()
-    prev = 1
-    for k in range(r):
-        p = a[k][k]
+        for j, a in row.items():
+            if j != i and (a > 0 or i not in rows[j]):
+                return False
+    for k, pivot_row in enumerate(rows):
+        p = pivot_row.get(k, 0)
         if p <= 0:
             return False
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
-        prev = p
+        tail = [(j, a) for j, a in pivot_row.items() if j > k]
+        for row in rows[k + 1:]:
+            f = row.pop(k, 0)
+            if not f:
+                continue
+            for j in row:
+                row[j] *= p
+            for j, a in tail:
+                x = row.get(j, 0) - f * a
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
     return True
 
 

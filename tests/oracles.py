@@ -169,6 +169,38 @@ def reference_hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return mat(a, c), mat(u, r)
 
 
+def bareiss_is_finite_cartan(c: IntMatrix) -> bool:
+    """Diagonal 2, off-diagonal <= 0 with symmetric zero pattern, and all
+    leading principal minors positive, by dense Bareiss elimination, which
+    ``rootdata.is_finite_cartan_matrix`` must agree with."""
+    r = c.rows
+    if c.cols != r:
+        return False
+    for i in range(r):
+        if c[i, i] != 2:
+            return False
+        for j in range(r):
+            if i != j:
+                if c[i, j] > 0:
+                    return False
+                if (c[i, j] == 0) != (c[j, i] == 0):
+                    return False
+    # Bareiss elimination without pivoting: its k-th pivot is the k-th
+    # leading principal minor, and each division is exact while the
+    # previous pivot is nonzero.
+    a = c.to_lists()
+    prev = 1
+    for k in range(r):
+        p = a[k][k]
+        if p <= 0:
+            return False
+        for i in range(k + 1, r):
+            for j in range(k + 1, r):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
+    return True
+
+
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:
     return mat(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],

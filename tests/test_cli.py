@@ -1,14 +1,19 @@
+import argparse
 import contextlib
 import json
 import os
 import random
 import sys
+import time
 
 import pytest
 
+from redinv import cli
 from redinv.cli import main
 from redinv.catalogio import build_catalog, catalog_to_json, default_catalog_path
 from redinv.intmat import MAX_INPUT_DIGITS, mat
+
+from oracles import reference_hnf
 
 
 DATA_DIR = os.path.dirname(default_catalog_path())
@@ -136,6 +141,68 @@ def test_malformed_twist_exit_2(capsys, tmp_path, command, spec):
         assert "input error" in err and not out
 
 
+class TestParserReuse:
+    """main() builds its parser at the first call and shares it after."""
+
+    def test_catalog_is_read_per_call(self, capsys, tmp_path, monkeypatch):
+        good = tmp_path / "good.json"
+        good.write_text(catalog_to_json(build_catalog(["G2"], "env")))
+        tampered = json.loads(good.read_text())
+        tampered["entries"][0]["expected"]["muDual"]["torsion"] = [7]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(tampered))
+        got = []
+        for path in (good, bad):
+            monkeypatch.setenv("REDINV_CATALOG", str(path))
+            code, out, _ = run(capsys, "invariants", "G2", "--format", "json")
+            got.append((code, json.loads(out)["verdicts"]["matches-catalog"]))
+        assert got == [(0, True), (1, False)]
+
+    def test_usage_error_leaves_no_state(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        first = run(capsys, "pi1d", "SL(3)")
+        monkeypatch.setattr(cli, "_parser", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["pi1d", "SL(3)", "--resolution", "bogus"])
+        assert exc.value.code == 2
+        assert not capsys.readouterr().out
+        assert run(capsys, "pi1d", "SL(3)")[:2] == first[:2]
+
+    @pytest.mark.parametrize("option, default_line", [
+        (["--format", "json"], "group:      SL(3)"),
+        (["--resolution", "pushout"], "resolution: canonical"),
+    ])
+    def test_options_fall_back_to_defaults(self, capsys, option, default_line):
+        assert run(capsys, "pi1d", "SL(3)", *option)[0] == 0
+        code, out, _ = run(capsys, "pi1d", "SL(3)")
+        assert code == 0 and default_line in out.splitlines()
+
+    def test_command_is_looked_up_per_call(self, capsys, monkeypatch):
+        # a wrapper put on a command after the parser is built still runs
+        assert run(capsys, "invariants", "SL(2)")[0] == 0
+        monkeypatch.setattr(cli, "cmd_invariants", lambda _args: 7)
+        assert main(["invariants", "SL(2)"]) == 7
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._new_parser()
+        per_build = len(built)
+        monkeypatch.setattr(cli, "_parser", None)
+        built.clear()
+        for spec in ("SL(2)", "PGL(3)", "Nope(3)") * 4:
+            main(["invariants", spec])
+        capsys.readouterr()
+        assert per_build > 1 and len(built) == per_build
+        assert cli.build_parser() is cli.build_parser()
+
+
 with open(os.path.join(DATA_DIR, "ses_gm_gl2_pgl2.json")) as fh:
     SES_OK = json.load(fh)
 CECH_OK = {
@@ -162,6 +229,10 @@ WRONG_SHAPES = {
     "cech-fractional-rank": ("cech", {**CECH_OK, "fx": {"ambientRank": 1.9, "relations": []}}),
     "cech-bool-rank": ("cech", {**CECH_OK, "fg": {"ambientRank": True, "relations": []}}),
     "cech-negative-rank": ("cech", {**CECH_OK, "fx": {"ambientRank": -1, "relations": []}}),
+    # containers other than a list, once read as a matrix of no rows
+    "cech-object-relations": ("cech", {**CECH_OK, "fx": {"ambientRank": 1, "relations": {}}}),
+    "cech-string-relations": ("cech", {**CECH_OK, "fg": {"ambientRank": 1, "relations": ""}}),
+    "ses-object-matrix": ("check-ses", {**SES_OK, "x2ToX1": {}}),
 }
 
 
@@ -299,6 +370,28 @@ class TestCech:
         code, out, err = run(capsys, "cech", str(p))
         assert code == 2
         assert "input error" in err and not out
+
+
+def test_cech_tall_relations_reduced_on_load(capsys, tmp_path):
+    # F(X) = Z^32 modulo 128 random relations of one digit in the first 30
+    # coordinates, which leaves Z^2; phi keeps the last two coordinates
+    rng = random.Random(128)
+    rows = [[rng.randint(-9, 9) for _ in range(30)] + [0, 0] for _ in range(128)]
+    hermite = [r for r in reference_hnf(mat(rows, 32))[0].to_lists() if any(r)]
+    phi = [[int(i == j >= 30) for j in range(32)] for i in range(32)]
+    cohomology = []
+    for relations in (rows, hermite):
+        obj = {"fx": {"ambientRank": 32, "relations": mat(relations, 32).to_json()},
+               "fg": {"ambientRank": 32, "relations": []},
+               "phi": mat(phi, 32).to_json()}
+        p = tmp_path / "cech.json"
+        p.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cech", str(p), "--format", "json")
+        assert code == 0 and time.perf_counter() - start < 10
+        cohomology.append(json.loads(out)["outputs"]["cohomology"])
+    assert len(hermite) == 30 and cohomology[0] == cohomology[1]
+    assert cohomology[0]["1"] == {"rank": 30, "torsion": []}
 
 
 def _digits(rng, n: int) -> str:

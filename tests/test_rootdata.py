@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redinv.catalogio import default_catalog_path, load_catalog
 from redinv.cli import main
@@ -24,6 +25,8 @@ from redinv.rootdata import (
     validate,
 )
 
+from oracles import bareiss_is_finite_cartan
+
 ALL_SPECS = [
     "SL(2)", "SL(3)", "SL(4)", "GL(2)", "GL(3)", "PGL(2)", "PGL(3)", "PGL(4)",
     "Sp(4)", "SO(5)", "SO(8)", "Spin(7)", "Spin(8)", "PSO(8)",
@@ -31,6 +34,19 @@ ALL_SPECS = [
     "SL(3)xGamma:flip", "PGL(3)xGamma:flip",
     "Spin(8)xGamma:triality", "PSO(8)xGamma:triality",
 ]
+
+
+@st.composite
+def _cartan_like(draw):
+    """Diagonal 2, off-diagonal entries in {0, -1, ..., -4} with a
+    symmetric zero pattern: finite, affine and hyperbolic types."""
+    r = draw(st.integers(1, 8))
+    c = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            if draw(st.booleans()):
+                c[i][j], c[j][i] = -draw(st.integers(1, 4)), -draw(st.integers(1, 4))
+    return mat(c, r)
 
 
 class TestCartanMatrices:
@@ -63,7 +79,7 @@ class TestCartanMatrices:
         assert not is_finite_cartan_matrix(mat([[2, 1], [1, 2]]))
 
     def test_one_pass_matches_per_minor_det(self):
-        # the one Bareiss pass against one det per leading principal minor
+        # the one elimination pass against one det per leading principal minor
         def minors_positive(c):
             return all(det(mat([[c[i, j] for j in range(k)] for i in range(k)], k)) > 0
                        for k in range(1, c.rows + 1))
@@ -82,6 +98,20 @@ class TestCartanMatrices:
         ]
         for c in not_finite:
             assert not is_finite_cartan_matrix(c) and not minors_positive(c)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_cartan_like())
+    def test_sparse_check_matches_bareiss(self, c):
+        assert is_finite_cartan_matrix(c) == bareiss_is_finite_cartan(c)
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES, key=str))
+    def test_every_family_at_rank_64(self, family):
+        (head, parity), (least, rank_of, _) = family, _FAMILIES[family]
+        num = next(m for m in range(least, 4 * MAX_SPEC_RANK)
+                   if rank_of(m) == MAX_SPEC_RANK and parity in (None, m % 2))
+        datum = from_catalog(f"{head}({num})").datum
+        assert datum.rank == MAX_SPEC_RANK
+        assert is_finite_cartan_matrix(datum.cartan_pairing())
 
     def test_pairing_bound_rejected(self):
         # <alpha, alpha_check> = -4 never occurs in a finite Cartan matrix
