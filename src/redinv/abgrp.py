@@ -1,10 +1,12 @@
 """Finitely generated abelian groups presented as cokernels.
 
 A group is Z^n modulo the lattice spanned by the rows of a relation
-matrix.  Elements are row vectors in the ambient Z^n; ``reduce`` gives
-their canonical form against the Hermite form of the relation lattice, so
-equality is a plain coordinate comparison.  Homomorphisms act on row
-vectors: f(x) = x @ matrix.
+matrix, which the group keeps as the Hermite basis of that lattice, its
+canonical basis.  So two groups are equal exactly when their lattices
+are, and ``reduce`` gives the canonical form of an element, whose
+equality is a plain coordinate comparison.  Every yes/no verdict
+(triviality, injectivity, exactness) is a lattice membership.
+Homomorphisms act on row vectors: f(x) = x @ matrix.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ class NotComposable(ValueError):
 @dataclass(frozen=True)
 class FgAbelianGroup:
     ambient_rank: int
+    # stored as the Hermite basis of the rows given: at most ambient_rank
+    # rows, however many the caller or a JSON file lists
     relations: IntMatrix
-    _hnf: IntMatrix = field(init=False, repr=False, compare=False)
     _pivots: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -55,17 +58,17 @@ class FgAbelianGroup:
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
         h = hermite_basis(self.relations)
-        object.__setattr__(self, "_hnf", h)
+        object.__setattr__(self, "relations", h)
         object.__setattr__(self, "_pivots", pivots(h))
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion invariants d1 | d2 | ..., each > 1)."""
-        factors = invariant_factors(self._hnf)
+        factors = invariant_factors(self.relations)
         torsion = tuple(d for d in factors if d > 1)
         return self.ambient_rank - len(factors), torsion
 
     def is_trivial(self) -> bool:
-        return self.invariants() == (0, ())
+        return self.relations == identity(self.ambient_rank)
 
     def order(self) -> Optional[int]:
         rank, torsion = self.invariants()
@@ -83,7 +86,7 @@ class FgAbelianGroup:
                 f"coords of length {len(coords)} in ambient Z^{self.ambient_rank}"
             )
         x = list(coords)
-        echelon_reduce(self._hnf, self._pivots, x)
+        echelon_reduce(self.relations, self._pivots, x)
         return tuple(x)
 
     def contains_in_relations(self, coords: Sequence[int]) -> bool:
@@ -103,12 +106,10 @@ class FgAbelianGroup:
 
     @staticmethod
     def from_json(obj: dict) -> "FgAbelianGroup":
-        """The group of the relation rows' Hermite basis: at most ambientRank
-        rows, however many the input lists, so later kernels stay small."""
         n = obj["ambientRank"]
         if type(n) is not int or not 0 <= n <= MAX_RANK:
             raise ValueError(f"ambientRank: expected an integer from 0 to {MAX_RANK}, got {n!r}")
-        return FgAbelianGroup(n, hermite_basis(IntMatrix.from_json(obj["relations"], cols=n)))
+        return FgAbelianGroup(n, IntMatrix.from_json(obj["relations"], cols=n))
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class AbHom:
         return self.target.contains_rows(self.matrix)
 
     def is_injective(self) -> bool:
-        return kernel(self)[0].is_trivial()
+        return self.source.contains_rows(preimage_lattice(self.matrix, self.target.relations))
 
     def is_surjective(self) -> bool:
         return cokernel(self)[0].is_trivial()
@@ -177,20 +178,9 @@ def preimage_lattice(a: IntMatrix, target_rels: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(r[: a.rows] for r in full.data if any(r[: a.rows])), a.rows)
 
 
-def subgroup(gens: IntMatrix, ambient: FgAbelianGroup) -> tuple[FgAbelianGroup, AbHom]:
-    """Subgroup of ``ambient`` generated by the rows of ``gens``.
-
-    Returns the abstract group (one ambient generator per row of gens)
-    together with the inclusion homomorphism.
-    """
-    rels = preimage_lattice(gens, ambient.relations)
-    grp = FgAbelianGroup(gens.rows, rels)
-    return grp, AbHom(grp, ambient, gens)
-
-
 def kernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
-    gens = preimage_lattice(f.matrix, f.target.relations)
-    return subgroup(gens, f.source)
+    data = homology_at(None, f)
+    return data.group, AbHom(data.group, f.source, data.gens)
 
 
 def cokernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
@@ -200,21 +190,13 @@ def cokernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
     return grp, AbHom(f.target, grp, identity(f.target.ambient_rank))
 
 
-def subgroups_equal(
-    gens_a: IntMatrix, gens_b: IntMatrix, ambient: FgAbelianGroup
-) -> bool:
-    """Mutual membership of generators modulo the ambient relations."""
-    rels = ambient.relations
-    return (member_coords(gens_b, rels, gens_a) is not None
-            and member_coords(gens_a, rels, gens_b) is not None)
-
-
 def is_exact_at(f: AbHom, g: AbHom) -> bool:
-    """True iff image(f) = kernel(g) inside target(f) = source(g)."""
-    if f.target != g.source:
-        raise NotComposable("target(f) != source(g)")
+    """True iff image(f) = kernel(g) inside target(f) = source(g): g kills
+    the image, and every kernel generator is a member of it."""
+    if not f.then(g).is_zero():
+        return False
     ker_gens = preimage_lattice(g.matrix, g.target.relations)
-    return subgroups_equal(f.matrix, ker_gens, f.target)
+    return member_coords(f.matrix, f.target.relations, ker_gens) is not None
 
 
 @dataclass(frozen=True)

@@ -54,18 +54,8 @@ def datum_invariants(d: ReductiveDatum) -> dict:
 @dataclass(frozen=True)
 class CatalogEntry:
     spec: str
-    expected_character: dict
-    expected_mu_dual: dict
-    expected_pi1: dict
+    expected: dict  # the stored invariants, keyed as datum_invariants keys them
     provenance: str
-
-    def expected(self) -> dict:
-        """The stored invariants, keyed as datum_invariants keys them."""
-        return {
-            "characterGroup": self.expected_character,
-            "muDual": self.expected_mu_dual,
-            "pi1": self.expected_pi1,
-        }
 
 
 @dataclass(frozen=True)
@@ -118,17 +108,9 @@ def load_catalog(path: Optional[str] = None, self_test: bool = True) -> CatalogF
         _require(isinstance(e.get("spec"), str), f"{field}.spec", "expected a string")
         exp = e.get("expected")
         _require(isinstance(exp, dict), f"{field}.expected", "expected an object")
-        entry = CatalogEntry(
-            spec=e["spec"],
-            expected_character=_check_invariant_dict(
-                exp.get("characterGroup"), f"{field}.expected.characterGroup"),
-            expected_mu_dual=_check_invariant_dict(
-                exp.get("muDual"), f"{field}.expected.muDual"),
-            expected_pi1=_check_invariant_dict(
-                exp.get("pi1"), f"{field}.expected.pi1"),
-            provenance=str(e.get("provenance", "")),
-        )
-        entries.append(entry)
+        expected = {key: _check_invariant_dict(exp.get(key), f"{field}.expected.{key}")
+                    for key in ("characterGroup", "muDual", "pi1")}
+        entries.append(CatalogEntry(e["spec"], expected, str(e.get("provenance", ""))))
     catalog = CatalogFile(SCHEMA_VERSION, tuple(entries))
     if self_test:
         verify_catalog(catalog)
@@ -140,7 +122,7 @@ def verify_catalog(catalog: CatalogFile) -> None:
         d = from_catalog(entry.spec)
         rep = validate(d)
         _require(rep.passed, entry.spec, f"datum invalid: {rep.failures()}")
-        got, want = datum_invariants(d), entry.expected()
+        got, want = datum_invariants(d), entry.expected
         _require(got == want, entry.spec,
                  f"recomputed invariants {got} differ from stored {want}")
 
@@ -151,7 +133,7 @@ def catalog_to_json(catalog: CatalogFile) -> str:
         "entries": [
             {
                 "spec": e.spec,
-                "expected": e.expected(),
+                "expected": e.expected,
                 "provenance": e.provenance,
             }
             for e in catalog.entries
@@ -161,11 +143,8 @@ def catalog_to_json(catalog: CatalogFile) -> str:
 
 def build_catalog(specs: list[str], provenance: str) -> CatalogFile:
     """Compute expected invariants for the given group specs."""
-    entries = []
-    for spec in specs:
-        got = datum_invariants(from_catalog(spec))
-        entries.append(CatalogEntry(spec, got["characterGroup"], got["muDual"],
-                                    got["pi1"], provenance))
+    entries = (CatalogEntry(spec, datum_invariants(from_catalog(spec)), provenance)
+               for spec in specs)
     return CatalogFile(SCHEMA_VERSION, tuple(entries))
 
 

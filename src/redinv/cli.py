@@ -115,7 +115,7 @@ def cmd_invariants(args) -> int:
         catalog = ()  # the catalog is advisory: a missing or broken one gives no verdict
     for entry in catalog:
         if entry.spec == args.spec:
-            want = entry.expected()
+            want = entry.expected
             entries.append(
                 ("matches-catalog", got == want, {"expected": want, "computed": got})
             )
@@ -148,8 +148,8 @@ def cmd_pi1d(args) -> int:
     outputs = {
         "resolution": args.resolution,
         "rhoStar": res.rho_star.matrix.to_json(),
-        "RstarGenerators": res.Rstar.group.ambient_rank,
-        "TstarGenerators": res.Tstar.group.ambient_rank,
+        "RstarGenerators": res.rho_star.source.group.ambient_rank,
+        "TstarGenerators": res.rho_star.target.group.ambient_rank,
         "H-1": invariants_json(cx.cohomology_data(-1).group),
         "H0": invariants_json(cx.cohomology_data(0).group),
     }

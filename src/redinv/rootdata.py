@@ -379,7 +379,7 @@ def triality_twist(d: ReductiveDatum) -> ReductiveDatum:
     )
 
 
-_SPEC_RE = re.compile(r"^([A-Za-z]+)\((\d{1,9})\)$")
+_SPEC_RE = re.compile(r"([A-Za-z]+)\(([0-9]{1,9})\)")
 
 
 def from_catalog(spec: str) -> ReductiveDatum:
@@ -423,7 +423,7 @@ _FAMILIES = {
 
 
 def _parse_base(base: str) -> ReductiveDatum:
-    m = _SPEC_RE.match(base)
+    m = _SPEC_RE.fullmatch(base)
     if m:
         head, num = m.group(1), int(m.group(2))
         family = _FAMILIES.get((head, num % 2)) or _FAMILIES.get((head, None))
@@ -436,7 +436,7 @@ def _parse_base(base: str) -> ReductiveDatum:
             raise UnknownGroupSpec(
                 f"{base} asks for datum rank {rank_of(num)}, above {MAX_SPEC_RANK}")
         return ReductiveDatum.untwisted(base, datum(rank_of(num)))
-    exc = re.match(r"^(G2|F4|E6|E7|E8)(sc|ad)?$", base)
+    exc = re.fullmatch(r"(G2|F4|E6|E7|E8)(sc|ad)?", base)
     if exc:
         kind, iso = exc.group(1), exc.group(2)
         if iso == "ad":

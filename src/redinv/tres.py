@@ -50,8 +50,6 @@ from .rootdata import (
 @dataclass(frozen=True)
 class TResolutionData:
     datum: ReductiveDatum
-    Tstar: GammaModule
-    Rstar: GammaModule
     rho_star: GammaHom  # R* -> T*
     l_star: GammaHom  # T* -> mu*
     char_map: GammaHom  # character group -> R*
@@ -69,8 +67,6 @@ def canonical_tresolution(d: ReductiveDatum) -> TResolutionData:
     _, l_star = equivariant_cokernel(beta)
     return TResolutionData(
         datum=d,
-        Tstar=beta.target,
-        Rstar=beta.source,
         rho_star=beta,
         l_star=l_star,
         char_map=char_map,
@@ -88,10 +84,10 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     beta = pairing_map(d)
     target = direct_sum_modules(x_rad, beta.target)
     # X -> X_rad (+) P, chi -> (chi mod saturated root span, beta(chi))
-    emb_matrix = hstack(identity(n), beta.matrix)
-    if not AbHom(FgAbelianGroup.free(n), target.group, emb_matrix).is_injective():
+    emb = AbHom(FgAbelianGroup.free(n), target.group, hstack(identity(n), beta.matrix))
+    if not emb.is_injective():
         raise InvalidDatum("character embedding into X_rad (+) P is not injective")
-    mu_prime_grp = FgAbelianGroup(n + r, vstack(target.group.relations, emb_matrix))
+    mu_prime_grp, _ = cokernel(emb)
     mu_prime = GammaModule(gamma, mu_prime_grp, target.actions)
 
     # orbit representatives among the classes of the ambient generators
@@ -139,8 +135,6 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
 
     return TResolutionData(
         datum=d,
-        Tstar=t_star,
-        Rstar=r_star,
         rho_star=rho_star,
         l_star=l_star,
         char_map=GammaHom(x0, r_star, char_matrix),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redinv import intmat
-from redinv.intmat import hnf, hstack, identity, kernel_basis, mat, vstack, zeros
+from redinv.intmat import hermite_basis, hnf, hstack, identity, kernel_basis, mat, vstack, zeros
 from redinv.abgrp import (
     MAX_RANK,
     AbHom,
@@ -21,8 +21,6 @@ from redinv.abgrp import (
     power,
     preimage_lattice,
     six_term_sequence,
-    subgroup,
-    subgroups_equal,
 )
 
 from oracles import (
@@ -64,7 +62,8 @@ class TestGroups:
         assert C4.contains_in_relations((4,))
 
     def test_presentation_invariance(self):
-        # Unimodular change of the relation rows gives the same invariants.
+        # Unimodular change of the relation rows gives the same group: the
+        # relations are kept as the lattice's Hermite basis.
         rng = random.Random(7)
         for _ in range(40):
             g = random_group(rng, 3, 8)
@@ -80,6 +79,8 @@ class TestGroups:
             )
             g2 = FgAbelianGroup(g.ambient_rank, u @ g.relations)
             assert g2.invariants() == g.invariants()
+            assert g2 == g
+            assert hermite_basis(g.relations) == g.relations
 
 
 class TestHoms:
@@ -125,10 +126,12 @@ class TestKernelCokernelImage:
         assert proj.is_surjective()
 
     def test_image(self):
+        # the image is the kernel of the projection onto the cokernel
         f = AbHom(Z2, Z, mat([[2], [4]]))
-        im, inc = subgroup(f.matrix, Z)
+        im, inc = kernel(cokernel(f)[1])
         assert im.invariants() == (1, ())
-        assert subgroups_equal(inc.matrix, mat([[2]]), Z)
+        # inc and x2 generate the same subgroup: their quotients are equal
+        assert cokernel(inc)[0] == cokernel(AbHom(Z, Z, mat([[2]])))[0]
 
     def test_torsion_kernel(self):
         # x -> 2x on Z/4 has kernel Z/2 and cokernel Z/2.
@@ -148,8 +151,8 @@ class TestKernelCokernelImage:
             tgt = random_group(rng, 3, 6)
             f = random_hom(rng, src, tgt)
             k, _ = kernel(f)
-            im, _ = subgroup(f.matrix, tgt)
-            c, _ = cokernel(f)
+            c, proj = cokernel(f)
+            im, _ = kernel(proj)
             # rank counting: rk(src) = rk(ker) + rk(im), rk(tgt) = rk(im) + rk(cok)
             rk = [g.invariants()[0] for g in (src, k, im, tgt, c)]
             assert rk[0] == rk[1] + rk[2]
@@ -174,13 +177,17 @@ class TestMembership:
     def test_preimage_lattice(self):
         # x such that x * (1) lies in 2Z: that is exactly 2Z.
         lat = preimage_lattice(mat([[1]]), mat([[2]]))
-        assert subgroups_equal(lat, mat([[2]]), Z)
-        assert not subgroups_equal(lat, identity(1), Z)
+        assert FgAbelianGroup(1, lat) == FgAbelianGroup(1, mat([[2]]))
+        assert FgAbelianGroup(1, lat) != FgAbelianGroup(1, identity(1))
 
     def test_subgroup(self):
-        g, inc = subgroup(mat([[2, 0], [0, 0]]), Z2)
+        # the subgroup generated by the rows of gens: one generator per row,
+        # related by the preimage of the ambient relations
+        gens = mat([[2, 0], [0, 0]])
+        g = FgAbelianGroup(2, preimage_lattice(gens, Z2.relations))
+        inc = AbHom(g, Z2, gens)
         assert g.invariants() == (1, ())
-        assert inc.is_injective()
+        assert inc.is_well_defined() and inc.is_injective()
 
 
 def _matrices(rows: int, cols: int):
@@ -359,6 +366,47 @@ class TestSixTermByEnumeration:
         rep = six_term_sequence(u, v)
         assert inexact_spots(rep) == []
         assert rep.checks.passed
+
+
+def _is_zero_by_invariants(h: AbHom) -> bool:
+    """h = 0 iff coker h is isomorphic to the target: a finitely generated
+    abelian group is isomorphic to no proper quotient of itself."""
+    return cokernel(h)[0].invariants() == h.target.invariants()
+
+
+class TestVerdictsAgainstInvariants:
+    """The membership verdicts agree with the invariant factors of kernel
+    and cokernel groups, which no verdict reads."""
+
+    def test_injective_and_surjective(self):
+        rng = random.Random(14)
+        for _ in range(150):
+            f = random_hom(rng, random_group(rng, 3, 6), random_group(rng, 3, 6))
+            assert f.is_injective() == (kernel(f)[0].invariants() == (0, ()))
+            assert f.is_surjective() == (cokernel(f)[0].invariants() == (0, ()))
+
+    def test_exact_at(self):
+        rng = random.Random(15)
+        seen = set()
+        for _ in range(150):
+            a, b, c = (random_group(rng, 3, 6) for _ in range(3))
+            f = random_hom(rng, a, b)
+            # a random g, the cokernel projection of f, or f the kernel
+            # inclusion of a random g: both verdicts occur
+            pick = rng.randrange(3)
+            if pick == 0:
+                g = random_hom(rng, b, c)
+            elif pick == 1:
+                g = cokernel(f)[1]
+            else:
+                g = random_hom(rng, b, c)
+                f = kernel(g)[1]
+            _, inc = kernel(g)
+            q = cokernel(f)[1]
+            want = _is_zero_by_invariants(f.then(g)) and _is_zero_by_invariants(inc.then(q))
+            assert is_exact_at(f, g) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestExactnessEntries:

@@ -116,7 +116,7 @@ class TestBuildCatalog:
     def test_build_then_verify(self):
         catalog = build_catalog(["PGL(3)", "Sp(4)"], "recomputed")
         verify_catalog(catalog)
-        assert catalog.entries[0].expected_pi1 == {"rank": 0, "torsion": [3]}
+        assert catalog.entries[0].expected["pi1"] == {"rank": 0, "torsion": [3]}
 
     def test_deterministic_serialization(self):
         c1 = build_catalog(["SL(2)", "G2"], "x")

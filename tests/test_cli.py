@@ -115,12 +115,18 @@ class TestPi1d:
 
 # SO(7), GL(3) and Spin(10) fail inside from_catalog's twist constructors;
 # Sp(4) flip and SL(5) triality build a twist that permutes no simple roots.
+# The last four are no specs at all: a non-ASCII digit (Arabic-Indic,
+# fullwidth) or a newline, which a "$" anchor or "\d" would let through.
 MALFORMED_TWISTS = (
     "SO(7)xGamma:flip",
     "GL(3)xGamma:flip",
     "Spin(10)xGamma:triality",
     "Sp(4)xGamma:flip",
     "SL(5)xGamma:triality",
+    "SL(\u0663)",
+    "SL(\uff13)",
+    "G2\n",
+    "SL(3)\nxGamma:flip",
 )
 
 

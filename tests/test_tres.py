@@ -62,7 +62,7 @@ class TestPushoutResolution:
                            ("PSO(8)xGamma:triality", 3)):
             res = pushout_tresolution(from_catalog(spec))
             assert res.provenance == "pushout"
-            assert res.Tstar.group.ambient_rank == rank, spec
+            assert res.rho_star.target.group.ambient_rank == rank, spec
 
     def test_mu_prime_finite(self):
         # mu' = coker[X -> X_rad (+) P], chi -> (chi, beta(chi))
@@ -85,7 +85,7 @@ class TestPushoutResolution:
         # with a twist, T* is a module induced from the twisting group
         d = from_catalog("PGL(3)xGamma:flip")
         res = pushout_tresolution(d)
-        assert res.Tstar.group.ambient_rank % d.gamma.order == 0
+        assert res.rho_star.target.group.ambient_rank % d.gamma.order == 0
 
 
 class TestComparison:
