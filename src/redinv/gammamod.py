@@ -49,43 +49,43 @@ class InvalidAction(ValueError):
 @dataclass(frozen=True)
 class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
+    # found once from the table; _inverses[a] is the b with ab = identity
+    identity: int = field(init=False, repr=False, compare=False)
+    _inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.table)
 
     def __post_init__(self) -> None:
-        n = self.order
-        for row in self.table:
+        """Raise InvalidGroupTable unless the table is square over valid
+        indices, has an identity and every row contains it (a right
+        inverse)."""
+        n, t = self.order, self.table
+        for row in t:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise InvalidGroupTable("table is not square over valid indices")
+        e = next((e for e in range(n) if t[e] == tuple(range(n))
+                  and all(row[e] == x for x, row in enumerate(t))), None)
+        if e is None:
+            raise InvalidGroupTable("no identity element")
+        for a, row in enumerate(t):
+            if e not in row:
+                raise InvalidGroupTable(f"element {a} has no inverse")
+        object.__setattr__(self, "identity", e)
+        object.__setattr__(self, "_inverses", tuple(row.index(e) for row in t))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    @property
-    def identity(self) -> int:
-        for e in range(self.order):
-            if all(self.mul(e, x) == x and self.mul(x, e) == x for x in range(self.order)):
-                return e
-        raise InvalidGroupTable("no identity element")
-
     def inverse(self, a: int) -> int:
-        e = self.identity
-        for b in range(self.order):
-            if self.mul(a, b) == e:
-                return b
-        raise InvalidGroupTable(f"element {a} has no inverse")
+        return self._inverses[a]
 
     def check(self) -> None:
-        """Raise InvalidGroupTable unless the table has an identity, every
-        row contains it (a right inverse) and the law is associative:
-        together these make a finite group."""
-        e = self.identity  # raises when missing
+        """Raise InvalidGroupTable unless the law is associative; with the
+        identity and right inverses found at construction, that makes a
+        finite group."""
         t = self.table
-        for a, row in enumerate(t):
-            if e not in row:
-                raise InvalidGroupTable(f"element {a} has no inverse")
         for row in t:  # row a: (ab)c is t[ab][c], a(bc) is row[t[b][c]]
             for ab, tb in zip(row, t):
                 if t[ab] != tuple(map(row.__getitem__, tb)):

@@ -409,11 +409,3 @@ def is_unimodular(m: IntMatrix) -> bool:
 def rank(m: IntMatrix) -> int:
     return hermite_basis(m).rows
 
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix (exact, via HNF transform)."""
-    h, u = hnf(m)
-    # h must be the identity up to pivot signs; for unimodular m, h = I.
-    if h != identity(m.rows):
-        raise ValueError("matrix is not unimodular")
-    return u

@@ -26,16 +26,17 @@ from typing import Optional
 from .intmat import (
     IntMatrix,
     identity,
-    inverse_unimodular,
     kernel_basis,
     mat,
     rank as mat_rank,
+    solve_linear,
 )
 from .abgrp import MAX_RANK as MAX_SPEC_RANK, Checks, FgAbelianGroup
 from .gammamod import (
     FiniteGroup,
     GammaHom,
     GammaModule,
+    InvalidAction,
     cyclic_group,
     equivariant_cokernel,
     equivariant_kernel,
@@ -130,7 +131,10 @@ class ReductiveDatum:
         return GammaModule(self.gamma, FgAbelianGroup.free(self.datum.rank), self.actions)
 
     def dual_actions(self) -> tuple[IntMatrix, ...]:
-        return tuple(inverse_unimodular(m).transpose() for m in self.actions)
+        inverses = [solve_linear(m, identity(self.datum.rank)) for m in self.actions]
+        if any(inv is None for inv in inverses):
+            raise InvalidDatum("an action matrix is not invertible over Z")
+        return tuple(inv.transpose() for inv in inverses)
 
     def root_permutation(self, g: int) -> Optional[tuple[int, ...]]:
         """The permutation sigma with alpha_i . M_g = alpha_{sigma(i)}, or None."""
@@ -172,7 +176,7 @@ def validate(d: ReductiveDatum) -> Checks:
     try:
         d.x_module().check()
         checks.append(("action-valid", True, ""))
-    except Exception as exc:  # InvalidAction or matrix failures
+    except InvalidAction as exc:
         checks.append(("action-valid", False, str(exc)))
         return Checks(tuple(checks))
 
@@ -258,55 +262,41 @@ def radical_characters(d: ReductiveDatum) -> GammaModule:
 
 # --- catalog constructors -------------------------------------------------
 
+def _links(first: int, last: int) -> list[tuple[int, int, int, int]]:
+    """The simple links (i, i + 1, -1, -1) for first <= i < last."""
+    return [(i, i + 1, -1, -1) for i in range(first, last)]
+
+
+# Dynkin type -> (least rank, off-diagonal Cartan entries (i, j, C[i][j],
+# C[j][i]) at rank n).  B has its short root last, C its long root last;
+# E_n is the chain 0-2-3-...-(n-1) with node 1 attached to node 3.
+_CARTAN = {
+    "A": (0, lambda n: _links(0, n - 1)),
+    "B": (2, lambda n: _links(0, n - 2) + [(n - 2, n - 1, -2, -1)]),
+    "C": (2, lambda n: _links(0, n - 2) + [(n - 2, n - 1, -1, -2)]),
+    "D": (3, lambda n: _links(0, n - 2) + [(n - 3, n - 1, -1, -1)]),
+    **dict.fromkeys(("E6", "E7", "E8"),
+                    (6, lambda n: [(0, 2, -1, -1), (1, 3, -1, -1)] + _links(2, n - 1))),
+    "F4": (4, lambda _: [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)]),
+    "G2": (2, lambda _: [(0, 1, -3, -1)]),
+}
+
+
 def cartan_matrix(kind: str, rank: int) -> IntMatrix:
-    """The Cartan matrix C[i][j] = <alpha_i, alpha_j-dual> of a finite type."""
+    """The Cartan matrix C[i][j] = <alpha_i, alpha_j-dual> of a finite type.
+    Nodes follow Bourbaki's plates, except that G2 puts its long root first
+    (C[0][1] = -3).  E6-E8, F4 and G2 take their rank from the name."""
     kind = kind.upper()
-    if kind == "A":
-        links = [(i, i + 1) for i in range(rank - 1)]
-        special: dict = {}
-    elif kind in ("B", "C"):
-        if rank < 2:
-            raise InvalidDatum(f"type {kind} needs rank >= 2")
-        links = [(i, i + 1) for i in range(rank - 1)]
-        special = {}
-    elif kind == "D":
-        if rank < 3:
-            raise InvalidDatum("type D needs rank >= 3")
-        links = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
-        special = {}
-    elif kind in ("E6", "E7", "E8"):
-        rank = int(kind[1])
-        # chain 0-2-3-4-... with node 1 attached to node 3 (Bourbaki shape)
-        links = [(0, 2), (2, 3), (1, 3)] + [(i, i + 1) for i in range(3, rank - 1)]
-        special = {}
-        kind = "E"
-    elif kind == "F4":
-        rank = 4
-        links = [(0, 1), (1, 2), (2, 3)]
-        special = {(1, 2): -2, (2, 1): -1}
-        kind = "F"
-    elif kind == "G2":
-        rank = 2
-        links = [(0, 1)]
-        special = {(0, 1): -3, (1, 0): -1}
-        kind = "G"
-    else:
+    if kind not in _CARTAN:
         raise InvalidDatum(f"unknown type {kind}")
+    least, entries = _CARTAN[kind]
+    rank = int(kind[1:] or rank)
+    if rank < least:
+        raise InvalidDatum(f"type {kind} needs rank >= {least}")
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j in links:
-        c[i][j] = -1
-        c[j][i] = -1
-    if kind == "B":
-        # alpha_{n-1} long, alpha_n short: <a_{n-1}, a_n-dual> = -2
-        c[rank - 2][rank - 1] = -2
-    if kind == "C":
-        c[rank - 1][rank - 2] = -2
-    for (i, j), v in special.items():
-        c[i][j] = v
-    m = mat(c, rank)
-    if not is_finite_cartan_matrix(m):
-        raise InvalidDatum(f"constructed Cartan matrix is not finite type: {kind}{rank}")
-    return m
+    for i, j, cij, cji in entries(rank):
+        c[i][j], c[j][i] = cij, cji
+    return mat(c, rank)
 
 
 def simply_connected_datum(kind: str, rank: int) -> RootDatum:
@@ -357,26 +347,29 @@ def _perm_matrix(perm: tuple[int, ...]) -> IntMatrix:
     return mat(rows, n)
 
 
-def outer_flip_twist(d: ReductiveDatum) -> ReductiveDatum:
-    """The order-2 diagram flip on a rank-2 type A datum (swap coordinates)."""
-    if d.datum.rank != 2 or d.datum.semisimple_rank != 2:
-        raise InvalidDatum("flip twist needs a rank-2 type A datum")
-    swap = _perm_matrix((1, 0))
-    return ReductiveDatum(
-        d.name + "xflip", d.datum, cyclic_group(2), (identity(2), swap)
-    )
+# twist -> (the Dynkin type it acts on, its permutation of the coordinates
+# of X).  The flip swaps the two nodes of A2; triality cycles the outer
+# nodes 1 -> 3 -> 4 -> 1 of D4 and fixes node 2.
+_TWISTS = {
+    "flip": (("A", 2), (1, 0)),
+    "triality": (("D", 4), (2, 1, 3, 0)),
+}
 
 
-def triality_twist(d: ReductiveDatum) -> ReductiveDatum:
-    """The order-3 twist on a D4 datum in simply connected or adjoint
-    coordinates: cycle the outer nodes 1 -> 3 -> 4 -> 1, fixing node 2."""
-    if d.datum.rank != 4:
-        raise InvalidDatum("triality twist needs a rank-4 type D datum")
-    rho = _perm_matrix((2, 1, 3, 0))  # coordinates 0 -> 2 -> 3 -> 0
-    rho2 = rho @ rho
-    return ReductiveDatum(
-        d.name + "xtriality", d.datum, cyclic_group(3), (identity(4), rho, rho2)
-    )
+def _twisted(d: ReductiveDatum, twist: str) -> ReductiveDatum:
+    """d with Z/k acting by the powers of the twist's permutation of order
+    k; d must have the twist's type, and each power must permute its roots."""
+    (kind, rank), perm = _TWISTS[twist]
+    if d.datum.rank != rank or d.datum.cartan_pairing() != cartan_matrix(kind, rank):
+        raise InvalidDatum(f"the {twist} twist needs a rank-{rank} datum of type {kind}{rank}")
+    one, rho = identity(rank), _perm_matrix(perm)
+    powers = [one]
+    while (m := powers[-1] @ rho) != one:
+        powers.append(m)
+    t = ReductiveDatum(f"{d.name}x{twist}", d.datum, cyclic_group(len(powers)), tuple(powers))
+    if any(t.root_permutation(g) is None for g in t.gamma.elements()):
+        raise InvalidDatum(f"the {twist} twist does not permute the simple roots of {d.name}")
+    return t
 
 
 _SPEC_RE = re.compile(r"([A-Za-z]+)\(([0-9]{1,9})\)")
@@ -395,15 +388,9 @@ def from_catalog(spec: str) -> ReductiveDatum:
     d = _parse_base(base)
     if twist is None:
         return d
-    if twist == "flip":
-        d = outer_flip_twist(d)
-    elif twist == "triality":
-        d = triality_twist(d)
-    else:
+    if twist not in _TWISTS:
         raise UnknownGroupSpec(f"unknown twist {twist!r}")
-    if any(d.root_permutation(g) is None for g in d.gamma.elements()):
-        raise InvalidDatum(f"the {twist} twist does not permute the simple roots of {base}")
-    return d
+    return _twisted(d, twist)
 
 
 # (head, argument parity or None) -> (least argument, datum rank of the

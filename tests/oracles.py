@@ -201,6 +201,59 @@ def bareiss_is_finite_cartan(c: IntMatrix) -> bool:
     return True
 
 
+def _unit(n: int, *signed: int) -> tuple[int, ...]:
+    """sum of sign(k) e_|k| in R^n, for 1-based indices k."""
+    v = [0] * n
+    for k in signed:
+        v[abs(k) - 1] += 1 if k > 0 else -1
+    return tuple(v)
+
+
+def bourbaki_simple_roots(kind: str, rank: int) -> list[tuple[int, ...]]:
+    """Simple roots alpha_1, ..., alpha_n in the coordinates of Bourbaki,
+    Lie Groups and Lie Algebras IV-VI, Plates I-IX.  E and F4 are scaled
+    by 2 so their half-integer roots stay integral; G2 lists its long root
+    first, the reverse of Plate IX."""
+    n = rank
+    if kind == "A":
+        return [_unit(n + 1, i, -(i + 1)) for i in range(1, n + 1)]
+    chain = [_unit(n, i, -(i + 1)) for i in range(1, n)]
+    if kind == "B":
+        return chain + [_unit(n, n)]
+    if kind == "C":
+        return chain + [tuple(2 * x for x in _unit(n, n))]
+    if kind == "D":
+        return chain + [_unit(n, n - 1, n)]
+    if kind in ("E6", "E7", "E8"):
+        # 2 alpha_1 = e1 + e8 - (e2 + ... + e7), alpha_2 = e1 + e2,
+        # alpha_i = e_{i-1} - e_{i-2} for i >= 3; E6 and E7 take the first ones
+        e8 = [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)]
+        e8 += [tuple(2 * x for x in _unit(8, i - 1, -(i - 2))) for i in range(3, 9)]
+        return e8[: int(kind[1])]
+    if kind == "F4":
+        # e2 - e3, e3 - e4, e4 and 2 alpha_4 = e1 - e2 - e3 - e4
+        integral = [_unit(4, 2, -3), _unit(4, 3, -4), _unit(4, 4)]
+        return [tuple(2 * x for x in v) for v in integral] + [(1, -1, -1, -1)]
+    if kind == "G2":
+        return [(-2, 1, 1), (1, -1, 0)]
+    raise ValueError(f"no plate for type {kind}")
+
+
+def root_cartan_matrix(kind: str, rank: int) -> IntMatrix:
+    """C[i][j] = 2 (alpha_i . alpha_j) / (alpha_j . alpha_j) from the
+    explicit simple roots of ``bourbaki_simple_roots``."""
+    roots = bourbaki_simple_roots(kind, rank)
+    rows = []
+    for a in roots:
+        row = []
+        for b in roots:
+            num, den = 2 * sum(x * y for x, y in zip(a, b)), sum(y * y for y in b)
+            assert num % den == 0, (kind, rank)
+            row.append(num // den)
+        rows.append(row)
+    return mat(rows, len(roots))
+
+
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:
     return mat(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],

@@ -113,8 +113,8 @@ class TestPi1d:
         assert rec["outputs"]["H0"] == {"rank": 0, "torsion": [2, 2]}
 
 
-# SO(7), GL(3) and Spin(10) fail inside from_catalog's twist constructors;
-# Sp(4) flip and SL(5) triality build a twist that permutes no simple roots.
+# A twist needs a datum of its Dynkin type's rank and Cartan matrix (flip:
+# A2, triality: D4); none of the first ten has both.
 # The last four are no specs at all: a non-ASCII digit (Arabic-Indic,
 # fullwidth) or a newline, which a "$" anchor or "\d" would let through.
 MALFORMED_TWISTS = (
@@ -123,6 +123,11 @@ MALFORMED_TWISTS = (
     "Spin(10)xGamma:triality",
     "Sp(4)xGamma:flip",
     "SL(5)xGamma:triality",
+    "PGL(5)xGamma:triality",
+    "SO(9)xGamma:triality",
+    "F4adxGamma:triality",
+    "SO(5)xGamma:flip",
+    "T(4)xGamma:triality",
     "SL(\u0663)",
     "SL(\uff13)",
     "G2\n",

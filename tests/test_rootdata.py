@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from redinv.catalogio import default_catalog_path, load_catalog
 from redinv.cli import main
 from redinv.intmat import det, identity, mat
-from redinv.gammamod import group_cohomology
+from redinv.gammamod import GammaModule, cyclic_group, group_cohomology
 from redinv.rootdata import (
     _FAMILIES,
     MAX_SPEC_RANK,
@@ -25,7 +25,7 @@ from redinv.rootdata import (
     validate,
 )
 
-from oracles import bareiss_is_finite_cartan
+from oracles import bareiss_is_finite_cartan, root_cartan_matrix
 
 ALL_SPECS = [
     "SL(2)", "SL(3)", "SL(4)", "GL(2)", "GL(3)", "PGL(2)", "PGL(3)", "PGL(4)",
@@ -63,6 +63,19 @@ class TestCartanMatrices:
     def test_determinants(self):
         for (kind, rank), want in self.DETS.items():
             assert abs(det(cartan_matrix(kind, rank))) == want, (kind, rank)
+
+    ORACLE_TYPES = (
+        [("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 13)]
+        + [("C", n) for n in range(2, 13)] + [("D", n) for n in range(3, 13)]
+        + [(kind, int(kind[1])) for kind in ("E6", "E7", "E8", "F4", "G2")]
+        + [(kind, 64) for kind in "ABCD"]
+    )
+
+    @pytest.mark.parametrize("kind, rank", ORACLE_TYPES)
+    def test_matches_simple_roots_oracle(self, kind, rank):
+        # det and the finite-type criterion cannot tell B_n from C_n or see
+        # relabelled nodes; the Cartan matrix of the explicit roots can
+        assert cartan_matrix(kind, rank) == root_cartan_matrix(kind, rank)
 
     def test_recognizer_accepts(self):
         for kind, rank in self.DETS:
@@ -136,6 +149,21 @@ class TestValidation:
         rep = validate(ReductiveDatum.untwisted("bad", bad))
         assert not rep.passed
         assert "vector-lengths" in rep.failures()
+
+    def test_non_invertible_action_rejected(self):
+        d = ReductiveDatum("bad", torus_datum(1), cyclic_group(2), (identity(1), mat([[2]])))
+        rep = validate(d)
+        assert rep.failures() == ["action-valid"]
+        assert ("action-valid", False, "action of element 1 is not invertible") in rep.entries
+
+    def test_action_check_bug_propagates(self, monkeypatch):
+        # only InvalidAction is a verdict; any other error in the check is a bug
+        def broken(_module):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(GammaModule, "check", broken)
+        with pytest.raises(ZeroDivisionError):
+            validate(from_catalog("SL(3)"))
 
     def test_unknown_spec(self):
         with pytest.raises(UnknownGroupSpec):
