@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from redinv.intmat import DimensionMismatch, hstack, identity, mat, zeros
+from redinv.intmat import DimensionMismatch, hermite_basis, hstack, identity, mat, zeros
 from redinv.abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -13,6 +13,7 @@ from redinv.abgrp import (
     power,
     subquotient,
 )
+from redinv import gammamod
 from redinv.gammamod import (
     FiniteGroup,
     GammaHom,
@@ -78,6 +79,49 @@ def relabel(gamma, perm):
 
 def seeded_relabelling(gamma, rng):
     return relabel(gamma, rng.sample(range(gamma.order), gamma.order))
+
+
+def permutation_group(*gens):
+    """The group generated by permutations of range(n), each a tuple of
+    images, with (a b)(i) = a[b[i]]."""
+    elems, frontier = {tuple(range(len(gens[0])))}, list(gens)
+    while frontier:
+        p = frontier.pop()
+        if p not in elems:
+            elems.add(p)
+            frontier += [tuple(p[i] for i in g) for g in gens]
+    elems = sorted(elems)
+    index = {p: k for k, p in enumerate(elems)}
+    return FiniteGroup(tuple(tuple(index[tuple(a[i] for i in b)] for b in elems)
+                             for a in elems))
+
+
+A4 = permutation_group((1, 2, 0, 3), (1, 0, 3, 2))
+D6 = permutation_group((1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0))
+S4 = permutation_group((1, 0, 2, 3), (1, 2, 3, 0))
+
+
+def abelianization(gamma):
+    """Invariants of Gamma^ab: Z on the elements, modulo [ab] = [a] + [b]."""
+    q = gamma.order
+    rels = []
+    for a in gamma.elements():
+        for b in gamma.elements():
+            row = [0] * q
+            row[a] += 1
+            row[b] += 1
+            row[gamma.mul(a, b)] -= 1
+            rels.append(row)
+    return FgAbelianGroup(q, mat(rels, q)).invariants()
+
+
+def is_cyclic(gamma):
+    def order(x):
+        k, y = 1, x
+        while y != gamma.identity:
+            k, y = k + 1, gamma.mul(y, x)
+        return k
+    return any(order(x) == gamma.order for x in gamma.elements())
 
 
 class TestGroups:
@@ -261,6 +305,39 @@ class TestPresentation:
                 assert total == [0] * gamma.order
 
 
+def translates(gamma, fox_rows, width):
+    """The rows g . d r / d s, over r and g, in the coordinates (s, x) of
+    Z[Gamma]^S: the Z-lattice that the relators map onto."""
+    return mat([[dj[gamma.mul(gamma.inverse(g), x)] for dj in d for x in gamma.elements()]
+                for d in fox_rows for g in gamma.elements()], width)
+
+
+class TestSpanningRelators:
+    def test_group_orders(self):
+        assert (A4.order, D6.order, S4.order) == (12, 12, 24)
+        assert not any(is_cyclic(g) for g in (A4, D6, S4))
+
+    def test_translates_span_the_relation_lattice(self):
+        for gamma in presentation_groups() + [A4, D6, S4]:
+            gens, relators = presentation(gamma)
+            kept = gammamod._spanning_fox(gamma, gens, relators)
+            assert all(kept[r] == fox_derivatives(gamma, gens, relators[r]) for r in kept)
+            width = gamma.order * len(gens)
+            every = [fox_derivatives(gamma, gens, r) for r in relators]
+            assert (hermite_basis(translates(gamma, kept.values(), width))
+                    == hermite_basis(translates(gamma, every, width)))
+            if not is_cyclic(gamma):
+                assert len(kept) < len(relators)
+
+    def test_kept_counts(self):
+        # C2 x C2 x C2 17 -> 6, D4 9 -> 3, Q8 9 -> 2, S3 7 -> 3, D6 13 -> 3, S4 25 -> 3
+        c2 = cyclic_group(2)
+        groups = [direct_product(direct_product(c2, c2), c2), dihedral_group(4),
+                  quaternion_group(), dihedral_group(3), D6, S4]
+        counts = [len(gammamod._spanning_fox(g, *presentation(g))) for g in groups]
+        assert counts == [6, 3, 2, 3, 3, 3]
+
+
 class TestCohomology:
     def test_h0_is_fixed_points(self):
         m = GammaModule(
@@ -288,11 +365,19 @@ class TestCohomology:
         assert group_cohomology(sign_module(), 2).is_trivial()
 
     def test_induced_vanishing(self):
-        for gamma in (cyclic_group(2), cyclic_group(3), dihedral_group(3),
-                      dihedral_group(4), quaternion_group()):
+        # Shapiro: Z[Gamma] is induced from the trivial group
+        for gamma in all_small_groups() + [A4, D6]:
             m = induced_module(gamma, 1)
             assert group_cohomology(m, 1).is_trivial()
             assert group_cohomology(m, 2).is_trivial()
+
+    @pytest.mark.parametrize("gamma, ab", [(A4, (0, (3,))), (D6, (0, (2, 2))), (S4, (0, (2,)))],
+                             ids=["A4", "D6", "S4"])
+    def test_h2_trivial_is_abelianization(self, gamma, ab):
+        # H^2(Gamma, Z) = Hom(Gamma, Q/Z) = the dual of Gamma^ab
+        assert abelianization(gamma) == ab
+        m = trivial_module(gamma, FgAbelianGroup.free(1))
+        assert group_cohomology(m, 2).invariants() == ab
 
     def test_d_squared_zero(self):
         m = GammaModule(
@@ -467,3 +552,17 @@ class TestRandomized:
             fix, _ = kernel(presentation_differential(m, 0))
             h0 = group_cohomology(m, 0)
             assert h0.invariants() == fix.invariants()
+
+    def test_pruned_differentials_compose_to_zero(self):
+        # groups that keep fewer relators than the presentation has: a d1
+        # with a wrong width or a dropped column fails here
+        rng = random.Random(16)
+        c2 = cyclic_group(2)
+        for gamma in (direct_product(direct_product(c2, c2), c2), dihedral_group(4),
+                      quaternion_group(), S4):
+            gamma = seeded_relabelling(gamma, rng)
+            for m in (trivial_module(gamma, FgAbelianGroup.free(1)),
+                      trivial_module(gamma, Z4), induced_module(gamma, 1)):
+                d0, d1, z2 = (presentation_differential(m, i) for i in (0, 1, 2))
+                assert d0.then(d1).is_zero()
+                assert d1.then(z2).is_zero()
