@@ -304,23 +304,33 @@ def presentation(gamma: FiniteGroup) -> tuple[tuple[int, ...], tuple[Word, ...]]
     breadth-first tree of the right Cayley graph g -> g s gives each element
     a word w(g), and each non-tree edge (g, s) the relator w(g) s w(gs)^-1,
     so |R| = q (|S| - 1) + 1.  They generate ker(F(S) -> Gamma) (Schreier).
+    The greedy steps count subgroups as plain sets; the words are built
+    once, for S.
     """
     e = gamma.identity
 
-    def tree(gens: list[int]) -> dict[int, Word]:
-        words, order = {e: ()}, [e]
-        for g in order:  # grows while it is walked: breadth first
-            for j, s in enumerate(gens):
-                h = gamma.mul(g, s)
-                if h not in words:
-                    words[h] = words[g] + ((j, 1),)
+    def closure(gens: list[int]) -> set[int]:
+        seen, order = {e}, [e]
+        for g in order:  # grows while it is walked
+            row = gamma.table[g]
+            for s in gens:
+                h = row[s]
+                if h not in seen:
+                    seen.add(h)
                     order.append(h)
-        return words
+        return seen
 
     gens: list[int] = []
-    while len(words := tree(gens)) < gamma.order:
-        best = min((-len(tree(gens + [x])), x) for x in gamma.elements() if x not in words)
+    while len(sub := closure(gens)) < gamma.order:
+        best = min((-len(closure(gens + [x])), x) for x in gamma.elements() if x not in sub)
         gens = sorted(gens + [best[1]])
+    words, order = {e: ()}, [e]
+    for g in order:  # breadth first, as in closure
+        for j, s in enumerate(gens):
+            h = gamma.mul(g, s)
+            if h not in words:
+                words[h] = words[g] + ((j, 1),)
+                order.append(h)
     relators = tuple(
         words[g] + ((j, 1),) + tuple((i, -x) for i, x in reversed(words[gamma.mul(g, s)]))
         for g in words for j, s in enumerate(gens)

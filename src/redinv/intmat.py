@@ -15,6 +15,16 @@ than its width.  Callers that never read U take ``hermite_basis``, which
 carries no transform.  ``invariant_factors`` alternates such Hermite
 bases of a matrix and its transpose; ``snf`` is the same loop on ``hnf``,
 carrying U and V, and inherits its determinism.
+
+The Euclid steps that find a pivot take floor quotients, or balanced
+(nearest-integer) ones, which need about 30% fewer steps.  The balanced
+rule runs only where the answer does not depend on the row operations:
+``hermite_basis`` (a lattice has one Hermite basis), ``kernel_basis``
+(the Hermite basis of the kernel rows of any unimodular U) and ``hnf``
+of a square nonsingular m (U = H @ m^-1).  Every other ``hnf``, and so
+``solve_linear`` and ``snf`` on such input, takes the floor rule, which
+pins the non-unique U that the records of ``matrix hnf`` and ``snf``
+hold.
 """
 
 from __future__ import annotations
@@ -138,11 +148,13 @@ _DECIMAL = re.compile(f"-?[0-9]{{1,{MAX_INPUT_DIGITS}}}")
 # ``matrix`` command, whose shorter side is also capped at abgrp.MAX_RANK
 # and its longer side at 4 * MAX_RANK (the 216 x 36 bar differential
 # of Z[S3] is a golden record).  The whole command at the bound, one run
-# each on 2 vCPUs (Python 3.11): 256 x 64 of 1-digit entries, 19 s for hnf
-# and 21 s for snf, with a 52 MB record; 128 x 64 of 2-digit entries, 15 s;
-# 64 x 64 of 4-digit entries, 3.1 s; 32 x 32 of 16-digit entries, 0.8 s;
-# 16 x 16 of 64-digit entries, 0.5 s.  Tall matrices cost the most, in the
-# kernel rows of the transform U.
+# each on 2 vCPUs (Python 3.11): 256 x 64 of 1-digit entries, 21 s for hnf
+# and 21 s for snf, with a 50 MB record; 128 x 64 of 2-digit entries, 17 s
+# for hnf and 16 s for snf; 64 x 64 of 4-digit entries, 2.6 s (4.0 s with
+# floor quotients throughout, measured back to back); 32 x 32 of 16-digit
+# entries, 0.7 s; 16 x 16 of 64-digit entries, 0.5 s.  Tall matrices cost
+# the most, in the kernel rows of the transform U, which is not unique and
+# so takes floor quotients.
 MAX_MATRIX_DIGITS = 16384
 
 
@@ -233,22 +245,35 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _echelon(rows: list[list[int]], c: int) -> int:
+def _echelon(rows: list[list[int]], c: int, balanced: bool = False,
+             nonsingular: bool = False) -> int:
     """Bring the first c columns of ``rows`` to row Hermite form in place,
     carrying any further columns along, and return the rank.
 
     Each pivot has minimal nonzero absolute value in its column, ties
-    broken by lowest row index.  A row operation subtracts a multiple of
-    the pivot row over its nonzero entries, found once per pivot and not
-    at all when no multiple is nonzero.
+    broken by lowest row index.  The Euclid steps that find it take floor
+    quotients, or with ``balanced`` nearest-integer ones, which leave
+    remainders of at most half the pivot and so need fewer steps (Knuth,
+    TAOCP vol. 2, 4.5.3); the entries above each new pivot are always
+    reduced by floor quotients into [0, pivot).  Either rule gives the same
+    Hermite form of the first c columns; the further columns may differ,
+    unless they are a transform that is unique.  So ``hermite_basis``,
+    ``kernel_basis`` and ``hnf`` of a square nonsingular m pass
+    ``balanced``, and every other ``hnf`` takes the floor rule, whose U the
+    records and ``tests/oracles.reference_hnf`` pin.  With ``nonsingular``
+    the elimination stops at the first column without a pivot and returns
+    its index.  A row operation subtracts a multiple of the pivot row over
+    its nonzero entries, found once per pivot and not at all when no
+    multiple is nonzero.
     """
     r = len(rows)
 
-    def reduce_by(k: int, targets: Iterable[int], col: int) -> None:
+    def reduce_by(k: int, targets: Iterable[int], col: int, nearest: bool) -> None:
         p = rows[k][col]
+        p2 = 2 * p
         support = None
         for i in targets:
-            q = rows[i][col] // p
+            q = (2 * rows[i][col] + p) // p2 if nearest else rows[i][col] // p
             if not q or i == k:
                 continue
             if support is None:
@@ -263,18 +288,25 @@ def _echelon(rows: list[list[int]], c: int) -> int:
             break
         live = [i for i in range(pr, r) if rows[i][col]]
         while len(live) > 1:
-            reduce_by(min(live, key=lambda i: abs(rows[i][col])), live, col)
+            reduce_by(min(live, key=lambda i: abs(rows[i][col])), live, col, balanced)
             live = [i for i in live if rows[i][col]]
         if not live:
+            if nonsingular:
+                break
             continue
         i0 = live[0]
         if i0 != pr:
             rows[pr], rows[i0] = rows[i0], rows[pr]
         if rows[pr][col] < 0:
             rows[pr] = [-x for x in rows[pr]]
-        reduce_by(pr, range(pr), col)
+        reduce_by(pr, range(pr), col, False)
         pr += 1
     return pr
+
+
+def _with_identity(m: IntMatrix) -> list[list[int]]:
+    """The rows of [m | I], whose last columns carry the transform."""
+    return [list(row + e) for row, e in zip(m.data, identity(m.rows).data)]
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -283,10 +315,16 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
     with positive pivots and entries above each pivot reduced into
     [0, pivot).  U is the identity carried along the elimination of m.
+    For square nonsingular m, U = H @ m^-1 is unique and the elimination
+    takes balanced quotients; a square m found singular is eliminated
+    again from the start, as every other shape is, with floor quotients,
+    whose U the records pin.
     """
     r, c = m.shape
-    rows = [list(row + e) for row, e in zip(m.data, identity(r).data)]
-    _echelon(rows, c)
+    rows = _with_identity(m)
+    if r != c or _echelon(rows, c, balanced=True, nonsingular=True) < c:
+        rows = _with_identity(m)
+        _echelon(rows, c)
     return mat([row[:c] for row in rows], c), mat([row[c:] for row in rows], r)
 
 
@@ -303,7 +341,7 @@ def hermite_basis(m: IntMatrix) -> IntMatrix:
     basis: list[list[int]] = []
     for k in range(0, len(rows), step):
         block = basis + rows[k:k + step]
-        basis = block[: _echelon(block, c)]
+        basis = block[: _echelon(block, c, balanced=True)]
     return mat(basis, c)
 
 
@@ -316,19 +354,24 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     A diagonal that breaks the chain at d_i, d_j (i < j) gets column j
     added to column i before the next pair of Hermite forms.
     """
-    a, u, v = m, identity(m.rows), identity(m.cols)
+    # None stands for an identity transform, which no product needs
+    a, u, v = m, None, None
     while True:
         if all(x == 0 for i, row in enumerate(a.data) for j, x in enumerate(row) if i != j):
             d = diagonal(a)
             bad = next(((i, j) for i, di in enumerate(d) for j in range(i + 1, len(d))
                         if (d[j] % di if di else d[j])), None)
             if bad is not None:
+                v = identity(m.cols) if v is None else v
                 a, v = _add_column(a, *bad), _add_column(v, *bad)
             elif all(x >= 0 for x in d):
-                return u, a, v
+                break
         h, x = hnf(a)
         h, y = hnf(h.transpose())
-        a, u, v = h.transpose(), x @ u, v @ y.transpose()
+        a = h.transpose()
+        u = x if u is None else x @ u
+        v = y.transpose() if v is None else v @ y.transpose()
+    return identity(m.rows) if u is None else u, a, identity(m.cols) if v is None else v
 
 
 def _add_column(m: IntMatrix, i: int, j: int) -> IntMatrix:
@@ -397,9 +440,12 @@ def solve_linear(a: IntMatrix, vecs: IntMatrix) -> Optional[IntMatrix]:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Hermite basis of {x : x @ m = 0}: of the rows of U below rank(m)."""
-    h, u = hnf(m)
-    return hermite_basis(IntMatrix(u.data[len(pivots(h)):], m.rows))
+    """Hermite basis of {x : x @ m = 0}: of the rows of U below rank(m),
+    for any unimodular U with U @ m in echelon form, so the elimination of
+    [m | I] takes balanced quotients."""
+    rows = _with_identity(m)
+    k = _echelon(rows, m.cols, balanced=True)
+    return hermite_basis(mat([row[m.cols:] for row in rows[k:]], m.rows))
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -197,10 +197,12 @@ def _matrices(max_rows: int = 5, max_cols: int = 5):
 
 
 @st.composite
-def _hnf_inputs(draw):
-    """Wide, tall and square matrices, with 0 rows or 0 columns too: dense,
-    sparse over 0/+-1, or a product of two thin ones (rank below the size)."""
-    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+def _hnf_inputs(draw, max_size: int = 7, square: bool = False):
+    """Wide, tall and square matrices, with 0 rows or 0 columns too, or
+    only square ones: dense, sparse over 0/+-1, or a product of two thin
+    ones (rank below the size)."""
+    r = draw(st.integers(0, max_size))
+    c = r if square else draw(st.integers(0, max_size))
 
     def entries(rows, cols, values):
         row = st.lists(values, min_size=cols, max_size=cols)
@@ -241,6 +243,31 @@ class TestNormalFormProperties:
         # U is not unique unless m is square and nonsingular, so records
         # depend on the exact sequence of row operations
         assert hnf(m) == reference_hnf(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hnf_inputs(max_size=12, square=True))
+    def test_square_hnf_matches_reference(self, m):
+        # nonsingular input takes balanced quotients, singular input is
+        # eliminated again with floor ones: both give the floor-rule U
+        assert hnf(m) == reference_hnf(m)
+
+    def test_singular_in_the_last_column_only(self):
+        # the worst case for the balanced pass: it meets the pivotless
+        # column last, then the floor pass starts again from m
+        rng = random.Random(17)
+        a = random_matrix(rng, 8, 7, 20)
+        m = mat([r + (sum((j + 1) * x for j, x in enumerate(r)),) for r in a.data], 8)
+        assert rank(a) == 7 and rank(m) == 7
+        assert hnf(m) == reference_hnf(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hnf_inputs())
+    def test_kernel_basis_matches_reference(self, m):
+        # the Hermite basis of the lower rows of any unimodular U is unique
+        h, u = reference_hnf(m)
+        lower = IntMatrix(u.data[sum(1 for r in h.data if any(r)):], m.rows)
+        basis = [r for r in reference_hnf(lower)[0].data if any(r)]
+        assert kernel_basis(m) == mat(basis, m.rows)
 
     @settings(max_examples=150, deadline=None)
     @given(_matrices())
