@@ -21,7 +21,8 @@ The Euclid steps that find a pivot take floor quotients, or balanced
 rule runs only where the answer does not depend on the row operations:
 ``hermite_basis`` (a lattice has one Hermite basis), ``kernel_basis``
 (the Hermite basis of the kernel rows of any unimodular U) and ``hnf``
-of a square nonsingular m (U = H @ m^-1).  Every other ``hnf``, and so
+of a square m whose determinant is nonzero modulo a small prime, so that
+m is nonsingular and U = H @ m^-1.  Every other ``hnf``, and so
 ``solve_linear`` and ``snf`` on such input, takes the floor rule, which
 pins the non-unique U that the records of ``matrix hnf`` and ``snf``
 hold.
@@ -150,11 +151,10 @@ _DECIMAL = re.compile(f"-?[0-9]{{1,{MAX_INPUT_DIGITS}}}")
 # of Z[S3] is a golden record).  The whole command at the bound, one run
 # each on 2 vCPUs (Python 3.11): 256 x 64 of 1-digit entries, 21 s for hnf
 # and 21 s for snf, with a 50 MB record; 128 x 64 of 2-digit entries, 17 s
-# for hnf and 16 s for snf; 64 x 64 of 4-digit entries, 2.6 s (4.0 s with
-# floor quotients throughout, measured back to back); 32 x 32 of 16-digit
-# entries, 0.7 s; 16 x 16 of 64-digit entries, 0.5 s.  Tall matrices cost
-# the most, in the kernel rows of the transform U, which is not unique and
-# so takes floor quotients.
+# for hnf and 16 s for snf; 64 x 64 of 4-digit entries, 2.1 s for hnf and
+# 2.2 s for snf; 32 x 32 of 16-digit entries, 0.7 s; 16 x 16 of 64-digit
+# entries, 0.5 s.  Tall matrices cost the most, in the kernel rows of the
+# transform U, which is not unique and so takes floor quotients.
 MAX_MATRIX_DIGITS = 16384
 
 
@@ -245,8 +245,7 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _echelon(rows: list[list[int]], c: int, balanced: bool = False,
-             nonsingular: bool = False) -> int:
+def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> int:
     """Bring the first c columns of ``rows`` to row Hermite form in place,
     carrying any further columns along, and return the rank.
 
@@ -260,11 +259,9 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False,
     unless they are a transform that is unique.  So ``hermite_basis``,
     ``kernel_basis`` and ``hnf`` of a square nonsingular m pass
     ``balanced``, and every other ``hnf`` takes the floor rule, whose U the
-    records and ``tests/oracles.reference_hnf`` pin.  With ``nonsingular``
-    the elimination stops at the first column without a pivot and returns
-    its index.  A row operation subtracts a multiple of the pivot row over
-    its nonzero entries, found once per pivot and not at all when no
-    multiple is nonzero.
+    records and ``tests/oracles.reference_hnf`` pin.  A row operation
+    subtracts a multiple of the pivot row over its nonzero entries, found
+    once per pivot and not at all when no multiple is nonzero.
     """
     r = len(rows)
 
@@ -291,8 +288,6 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False,
             reduce_by(min(live, key=lambda i: abs(rows[i][col])), live, col, balanced)
             live = [i for i in live if rows[i][col]]
         if not live:
-            if nonsingular:
-                break
             continue
         i0 = live[0]
         if i0 != pr:
@@ -302,6 +297,31 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False,
         reduce_by(pr, range(pr), col, False)
         pr += 1
     return pr
+
+
+# A prime below 2**15, so that every product in the elimination modulo it
+# fits one 30-bit digit of a Python int.
+_PRIME = 32749
+
+
+def _nonsingular_mod_p(m: IntMatrix) -> bool:
+    """Whether det(m) is nonzero modulo ``_PRIME``, which proves the square
+    m nonsingular; a nonsingular m whose determinant it divides gets False.
+    A zero row or column, as in every transposed Hermite form that ``snf``
+    takes of a singular matrix, answers at once."""
+    if not all(map(any, m.data)) or not all(map(any, zip(*m.data))):
+        return False
+    p = _PRIME
+    rows = [[x % p for x in row] for row in m.data]
+    while rows:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return False
+        head = rows.pop(i)
+        inv, tail = pow(head[0], -1, p), head[1:]
+        rows = [[(x - f * y) % p for x, y in zip(row[1:], tail)] if (f := row[0] * inv % p)
+                else row[1:] for row in rows]
+    return True
 
 
 def _with_identity(m: IntMatrix) -> list[list[int]]:
@@ -316,15 +336,12 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     with positive pivots and entries above each pivot reduced into
     [0, pivot).  U is the identity carried along the elimination of m.
     For square nonsingular m, U = H @ m^-1 is unique and the elimination
-    takes balanced quotients; a square m found singular is eliminated
-    again from the start, as every other shape is, with floor quotients,
-    whose U the records pin.
+    takes balanced quotients; every other m, and one whose determinant
+    ``_PRIME`` divides, takes floor quotients, whose U the records pin.
     """
     r, c = m.shape
     rows = _with_identity(m)
-    if r != c or _echelon(rows, c, balanced=True, nonsingular=True) < c:
-        rows = _with_identity(m)
-        _echelon(rows, c)
+    _echelon(rows, c, balanced=r == c and _nonsingular_mod_p(m))
     return mat([row[:c] for row in rows], c), mat([row[c:] for row in rows], r)
 
 

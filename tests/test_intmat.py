@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from redinv.intmat import (
+    _PRIME,
+    _nonsingular_mod_p,
     DimensionMismatch,
     IntMatrix,
     det,
@@ -197,12 +199,12 @@ def _matrices(max_rows: int = 5, max_cols: int = 5):
 
 
 @st.composite
-def _hnf_inputs(draw, max_size: int = 7, square: bool = False):
-    """Wide, tall and square matrices, with 0 rows or 0 columns too, or
-    only square ones: dense, sparse over 0/+-1, or a product of two thin
-    ones (rank below the size)."""
+def _hnf_inputs(draw, max_size: int = 7):
+    """Wide, tall and square matrices (about half of them square), with 0
+    rows or 0 columns too: dense, sparse over 0/+-1, or a product of two
+    thin ones (rank below the size)."""
     r = draw(st.integers(0, max_size))
-    c = r if square else draw(st.integers(0, max_size))
+    c = draw(st.one_of(st.just(r), st.integers(0, max_size)))
 
     def entries(rows, cols, values):
         row = st.lists(values, min_size=cols, max_size=cols)
@@ -238,26 +240,32 @@ class TestNormalFormProperties:
             assert all(h[k, j] == 0 for k in range(i + 1, h.rows))
 
     @settings(max_examples=300, deadline=None)
-    @given(_hnf_inputs())
+    @given(_hnf_inputs(max_size=12))
     def test_hnf_matches_reference(self, m):
         # U is not unique unless m is square and nonsingular, so records
-        # depend on the exact sequence of row operations
-        assert hnf(m) == reference_hnf(m)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_hnf_inputs(max_size=12, square=True))
-    def test_square_hnf_matches_reference(self, m):
-        # nonsingular input takes balanced quotients, singular input is
-        # eliminated again with floor ones: both give the floor-rule U
+        # depend on the exact sequence of row operations; square
+        # nonsingular input takes balanced quotients, the rest floor ones
         assert hnf(m) == reference_hnf(m)
 
     def test_singular_in_the_last_column_only(self):
-        # the worst case for the balanced pass: it meets the pivotless
-        # column last, then the floor pass starts again from m
+        # balanced quotients would give another U here, and an elimination
+        # meets the missing pivot only at the last column
         rng = random.Random(17)
         a = random_matrix(rng, 8, 7, 20)
         m = mat([r + (sum((j + 1) * x for j, x in enumerate(r)),) for r in a.data], 8)
         assert rank(a) == 7 and rank(m) == 7
+        assert hnf(m) == reference_hnf(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hnf_inputs(max_size=12))
+    def test_nonsingular_mod_p(self, m):
+        # the test that sends a square hnf to balanced quotients
+        assume(m.rows == m.cols)
+        assert _nonsingular_mod_p(m) == (det(m) % _PRIME != 0)
+
+    def test_determinant_divisible_by_the_prime(self):
+        m = mat([[_PRIME, 1], [0, 1]])
+        assert not _nonsingular_mod_p(m)
         assert hnf(m) == reference_hnf(m)
 
     @settings(max_examples=200, deadline=None)
