@@ -316,6 +316,4 @@ def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
 
 
 def power(group: FgAbelianGroup, k: int) -> FgAbelianGroup:
-    if k == 0:
-        return FgAbelianGroup.trivial()
     return direct_sum(*([group] * k))

@@ -1,4 +1,4 @@
-"""Catalog files, result records, and fixture serialization.
+"""Catalog files, result records, and SES fixture parsing.
 
 All JSON is written with sorted keys and explicit separators so that
 identical inputs produce byte-identical files.  Matrices are stored as
@@ -127,27 +127,6 @@ def verify_catalog(catalog: CatalogFile) -> None:
                  f"recomputed invariants {got} differ from stored {want}")
 
 
-def catalog_to_json(catalog: CatalogFile) -> str:
-    return _dump({
-        "schemaVersion": catalog.schema_version,
-        "entries": [
-            {
-                "spec": e.spec,
-                "expected": e.expected,
-                "provenance": e.provenance,
-            }
-            for e in catalog.entries
-        ],
-    })
-
-
-def build_catalog(specs: list[str], provenance: str) -> CatalogFile:
-    """Compute expected invariants for the given group specs."""
-    entries = (CatalogEntry(spec, datum_invariants(from_catalog(spec)), provenance)
-               for spec in specs)
-    return CatalogFile(SCHEMA_VERSION, tuple(entries))
-
-
 @dataclass(frozen=True)
 class ResultRecord:
     command: str
@@ -170,19 +149,7 @@ def input_digest(payload) -> str:
     ).hexdigest()
 
 
-# --- SES fixture serialization ---------------------------------------------
-
-def ses_to_json(s: SESData) -> str:
-    return _dump({
-        "g1": s.g1.name,
-        "g2": s.g2.name,
-        "g3": s.g3.name,
-        "x3ToX2": s.x3_to_x2.to_json(),
-        "x2ToX1": s.x2_to_x1.to_json(),
-        "part1": list(s.part1),
-        "part3": list(s.part3),
-    })
-
+# --- SES fixture parsing ---------------------------------------------------
 
 def _indices(obj, field: str) -> tuple[int, ...]:
     if not (isinstance(obj, list) and all(type(i) is int for i in obj)):

@@ -26,7 +26,6 @@ vanishes on the Z-lattice ker(Z[Gamma]^R' -> Z[Gamma]^S).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -116,57 +115,6 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
 
 
-def dihedral_group(n: int) -> FiniteGroup:
-    """Order 2n; elements (r, s) with r in Z/n, s in {0, 1}, s = reflection bit."""
-    elems = [(r, s) for s in range(2) for r in range(n)]
-    index = {x: i for i, x in enumerate(elems)}
-
-    def mul(x, y):
-        r1, s1 = x
-        r2, s2 = y
-        # reflections conjugate rotations to their inverses
-        return ((r1 + (r2 if s1 == 0 else -r2)) % n, s1 ^ s2)
-
-    return FiniteGroup(
-        tuple(tuple(index[mul(x, y)] for y in elems) for x in elems)
-    )
-
-
-def quaternion_group() -> FiniteGroup:
-    """The quaternion group of order 8: {±1, ±i, ±j, ±k}."""
-    # encode q = (sign bit, symbol) with symbols 1, i, j, k
-    elems = [(s, a) for s in range(2) for a in range(4)]
-    index = {x: i for i, x in enumerate(elems)}
-    # products of symbols: (result symbol, sign bit)
-    prod = {
-        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
-        (1, 0): (1, 0), (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
-        (2, 0): (2, 0), (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
-        (3, 0): (3, 0), (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
-    }
-
-    def mul(x, y):
-        s1, a = x
-        s2, b = y
-        c, s3 = prod[(a, b)]
-        return ((s1 + s2 + s3) % 2, c)
-
-    return FiniteGroup(
-        tuple(tuple(index[mul(x, y)] for y in elems) for x in elems)
-    )
-
-
-def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    elems = list(itertools.product(range(a.order), range(b.order)))
-    index = {x: i for i, x in enumerate(elems)}
-    return FiniteGroup(
-        tuple(
-            tuple(index[(a.mul(x[0], y[0]), b.mul(x[1], y[1]))] for y in elems)
-            for x in elems
-        )
-    )
-
-
 @dataclass(frozen=True)
 class GammaModule:
     gamma: FiniteGroup
@@ -211,18 +159,6 @@ class GammaModule:
             for g in gamma.elements()
         )
         return GammaModule(gamma, group, actions)
-
-
-def trivial_module(gamma: FiniteGroup, group: FgAbelianGroup) -> GammaModule:
-    ide = identity(group.ambient_rank)
-    return GammaModule(gamma, group, tuple(ide for _ in gamma.elements()))
-
-
-def sign_module() -> GammaModule:
-    """Z with the order-2 group acting by negation."""
-    return GammaModule(
-        cyclic_group(2), FgAbelianGroup.free(1), (identity(1), mat([[-1]]))
-    )
 
 
 def induced_module(gamma: FiniteGroup, k: int) -> GammaModule:

@@ -107,9 +107,9 @@ class BoundedComplex:
         )
 
 
-def two_term_complex(d: GammaHom, lo: int = -1) -> BoundedComplex:
-    """The complex [source -> target] in degrees lo, lo + 1."""
-    return BoundedComplex(d.source.gamma, lo, (d.source, d.target), (d.matrix,))
+def two_term_complex(d: GammaHom) -> BoundedComplex:
+    """The complex [source -> target] in degrees -1, 0."""
+    return BoundedComplex(d.source.gamma, -1, (d.source, d.target), (d.matrix,))
 
 
 def single_term_complex(m: GammaModule, degree: int) -> BoundedComplex:

@@ -218,33 +218,6 @@ def block_diag(*ms: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(out), total_c)
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
-        raise DimensionMismatch(f"determinant of {m.shape}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> int:
     """Bring the first c columns of ``rows`` to row Hermite form in place,
     carrying any further columns along, and return the rank.
@@ -463,10 +436,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     rows = _with_identity(m)
     k = _echelon(rows, m.cols, balanced=True)
     return hermite_basis(mat([row[m.cols:] for row in rows[k:]], m.rows))
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and abs(det(m)) == 1
 
 
 def rank(m: IntMatrix) -> int:

@@ -40,8 +40,6 @@ from .homcx import (
 from .rootdata import (
     InvalidDatum,
     ReductiveDatum,
-    cartan_matrix,
-    from_catalog,
     pairing_map,
     radical_characters,
 )
@@ -58,7 +56,7 @@ class TResolutionData:
 
 def canonical_pi1d(d: ReductiveDatum) -> BoundedComplex:
     """The complex [X --beta--> P] in degrees -1, 0."""
-    return two_term_complex(pairing_map(d), lo=-1)
+    return two_term_complex(pairing_map(d))
 
 
 def canonical_tresolution(d: ReductiveDatum) -> TResolutionData:
@@ -144,7 +142,7 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
 
 def pi1d_from_resolution(res: TResolutionData) -> BoundedComplex:
     """The two-term complex [R* --rho*--> T*] in degrees -1, 0."""
-    return two_term_complex(res.rho_star, lo=-1)
+    return two_term_complex(res.rho_star)
 
 
 def four_term_check(res: TResolutionData) -> Checks:
@@ -309,69 +307,3 @@ def ses_to_complex_ses(
         return i_map, p_map, Checks(tuple(checks)), None
     les = les_of_ses(i_map, p_map)
     return i_map, p_map, Checks(tuple(checks) + les.checks.entries), les
-
-
-def ses_gm_gl_pgl(n: int) -> SESData:
-    """The central extension of PGL(n) by the scaling torus inside GL(n)."""
-    g1 = from_catalog("T(1)")
-    g2 = from_catalog(f"GL({n})")
-    g3 = from_catalog(f"PGL({n})")
-    rows = []
-    for j in range(n - 1):
-        v = [0] * n
-        v[j], v[j + 1] = 1, -1
-        rows.append(v)
-    x3_to_x2 = mat(rows, n)
-    x2_to_x1 = mat([[1]] * n, 1)
-    return SESData(g1, g2, g3, x3_to_x2, x2_to_x1, (), tuple(range(n - 1)))
-
-
-def ses_sl_gl_gm(n: int) -> SESData:
-    """SL(n) inside GL(n) with determinant quotient."""
-    g1 = from_catalog(f"SL({n})")
-    g2 = from_catalog(f"GL({n})")
-    g3 = from_catalog("T(1)")
-    x3_to_x2 = mat([[1] * n], n)
-    # restrict a diagonal character to the determinant-one torus, written
-    # on the fundamental-weight basis of SL(n)
-    rows = []
-    for i in range(n):
-        row = [0] * (n - 1)
-        if i < n - 1:
-            row[i] += 1
-        if i >= 1:
-            row[i - 1] -= 1
-        rows.append(row)
-    x2_to_x1 = mat(rows, n - 1)
-    return SESData(g1, g2, g3, x3_to_x2, x2_to_x1, tuple(range(n - 1)), ())
-
-
-def sl_to_pgl_induced_map(n: int) -> ChainMap:
-    """pi1D(PGL(n)) -> pi1D(SL(n)) for the isogeny SL(n) -> PGL(n)."""
-    sl = from_catalog(f"SL({n})")
-    pgl = from_catalog(f"PGL({n})")
-    return induced_map(pgl, sl, cartan_matrix("A", n - 1), identity(n - 1))
-
-
-def induced_map(
-    d2: ReductiveDatum,
-    d1: ReductiveDatum,
-    char_pullback: IntMatrix,
-    coroot_matrix: IntMatrix,
-) -> ChainMap:
-    """The chain map pi1D(d2) -> pi1D(d1) of a morphism d1 -> d2.
-
-    char_pullback maps X(d2) to X(d1); coroot_matrix expresses each
-    simple coroot of d1 in the simple coroots of d2 (one row per coroot
-    of d1).  Compatibility F @ beta_1 = beta_2 @ N^T is required.
-    """
-    c2 = canonical_pi1d(d2)
-    c1 = canonical_pi1d(d1)
-    b1 = pairing_map(d1).matrix
-    b2 = pairing_map(d2).matrix
-    f0 = coroot_matrix.transpose()
-    if (char_pullback @ b1).data != (b2 @ f0).data:
-        raise InvalidDatum("char pullback and coroot matrix are incompatible")
-    u = ChainMap(c2, c1, {-1: char_pullback, 0: f0})
-    u.check()
-    return u

@@ -1,4 +1,5 @@
-"""Independent oracles and random-input builders shared by the tests."""
+"""Independent oracles and random-input builders shared by the tests,
+and the finite groups, Gamma-modules and chain maps that only tests build."""
 
 from __future__ import annotations
 
@@ -7,50 +8,158 @@ import random
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
-from redinv.intmat import IntMatrix, mat, vstack
+from redinv.intmat import DimensionMismatch, IntMatrix, identity, mat, vstack
 from redinv.abgrp import AbHom, FgAbelianGroup, homology_at, power
+from redinv.gammamod import FiniteGroup, GammaModule, cyclic_group
+from redinv.homcx import ChainMap
+from redinv.rootdata import InvalidDatum, ReductiveDatum, cartan_matrix, from_catalog, pairing_map
+from redinv.tres import canonical_pi1d
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination, independent
+    of every normal-form routine (``redinv`` has no determinant of its own)."""
+    if m.rows != m.cols:
+        raise DimensionMismatch(f"determinant of {m.shape}")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular(m: IntMatrix) -> bool:
+    return m.rows == m.cols and abs(det(m)) == 1
 
 
 def gcd_of_minors_invariants(m: IntMatrix) -> list[int]:
     """Invariant factors d_k = g_k / g_{k-1}, g_k = gcd of all k x k minors.
 
-    Brute-force and independent of any normal-form code.
+    Brute-force and independent of any normal-form code: each minor is a
+    Bareiss ``det``.
     """
-    def minor_det(rows, cols):
-        k = len(rows)
-        sub = [[m[r, c] for c in cols] for r in rows]
-        # cofactor expansion is fine at k <= 6
-        if k == 1:
-            return sub[0][0]
-        total = 0
-        for j in range(k):
-            sign = -1 if j % 2 else 1
-            minor = [row[:j] + row[j + 1:] for row in sub[1:]]
-            total += sign * sub[0][j] * _det(minor)
-        return total
-
-    def _det(a):
-        if len(a) == 1:
-            return a[0][0]
-        total = 0
-        for j in range(len(a)):
-            sign = -1 if j % 2 else 1
-            minor = [row[:j] + row[j + 1:] for row in a[1:]]
-            total += sign * a[0][j] * _det(minor)
-        return total
-
     out = []
     g_prev = 1
     for k in range(1, min(m.rows, m.cols) + 1):
         g = 0
         for rows in itertools.combinations(range(m.rows), k):
             for cols in itertools.combinations(range(m.cols), k):
-                g = gcd(g, minor_det(rows, cols))
+                g = gcd(g, det(mat([[m[r, c] for c in cols] for r in rows], k)))
         if g == 0:
             break
         out.append(g // g_prev)
         g_prev = g
     return out
+
+
+def dihedral_group(n: int) -> FiniteGroup:
+    """Order 2n; elements (r, s) with r in Z/n, s in {0, 1}, s = reflection bit."""
+    elems = [(r, s) for s in range(2) for r in range(n)]
+    index = {x: i for i, x in enumerate(elems)}
+
+    def mul(x, y):
+        r1, s1 = x
+        r2, s2 = y
+        # reflections conjugate rotations to their inverses
+        return ((r1 + (r2 if s1 == 0 else -r2)) % n, s1 ^ s2)
+
+    return FiniteGroup(
+        tuple(tuple(index[mul(x, y)] for y in elems) for x in elems)
+    )
+
+
+def quaternion_group() -> FiniteGroup:
+    """The quaternion group of order 8: {±1, ±i, ±j, ±k}."""
+    # encode q = (sign bit, symbol) with symbols 1, i, j, k
+    elems = [(s, a) for s in range(2) for a in range(4)]
+    index = {x: i for i, x in enumerate(elems)}
+    # products of symbols: (result symbol, sign bit)
+    prod = {
+        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
+        (1, 0): (1, 0), (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
+        (2, 0): (2, 0), (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
+        (3, 0): (3, 0), (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
+    }
+
+    def mul(x, y):
+        s1, a = x
+        s2, b = y
+        c, s3 = prod[(a, b)]
+        return ((s1 + s2 + s3) % 2, c)
+
+    return FiniteGroup(
+        tuple(tuple(index[mul(x, y)] for y in elems) for x in elems)
+    )
+
+
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    elems = list(itertools.product(range(a.order), range(b.order)))
+    index = {x: i for i, x in enumerate(elems)}
+    return FiniteGroup(
+        tuple(
+            tuple(index[(a.mul(x[0], y[0]), b.mul(x[1], y[1]))] for y in elems)
+            for x in elems
+        )
+    )
+
+
+def trivial_module(gamma: FiniteGroup, group: FgAbelianGroup) -> GammaModule:
+    ide = identity(group.ambient_rank)
+    return GammaModule(gamma, group, tuple(ide for _ in gamma.elements()))
+
+
+def sign_module() -> GammaModule:
+    """Z with the order-2 group acting by negation."""
+    return GammaModule(
+        cyclic_group(2), FgAbelianGroup.free(1), (identity(1), mat([[-1]]))
+    )
+
+
+def sl_to_pgl_induced_map(n: int) -> ChainMap:
+    """pi1D(PGL(n)) -> pi1D(SL(n)) for the isogeny SL(n) -> PGL(n)."""
+    sl = from_catalog(f"SL({n})")
+    pgl = from_catalog(f"PGL({n})")
+    return induced_map(pgl, sl, cartan_matrix("A", n - 1), identity(n - 1))
+
+
+def induced_map(
+    d2: ReductiveDatum,
+    d1: ReductiveDatum,
+    char_pullback: IntMatrix,
+    coroot_matrix: IntMatrix,
+) -> ChainMap:
+    """The chain map pi1D(d2) -> pi1D(d1) of a morphism d1 -> d2.
+
+    char_pullback maps X(d2) to X(d1); coroot_matrix expresses each
+    simple coroot of d1 in the simple coroots of d2 (one row per coroot
+    of d1).  Compatibility F @ beta_1 = beta_2 @ N^T is required.
+    """
+    c2 = canonical_pi1d(d2)
+    c1 = canonical_pi1d(d1)
+    b1 = pairing_map(d1).matrix
+    b2 = pairing_map(d2).matrix
+    f0 = coroot_matrix.transpose()
+    if (char_pullback @ b1).data != (b2 @ f0).data:
+        raise InvalidDatum("char pullback and coroot matrix are incompatible")
+    u = ChainMap(c2, c1, {-1: char_pullback, 0: f0})
+    u.check()
+    return u
 
 
 def in_row_lattice(a: IntMatrix, vecs: IntMatrix) -> bool:

@@ -8,18 +8,13 @@ budget.
 import random
 import time
 
-from redinv.intmat import det, snf, is_unimodular
+from redinv.intmat import snf
 from redinv.abgrp import FgAbelianGroup, six_term_sequence
 from redinv.gammamod import (
     cyclic_group,
-    dihedral_group,
-    direct_product,
     group_cohomology,
     induced_module,
-    quaternion_group,
-    sign_module,
     trivial_group,
-    trivial_module,
 )
 from redinv.homcx import (
     cohomology_isomorphism_check,
@@ -47,18 +42,24 @@ from redinv.tres import (
     compare_resolutions,
     four_term_check,
     pushout_tresolution,
-    ses_gm_gl_pgl,
-    ses_sl_gl_gm,
     ses_to_complex_ses,
-    sl_to_pgl_induced_map,
 )
 
 from oracles import (
     constructive_hom,
+    det,
+    dihedral_group,
+    direct_product,
     gcd_of_minors_invariants,
+    is_unimodular,
+    quaternion_group,
     random_diagonal_group,
     random_matrix,
+    sign_module,
+    sl_to_pgl_induced_map,
+    trivial_module,
 )
+from regen import ses_gm_gl_pgl, ses_sl_gl_gm
 
 
 def report(capsys, number: int, ok: bool, description: str, elapsed: float) -> None:

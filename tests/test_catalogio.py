@@ -6,19 +6,18 @@ import pytest
 from redinv.catalogio import (
     CatalogError,
     ResultRecord,
-    build_catalog,
-    catalog_to_json,
     default_catalog_path,
     input_digest,
     invariants_json,
     load_catalog,
     ses_from_json,
-    ses_to_json,
     verify_catalog,
 )
 from redinv.intmat import mat
 from redinv.abgrp import FgAbelianGroup
-from redinv.tres import ses_gm_gl_pgl, validate_ses_data
+from redinv.tres import validate_ses_data
+
+from regen import DATA, build_catalog, catalog_to_json, data_files, ses_gm_gl_pgl, ses_to_json
 
 
 class TestInvariantsJson:
@@ -122,6 +121,16 @@ class TestBuildCatalog:
         c1 = build_catalog(["SL(2)", "G2"], "x")
         c2 = build_catalog(["SL(2)", "G2"], "x")
         assert catalog_to_json(c1) == catalog_to_json(c2)
+
+
+class TestRegeneration:
+    def test_builders_rebuild_every_shipped_file(self):
+        files = data_files()
+        assert len(files) == 11
+        assert sorted(files) == sorted(os.listdir(DATA))
+        for name, text in files.items():
+            with open(os.path.join(DATA, name), "rb") as fh:
+                assert text.encode() == fh.read(), name
 
 
 class TestResultRecords:

@@ -10,10 +10,11 @@ import pytest
 
 from redinv import cli
 from redinv.cli import main
-from redinv.catalogio import build_catalog, catalog_to_json, default_catalog_path
+from redinv.catalogio import default_catalog_path
 from redinv.intmat import MAX_INPUT_DIGITS, mat
 
 from oracles import reference_hnf
+from regen import build_catalog, catalog_to_json
 
 
 DATA_DIR = os.path.dirname(default_catalog_path())

@@ -21,8 +21,6 @@ from redinv.gammamod import (
     InvalidAction,
     InvalidGroupTable,
     cyclic_group,
-    dihedral_group,
-    direct_product,
     equivariant_cokernel,
     equivariant_kernel,
     fox_derivatives,
@@ -30,18 +28,20 @@ from redinv.gammamod import (
     induced_module,
     presentation,
     presentation_differential,
-    quaternion_group,
-    sign_module,
     subquotient_module,
     trivial_group,
-    trivial_module,
 )
 
 from oracles import (
     bar_differential,
     cochain_group,
+    dihedral_group,
+    direct_product,
     full_bar_cohomology,
     normalized_bar_cohomology,
+    quaternion_group,
+    sign_module,
+    trivial_module,
 )
 
 Z4 = FgAbelianGroup(1, mat([[4]]))

@@ -10,7 +10,6 @@ from redinv.gammamod import (
     GammaModule,
     cyclic_group,
     trivial_group,
-    trivial_module,
 )
 from redinv.homcx import (
     BoundedComplex,
@@ -31,7 +30,7 @@ from redinv.homcx import (
     zero_module,
 )
 
-from oracles import constructive_hom, inexact_spots, random_matrix
+from oracles import constructive_hom, inexact_spots, random_matrix, trivial_module
 
 G1 = trivial_group()
 
@@ -40,11 +39,11 @@ def free_mod(n):
     return trivial_module(G1, FgAbelianGroup.free(n))
 
 
-def free_complex(m: IntMatrix, lo: int = -1) -> BoundedComplex:
-    """Two-term complex Z^rows -> Z^cols with trivial action."""
+def free_complex(m: IntMatrix) -> BoundedComplex:
+    """Two-term complex Z^rows -> Z^cols in degrees -1, 0 with trivial action."""
     src, tgt = free_mod(m.rows), free_mod(m.cols)
     d = GammaHom(src, tgt, m)
-    return two_term_complex(d, lo)
+    return two_term_complex(d)
 
 
 def free_chain_pair(x: IntMatrix, y: IntMatrix):
@@ -117,7 +116,8 @@ class TestChainMapShape:
 
 class TestShift:
     def test_degrees_move(self):
-        c = free_complex(mat([[3]]), lo=0)
+        c = shift(free_complex(mat([[3]])), -1)
+        assert c.lo == 0
         s = shift(c, 1)
         assert s.lo == -1
         assert s.cohomology_data(0).group.invariants() == (0, (3,))

@@ -149,9 +149,10 @@ def test_no_unreferenced_public_definitions():
 
 # Public functions and methods of src/ that no command of the reach corpus
 # calls, each with what does: an acceptance criterion (tests/test_acceptance.py),
-# a benchmark op or its set-up (perfbench), the builders that regenerate
-# src/redinv/data/, or an oracle: a check that the unit tests run on the group
-# tables and complexes that reached code builds.
+# a benchmark op or its set-up (perfbench), or an oracle: a check that the unit
+# tests run on the group tables and complexes that reached code builds.  Test
+# fixtures and the builders of src/redinv/data/ live under tests/, so no
+# reason admits them here.
 UNREACHED = {
     "abgrp.AbHom.apply_coords": "acceptance",
     "abgrp.AbHom.zero": "acceptance",
@@ -159,23 +160,15 @@ UNREACHED = {
     "abgrp.kernel": "acceptance",
     "abgrp.six_term_sequence": "acceptance",
     "catalogio.CatalogFile.specs": "acceptance",
-    "catalogio.build_catalog": "regen",
-    "catalogio.catalog_to_json": "regen",
-    "catalogio.ses_to_json": "regen",
     "catalogio.verify_catalog": "benchmark",
     "gammamod.FiniteGroup.check": "benchmark",
     "gammamod.FiniteGroup.from_json": "benchmark",
     "gammamod.FiniteGroup.inverse": "acceptance",
     "gammamod.GammaModule.from_json": "benchmark",
-    "gammamod.dihedral_group": "acceptance",
-    "gammamod.direct_product": "acceptance",
     "gammamod.fox_derivatives": "acceptance",
     "gammamod.group_cohomology": "acceptance",
     "gammamod.presentation": "acceptance",
     "gammamod.presentation_differential": "acceptance",
-    "gammamod.quaternion_group": "acceptance",
-    "gammamod.sign_module": "acceptance",
-    "gammamod.trivial_module": "acceptance",
     "homcx.BoundedComplex.check": "oracle",
     "homcx.BoundedComplex.cohomology": "acceptance",
     "homcx.BoundedComplex.is_acyclic": "acceptance",
@@ -188,15 +181,9 @@ UNREACHED = {
     "homcx.single_term_complex": "acceptance",
     "homcx.truncate": "acceptance",
     "homcx.truncation_triangle_check": "acceptance",
-    "intmat.det": "acceptance",
-    "intmat.is_unimodular": "acceptance",
     "tres.ComparisonVerdict.agrees": "acceptance",
     "tres.canonical_h_maps": "acceptance",
     "tres.compare_resolutions": "acceptance",
-    "tres.induced_map": "acceptance",
-    "tres.ses_gm_gl_pgl": "regen",
-    "tres.ses_sl_gl_gm": "regen",
-    "tres.sl_to_pgl_induced_map": "acceptance",
 }
 
 
@@ -278,5 +265,5 @@ def test_every_unreached_definition_has_a_reason(tmp_path, monkeypatch):
     assert codes.count(2) == 2 and set(codes) == {0, 2}  # only the bad spec fails
     reached = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in called}
     unreached = {qualname for key, qualname in defined.items() if key not in reached}
-    assert set(UNREACHED.values()) <= {"acceptance", "benchmark", "regen", "oracle"}
+    assert set(UNREACHED.values()) <= {"acceptance", "benchmark", "oracle"}
     assert unreached == set(UNREACHED)

@@ -9,12 +9,10 @@ from redinv.intmat import (
     _nonsingular_mod_p,
     DimensionMismatch,
     IntMatrix,
-    det,
     hermite_basis,
     hnf,
     identity,
     invariant_factors,
-    is_unimodular,
     kernel_basis,
     mat,
     rank,
@@ -23,7 +21,14 @@ from redinv.intmat import (
     zeros,
 )
 
-from oracles import gcd_of_minors_invariants, in_row_lattice, random_matrix, reference_hnf
+from oracles import (
+    det,
+    gcd_of_minors_invariants,
+    in_row_lattice,
+    is_unimodular,
+    random_matrix,
+    reference_hnf,
+)
 
 
 class TestHnf:

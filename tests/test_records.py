@@ -25,9 +25,9 @@ import pytest
 
 from redinv.catalogio import default_catalog_path, load_catalog
 from redinv.cli import main
-from redinv.gammamod import dihedral_group, induced_module
+from redinv.gammamod import induced_module
 
-from oracles import full_bar_differential, random_matrix
+from oracles import dihedral_group, full_bar_differential, random_matrix
 
 
 DATA_DIR = os.path.dirname(default_catalog_path())

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from redinv.catalogio import default_catalog_path, load_catalog
 from redinv.cli import main
-from redinv.intmat import det, identity, mat
+from redinv.intmat import identity, mat
 from redinv.gammamod import GammaModule, cyclic_group, group_cohomology
 from redinv.rootdata import (
     _FAMILIES,
@@ -25,15 +25,8 @@ from redinv.rootdata import (
     validate,
 )
 
-from oracles import bareiss_is_finite_cartan, root_cartan_matrix
-
-ALL_SPECS = [
-    "SL(2)", "SL(3)", "SL(4)", "GL(2)", "GL(3)", "PGL(2)", "PGL(3)", "PGL(4)",
-    "Sp(4)", "SO(5)", "SO(8)", "Spin(7)", "Spin(8)", "PSO(8)",
-    "G2", "F4", "E6sc", "E6ad", "E7ad", "E8", "T(1)", "T(2)",
-    "SL(3)xGamma:flip", "PGL(3)xGamma:flip",
-    "Spin(8)xGamma:triality", "PSO(8)xGamma:triality",
-]
+from oracles import bareiss_is_finite_cartan, det, root_cartan_matrix
+from regen import CATALOG_SPECS
 
 
 @st.composite
@@ -133,7 +126,7 @@ class TestCartanMatrices:
 
 class TestValidation:
     def test_all_specs_validate(self):
-        for spec in ALL_SPECS:
+        for spec in CATALOG_SPECS:
             d = from_catalog(spec)
             rep = validate(d)
             assert rep.passed, (spec, rep.failures())

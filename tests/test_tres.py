@@ -13,16 +13,15 @@ from redinv.tres import (
     canonical_tresolution,
     compare_resolutions,
     four_term_check,
-    induced_map,
     pi1d_from_resolution,
     pushout_tresolution,
-    ses_gm_gl_pgl,
-    ses_sl_gl_gm,
     ses_to_complex_ses,
-    sl_to_pgl_induced_map,
     validate_ses_data,
 )
 from redinv.rootdata import character_group, mu_dual, pairing_map, radical_characters
+
+from oracles import induced_map, sl_to_pgl_induced_map
+from regen import ses_gm_gl_pgl, ses_sl_gl_gm
 
 SPECS = [
     "SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "GL(2)", "GL(3)",
