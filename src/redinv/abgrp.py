@@ -144,7 +144,7 @@ class AbHom:
         return self.target.contains_rows(self.matrix)
 
     def is_injective(self) -> bool:
-        return self.source.contains_rows(preimage_lattice(self.matrix, self.target.relations))
+        return self.source.contains_rows(kernel_basis(self.matrix, self.target.relations))
 
     def is_surjective(self) -> bool:
         return cokernel(self)[0].is_trivial()
@@ -171,13 +171,6 @@ def member_coords(gens: IntMatrix, rels: IntMatrix, vecs: IntMatrix) -> Optional
     return IntMatrix(tuple(r[: gens.rows] for r in x.data), gens.rows)
 
 
-def preimage_lattice(a: IntMatrix, target_rels: IntMatrix) -> IntMatrix:
-    """Hermite basis of {x : x @ a lies in the lattice spanned by target_rels}:
-    the leading a.rows columns of the Hermite basis of ker [a; target_rels]."""
-    full = kernel_basis(vstack(a, target_rels))
-    return IntMatrix(tuple(r[: a.rows] for r in full.data if any(r[: a.rows])), a.rows)
-
-
 def kernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
     data = homology_at(None, f)
     return data.group, AbHom(data.group, f.source, data.gens)
@@ -195,7 +188,7 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
     the image, and every kernel generator is a member of it."""
     if not f.then(g).is_zero():
         return False
-    ker_gens = preimage_lattice(g.matrix, g.target.relations)
+    ker_gens = kernel_basis(g.matrix, g.target.relations)
     return member_coords(f.matrix, f.target.relations, ker_gens) is not None
 
 
@@ -217,13 +210,13 @@ def subquotient(
 ) -> SubquotientData:
     """Presents (subgroup gen by ker_gens) / (subgroup gen by image_gens)."""
     denom = vstack(middle_rels, image_gens)
-    rels = preimage_lattice(ker_gens, denom)
+    rels = kernel_basis(ker_gens, denom)
     return SubquotientData(FgAbelianGroup(ker_gens.rows, rels), ker_gens, denom)
 
 
 def homology_at(d_in: Optional[AbHom], d_out: AbHom) -> SubquotientData:
     """ker(d_out) / im(d_in); d_in may be None for the left edge."""
-    ker_gens = preimage_lattice(d_out.matrix, d_out.target.relations)
+    ker_gens = kernel_basis(d_out.matrix, d_out.target.relations)
     img = d_in.matrix if d_in is not None else zeros(0, d_out.source.ambient_rank)
     return subquotient(ker_gens, d_out.source.relations, img)
 

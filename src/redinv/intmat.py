@@ -2,6 +2,9 @@
 
 Vectors are rows (f(x) = x @ matrix).  Solving x @ a = v, the kernel
 {x : x @ m = 0} and the rank all come from the row Hermite form H = U @ a.
+``kernel_basis(m, rels)`` is the kernel modulo relations, {x : x @ m lies
+in the lattice of the rows of rels}, from one elimination of m stacked on
+rels that carries only the m.rows columns of the answer.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
@@ -429,13 +432,31 @@ def solve_linear(a: IntMatrix, vecs: IntMatrix) -> Optional[IntMatrix]:
     return mat(qs, len(piv)) @ IntMatrix(u.data[: len(piv)], a.rows)
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Hermite basis of {x : x @ m = 0}: of the rows of U below rank(m),
-    for any unimodular U with U @ m in echelon form, so the elimination of
-    [m | I] takes balanced quotients."""
-    rows = _with_identity(m)
-    k = _echelon(rows, m.cols, balanced=True)
-    return hermite_basis(mat([row[m.cols:] for row in rows[k:]], m.rows))
+def kernel_basis(m: IntMatrix, rels: Optional[IntMatrix] = None) -> IntMatrix:
+    """Hermite basis of {x : x @ m lies in the lattice spanned by the rows
+    of rels}, and of {x : x @ m = 0} without rels (Cohen, GTM 138, 2.4.3).
+
+    Each row of m is first reduced by the rows of rels, which need not be
+    a Hermite basis: that changes x @ m only by lattice vectors.  When every
+    row reduces to zero the answer is all of Z^r.  Otherwise it is the first
+    r = m.rows columns of the rows of U below the rank, for any unimodular U
+    with U @ [m; rels] in echelon form: one elimination of [m | I; rels | 0]
+    that carries r columns and takes balanced quotients."""
+    r, c = m.shape
+    rels = zeros(0, c) if rels is None else rels
+    if rels.cols != c:
+        raise DimensionMismatch(f"relations of width {rels.cols} for {m.shape}")
+    piv = pivots(rels)
+    rows = m.to_lists()
+    for x in rows:
+        echelon_reduce(rels, piv, x)
+    if not any(map(any, rows)):
+        return identity(r)
+    for x, e in zip(rows, identity(r).data):
+        x.extend(e)
+    rows += [list(row) + [0] * r for row in rels.data]
+    k = _echelon(rows, c, balanced=True)
+    return hermite_basis(mat([row[c:] for row in rows[k:]], r))
 
 
 def rank(m: IntMatrix) -> int:

@@ -19,7 +19,6 @@ from redinv.abgrp import (
     kernel,
     member_coords,
     power,
-    preimage_lattice,
     six_term_sequence,
 )
 
@@ -176,7 +175,7 @@ class TestMembership:
 
     def test_preimage_lattice(self):
         # x such that x * (1) lies in 2Z: that is exactly 2Z.
-        lat = preimage_lattice(mat([[1]]), mat([[2]]))
+        lat = kernel_basis(mat([[1]]), mat([[2]]))
         assert FgAbelianGroup(1, lat) == FgAbelianGroup(1, mat([[2]]))
         assert FgAbelianGroup(1, lat) != FgAbelianGroup(1, identity(1))
 
@@ -184,7 +183,7 @@ class TestMembership:
         # the subgroup generated by the rows of gens: one generator per row,
         # related by the preimage of the ambient relations
         gens = mat([[2, 0], [0, 0]])
-        g = FgAbelianGroup(2, preimage_lattice(gens, Z2.relations))
+        g = FgAbelianGroup(2, kernel_basis(gens, Z2.relations))
         inc = AbHom(g, Z2, gens)
         assert g.invariants() == (1, ())
         assert inc.is_well_defined() and inc.is_injective()

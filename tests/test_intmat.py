@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from redinv.intmat import (
     _PRIME,
@@ -18,6 +18,7 @@ from redinv.intmat import (
     rank,
     snf,
     solve_linear,
+    vstack,
     zeros,
 )
 
@@ -224,6 +225,36 @@ def _hnf_inputs(draw, max_size: int = 7):
     return entries(r, k, st.integers(-5, 5)) @ entries(k, c, st.integers(-5, 5))
 
 
+@st.composite
+def _kernel_inputs(draw):
+    """(m, rels) for kernel_basis: m from ``_hnf_inputs``; rels None, with
+    no rows, a Hermite basis, the identity, or a stack of rows with
+    dependent ones that is no Hermite basis; sometimes m = C @ rels, so
+    that every row of m is zero modulo rels."""
+    m = draw(_hnf_inputs())
+    c = m.cols
+
+    def entries(rows, cols, bound):
+        row = st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols)
+        return mat(draw(st.lists(row, min_size=rows, max_size=rows)), cols)
+
+    kind = draw(st.sampled_from(("none", "empty", "hermite", "identity", "stacked")))
+    if kind == "none":
+        return m, None
+    if kind == "empty":
+        return m, zeros(0, c)
+    if kind == "identity":
+        return m, identity(c)
+    base = entries(draw(st.integers(1, 4)), c, 9)
+    if kind == "hermite":
+        rels = mat([r for r in reference_hnf(base)[0].data if any(r)], c)
+    else:
+        rels = vstack(base, entries(draw(st.integers(1, 3)), base.rows, 3) @ base)
+    if rels.rows and draw(st.booleans()):
+        m = entries(m.rows, rels.rows, 3) @ rels
+    return m, rels
+
+
 class TestNormalFormProperties:
     @settings(max_examples=150, deadline=None)
     @given(_matrices())
@@ -273,14 +304,23 @@ class TestNormalFormProperties:
         assert not _nonsingular_mod_p(m)
         assert hnf(m) == reference_hnf(m)
 
-    @settings(max_examples=200, deadline=None)
-    @given(_hnf_inputs())
-    def test_kernel_basis_matches_reference(self, m):
-        # the Hermite basis of the lower rows of any unimodular U is unique
-        h, u = reference_hnf(m)
-        lower = IntMatrix(u.data[sum(1 for r in h.data if any(r)):], m.rows)
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_inputs())
+    @example((zeros(0, 3), mat([[2, 1, 0], [0, 3, 3]])))
+    @example((mat([[1], [-1], [0]]), None))
+    @example((zeros(3, 0), zeros(2, 0)))
+    @example((mat([[4, 6], [2, -3], [0, 0]]), mat([[2, 0], [0, 3]])))
+    def test_kernel_basis_matches_reference(self, m_rels):
+        # {x : x @ m in L(rels)} is the projection to the first m.rows
+        # coordinates of the kernel of [m; rels]: of the lower rows of any
+        # unimodular U, whose Hermite basis is unique
+        m, rels = m_rels
+        stacked = m if rels is None else vstack(m, rels)
+        h, u = reference_hnf(stacked)
+        k = sum(1 for r in h.data if any(r))
+        lower = mat([r[: m.rows] for r in u.data[k:]], m.rows)
         basis = [r for r in reference_hnf(lower)[0].data if any(r)]
-        assert kernel_basis(m) == mat(basis, m.rows)
+        assert kernel_basis(m, rels) == mat(basis, m.rows)
 
     @settings(max_examples=150, deadline=None)
     @given(_matrices())
