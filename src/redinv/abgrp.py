@@ -23,8 +23,8 @@ from .intmat import (
     identity,
     invariant_factors,
     kernel_basis,
+    member_coords,
     pivots,
-    solve_linear,
     vstack,
     zeros,
 )
@@ -155,20 +155,6 @@ class AbHom:
     @staticmethod
     def zero(source: FgAbelianGroup, target: FgAbelianGroup) -> "AbHom":
         return AbHom(source, target, zeros(source.ambient_rank, target.ambient_rank))
-
-
-def member_coords(gens: IntMatrix, rels: IntMatrix, vecs: IntMatrix) -> Optional[IntMatrix]:
-    """Coordinates C with C @ gens = vecs modulo the lattice spanned by rels.
-
-    Row k of C writes row k of ``vecs`` on the rows of ``gens``.  Returns
-    None when some row of vecs is not in the subgroup generated by the
-    rows of ``gens`` modulo ``rels``.  All rows are reduced against one
-    Hermite form of gens stacked on rels.
-    """
-    x = solve_linear(vstack(gens, rels), vecs)
-    if x is None:
-        return None
-    return IntMatrix(tuple(r[: gens.rows] for r in x.data), gens.rows)
 
 
 def kernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, block_diag, hstack, identity, vstack, zeros
+from .intmat import IntMatrix, block_diag, hstack, identity, member_coords, vstack, zeros
 from .abgrp import (
     AbHom,
     Checks,
@@ -21,7 +21,6 @@ from .abgrp import (
     direct_sum,
     exactness,
     homology_at,
-    member_coords,
 )
 from .gammamod import (
     FiniteGroup,

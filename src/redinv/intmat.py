@@ -1,10 +1,9 @@
-"""Exact integer matrices: Hermite/Smith normal forms, solving, kernels.
+"""Exact integer matrices: Hermite/Smith normal forms, kernels, solving.
 
-Vectors are rows (f(x) = x @ matrix).  Solving x @ a = v, the kernel
-{x : x @ m = 0} and the rank all come from the row Hermite form H = U @ a.
-``kernel_basis(m, rels)`` is the kernel modulo relations, {x : x @ m lies
-in the lattice of the rows of rels}, from one elimination of m stacked on
-rels that carries only the m.rows columns of the answer.
+Vectors are rows (f(x) = x @ matrix).  One lattice solver, the
+elimination of [m | I; rels | 0], gives the kernel modulo relations
+``kernel_basis(m, rels)``, {x : x @ m lies in the lattice of the rows of
+rels}, and ``member_coords(gens, rels, vecs)``: C @ gens = vecs modulo it.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
@@ -21,14 +20,12 @@ carrying U and V, and inherits its determinism.
 
 The Euclid steps that find a pivot take floor quotients, or balanced
 (nearest-integer) ones, which need about 30% fewer steps.  The balanced
-rule runs only where the answer does not depend on the row operations:
-``hermite_basis`` (a lattice has one Hermite basis), ``kernel_basis``
-(the Hermite basis of the kernel rows of any unimodular U) and ``hnf``
-of a square m whose determinant is nonzero modulo a small prime, so that
-m is nonsingular and U = H @ m^-1.  Every other ``hnf``, and so
-``solve_linear`` and ``snf`` on such input, takes the floor rule, which
-pins the non-unique U that the records of ``matrix hnf`` and ``snf``
-hold.
+rule runs wherever no record pins the row operations: ``hermite_basis``
+(a lattice has one Hermite basis), the lattice solver (no record holds its
+coordinates) and ``hnf`` of a square m whose determinant is nonzero modulo
+a small prime, so that m is nonsingular and U = H @ m^-1.  Every other
+``hnf`` (only the ``matrix`` command runs it, and ``snf``) takes the floor
+rule, which pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
 """
 
 from __future__ import annotations
@@ -232,9 +229,9 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> int:
     TAOCP vol. 2, 4.5.3); the entries above each new pivot are always
     reduced by floor quotients into [0, pivot).  Either rule gives the same
     Hermite form of the first c columns; the further columns may differ,
-    unless they are a transform that is unique.  So ``hermite_basis``,
-    ``kernel_basis`` and ``hnf`` of a square nonsingular m pass
-    ``balanced``, and every other ``hnf`` takes the floor rule, whose U the
+    unless they are a transform that is unique.  So ``hermite_basis``, the
+    lattice solver and ``hnf`` of a square nonsingular m pass ``balanced``,
+    and every other ``hnf`` takes the floor rule, whose U the ``matrix``
     records and ``tests/oracles.reference_hnf`` pin.  A row operation
     subtracts a multiple of the pivot row over its nonzero entries, found
     once per pivot and not at all when no multiple is nonzero.
@@ -313,7 +310,8 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     [0, pivot).  U is the identity carried along the elimination of m.
     For square nonsingular m, U = H @ m^-1 is unique and the elimination
     takes balanced quotients; every other m, and one whose determinant
-    ``_PRIME`` divides, takes floor quotients, whose U the records pin.
+    ``_PRIME`` divides, takes floor quotients, whose U the ``matrix hnf``
+    and ``matrix snf`` records pin.
     """
     r, c = m.shape
     rows = _with_identity(m)
@@ -413,23 +411,24 @@ def echelon_reduce(h: IntMatrix, piv: Sequence[tuple[int, int]], x: list[int]) -
     return qs
 
 
-def solve_linear(a: IntMatrix, vecs: IntMatrix) -> Optional[IntMatrix]:
-    """C with C @ a = vecs, or None when a row of vecs is outside the row
-    lattice of a.  Each row is reduced against one H = U @ a; C is the
-    multiples taken times the first rank(a) rows of U."""
-    if vecs.cols != a.cols:
-        raise DimensionMismatch(f"vectors of width {vecs.cols} for {a.shape}")
-    if not vecs.rows:
-        return zeros(0, a.rows)
-    h, u = hnf(a)
-    piv = pivots(h)
-    qs = []
-    for v in vecs.data:
-        x = list(v)
-        qs.append(echelon_reduce(h, piv, x))
-        if any(x):
-            return None
-    return mat(qs, len(piv)) @ IntMatrix(u.data[: len(piv)], a.rows)
+def _stacked_echelon(rows: list[list[int]], rels: IntMatrix) -> int:
+    """Extend the rows of m, of width c = rels.cols, to [m | I; rels | 0] in
+    place, eliminate their first c columns with balanced quotients and
+    return the rank.  Above it stand the Hermite basis of the rows of m and
+    rels and, carried, how to write it on m; the carried part of the rows
+    below spans {x : x @ m lies in the lattice of the rows of rels}."""
+    r, c = len(rows), rels.cols
+    for x, e in zip(rows, identity(r).data):
+        x.extend(e)
+    rows += [list(row) + [0] * r for row in rels.data]
+    return _echelon(rows, c, balanced=True)
+
+
+def _relations(rels: Optional[IntMatrix], c: int) -> IntMatrix:
+    rels = zeros(0, c) if rels is None else rels
+    if rels.cols != c:
+        raise DimensionMismatch(f"relations of width {rels.cols} for {c} columns")
+    return rels
 
 
 def kernel_basis(m: IntMatrix, rels: Optional[IntMatrix] = None) -> IntMatrix:
@@ -438,25 +437,43 @@ def kernel_basis(m: IntMatrix, rels: Optional[IntMatrix] = None) -> IntMatrix:
 
     Each row of m is first reduced by the rows of rels, which need not be
     a Hermite basis: that changes x @ m only by lattice vectors.  When every
-    row reduces to zero the answer is all of Z^r.  Otherwise it is the first
-    r = m.rows columns of the rows of U below the rank, for any unimodular U
-    with U @ [m; rels] in echelon form: one elimination of [m | I; rels | 0]
-    that carries r columns and takes balanced quotients."""
+    row reduces to zero the answer is all of Z^r.  Otherwise it is the
+    Hermite basis of the carried rows below the rank of ``_stacked_echelon``."""
     r, c = m.shape
-    rels = zeros(0, c) if rels is None else rels
-    if rels.cols != c:
-        raise DimensionMismatch(f"relations of width {rels.cols} for {m.shape}")
+    rels = _relations(rels, c)
     piv = pivots(rels)
     rows = m.to_lists()
     for x in rows:
         echelon_reduce(rels, piv, x)
     if not any(map(any, rows)):
         return identity(r)
-    for x, e in zip(rows, identity(r).data):
-        x.extend(e)
-    rows += [list(row) + [0] * r for row in rels.data]
-    k = _echelon(rows, c, balanced=True)
+    k = _stacked_echelon(rows, rels)
     return hermite_basis(mat([row[c:] for row in rows[k:]], r))
+
+
+def member_coords(gens: IntMatrix, rels: Optional[IntMatrix],
+                  vecs: IntMatrix) -> Optional[IntMatrix]:
+    """Some C with C @ gens = vecs modulo the lattice spanned by the rows of
+    rels, and exactly without rels; None when a row of vecs is outside the
+    subgroup that the rows of gens generate modulo rels.  Every row of vecs
+    is reduced against the rows above the rank of ``_stacked_echelon``."""
+    g, c = gens.shape
+    rels = _relations(rels, c)
+    if vecs.cols != c:
+        raise DimensionMismatch(f"vectors of width {vecs.cols} for {gens.shape}")
+    if not vecs.rows:
+        return zeros(0, g)
+    rows = gens.to_lists()
+    k = _stacked_echelon(rows, rels)
+    h = mat([row[:c] for row in rows[:k]], c)
+    piv = pivots(h)
+    qs = []
+    for v in vecs.data:
+        x = list(v)
+        qs.append(echelon_reduce(h, piv, x))
+        if any(x):
+            return None
+    return mat(qs, k) @ mat([row[c:] for row in rows[:k]], g)
 
 
 def rank(m: IntMatrix) -> int:

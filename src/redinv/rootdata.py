@@ -29,7 +29,6 @@ from .intmat import (
     kernel_basis,
     mat,
     rank as mat_rank,
-    solve_linear,
 )
 from .abgrp import MAX_RANK as MAX_SPEC_RANK, Checks, FgAbelianGroup
 from .gammamod import (
@@ -131,10 +130,13 @@ class ReductiveDatum:
         return GammaModule(self.gamma, FgAbelianGroup.free(self.datum.rank), self.actions)
 
     def dual_actions(self) -> tuple[IntMatrix, ...]:
-        inverses = [solve_linear(m, identity(self.datum.rank)) for m in self.actions]
-        if any(inv is None for inv in inverses):
-            raise InvalidDatum("an action matrix is not invertible over Z")
-        return tuple(inv.transpose() for inv in inverses)
+        """The action on X-dual: the inverse transpose of each M_g.  The
+        actions form a representation, so the inverse of M_g is M_{g^-1}.
+        ``validate`` checks that before it takes the dual, and every datum
+        that ``from_catalog`` builds acts trivially or by the powers of one
+        permutation matrix."""
+        return tuple(self.actions[self.gamma.inverse(g)].transpose()
+                     for g in self.gamma.elements())
 
     def root_permutation(self, g: int) -> Optional[tuple[int, ...]]:
         """The permutation sigma with alpha_i . M_g = alpha_{sigma(i)}, or None."""
@@ -199,13 +201,13 @@ def validate(d: ReductiveDatum) -> Checks:
 def weight_module(d: ReductiveDatum) -> GammaModule:
     """P = Hom(Z Phi-dual, Z) on the fundamental-weight basis, with the
     permutation action induced by the root permutations."""
-    actions = []
+    r = d.datum.semisimple_rank
+    one, actions = identity(r), []
     for g in d.gamma.elements():
         perm = d.root_permutation(g)
         if perm is None:
             raise InvalidDatum("action does not permute the simple roots")
-        actions.append(_perm_matrix(perm))
-    r = d.datum.semisimple_rank
+        actions.append(mat(map(one.row, perm), r))
     return GammaModule(d.gamma, FgAbelianGroup.free(r), tuple(actions))
 
 
@@ -337,16 +339,6 @@ def so_even_datum(n: int) -> RootDatum:
     return RootDatum(n, vecs, vecs)
 
 
-def _perm_matrix(perm: tuple[int, ...]) -> IntMatrix:
-    n = len(perm)
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[perm[i]] = 1
-        rows.append(row)
-    return mat(rows, n)
-
-
 # twist -> (the Dynkin type it acts on, its permutation of the coordinates
 # of X).  The flip swaps the two nodes of A2; triality cycles the outer
 # nodes 1 -> 3 -> 4 -> 1 of D4 and fixes node 2.
@@ -362,7 +354,8 @@ def _twisted(d: ReductiveDatum, twist: str) -> ReductiveDatum:
     (kind, rank), perm = _TWISTS[twist]
     if d.datum.rank != rank or d.datum.cartan_pairing() != cartan_matrix(kind, rank):
         raise InvalidDatum(f"the {twist} twist needs a rank-{rank} datum of type {kind}{rank}")
-    one, rho = identity(rank), _perm_matrix(perm)
+    one = identity(rank)
+    rho = mat(map(one.row, perm), rank)
     powers = [one]
     while (m := powers[-1] @ rho) != one:
         powers.append(m)

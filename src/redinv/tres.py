@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, hstack, identity, mat, vstack, zeros
+from .intmat import IntMatrix, hstack, identity, mat, member_coords, vstack, zeros
 from .abgrp import (
     AbHom,
     Checks,
@@ -20,7 +20,6 @@ from .abgrp import (
     cokernel,
     exactness,
     is_exact_at,
-    member_coords,
 )
 from .gammamod import (
     GammaHom,

@@ -26,7 +26,7 @@ import sys
 import pytest
 
 import redinv
-from redinv import cli, rootdata
+from redinv import cli, intmat, rootdata
 from redinv.catalogio import default_catalog_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -163,7 +163,6 @@ UNREACHED = {
     "catalogio.verify_catalog": "benchmark",
     "gammamod.FiniteGroup.check": "benchmark",
     "gammamod.FiniteGroup.from_json": "benchmark",
-    "gammamod.FiniteGroup.inverse": "acceptance",
     "gammamod.GammaModule.from_json": "benchmark",
     "gammamod.fox_derivatives": "acceptance",
     "gammamod.group_cohomology": "acceptance",
@@ -237,10 +236,33 @@ def reach_corpus(tmp_path) -> list[list[str]]:
     return [argv + ["--format", fmt] for argv in argvs for fmt in ("human", "json")]
 
 
-def test_every_unreached_definition_has_a_reason(tmp_path, monkeypatch):
+def run_profiled(corpus: list[list[str]]) -> tuple[list[int], set]:
+    """Exit codes of the corpus and the code objects of every Python call it
+    makes."""
+    called = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            codes = [cli.main(argv) for argv in corpus]
+        finally:
+            sys.setprofile(None)
+    return codes, called
+
+
+@pytest.fixture
+def fresh_cli(monkeypatch):
     monkeypatch.delenv("REDINV_CATALOG", raising=False)
     # the corpus builds the shared parser afresh, whatever ran before it
     monkeypatch.setattr(cli, "_parser", None)
+
+
+@pytest.mark.usefixtures("fresh_cli")
+def test_every_unreached_definition_has_a_reason(tmp_path):
     package = os.path.dirname(os.path.realpath(redinv.__file__))
     defined = {}
     for name in sorted(os.listdir(package)):
@@ -249,21 +271,21 @@ def test_every_unreached_definition_has_a_reason(tmp_path, monkeypatch):
             with open(path, encoding="utf-8") as fh:
                 for line, qualname in public_functions(fh.read(), name[:-3]).items():
                     defined[path, line] = qualname
-    called = set()
-
-    def profile(frame, event, _arg):
-        if event == "call":
-            called.add(frame.f_code)
-
-    corpus = reach_corpus(tmp_path)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        sys.setprofile(profile)
-        try:
-            codes = [cli.main(argv) for argv in corpus]
-        finally:
-            sys.setprofile(None)
+    codes, called = run_profiled(reach_corpus(tmp_path))
     assert codes.count(2) == 2 and set(codes) == {0, 2}  # only the bad spec fails
     reached = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in called}
     unreached = {qualname for key, qualname in defined.items() if key not in reached}
     assert set(UNREACHED.values()) <= {"acceptance", "benchmark", "oracle"}
     assert unreached == set(UNREACHED)
+
+
+@pytest.mark.usefixtures("fresh_cli")
+def test_only_the_matrix_command_runs_hnf(tmp_path):
+    # kernels and coordinates come from the lattice solver, which carries
+    # only the columns it needs; the full transform of hnf is for records
+    corpus = reach_corpus(tmp_path)
+    matrix = [argv for argv in corpus if argv[0] == "matrix"]
+    _, called = run_profiled([argv for argv in corpus if argv[0] != "matrix"])
+    assert intmat.hnf.__code__ not in called
+    _, called = run_profiled(matrix)
+    assert matrix and intmat.hnf.__code__ in called

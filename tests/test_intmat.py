@@ -15,9 +15,9 @@ from redinv.intmat import (
     invariant_factors,
     kernel_basis,
     mat,
+    member_coords,
     rank,
     snf,
-    solve_linear,
     vstack,
     zeros,
 )
@@ -109,18 +109,18 @@ class TestSnf:
 
 
 class TestSolveLinear:
-    """Row convention: solve_linear(a, vecs) returns C with C @ a = vecs."""
+    """Row convention: member_coords(a, None, vecs) returns C with C @ a = vecs."""
 
     def test_simple(self):
-        x = solve_linear(mat([[2]]), mat([[4]]))
+        x = member_coords(mat([[2]]), None, mat([[4]]))
         assert x.data == ((2,),)
         assert kernel_basis(mat([[2]])).rows == 0
 
     def test_unsolvable(self):
-        assert solve_linear(mat([[2]]), mat([[3]])) is None
+        assert member_coords(mat([[2]]), None, mat([[3]])) is None
 
     def test_kernel(self):
-        x = solve_linear(mat([[1], [1]]), mat([[0]]))
+        x = member_coords(mat([[1], [1]]), None, mat([[0]]))
         assert x.data == ((0, 0),)
         k = kernel_basis(mat([[1], [1]]))
         assert k.rows == 1
@@ -128,7 +128,7 @@ class TestSolveLinear:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve_linear(mat([[1], [2]]), mat([[1, 2]]))
+            member_coords(mat([[1], [2]]), None, mat([[1, 2]]))
 
     def test_random_consistency(self):
         rng = random.Random(3)
@@ -136,7 +136,7 @@ class TestSolveLinear:
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 5).transpose()
             xs = [rng.randint(-4, 4) for _ in range(m.rows)]
             b = m.apply_to_row(xs)
-            x = solve_linear(m, mat([b], m.cols))
+            x = member_coords(m, None, mat([b], m.cols))
             assert x is not None
             assert m.apply_to_row(x.row(0)) == b
             k = kernel_basis(m)
@@ -145,10 +145,10 @@ class TestSolveLinear:
 
     def test_batch_and_empty_rhs(self):
         m = mat([[2, 0], [0, 3]])
-        x = solve_linear(m, mat([[4, 6], [0, 0], [-2, 9]]))
+        x = member_coords(m, None, mat([[4, 6], [0, 0], [-2, 9]]))
         assert x.data == ((2, 2), (0, 0), (-1, 3))
-        assert solve_linear(m, mat([[4, 6], [1, 0]])) is None
-        assert solve_linear(m, zeros(0, 2)) == zeros(0, 2)
+        assert member_coords(m, None, mat([[4, 6], [1, 0]])) is None
+        assert member_coords(m, None, zeros(0, 2)) == zeros(0, 2)
 
 
 class TestKernelBasis:
@@ -182,7 +182,7 @@ class TestMisc:
     def test_inverse_unimodular(self):
         # the identity as right-hand side gives the inverse of a unimodular matrix
         m = mat([[1, 2], [0, 1]])
-        inv = solve_linear(m, identity(2))
+        inv = member_coords(m, None, identity(2))
         assert inv == mat([[1, -2], [0, 1]])
         assert (m @ inv).data == identity(2).data
 
@@ -359,18 +359,50 @@ def _systems(draw):
     return a, exact(rows, a.rows) @ a if draw(st.booleans()) else exact(rows, a.cols)
 
 
+@st.composite
+def _systems_mod_relations(draw):
+    """(gens, rels, vecs): gens up to 3 x 4 (or none); rels up to 3 rows
+    and one more that is the sum of two of them, so never a Hermite basis;
+    vecs random, or C @ gens + R @ rels for random C and R."""
+    cols = draw(st.integers(1, 4))
+
+    def exact(rows, width):
+        row = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+        return mat(draw(st.lists(row, min_size=rows, max_size=rows)), width)
+
+    gens = exact(draw(st.integers(0, 3)), cols)
+    rels = exact(draw(st.integers(1, 3)), cols)
+    i, j = draw(st.integers(0, rels.rows - 1)), draw(st.integers(0, rels.rows - 1))
+    rels = vstack(rels, mat([rels.apply_to_row([(k == i) + (k == j) for k in range(rels.rows)])]))
+    rows = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return gens, rels, exact(rows, gens.rows) @ gens + exact(rows, rels.rows) @ rels
+    return gens, rels, exact(rows, cols)
+
+
 class TestAgainstSmithOracle:
-    """Solvability against the gcd-of-minors invariant factors, and kernels
-    against rank and minors from sympy over Q and Z."""
+    """Solvability, modulo relations too, against the gcd-of-minors
+    invariant factors, and kernels against rank and minors from sympy over
+    Q and Z."""
 
     @settings(max_examples=200, deadline=None)
     @given(_systems())
     def test_solve_linear(self, system):
         a, vecs = system
-        c = solve_linear(a, vecs)
+        c = member_coords(a, None, vecs)
         assert (c is not None) == in_row_lattice(a, vecs)
         if c is not None:
             assert c @ a == vecs
+
+    @settings(max_examples=150, deadline=None)
+    @given(_systems_mod_relations())
+    def test_member_coords_modulo_relations(self, system):
+        gens, rels, vecs = system
+        c = member_coords(gens, rels, vecs)
+        assert (c is not None) == in_row_lattice(vstack(gens, rels), vecs)
+        if c is not None:
+            assert c.shape == (vecs.rows, gens.rows)
+            assert in_row_lattice(rels, c @ gens - vecs)
 
     @settings(max_examples=150, deadline=None)
     @given(_matrices())

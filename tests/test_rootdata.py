@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from redinv.catalogio import default_catalog_path, load_catalog
 from redinv.cli import main
+from redinv import intmat
 from redinv.intmat import identity, mat
 from redinv.gammamod import GammaModule, cyclic_group, group_cohomology
 from redinv.rootdata import (
@@ -267,6 +268,21 @@ class TestTwisted:
         x = d.x_module()
         x.check()
         assert group_cohomology(x, 1).invariants()[0] == 0
+
+
+    def test_dual_action_is_inverse_transpose(self, monkeypatch):
+        # every catalog spec, every spec of the reach corpus in
+        # tests/test_hygiene.py and both twists; no elimination runs
+        specs = set(load_catalog(default_catalog_path(), self_test=False).specs())
+        specs |= {f"{head}({least + 2})" for (head, _), (least, _, _) in _FAMILIES.items()}
+        specs |= {"G2", "SL(3)xGamma:flip", "PSO(8)xGamma:triality"}
+        data = [from_catalog(spec) for spec in sorted(specs)]
+        monkeypatch.setattr(intmat, "_echelon", lambda *a, **kw: pytest.fail("eliminated"))
+        for d in data:
+            duals = d.dual_actions()
+            assert len(duals) == len(d.actions) == d.gamma.order
+            for m, dual in zip(d.actions, duals):
+                assert m @ dual.transpose() == identity(d.datum.rank), d.name
 
 
 class TestConstructors:
