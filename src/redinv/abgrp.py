@@ -17,6 +17,7 @@ from typing import Any, Optional, Sequence
 from .intmat import (
     DimensionMismatch,
     IntMatrix,
+    _hermite_pivots,
     block_diag,
     echelon_reduce,
     hermite_basis,
@@ -48,7 +49,9 @@ class NotComposable(ValueError):
 class FgAbelianGroup:
     ambient_rank: int
     # stored as the Hermite basis of the rows given: at most ambient_rank
-    # rows, however many the caller or a JSON file lists
+    # rows, however many the caller or a JSON file lists.  Rows that already
+    # form it, as every kernel_basis output does, are checked in one pass
+    # and kept; any others are eliminated.
     relations: IntMatrix
     _pivots: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
@@ -57,9 +60,12 @@ class FgAbelianGroup:
             raise DimensionMismatch(
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
-        h = hermite_basis(self.relations)
-        object.__setattr__(self, "relations", h)
-        object.__setattr__(self, "_pivots", pivots(h))
+        piv = _hermite_pivots(self.relations)
+        if piv is None:
+            h = hermite_basis(self.relations)
+            object.__setattr__(self, "relations", h)
+            piv = pivots(h)
+        object.__setattr__(self, "_pivots", piv)
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion invariants d1 | d2 | ..., each > 1)."""

@@ -91,10 +91,8 @@ def _check_invariant_dict(obj, field: str) -> dict:
     return {"rank": obj["rank"], "torsion": list(tor)}
 
 
-def load_catalog(path: Optional[str] = None, self_test: bool = True) -> CatalogFile:
-    path = path or default_catalog_path()
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh, parse_int=int_from_json)
+def _parse_catalog(text: str) -> CatalogFile:
+    raw = json.loads(text, parse_int=int_from_json)
     _require(isinstance(raw, dict), "(root)", "expected an object")
     _require(raw.get("schemaVersion") == SCHEMA_VERSION, "schemaVersion",
              f"expected {SCHEMA_VERSION}")
@@ -111,7 +109,29 @@ def load_catalog(path: Optional[str] = None, self_test: bool = True) -> CatalogF
         expected = {key: _check_invariant_dict(exp.get(key), f"{field}.expected.{key}")
                     for key in ("characterGroup", "muDual", "pi1")}
         entries.append(CatalogEntry(e["spec"], expected, str(e.get("provenance", ""))))
-    catalog = CatalogFile(SCHEMA_VERSION, tuple(entries))
+    return CatalogFile(SCHEMA_VERSION, tuple(entries))
+
+
+# The bytes of the catalog parsed last and what they gave.  A call whose
+# file holds the same bytes skips the parse and the schema check, and gets
+# its own copy of each expected dict, so no caller's edit reaches another.
+_parsed: Optional[tuple[bytes, CatalogFile]] = None
+
+
+def load_catalog(path: Optional[str] = None, self_test: bool = True) -> CatalogFile:
+    """The catalog at path, read on every call and parsed again only when
+    its bytes differ from those parsed last."""
+    global _parsed
+    path = path or default_catalog_path()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _parsed
+    if parsed is None or parsed[0] != data:
+        parsed = _parsed = data, _parse_catalog(data.decode("utf-8"))
+    catalog = CatalogFile(SCHEMA_VERSION, tuple(
+        CatalogEntry(e.spec, {key: {"rank": inv["rank"], "torsion": list(inv["torsion"])}
+                              for key, inv in e.expected.items()}, e.provenance)
+        for e in parsed[1].entries))
     if self_test:
         verify_catalog(catalog)
     return catalog

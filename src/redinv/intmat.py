@@ -26,12 +26,18 @@ coordinates) and ``hnf`` of a square m whose determinant is nonzero modulo
 a small prime, so that m is nonsingular and U = H @ m^-1.  Every other
 ``hnf`` (only the ``matrix`` command runs it, and ``snf``) takes the floor
 rule, which pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
+
+``identity(n)`` builds each n up to 256 once and hands every caller the
+same matrix, which is immutable.  ``_hermite_pivots`` tells in one pass
+whether rows already form a Hermite basis, so that a group given one keeps
+it without an elimination.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -178,11 +184,23 @@ def mat(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> IntMatrix:
     return IntMatrix(tup, cols)
 
 
+# identity(n) of each n up to the longer side that the ``matrix`` command
+# accepts (4 * abgrp.MAX_RANK), built on first use; matrices are immutable,
+# so every caller shares it.
+_IDENTITIES: dict[int, IntMatrix] = {}
+_MAX_SHARED_IDENTITY = 256
+
+
 def identity(n: int) -> IntMatrix:
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return mat(rows, n)
+    m = _IDENTITIES.get(n)
+    if m is None:
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = 1
+        m = mat(rows, n)
+        if n <= _MAX_SHARED_IDENTITY:
+            _IDENTITIES[n] = m
+    return m
 
 
 def zeros(r: int, c: int) -> IntMatrix:
@@ -392,8 +410,28 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
 def pivots(h: IntMatrix) -> tuple[tuple[int, int], ...]:
     """(row, column) of the leading entry of each nonzero row of an echelon form."""
-    return tuple((i, next(j for j, a in enumerate(r) if a))
-                 for i, r in enumerate(h.data) if any(r))
+    return tuple((i, next(compress(count(), r))) for i, r in enumerate(h.data) if any(r))
+
+
+def _hermite_pivots(m: IntMatrix) -> Optional[tuple[tuple[int, int], ...]]:
+    """The pivots of m when its rows already form a Hermite basis, and None
+    otherwise: no row is zero, the leading entries are positive and stand in
+    strictly increasing columns, and every entry above a pivot lies in
+    [0, pivot).  Such rows are the unique Hermite basis of their lattice, so
+    ``hermite_basis(m) == m`` exactly when this is not None."""
+    piv = []
+    last = -1
+    for i, row in enumerate(m.data):
+        j = next(compress(count(), row), None)
+        if j is None or j <= last or row[j] < 0:
+            return None
+        p = row[j]
+        for above in m.data[:i]:
+            if not 0 <= above[j] < p:
+                return None
+        piv.append((i, j))
+        last = j
+    return tuple(piv)
 
 
 def echelon_reduce(h: IntMatrix, piv: Sequence[tuple[int, int]], x: list[int]) -> list[int]:

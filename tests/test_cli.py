@@ -10,7 +10,7 @@ import pytest
 
 from redinv import cli
 from redinv.cli import main
-from redinv.catalogio import default_catalog_path
+from redinv.catalogio import default_catalog_path, load_catalog
 from redinv.intmat import MAX_INPUT_DIGITS, mat
 
 from oracles import reference_hnf
@@ -213,6 +213,51 @@ class TestParserReuse:
         capsys.readouterr()
         assert per_build > 1 and len(built) == per_build
         assert cli.build_parser() is cli.build_parser()
+
+
+class TestCatalogCache:
+    """The catalog is read on every call and parsed again only when its
+    bytes change; what one call returns no later call shares."""
+
+    GOOD = catalog_to_json(build_catalog(["G2"], "env"))
+
+    @staticmethod
+    def verdict(capsys, path):
+        code, out, err = run(capsys, "invariants", "G2", "--catalog", str(path), "--format", "json")
+        assert "Traceback" not in err
+        return code, json.loads(out)["verdicts"].get("matches-catalog")
+
+    def test_same_size_edit_with_the_old_mtime(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(self.GOOD)
+        assert self.verdict(capsys, path) == (0, True)
+        before = os.stat(path)
+        edited = self.GOOD.replace('"pi1":{"rank":0', '"pi1":{"rank":1')
+        assert edited != self.GOOD and len(edited) == len(self.GOOD)
+        path.write_text(edited)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert self.verdict(capsys, path) == (1, False)
+
+    def test_good_broken_good(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        got = []
+        for text in (self.GOOD, self.GOOD[:-9], self.GOOD):
+            path.write_text(text)
+            got.append(self.verdict(capsys, path))
+        assert got == [(0, True), (0, None), (0, True)]
+
+    def test_mutating_a_returned_entry_changes_no_later_call(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(self.GOOD)
+        entry = load_catalog(str(path), self_test=False).entries[0]
+        want = json.loads(self.GOOD)["entries"][0]["expected"]
+        assert entry.expected == want
+        entry.expected["muDual"]["torsion"].append(7)
+        entry.expected["pi1"] = {"rank": 5, "torsion": []}
+        assert self.verdict(capsys, path) == (0, True)
+        assert load_catalog(str(path)).entries[0].expected == want
 
 
 with open(os.path.join(DATA_DIR, "ses_gm_gl2_pgl2.json")) as fh:

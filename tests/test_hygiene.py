@@ -271,7 +271,14 @@ def test_every_unreached_definition_has_a_reason(tmp_path):
             with open(path, encoding="utf-8") as fh:
                 for line, qualname in public_functions(fh.read(), name[:-3]).items():
                     defined[path, line] = qualname
-    codes, called = run_profiled(reach_corpus(tmp_path))
+    corpus = reach_corpus(tmp_path)
+    # a first, unprofiled pass fills whatever caches the code keeps, so a
+    # public function that a cache answers before its body runs counts as
+    # unreached whatever tests ran before this one
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in corpus:
+            cli.main(argv)
+    codes, called = run_profiled(corpus)
     assert codes.count(2) == 2 and set(codes) == {0, 2}  # only the bad spec fails
     reached = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in called}
     unreached = {qualname for key, qualname in defined.items() if key not in reached}

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from redinv.abgrp import FgAbelianGroup
 from redinv.intmat import (
     _PRIME,
+    _hermite_pivots,
     _nonsingular_mod_p,
     DimensionMismatch,
     IntMatrix,
@@ -16,6 +18,7 @@ from redinv.intmat import (
     kernel_basis,
     mat,
     member_coords,
+    pivots,
     rank,
     snf,
     vstack,
@@ -344,6 +347,49 @@ class TestNormalFormProperties:
         assert (k @ m).is_zero()
         # saturated: the maximal minors of k are coprime (independent oracle)
         assert gcd_of_minors_invariants(k) == [1] * k.rows
+
+
+class TestHermiteShortcut:
+    """A group keeps relations that already form a Hermite basis, found in
+    one pass by ``_hermite_pivots``, and eliminates any others."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hnf_inputs(max_size=9))
+    @example(zeros(0, 3))
+    @example(mat([[0, 0], [0, 0]]))
+    def test_group_keeps_the_one_hermite_basis(self, m):
+        h = hermite_basis(m)
+        for given_rows in (m, h):
+            g = FgAbelianGroup(m.cols, given_rows)
+            assert g.relations == h
+            assert g._pivots == pivots(g.relations)
+        assert _hermite_pivots(h) == pivots(h)
+        assert (_hermite_pivots(m) is not None) == (m == h)
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[1, -5, 0], [0, 0, 7]], id="negative-off-pivot"),
+        pytest.param([[2, 1, 0], [0, 3, 3]], id="reduced-above"),
+        pytest.param([[4]], id="one-row"),
+    ])
+    def test_hermite_bases_are_kept(self, rows):
+        m = mat(rows)
+        assert _hermite_pivots(m) == pivots(m)
+        assert FgAbelianGroup(m.cols, m).relations is m
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[-2, 1]], id="negative-pivot"),
+        pytest.param([[1, 3], [0, 3]], id="above-equals-pivot"),
+        pytest.param([[1, -1], [0, 3]], id="negative-above-pivot"),
+        pytest.param([[1, 0], [0, 0]], id="zero-row"),
+        pytest.param([[0, 1], [1, 0]], id="columns-out-of-order"),
+        pytest.param([[2, 0], [3, 1]], id="same-leading-column"),
+    ])
+    def test_near_misses_take_the_elimination(self, rows):
+        m = mat(rows)
+        assert _hermite_pivots(m) is None
+        g = FgAbelianGroup(m.cols, m)
+        assert g.relations == hermite_basis(m) != m
+        assert g._pivots == pivots(g.relations)
 
 
 @st.composite
