@@ -3,15 +3,17 @@
 All JSON is written with sorted keys and explicit separators so that
 identical inputs produce byte-identical files.  Matrices are stored as
 arrays of arrays of decimal integer strings.
+
+``ses_from_json`` imports ``tres`` itself and ``input_digest`` imports
+``hashlib``, so loading the catalog or printing a human-format result
+imports neither.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from .intmat import IntMatrix, int_from_json
@@ -24,7 +26,6 @@ from .rootdata import (
     pi1,
     validate,
 )
-from .tres import SESData
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +72,7 @@ def default_catalog_path() -> str:
     env = os.environ.get("REDINV_CATALOG")
     if env:
         return env
-    return str(resources.files("redinv").joinpath("data/catalog.json"))
+    return os.path.join(os.path.dirname(__file__), "data", "catalog.json")
 
 
 def _require(cond: bool, field: str, msg: str) -> None:
@@ -164,6 +165,8 @@ class ResultRecord:
 
 
 def input_digest(payload) -> str:
+    import hashlib
+
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -177,7 +180,9 @@ def _indices(obj, field: str) -> tuple[int, ...]:
     return tuple(obj)
 
 
-def ses_from_json(text: str) -> SESData:
+def ses_from_json(text: str) -> "SESData":
+    from .tres import SESData
+
     obj = json.loads(text, parse_int=int_from_json)
     g1 = from_catalog(obj["g1"])
     g2 = from_catalog(obj["g2"])

@@ -7,7 +7,6 @@ witness is printed), 2 on input errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import Any, Callable
@@ -22,20 +21,10 @@ from .catalogio import (
     load_catalog,
     ses_from_json,
 )
-from .cech import (
-    CechInput,
-    build_complex,
-    cech_cohomology,
-    contraction_check,
-)
 from .rootdata import from_catalog, radical_characters, validate
-from .tres import (
-    canonical_tresolution,
-    four_term_check,
-    pi1d_from_resolution,
-    pushout_tresolution,
-    ses_to_complex_ses,
-)
+
+# tres (which brings in homcx), cech and hashlib are imported by the commands
+# that run them, so a fresh process compiles only the layers its command needs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -73,6 +62,8 @@ def _parse_file(path: str, parse: Callable[[str], Any]) -> tuple[dict, Any]:
     The digest names the content, not the path, so a file gives the
     same record from any directory.
     """
+    import hashlib
+
     with open(path, "rb") as fh:
         data = fh.read()
     return {"fileSha256": hashlib.sha256(data).hexdigest()}, parse(data.decode("utf-8"))
@@ -136,6 +127,13 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_pi1d(args) -> int:
+    from .tres import (
+        canonical_tresolution,
+        four_term_check,
+        pi1d_from_resolution,
+        pushout_tresolution,
+    )
+
     d = _load(lambda: from_catalog(args.spec))
     if d is None:
         return EXIT_INPUT_ERROR
@@ -166,6 +164,8 @@ def cmd_pi1d(args) -> int:
 
 
 def cmd_check_ses(args) -> int:
+    from .tres import ses_to_complex_ses
+
     loaded = _load(lambda: _parse_file(args.file, ses_from_json))
     if loaded is None:
         return EXIT_INPUT_ERROR
@@ -186,6 +186,8 @@ def cmd_check_ses(args) -> int:
 
 
 def cmd_cech(args) -> int:
+    from .cech import CechInput, build_complex, cech_cohomology, contraction_check
+
     loaded = _load(lambda: _parse_file(args.file, lambda text: build_complex(
         CechInput.from_json(json.loads(text, parse_int=int_from_json)), args.max_degree)))
     if loaded is None:
@@ -223,11 +225,11 @@ def cmd_matrix(args) -> int:
     if args.kind == "hnf":
         h, u = hnf(m)
         outputs = {"H": h.to_json(), "U": u.to_json()}
-        lines = [f"H = {h.to_json()}", f"U = {u.to_json()}"]
     else:
         u, dd, v = snf(m)
-        outputs = {"U": u.to_json(), "D": dd.to_json(), "V": v.to_json()}
-        lines = [f"D = {dd.to_json()}", f"U = {u.to_json()}", f"V = {v.to_json()}"]
+        outputs = {"D": dd.to_json(), "U": u.to_json(), "V": v.to_json()}
+    # records sort their keys, so this order is only that of the human lines
+    lines = [f"{name} = {value}" for name, value in outputs.items()]
     payload = {"kind": args.kind, "matrix": m.to_json()}
     return _emit(args, "matrix", payload, outputs, Checks(()), lines)
 

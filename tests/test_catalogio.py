@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 import os
 
@@ -49,6 +50,17 @@ class TestShippedCatalog:
         monkeypatch.setenv("REDINV_CATALOG", str(other))
         catalog = load_catalog()
         assert catalog.specs() == ["SL(2)"]
+
+
+class TestDefaultCatalogPath:
+    def test_shipped_file_as_package_resources_name_it(self, monkeypatch):
+        monkeypatch.delenv("REDINV_CATALOG", raising=False)
+        want = str(importlib.resources.files("redinv").joinpath("data/catalog.json"))
+        assert default_catalog_path() == want
+
+    def test_env_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REDINV_CATALOG", str(tmp_path / "other.json"))
+        assert default_catalog_path() == str(tmp_path / "other.json")
 
 
 class TestDiagnostics:
