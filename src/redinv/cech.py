@@ -151,10 +151,9 @@ def contraction_check(cx: CechComplex) -> Checks:
     checks = []
     for i in range(cx.max_degree - 1):
         checks.append((f"delta-squared-{i}", cx.deltas[i].then(cx.deltas[i + 1]).is_zero(), None))
+    lam = {i: homotopy_map(cx, i) for i in range(2, cx.max_degree + 1)}
     for i in range(2, cx.max_degree):
-        lam_i = homotopy_map(cx, i)
-        lam_next = homotopy_map(cx, i + 1)
-        combo = lam_i.then(cx.deltas[i - 1]).matrix + cx.deltas[i].then(lam_next).matrix
+        combo = lam[i].then(cx.deltas[i - 1]).matrix + cx.deltas[i].then(lam[i + 1]).matrix
         grp = cx.groups[i]
         ok = grp.contains_rows(combo - identity(grp.ambient_rank))
         checks.append((f"homotopy-identity-{i}", ok, None))

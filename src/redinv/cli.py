@@ -250,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _new_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "json"), default="human")
-    common.add_argument("--catalog", default=None,
-                        help="catalog path (default: shipped file or REDINV_CATALOG)")
     parser = argparse.ArgumentParser(
         prog="redinv",
         description="Invariants and exact sequences of reductive data",
@@ -261,6 +259,8 @@ def _new_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", parents=[common],
                        help="character group, Pic, pi_1 of a group spec")
     p.add_argument("spec")
+    p.add_argument("--catalog", default=None,
+                   help="catalog path (default: shipped file or REDINV_CATALOG)")
 
     p = sub.add_parser("pi1d", parents=[common], help="the fundamental complex and its cohomology")
     p.add_argument("spec")

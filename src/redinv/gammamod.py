@@ -12,16 +12,19 @@ sum c_g g of Z[Gamma] acts as sum c_g M_g.  A stable subquotient (a
 kernel, a cohomology group) inherits its action through one path,
 ``subquotient_module``.
 
-Group cohomology in degrees 0-2 comes from a presentation <S | R> of
-Gamma and the partial free resolution Z[Gamma]^R' -> Z[Gamma]^S ->
-Z[Gamma] -> Z by left Fox derivatives (Brown, Cohomology of Groups,
-GTM 87, II.5; Lyndon, Ann. of Math. 52, 1950), on a subset R' of the
-relators whose Gamma-translates span the same lattice ker(Z[Gamma]^S ->
-Z[Gamma]) as R: the resolution is still exact at Z[Gamma]^S, so the
-groups are those of R, from far fewer relators (R' has 6 of the 17 of
+Group cohomology in degrees 0-2 comes from the partial free resolution
+P: Z[Gamma]^R' -> Z[Gamma]^S -> Z[Gamma] -> Z read off one breadth-first
+tree of the right Cayley graph on generators S (Brown, Cohomology of
+Groups, GTM 87, II.5; Lyndon, Ann. of Math. 52, 1950).  Each non-tree edge
+closes a loop, a relator, whose left Fox derivatives count its passes
+along the edges; R' is a subset of those relators whose Gamma-translates
+span the same lattice ker(Z[Gamma]^S -> Z[Gamma]) as all of them, so P is
+still exact at Z[Gamma]^S from far fewer relators (R' has 6 of the 17 of
 C2 x C2 x C2 and 3 of the 25 of S4).  The cochains are C^0 = M, C^1 = M^S
-and C^2 = M^R', and with no third term a 2-cochain is a cocycle when it
-vanishes on the Z-lattice ker(Z[Gamma]^R' -> Z[Gamma]^S).
+and C^2 = M^R'.  The third term of P is free on the rows of the Hermite
+basis K of the Z-lattice ker(Z[Gamma]^R' -> Z[Gamma]^S), so a 2-cochain
+is a cocycle when it vanishes on them.  Each degree of Hom_Gamma(P, M)
+follows one rule from the boundaries of P.
 """
 
 from __future__ import annotations
@@ -229,66 +232,45 @@ def equivariant_cokernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:
     return cm, GammaHom(f.target, cm, proj.matrix)
 
 
-Word = tuple[tuple[int, int], ...]  # letters (j, e): generator S[j] to the power e = +-1
-
-
-def presentation(gamma: FiniteGroup) -> tuple[tuple[int, ...], tuple[Word, ...]]:
-    """Generators S and relators R of Gamma, read off its Cayley graph.
+def _cayley_tree(gamma: FiniteGroup) -> tuple[tuple[int, ...], dict]:
+    """Generators S of Gamma and the breadth-first tree of its right Cayley
+    graph g -> g s, as tree[g s] = (g, j) for each tree edge (g, S[j]) and
+    tree[e] = None, in the order the walk finds the elements.
 
     Each generator, picked greedily, makes the generated subgroup largest,
-    the smallest label winning ties; S is kept in label order.  The
-    breadth-first tree of the right Cayley graph g -> g s gives each element
-    a word w(g), and each non-tree edge (g, s) the relator w(g) s w(gs)^-1,
-    so |R| = q (|S| - 1) + 1.  They generate ker(F(S) -> Gamma) (Schreier).
-    The greedy steps count subgroups as plain sets; the words are built
-    once, for S.
+    the smallest label winning ties; S is kept in label order.  The same
+    walk sizes each candidate subgroup and, once S generates Gamma, gives
+    the tree.
     """
-    e = gamma.identity
-
-    def closure(gens: list[int]) -> set[int]:
-        seen, order = {e}, [e]
+    def walk(gens: list[int]) -> dict:
+        tree, order = {gamma.identity: None}, [gamma.identity]
         for g in order:  # grows while it is walked
             row = gamma.table[g]
-            for s in gens:
+            for j, s in enumerate(gens):
                 h = row[s]
-                if h not in seen:
-                    seen.add(h)
+                if h not in tree:
+                    tree[h] = (g, j)
                     order.append(h)
-        return seen
+        return tree
 
     gens: list[int] = []
-    while len(sub := closure(gens)) < gamma.order:
-        best = min((-len(closure(gens + [x])), x) for x in gamma.elements() if x not in sub)
+    while len(tree := walk(gens)) < gamma.order:
+        best = min((-len(walk(gens + [x])), x) for x in gamma.elements() if x not in tree)
         gens = sorted(gens + [best[1]])
-    words, order = {e: ()}, [e]
-    for g in order:  # breadth first, as in closure
-        for j, s in enumerate(gens):
-            h = gamma.mul(g, s)
-            if h not in words:
-                words[h] = words[g] + ((j, 1),)
-                order.append(h)
-    relators = tuple(
-        words[g] + ((j, 1),) + tuple((i, -x) for i, x in reversed(words[gamma.mul(g, s)]))
-        for g in words for j, s in enumerate(gens)
-        if words[gamma.mul(g, s)] != words[g] + ((j, 1),)
-    )
-    return tuple(gens), relators
+    return tuple(gens), tree
 
 
-def fox_derivatives(gamma: FiniteGroup, gens: Sequence[int], word: Word) -> list[list[int]]:
-    """Row j holds the coefficients over Gamma of the left Fox derivative
-    d word / d S[j], with d(uv)/ds = du/ds + u dv/ds: a letter s after the
-    prefix p adds p, and a letter s^-1 adds -p s^-1."""
-    inverses = [gamma.inverse(s) for s in gens]
+def _fox_row(gamma: FiniteGroup, gens: Sequence[int], tree: dict, g: int, j: int) -> list[list[int]]:
+    """The left Fox derivatives of the relator of the non-tree edge (g, S[j]):
+    the tree path from e to g, the edge, then the tree path from e to g S[j]
+    walked back.  Row j counts the passes of that loop along each edge
+    (h, S[j]), at h, forward minus backward (Brown, GTM 87, II.5)."""
     out = [[0] * gamma.order for _ in gens]
-    p = gamma.identity
-    for j, x in word:
-        if x > 0:
-            out[j][p] += 1
-            p = gamma.mul(p, gens[j])
-        else:
-            p = gamma.mul(p, inverses[j])
-            out[j][p] -= 1
+    out[j][g] = 1
+    for x, sign in ((g, 1), (gamma.mul(g, gens[j]), -1)):
+        while tree[x] is not None:
+            x, k = tree[x]
+            out[k][x] += sign
     return out
 
 
@@ -305,37 +287,36 @@ def _ring_blocks(module: GammaModule, rows: int, cols: int, entries) -> IntMatri
     return IntMatrix(tuple(map(tuple, out)), n * cols)
 
 
-def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int],
-                  relators: Sequence[Word]) -> dict[int, list[list[int]]]:
-    """The left Fox derivatives of a set R' of ``presentation`` relators whose
-    Gamma-translates already span ker(Z[Gamma]^S -> Z[Gamma]), keyed by index.
+def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int], tree: dict) -> dict:
+    """The Fox rows of a set R' of relators whose Gamma-translates already
+    span ker(Z[Gamma]^S -> Z[Gamma]), keyed by their non-tree edge (g, j).
 
-    That kernel is the cycle lattice of the Cayley graph, free on the non-tree
-    edges: relator w(g) s w(gs)^-1, whose tree words have positive letters
-    only, has coordinate 1 at its edge (g, s), its last positive letter, and 0
-    at every other.  The relators are walked in order, and one is kept when
-    its edge is not yet spanned; a kept relator's q translates are queued, and
-    an edge is spanned once a queued translate has coefficient +-1 there and
-    only spanned edges besides.  Every edge ends spanned, so the resolution
+    That kernel is the cycle lattice of the Cayley graph, free on the
+    q (|S| - 1) + 1 non-tree edges: the relator of edge (g, S[j]) has
+    coordinate 1 there and 0 at every other.  The relators are walked in
+    breadth-first order, and one is kept when its edge is not yet spanned; a
+    kept relator's q translates are queued, and an edge is spanned once a
+    queued translate has coefficient +-1 there and only spanned edges
+    besides.  Every edge ends spanned, so the resolution
     Z[Gamma]^R' -> Z[Gamma]^S -> Z[Gamma] -> Z stays exact at Z[Gamma]^S.
     """
     # edge[j][g]: the index of the relator of the non-tree edge (g, S[j]), None on the tree
     edge: list[list[int | None]] = [[None] * gamma.order for _ in gens]
-    for r, word in enumerate(relators):
-        *prefix, last = (j for j, x in word if x > 0)
-        g = gamma.identity
-        for j in prefix:
-            g = gamma.table[g][gens[j]]
-        edge[last][g] = r
-    kept: dict[int, list[list[int]]] = {}
+    relators = []
+    for g in tree:
+        for j, s in enumerate(gens):
+            if tree[gamma.mul(g, s)] != (g, j):
+                edge[j][g] = len(relators)
+                relators.append((g, j))
+    kept = {}
     spanned: set[int] = set()
     queued: list[dict[int, int]] = []  # per translate: unspanned edge -> coefficient
     watchers: list[list[int]] = [[] for _ in relators]  # per edge: translates with it unspanned
-    for r, word in enumerate(relators):
+    for r, (g, j) in enumerate(relators):
         if r in spanned:
             continue
-        fox = kept[r] = fox_derivatives(gamma, gens, word)
-        support = [(edge[j], x, c) for j, dj in enumerate(fox) for x, c in enumerate(dj) if c]
+        fox = kept[g, j] = _fox_row(gamma, gens, tree, g, j)
+        support = [(edge[k], x, c) for k, dk in enumerate(fox) for x, c in enumerate(dk) if c]
         todo = []
         for row in gamma.table:  # the translate by h, for row h: x -> h x
             t, coords = len(queued), {}
@@ -358,46 +339,43 @@ def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int],
     return kept
 
 
-def _cochain_map(module: GammaModule, i: int, gens: Sequence[int],
-                 fox: Sequence[list[list[int]]]) -> AbHom:
-    """``presentation_differential`` from generators S and the Fox rows of
-    the relators it runs on."""
-    gamma, group, q = module.gamma, module.group, module.gamma.order
-    if i == 0:
-        entries = [(0, j, g, c) for j, s in enumerate(gens)
-                   for g, c in ((s, 1), (gamma.identity, -1))]
-        return AbHom(group, power(group, len(gens)), _ring_blocks(module, 1, len(gens), entries))
-    if i == 1:
-        entries = [(j, r, g, c) for r, d in enumerate(fox) for j, dj in enumerate(d)
-                   for g, c in enumerate(dj) if c]
-        d1 = _ring_blocks(module, len(gens), len(fox), entries)
-        return AbHom(power(group, len(gens)), power(group, len(fox)), d1)
-    inv = [gamma.inverse(g) for g in gamma.elements()]  # row (r, g) of d2: g . d r / d s
-    d2 = tuple(tuple(dj[gamma.mul(inv[g], x)] for dj in d for x in gamma.elements())
-               for d in fox for g in gamma.elements())
-    k = kernel_basis(IntMatrix(d2, q * len(gens)))
-    entries = [(a // q, b, a % q, c) for b, kr in enumerate(k.data) for a, c in enumerate(kr) if c]
-    z2 = _ring_blocks(module, len(fox), k.rows, entries)
-    return AbHom(power(group, len(fox)), power(group, k.rows), z2)
+def _resolution(gamma: FiniteGroup, i: int) -> list[list[list[list[int]]]]:
+    """The boundaries of P in degrees 1..i+1, one list per degree: that of a
+    cell is one element of Z[Gamma], its q coefficients, per cell of the
+    degree below.  They are s - e for each generator s, the Fox rows of the
+    relators R', and the rows of the Hermite basis K of the lattice ker d2,
+    whose row (r, g) holds the coefficients of g . d r / d s."""
+    gens, tree = _cayley_tree(gamma)
+    out = [[[[(x == s) - (x == gamma.identity) for x in gamma.elements()]] for s in gens]]
+    if i > 0:
+        out.append(list(_spanning_fox(gamma, gens, tree).values()))
+    if i > 1:
+        q, inv = gamma.order, [gamma.inverse(g) for g in gamma.elements()]
+        d2 = tuple(tuple(dj[gamma.mul(inv[g], x)] for dj in d for x in gamma.elements())
+                   for d in out[1] for g in gamma.elements())
+        k = kernel_basis(IntMatrix(d2, q * len(gens)))
+        out.append([[kr[q * r:q * r + q] for r in range(len(out[1]))] for kr in k.data])
+    return out
 
 
-def _resolution(gamma: FiniteGroup, i: int) -> tuple[tuple[int, ...], list[list[list[int]]]]:
-    """Generators S and, from degree 1 on, the Fox rows of the relators R'."""
-    gens, relators = presentation(gamma)
-    return gens, (list(_spanning_fox(gamma, gens, relators).values()) if i else [])
+def _cochain_map(module: GammaModule, boundaries: Sequence[list], i: int) -> AbHom:
+    """Degree i of Hom_Gamma(P, M), one copy of M per cell of degree i to one
+    per cell of degree i + 1: block (a, b) is row a of the boundary of cell b."""
+    cells, group = boundaries[i], module.group
+    rows = len(boundaries[i - 1]) if i else 1
+    entries = [(a, b, g, c) for b, cell in enumerate(cells) for a, row in enumerate(cell)
+               for g, c in enumerate(row) if c]
+    return AbHom(power(group, rows), power(group, len(cells)),
+                 _ring_blocks(module, rows, len(cells), entries))
 
 
 def presentation_differential(module: GammaModule, i: int) -> AbHom:
-    """The degree-i map of Hom_Gamma(P, M), P the resolution
-    Z[Gamma]^R' -> Z[Gamma]^S -> Z[Gamma] -> Z of ``presentation`` on the
-    relators R' of ``_spanning_fox``.
-
-    d0 : M -> M^S has the block M_s - M_e (s - 1 on M) at s, and d1 : M^S -> M^R'
-    the block d r / d s at (s, r).  Degree 2 is the cocycle test z2 : M^R' -> M^K,
-    for K the Hermite basis of the lattice ker d2, whose row (r, g) holds the
-    coefficients of g . d r / d s; its block (r, k) is sum_g K[k][(r, g)] M_g.
-    """
-    return _cochain_map(module, i, *_resolution(module.gamma, i))
+    """The degree-i map of Hom_Gamma(P, M) for the resolution
+    P: Z[Gamma]^K -> Z[Gamma]^R' -> Z[Gamma]^S -> Z[Gamma] -> Z of
+    ``_resolution``: d0 : M -> M^S has the block M_s - M_e at s, d1 : M^S -> M^R'
+    the block d r / d s at (s, r), and the cocycle test z2 : M^R' -> M^K the
+    block sum_g K[k][(r, g)] M_g at (r, k)."""
+    return _cochain_map(module, _resolution(module.gamma, i), i)
 
 
 def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:
@@ -406,11 +384,11 @@ def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:
     II.5; Lyndon, Ann. of Math. 52, 1950): H^0 = ker d0, H^1 = ker d1 / im d0
     and H^2 = ker z2 / im d1, where z2 tests that a 2-cochain vanishes on
     ker d2.  R' maps onto the same lattice ker(Z[Gamma]^S -> Z[Gamma]) as all
-    of R, so the resolution is still exact at Z[Gamma]^S: H^0 and H^1 are the
-    same subgroups of M and M^S as with R, and H^2 is isomorphic.  S, R' and
-    their Fox rows are built once per call."""
+    the relators, so the resolution is still exact at Z[Gamma]^S: H^0 and H^1
+    are the same subgroups of M and M^S as with all of them, and H^2 is
+    isomorphic.  The boundaries are built once per call."""
     if i not in (0, 1, 2):
         raise ValueError(f"unsupported cohomology degree {i}")
-    gens, fox = _resolution(module.gamma, i)
-    d_in = _cochain_map(module, i - 1, gens, fox) if i > 0 else None
-    return homology_at(d_in, _cochain_map(module, i, gens, fox)).group
+    boundaries = _resolution(module.gamma, i)
+    d_in = _cochain_map(module, boundaries, i - 1) if i > 0 else None
+    return homology_at(d_in, _cochain_map(module, boundaries, i)).group

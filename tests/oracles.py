@@ -437,7 +437,7 @@ def full_bar_differential(module, i: int) -> AbHom:
     One copy of M per i-tuple of group elements, the identity included:
     q^i copies.  Written straight from the definition by a scan over every
     (source tuple, target tuple) pair, independent of the normalized
-    complex below and of the presentation complex in ``gammamod``.
+    complex below and of the Cayley-graph resolution in ``gammamod``.
     """
     gamma = module.gamma
     q = gamma.order
@@ -483,7 +483,7 @@ def bar_differential(module, i: int) -> AbHom:
     face adds one n x n block to the rows of its source tuple in the
     columns of s.  A middle face whose merged product is the identity
     falls on a cochain that vanishes, and is dropped.  Independent of the
-    presentation complex in ``gammamod``, and faster than the full one.
+    Cayley-graph resolution in ``gammamod``, and faster than the full one.
     """
     gamma = module.gamma
     e = gamma.identity

@@ -339,6 +339,7 @@ def test_deep_nesting(capsys, tmp_path, argv):
     ["--catalog", "catalog.json", "invariants", "SL(2)"],
     ["invariants", "SL(2)", "-v"],
     ["-v", "invariants", "SL(2)"],
+    ["pi1d", "SL(2)", "--catalog", "catalog.json"],
 ])
 def test_options_outside_a_command_exit_2(capsys, argv):
     # options belong to the subcommand; argparse exits 2 on the rest

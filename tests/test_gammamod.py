@@ -23,10 +23,8 @@ from redinv.gammamod import (
     cyclic_group,
     equivariant_cokernel,
     equivariant_kernel,
-    fox_derivatives,
     group_cohomology,
     induced_module,
-    presentation,
     presentation_differential,
     subquotient_module,
     trivial_group,
@@ -254,55 +252,60 @@ class TestFixedPoints:
 
 def presentation_groups():
     """Every group of order <= 8 and three seeded relabellings each of D4
-    and Q8, since the presentation depends on the labels."""
+    and Q8, since the Cayley-graph tree depends on the labels."""
     rng = random.Random(8)
     relabelled = [seeded_relabelling(g, rng) for g in (dihedral_group(4), quaternion_group())
                   for _ in range(3)]
     return all_small_groups() + relabelled
 
 
-def evaluate(gamma, gens, word):
-    g = gamma.identity
-    for j, x in word:
-        g = gamma.mul(g, gens[j] if x > 0 else gamma.inverse(gens[j]))
-    return g
+def relator_rows(gamma):
+    """Generators S, the Cayley-graph tree, and the Fox rows of the relator
+    of every non-tree edge (g, j), keyed by the edge in breadth-first order."""
+    gens, tree = gammamod._cayley_tree(gamma)
+    edges = [(g, j) for g in tree for j, s in enumerate(gens) if tree[gamma.mul(g, s)] != (g, j)]
+    return gens, tree, {edge: gammamod._fox_row(gamma, gens, tree, *edge) for edge in edges}
 
 
 class TestPresentation:
-    def test_relators_evaluate_to_identity(self):
-        for gamma in presentation_groups():
-            gens, relators = presentation(gamma)
-            assert all(evaluate(gamma, gens, r) == gamma.identity for r in relators)
-
     def test_relator_count(self):
         for gamma in presentation_groups():
-            gens, relators = presentation(gamma)
-            assert len(relators) == gamma.order * (len(gens) - 1) + 1
+            gens, tree, rows = relator_rows(gamma)
+            assert len(tree) == gamma.order
+            assert len(rows) == gamma.order * (len(gens) - 1) + 1
 
     def test_generator_counts(self):
         # greedy picks: C2 x C2 needs 2, C2^3 needs 3, S3, D4 and Q8 need 2
-        counts = [len(presentation(g)[0]) for g in all_small_groups()]
+        counts = [len(gammamod._cayley_tree(g)[0]) for g in all_small_groups()]
         assert counts == [0, 1, 1, 1, 2, 1, 1, 2, 1, 1, 2, 3, 2, 2]
 
     def test_cyclic_one_generator_one_relator(self):
-        assert presentation(trivial_group()) == ((), ())
+        assert relator_rows(trivial_group()) == ((), {0: None}, {})
         for n in range(2, 9):
             for gamma in (cyclic_group(n), seeded_relabelling(cyclic_group(n), random.Random(n))):
-                gens, relators = presentation(gamma)
-                assert len(gens) == 1 and len(relators) == 1
-                assert relators[0] == ((0, 1),) * n
+                gens, _, rows = relator_rows(gamma)
+                assert len(gens) == 1
+                assert list(rows.values()) == [[[1] * n]]
 
     def test_fox_fundamental_formula(self):
         # sum_s (d r / d s)(s - 1) = r - 1, which is 0 in Z[Gamma]
         for gamma in presentation_groups():
-            gens, relators = presentation(gamma)
-            for r in relators:
+            gens, _, rows = relator_rows(gamma)
+            for fox in rows.values():
                 total = [0] * gamma.order
-                for s, coeffs in zip(gens, fox_derivatives(gamma, gens, r)):
+                for s, coeffs in zip(gens, fox):
                     for h, c in enumerate(coeffs):
                         total[gamma.mul(h, s)] += c
                         total[h] -= c
                 assert total == [0] * gamma.order
+
+    def test_relator_is_one_at_its_own_edge(self):
+        # the non-tree edges are coordinates on the cycle lattice, and the
+        # relator of each is its coordinate vector: the peeling relies on it
+        for gamma in presentation_groups() + [A4, D6, S4]:
+            _, _, rows = relator_rows(gamma)
+            for edge, fox in rows.items():
+                assert [fox[j][g] for g, j in rows] == [int(e == edge) for e in rows]
 
 
 def translates(gamma, fox_rows, width):
@@ -319,22 +322,22 @@ class TestSpanningRelators:
 
     def test_translates_span_the_relation_lattice(self):
         for gamma in presentation_groups() + [A4, D6, S4]:
-            gens, relators = presentation(gamma)
-            kept = gammamod._spanning_fox(gamma, gens, relators)
-            assert all(kept[r] == fox_derivatives(gamma, gens, relators[r]) for r in kept)
+            gens, tree, rows = relator_rows(gamma)
+            kept = gammamod._spanning_fox(gamma, gens, tree)
+            assert list(kept) == [edge for edge in rows if edge in kept]  # breadth-first
+            assert all(kept[edge] == rows[edge] for edge in kept)
             width = gamma.order * len(gens)
-            every = [fox_derivatives(gamma, gens, r) for r in relators]
             assert (hermite_basis(translates(gamma, kept.values(), width))
-                    == hermite_basis(translates(gamma, every, width)))
+                    == hermite_basis(translates(gamma, rows.values(), width)))
             if not is_cyclic(gamma):
-                assert len(kept) < len(relators)
+                assert len(kept) < len(rows)
 
     def test_kept_counts(self):
         # C2 x C2 x C2 17 -> 6, D4 9 -> 3, Q8 9 -> 2, S3 7 -> 3, D6 13 -> 3, S4 25 -> 3
         c2 = cyclic_group(2)
         groups = [direct_product(direct_product(c2, c2), c2), dihedral_group(4),
                   quaternion_group(), dihedral_group(3), D6, S4]
-        counts = [len(gammamod._spanning_fox(g, *presentation(g))) for g in groups]
+        counts = [len(gammamod._spanning_fox(g, *gammamod._cayley_tree(g))) for g in groups]
         assert counts == [6, 3, 2, 3, 3, 3]
 
 

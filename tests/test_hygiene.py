@@ -164,9 +164,7 @@ UNREACHED = {
     "gammamod.FiniteGroup.check": "benchmark",
     "gammamod.FiniteGroup.from_json": "benchmark",
     "gammamod.GammaModule.from_json": "benchmark",
-    "gammamod.fox_derivatives": "acceptance",
     "gammamod.group_cohomology": "acceptance",
-    "gammamod.presentation": "acceptance",
     "gammamod.presentation_differential": "acceptance",
     "homcx.BoundedComplex.check": "oracle",
     "homcx.BoundedComplex.cohomology": "acceptance",
