@@ -13,19 +13,21 @@ by lowest row index, so the transform U of ``hnf`` (the identity carried
 along as extra columns) is reproducible.  Its row operations touch only
 the nonzero entries of the pivot row, so sparse input (such as the 0/+-1
 presentation differentials) costs in proportion to its nonzeros rather
-than its width.  Callers that never read U take ``hermite_basis``, which
-carries no transform.  ``invariant_factors`` alternates such Hermite
-bases of a matrix and its transpose; ``snf`` is the same loop on ``hnf``,
-carrying U and V, and inherits its determinism.
+than its width.  Entries above the pivots are reduced only once the
+echelon form is done, bottom up, which keeps the intermediate entries
+small.  Callers that never read U take ``hermite_basis``, which carries no
+transform.  ``invariant_factors`` alternates such Hermite bases of a
+matrix and its transpose; ``snf`` is the same loop on ``hnf``, carrying U
+and V, and inherits its determinism.
 
 The Euclid steps that find a pivot take floor quotients, or balanced
 (nearest-integer) ones, which need about 30% fewer steps.  The balanced
 rule runs wherever no record pins the row operations: ``hermite_basis``
 (a lattice has one Hermite basis), the lattice solver (no record holds its
-coordinates) and ``hnf`` of a square m whose determinant is nonzero modulo
-a small prime, so that m is nonsingular and U = H @ m^-1.  Every other
-``hnf`` (only the ``matrix`` command runs it, and ``snf``) takes the floor
-rule, which pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
+coordinates) and ``hnf`` of a square m whose balanced elimination finds
+rank n, so that m is nonsingular and U = H @ m^-1.  Every other ``hnf``
+(only the ``matrix`` command runs it, and ``snf``) takes the floor rule,
+which pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
 
 ``identity(n)`` builds each n up to 256 once and hands every caller the
 same matrix, which is immutable.  ``_hermite_pivots`` tells in one pass
@@ -154,13 +156,13 @@ _DECIMAL = re.compile(f"-?[0-9]{{1,{MAX_INPUT_DIGITS}}}")
 # Most decimal digits, summed over all entries, of a matrix read by the
 # ``matrix`` command, whose shorter side is also capped at abgrp.MAX_RANK
 # and its longer side at 4 * MAX_RANK (the 216 x 36 bar differential
-# of Z[S3] is a golden record).  The whole command at the bound, one run
-# each on 2 vCPUs (Python 3.11): 256 x 64 of 1-digit entries, 21 s for hnf
-# and 21 s for snf, with a 50 MB record; 128 x 64 of 2-digit entries, 17 s
-# for hnf and 16 s for snf; 64 x 64 of 4-digit entries, 2.1 s for hnf and
-# 2.2 s for snf; 32 x 32 of 16-digit entries, 0.7 s; 16 x 16 of 64-digit
-# entries, 0.5 s.  Tall matrices cost the most, in the kernel rows of the
-# transform U, which is not unique and so takes floor quotients.
+# of Z[S3] is a golden record).  The whole command at the bound on 2 vCPUs
+# (Python 3.11), one run of each tall shape and best of 3 of each square
+# one: 256 x 64 of 1-digit entries, 15 s for hnf and 13 s for snf, with a
+# 50 MB record; 128 x 64 of 2-digit entries, 11 s for each; 64 x 64 of
+# 4-digit entries, 1.1 s for hnf and 0.9 s for snf; 32 x 32 of 16-digit
+# entries, 0.3 s; 16 x 16 of 64-digit entries, 0.2 s.  Tall matrices cost
+# the most, in the kernel rows of U, which is not unique (floor quotients).
 MAX_MATRIX_DIGITS = 16384
 
 
@@ -244,24 +246,30 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> int:
     broken by lowest row index.  The Euclid steps that find it take floor
     quotients, or with ``balanced`` nearest-integer ones, which leave
     remainders of at most half the pivot and so need fewer steps (Knuth,
-    TAOCP vol. 2, 4.5.3); the entries above each new pivot are always
-    reduced by floor quotients into [0, pivot).  Either rule gives the same
-    Hermite form of the first c columns; the further columns may differ,
-    unless they are a transform that is unique.  So ``hermite_basis``, the
-    lattice solver and ``hnf`` of a square nonsingular m pass ``balanced``,
-    and every other ``hnf`` takes the floor rule, whose U the ``matrix``
-    records and ``tests/oracles.reference_hnf`` pin.  A row operation
-    subtracts a multiple of the pivot row over its nonzero entries, found
-    once per pivot and not at all when no multiple is nonzero.
+    TAOCP vol. 2, 4.5.3).  Either rule gives the same Hermite form of the
+    first c columns; the further columns may differ, unless they are a
+    transform that is unique.  So ``hermite_basis``, the lattice solver and
+    the first pass of ``hnf`` on a square m pass ``balanced``; the floor
+    rule pins the U of the ``matrix`` records and ``reference_hnf``.  A row
+    operation subtracts a multiple of the pivot row over its nonzero
+    entries, found once per pivot row and not at all when no multiple is
+    nonzero.
+
+    Once the echelon form is done, each pivot row from the last one up is
+    reduced by floor quotients into [0, pivot) above the pivots of the
+    rows below it, which are reduced already (Cohen, GTM 138, 2.4).  Only
+    one unit upper triangular transform brings the echelon rows to Hermite
+    form, so the carried columns are those of ``reference_hnf``, which
+    reduces above each new pivot by rows not yet reduced.
     """
     r = len(rows)
 
-    def reduce_by(k: int, targets: Iterable[int], col: int, nearest: bool) -> None:
+    def reduce_by(k: int, targets: list[int], col: int) -> None:
         p = rows[k][col]
         p2 = 2 * p
         support = None
         for i in targets:
-            q = (2 * rows[i][col] + p) // p2 if nearest else rows[i][col] // p
+            q = (2 * rows[i][col] + p) // p2 if balanced else rows[i][col] // p
             if not q or i == k:
                 continue
             if support is None:
@@ -270,13 +278,14 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> int:
             for j, x in support:
                 row[j] -= q * x
 
-    pr = 0
+    piv: list[int] = []
     for col in range(c):
+        pr = len(piv)
         if pr >= r:
             break
         live = [i for i in range(pr, r) if rows[i][col]]
         while len(live) > 1:
-            reduce_by(min(live, key=lambda i: abs(rows[i][col])), live, col, balanced)
+            reduce_by(min(live, key=lambda i: abs(rows[i][col])), live, col)
             live = [i for i in live if rows[i][col]]
         if not live:
             continue
@@ -285,34 +294,18 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> int:
             rows[pr], rows[i0] = rows[i0], rows[pr]
         if rows[pr][col] < 0:
             rows[pr] = [-x for x in rows[pr]]
-        reduce_by(pr, range(pr), col, False)
-        pr += 1
-    return pr
-
-
-# A prime below 2**15, so that every product in the elimination modulo it
-# fits one 30-bit digit of a Python int.
-_PRIME = 32749
-
-
-def _nonsingular_mod_p(m: IntMatrix) -> bool:
-    """Whether det(m) is nonzero modulo ``_PRIME``, which proves the square
-    m nonsingular; a nonsingular m whose determinant it divides gets False.
-    A zero row or column, as in every transposed Hermite form that ``snf``
-    takes of a singular matrix, answers at once."""
-    if not all(map(any, m.data)) or not all(map(any, zip(*m.data))):
-        return False
-    p = _PRIME
-    rows = [[x % p for x in row] for row in m.data]
-    while rows:
-        i = next((i for i, row in enumerate(rows) if row[0]), None)
-        if i is None:
-            return False
-        head = rows.pop(i)
-        inv, tail = pow(head[0], -1, p), head[1:]
-        rows = [[(x - f * y) % p for x, y in zip(row[1:], tail)] if (f := row[0] * inv % p)
-                else row[1:] for row in rows]
-    return True
+        piv.append(col)
+    supports: list[Optional[list[tuple[int, int]]]] = [None] * len(piv)
+    for i in range(len(piv) - 2, -1, -1):
+        row = rows[i]
+        for k, col in enumerate(piv[i + 1:], i + 1):
+            q = row[col] // rows[k][col]
+            if q:
+                if supports[k] is None:
+                    supports[k] = [(j, x) for j, x in enumerate(rows[k]) if x]
+                for j, x in supports[k]:
+                    row[j] -= q * x
+    return len(piv)
 
 
 def _with_identity(m: IntMatrix) -> list[list[int]]:
@@ -326,14 +319,20 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
     with positive pivots and entries above each pivot reduced into
     [0, pivot).  U is the identity carried along the elimination of m.
-    For square nonsingular m, U = H @ m^-1 is unique and the elimination
-    takes balanced quotients; every other m, and one whose determinant
-    ``_PRIME`` divides, takes floor quotients, whose U the ``matrix hnf``
-    and ``matrix snf`` records pin.
+    A square m with no zero row or column takes balanced quotients first:
+    rank n proves it nonsingular, so that U = H @ m^-1 is unique.  A lower
+    rank starts again from [m | I] with the floor quotients that every
+    other m takes (such as the transposed Hermite forms that ``snf`` takes
+    of singular matrices); they pin the U of the ``matrix`` records.
     """
     r, c = m.shape
     rows = _with_identity(m)
-    _echelon(rows, c, balanced=r == c and _nonsingular_mod_p(m))
+    if r == c and all(map(any, m.data)) and all(map(any, zip(*m.data))):
+        if _echelon(rows, c, balanced=True) < r:
+            rows = _with_identity(m)
+            _echelon(rows, c)
+    else:
+        _echelon(rows, c)
     return mat([row[:c] for row in rows], c), mat([row[c:] for row in rows], r)
 
 

@@ -222,9 +222,11 @@ def _min_abs_pivot(a: list[list[int]], rows: Sequence[int], col: int) -> Optiona
 
 def reference_hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form by a loop that updates m and U separately,
-    which ``intmat.hnf`` must match step for step: U is not unique for
-    singular or non-square m, so the records of ``matrix hnf`` and ``snf``
-    pin this exact sequence of row operations.
+    with which ``intmat.hnf`` must give the same H and U: U is not unique
+    for singular or non-square m, so the records of ``matrix hnf`` and
+    ``snf`` pin the U of this sequence of row operations.  It reduces above
+    each new pivot at once, not bottom up after the echelon form as
+    ``intmat._echelon`` does, so it checks that reorder independently.
 
     Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
     with positive pivots and entries above each pivot reduced into

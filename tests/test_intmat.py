@@ -2,13 +2,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redinv.abgrp import FgAbelianGroup
 from redinv.intmat import (
-    _PRIME,
+    _echelon,
     _hermite_pivots,
-    _nonsingular_mod_p,
+    _with_identity,
     DimensionMismatch,
     IntMatrix,
     hermite_basis,
@@ -280,10 +280,12 @@ class TestNormalFormProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(_hnf_inputs(max_size=12))
+    @example(mat([[32749, 1], [0, 1]]))  # nonsingular, det 0 modulo 32749
     def test_hnf_matches_reference(self, m):
         # U is not unique unless m is square and nonsingular, so records
-        # depend on the exact sequence of row operations; square
-        # nonsingular input takes balanced quotients, the rest floor ones
+        # depend on the Euclid steps, though not on when the entries above
+        # the pivots are reduced; square nonsingular input takes balanced
+        # quotients, the rest floor ones
         assert hnf(m) == reference_hnf(m)
 
     def test_singular_in_the_last_column_only(self):
@@ -295,16 +297,26 @@ class TestNormalFormProperties:
         assert rank(a) == 7 and rank(m) == 7
         assert hnf(m) == reference_hnf(m)
 
-    @settings(max_examples=200, deadline=None)
-    @given(_hnf_inputs(max_size=12))
-    def test_nonsingular_mod_p(self, m):
-        # the test that sends a square hnf to balanced quotients
-        assume(m.rows == m.cols)
-        assert _nonsingular_mod_p(m) == (det(m) % _PRIME != 0)
+    def test_singular_square_retakes_the_floor_rule(self):
+        # no zero row or column, so the balanced pass runs first; its rank
+        # is 7 of 8 and its U differs from the floor one that records pin
+        rng = random.Random(23)
+        a = random_matrix(rng, 8, 7, 20)
+        m = mat([r[:4] + (sum((j + 1) * x for j, x in enumerate(r)),) + r[4:]
+                 for r in a.data], 8)
+        rows = _with_identity(m)
+        assert _echelon(rows, 8, balanced=True) == 7
+        h, u = reference_hnf(m)
+        assert mat([row[8:] for row in rows], 8) != u
+        assert hnf(m) == (h, u)
+        uu, d, v = snf(m)
+        assert (uu @ m @ v).data == d.data
 
-    def test_determinant_divisible_by_the_prime(self):
-        m = mat([[_PRIME, 1], [0, 1]])
-        assert not _nonsingular_mod_p(m)
+    @pytest.mark.parametrize("shape", [(30, 30), (40, 40), (64, 16)])
+    def test_hnf_matches_reference_at_benchmark_sizes(self, shape):
+        # dense input at the sizes of the benchmark, where the entries
+        # inside the elimination grow; the tall one takes the floor rule
+        m = random_matrix(random.Random(shape[0]), *shape, 99)
         assert hnf(m) == reference_hnf(m)
 
     @settings(max_examples=300, deadline=None)
