@@ -280,7 +280,6 @@ class TestNormalFormProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(_hnf_inputs(max_size=12))
-    @example(mat([[32749, 1], [0, 1]]))  # nonsingular, det 0 modulo 32749
     def test_hnf_matches_reference(self, m):
         # U is not unique unless m is square and nonsingular, so records
         # depend on the Euclid steps, though not on when the entries above
@@ -295,6 +294,15 @@ class TestNormalFormProperties:
         a = random_matrix(rng, 8, 7, 20)
         m = mat([r + (sum((j + 1) * x for j, x in enumerate(r)),) for r in a.data], 8)
         assert rank(a) == 7 and rank(m) == 7
+        assert hnf(m) == reference_hnf(m)
+
+    def test_determinant_divisible_by_the_prime(self):
+        # nonsingular though its determinant is 0 modulo 32749, so a test
+        # of nonsingularity modulo a prime would send it to the floor rule;
+        # the rank of the balanced pass keeps it on the balanced one
+        m = mat([[32749, 1], [0, 1]])
+        assert det(m) % 32749 == 0 and det(m) != 0
+        assert _echelon(_with_identity(m), 2, balanced=True) == 2
         assert hnf(m) == reference_hnf(m)
 
     def test_singular_square_retakes_the_floor_rule(self):
