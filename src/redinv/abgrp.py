@@ -18,6 +18,8 @@ from .intmat import (
     DimensionMismatch,
     IntMatrix,
     _hermite_pivots,
+    _pivots_of,
+    _solved_image,
     block_diag,
     echelon_reduce,
     hermite_basis,
@@ -25,7 +27,6 @@ from .intmat import (
     invariant_factors,
     kernel_basis,
     member_coords,
-    pivots,
     vstack,
     zeros,
 )
@@ -51,21 +52,16 @@ class FgAbelianGroup:
     # stored as the Hermite basis of the rows given: at most ambient_rank
     # rows, however many the caller or a JSON file lists.  Rows that already
     # form it, as every kernel_basis output does, are checked in one pass
-    # and kept; any others are eliminated.
+    # and kept, with the pivots that pass found; any others are eliminated.
     relations: IntMatrix
-    _pivots: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.relations.cols != self.ambient_rank:
             raise DimensionMismatch(
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
-        piv = _hermite_pivots(self.relations)
-        if piv is None:
-            h = hermite_basis(self.relations)
-            object.__setattr__(self, "relations", h)
-            piv = pivots(h)
-        object.__setattr__(self, "_pivots", piv)
+        if _hermite_pivots(self.relations) is None:
+            object.__setattr__(self, "relations", hermite_basis(self.relations))
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion invariants d1 | d2 | ..., each > 1)."""
@@ -92,7 +88,7 @@ class FgAbelianGroup:
                 f"coords of length {len(coords)} in ambient Z^{self.ambient_rank}"
             )
         x = list(coords)
-        echelon_reduce(self.relations, self._pivots, x)
+        echelon_reduce(self.relations, _pivots_of(self.relations), x)
         return tuple(x)
 
     def contains_in_relations(self, coords: Sequence[int]) -> bool:
@@ -169,9 +165,13 @@ def kernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
 
 
 def cokernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
-    grp = FgAbelianGroup(
-        f.target.ambient_rank, vstack(f.target.relations, f.matrix)
-    )
+    """Target modulo image: the Hermite basis of the target relations and
+    the image rows, read off the elimination of f.matrix that a kernel or
+    membership test against the target already ran, if one did."""
+    rels = _solved_image(f.matrix, f.target.relations)
+    if rels is None:
+        rels = vstack(f.target.relations, f.matrix)
+    grp = FgAbelianGroup(f.target.ambient_rank, rels)
     return grp, AbHom(f.target, grp, identity(f.target.ambient_rank))
 
 

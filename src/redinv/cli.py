@@ -228,8 +228,10 @@ def cmd_matrix(args) -> int:
     else:
         u, dd, v = snf(m)
         outputs = {"D": dd.to_json(), "U": u.to_json(), "V": v.to_json()}
-    # records sort their keys, so this order is only that of the human lines
-    lines = [f"{name} = {value}" for name, value in outputs.items()]
+    # records sort their keys, so this order is only that of the human lines,
+    # which JSON mode never prints
+    lines = ([f"{name} = {value}" for name, value in outputs.items()]
+             if args.format == "human" else [])
     payload = {"kind": args.kind, "matrix": m.to_json()}
     return _emit(args, "matrix", payload, outputs, Checks(()), lines)
 

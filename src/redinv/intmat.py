@@ -4,6 +4,11 @@ Vectors are rows (f(x) = x @ matrix).  One lattice solver, the
 elimination of [m | I; rels | 0], gives the kernel modulo relations
 ``kernel_basis(m, rels)``, {x : x @ m lies in the lattice of the rows of
 rels}, and ``member_coords(gens, rels, vecs)``: C @ gens = vecs modulo it.
+Each matrix keeps one solved state, ``_Solve``, for the last relations it
+was solved against: its rows reduced by rels and, built on first need,
+that one elimination.  So the kernel, the coordinates and the Hermite
+basis of the image, which ``abgrp.cokernel`` reads, cost one elimination
+per map and relations, and the state dies with the matrix.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
@@ -30,15 +35,17 @@ rank n, so that m is nonsingular and U = H @ m^-1.  Every other ``hnf``
 which pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
 
 ``identity(n)`` builds each n up to 256 once and hands every caller the
-same matrix, which is immutable.  ``_hermite_pivots`` tells in one pass
-whether rows already form a Hermite basis, so that a group given one keeps
-it without an elimination.
+same matrix, which is immutable (and so holds one solved state at most).
+``_hermite_pivots`` tells in one pass whether rows already form a Hermite
+basis, so that a group given one keeps it without an elimination; a matrix
+keeps the pivots that pass or ``_pivots_of`` found.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, count
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -57,6 +64,12 @@ class IntMatrix:
 
     data: tuple[tuple[int, ...], ...]
     cols: int
+    # Memos of work that depends on data alone: ``_pivots_of`` keeps the
+    # pivots, ``_solve`` the elimination against the last relations asked
+    # for.  Neither is compared or printed.
+    _pivots: Optional[tuple[tuple[int, int], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _solved: Optional["_Solve"] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -100,12 +113,12 @@ class IntMatrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} + {other.shape}")
         return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.data, other.data)),
+            tuple(tuple(map(operator.add, r, s)) for r, s in zip(self.data, other.data)),
             self.cols,
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.data), self.cols)
+        return IntMatrix(tuple(tuple(map(operator.neg, r)) for r in self.data), self.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
@@ -412,12 +425,22 @@ def pivots(h: IntMatrix) -> tuple[tuple[int, int], ...]:
     return tuple((i, next(compress(count(), r))) for i, r in enumerate(h.data) if any(r))
 
 
+def _pivots_of(h: IntMatrix) -> tuple[tuple[int, int], ...]:
+    """``pivots(h)``, found once per matrix and kept with it."""
+    piv = h._pivots
+    if piv is None:
+        piv = pivots(h)
+        object.__setattr__(h, "_pivots", piv)
+    return piv
+
+
 def _hermite_pivots(m: IntMatrix) -> Optional[tuple[tuple[int, int], ...]]:
     """The pivots of m when its rows already form a Hermite basis, and None
     otherwise: no row is zero, the leading entries are positive and stand in
     strictly increasing columns, and every entry above a pivot lies in
     [0, pivot).  Such rows are the unique Hermite basis of their lattice, so
-    ``hermite_basis(m) == m`` exactly when this is not None."""
+    ``hermite_basis(m) == m`` exactly when this is not None.  The pivots
+    found are kept with m, for ``_pivots_of``."""
     piv = []
     last = -1
     for i, row in enumerate(m.data):
@@ -430,7 +453,9 @@ def _hermite_pivots(m: IntMatrix) -> Optional[tuple[tuple[int, int], ...]]:
                 return None
         piv.append((i, j))
         last = j
-    return tuple(piv)
+    piv = tuple(piv)
+    object.__setattr__(m, "_pivots", piv)
+    return piv
 
 
 def echelon_reduce(h: IntMatrix, piv: Sequence[tuple[int, int]], x: list[int]) -> list[int]:
@@ -448,44 +473,94 @@ def echelon_reduce(h: IntMatrix, piv: Sequence[tuple[int, int]], x: list[int]) -
     return qs
 
 
-def _stacked_echelon(rows: list[list[int]], rels: IntMatrix) -> int:
-    """Extend the rows of m, of width c = rels.cols, to [m | I; rels | 0] in
-    place, eliminate their first c columns with balanced quotients and
-    return the rank.  Above it stand the Hermite basis of the rows of m and
-    rels and, carried, how to write it on m; the carried part of the rows
-    below spans {x : x @ m lies in the lattice of the rows of rels}."""
-    r, c = len(rows), rels.cols
-    for x, e in zip(rows, identity(r).data):
-        x.extend(e)
-    rows += [list(row) + [0] * r for row in rels.data]
-    return _echelon(rows, c, balanced=True)
+class _Solve:
+    """One matrix m solved against one set of relations rels (None for no
+    relations), which m keeps for the next call with equal rels.  ``rows``
+    are the rows of m, each reduced by the rows of rels, which need not be
+    a Hermite basis: that changes x @ m only by lattice vectors.  On first
+    need they are extended to [m' | I; rels | 0] and eliminated once, with
+    balanced quotients, and split at the rank: the rows above hold the
+    Hermite basis of the rows of m and rels with, carried, how to write it
+    on m modulo rels (``image``); the carried part of the rows below spans
+    {x : x @ m lies in the lattice of rels} (``kernel``, Cohen, GTM 138,
+    2.4.3).  Each reader keeps its result and drops the rows it read."""
+
+    __slots__ = ("rels", "shape", "rows", "rank", "above", "below", "_kernel", "_image")
+
+    def __init__(self, m: IntMatrix, rels: Optional[IntMatrix]) -> None:
+        self.rels, self.shape = rels, m.shape
+        self.rows = m.to_lists()
+        if rels is not None:
+            piv = _pivots_of(rels)
+            for x in self.rows:
+                echelon_reduce(rels, piv, x)
+        self.rank: Optional[int] = None
+        self.above = self.below = self._image = None
+        # every row in the lattice: all of Z^r, with no elimination
+        self._kernel = None if any(map(any, self.rows)) else identity(m.rows)
+
+    def _eliminate(self) -> None:
+        if self.rank is not None:
+            return
+        (r, c), rows, self.rows = self.shape, self.rows, None
+        for x, e in zip(rows, identity(r).data):
+            x.extend(e)
+        if self.rels is not None:
+            rows += [list(row) + [0] * r for row in self.rels.data]
+        k = self.rank = _echelon(rows, c, balanced=True)
+        self.above, self.below = rows[:k], rows[k:]
+
+    def kernel(self) -> IntMatrix:
+        if self._kernel is None:
+            r, c = self.shape
+            self._eliminate()
+            below, self.below = self.below, None
+            self._kernel = hermite_basis(mat([row[c:] for row in below], r))
+        return self._kernel
+
+    def image(self) -> tuple[IntMatrix, IntMatrix]:
+        """(H, X): the Hermite basis H of the rows of m and rels, and X with
+        X @ m = H modulo rels."""
+        if self._image is None:
+            r, c = self.shape
+            self._eliminate()
+            above, self.above = self.above, None
+            self._image = mat([row[:c] for row in above], c), mat([row[c:] for row in above], r)
+        return self._image
 
 
-def _relations(rels: Optional[IntMatrix], c: int) -> IntMatrix:
-    rels = zeros(0, c) if rels is None else rels
-    if rels.cols != c:
-        raise DimensionMismatch(f"relations of width {rels.cols} for {c} columns")
-    return rels
+def _solved(m: IntMatrix, rels: Optional[IntMatrix]) -> Optional[_Solve]:
+    """The state m keeps, if it was solved against these relations."""
+    s = m._solved
+    return s if s is not None and (s.rels is rels or s.rels == rels) else None
+
+
+def _solve(m: IntMatrix, rels: Optional[IntMatrix]) -> _Solve:
+    """The solved state of m against rels, built on first use; a matrix
+    keeps only the last one."""
+    s = _solved(m, rels)
+    if s is None:
+        if rels is not None and rels.cols != m.cols:
+            raise DimensionMismatch(f"relations of width {rels.cols} for {m.cols} columns")
+        s = _Solve(m, rels)
+        object.__setattr__(m, "_solved", s)
+    return s
+
+
+def _solved_image(m: IntMatrix, rels: Optional[IntMatrix]) -> Optional[IntMatrix]:
+    """The Hermite basis of the rows of m and rels when m was already
+    eliminated against these relations, and None otherwise."""
+    s = _solved(m, rels)
+    return None if s is None or s.rank is None else s.image()[0]
 
 
 def kernel_basis(m: IntMatrix, rels: Optional[IntMatrix] = None) -> IntMatrix:
     """Hermite basis of {x : x @ m lies in the lattice spanned by the rows
-    of rels}, and of {x : x @ m = 0} without rels (Cohen, GTM 138, 2.4.3).
-
-    Each row of m is first reduced by the rows of rels, which need not be
-    a Hermite basis: that changes x @ m only by lattice vectors.  When every
-    row reduces to zero the answer is all of Z^r.  Otherwise it is the
-    Hermite basis of the carried rows below the rank of ``_stacked_echelon``."""
-    r, c = m.shape
-    rels = _relations(rels, c)
-    piv = pivots(rels)
-    rows = m.to_lists()
-    for x in rows:
-        echelon_reduce(rels, piv, x)
-    if not any(map(any, rows)):
-        return identity(r)
-    k = _stacked_echelon(rows, rels)
-    return hermite_basis(mat([row[c:] for row in rows[k:]], r))
+    of rels}, and of {x : x @ m = 0} without rels, read off the
+    elimination that m keeps for rels (``_Solve``).  When every row of m
+    reduces to zero by the rows of rels, it is all of Z^r, and nothing is
+    eliminated."""
+    return _solve(m, rels).kernel()
 
 
 def member_coords(gens: IntMatrix, rels: Optional[IntMatrix],
@@ -493,24 +568,23 @@ def member_coords(gens: IntMatrix, rels: Optional[IntMatrix],
     """Some C with C @ gens = vecs modulo the lattice spanned by the rows of
     rels, and exactly without rels; None when a row of vecs is outside the
     subgroup that the rows of gens generate modulo rels.  Every row of vecs
-    is reduced against the rows above the rank of ``_stacked_echelon``."""
+    is reduced against the Hermite basis above the rank of the elimination
+    that gens keeps for rels, the one ``kernel_basis`` reads."""
     g, c = gens.shape
-    rels = _relations(rels, c)
+    s = _solve(gens, rels)
     if vecs.cols != c:
         raise DimensionMismatch(f"vectors of width {vecs.cols} for {gens.shape}")
     if not vecs.rows:
         return zeros(0, g)
-    rows = gens.to_lists()
-    k = _stacked_echelon(rows, rels)
-    h = mat([row[:c] for row in rows[:k]], c)
-    piv = pivots(h)
+    h, x = s.image()
+    piv = _pivots_of(h)
     qs = []
     for v in vecs.data:
-        x = list(v)
-        qs.append(echelon_reduce(h, piv, x))
-        if any(x):
+        y = list(v)
+        qs.append(echelon_reduce(h, piv, y))
+        if any(y):
             return None
-    return mat(qs, k) @ mat([row[c:] for row in rows[:k]], g)
+    return mat(qs, h.rows) @ x
 
 
 def rank(m: IntMatrix) -> int:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from redinv import intmat
 from redinv.intmat import (
+    IntMatrix,
     hermite_basis,
     hnf,
     hstack,
@@ -29,10 +30,12 @@ from redinv.abgrp import (
     kernel,
     power,
     six_term_sequence,
+    subquotient,
 )
 
 from oracles import (
     constructive_hom,
+    in_row_lattice,
     inexact_spots,
     random_diagonal_group,
     random_group,
@@ -314,6 +317,67 @@ class TestSixTerm:
             assert rep.checks.passed
             for f in rep.maps:
                 assert f.is_well_defined()
+
+
+def _fresh(f: AbHom) -> AbHom:
+    """f with equal but distinct matrices, which share no solved state."""
+    def twin(g):
+        return FgAbelianGroup(g.ambient_rank, IntMatrix(g.relations.data, g.ambient_rank))
+    return AbHom(twin(f.source), twin(f.target), IntMatrix(f.matrix.data, f.matrix.cols))
+
+
+_VERDICTS = {
+    "injective": lambda f, g: f.is_injective(),
+    "surjective": lambda f, g: f.is_surjective(),
+    "kernel": lambda f, g: kernel(f)[0],
+    "cokernel": lambda f, g: cokernel(f)[0],
+    "exact": lambda f, g: is_exact_at(f, g),
+    "homology": lambda f, g: homology_at(f, g).group,
+    "classes": lambda f, g: (lambda h: h.class_coords(h.gens))(homology_at(f, g)),
+}
+
+
+class TestSharedSolve:
+    """The verdicts, kernels and cokernels of a pair of maps share one
+    elimination per map and relations, and give the same answers in every
+    call order as maps that share nothing."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32), st.permutations(sorted(_VERDICTS)))
+    def test_every_call_order(self, seed, order):
+        rng = random.Random(seed)
+        a, b, c = (random_group(rng, 3, 6) for _ in range(3))
+        f = random_hom(rng, a, b)
+        g = random_hom(rng, b, c) if rng.random() < 0.5 else cokernel(f)[1]
+        want = {name: call(_fresh(f), _fresh(g)) for name, call in _VERDICTS.items()}
+        for name in order + order:
+            assert _VERDICTS[name](f, g) == want[name], name
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_cokernel_reads_the_solved_image(self, seed):
+        rng = random.Random(seed)
+        f = random_hom(rng, random_group(rng, 4, 6), random_group(rng, 4, 6))
+        want = FgAbelianGroup(f.target.ambient_rank, vstack(f.target.relations, f.matrix))
+        assert cokernel(f)[0] == want
+        kernel_basis(f.matrix, f.target.relations)
+        image = intmat._solved_image(f.matrix, f.target.relations)
+        assert cokernel(f)[0] == want
+        assert image is None or cokernel(f)[0].relations is image
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices(3, 3), _matrices(2, 3), _matrices(2, 3), _matrices(3, 3), st.data())
+    def test_class_coords_modulo_a_redundant_denominator(self, ker_gens, middle, image, vecs, data):
+        # the denominator stacks the middle relations, the image rows and
+        # their sum, so it is no Hermite basis and has a redundant row
+        image = vstack(image, mat([list(map(sum, zip(*image.data)))]))
+        sq = subquotient(ker_gens, middle, image)
+        if data.draw(st.booleans()):
+            vecs = vecs @ ker_gens + data.draw(_matrices(3, sq.denominator.rows)) @ sq.denominator
+        c = sq.class_coords(vecs)
+        assert (c is not None) == in_row_lattice(vstack(ker_gens, sq.denominator), vecs)
+        if c is not None:
+            assert in_row_lattice(sq.denominator, c @ ker_gens - vecs)
 
 
 def _kills(f: AbHom, g: AbHom, diag: list[int]) -> bool:

@@ -4,10 +4,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from redinv import intmat
 from redinv.abgrp import FgAbelianGroup
 from redinv.intmat import (
     _echelon,
     _hermite_pivots,
+    _pivots_of,
+    _solved_image,
     _with_identity,
     DimensionMismatch,
     IntMatrix,
@@ -382,7 +385,7 @@ class TestHermiteShortcut:
         for given_rows in (m, h):
             g = FgAbelianGroup(m.cols, given_rows)
             assert g.relations == h
-            assert g._pivots == pivots(g.relations)
+            assert _pivots_of(g.relations) == pivots(g.relations)
         assert _hermite_pivots(h) == pivots(h)
         assert (_hermite_pivots(m) is not None) == (m == h)
 
@@ -409,7 +412,7 @@ class TestHermiteShortcut:
         assert _hermite_pivots(m) is None
         g = FgAbelianGroup(m.cols, m)
         assert g.relations == hermite_basis(m) != m
-        assert g._pivots == pivots(g.relations)
+        assert _pivots_of(g.relations) == pivots(g.relations)
 
 
 @st.composite
@@ -480,6 +483,110 @@ class TestAgainstSmithOracle:
         minors = [sympy.Matrix([[r[j] for j in cols] for r in k.data]).det()
                   for cols in itertools.combinations(range(k.cols), k.rows)]
         assert sympy.gcd_list(minors) == 1  # saturated
+
+
+def _twin(m):
+    """An equal matrix object that shares no solved state with m."""
+    return None if m is None else IntMatrix(m.data, m.cols)
+
+
+def _solved_results(gens, rels, vecs):
+    """kernel, coordinates and image of gens modulo rels, each from a
+    matrix of its own, so that no call shares an elimination."""
+    rows = vstack(rels, gens) if rels is not None else gens
+    return {"kernel": kernel_basis(_twin(gens), _twin(rels)),
+            "coords": member_coords(_twin(gens), _twin(rels), vecs),
+            "image": hermite_basis(rows)}
+
+
+class TestSharedSolve:
+    """A matrix keeps its elimination against the last relations it was
+    solved against: ``kernel_basis``, ``member_coords`` and the image that
+    ``abgrp.cokernel`` reads (``_solved_image``) share it, and no call
+    order, equal copy of the relations or earlier solve against other
+    relations changes a result."""
+
+    @staticmethod
+    def _check(name, gens, rels, vecs, want):
+        if name == "kernel":
+            assert kernel_basis(gens, rels) == want["kernel"]
+        elif name == "coords":
+            c = member_coords(gens, rels, vecs)
+            assert c == want["coords"]
+            if c is not None:
+                assert in_row_lattice(rels if rels is not None else zeros(0, gens.cols),
+                                      c @ gens - vecs)
+        else:
+            image = _solved_image(gens, rels)
+            assert image is None or image == want["image"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_systems_mod_relations(), st.permutations(["kernel", "coords", "image"]),
+           st.sampled_from(["stacked", "hermite", "none"]))
+    def test_every_call_order(self, system, order, kind):
+        gens, rels, vecs = system
+        rels = {"stacked": rels, "hermite": hermite_basis(rels), "none": None}[kind]
+        want = _solved_results(gens, rels, vecs)
+        for name in order + order:
+            self._check(name, gens, rels, vecs, want)
+        # member_coords on a nonempty batch always eliminates
+        assert _solved_image(gens, rels) == want["image"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_systems_mod_relations(), st.permutations(["kernel", "coords", "image"]))
+    def test_equal_but_distinct_relations(self, system, order):
+        gens, rels, vecs = system
+        want = _solved_results(gens, rels, vecs)
+        kernel_basis(gens, rels)
+        for name in order:
+            self._check(name, gens, _twin(rels), vecs, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_systems_mod_relations(), st.permutations(["kernel", "coords", "image"]))
+    def test_never_stale_after_other_relations(self, system, order):
+        gens, rels, vecs = system
+        others = [rels, None, hermite_basis(vstack(rels, gens)), rels, zeros(0, gens.cols)]
+        wants = [_solved_results(gens, r, vecs) for r in others]
+        for r, want in zip(others, wants):
+            for name in order:
+                self._check(name, gens, r, vecs, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_systems_mod_relations())
+    def test_coordinates_modulo_redundant_relations_after_a_kernel(self, system):
+        # rels is stacked with a redundant row, as a subquotient's denominator
+        gens, rels, vecs = system
+        k = kernel_basis(gens, rels)
+        assert in_row_lattice(rels, k @ gens)
+        c = member_coords(gens, rels, vecs)
+        assert (c is not None) == in_row_lattice(vstack(gens, rels), vecs)
+        if c is not None:
+            assert in_row_lattice(rels, c @ gens - vecs)
+
+    def test_one_elimination_per_map(self, monkeypatch):
+        stacked = []
+        real = _echelon
+
+        def counting(rows, c, **kw):
+            if rows and len(rows[0]) > c:  # carries a transform
+                stacked.append(c)
+            return real(rows, c, **kw)
+        monkeypatch.setattr(intmat, "_echelon", counting)
+        gens, rels = mat([[2, 4], [6, 3], [1, 1]]), mat([[4, 0], [0, 6]])
+        k = kernel_basis(gens, rels)
+        c = member_coords(gens, _twin(rels), mat([[1, 1], [3, 5]]))
+        assert _solved_image(gens, rels) == hermite_basis(vstack(rels, gens))
+        assert kernel_basis(gens, rels) is k
+        assert c is not None and len(stacked) == 1
+        kernel_basis(gens, mat([[4, 0]]))
+        assert len(stacked) == 2
+        assert _solved_image(gens, rels) is None
+
+    def test_zero_modulo_relations_eliminates_nothing(self, monkeypatch):
+        monkeypatch.setattr(intmat, "_echelon", lambda *a, **kw: pytest.fail("eliminated"))
+        gens = mat([[4, 6], [0, 12]])
+        assert kernel_basis(gens, mat([[2, 0], [0, 3]])) == identity(2)
+        assert _solved_image(gens, mat([[2, 0], [0, 3]])) is None
 
 
 def test_invariant_factors_match_sympy():
