@@ -136,18 +136,33 @@ class GammaModule:
         return AbHom(self.group, self.group, self.actions[g])
 
     def check(self) -> None:
-        if not self.group.contains_rows(
-            self.actions[self.gamma.identity] - identity(self.group.ambient_rank)
+        """Raise InvalidAction unless the identity element e acts trivially,
+        every action keeps the relations and is invertible, and the
+        composition law holds, testing e only for the first.
+
+        M_e = 1 + R with every row of R in the relation lattice L implies
+        the rest for e: x @ M_e = x + x @ R lies in L for x in L, and is x
+        modulo L, so M_e keeps the relations and is the identity map of the
+        group, which is invertible.  M_h @ M_e = M_h + M_h @ R is M_h
+        modulo L, and M_e @ M_g = M_g + R @ M_g is M_g modulo L once M_g
+        keeps the relations, which the loop has tested before the
+        composition law.  So the first failure, and its message, are those
+        of testing e too."""
+        e = self.gamma.identity
+        m_e = self.actions[e]
+        if not m_e.is_identity() and not self.group.contains_rows(
+            m_e - identity(self.group.ambient_rank)
         ):
             raise InvalidAction("identity element does not act trivially")
-        for g in self.gamma.elements():
+        others = [g for g in self.gamma.elements() if g != e]
+        for g in others:
             h = self.action_hom(g)
             if not h.is_well_defined():
                 raise InvalidAction(f"action of element {g} breaks the relations")
             if not h.is_isomorphism():
                 raise InvalidAction(f"action of element {g} is not invertible")
-        for g in self.gamma.elements():
-            for h in self.gamma.elements():
+        for g in others:
+            for h in others:
                 lhs = self.actions[h] @ self.actions[g]
                 if not self.group.contains_rows(lhs - self.actions[self.gamma.mul(g, h)]):
                     raise InvalidAction("composition law fails")
@@ -194,12 +209,16 @@ class GammaHom:
         object.__setattr__(self, "hom", AbHom(self.source.group, self.target.group, self.matrix))
 
     def is_equivariant(self) -> bool:
+        """M_g @ a - a @ N_g lies in the target's relations for every g; an
+        element acting by identity matrices on both sides gives a - a = 0,
+        and is skipped."""
         if self.source.gamma != self.target.gamma:
             return False
         a = self.matrix
         return all(
-            self.target.group.contains_rows(self.source.actions[g] @ a - a @ self.target.actions[g])
-            for g in self.source.gamma.elements()
+            self.target.group.contains_rows(m @ a - a @ n)
+            for m, n in zip(self.source.actions, self.target.actions)
+            if not (m.is_identity() and n.is_identity())
         )
 
     def check(self) -> None:
@@ -210,9 +229,16 @@ class GammaHom:
 
 def subquotient_module(module: GammaModule, data: SubquotientData) -> GammaModule:
     """A subquotient of the ambient of ``module`` with the action it inherits:
-    M_g writes the moved generators, data.gens @ M_g, in class coordinates."""
+    M_g writes the moved generators, data.gens @ M_g, in class coordinates.
+    An identity matrix moves no generator, and the identity writes each in
+    class coordinates, so it is taken without a solve; any class
+    coordinates of the generators differ from it only by relations of
+    data.group, which are the c with c @ data.gens in the denominator."""
     actions = []
     for act in module.actions:
+        if act.is_identity():
+            actions.append(identity(data.gens.rows))
+            continue
         c = data.class_coords(data.gens @ act)
         if c is None:
             raise InvalidAction("subquotient is not stable under the action")

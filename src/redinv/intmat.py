@@ -64,9 +64,9 @@ class IntMatrix:
 
     data: tuple[tuple[int, ...], ...]
     cols: int
-    # Memos of work that depends on data alone: ``_pivots_of`` keeps the
-    # pivots, ``_solve`` the elimination against the last relations asked
-    # for.  Neither is compared or printed.
+    # Memos of work that depends on data alone: ``_pivots`` holds the pivots
+    # that ``_pivots_of`` found, ``_solved`` the solved state (``_Solve``)
+    # for the last relations asked for.  Neither is compared or printed.
     _pivots: Optional[tuple[tuple[int, int], ...]] = field(
         default=None, init=False, repr=False, compare=False)
     _solved: Optional["_Solve"] = field(default=None, init=False, repr=False, compare=False)
@@ -129,6 +129,13 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.data for a in r)
+
+    def is_identity(self) -> bool:
+        """Square with ones on the diagonal and zeros elsewhere, found
+        without building a matrix to compare with."""
+        n = self.cols
+        return self.rows == n and all(
+            row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self.data))
 
     def apply_to_row(self, v: Sequence[int]) -> tuple[int, ...]:
         """Row-vector action v @ self."""
@@ -585,8 +592,3 @@ def member_coords(gens: IntMatrix, rels: Optional[IntMatrix],
         if any(y):
             return None
     return mat(qs, h.rows) @ x
-
-
-def rank(m: IntMatrix) -> int:
-    return hermite_basis(m).rows
-

@@ -19,17 +19,11 @@ datum of that rank.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .intmat import (
-    IntMatrix,
-    identity,
-    kernel_basis,
-    mat,
-    rank as mat_rank,
-)
+from .intmat import IntMatrix, hermite_basis, identity, kernel_basis, mat
 from .abgrp import MAX_RANK as MAX_SPEC_RANK, Checks, FgAbelianGroup
 from .gammamod import (
     FiniteGroup,
@@ -121,10 +115,17 @@ class ReductiveDatum:
     datum: RootDatum
     gamma: FiniteGroup
     actions: tuple[IntMatrix, ...]  # one matrix per group element, on X
+    # What the datum's invariants read more than once, built on first use
+    # and kept here, so that it dies with the datum: the root permutations,
+    # the weight module and the pairing map.  Neither compared nor hashed.
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def untwisted(name: str, datum: RootDatum) -> "ReductiveDatum":
-        return ReductiveDatum(name, datum, trivial_group(), (identity(datum.rank),))
+        # its own identity matrix, not the shared one, so that what the
+        # matrix keeps stays with this datum
+        n = datum.rank
+        return ReductiveDatum(name, datum, trivial_group(), (mat(identity(n).data, n),))
 
     def x_module(self) -> GammaModule:
         return GammaModule(self.gamma, FgAbelianGroup.free(self.datum.rank), self.actions)
@@ -139,13 +140,19 @@ class ReductiveDatum:
                      for g in self.gamma.elements())
 
     def root_permutation(self, g: int) -> Optional[tuple[int, ...]]:
-        """The permutation sigma with alpha_i . M_g = alpha_{sigma(i)}, or None."""
+        """The permutation sigma with alpha_i . M_g = alpha_{sigma(i)}, or
+        None; found once per element, and kept."""
+        perms = self._kept.setdefault("perms", {})
+        if g not in perms:
+            perms[g] = self._find_permutation(self.actions[g])
+        return perms[g]
+
+    def _find_permutation(self, m: IntMatrix) -> Optional[tuple[int, ...]]:
         roots = self.datum.simple_roots
         perm = []
         for a in roots:
-            moved = self.actions[g].apply_to_row(a)
             try:
-                perm.append(roots.index(tuple(moved)))
+                perm.append(roots.index(m.apply_to_row(a)))
             except ValueError:
                 return None
         if sorted(perm) != list(range(len(roots))):
@@ -172,8 +179,11 @@ def validate(d: ReductiveDatum) -> Checks:
     ok_cartan = is_finite_cartan_matrix(c) if r else True
     checks.append(("finite-cartan-matrix", ok_cartan, "finite-type criterion"))
 
-    checks.append(("roots-independent", mat_rank(mat(rd.simple_roots, n)) == r, ""))
-    checks.append(("coroots-independent", mat_rank(mat(rd.simple_coroots, n)) == r, ""))
+    # c = roots @ coroots^T with positive leading minors is nonsingular, so
+    # its two r x n factors have rank r: only a failed criterion needs ranks
+    for name, vecs in (("roots", rd.simple_roots), ("coroots", rd.simple_coroots)):
+        independent = ok_cartan or hermite_basis(mat(vecs, n)).rows == r
+        checks.append((f"{name}-independent", independent, ""))
 
     try:
         d.x_module().check()
@@ -200,24 +210,33 @@ def validate(d: ReductiveDatum) -> Checks:
 
 def weight_module(d: ReductiveDatum) -> GammaModule:
     """P = Hom(Z Phi-dual, Z) on the fundamental-weight basis, with the
-    permutation action induced by the root permutations."""
-    r = d.datum.semisimple_rank
-    one, actions = identity(r), []
-    for g in d.gamma.elements():
-        perm = d.root_permutation(g)
-        if perm is None:
-            raise InvalidDatum("action does not permute the simple roots")
-        actions.append(mat(map(one.row, perm), r))
-    return GammaModule(d.gamma, FgAbelianGroup.free(r), tuple(actions))
+    permutation action induced by the root permutations; built once per
+    datum."""
+    p = d._kept.get("weights")
+    if p is None:
+        r = d.datum.semisimple_rank
+        one, actions = identity(r), []
+        for g in d.gamma.elements():
+            perm = d.root_permutation(g)
+            if perm is None:
+                raise InvalidDatum("action does not permute the simple roots")
+            actions.append(mat(map(one.row, perm), r))
+        p = d._kept["weights"] = GammaModule(d.gamma, FgAbelianGroup.free(r), tuple(actions))
+    return p
 
 
 def pairing_map(d: ReductiveDatum) -> GammaHom:
-    """beta: X -> P, chi -> (<chi, alpha_j-dual>)_j."""
-    n, r = d.datum.rank, d.datum.semisimple_rank
-    b = mat(
-        [[d.datum.simple_coroots[j][i] for j in range(r)] for i in range(n)], r
-    )
-    return GammaHom(d.x_module(), weight_module(d), b)
+    """beta: X -> P, chi -> (<chi, alpha_j-dual>)_j; built once per datum,
+    so that its matrix keeps one solved state for the kernel and the
+    cokernel of beta."""
+    beta = d._kept.get("beta")
+    if beta is None:
+        n, r = d.datum.rank, d.datum.semisimple_rank
+        b = mat(
+            [[d.datum.simple_coroots[j][i] for j in range(r)] for i in range(n)], r
+        )
+        beta = d._kept["beta"] = GammaHom(d.x_module(), weight_module(d), b)
+    return beta
 
 
 def character_group(d: ReductiveDatum) -> GammaModule:
@@ -251,7 +270,12 @@ def pi1(d: ReductiveDatum) -> GammaModule:
 
 
 def saturation(rows: IntMatrix) -> IntMatrix:
-    """Basis of the saturation of the row span (double orthogonal complement)."""
+    """Basis of the saturation of the row span (double orthogonal complement).
+    n rows of rank n in Z^n span a lattice of finite index, whose saturation
+    is Z^n, so a square matrix takes the cheaper rank test first."""
+    n = rows.cols
+    if rows.rows == n and hermite_basis(rows).rows == n:
+        return identity(n)
     return kernel_basis(kernel_basis(rows.transpose()).transpose())
 
 
@@ -354,7 +378,7 @@ def _twisted(d: ReductiveDatum, twist: str) -> ReductiveDatum:
     (kind, rank), perm = _TWISTS[twist]
     if d.datum.rank != rank or d.datum.cartan_pairing() != cartan_matrix(kind, rank):
         raise InvalidDatum(f"the {twist} twist needs a rank-{rank} datum of type {kind}{rank}")
-    one = identity(rank)
+    one = mat(identity(rank).data, rank)  # the datum's own, as in ``untwisted``
     rho = mat(map(one.row, perm), rank)
     powers = [one]
     while (m := powers[-1] @ rho) != one:

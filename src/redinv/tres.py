@@ -116,13 +116,15 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     rho_matrix = mat((row[n:] for row in r_inc.matrix.data), k * q)
     rho_star = GammaHom(r_star, t_star, rho_matrix)
 
+    # the kernel of beta first: its elimination gives the cokernel too
+    x0, chi_inc = equivariant_kernel(beta)
+    mu, _ = equivariant_cokernel(beta)
+
     # l* = s followed by the projection mu' -> mu (drop the X_rad part)
     drop = vstack(zeros(n, r), identity(r))
-    mu, _ = equivariant_cokernel(beta)
     l_star = GammaHom(t_star, mu, s_matrix @ drop)
 
     # character group included into R* as chi -> (chi mod rad span, 0)
-    x0, chi_inc = equivariant_kernel(beta)
     chi = chi_inc.matrix
     char_matrix = member_coords(
         r_inc.matrix, src.group.relations, hstack(chi, zeros(chi.rows, k * q))

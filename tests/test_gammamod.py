@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redinv.intmat import DimensionMismatch, hermite_basis, hstack, identity, mat, zeros
 from redinv.abgrp import (
     AbHom,
     FgAbelianGroup,
     cokernel,
+    homology_at,
     is_exact_at,
     kernel,
     power,
@@ -36,6 +38,7 @@ from oracles import (
     dihedral_group,
     direct_product,
     full_bar_cohomology,
+    in_row_lattice,
     normalized_bar_cohomology,
     quaternion_group,
     sign_module,
@@ -209,6 +212,41 @@ class TestModules:
         )
         m.check()
         assert m.action_hom(1).apply_coords((2,)) == m.group.reduce((-2,))
+
+
+# C2 with its identity labelled 1
+C2_RELABELLED = FiniteGroup(((1, 0), (0, 1)))
+
+
+class TestModuleCheck:
+    @pytest.mark.parametrize("gamma, group, actions, message", [
+        (cyclic_group(2), FgAbelianGroup.free(1), ([[-1]], [[-1]]),
+         "identity element does not act trivially"),
+        (C2_RELABELLED, FgAbelianGroup.free(1), ([[1]], [[-1]]),
+         "identity element does not act trivially"),
+        # the swap moves the relation (2, 0) to (0, 2)
+        (cyclic_group(2), FgAbelianGroup(2, mat([[2, 0]])), ([[1, 0], [0, 1]], [[0, 1], [1, 0]]),
+         "action of element 1 breaks the relations"),
+        (cyclic_group(2), Z4, ([[1]], [[2]]), "action of element 1 is not invertible"),
+        # the generator squares to 1 but its cube is not itself
+        (cyclic_group(4), FgAbelianGroup.free(1), ([[1]], [[-1]], [[1]], [[1]]),
+         "composition law fails"),
+    ], ids=["identity", "identity-labelled-1", "relations", "invertible", "composition"])
+    def test_each_failure(self, gamma, group, actions, message):
+        m = GammaModule(gamma, group, tuple(mat(a) for a in actions))
+        with pytest.raises(InvalidAction, match=f"^{message}$"):
+            m.check()
+
+    @pytest.mark.parametrize("gamma, group, actions", [
+        (trivial_group(), FgAbelianGroup(1, mat([[2]])), ([[3]],)),
+        (cyclic_group(2), FgAbelianGroup(1, mat([[2]])), ([[3]], [[-1]])),
+        (C2_RELABELLED, FgAbelianGroup.free(1), ([[-1]], [[1]])),
+        # M_e - 1 has the rows (0, 3) and (2, 0) of the relation lattice
+        (cyclic_group(2), FgAbelianGroup(2, mat([[2, 0], [0, 3]])),
+         ([[1, 3], [2, 1]], [[-1, 0], [0, -1]])),
+    ], ids=["Z/2-trivial", "Z/2-C2", "labelled-1", "Z/2+Z/3"])
+    def test_identity_acting_trivially_modulo_relations(self, gamma, group, actions):
+        GammaModule(gamma, group, tuple(mat(a) for a in actions)).check()
 
 
 class TestFixedPoints:
@@ -435,6 +473,10 @@ def small_modules():
         yield from mods
 
 
+# those of ambient rank at most 4, few enough minors for ``in_row_lattice``
+SMALL_MODULES = [m for m in small_modules() if m.group.ambient_rank <= 4]
+
+
 def equivariant_endomorphism(rng: random.Random, m: GammaModule) -> GammaHom:
     """The norm sum_g M_{g^-1} A M_g of a random A, of rank one half the time.
     Every module of ``small_modules`` has relations 4 I or none, so any A is
@@ -569,3 +611,97 @@ class TestRandomized:
                 d0, d1, z2 = (presentation_differential(m, i) for i in (0, 1, 2))
                 assert d0.then(d1).is_zero()
                 assert d1.then(z2).is_zero()
+
+
+def reference_check(m: GammaModule):
+    """The first failure of every test of ``GammaModule.check`` run on every
+    element, the identity too, with lattice membership by ``in_row_lattice``;
+    None when all pass."""
+    rels, n = m.group.relations, m.group.ambient_rank
+    if not in_row_lattice(rels, m.actions[m.gamma.identity] - identity(n)):
+        return "identity element does not act trivially"
+    for g in m.gamma.elements():
+        h = m.action_hom(g)
+        if not in_row_lattice(rels, rels @ m.actions[g]):
+            return f"action of element {g} breaks the relations"
+        if not h.is_isomorphism():
+            return f"action of element {g} is not invertible"
+    for g in m.gamma.elements():
+        for h in m.gamma.elements():
+            lhs = m.actions[h] @ m.actions[g]
+            if not in_row_lattice(rels, lhs - m.actions[m.gamma.mul(g, h)]):
+                return "composition law fails"
+    return None
+
+
+@st.composite
+def _small_actions(draw) -> GammaModule:
+    """A group of order at most 3 acting on Z, Z/4, Z^2 or Z/2 + Z/3.  The
+    identity acts by 1, by 1 plus relations or by any matrix; every other
+    element by a signed identity, a swap or small random entries."""
+    gamma = draw(st.sampled_from([trivial_group(), cyclic_group(2), C2_RELABELLED,
+                                  cyclic_group(3)]))
+    group = draw(st.sampled_from([FgAbelianGroup.free(1), Z4, FgAbelianGroup.free(2),
+                                  FgAbelianGroup(2, mat([[2, 0], [0, 3]]))]))
+    n, rels = group.ambient_rank, group.relations
+    entries = st.integers(-3, 3)
+    pool = [identity(n), -identity(n), mat([[0, 1], [1, 0]]) if n == 2 else identity(n)]
+    actions = []
+    for g in gamma.elements():
+        kind = draw(st.sampled_from(["one", "relations", "relations", "any"]
+                                    if g == gamma.identity else ["pool", "pool", "any"]))
+        if kind == "one":
+            m = identity(n)
+        elif kind == "relations":
+            shift = mat([[draw(entries) for _ in range(rels.rows)] for _ in range(n)], rels.rows)
+            m = identity(n) + shift @ rels
+        elif kind == "pool":
+            m = draw(st.sampled_from(pool))
+        else:
+            m = mat([[draw(entries) for _ in range(n)] for _ in range(n)], n)
+        actions.append(m)
+    return GammaModule(gamma, group, tuple(actions))
+
+
+class TestIdentityShortcuts:
+    """``check``, ``is_equivariant`` and ``subquotient_module`` skip the
+    identity element or an identity matrix; each agrees with the rule that
+    skips nothing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_actions())
+    def test_check_fails_first_where_every_element_is_tested(self, m):
+        try:
+            m.check()
+            got = None
+        except InvalidAction as exc:
+            got = str(exc)
+        assert got == reference_check(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_MODULES), st.integers(0, 2**32), st.booleans())
+    def test_subquotient_actions_agree_with_class_coords(self, m, seed, quotient):
+        f = equivariant_endomorphism(random.Random(seed), m)
+        if quotient:  # m / im f, degree 0 of [m --f--> m]
+            data = homology_at(f.hom, AbHom.zero(m.group, FgAbelianGroup.trivial()))
+        else:
+            data = homology_at(None, f.hom)
+        sub = subquotient_module(m, data)
+        for act, got in zip(m.actions, sub.actions):
+            c = data.class_coords(data.gens @ act)
+            assert in_row_lattice(data.denominator, (got - c) @ data.gens)
+            assert in_row_lattice(data.denominator, got @ data.gens - data.gens @ act)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_MODULES), st.data())
+    def test_is_equivariant_is_the_all_elements_rule(self, source, data):
+        target = data.draw(st.sampled_from([t for t in SMALL_MODULES if t.gamma == source.gamma]))
+        n, k = source.group.ambient_rank, target.group.ambient_rank
+        a = mat([[data.draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(n)], k)
+        if data.draw(st.booleans()):  # the norm of a, an equivariant map
+            a = sum((source.actions[source.gamma.inverse(g)] @ a @ target.actions[g]
+                     for g in source.gamma.elements()), zeros(n, k))
+        want = all(in_row_lattice(target.group.relations,
+                                  source.actions[g] @ a - a @ target.actions[g])
+                   for g in source.gamma.elements())
+        assert GammaHom(source, target, a).is_equivariant() == want

@@ -22,7 +22,6 @@ from redinv.intmat import (
     mat,
     member_coords,
     pivots,
-    rank,
     snf,
     vstack,
     zeros,
@@ -178,13 +177,21 @@ class TestKernelBasis:
         for _ in range(100):
             m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 8).transpose()
             k = kernel_basis(m)
-            assert rank(k) == k.rows
-            assert k.rows + rank(m) == m.rows
+            assert hermite_basis(k).rows == k.rows
+            assert k.rows + hermite_basis(m).rows == m.rows
             for i in range(k.rows):
                 assert all(a == 0 for a in m.apply_to_row(k.row(i)))
 
 
 class TestMisc:
+    def test_is_identity(self):
+        # past the shared identities too, where identity(n) builds a new one
+        for n in (0, 1, 3, 300):
+            assert identity(n).is_identity() and mat(identity(n).data, n).is_identity()
+        for m in (mat([[1, 0]]), mat([[1, 0], [0, 2]]), mat([[1, 1], [0, 1]]),
+                  mat([[0, 1], [1, 0]]), zeros(2, 2), zeros(0, 1)):
+            assert not m.is_identity()
+
     def test_inverse_unimodular(self):
         # the identity as right-hand side gives the inverse of a unimodular matrix
         m = mat([[1, 2], [0, 1]])
@@ -296,7 +303,7 @@ class TestNormalFormProperties:
         rng = random.Random(17)
         a = random_matrix(rng, 8, 7, 20)
         m = mat([r + (sum((j + 1) * x for j, x in enumerate(r)),) for r in a.data], 8)
-        assert rank(a) == 7 and rank(m) == 7
+        assert hermite_basis(a).rows == 7 and hermite_basis(m).rows == 7
         assert hnf(m) == reference_hnf(m)
 
     def test_determinant_divisible_by_the_prime(self):
@@ -366,7 +373,7 @@ class TestNormalFormProperties:
         m = m.transpose()
         k = kernel_basis(m)
         assert k.cols == m.rows
-        assert k.rows == m.rows - rank(m)
+        assert k.rows == m.rows - hermite_basis(m).rows
         assert (k @ m).is_zero()
         # saturated: the maximal minors of k are coprime (independent oracle)
         assert gcd_of_minors_invariants(k) == [1] * k.rows

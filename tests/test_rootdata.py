@@ -1,10 +1,13 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redinv.catalogio import default_catalog_path, load_catalog
+from redinv.catalogio import datum_invariants, default_catalog_path, load_catalog
 from redinv.cli import main
 from redinv import intmat
-from redinv.intmat import identity, mat
+from redinv.intmat import IntMatrix, identity, kernel_basis, mat
+from redinv.abgrp import FgAbelianGroup
 from redinv.gammamod import GammaModule, cyclic_group, group_cohomology
 from redinv.rootdata import (
     _FAMILIES,
@@ -19,11 +22,14 @@ from redinv.rootdata import (
     gl_datum,
     is_finite_cartan_matrix,
     mu_dual,
+    pairing_map,
     pi1,
     radical_characters,
+    saturation,
     simply_connected_datum,
     torus_datum,
     validate,
+    weight_module,
 )
 
 from oracles import bareiss_is_finite_cartan, det, root_cartan_matrix
@@ -283,6 +289,82 @@ class TestTwisted:
             assert len(duals) == len(d.actions) == d.gamma.order
             for m, dual in zip(d.actions, duals):
                 assert m @ dual.transpose() == identity(d.datum.rank), d.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 1), st.data())
+def test_saturation_is_the_double_complement(n, short, data):
+    # square rows of full rank take the rank test, all others the complement
+    k = n - short
+    rows = mat([[data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(k)], n)
+    want = kernel_basis(kernel_basis(rows.transpose()).transpose())
+    assert saturation(rows) == want
+
+
+def matrices(obj, found=None) -> dict[int, IntMatrix]:
+    """Every IntMatrix reachable from obj through dataclass fields (kept
+    ones too), tuples, lists and dict values, by id; a matrix's own memos
+    are not walked."""
+    found = {} if found is None else found
+    if isinstance(obj, IntMatrix):
+        found[id(obj)] = obj
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            matrices(getattr(obj, f.name), found)
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            matrices(x, found)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            matrices(x, found)
+    return found
+
+
+KEPT_SPECS = ("SL(3)", "PGL(4)", "GL(3)", "Sp(6)", "E6sc", "SL(3)xGamma:flip",
+              "PSO(8)xGamma:triality")
+
+
+class TestKeptPerDatum:
+    """A datum builds its root permutations, weight module and pairing map
+    once, and what it keeps is its own."""
+
+    @pytest.mark.parametrize("spec", KEPT_SPECS + ("T(2)",))
+    def test_pairing_map_is_built_once(self, spec):
+        d = from_catalog(spec)
+        beta = pairing_map(d)
+        assert pairing_map(d) is beta and weight_module(d) is beta.target
+        assert d.root_permutation(0) is d.root_permutation(0)
+
+    @pytest.mark.parametrize("spec", KEPT_SPECS)
+    def test_cokernel_reads_the_kernels_elimination(self, spec):
+        # a torus has no coroots, and its kernel needs no elimination
+        d = from_catalog(spec)
+        character_group(d)
+        beta = pairing_map(d)
+        assert intmat._solved_image(beta.matrix, beta.target.group.relations) is not None
+        n, r = d.datum.rank, d.datum.semisimple_rank
+        coroots = mat(d.datum.simple_coroots, n)
+        assert mu_dual(d).group == FgAbelianGroup(r, coroots.transpose())
+
+    @pytest.mark.parametrize("spec", KEPT_SPECS + ("T(2)",))
+    def test_calls_share_no_matrix(self, spec):
+        first, second = from_catalog(spec), from_catalog(spec)
+        for d in (first, second):
+            datum_invariants(d)
+            validate(d)
+        assert first._kept and second._kept
+        assert not matrices(first).keys() & matrices(second).keys()
+
+    @pytest.mark.parametrize("spec", KEPT_SPECS + ("T(2)",))
+    def test_kept_state_is_neither_compared_nor_hashed(self, spec):
+        d = from_catalog(spec)
+        datum_invariants(d)
+        parsed = from_catalog(spec)  # a twist has found its root permutations
+        built = ReductiveDatum(parsed.name, parsed.datum, parsed.gamma, parsed.actions)
+        assert d._kept and len(d._kept) > len(parsed._kept) and not built._kept
+        for fresh in (parsed, built):
+            assert d == fresh and hash(d) == hash(fresh)
+            assert repr(d) == repr(fresh)
 
 
 class TestConstructors:

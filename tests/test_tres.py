@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from redinv import abgrp
 from redinv.intmat import hstack, identity, mat, zeros
 from redinv.abgrp import AbHom, FgAbelianGroup, cokernel, direct_sum
 from redinv.gammamod import GammaHom, cyclic_group, group_cohomology
@@ -79,6 +80,20 @@ class TestPushoutResolution:
             res = pushout_tresolution(from_catalog(spec))
             rep = four_term_check(res)
             assert rep.passed, (spec, rep.failures())
+
+    @pytest.mark.parametrize("spec", [s for s in SPECS if s != "T(2)"])
+    def test_mu_reads_the_kernels_elimination(self, spec, monkeypatch):
+        # the kernel of beta comes first, so the cokernel takes the Hermite
+        # basis of the image of beta from its elimination, not from a
+        # hermite_basis of its own (a torus has no beta to eliminate)
+        d = from_catalog(spec)
+        seen = []
+        hermite_basis = abgrp.hermite_basis
+        monkeypatch.setattr(abgrp, "hermite_basis", lambda m: seen.append(m) or hermite_basis(m))
+        res = pushout_tresolution(d)
+        beta = pairing_map(d).matrix
+        assert beta not in seen
+        assert res.l_star.target.group == FgAbelianGroup(beta.cols, beta)
 
     def test_induced_torus_shape(self):
         # with a twist, T* is a module induced from the twisting group
