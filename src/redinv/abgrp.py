@@ -17,6 +17,7 @@ from typing import Any, Optional, Sequence
 from .intmat import (
     DimensionMismatch,
     IntMatrix,
+    _certified,
     _hermite_pivots,
     _pivots_of,
     _solved_image,
@@ -50,9 +51,9 @@ class NotComposable(ValueError):
 class FgAbelianGroup:
     ambient_rank: int
     # stored as the Hermite basis of the rows given: at most ambient_rank
-    # rows, however many the caller or a JSON file lists.  Rows that already
-    # form it, as every kernel_basis output does, are checked in one pass
-    # and kept, with the pivots that pass found; any others are eliminated.
+    # rows, however many the caller or a JSON file lists.  Certified rows,
+    # as every kernel_basis output is, are kept as they are; others that
+    # already form it are checked in one pass; any others are eliminated.
     relations: IntMatrix
 
     def __post_init__(self) -> None:
@@ -60,14 +61,24 @@ class FgAbelianGroup:
             raise DimensionMismatch(
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
-        if _hermite_pivots(self.relations) is None:
+        if self.relations._pivots is None and _hermite_pivots(self.relations) is None:
             object.__setattr__(self, "relations", hermite_basis(self.relations))
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion invariants d1 | d2 | ..., each > 1)."""
-        factors = invariant_factors(self.relations)
+        """(free rank, torsion invariants d1 | d2 | ..., each > 1).  A unit
+        pivot's column is zero in the other rows, so its generator and row
+        drop out (Tietze): the Smith loop sees only the other rows on the
+        columns E left, a Hermite basis again."""
+        rels = self.relations
+        piv = _pivots_of(rels)
+        unit = {j for i, j in piv if rels.data[i][j] == 1}
+        keep = [j for j in range(self.ambient_rank) if j not in unit]
+        rest = [(i, j) for i, j in piv if j not in unit]
+        factors = invariant_factors(_certified(
+            (tuple(rels.data[i][j] for j in keep) for i, _ in rest), len(keep),
+            (keep.index(j) for _, j in rest)))
         torsion = tuple(d for d in factors if d > 1)
-        return self.ambient_rank - len(factors), torsion
+        return len(keep) - len(factors), torsion
 
     def is_trivial(self) -> bool:
         return self.relations == identity(self.ambient_rank)

@@ -36,9 +36,11 @@ which pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
 
 ``identity(n)`` builds each n up to 256 once and hands every caller the
 same matrix, which is immutable (and so holds one solved state at most).
-``_hermite_pivots`` tells in one pass whether rows already form a Hermite
-basis, so that a group given one keeps it without an elimination; a matrix
-keeps the pivots that pass or ``_pivots_of`` found.
+A matrix that is its own Hermite basis may carry its pivots, ``_pivots``,
+as a certificate, set only by code that has just made such a basis:
+``hermite_basis`` (``_echelon`` returns the pivot columns), the solver's
+kernel and image, ``identity(n)``, ``zeros(0, n)`` and a passing
+``_hermite_pivots``, the one-pass test of rows given from outside.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class IntMatrix:
 
     data: tuple[tuple[int, ...], ...]
     cols: int
-    # Memos of work that depends on data alone: ``_pivots`` holds the pivots
-    # that ``_pivots_of`` found, ``_solved`` the solved state (``_Solve``)
-    # for the last relations asked for.  Neither is compared or printed.
+    # Work that depends on data alone: ``_pivots`` certifies a Hermite basis
+    # (see above), ``_solved`` holds the solved state (``_Solve``) for the
+    # last relations asked for.  Neither is compared or printed.
     _pivots: Optional[tuple[tuple[int, int], ...]] = field(
         default=None, init=False, repr=False, compare=False)
     _solved: Optional["_Solve"] = field(default=None, init=False, repr=False, compare=False)
@@ -219,14 +221,23 @@ def identity(n: int) -> IntMatrix:
         rows = [[0] * n for _ in range(n)]
         for i, row in enumerate(rows):
             row[i] = 1
-        m = mat(rows, n)
+        m = _certified(rows, n, range(n))
         if n <= _MAX_SHARED_IDENTITY:
             _IDENTITIES[n] = m
     return m
 
 
 def zeros(r: int, c: int) -> IntMatrix:
+    if not r:
+        return _certified((), c, ())
     return IntMatrix(tuple(tuple(0 for _ in range(c)) for _ in range(r)), c)
+
+
+def _certified(rows: Iterable[Iterable[int]], c: int, piv: Iterable[int]) -> IntMatrix:
+    """The Hermite basis of rows, with pivots in columns piv, certified."""
+    m = mat(rows, c)
+    object.__setattr__(m, "_pivots", tuple(enumerate(piv)))
+    return m
 
 
 def vstack(*ms: IntMatrix) -> IntMatrix:
@@ -258,9 +269,9 @@ def block_diag(*ms: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(out), total_c)
 
 
-def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> int:
+def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> list[int]:
     """Bring the first c columns of ``rows`` to row Hermite form in place,
-    carrying any further columns along, and return the rank.
+    carrying any further columns along, and return the pivot columns.
 
     Each pivot has minimal nonzero absolute value in its column, ties
     broken by lowest row index.  The Euclid steps that find it take floor
@@ -325,7 +336,7 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> int:
                     supports[k] = [(j, x) for j, x in enumerate(rows[k]) if x]
                 for j, x in supports[k]:
                     row[j] -= q * x
-    return len(piv)
+    return piv
 
 
 def _with_identity(m: IntMatrix) -> list[list[int]]:
@@ -348,7 +359,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     r, c = m.shape
     rows = _with_identity(m)
     if r == c and all(map(any, m.data)) and all(map(any, zip(*m.data))):
-        if _echelon(rows, c, balanced=True) < r:
+        if len(_echelon(rows, c, balanced=True)) < r:
             rows = _with_identity(m)
             _echelon(rows, c)
     else:
@@ -362,15 +373,17 @@ def hermite_basis(m: IntMatrix) -> IntMatrix:
     A tall m is taken cols rows at a time, each block reduced together with
     the basis of the rows before it, so no elimination has more than
     2 * cols rows.  The Hermite form of a lattice is unique, so the rows
-    are those of one elimination of m.
+    are those of one elimination of m.  The result carries its pivots.
     """
     c, step = m.cols, max(m.cols, 1)
     rows = m.to_lists()
     basis: list[list[int]] = []
+    piv: list[int] = []
     for k in range(0, len(rows), step):
         block = basis + rows[k:k + step]
-        basis = block[: _echelon(block, c, balanced=True)]
-    return mat(basis, c)
+        piv = _echelon(block, c, balanced=True)
+        basis = block[:len(piv)]
+    return _certified(basis, c, piv)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -415,7 +428,7 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, with no transforms: Hermite bases
     of m and of its transpose in turn until one is diagonal, then (gcd, lcm)
     swaps that sort the positive diagonal into a divisibility chain."""
-    a = hermite_basis(m)
+    a = m if m._pivots is not None else hermite_basis(m)
     # an echelon form is diagonal when no row has an entry right of it
     while any(any(row[i + 1:]) for i, row in enumerate(a.data)):
         a = hermite_basis(a.transpose())
@@ -433,12 +446,9 @@ def pivots(h: IntMatrix) -> tuple[tuple[int, int], ...]:
 
 
 def _pivots_of(h: IntMatrix) -> tuple[tuple[int, int], ...]:
-    """``pivots(h)``, found once per matrix and kept with it."""
-    piv = h._pivots
-    if piv is None:
-        piv = pivots(h)
-        object.__setattr__(h, "_pivots", piv)
-    return piv
+    """``pivots(h)``: the certificate of a Hermite basis, found afresh for
+    any other matrix."""
+    return pivots(h) if h._pivots is None else h._pivots
 
 
 def _hermite_pivots(m: IntMatrix) -> Optional[tuple[tuple[int, int], ...]]:
@@ -446,8 +456,8 @@ def _hermite_pivots(m: IntMatrix) -> Optional[tuple[tuple[int, int], ...]]:
     otherwise: no row is zero, the leading entries are positive and stand in
     strictly increasing columns, and every entry above a pivot lies in
     [0, pivot).  Such rows are the unique Hermite basis of their lattice, so
-    ``hermite_basis(m) == m`` exactly when this is not None.  The pivots
-    found are kept with m, for ``_pivots_of``."""
+    ``hermite_basis(m) == m`` exactly when this is not None, and the pivots
+    found are kept with m as its certificate."""
     piv = []
     last = -1
     for i, row in enumerate(m.data):
@@ -492,7 +502,7 @@ class _Solve:
     {x : x @ m lies in the lattice of rels} (``kernel``, Cohen, GTM 138,
     2.4.3).  Each reader keeps its result and drops the rows it read."""
 
-    __slots__ = ("rels", "shape", "rows", "rank", "above", "below", "_kernel", "_image")
+    __slots__ = ("rels", "shape", "rows", "piv", "above", "below", "_kernel", "_image")
 
     def __init__(self, m: IntMatrix, rels: Optional[IntMatrix]) -> None:
         self.rels, self.shape = rels, m.shape
@@ -501,21 +511,21 @@ class _Solve:
             piv = _pivots_of(rels)
             for x in self.rows:
                 echelon_reduce(rels, piv, x)
-        self.rank: Optional[int] = None
+        self.piv: Optional[list[int]] = None
         self.above = self.below = self._image = None
         # every row in the lattice: all of Z^r, with no elimination
         self._kernel = None if any(map(any, self.rows)) else identity(m.rows)
 
     def _eliminate(self) -> None:
-        if self.rank is not None:
+        if self.piv is not None:
             return
         (r, c), rows, self.rows = self.shape, self.rows, None
         for x, e in zip(rows, identity(r).data):
             x.extend(e)
         if self.rels is not None:
             rows += [list(row) + [0] * r for row in self.rels.data]
-        k = self.rank = _echelon(rows, c, balanced=True)
-        self.above, self.below = rows[:k], rows[k:]
+        self.piv = piv = _echelon(rows, c, balanced=True)
+        self.above, self.below = rows[:len(piv)], rows[len(piv):]
 
     def kernel(self) -> IntMatrix:
         if self._kernel is None:
@@ -532,7 +542,8 @@ class _Solve:
             r, c = self.shape
             self._eliminate()
             above, self.above = self.above, None
-            self._image = mat([row[:c] for row in above], c), mat([row[c:] for row in above], r)
+            self._image = (_certified([row[:c] for row in above], c, self.piv),
+                           mat([row[c:] for row in above], r))
         return self._image
 
 
@@ -558,7 +569,7 @@ def _solved_image(m: IntMatrix, rels: Optional[IntMatrix]) -> Optional[IntMatrix
     """The Hermite basis of the rows of m and rels when m was already
     eliminated against these relations, and None otherwise."""
     s = _solved(m, rels)
-    return None if s is None or s.rank is None else s.image()[0]
+    return None if s is None or s.piv is None else s.image()[0]
 
 
 def kernel_basis(m: IntMatrix, rels: Optional[IntMatrix] = None) -> IntMatrix:

@@ -149,6 +149,10 @@ class ReductiveDatum:
 
     def _find_permutation(self, m: IntMatrix) -> Optional[tuple[int, ...]]:
         roots = self.datum.simple_roots
+        # the identity fixes distinct roots of its width; others take the loop
+        if (m.is_identity() and len(set(roots)) == len(roots)
+                and all(len(a) == m.rows for a in roots)):
+            return tuple(range(len(roots)))
         perm = []
         for a in roots:
             try:
@@ -199,7 +203,7 @@ def validate(d: ReductiveDatum) -> Checks:
             checks.append((f"action-{g}-permutes-roots", False, ""))
             continue
         checks.append((f"action-{g}-permutes-roots", True, str(perm)))
-        ok_co = all(
+        ok_co = (perm == tuple(range(r)) and duals[g].is_identity()) or all(
             tuple(duals[g].apply_to_row(rd.simple_coroots[i]))
             == rd.simple_coroots[perm[i]]
             for i in range(r)

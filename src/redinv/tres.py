@@ -87,18 +87,20 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     mu_prime_grp, _ = cokernel(emb)
     mu_prime = GammaModule(gamma, mu_prime_grp, target.actions)
 
-    # orbit representatives among the classes of the ambient generators
+    # orbit representatives among the classes of the ambient generators; an
+    # identity action fixes the class, which reduce leaves as it is
+    moving = [m for m in mu_prime.actions if not m.is_identity()]
     seen: set[tuple[int, ...]] = set()
     reps: list[int] = []
     for j, e_j in enumerate(identity(n + r).data):
         cls = mu_prime_grp.reduce(e_j)
         if cls in seen:
             continue
+        seen.add(cls)
         if not any(cls):
-            seen.add(cls)
             continue
         # the actions cover every element of Gamma, so this is the whole orbit
-        seen |= {mu_prime_grp.reduce(m.apply_to_row(cls)) for m in mu_prime.actions}
+        seen |= {mu_prime_grp.reduce(m.apply_to_row(cls)) for m in moving}
         reps.append(j)
 
     k = len(reps)

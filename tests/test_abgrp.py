@@ -35,11 +35,13 @@ from redinv.abgrp import (
 
 from oracles import (
     constructive_hom,
+    gcd_of_minors_invariants,
     in_row_lattice,
     inexact_spots,
     random_diagonal_group,
     random_group,
     random_hom,
+    random_matrix,
 )
 
 
@@ -92,6 +94,47 @@ class TestGroups:
             assert g2.invariants() == g.invariants()
             assert g2 == g
             assert hermite_basis(g.relations) == g.relations
+
+
+def _minors_invariants(g: FgAbelianGroup, rows: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion) from the gcds of the minors of the rows given,
+    with no Hermite or Smith form."""
+    factors = gcd_of_minors_invariants(rows)
+    return g.ambient_rank - len(factors), tuple(d for d in factors if d > 1)
+
+
+class TestInvariantsOnTheNonUnitBlock:
+    """``invariants`` drops the generators of unit pivots and runs the Smith
+    loop on the rest; the gcds of the minors of the relations say what the
+    whole group is."""
+
+    @pytest.mark.parametrize("rows, want", [
+        pytest.param(zeros(0, 3), (3, ()), id="no-relations"),
+        pytest.param(mat([[1, 2, 3], [0, 1, 4], [0, 0, 1]]), (0, ()), id="all-pivots-unit"),
+        pytest.param(mat([[2, 1], [1, 1]]), (0, ()), id="unimodular-not-hermite"),
+        pytest.param(mat([[2, 0, 1, 0], [0, 3, 0, 0]]), (2, (3,)),
+                     id="free-columns-right-of-non-unit-pivots"),
+        pytest.param(mat([[1, 3, 2], [0, 4, 0]]), (1, (4,)),
+                     id="unit-pivot-row-with-entries-in-non-unit-columns"),
+        pytest.param(mat([[1, 5, 7, 0], [0, 6, 2, 3], [0, 0, 9, 1]]), None,
+                     id="unit-pivot-above-a-dense-block"),
+    ])
+    def test_edge_cases(self, rows, want):
+        g = FgAbelianGroup(rows.cols, rows)
+        assert g.invariants() == _minors_invariants(g, rows)
+        if want is not None:
+            assert g.invariants() == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_groups(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            g = random_group(rng, 6, 8)
+            assert g.invariants() == _minors_invariants(g, g.relations)
+            n = rng.randint(1, 5)
+            rows = random_matrix(rng, rng.randint(0, n + 1), n, rng.choice((1, 3, 9)))
+            g = FgAbelianGroup(n, rows)
+            assert g.invariants() == _minors_invariants(g, rows)
 
 
 class TestHoms:

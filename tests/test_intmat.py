@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -14,8 +15,10 @@ from redinv.intmat import (
     _with_identity,
     DimensionMismatch,
     IntMatrix,
+    block_diag,
     hermite_basis,
     hnf,
+    hstack,
     identity,
     invariant_factors,
     kernel_basis,
@@ -312,7 +315,7 @@ class TestNormalFormProperties:
         # the rank of the balanced pass keeps it on the balanced one
         m = mat([[32749, 1], [0, 1]])
         assert det(m) % 32749 == 0 and det(m) != 0
-        assert _echelon(_with_identity(m), 2, balanced=True) == 2
+        assert len(_echelon(_with_identity(m), 2, balanced=True)) == 2
         assert hnf(m) == reference_hnf(m)
 
     def test_singular_square_retakes_the_floor_rule(self):
@@ -323,7 +326,7 @@ class TestNormalFormProperties:
         m = mat([r[:4] + (sum((j + 1) * x for j, x in enumerate(r)),) + r[4:]
                  for r in a.data], 8)
         rows = _with_identity(m)
-        assert _echelon(rows, 8, balanced=True) == 7
+        assert len(_echelon(rows, 8, balanced=True)) == 7
         h, u = reference_hnf(m)
         assert mat([row[8:] for row in rows], 8) != u
         assert hnf(m) == (h, u)
@@ -420,6 +423,74 @@ class TestHermiteShortcut:
         g = FgAbelianGroup(m.cols, m)
         assert g.relations == hermite_basis(m) != m
         assert _pivots_of(g.relations) == pivots(g.relations)
+
+
+def _certificate_holds(h: IntMatrix) -> bool:
+    return h._pivots is not None and h._pivots == pivots(h) and hermite_basis(h) == h
+
+
+def _seeded_inputs(seed: int) -> list[IntMatrix]:
+    """Tall, wide and rank-deficient matrices."""
+    rng = random.Random(seed)
+    low_rank = random_matrix(rng, 6, 3, 3) @ random_matrix(rng, 3, 6, 9)
+    return [random_matrix(rng, 9, 4, 9), random_matrix(rng, 3, 7, 9), low_rank]
+
+
+class TestCertificate:
+    """``_pivots`` is set only on a matrix that is its own Hermite basis,
+    and only by code that made one."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hermite_outputs_carry_their_pivots(self, seed):
+        for m in _seeded_inputs(seed):
+            rels = random_matrix(random.Random(100 + seed), 2, m.cols, 9)
+            outputs = [hermite_basis(m), kernel_basis(m), kernel_basis(m, rels),
+                       intmat._solve(m, rels).image()[0], identity(m.cols), zeros(0, m.cols)]
+            for h in outputs:
+                assert _certificate_holds(h), h
+            # solving against rows that are no Hermite basis certifies neither
+            assert member_coords(m, rels, m) is not None
+            assert m._pivots is None and rels._pivots is None
+
+    def test_built_matrices_carry_none(self):
+        # each of these is a Hermite basis, but nothing vouched for it
+        e = identity(3)
+        for m in (mat(e.data, 3), e.transpose(), vstack(e), hstack(identity(2), zeros(2, 0)),
+                  block_diag(identity(2), identity(1)), zeros(2, 3)):
+            assert m._pivots is None, m
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_uncertified_rows_are_still_reduced(self, seed):
+        for m in _seeded_inputs(seed):
+            g = FgAbelianGroup(m.cols, m)
+            assert g.relations == hermite_basis(m) != m
+            assert m._pivots is None and _certificate_holds(g.relations)
+
+    def test_certified_input_starts_the_smith_loop(self, monkeypatch):
+        d = hermite_basis(mat([[2, 0, 0], [0, 4, 0], [0, 0, 6]]))
+        calls = []
+        real = _echelon
+        monkeypatch.setattr(intmat, "_echelon",
+                            lambda rows, c, **kw: calls.append(c) or real(rows, c, **kw))
+        assert invariant_factors(d) == (2, 2, 12)
+        assert calls == []
+        assert invariant_factors(mat(d.data, 3)) == (2, 2, 12)
+        assert len(calls) == 1
+
+    def test_every_live_certificate_holds(self):
+        # groups, kernels, cokernels and subquotients of whole commands
+        from redinv.catalogio import datum_invariants
+        from redinv.rootdata import from_catalog, validate
+        from redinv.tres import four_term_check, pushout_tresolution
+        kept = []  # alive for the scan below
+        for spec in ("PGL(3)", "GL(4)", "SL(3)xGamma:flip", "PSO(8)xGamma:triality", "G2"):
+            d = from_catalog(spec)
+            res = pushout_tresolution(d)
+            kept.append((d, validate(d), datum_invariants(d), res, four_term_check(res)))
+        certified = [o for o in gc.get_objects()
+                     if isinstance(o, IntMatrix) and o._pivots is not None]
+        assert len(certified) > 50
+        assert all(map(_certificate_holds, certified))
 
 
 @st.composite

@@ -182,6 +182,40 @@ class TestValidation:
         assert from_catalog("PGL(60)").datum.rank == 59
 
 
+class TestIdentityActions:
+    """An element acting by the identity matrix permutes distinct roots by
+    the identity, found without moving a root; repeated roots and roots of
+    the wrong length take the loop and keep its verdict."""
+
+    @pytest.mark.parametrize("spec", ("GL(4)", "Sp(6)", "SL(3)xGamma:flip",
+                                      "PSO(8)xGamma:triality"))
+    def test_identity_element_moves_no_root(self, spec, monkeypatch):
+        d = from_catalog(spec)
+        r = d.datum.semisimple_rank
+        moved = []
+        real = IntMatrix.apply_to_row
+        monkeypatch.setattr(IntMatrix, "apply_to_row",
+                            lambda m, v: moved.append(m.is_identity()) or real(m, v))
+        assert validate(d).passed
+        assert d.root_permutation(0) == tuple(range(r))
+        assert not any(moved)
+        # the loop's answer, from the roots moved by hand
+        for g, m in enumerate(d.actions):
+            moved_roots = [tuple(sum(a[i] * m[i, j] for i in range(m.rows))
+                                 for j in range(m.cols)) for a in d.datum.simple_roots]
+            assert d.root_permutation(g) == tuple(map(d.datum.simple_roots.index, moved_roots))
+
+    @pytest.mark.parametrize("roots", [
+        pytest.param(((1, 0), (1, 0)), id="repeated"),
+        pytest.param(((1, 0, 0),), id="too-long"),
+        pytest.param(((1,),), id="too-short"),
+    ])
+    def test_malformed_roots_take_the_loop(self, roots):
+        d = ReductiveDatum.untwisted("bad", RootDatum(2, roots, roots))
+        assert d.root_permutation(0) is None
+        assert not validate(d).passed
+
+
 class TestInvariantsUntwisted:
     def test_sl_n(self):
         for n in (2, 3, 4):
