@@ -20,11 +20,11 @@ from .intmat import (
     _certified,
     _hermite_pivots,
     _pivots_of,
-    _solved_image,
     block_diag,
     echelon_reduce,
     hermite_basis,
     identity,
+    image_basis,
     invariant_factors,
     kernel_basis,
     member_coords,
@@ -157,7 +157,12 @@ class AbHom:
         return self.target.contains_rows(self.matrix)
 
     def is_injective(self) -> bool:
-        return self.source.contains_rows(kernel_basis(self.matrix, self.target.relations))
+        """From a free source: the image rows are independent modulo the
+        target lattice, so each adds a row to the image basis."""
+        rels = self.target.relations
+        if not self.source.relations.rows:
+            return image_basis(self.matrix, rels).rows == rels.rows + self.matrix.rows
+        return self.source.contains_rows(kernel_basis(self.matrix, rels))
 
     def is_surjective(self) -> bool:
         return cokernel(self)[0].is_trivial()
@@ -177,22 +182,19 @@ def kernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
 
 def cokernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
     """Target modulo image: the Hermite basis of the target relations and
-    the image rows, read off the elimination of f.matrix that a kernel or
-    membership test against the target already ran, if one did."""
-    rels = _solved_image(f.matrix, f.target.relations)
-    if rels is None:
-        rels = vstack(f.target.relations, f.matrix)
-    grp = FgAbelianGroup(f.target.ambient_rank, rels)
+    the image rows, which f.matrix keeps for a kernel or membership test
+    against the target (``image_basis``)."""
+    grp = FgAbelianGroup(f.target.ambient_rank, image_basis(f.matrix, f.target.relations))
     return grp, AbHom(f.target, grp, identity(f.target.ambient_rank))
 
 
 def is_exact_at(f: AbHom, g: AbHom) -> bool:
     """True iff image(f) = kernel(g) inside target(f) = source(g): g kills
-    the image, and every kernel generator is a member of it."""
+    the image, and every kernel generator lies in the lattice of the image
+    and the relations."""
     if not f.then(g).is_zero():
         return False
-    ker_gens = kernel_basis(g.matrix, g.target.relations)
-    return member_coords(f.matrix, f.target.relations, ker_gens) is not None
+    return cokernel(f)[0].contains_rows(kernel_basis(g.matrix, g.target.relations))
 
 
 @dataclass(frozen=True)
@@ -211,9 +213,14 @@ class SubquotientData:
 def subquotient(
     ker_gens: IntMatrix, middle_rels: IntMatrix, image_gens: IntMatrix
 ) -> SubquotientData:
-    """Presents (subgroup gen by ker_gens) / (subgroup gen by image_gens)."""
+    """Presents (subgroup gen by ker_gens) / (subgroup gen by image_gens).
+    On identity generators (H^0 of a two-term complex) the relations are the
+    denominator's lattice: the image basis that a cokernel reads too."""
     denom = vstack(middle_rels, image_gens)
-    rels = kernel_basis(ker_gens, denom)
+    if ker_gens.is_identity():
+        rels = image_basis(image_gens, middle_rels)
+    else:
+        rels = kernel_basis(ker_gens, denom)
     return SubquotientData(FgAbelianGroup(ker_gens.rows, rels), ker_gens, denom)
 
 

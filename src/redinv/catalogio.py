@@ -119,23 +119,37 @@ def _parse_catalog(text: str) -> CatalogFile:
 _parsed: Optional[tuple[bytes, CatalogFile]] = None
 
 
-def load_catalog(path: Optional[str] = None, self_test: bool = True) -> CatalogFile:
-    """The catalog at path, read on every call and parsed again only when
-    its bytes differ from those parsed last."""
+def _parsed_catalog(path: Optional[str]) -> CatalogFile:
+    """The parsed catalog at path, read on every call and parsed again only
+    when its bytes differ from those parsed last."""
     global _parsed
-    path = path or default_catalog_path()
-    with open(path, "rb") as fh:
+    with open(path or default_catalog_path(), "rb") as fh:
         data = fh.read()
-    parsed = _parsed
-    if parsed is None or parsed[0] != data:
-        parsed = _parsed = data, _parse_catalog(data.decode("utf-8"))
+    if _parsed is None or _parsed[0] != data:
+        _parsed = data, _parse_catalog(data.decode("utf-8"))
+    return _parsed[1]
+
+
+def _copy_expected(expected: dict) -> dict:
+    return {key: {"rank": inv["rank"], "torsion": list(inv["torsion"])}
+            for key, inv in expected.items()}
+
+
+def load_catalog(path: Optional[str] = None, self_test: bool = True) -> CatalogFile:
+    """The catalog at path, with its own copy of every expected dict."""
     catalog = CatalogFile(SCHEMA_VERSION, tuple(
-        CatalogEntry(e.spec, {key: {"rank": inv["rank"], "torsion": list(inv["torsion"])}
-                              for key, inv in e.expected.items()}, e.provenance)
-        for e in parsed[1].entries))
+        CatalogEntry(e.spec, _copy_expected(e.expected), e.provenance)
+        for e in _parsed_catalog(path).entries))
     if self_test:
         verify_catalog(catalog)
     return catalog
+
+
+def catalog_expected(spec: str, path: Optional[str] = None) -> Optional[dict]:
+    """A copy of the expected invariants of the first catalog entry for
+    spec, and None when no entry names it."""
+    entry = next((e for e in _parsed_catalog(path).entries if e.spec == spec), None)
+    return None if entry is None else _copy_expected(entry.expected)
 
 
 def verify_catalog(catalog: CatalogFile) -> None:

@@ -15,10 +15,10 @@ from .intmat import MAX_MATRIX_DIGITS, IntMatrix, hnf, int_from_json, snf
 from .abgrp import MAX_RANK, Checks
 from .catalogio import (
     ResultRecord,
+    catalog_expected,
     datum_invariants,
     input_digest,
     invariants_json,
-    load_catalog,
     ses_from_json,
 )
 from .rootdata import from_catalog, radical_characters, validate
@@ -101,16 +101,11 @@ def cmd_invariants(args) -> int:
     outputs = dict(got, radicalCharacters=invariants_json(radical_characters(d).group))
     entries = [("datum-valid", rep.passed, rep.failures())]
     try:
-        catalog = load_catalog(args.catalog, self_test=False).entries
+        want = catalog_expected(args.spec, args.catalog)
     except (OSError, ValueError, RecursionError):
-        catalog = ()  # the catalog is advisory: a missing or broken one gives no verdict
-    for entry in catalog:
-        if entry.spec == args.spec:
-            want = entry.expected
-            entries.append(
-                ("matches-catalog", got == want, {"expected": want, "computed": got})
-            )
-            break
+        want = None  # the catalog is advisory: a missing or broken one gives no verdict
+    if want is not None:
+        entries.append(("matches-catalog", got == want, {"expected": want, "computed": got}))
     lines = [
         f"group:              {args.spec}",
         f"character group G*: {_fmt_group(outputs['characterGroup'])}",

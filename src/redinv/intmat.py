@@ -6,9 +6,12 @@ elimination of [m | I; rels | 0], gives the kernel modulo relations
 rels}, and ``member_coords(gens, rels, vecs)``: C @ gens = vecs modulo it.
 Each matrix keeps one solved state, ``_Solve``, for the last relations it
 was solved against: its rows reduced by rels and, built on first need,
-that one elimination.  So the kernel, the coordinates and the Hermite
-basis of the image, which ``abgrp.cokernel`` reads, cost one elimination
-per map and relations, and the state dies with the matrix.
+that one elimination.  So the kernel and the coordinates cost one
+elimination per map and relations, and the state dies with the matrix.
+Only coordinates need the carried identity: ``image_basis(m, rels)``, the
+Hermite basis of the rows of m and rels that cokernels and yes/no
+verdicts read, comes off that elimination if it ran, is rels when every
+row of m reduces to zero, and is otherwise eliminated with no transform.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
@@ -39,8 +42,9 @@ same matrix, which is immutable (and so holds one solved state at most).
 A matrix that is its own Hermite basis may carry its pivots, ``_pivots``,
 as a certificate, set only by code that has just made such a basis:
 ``hermite_basis`` (``_echelon`` returns the pivot columns), the solver's
-kernel and image, ``identity(n)``, ``zeros(0, n)`` and a passing
-``_hermite_pivots``, the one-pass test of rows given from outside.
+kernel and image, ``identity(n)``, ``zeros(0, n)``, ``block_diag`` of
+certified parts and a passing ``_hermite_pivots``, the one-pass test of
+rows given from outside.
 """
 
 from __future__ import annotations
@@ -67,8 +71,9 @@ class IntMatrix:
     data: tuple[tuple[int, ...], ...]
     cols: int
     # Work that depends on data alone: ``_pivots`` certifies a Hermite basis
-    # (see above), ``_solved`` holds the solved state (``_Solve``) for the
-    # last relations asked for.  Neither is compared or printed.
+    # (see above), ``_solved`` holds the solved state (``_Solve``: kernel,
+    # coordinates and image basis) for the last relations asked for.
+    # Neither is compared or printed.
     _pivots: Optional[tuple[tuple[int, int], ...]] = field(
         default=None, init=False, repr=False, compare=False)
     _solved: Optional["_Solve"] = field(default=None, init=False, repr=False, compare=False)
@@ -230,7 +235,7 @@ def identity(n: int) -> IntMatrix:
 def zeros(r: int, c: int) -> IntMatrix:
     if not r:
         return _certified((), c, ())
-    return IntMatrix(tuple(tuple(0 for _ in range(c)) for _ in range(r)), c)
+    return IntMatrix(((0,) * c,) * r, c)
 
 
 def _certified(rows: Iterable[Iterable[int]], c: int, piv: Iterable[int]) -> IntMatrix:
@@ -251,21 +256,22 @@ def hstack(*ms: IntMatrix) -> IntMatrix:
     rows = {m.rows for m in ms}
     if len(rows) != 1:
         raise DimensionMismatch(f"hstack of heights {sorted(rows)}")
-    n = rows.pop()
-    return IntMatrix(
-        tuple(tuple(a for m in ms for a in m.data[i]) for i in range(n)),
-        sum(m.cols for m in ms),
-    )
+    return IntMatrix(tuple(sum(parts, ()) for parts in zip(*(m.data for m in ms))),
+                     sum(m.cols for m in ms))
 
 
 def block_diag(*ms: IntMatrix) -> IntMatrix:
+    """The parts on the diagonal; certified when every part is, with each
+    part's pivots moved by its row and column offset."""
     total_c = sum(m.cols for m in ms)
-    out = []
-    offset = 0
+    out, piv, offset = [], [], 0
     for m in ms:
-        for r in m.data:
-            out.append(tuple([0] * offset + list(r) + [0] * (total_c - offset - m.cols)))
+        left, right = (0,) * offset, (0,) * (total_c - offset - m.cols)
+        out += [left + r + right for r in m.data]
+        piv += [offset + j for _, j in m._pivots or ()]
         offset += m.cols
+    if all(m._pivots is not None for m in ms):
+        return _certified(out, total_c, piv)
     return IntMatrix(tuple(out), total_c)
 
 
@@ -502,7 +508,7 @@ class _Solve:
     {x : x @ m lies in the lattice of rels} (``kernel``, Cohen, GTM 138,
     2.4.3).  Each reader keeps its result and drops the rows it read."""
 
-    __slots__ = ("rels", "shape", "rows", "piv", "above", "below", "_kernel", "_image")
+    __slots__ = ("rels", "shape", "rows", "piv", "above", "below", "_kernel", "_image", "_basis")
 
     def __init__(self, m: IntMatrix, rels: Optional[IntMatrix]) -> None:
         self.rels, self.shape = rels, m.shape
@@ -512,7 +518,7 @@ class _Solve:
             for x in self.rows:
                 echelon_reduce(rels, piv, x)
         self.piv: Optional[list[int]] = None
-        self.above = self.below = self._image = None
+        self.above = self.below = self._image = self._basis = None
         # every row in the lattice: all of Z^r, with no elimination
         self._kernel = None if any(map(any, self.rows)) else identity(m.rows)
 
@@ -546,18 +552,26 @@ class _Solve:
                            mat([row[c:] for row in above], r))
         return self._image
 
-
-def _solved(m: IntMatrix, rels: Optional[IntMatrix]) -> Optional[_Solve]:
-    """The state m keeps, if it was solved against these relations."""
-    s = m._solved
-    return s if s is not None and (s.rels is rels or s.rels == rels) else None
+    def basis(self) -> IntMatrix:
+        """The Hermite basis of the rows of m and rels: read off the
+        elimination if it ran, rels itself if they are certified and hold
+        every row of m, and otherwise a Hermite basis with no transform."""
+        if self._basis is None:
+            rels = self.rels if self.rels is not None else zeros(0, self.shape[1])
+            if self.piv is not None:
+                self._basis = self.image()[0]
+            elif rels._pivots is not None and not any(map(any, self.rows)):
+                self._basis = rels
+            else:
+                self._basis = hermite_basis(mat(list(rels.data) + self.rows, rels.cols))
+        return self._basis
 
 
 def _solve(m: IntMatrix, rels: Optional[IntMatrix]) -> _Solve:
     """The solved state of m against rels, built on first use; a matrix
     keeps only the last one."""
-    s = _solved(m, rels)
-    if s is None:
+    s = m._solved
+    if s is None or not (s.rels is rels or s.rels == rels):
         if rels is not None and rels.cols != m.cols:
             raise DimensionMismatch(f"relations of width {rels.cols} for {m.cols} columns")
         s = _Solve(m, rels)
@@ -565,11 +579,11 @@ def _solve(m: IntMatrix, rels: Optional[IntMatrix]) -> _Solve:
     return s
 
 
-def _solved_image(m: IntMatrix, rels: Optional[IntMatrix]) -> Optional[IntMatrix]:
-    """The Hermite basis of the rows of m and rels when m was already
-    eliminated against these relations, and None otherwise."""
-    s = _solved(m, rels)
-    return None if s is None or s.piv is None else s.image()[0]
+def image_basis(m: IntMatrix, rels: Optional[IntMatrix] = None) -> IntMatrix:
+    """The Hermite basis of the rows of m and rels, kept in the state that m
+    keeps for rels (``_Solve``), so that a kernel or coordinates call on m
+    eliminates once, as it would without this call."""
+    return _solve(m, rels).basis()
 
 
 def kernel_basis(m: IntMatrix, rels: Optional[IntMatrix] = None) -> IntMatrix:

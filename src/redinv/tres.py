@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, hstack, identity, mat, member_coords, vstack, zeros
+from .intmat import IntMatrix, _pivots_of, hstack, identity, mat, member_coords, vstack, zeros
 from .abgrp import (
     AbHom,
     Checks,
@@ -71,6 +71,29 @@ def canonical_tresolution(d: ReductiveDatum) -> TResolutionData:
     )
 
 
+def _orbit_representatives(mu_prime: GammaModule) -> list[int]:
+    """The first ambient generator j of each orbit of nonzero classes of
+    generators.  Modulo the Hermite basis of mu', the class of e_j is e_j
+    unless column j holds a unit pivot, and zero when that pivot's row is
+    e_j; an identity action fixes a class, which reduce leaves as it is."""
+    grp, rels = mu_prime.group, mu_prime.group.relations
+    unit = {j: rels.data[i] for i, j in _pivots_of(rels) if rels.data[i][j] == 1}
+    moving = [m for m in mu_prime.actions if not m.is_identity()]
+    seen: set[tuple[int, ...]] = set()
+    reps: list[int] = []
+    for j, e_j in enumerate(identity(grp.ambient_rank).data):
+        row = unit.get(j)
+        if row == e_j:
+            continue
+        cls = e_j if row is None else grp.reduce(e_j)
+        if cls in seen:
+            continue
+        # the actions cover every element of Gamma, so this is the whole orbit
+        seen |= {cls} | {grp.reduce(m.apply_to_row(cls)) for m in moving}
+        reps.append(j)
+    return reps
+
+
 def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     """Resolve through the induced torus covering mu' = coker[X -> X_rad (+) P]."""
     n = d.datum.rank
@@ -84,25 +107,9 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     emb = AbHom(FgAbelianGroup.free(n), target.group, hstack(identity(n), beta.matrix))
     if not emb.is_injective():
         raise InvalidDatum("character embedding into X_rad (+) P is not injective")
-    mu_prime_grp, _ = cokernel(emb)
-    mu_prime = GammaModule(gamma, mu_prime_grp, target.actions)
+    mu_prime = GammaModule(gamma, cokernel(emb)[0], target.actions)
 
-    # orbit representatives among the classes of the ambient generators; an
-    # identity action fixes the class, which reduce leaves as it is
-    moving = [m for m in mu_prime.actions if not m.is_identity()]
-    seen: set[tuple[int, ...]] = set()
-    reps: list[int] = []
-    for j, e_j in enumerate(identity(n + r).data):
-        cls = mu_prime_grp.reduce(e_j)
-        if cls in seen:
-            continue
-        seen.add(cls)
-        if not any(cls):
-            continue
-        # the actions cover every element of Gamma, so this is the whole orbit
-        seen |= {mu_prime_grp.reduce(m.apply_to_row(cls)) for m in moving}
-        reps.append(j)
-
+    reps = _orbit_representatives(mu_prime)
     k = len(reps)
     t_star = induced_module(gamma, k)
     # s: T* -> mu', basis vector (i, g) -> g . (ambient generator reps[i]),

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,9 +405,27 @@ class TestSharedSolve:
         want = FgAbelianGroup(f.target.ambient_rank, vstack(f.target.relations, f.matrix))
         assert cokernel(f)[0] == want
         kernel_basis(f.matrix, f.target.relations)
-        image = intmat._solved_image(f.matrix, f.target.relations)
+        image = intmat.image_basis(f.matrix, f.target.relations)
         assert cokernel(f)[0] == want
-        assert image is None or cokernel(f)[0].relations is image
+        assert cokernel(f)[0].relations is image
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32), st.permutations(["cokernel", "kernel", "coords"]))
+    def test_cokernel_relations_in_every_call_order(self, seed, order):
+        rng = random.Random(seed)
+        f = random_hom(rng, random_group(rng, 4, 6), random_group(rng, 4, 6))
+        rels = f.target.relations
+        vecs = vstack(random_matrix(rng, 1, f.matrix.rows, 5) @ f.matrix,
+                      random_matrix(rng, 1, f.target.ambient_rank, 5))
+        fresh = _fresh(f)
+        want = {"cokernel": hermite_basis(vstack(rels, f.matrix)),
+                "kernel": kernel_basis(fresh.matrix, fresh.target.relations),
+                "coords": member_coords(_fresh(f).matrix, fresh.target.relations, vecs)}
+        calls = {"cokernel": lambda: cokernel(f)[0].relations,
+                 "kernel": lambda: kernel_basis(f.matrix, rels),
+                 "coords": lambda: member_coords(f.matrix, rels, vecs)}
+        for name in order + order:
+            assert calls[name]() == want[name], name
 
     @settings(max_examples=100, deadline=None)
     @given(_matrices(3, 3), _matrices(2, 3), _matrices(2, 3), _matrices(3, 3), st.data())
@@ -524,6 +543,88 @@ class TestVerdictsAgainstInvariants:
             assert is_exact_at(f, g) == want
             seen.add(want)
         assert seen == {True, False}
+
+
+def _finite_diagonal_group(rng) -> tuple[FgAbelianGroup, list[int]]:
+    diag = [rng.randint(1, 6) for _ in range(rng.randint(0, 2))]
+    n = len(diag)
+    return FgAbelianGroup(n, mat([[d * (i == j) for j in range(n)] for i, d in enumerate(diag)],
+                                 n)), diag
+
+
+def _composable(rng, groups) -> tuple[AbHom, AbHom]:
+    """f: A -> B built to be well defined, and g: B -> C that kills f, is
+    the cokernel projection of f or is any well-defined map."""
+    (a, da), (b, db), (c, dc) = groups
+    f = constructive_hom(rng, a, da, b, db)
+    pick = rng.randrange(3)
+    if pick == 0:
+        return f, _killing_map(rng, f, c, dc)
+    return f, cokernel(f)[1] if pick == 1 else constructive_hom(rng, b, db, c, dc)
+
+
+class TestVerdictsFromTheImageBasis:
+    """Injectivity from a free source, exactness and the relations of H^0
+    read off the image basis, against the gcd-of-minors and enumeration
+    oracles, which run no normal-form code."""
+
+    def test_injective_from_a_free_source(self):
+        rng = random.Random(31)
+        seen = set()
+        for k in range(240):
+            tgt = random_group(rng, 4, 6)
+            rels, n = tgt.relations, tgt.ambient_rank
+            m = random_matrix(rng, rng.randint(0, n), n, 5)
+            if k % 2:  # one more row, dependent on the others modulo rels
+                extra = (random_matrix(rng, 1, m.rows, 3) @ m
+                         + random_matrix(rng, 1, rels.rows, 3) @ rels)
+                s = rng.choice((1, 2, 3))
+                m = vstack(m, mat([[s * x for x in extra.data[0]]], n))
+            f = AbHom(FgAbelianGroup.free(m.rows), tgt, m)
+            want = (len(gcd_of_minors_invariants(vstack(rels, m)))
+                    == len(gcd_of_minors_invariants(rels)) + m.rows)
+            assert f.is_injective() == want
+            assert not (k % 2 and want)
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_exact_at_on_finite_groups(self):
+        rng = random.Random(32)
+        seen = set()
+        for _ in range(150):
+            groups = [_finite_diagonal_group(rng) for _ in range(3)]
+            f, g = _composable(rng, groups)
+            seq = SimpleNamespace(groups=(f.source, f.target, g.target), maps=(f, g),
+                                  labels=("A", "B", "C"))
+            want = "B" not in inexact_spots(seq)
+            assert is_exact_at(f, g) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_exact_at_on_infinite_groups(self):
+        rng = random.Random(33)
+        seen = set()
+        for _ in range(150):
+            groups = [random_diagonal_group(rng, 3, 6) for _ in range(3)]
+            f, g = _composable(rng, groups)
+            got = is_exact_at(_fresh(f), _fresh(g))
+            kills = in_row_lattice(g.target.relations, f.matrix @ g.matrix)
+            want = kills and in_row_lattice(vstack(f.target.relations, f.matrix),
+                                            kernel_basis(g.matrix, g.target.relations))
+            assert got == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_subquotient_on_identity_generators(self):
+        rng = random.Random(34)
+        for _ in range(150):
+            middle = random_group(rng, 4, 6)
+            n = middle.ambient_rank
+            image = random_matrix(rng, rng.randint(0, 3), n, 5)
+            sq = subquotient(identity(n), middle.relations, image)
+            rels = sq.group.relations
+            assert in_row_lattice(rels, sq.denominator)
+            assert in_row_lattice(sq.denominator, rels)
 
 
 class TestExactnessEntries:

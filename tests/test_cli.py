@@ -10,7 +10,7 @@ import pytest
 
 from redinv import cli
 from redinv.cli import main
-from redinv.catalogio import default_catalog_path, load_catalog
+from redinv.catalogio import catalog_expected, default_catalog_path, load_catalog
 from redinv.intmat import MAX_INPUT_DIGITS, mat
 
 from oracles import reference_hnf
@@ -258,6 +258,30 @@ class TestCatalogCache:
         entry.expected["pi1"] = {"rank": 5, "torsion": []}
         assert self.verdict(capsys, path) == (0, True)
         assert load_catalog(str(path)).entries[0].expected == want
+
+    def test_the_lookup_hands_out_a_copy(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(self.GOOD)
+        want = json.loads(self.GOOD)["entries"][0]["expected"]
+        got = catalog_expected("G2", str(path))
+        assert got == want
+        got["muDual"]["torsion"].append(7)
+        got["pi1"] = {"rank": 5, "torsion": []}
+        assert catalog_expected("G2", str(path)) == want
+        assert self.verdict(capsys, path) == (0, True)
+
+    def test_absent_spec_or_broken_catalog_gives_no_check(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(self.GOOD)
+        assert catalog_expected("SL(2)", str(path)) is None
+        code, out, err = run(capsys, "invariants", "SL(2)", "--catalog", str(path),
+                             "--format", "json")
+        assert code == 0 and not err
+        assert "matches-catalog" not in json.loads(out)["verdicts"]
+        path.write_text(self.GOOD[:-9])
+        with pytest.raises(ValueError):
+            catalog_expected("G2", str(path))
+        assert self.verdict(capsys, path) == (0, None)
 
 
 with open(os.path.join(DATA_DIR, "ses_gm_gl2_pgl2.json")) as fh:

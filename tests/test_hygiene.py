@@ -160,6 +160,7 @@ UNREACHED = {
     "abgrp.kernel": "acceptance",
     "abgrp.six_term_sequence": "acceptance",
     "catalogio.CatalogFile.specs": "acceptance",
+    "catalogio.load_catalog": "benchmark",
     "catalogio.verify_catalog": "benchmark",
     "gammamod.FiniteGroup.check": "benchmark",
     "gammamod.FiniteGroup.from_json": "benchmark",

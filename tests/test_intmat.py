@@ -11,7 +11,6 @@ from redinv.intmat import (
     _echelon,
     _hermite_pivots,
     _pivots_of,
-    _solved_image,
     _with_identity,
     DimensionMismatch,
     IntMatrix,
@@ -20,6 +19,7 @@ from redinv.intmat import (
     hnf,
     hstack,
     identity,
+    image_basis,
     invariant_factors,
     kernel_basis,
     mat,
@@ -456,8 +456,41 @@ class TestCertificate:
         # each of these is a Hermite basis, but nothing vouched for it
         e = identity(3)
         for m in (mat(e.data, 3), e.transpose(), vstack(e), hstack(identity(2), zeros(2, 0)),
-                  block_diag(identity(2), identity(1)), zeros(2, 3)):
+                  block_diag(identity(2), mat([[1]])), zeros(2, 3)):
             assert m._pivots is None, m
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_diagonal_of_certified_parts_is_certified(self, seed):
+        parts = [identity(2), zeros(0, 3)]
+        for m in _seeded_inputs(seed):
+            parts += [hermite_basis(m), kernel_basis(m)]
+        random.Random(seed).shuffle(parts)
+        for b in (block_diag(*parts), block_diag(identity(2), identity(1)), block_diag()):
+            assert b._pivots is not None and b._pivots == pivots(b)
+            assert hermite_basis(b) == b
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_uncertified_part_certifies_nothing(self, seed):
+        parts = [hermite_basis(m) for m in _seeded_inputs(seed)] + [identity(2)]
+        for k, h in enumerate(parts):
+            # the same rows, which nothing vouched for
+            b = block_diag(*parts[:k], IntMatrix(h.data, h.cols), *parts[k + 1:])
+            assert b._pivots is None and b == block_diag(*parts)
+
+    def test_sums_of_groups_scan_nothing(self, monkeypatch):
+        from redinv import abgrp
+        rng = random.Random(7)
+        groups = [FgAbelianGroup(m.cols, m) for m in _seeded_inputs(7)]
+        groups += [FgAbelianGroup.free(2), FgAbelianGroup.trivial()]
+        scans = []
+        real = abgrp._hermite_pivots
+        monkeypatch.setattr(abgrp, "_hermite_pivots", lambda m: scans.append(m) or real(m))
+        rng.shuffle(groups)
+        s = abgrp.direct_sum(*groups)
+        p = abgrp.power(groups[0], 3)
+        assert scans == []
+        assert s.relations == hermite_basis(block_diag(*(g.relations for g in groups)))
+        assert p.relations == hermite_basis(block_diag(*[groups[0].relations] * 3))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_uncertified_rows_are_still_reduced(self, seed):
@@ -579,8 +612,8 @@ def _solved_results(gens, rels, vecs):
 
 class TestSharedSolve:
     """A matrix keeps its elimination against the last relations it was
-    solved against: ``kernel_basis``, ``member_coords`` and the image that
-    ``abgrp.cokernel`` reads (``_solved_image``) share it, and no call
+    solved against: ``kernel_basis``, ``member_coords`` and the image basis
+    that ``abgrp.cokernel`` reads (``image_basis``) share it, and no call
     order, equal copy of the relations or earlier solve against other
     relations changes a result."""
 
@@ -595,8 +628,8 @@ class TestSharedSolve:
                 assert in_row_lattice(rels if rels is not None else zeros(0, gens.cols),
                                       c @ gens - vecs)
         else:
-            image = _solved_image(gens, rels)
-            assert image is None or image == want["image"]
+            image = image_basis(gens, rels)
+            assert image == want["image"] and _certificate_holds(image)
 
     @settings(max_examples=150, deadline=None)
     @given(_systems_mod_relations(), st.permutations(["kernel", "coords", "image"]),
@@ -607,8 +640,7 @@ class TestSharedSolve:
         want = _solved_results(gens, rels, vecs)
         for name in order + order:
             self._check(name, gens, rels, vecs, want)
-        # member_coords on a nonempty batch always eliminates
-        assert _solved_image(gens, rels) == want["image"]
+        assert image_basis(gens, rels) == want["image"]
 
     @settings(max_examples=100, deadline=None)
     @given(_systems_mod_relations(), st.permutations(["kernel", "coords", "image"]))
@@ -651,20 +683,28 @@ class TestSharedSolve:
             return real(rows, c, **kw)
         monkeypatch.setattr(intmat, "_echelon", counting)
         gens, rels = mat([[2, 4], [6, 3], [1, 1]]), mat([[4, 0], [0, 6]])
+        want = hermite_basis(vstack(rels, gens))
         k = kernel_basis(gens, rels)
         c = member_coords(gens, _twin(rels), mat([[1, 1], [3, 5]]))
-        assert _solved_image(gens, rels) == hermite_basis(vstack(rels, gens))
+        assert image_basis(gens, rels) == want
         assert kernel_basis(gens, rels) is k
         assert c is not None and len(stacked) == 1
         kernel_basis(gens, mat([[4, 0]]))
         assert len(stacked) == 2
-        assert _solved_image(gens, rels) is None
+        # a new solve against rels: its image basis carries no transform,
+        # and the kernel and coordinates after it share one elimination
+        assert image_basis(gens, rels) == want and len(stacked) == 2
+        assert kernel_basis(gens, rels) == k
+        assert member_coords(gens, rels, mat([[1, 1], [3, 5]])) == c
+        assert image_basis(gens, rels) == want and len(stacked) == 3
 
     def test_zero_modulo_relations_eliminates_nothing(self, monkeypatch):
+        rels = hermite_basis(mat([[2, 0], [0, 3]]))
         monkeypatch.setattr(intmat, "_echelon", lambda *a, **kw: pytest.fail("eliminated"))
         gens = mat([[4, 6], [0, 12]])
-        assert kernel_basis(gens, mat([[2, 0], [0, 3]])) == identity(2)
-        assert _solved_image(gens, mat([[2, 0], [0, 3]])) is None
+        assert kernel_basis(gens, rels) == identity(2)
+        assert image_basis(gens, rels) is rels
+        assert image_basis(zeros(3, 2)) == zeros(0, 2)
 
 
 def test_invariant_factors_match_sympy():

@@ -1,8 +1,10 @@
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from redinv import abgrp
+from redinv import abgrp, tres
 from redinv.intmat import hstack, identity, mat, zeros
 from redinv.abgrp import AbHom, FgAbelianGroup, cokernel, direct_sum
 from redinv.gammamod import GammaHom, cyclic_group, group_cohomology
@@ -22,7 +24,13 @@ from redinv.tres import (
 from redinv.rootdata import character_group, mu_dual, pairing_map, radical_characters
 
 from oracles import induced_map, sl_to_pgl_induced_map
-from regen import ses_gm_gl_pgl, ses_sl_gl_gm
+from regen import CATALOG_SPECS, ses_gm_gl_pgl, ses_sl_gl_gm
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import workloads  # noqa: E402
 
 SPECS = [
     "SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "GL(2)", "GL(3)",
@@ -273,3 +281,33 @@ class TestInducedMaps:
             f = induced_on_cohomology(u, n)
             g = f.then(induced_on_cohomology(ide, n))
             assert f.target.contains_rows(g.matrix - f.matrix)
+
+
+def _reps_by_reducing_every_generator(mu_prime) -> list[int]:
+    """The first generator of each orbit of nonzero classes, with every
+    generator and every image under every action reduced."""
+    grp = mu_prime.group
+    seen, reps = set(), []
+    for j, e_j in enumerate(identity(grp.ambient_rank).data):
+        cls = grp.reduce(e_j)
+        if cls in seen or not any(cls):
+            continue
+        seen |= {grp.reduce(m.apply_to_row(cls)) for m in mu_prime.actions}
+        reps.append(j)
+    return reps
+
+
+# each family of the benchmark's rank_sweep workload at its least rank
+RANK_SWEEP_SPECS = [workloads.classical(family, ranks.start)[0]
+                    for family, (ranks, _) in workloads.RANK_SWEEP_FAMILIES.items()]
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + RANK_SWEEP_SPECS)
+def test_orbit_representatives_match_reducing_every_generator(spec, monkeypatch):
+    calls = []
+    real = tres._orbit_representatives
+    monkeypatch.setattr(tres, "_orbit_representatives",
+                        lambda mu_prime: calls.append((mu_prime, real(mu_prime))) or calls[-1][1])
+    pushout_tresolution(from_catalog(spec))
+    [(mu_prime, reps)] = calls
+    assert reps == _reps_by_reducing_every_generator(mu_prime)
