@@ -17,9 +17,6 @@ from typing import Any, Optional, Sequence
 from .intmat import (
     DimensionMismatch,
     IntMatrix,
-    _certified,
-    _hermite_pivots,
-    _pivots_of,
     block_diag,
     echelon_reduce,
     hermite_basis,
@@ -28,7 +25,6 @@ from .intmat import (
     invariant_factors,
     kernel_basis,
     member_coords,
-    vstack,
     zeros,
 )
 
@@ -50,10 +46,9 @@ class NotComposable(ValueError):
 @dataclass(frozen=True)
 class FgAbelianGroup:
     ambient_rank: int
-    # stored as the Hermite basis of the rows given: at most ambient_rank
-    # rows, however many the caller or a JSON file lists.  Certified rows,
-    # as every kernel_basis output is, are kept as they are; others that
-    # already form it are checked in one pass; any others are eliminated.
+    # stored as the certified Hermite basis of the rows given
+    # (``hermite_basis``): at most ambient_rank rows, however many the
+    # caller or a JSON file lists.
     relations: IntMatrix
 
     def __post_init__(self) -> None:
@@ -61,24 +56,12 @@ class FgAbelianGroup:
             raise DimensionMismatch(
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
-        if self.relations._pivots is None and _hermite_pivots(self.relations) is None:
-            object.__setattr__(self, "relations", hermite_basis(self.relations))
+        object.__setattr__(self, "relations", hermite_basis(self.relations))
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion invariants d1 | d2 | ..., each > 1).  A unit
-        pivot's column is zero in the other rows, so its generator and row
-        drop out (Tietze): the Smith loop sees only the other rows on the
-        columns E left, a Hermite basis again."""
-        rels = self.relations
-        piv = _pivots_of(rels)
-        unit = {j for i, j in piv if rels.data[i][j] == 1}
-        keep = [j for j in range(self.ambient_rank) if j not in unit]
-        rest = [(i, j) for i, j in piv if j not in unit]
-        factors = invariant_factors(_certified(
-            (tuple(rels.data[i][j] for j in keep) for i, _ in rest), len(keep),
-            (keep.index(j) for _, j in rest)))
-        torsion = tuple(d for d in factors if d > 1)
-        return len(keep) - len(factors), torsion
+        """(free rank, torsion invariants d1 | d2 | ..., each > 1)."""
+        factors = invariant_factors(self.relations)
+        return self.ambient_rank - len(factors), tuple(d for d in factors if d > 1)
 
     def is_trivial(self) -> bool:
         return self.relations == identity(self.ambient_rank)
@@ -99,7 +82,7 @@ class FgAbelianGroup:
                 f"coords of length {len(coords)} in ambient Z^{self.ambient_rank}"
             )
         x = list(coords)
-        echelon_reduce(self.relations, _pivots_of(self.relations), x)
+        echelon_reduce(self.relations, x)
         return tuple(x)
 
     def contains_in_relations(self, coords: Sequence[int]) -> bool:
@@ -203,7 +186,8 @@ class SubquotientData:
 
     group: FgAbelianGroup
     gens: IntMatrix  # rows: lifts of the generators in the middle ambient
-    denominator: IntMatrix  # middle relations stacked with the image rows
+    # the Hermite basis of the middle relations and the image rows, certified
+    denominator: IntMatrix
 
     def class_coords(self, vecs: IntMatrix) -> Optional[IntMatrix]:
         """Class coordinates of the rows of vecs, or None if one is no cycle."""
@@ -214,13 +198,11 @@ def subquotient(
     ker_gens: IntMatrix, middle_rels: IntMatrix, image_gens: IntMatrix
 ) -> SubquotientData:
     """Presents (subgroup gen by ker_gens) / (subgroup gen by image_gens).
-    On identity generators (H^0 of a two-term complex) the relations are the
-    denominator's lattice: the image basis that a cokernel reads too."""
-    denom = vstack(middle_rels, image_gens)
-    if ker_gens.is_identity():
-        rels = image_basis(image_gens, middle_rels)
-    else:
-        rels = kernel_basis(ker_gens, denom)
+    The denominator is the image basis of image_gens modulo middle_rels,
+    which a cokernel reads too; on identity generators (H^0 of a two-term
+    complex) it is the relations as well."""
+    denom = image_basis(image_gens, middle_rels)
+    rels = denom if ker_gens.is_identity() else kernel_basis(ker_gens, denom)
     return SubquotientData(FgAbelianGroup(ker_gens.rows, rels), ker_gens, denom)
 
 

@@ -39,12 +39,19 @@ which pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
 
 ``identity(n)`` builds each n up to 256 once and hands every caller the
 same matrix, which is immutable (and so holds one solved state at most).
-A matrix that is its own Hermite basis may carry its pivots, ``_pivots``,
-as a certificate, set only by code that has just made such a basis:
-``hermite_basis`` (``_echelon`` returns the pivot columns), the solver's
-kernel and image, ``identity(n)``, ``zeros(0, n)``, ``block_diag`` of
-certified parts and a passing ``_hermite_pivots``, the one-pass test of
-rows given from outside.
+
+One rule covers every relation lattice: reduction modulo a lattice reads
+its Hermite basis with the certificate ``_pivots``, the (row, column) of
+each pivot, and ``hermite_basis(m)`` is the one door to such a basis.  It
+returns a certified m as it is, certifies in one pass an m whose rows
+already form the basis, and eliminates any other m.  Code that has just
+made a basis certifies it too: ``_echelon`` returns the pivot columns, so
+the solver's kernel and image are certified, as are ``identity(n)``,
+``zeros(0, n)`` and ``block_diag`` of certified parts.  The solver takes
+``hermite_basis`` of the relations it is given, so it always reduces by a
+certified basis, and ``echelon_reduce`` and ``unit_pivots`` read the
+certificate of the basis they are given.  Nothing outside this module
+reads or writes ``_pivots`` or ``_solved``.
 """
 
 from __future__ import annotations
@@ -226,7 +233,7 @@ def identity(n: int) -> IntMatrix:
         rows = [[0] * n for _ in range(n)]
         for i, row in enumerate(rows):
             row[i] = 1
-        m = _certified(rows, n, range(n))
+        m = _certify(mat(rows, n), range(n))
         if n <= _MAX_SHARED_IDENTITY:
             _IDENTITIES[n] = m
     return m
@@ -234,13 +241,12 @@ def identity(n: int) -> IntMatrix:
 
 def zeros(r: int, c: int) -> IntMatrix:
     if not r:
-        return _certified((), c, ())
+        return _certify(IntMatrix((), c), ())
     return IntMatrix(((0,) * c,) * r, c)
 
 
-def _certified(rows: Iterable[Iterable[int]], c: int, piv: Iterable[int]) -> IntMatrix:
-    """The Hermite basis of rows, with pivots in columns piv, certified."""
-    m = mat(rows, c)
+def _certify(m: IntMatrix, piv: Iterable[int]) -> IntMatrix:
+    """m, a Hermite basis with its pivots in columns piv, certified."""
     object.__setattr__(m, "_pivots", tuple(enumerate(piv)))
     return m
 
@@ -270,9 +276,8 @@ def block_diag(*ms: IntMatrix) -> IntMatrix:
         out += [left + r + right for r in m.data]
         piv += [offset + j for _, j in m._pivots or ()]
         offset += m.cols
-    if all(m._pivots is not None for m in ms):
-        return _certified(out, total_c, piv)
-    return IntMatrix(tuple(out), total_c)
+    b = IntMatrix(tuple(out), total_c)
+    return _certify(b, piv) if all(m._pivots is not None for m in ms) else b
 
 
 def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> list[int]:
@@ -374,22 +379,38 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def hermite_basis(m: IntMatrix) -> IntMatrix:
-    """The nonzero rows of the Hermite form of m, with no transform.
+    """The Hermite basis of the lattice of the rows of m, certified.
 
-    A tall m is taken cols rows at a time, each block reduced together with
-    the basis of the rows before it, so no elimination has more than
-    2 * cols rows.  The Hermite form of a lattice is unique, so the rows
-    are those of one elimination of m.  The result carries its pivots.
+    A certified m is returned as it is.  An m whose rows already form a
+    Hermite basis (no row is zero, the leading entries are positive and
+    stand in strictly increasing columns, and every entry above a pivot
+    lies in [0, pivot)) is certified in one pass and returned: such rows
+    are the unique Hermite basis of their lattice.  Any other m gives the
+    nonzero rows of its Hermite form, with no transform.  A tall m is taken
+    cols rows at a time, each block reduced together with the basis of the
+    rows before it, so no elimination has more than 2 * cols rows; the
+    Hermite form of a lattice is unique, so the rows are those of one
+    elimination of m.
     """
+    if m._pivots is not None:
+        return m
+    piv: list[int] = []
+    for i, row in enumerate(m.data):
+        j = next(compress(count(), row), None)
+        if (j is None or piv and j <= piv[-1] or row[j] < 0
+                or not all(0 <= above[j] < row[j] for above in m.data[:i])):
+            break
+        piv.append(j)
+    else:
+        return _certify(m, piv)
     c, step = m.cols, max(m.cols, 1)
     rows = m.to_lists()
     basis: list[list[int]] = []
-    piv: list[int] = []
     for k in range(0, len(rows), step):
         block = basis + rows[k:k + step]
         piv = _echelon(block, c, balanced=True)
         basis = block[:len(piv)]
-    return _certified(basis, c, piv)
+    return _certify(mat(basis, c), piv)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -430,11 +451,24 @@ def diagonal(d: IntMatrix) -> tuple[int, ...]:
     return tuple(d.data[i][i] for i in range(min(d.rows, d.cols)))
 
 
+def unit_pivots(h: IntMatrix) -> dict[int, int]:
+    """Column -> row of each pivot equal to 1 of the certified Hermite basis
+    h.  The column of a unit pivot is zero in every other row of h."""
+    return {j: i for i, j in h._pivots if h.data[i][j] == 1}
+
+
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, with no transforms: Hermite bases
-    of m and of its transpose in turn until one is diagonal, then (gcd, lcm)
-    swaps that sort the positive diagonal into a divisibility chain."""
-    a = m if m._pivots is not None else hermite_basis(m)
+    """Nonzero diagonal of the Smith form, with no transforms.  Each unit
+    pivot of the Hermite basis of m gives a factor 1, and its row and
+    column drop out (Tietze); the rest, a Hermite basis again, and its
+    transpose take Hermite bases in turn until one is diagonal, then
+    (gcd, lcm) swaps sort the positive diagonal into a divisibility chain."""
+    h = hermite_basis(m)
+    unit = unit_pivots(h)
+    keep = [j for j in range(h.cols) if j not in unit]
+    rest = [(i, j) for i, j in h._pivots if j not in unit]
+    a = _certify(mat([[h.data[i][k] for k in keep] for i, _ in rest], len(keep)),
+                 [keep.index(j) for _, j in rest])
     # an echelon form is diagonal when no row has an entry right of it
     while any(any(row[i + 1:]) for i, row in enumerate(a.data)):
         a = hermite_basis(a.transpose())
@@ -443,49 +477,16 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
         for j in range(i + 1, len(d)):
             g = gcd(d[i], d[j])
             d[i], d[j] = g, d[i] // g * d[j]
-    return tuple(d)
+    return (1,) * len(unit) + tuple(d)
 
 
-def pivots(h: IntMatrix) -> tuple[tuple[int, int], ...]:
-    """(row, column) of the leading entry of each nonzero row of an echelon form."""
-    return tuple((i, next(compress(count(), r))) for i, r in enumerate(h.data) if any(r))
-
-
-def _pivots_of(h: IntMatrix) -> tuple[tuple[int, int], ...]:
-    """``pivots(h)``: the certificate of a Hermite basis, found afresh for
-    any other matrix."""
-    return pivots(h) if h._pivots is None else h._pivots
-
-
-def _hermite_pivots(m: IntMatrix) -> Optional[tuple[tuple[int, int], ...]]:
-    """The pivots of m when its rows already form a Hermite basis, and None
-    otherwise: no row is zero, the leading entries are positive and stand in
-    strictly increasing columns, and every entry above a pivot lies in
-    [0, pivot).  Such rows are the unique Hermite basis of their lattice, so
-    ``hermite_basis(m) == m`` exactly when this is not None, and the pivots
-    found are kept with m as its certificate."""
-    piv = []
-    last = -1
-    for i, row in enumerate(m.data):
-        j = next(compress(count(), row), None)
-        if j is None or j <= last or row[j] < 0:
-            return None
-        p = row[j]
-        for above in m.data[:i]:
-            if not 0 <= above[j] < p:
-                return None
-        piv.append((i, j))
-        last = j
-    piv = tuple(piv)
-    object.__setattr__(m, "_pivots", piv)
-    return piv
-
-
-def echelon_reduce(h: IntMatrix, piv: Sequence[tuple[int, int]], x: list[int]) -> list[int]:
-    """Subtract x[j] // h[i, j] times row i of h from x, for each pivot (i, j) in
-    turn, touching only the row's nonzero entries; return those multiples."""
+def echelon_reduce(h: IntMatrix, x: list[int]) -> list[int]:
+    """Subtract x[j] // h[i, j] times row i of h from x, for each pivot (i, j)
+    in turn, touching only the row's nonzero entries; return those
+    multiples.  h must be a certified Hermite basis (``hermite_basis``):
+    its certificate lists the pivots."""
     qs = []
-    for i, j in piv:
+    for i, j in h._pivots:
         row = h.data[i]
         q = x[j] // row[j]
         qs.append(q)
@@ -497,11 +498,12 @@ def echelon_reduce(h: IntMatrix, piv: Sequence[tuple[int, int]], x: list[int]) -
 
 
 class _Solve:
-    """One matrix m solved against one set of relations rels (None for no
-    relations), which m keeps for the next call with equal rels.  ``rows``
-    are the rows of m, each reduced by the rows of rels, which need not be
-    a Hermite basis: that changes x @ m only by lattice vectors.  On first
-    need they are extended to [m' | I; rels | 0] and eliminated once, with
+    """One matrix m solved against one set of relations rels, which m keeps
+    for the next call with equal rels.  rels is a certified Hermite basis
+    (``_solve`` takes ``hermite_basis`` of the relations given, and zeros(0,
+    cols) for none), and ``rows`` are the rows of m, each reduced by it:
+    that changes x @ m only by lattice vectors.  On first need they are
+    extended to [m' | I; rels | 0] and eliminated once, with
     balanced quotients, and split at the rank: the rows above hold the
     Hermite basis of the rows of m and rels with, carried, how to write it
     on m modulo rels (``image``); the carried part of the rows below spans
@@ -510,13 +512,11 @@ class _Solve:
 
     __slots__ = ("rels", "shape", "rows", "piv", "above", "below", "_kernel", "_image", "_basis")
 
-    def __init__(self, m: IntMatrix, rels: Optional[IntMatrix]) -> None:
+    def __init__(self, m: IntMatrix, rels: IntMatrix) -> None:
         self.rels, self.shape = rels, m.shape
         self.rows = m.to_lists()
-        if rels is not None:
-            piv = _pivots_of(rels)
-            for x in self.rows:
-                echelon_reduce(rels, piv, x)
+        for x in self.rows:
+            echelon_reduce(rels, x)
         self.piv: Optional[list[int]] = None
         self.above = self.below = self._image = self._basis = None
         # every row in the lattice: all of Z^r, with no elimination
@@ -528,8 +528,7 @@ class _Solve:
         (r, c), rows, self.rows = self.shape, self.rows, None
         for x, e in zip(rows, identity(r).data):
             x.extend(e)
-        if self.rels is not None:
-            rows += [list(row) + [0] * r for row in self.rels.data]
+        rows += [list(row) + [0] * r for row in self.rels.data]
         self.piv = piv = _echelon(rows, c, balanced=True)
         self.above, self.below = rows[:len(piv)], rows[len(piv):]
 
@@ -548,32 +547,32 @@ class _Solve:
             r, c = self.shape
             self._eliminate()
             above, self.above = self.above, None
-            self._image = (_certified([row[:c] for row in above], c, self.piv),
+            self._image = (_certify(mat([row[:c] for row in above], c), self.piv),
                            mat([row[c:] for row in above], r))
         return self._image
 
     def basis(self) -> IntMatrix:
         """The Hermite basis of the rows of m and rels: read off the
-        elimination if it ran, rels itself if they are certified and hold
-        every row of m, and otherwise a Hermite basis with no transform."""
+        elimination if it ran, rels itself if they hold every row of m, and
+        otherwise a Hermite basis with no transform."""
         if self._basis is None:
-            rels = self.rels if self.rels is not None else zeros(0, self.shape[1])
             if self.piv is not None:
                 self._basis = self.image()[0]
-            elif rels._pivots is not None and not any(map(any, self.rows)):
-                self._basis = rels
+            elif not any(map(any, self.rows)):
+                self._basis = self.rels
             else:
-                self._basis = hermite_basis(mat(list(rels.data) + self.rows, rels.cols))
+                self._basis = hermite_basis(mat(list(self.rels.data) + self.rows, self.shape[1]))
         return self._basis
 
 
 def _solve(m: IntMatrix, rels: Optional[IntMatrix]) -> _Solve:
-    """The solved state of m against rels, built on first use; a matrix
-    keeps only the last one."""
+    """The solved state of m against the Hermite basis of rels, built on
+    first use; a matrix keeps only the last one."""
+    if rels is not None and rels.cols != m.cols:
+        raise DimensionMismatch(f"relations of width {rels.cols} for {m.cols} columns")
+    rels = zeros(0, m.cols) if rels is None else hermite_basis(rels)
     s = m._solved
     if s is None or not (s.rels is rels or s.rels == rels):
-        if rels is not None and rels.cols != m.cols:
-            raise DimensionMismatch(f"relations of width {rels.cols} for {m.cols} columns")
         s = _Solve(m, rels)
         object.__setattr__(m, "_solved", s)
     return s
@@ -609,11 +608,10 @@ def member_coords(gens: IntMatrix, rels: Optional[IntMatrix],
     if not vecs.rows:
         return zeros(0, g)
     h, x = s.image()
-    piv = _pivots_of(h)
     qs = []
     for v in vecs.data:
         y = list(v)
-        qs.append(echelon_reduce(h, piv, y))
+        qs.append(echelon_reduce(h, y))
         if any(y):
             return None
     return mat(qs, h.rows) @ x

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, _pivots_of, hstack, identity, mat, member_coords, vstack, zeros
+from .intmat import IntMatrix, hstack, identity, mat, member_coords, unit_pivots, vstack, zeros
 from .abgrp import (
     AbHom,
     Checks,
@@ -77,7 +77,7 @@ def _orbit_representatives(mu_prime: GammaModule) -> list[int]:
     unless column j holds a unit pivot, and zero when that pivot's row is
     e_j; an identity action fixes a class, which reduce leaves as it is."""
     grp, rels = mu_prime.group, mu_prime.group.relations
-    unit = {j: rels.data[i] for i, j in _pivots_of(rels) if rels.data[i][j] == 1}
+    unit = {j: rels.data[i] for j, i in unit_pivots(rels).items()}
     moving = [m for m in mu_prime.actions if not m.is_identity()]
     seen: set[tuple[int, ...]] = set()
     reps: list[int] = []

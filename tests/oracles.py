@@ -209,6 +209,19 @@ def inexact_spots(seq) -> list[str]:
     return out
 
 
+def leading_entries(h: IntMatrix) -> tuple[tuple[int, int], ...]:
+    """(row, column) of the leading entry of each nonzero row of h."""
+    return tuple((i, next(j for j, a in enumerate(r) if a))
+                 for i, r in enumerate(h.data) if any(r))
+
+
+def reference_hermite_basis(m: IntMatrix) -> IntMatrix:
+    """The nonzero rows of ``reference_hnf(m)``: the Hermite basis of the
+    lattice of the rows of m."""
+    h, _ = reference_hnf(m)
+    return mat([r for r in h.data if any(r)], m.cols)
+
+
 def _min_abs_pivot(a: list[list[int]], rows: Sequence[int], col: int) -> Optional[int]:
     """Row index among ``rows`` minimizing |a[i][col]| over nonzero entries."""
     best = None

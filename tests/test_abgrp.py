@@ -39,10 +39,12 @@ from oracles import (
     gcd_of_minors_invariants,
     in_row_lattice,
     inexact_spots,
+    leading_entries,
     random_diagonal_group,
     random_group,
     random_hom,
     random_matrix,
+    reference_hermite_basis,
 )
 
 
@@ -430,8 +432,9 @@ class TestSharedSolve:
     @settings(max_examples=100, deadline=None)
     @given(_matrices(3, 3), _matrices(2, 3), _matrices(2, 3), _matrices(3, 3), st.data())
     def test_class_coords_modulo_a_redundant_denominator(self, ker_gens, middle, image, vecs, data):
-        # the denominator stacks the middle relations, the image rows and
-        # their sum, so it is no Hermite basis and has a redundant row
+        # the image rows and their sum have a redundant row, which the
+        # denominator, the Hermite basis of the image and middle relations,
+        # drops
         image = vstack(image, mat([list(map(sum, zip(*image.data)))]))
         sq = subquotient(ker_gens, middle, image)
         if data.draw(st.booleans()):
@@ -625,6 +628,21 @@ class TestVerdictsFromTheImageBasis:
             rels = sq.group.relations
             assert in_row_lattice(rels, sq.denominator)
             assert in_row_lattice(sq.denominator, rels)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subquotient_denominator_is_the_certified_image_basis(self, seed):
+        rng = random.Random(40 + seed)
+        for k in range(40):
+            middle = random_group(rng, 4, 6)
+            n = middle.ambient_rank
+            image = random_matrix(rng, rng.randint(0, 3), n, 5)
+            ker_gens = identity(n) if k % 2 else random_matrix(rng, rng.randint(0, n), n, 4)
+            denom = subquotient(ker_gens, middle.relations, image).denominator
+            assert denom._pivots == leading_entries(denom)
+            assert denom == reference_hermite_basis(denom)
+            stacked = vstack(middle.relations, image)
+            assert in_row_lattice(stacked, denom)
+            assert in_row_lattice(denom, stacked)
 
 
 class TestExactnessEntries:

@@ -8,7 +8,10 @@ method or class defined in ``src/`` is referenced somewhere in ``src/``,
 ``tests/`` or ``perfbench/``: as a name, an attribute, or a string of
 dotted names (``perfbench/tracing.py`` names the methods it wraps so).
 Every parameter of a function or lambda in ``src/`` is read in its body,
-except ``self``, ``cls`` and names that start with ``_``.
+except ``self``, ``cls`` and names that start with ``_``.  No module of
+``src/redinv`` imports a name that starts with ``_`` from another, and only
+``intmat.py`` reads or writes the certificate ``_pivots`` or the solved
+state ``_solved`` of a matrix.
 
 A reach guard runs the command line over a small corpus and lists the
 public functions and methods of ``src/`` that no command calls; each must
@@ -107,6 +110,43 @@ def test_scan_flags_an_unused_parameter():
 def test_no_unused_parameters(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert unused_parameters(fh.read()) == []
+
+
+PRIVATE_STATE = {"_pivots", "_solved"}
+
+
+def private_reaches(source: str) -> list[str]:
+    """Private names imported from another ``redinv`` module, and the
+    attributes of ``PRIVATE_STATE`` read or written, by name or as the
+    string that ``setattr`` takes."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "redinv"):
+            out += [f"import {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in PRIVATE_STATE:
+            out.append(f".{node.attr}")
+        elif isinstance(node, ast.Constant) and node.value in PRIVATE_STATE:
+            out.append(f".{node.value}")
+    return out
+
+
+def test_private_scan_flags_imports_and_state():
+    src = ("from .intmat import _echelon, mat\nfrom redinv.abgrp import _x\n"
+           "from os import _exit\nfrom __future__ import annotations\n"
+           "m._pivots = 1\nprint(m._solved)\nobject.__setattr__(m, '_pivots', 2)\n"
+           "print(m.pivots, '_pivots are listed')\n")
+    assert private_reaches(src) == ["import _echelon", "import _x", "._pivots",
+                                    "._solved", "._pivots"]
+
+
+@pytest.mark.parametrize("path", sorted(_python_files(("src",))))
+def test_no_private_reach_across_modules(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        found = private_reaches(fh.read())
+    if path.endswith(os.path.join("redinv", "intmat.py")):
+        found = [f for f in found if f[1:] not in PRIVATE_STATE]
+    assert found == []
 
 
 def referenced_names(source: str) -> set[str]:

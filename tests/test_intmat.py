@@ -9,8 +9,6 @@ from redinv import intmat
 from redinv.abgrp import FgAbelianGroup
 from redinv.intmat import (
     _echelon,
-    _hermite_pivots,
-    _pivots_of,
     _with_identity,
     DimensionMismatch,
     IntMatrix,
@@ -24,8 +22,8 @@ from redinv.intmat import (
     kernel_basis,
     mat,
     member_coords,
-    pivots,
     snf,
+    unit_pivots,
     vstack,
     zeros,
 )
@@ -35,7 +33,9 @@ from oracles import (
     gcd_of_minors_invariants,
     in_row_lattice,
     is_unimodular,
+    leading_entries,
     random_matrix,
+    reference_hermite_basis,
     reference_hnf,
 )
 
@@ -383,21 +383,24 @@ class TestNormalFormProperties:
 
 
 class TestHermiteShortcut:
-    """A group keeps relations that already form a Hermite basis, found in
-    one pass by ``_hermite_pivots``, and eliminates any others."""
+    """``hermite_basis`` keeps rows that already form a Hermite basis, found
+    in one pass and certified, and eliminates any others; a group keeps
+    what it returns."""
 
     @settings(max_examples=300, deadline=None)
     @given(_hnf_inputs(max_size=9))
     @example(zeros(0, 3))
     @example(mat([[0, 0], [0, 0]]))
     def test_group_keeps_the_one_hermite_basis(self, m):
-        h = hermite_basis(m)
+        h = hermite_basis(IntMatrix(m.data, m.cols))
+        assert h == reference_hermite_basis(m)
+        assert h._pivots == leading_entries(h)
         for given_rows in (m, h):
             g = FgAbelianGroup(m.cols, given_rows)
             assert g.relations == h
-            assert _pivots_of(g.relations) == pivots(g.relations)
-        assert _hermite_pivots(h) == pivots(h)
-        assert (_hermite_pivots(m) is not None) == (m == h)
+            assert g.relations._pivots == leading_entries(g.relations)
+        # m is kept exactly when it is the basis already
+        assert (hermite_basis(m) is m) == (m == h)
 
     @pytest.mark.parametrize("rows", [
         pytest.param([[1, -5, 0], [0, 0, 7]], id="negative-off-pivot"),
@@ -406,7 +409,8 @@ class TestHermiteShortcut:
     ])
     def test_hermite_bases_are_kept(self, rows):
         m = mat(rows)
-        assert _hermite_pivots(m) == pivots(m)
+        assert hermite_basis(m) is m and m._pivots == leading_entries(m)
+        m = mat(rows)
         assert FgAbelianGroup(m.cols, m).relations is m
 
     @pytest.mark.parametrize("rows", [
@@ -419,14 +423,17 @@ class TestHermiteShortcut:
     ])
     def test_near_misses_take_the_elimination(self, rows):
         m = mat(rows)
-        assert _hermite_pivots(m) is None
+        h = hermite_basis(m)
+        assert h is not m and m._pivots is None
         g = FgAbelianGroup(m.cols, m)
-        assert g.relations == hermite_basis(m) != m
-        assert _pivots_of(g.relations) == pivots(g.relations)
+        assert g.relations == h == reference_hermite_basis(m) != m
+        assert g.relations._pivots == leading_entries(g.relations)
 
 
 def _certificate_holds(h: IntMatrix) -> bool:
-    return h._pivots is not None and h._pivots == pivots(h) and hermite_basis(h) == h
+    """The certificate lists the leading entries of h, and h is the Hermite
+    basis of its lattice by the reference elimination."""
+    return h._pivots == leading_entries(h) and h == reference_hermite_basis(h)
 
 
 def _seeded_inputs(seed: int) -> list[IntMatrix]:
@@ -466,8 +473,7 @@ class TestCertificate:
             parts += [hermite_basis(m), kernel_basis(m)]
         random.Random(seed).shuffle(parts)
         for b in (block_diag(*parts), block_diag(identity(2), identity(1)), block_diag()):
-            assert b._pivots is not None and b._pivots == pivots(b)
-            assert hermite_basis(b) == b
+            assert _certificate_holds(b)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_uncertified_part_certifies_nothing(self, seed):
@@ -478,13 +484,20 @@ class TestCertificate:
             assert b._pivots is None and b == block_diag(*parts)
 
     def test_sums_of_groups_scan_nothing(self, monkeypatch):
+        # every group passes its relations through hermite_basis, which
+        # scans and may eliminate only those with no certificate
         from redinv import abgrp
         rng = random.Random(7)
         groups = [FgAbelianGroup(m.cols, m) for m in _seeded_inputs(7)]
         groups += [FgAbelianGroup.free(2), FgAbelianGroup.trivial()]
         scans = []
-        real = abgrp._hermite_pivots
-        monkeypatch.setattr(abgrp, "_hermite_pivots", lambda m: scans.append(m) or real(m))
+        real = abgrp.hermite_basis
+
+        def recording(m):
+            if m._pivots is None:
+                scans.append(m)
+            return real(m)
+        monkeypatch.setattr(abgrp, "hermite_basis", recording)
         rng.shuffle(groups)
         s = abgrp.direct_sum(*groups)
         p = abgrp.power(groups[0], 3)
@@ -507,7 +520,11 @@ class TestCertificate:
                             lambda rows, c, **kw: calls.append(c) or real(rows, c, **kw))
         assert invariant_factors(d) == (2, 2, 12)
         assert calls == []
+        # the same rows with no certificate are found to be a Hermite basis
+        # in one pass; rows out of order take one elimination
         assert invariant_factors(mat(d.data, 3)) == (2, 2, 12)
+        assert calls == []
+        assert invariant_factors(mat([d.data[1], d.data[0], d.data[2]], 3)) == (2, 2, 12)
         assert len(calls) == 1
 
     def test_every_live_certificate_holds(self):
@@ -524,6 +541,71 @@ class TestCertificate:
                      if isinstance(o, IntMatrix) and o._pivots is not None]
         assert len(certified) > 50
         assert all(map(_certificate_holds, certified))
+
+
+def _with_unit_pivots(rng: random.Random, m: IntMatrix) -> IntMatrix:
+    """m with about half its rows replaced by rows whose leading entry is a
+    1, so that its Hermite basis has unit pivots."""
+    rows = [list(r) for r in m.data]
+    for i, row in enumerate(rows):
+        j = rng.randrange(m.cols)
+        if rng.random() < 0.5:
+            rows[i] = [0] * j + [1] + row[j + 1:]
+    return mat(rows, m.cols)
+
+
+class TestHermiteBasisAgainstOracles:
+    """``hermite_basis``, the one door to a certified Hermite basis, and the
+    Smith invariants read off it, against ``reference_hnf`` and the gcds of
+    minors, which run no normal-form code of ``intmat``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certified_input_is_returned_with_no_elimination(self, seed, monkeypatch):
+        bases = [hermite_basis(m) for m in _seeded_inputs(seed)]
+        bases += [kernel_basis(m) for m in _seeded_inputs(seed)] + [identity(3), zeros(0, 2)]
+        monkeypatch.setattr(intmat, "_echelon", lambda *a, **kw: pytest.fail("eliminated"))
+        for h in bases:
+            assert hermite_basis(h) is h
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_uncertified_hermite_basis_is_certified_with_no_elimination(self, seed, monkeypatch):
+        bases = [reference_hermite_basis(m) for m in _seeded_inputs(seed)]
+        monkeypatch.setattr(intmat, "_echelon", lambda *a, **kw: pytest.fail("eliminated"))
+        for h in bases:
+            assert h._pivots is None
+            assert hermite_basis(h) is h and _certificate_holds(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hnf_inputs(max_size=10))
+    def test_any_other_input_gives_the_reference_basis(self, m):
+        want = reference_hermite_basis(m)
+        h = hermite_basis(m)
+        assert h == want and _certificate_holds(h)
+        assert (h is m) == (m == want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_invariant_factors_match_the_minors(self, seed):
+        rng = random.Random(seed)
+        units = 0
+        for _ in range(6):
+            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 9)
+            for given_rows in (m, _with_unit_pivots(rng, m)):
+                h = hermite_basis(given_rows)
+                units += len(unit_pivots(h))
+                want = tuple(gcd_of_minors_invariants(given_rows))
+                for x in (given_rows, h, IntMatrix(h.data, h.cols)):
+                    assert invariant_factors(x) == want, x
+        assert units > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hnf_inputs(max_size=8))
+    def test_unit_pivots_match_the_leading_entries(self, m):
+        h = hermite_basis(m)
+        want = {j: i for i, j in leading_entries(h) if h[i, j] == 1}
+        assert unit_pivots(h) == want
+        # a unit pivot's column is zero in every other row
+        for j, i in want.items():
+            assert all(row[j] == 0 for k, row in enumerate(h.data) if k != i)
 
 
 @st.composite
@@ -664,7 +746,8 @@ class TestSharedSolve:
     @settings(max_examples=150, deadline=None)
     @given(_systems_mod_relations())
     def test_coordinates_modulo_redundant_relations_after_a_kernel(self, system):
-        # rels is stacked with a redundant row, as a subquotient's denominator
+        # rels has a redundant row, so it is no Hermite basis: the solver
+        # reduces by the Hermite basis of its lattice instead
         gens, rels, vecs = system
         k = kernel_basis(gens, rels)
         assert in_row_lattice(rels, k @ gens)
