@@ -1,26 +1,40 @@
-"""The cochain complex {F(X) (+) F(G)^i, delta^i} of a map phi: F(X) -> F(G).
+"""The Cech complex of a torsor X -> S under G, from phi: F(X) -> F(G).
 
-Writing a cochain in degree i as (a, b_1, ..., b_i) with a in F(X) and
-b_k in F(G), the differentials are
+Its degree-i term C^i = F(X) (+) F(G)^i is the group of units of X x G^i
+modulo those of S (Rosenlicht; Sansuc, J. reine angew. Math. 327, 1981,
+section 6), with F(X) in slot 0 and the k-th F(G) in slot k, and its
+differential is the alternating sum
 
-    delta^0(a)                  = (0, phi a)
-    delta^{2r}(a, b_1..b_{2r})  = (0, phi a - b_1, 0, b_2 - b_3, 0, ...,
-                                   b_{2r-2} - b_{2r-1}, 0, b_{2r})
-    delta^{2r+1}(a, b_1..b_{2r+1}) = (a, phi a, b_2, b_2, b_4, b_4, ...,
-                                      b_{2r}, b_{2r}, 0)
+    delta^i = sum_{k=0}^{i+1} (-1)^k d_k^*
 
-and the contracting homotopy in degrees >= 2 is
+of the pullbacks along the face maps d_k: X x G^{i+1} -> X x G^i.  A unit
+of X pulls back along the action x g_1 as (a, phi a), and a character of G
+along a product g_k g_{k+1} as itself in both factors, so on a cochain
+(a, b_1, ..., b_i), with a in F(X) and each b_k in F(G),
+
+    d_0^*      gives (a, phi a, b_1, ..., b_i),
+    d_k^*      repeats b_k, in slot k and in slot k + 1 (1 <= k <= i),
+    d_{i+1}^*  gives (a, b_1, ..., b_i, 0).
+
+Summed with their signs they give delta^i in closed form: a goes to a
+when i is odd, phi a goes to slot 1 (from d_0 alone), b_j goes to
+(-1)^j b_j in slot j when i - j is odd, and b_j goes to b_j in slot j + 1
+when j is even.  So delta^0(a) = (0, phi a), delta^1(a, b_1) =
+(a, phi a, 0) and delta^2(a, b_1, b_2) = (0, phi a - b_1, 0, b_2).  The
+contracting homotopy in degrees >= 2 is
 
     lambda_i(a, b_1, ..., b_i) = (a, -b_1, b_3, ..., b_i),
 
-which drops b_2 and satisfies delta^{i-1} lambda_i + lambda_{i+1} delta^i = id.
+which drops b_2 and satisfies delta^{i-1} lambda_i + lambda_{i+1} delta^i
+= id.  Both are built by one rule, ``_slot_map``: a sum of blocks from a
+slot of the source to a slot of the target (``intmat.block_sum``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, identity, mat
+from .intmat import IntMatrix, block_sum, identity
 from .abgrp import (
     AbHom,
     Checks,
@@ -64,60 +78,30 @@ class CechComplex:
     deltas: tuple[AbHom, ...]  # delta^0 .. delta^{max_degree - 1}
 
 
-def _assemble(nrows: int, ncols: int, blocks) -> IntMatrix:
-    """blocks: list of (row offset, col offset, IntMatrix, sign)."""
-    grid = [[0] * ncols for _ in range(nrows)]
-    for r0, c0, b, sign in blocks:
-        for i in range(b.rows):
-            row = b.row(i)
-            for j in range(b.cols):
-                grid[r0 + i][c0 + j] += sign * row[j]
-    return mat(grid, ncols)
+def _slot_map(inp: CechInput, i: int, j: int, blocks) -> IntMatrix:
+    """The map C^i -> C^j that sends slot s to slot t by c * m, summed over
+    the blocks (s, t, m, c)."""
+    nx, ng = inp.fx.ambient_rank, inp.fg.ambient_rank
+    at = [0] + [nx + k * ng for k in range(max(i, j))]  # the offset of each slot
+    return block_sum(nx + i * ng, nx + j * ng,
+                     [(at[s], at[t], m, c) for s, t, m, c in blocks])
 
 
 def _delta_matrix(inp: CechInput, i: int) -> IntMatrix:
-    nx = inp.fx.ambient_rank
-    ng = inp.fg.ambient_rank
-    phi = inp.phi.matrix
-    ide = identity(ng)
-    src = nx + i * ng
-    tgt = nx + (i + 1) * ng
-    blocks = []
-
-    def fg(k: int) -> int:  # offset of the k-th F(G) summand, in rows or in columns
-        return nx + (k - 1) * ng
-
-    if i == 0:
-        blocks.append((0, fg(1), phi, 1))
-    elif i % 2 == 0:
-        r = i // 2
-        blocks.append((0, fg(1), phi, 1))
-        blocks.append((fg(1), fg(1), ide, -1))
-        for k in range(1, r):
-            blocks.append((fg(2 * k), fg(2 * k + 1), ide, 1))
-            blocks.append((fg(2 * k + 1), fg(2 * k + 1), ide, -1))
-        blocks.append((fg(2 * r), fg(2 * r + 1), ide, 1))
-    else:
-        r = (i - 1) // 2
-        blocks.append((0, 0, identity(nx), 1))
-        blocks.append((0, fg(1), phi, 1))
-        for k in range(1, r + 1):
-            blocks.append((fg(2 * k), fg(2 * k), ide, 1))
-            blocks.append((fg(2 * k), fg(2 * k + 1), ide, 1))
-    return _assemble(src, tgt, blocks)
+    """delta^i: C^i -> C^{i+1}, in the closed form of the face maps."""
+    ide = identity(inp.fg.ambient_rank)
+    blocks = [(0, 0, identity(inp.fx.ambient_rank), i % 2), (0, 1, inp.phi.matrix, 1)]
+    blocks += [(j, j, ide, (-1) ** j) for j in range(1, i + 1) if (i - j) % 2]
+    blocks += [(j, j + 1, ide, 1) for j in range(2, i + 1, 2)]
+    return _slot_map(inp, i, i + 1, blocks)
 
 
 def _lambda_matrix(inp: CechInput, i: int) -> IntMatrix:
     """lambda_i: C^i -> C^{i-1} for i >= 2."""
-    nx = inp.fx.ambient_rank
-    ng = inp.fg.ambient_rank
-    ide = identity(ng)
-    src = nx + i * ng
-    tgt = nx + (i - 1) * ng
-    blocks = [(0, 0, identity(nx), 1), (nx, nx, ide, -1)]
-    for k in range(3, i + 1):
-        blocks.append((nx + (k - 1) * ng, nx + (k - 2) * ng, ide, 1))
-    return _assemble(src, tgt, blocks)
+    ide = identity(inp.fg.ambient_rank)
+    blocks = [(0, 0, identity(inp.fx.ambient_rank), 1), (1, 1, ide, -1)]
+    blocks += [(j, j - 1, ide, 1) for j in range(3, i + 1)]
+    return _slot_map(inp, i, i - 1, blocks)
 
 
 def cochain_group(inp: CechInput, i: int) -> FgAbelianGroup:

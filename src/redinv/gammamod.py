@@ -24,7 +24,9 @@ C2 x C2 x C2 and 3 of the 25 of S4).  The cochains are C^0 = M, C^1 = M^S
 and C^2 = M^R'.  The third term of P is free on the rows of the Hermite
 basis K of the Z-lattice ker(Z[Gamma]^R' -> Z[Gamma]^S), so a 2-cochain
 is a cocycle when it vanishes on them.  Each degree of Hom_Gamma(P, M)
-follows one rule from the boundaries of P.
+follows one rule from the boundaries of P: its block (a, b) is row a of
+the boundary of cell b, an element sum c_g g of Z[Gamma] acting on M as
+sum c_g M_g, which ``intmat.block_sum`` adds up in place.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .intmat import IntMatrix, identity, int_from_json, kernel_basis, mat
+from .intmat import IntMatrix, block_sum, identity, int_from_json, kernel_basis, mat
 from .abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -300,19 +302,6 @@ def _fox_row(gamma: FiniteGroup, gens: Sequence[int], tree: dict, g: int, j: int
     return out
 
 
-def _ring_blocks(module: GammaModule, rows: int, cols: int, entries) -> IntMatrix:
-    """The rows x cols matrix of n x n blocks whose block (a, b) is the
-    element of Z[Gamma] acting on M: sum c M_g over the entries (a, b, g, c)."""
-    n = module.group.ambient_rank
-    support = [[(i, j, x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
-               for m in module.actions]
-    out = [[0] * (n * cols) for _ in range(n * rows)]
-    for a, b, g, c in entries:
-        for i, j, x in support[g]:
-            out[n * a + i][n * b + j] += c * x
-    return IntMatrix(tuple(map(tuple, out)), n * cols)
-
-
 def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int], tree: dict) -> dict:
     """The Fox rows of a set R' of relators whose Gamma-translates already
     span ker(Z[Gamma]^S -> Z[Gamma]), keyed by their non-tree edge (g, j).
@@ -386,13 +375,14 @@ def _resolution(gamma: FiniteGroup, i: int) -> list[list[list[list[int]]]]:
 
 def _cochain_map(module: GammaModule, boundaries: Sequence[list], i: int) -> AbHom:
     """Degree i of Hom_Gamma(P, M), one copy of M per cell of degree i to one
-    per cell of degree i + 1: block (a, b) is row a of the boundary of cell b."""
-    cells, group = boundaries[i], module.group
+    per cell of degree i + 1: block (a, b) is row a of the boundary of cell b,
+    the element sum c_g g of Z[Gamma], which acts on M as sum c_g M_g."""
+    cells, group, n = boundaries[i], module.group, module.group.ambient_rank
     rows = len(boundaries[i - 1]) if i else 1
-    entries = [(a, b, g, c) for b, cell in enumerate(cells) for a, row in enumerate(cell)
-               for g, c in enumerate(row) if c]
+    blocks = [(n * a, n * b, module.actions[g], c) for b, cell in enumerate(cells)
+              for a, row in enumerate(cell) for g, c in enumerate(row) if c]
     return AbHom(power(group, rows), power(group, len(cells)),
-                 _ring_blocks(module, rows, len(cells), entries))
+                 block_sum(n * rows, n * len(cells), blocks))
 
 
 def presentation_differential(module: GammaModule, i: int) -> AbHom:

@@ -37,8 +37,12 @@ rank n, so that m is nonsingular and U = H @ m^-1.  Every other ``hnf``
 (only the ``matrix`` command runs it, and ``snf``) takes the floor rule,
 which pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
 
-``identity(n)`` builds each n up to 256 once and hands every caller the
-same matrix, which is immutable (and so holds one solved state at most).
+``identity(n)`` keeps the rows of each n up to 256 and wraps them in a new
+certified matrix on every call, so no solved state passes from one caller
+to another.  ``block_sum`` adds up blocks, each placed at an offset with a
+coefficient and read only over its nonzero entries, found once per matrix
+in a call: the cochain differentials of ``gammamod`` and ``cech`` are such
+sums.
 
 One rule covers every relation lattice: reduction modulo a lattice reads
 its Hermite basis with the certificate ``_pivots``, the (row, column) of
@@ -220,23 +224,20 @@ def mat(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> IntMatrix:
     return IntMatrix(tup, cols)
 
 
-# identity(n) of each n up to the longer side that the ``matrix`` command
-# accepts (4 * abgrp.MAX_RANK), built on first use; matrices are immutable,
-# so every caller shares it.
-_IDENTITIES: dict[int, IntMatrix] = {}
-_MAX_SHARED_IDENTITY = 256
+# The rows of identity(n) for each n up to the longer side that the
+# ``matrix`` command accepts (4 * abgrp.MAX_RANK), built on first use.
+_IDENTITY_ROWS: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def identity(n: int) -> IntMatrix:
-    m = _IDENTITIES.get(n)
-    if m is None:
-        rows = [[0] * n for _ in range(n)]
-        for i, row in enumerate(rows):
-            row[i] = 1
-        m = _certify(mat(rows, n), range(n))
-        if n <= _MAX_SHARED_IDENTITY:
-            _IDENTITIES[n] = m
-    return m
+    """A new certified n x n identity on every call, so that what one
+    caller's matrix keeps (``_solved``) never reaches another's."""
+    rows = _IDENTITY_ROWS.get(n)
+    if rows is None:
+        rows = tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
+        if n <= 256:
+            _IDENTITY_ROWS[n] = rows
+    return _certify(IntMatrix(rows, n), range(n))
 
 
 def zeros(r: int, c: int) -> IntMatrix:
@@ -264,6 +265,26 @@ def hstack(*ms: IntMatrix) -> IntMatrix:
         raise DimensionMismatch(f"hstack of heights {sorted(rows)}")
     return IntMatrix(tuple(sum(parts, ()) for parts in zip(*(m.data for m in ms))),
                      sum(m.cols for m in ms))
+
+
+def block_sum(rows: int, cols: int,
+              blocks: Iterable[tuple[int, int, IntMatrix, int]]) -> IntMatrix:
+    """The rows x cols sum of c * m with its top left entry at (r, k), over
+    the blocks (r, k, m, c).  Each m is read only over its nonzero entries,
+    found once per matrix object in a call, so an identity or permutation
+    block costs one entry per row."""
+    out = [[0] * cols for _ in range(rows)]
+    supports: dict[int, tuple[IntMatrix, list[tuple[int, int, int]]]] = {}
+    for r, k, m, c in blocks:
+        if r < 0 or k < 0 or r + m.rows > rows or k + m.cols > cols:
+            raise DimensionMismatch(f"{m.shape} block at ({r}, {k}) of {rows} x {cols}")
+        kept = supports.get(id(m))
+        if kept is None:  # kept with m, so that no other block takes its id
+            kept = supports[id(m)] = (m, [(i, j, x) for i, row in enumerate(m.data)
+                                          for j, x in enumerate(row) if x])
+        for i, j, x in kept[1]:
+            out[r + i][k + j] += c * x
+    return IntMatrix(tuple(map(tuple, out)), cols)
 
 
 def block_diag(*ms: IntMatrix) -> IntMatrix:

@@ -122,10 +122,7 @@ class ReductiveDatum:
 
     @staticmethod
     def untwisted(name: str, datum: RootDatum) -> "ReductiveDatum":
-        # its own identity matrix, not the shared one, so that what the
-        # matrix keeps stays with this datum
-        n = datum.rank
-        return ReductiveDatum(name, datum, trivial_group(), (mat(identity(n).data, n),))
+        return ReductiveDatum(name, datum, trivial_group(), (identity(datum.rank),))
 
     def x_module(self) -> GammaModule:
         return GammaModule(self.gamma, FgAbelianGroup.free(self.datum.rank), self.actions)
@@ -382,7 +379,7 @@ def _twisted(d: ReductiveDatum, twist: str) -> ReductiveDatum:
     (kind, rank), perm = _TWISTS[twist]
     if d.datum.rank != rank or d.datum.cartan_pairing() != cartan_matrix(kind, rank):
         raise InvalidDatum(f"the {twist} twist needs a rank-{rank} datum of type {kind}{rank}")
-    one = mat(identity(rank).data, rank)  # the datum's own, as in ``untwisted``
+    one = identity(rank)
     rho = mat(map(one.row, perm), rank)
     powers = [one]
     while (m := powers[-1] @ rho) != one:

@@ -543,3 +543,54 @@ def normalized_bar_cohomology(module, i: int) -> FgAbelianGroup:
     """H^i(Gamma, M) of the normalized bar complex, for i >= 0."""
     d_in = bar_differential(module, i - 1) if i > 0 else None
     return homology_at(d_in, bar_differential(module, i)).group
+
+
+def cech_face(i: int, k: int) -> list[list[int]]:
+    """The face map d_k: X x G^{i+1} -> X x G^i (0 <= k <= i + 1) as, for
+    each slot of the target, the slots of the source whose product it is;
+    slot 0 is the point x of X and slot s >= 1 the factor g_s.  d_0 is the
+    action, (x g_1, g_2, .., g_{i+1}), d_k for 1 <= k <= i multiplies
+    g_k g_{k+1}, and d_{i+1} drops g_{i+1}."""
+    slots = [[s] for s in range(i + 2)]
+    return slots[:i + 1] if k == i + 1 else slots[:k] + [[k, k + 1]] + slots[k + 2:]
+
+
+def _cech_offset(nx: int, ng: int, s: int) -> int:
+    return nx + (s - 1) * ng if s else 0
+
+
+def cech_face_pullback(nx: int, ng: int, phi: list[list[int]], i: int, k: int) -> list[list[int]]:
+    """d_k^*: F(X) (+) F(G)^i -> F(X) (+) F(G)^{i+1} as plain rows, read off
+    ``cech_face``: a character of G pulls back along a product of factors
+    to itself on each, and a unit a of X along x g_1 to a on x and phi a
+    on g_1 (Rosenlicht)."""
+    rows = [[0] * (nx + (i + 1) * ng) for _ in range(nx + i * ng)]
+    for t, product in enumerate(cech_face(i, k)):
+        width = ng if t else nx
+        for s in product:
+            for r in range(width):
+                for c in range(ng if s else nx):
+                    x = phi[r][c] if t == 0 and s else int(r == c)
+                    rows[_cech_offset(nx, ng, t) + r][_cech_offset(nx, ng, s) + c] += x
+    return rows
+
+
+def cech_delta_from_faces(nx: int, ng: int, phi: list[list[int]], i: int) -> list[list[int]]:
+    """delta^i = sum_{k=0}^{i+1} (-1)^k d_k^*, as plain rows."""
+    total = [[0] * (nx + (i + 1) * ng) for _ in range(nx + i * ng)]
+    for k in range(i + 2):
+        for row, face in zip(total, cech_face_pullback(nx, ng, phi, i, k)):
+            for c, x in enumerate(face):
+                row[c] += (-1) ** k * x
+    return total
+
+
+def cech_lambda_from_formula(nx: int, ng: int, i: int) -> list[list[int]]:
+    """lambda_i(a, b_1, ..., b_i) = (a, -b_1, b_3, ..., b_i), as plain rows."""
+    rows = [[0] * (nx + (i - 1) * ng) for _ in range(nx + i * ng)]
+    for r in range(nx):
+        rows[r][r] = 1
+    for s, t, sign in [(1, 1, -1)] + [(s, s - 1, 1) for s in range(3, i + 1)]:
+        for r in range(ng):
+            rows[_cech_offset(nx, ng, s) + r][_cech_offset(nx, ng, t) + r] = sign
+    return rows

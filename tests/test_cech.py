@@ -5,6 +5,9 @@ import pytest
 from redinv.intmat import mat, zeros
 from redinv.abgrp import AbHom, FgAbelianGroup, cokernel, kernel
 from redinv.cech import (
+    _delta_matrix,
+    _lambda_matrix,
+    MAX_DEGREE_CAP,
     CechInput,
     DegreeCapExceeded,
     build_complex,
@@ -14,7 +17,12 @@ from redinv.cech import (
     homotopy_map,
 )
 
-from oracles import constructive_hom, random_diagonal_group
+from oracles import (
+    cech_delta_from_faces,
+    cech_lambda_from_formula,
+    constructive_hom,
+    random_diagonal_group,
+)
 
 
 def make_input(fx, fg, matrix):
@@ -130,3 +138,44 @@ class TestRandomized:
             assert cech_cohomology(cx, 1).invariants() == c.invariants()
             for i in range(2, 6):
                 assert cech_cohomology(cx, i).is_trivial()
+
+
+def _face_inputs():
+    """(nx, ng, phi) for every pair of ranks up to 4, zero included, each
+    with a seeded random phi."""
+    out = []
+    for nx in range(5):
+        for ng in range(5):
+            rng = random.Random(10 * nx + ng)
+            out.append((nx, ng, [[rng.randint(-5, 5) for _ in range(ng)] for _ in range(nx)]))
+    return out
+
+
+class TestFaceMaps:
+    """The matrices of ``cech`` against the definition: delta^i is the
+    alternating sum of the pullbacks along the face maps, built with plain
+    lists in ``oracles``, and lambda_i is the formula of the docstring."""
+
+    @pytest.mark.parametrize("nx, ng, phi", _face_inputs())
+    def test_delta_is_the_alternating_sum_of_the_faces(self, nx, ng, phi):
+        inp = make_input(FgAbelianGroup.free(nx), FgAbelianGroup.free(ng), mat(phi, ng))
+        for i in range(MAX_DEGREE_CAP + 1):
+            d = _delta_matrix(inp, i)
+            assert d.shape == (nx + i * ng, nx + (i + 1) * ng)
+            assert d.to_lists() == cech_delta_from_faces(nx, ng, phi, i), i
+
+    @pytest.mark.parametrize("nx, ng, phi", _face_inputs())
+    def test_lambda_is_the_docstring_formula(self, nx, ng, phi):
+        inp = make_input(FgAbelianGroup.free(nx), FgAbelianGroup.free(ng), mat(phi, ng))
+        for i in range(2, MAX_DEGREE_CAP + 1):
+            lam = _lambda_matrix(inp, i)
+            assert lam.shape == (nx + i * ng, nx + (i - 1) * ng)
+            assert lam.to_lists() == cech_lambda_from_formula(nx, ng, i), i
+
+    def test_the_faces_give_a_complex(self):
+        # the oracle's own check: its delta^{i+1} after delta^i is zero
+        nx, ng, phi = 2, 3, [[1, -2, 3], [0, 4, -5]]
+        for i in range(MAX_DEGREE_CAP):
+            d0 = mat(cech_delta_from_faces(nx, ng, phi, i), nx + (i + 1) * ng)
+            d1 = mat(cech_delta_from_faces(nx, ng, phi, i + 1), nx + (i + 2) * ng)
+            assert (d0 @ d1).is_zero(), i

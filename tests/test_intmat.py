@@ -13,6 +13,7 @@ from redinv.intmat import (
     DimensionMismatch,
     IntMatrix,
     block_diag,
+    block_sum,
     hermite_basis,
     hnf,
     hstack,
@@ -188,12 +189,21 @@ class TestKernelBasis:
 
 class TestMisc:
     def test_is_identity(self):
-        # past the shared identities too, where identity(n) builds a new one
+        # past the cached rows too, where identity(n) builds them anew
         for n in (0, 1, 3, 300):
             assert identity(n).is_identity() and mat(identity(n).data, n).is_identity()
         for m in (mat([[1, 0]]), mat([[1, 0], [0, 2]]), mat([[1, 1], [0, 1]]),
                   mat([[0, 1], [1, 0]]), zeros(2, 2), zeros(0, 1)):
             assert not m.is_identity()
+
+    def test_identity_is_new_on_every_call(self):
+        # equal and certified, but what one keeps stays with it
+        for n in (2, 300):
+            a, b = identity(n), identity(n)
+            assert a is not b and a == b
+            assert _certificate_holds(a) and _certificate_holds(b)
+            kernel_basis(a, mat([[2] * n]))
+            assert a._solved is not None and b._solved is None
 
     def test_inverse_unimodular(self):
         # the identity as right-hand side gives the inverse of a unimodular matrix
@@ -210,6 +220,51 @@ class TestMisc:
         m = mat([[10**40, 1], [1, 10**40]])
         _, d, _ = snf(m)
         assert det(m) == d[0, 0] * d[1, 1] or det(m) == -(d[0, 0] * d[1, 1])
+
+
+def _dense_block_sum(rows, cols, blocks):
+    """The sum of c * m at (r, k) over the blocks, placed entry by entry."""
+    out = [[0] * cols for _ in range(rows)]
+    for r, k, m, c in blocks:
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[r + i][k + j] += c * m[i, j]
+    return out
+
+
+class TestBlockSum:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_against_dense_placement(self, seed):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        pool = [identity(min(rows, cols, 2)), zeros(0, min(cols, 3)),
+                random_matrix(rng, rng.randint(0, rows), rng.randint(0, cols), 5),
+                random_matrix(rng, rng.randint(0, rows), rng.randint(0, cols), 5)]
+        blocks = []
+        for _ in range(rng.randint(0, 8)):
+            # one pool object may come back with another coefficient,
+            # and blocks may overlap
+            m = rng.choice(pool)
+            blocks.append((rng.randint(0, rows - m.rows), rng.randint(0, cols - m.cols), m,
+                           rng.randint(-3, 3)))
+        got = block_sum(rows, cols, blocks)
+        assert got.shape == (rows, cols)
+        assert got.to_lists() == _dense_block_sum(rows, cols, blocks)
+
+    def test_overlap_coefficients_and_reuse(self):
+        a = mat([[1, 2], [0, 3]])
+        blocks = [(0, 0, a, 2), (1, 1, a, -1), (0, 1, a, 0), (0, 0, identity(2), 1),
+                  (2, 0, zeros(0, 3), 5)]
+        assert block_sum(3, 3, blocks) == mat([[3, 4, 0], [0, 6, -2], [0, 0, -3]])
+
+    def test_no_blocks(self):
+        assert block_sum(2, 3, []) == zeros(2, 3)
+        assert block_sum(0, 4, []).shape == (0, 4)
+
+    @pytest.mark.parametrize("r, k", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_block_outside_raises(self, r, k):
+        with pytest.raises(DimensionMismatch):
+            block_sum(3, 3, [(r, k, identity(2), 1)])
 
 
 def _matrices(max_rows: int = 5, max_cols: int = 5):

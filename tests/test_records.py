@@ -2,14 +2,15 @@
 
 ``data/records.json`` maps each argv, joined by single spaces, to the
 sha256 of the record that ``--format json`` prints, and of the human
-output of ``pi1d`` (both resolutions) and ``check-ses``, whose check
-lines follow the order of the checks.  Besides the catalog,
+output of ``pi1d`` (both resolutions), ``check-ses`` and ``cech`` at the
+least and the greatest degree, whose check lines follow the order of the
+checks.  Besides the catalog,
 it pins five classical specs of rank 14 or more, whose pushout resolutions
 solve the largest subgroup-coordinate systems.  ``check-ses`` and ``cech``
 hash the input file's bytes into the input digest; their keys name the
 fixture in the shipped data directory, or the cech input written below.
-``check-ses`` runs from the data directory, since its human output
-names the file as given.
+``check-ses`` runs from the data directory and ``cech`` from the directory
+of its input, since their human output names the file as given.
 ``matrix hnf`` and ``matrix snf`` records pin H, U, D and V byte for byte
 on three matrices written below: a sparse 0/+-1 bar matrix and two dense
 ones.
@@ -75,6 +76,7 @@ def test_every_catalog_spec_and_fixture_is_covered():
         for fmt in ("json", "human")
     }
     want |= {f"cech cech.json --max-degree {k} --format json" for k in range(3, 9)}
+    want |= {f"cech cech.json --max-degree {k} --format human" for k in (3, 8)}
     want |= {
         f"matrix {kind} {name} --format json"
         for kind in ("hnf", "snf") for name in MATRIX_INPUTS
@@ -93,9 +95,8 @@ def test_record_is_byte_identical(command, capsys, tmp_path, monkeypatch):
     if argv[0] == "check-ses":
         monkeypatch.chdir(DATA_DIR)
     elif argv[0] == "cech":
-        path = tmp_path / argv[1]
-        path.write_text(json.dumps(CECH_INPUT))
-        argv[1] = str(path)
+        (tmp_path / argv[1]).write_text(json.dumps(CECH_INPUT))
+        monkeypatch.chdir(tmp_path)
     elif argv[0] == "matrix":
         path = tmp_path / argv[2]
         path.write_text(json.dumps(MATRIX_INPUTS[argv[2]].to_json()))
