@@ -21,9 +21,13 @@ along the edges; R' is a subset of those relators whose Gamma-translates
 span the same lattice ker(Z[Gamma]^S -> Z[Gamma]) as all of them, so P is
 still exact at Z[Gamma]^S from far fewer relators (R' has 6 of the 17 of
 C2 x C2 x C2 and 3 of the 25 of S4).  The cochains are C^0 = M, C^1 = M^S
-and C^2 = M^R'.  The third term of P is free on the rows of the Hermite
-basis K of the Z-lattice ker(Z[Gamma]^R' -> Z[Gamma]^S), so a 2-cochain
-is a cocycle when it vanishes on them.  Each degree of Hom_Gamma(P, M)
+and C^2 = M^R'.  The peeling that picks R' spans each non-tree edge by one
+Gamma-translate of a kept relator, so those translates form a unimodular
+triangular Z-basis of the cycle lattice, and back-substitution writes every
+other translate u in it: e_u minus that sum is a syzygy, and these
+syzygies are a Z-basis of ker(Z[Gamma]^R' -> Z[Gamma]^S) with no
+elimination.  The third term of P is free on them, so a 2-cochain is a
+cocycle when it vanishes on them.  Each degree of Hom_Gamma(P, M)
 follows one rule from the boundaries of P: its block (a, b) is row a of
 the boundary of cell b, an element sum c_g g of Z[Gamma] acting on M as
 sum c_g M_g, which ``intmat.block_sum`` adds up in place.
@@ -32,9 +36,9 @@ sum c_g M_g, which ``intmat.block_sum`` adds up in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .intmat import IntMatrix, block_sum, identity, int_from_json, kernel_basis, mat
+from .intmat import IntMatrix, block_sum, identity, int_from_json, mat
 from .abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -60,6 +64,9 @@ class FiniteGroup:
     # found once from the table; _inverses[a] is the b with ab = identity
     identity: int = field(init=False, repr=False, compare=False)
     _inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the generators and Cayley-graph tree of ``_cayley_tree``, built on first use
+    _tree: Optional[tuple[tuple[int, ...], dict]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -92,11 +99,19 @@ class FiniteGroup:
     def check(self) -> None:
         """Raise InvalidGroupTable unless the law is associative; with the
         identity and right inverses found at construction, that makes a
-        finite group."""
+        finite group.
+
+        Light's test (Clifford and Preston, The Algebraic Theory of
+        Semigroups I, 1961) checks (xy)s = x(ys) for all x, y and each
+        generator s of ``_cayley_tree``: q^2 |S| lookups, not q^3.  The a
+        with (xy)a = x(ya) for all x, y hold the identity and are closed
+        under products, and the tree writes every element as a product
+        e s_1 ... s_k of generators, so every a passes."""
         t = self.table
-        for row in t:  # row a: (ab)c is t[ab][c], a(bc) is row[t[b][c]]
-            for ab, tb in zip(row, t):
-                if t[ab] != tuple(map(row.__getitem__, tb)):
+        for s in _cayley_tree(self)[0]:
+            col = [row[s] for row in t]  # x -> x s
+            for row in t:  # row x: (xy)s is col[row[y]], x(ys) is row[col[y]]
+                if list(map(col.__getitem__, row)) != list(map(row.__getitem__, col)):
                     raise InvalidGroupTable("associativity fails")
 
     def elements(self) -> range:
@@ -107,7 +122,7 @@ class FiniteGroup:
         rows = obj["table"]
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             raise InvalidGroupTable("a table is a list of rows, each a list")
-        gamma = FiniteGroup(tuple(tuple(int_from_json(x) for x in r) for r in rows))
+        gamma = FiniteGroup(tuple(tuple(map(int_from_json, r)) for r in rows))
         gamma.check()
         return gamma
 
@@ -268,8 +283,12 @@ def _cayley_tree(gamma: FiniteGroup) -> tuple[tuple[int, ...], dict]:
     Each generator, picked greedily, makes the generated subgroup largest,
     the smallest label winning ties; S is kept in label order.  The same
     walk sizes each candidate subgroup and, once S generates Gamma, gives
-    the tree.
+    the tree.  Gamma keeps both, so ``FiniteGroup.check`` and every
+    resolution of Gamma walk it once.
     """
+    if gamma._tree is not None:
+        return gamma._tree
+
     def walk(gens: list[int]) -> dict:
         tree, order = {gamma.identity: None}, [gamma.identity]
         for g in order:  # grows while it is walked
@@ -285,7 +304,8 @@ def _cayley_tree(gamma: FiniteGroup) -> tuple[tuple[int, ...], dict]:
     while len(tree := walk(gens)) < gamma.order:
         best = min((-len(walk(gens + [x])), x) for x in gamma.elements() if x not in tree)
         gens = sorted(gens + [best[1]])
-    return tuple(gens), tree
+    object.__setattr__(gamma, "_tree", (tuple(gens), tree))
+    return gamma._tree
 
 
 def _fox_row(gamma: FiniteGroup, gens: Sequence[int], tree: dict, g: int, j: int) -> list[list[int]]:
@@ -302,7 +322,8 @@ def _fox_row(gamma: FiniteGroup, gens: Sequence[int], tree: dict, g: int, j: int
     return out
 
 
-def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int], tree: dict) -> dict:
+def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int], tree: dict,
+                  syzygies: Optional[list] = None) -> dict:
     """The Fox rows of a set R' of relators whose Gamma-translates already
     span ker(Z[Gamma]^S -> Z[Gamma]), keyed by their non-tree edge (g, j).
 
@@ -314,6 +335,16 @@ def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int], tree: dict) -> dict:
     queued translate has coefficient +-1 there and only spanned edges
     besides.  Every edge ends spanned, so the resolution
     Z[Gamma]^R' -> Z[Gamma]^S -> Z[Gamma] -> Z stays exact at Z[Gamma]^S.
+
+    The translate b_f that spans edge f has +-1 at f and is otherwise
+    supported on edges spanned before f, so the b_f are a unimodular
+    triangular Z-basis of the cycle lattice.  Given a list ``syzygies``, it
+    receives a Z-basis of the relations among all the translates, the
+    lattice ker d2: for each other translate u, in queue order, e_u minus
+    the sum of a_f e_{b_f} with u = sum a_f b_f, the a_f read off by
+    back-substitution from the edge spanned last down to the first.  Each
+    syzygy comes in the shape of a boundary of ``_resolution``: per kept
+    relator r, the q coefficients of its translates h . r.
     """
     # edge[j][g]: the index of the relator of the non-tree edge (g, S[j]), None on the tree
     edge: list[list[int | None]] = [[None] * gamma.order for _ in gens]
@@ -324,33 +355,67 @@ def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int], tree: dict) -> dict:
                 edge[j][g] = len(relators)
                 relators.append((g, j))
     kept = {}
-    spanned: set[int] = set()
+    supports = []  # per kept relator: (edge row, x, c) for each nonzero Fox entry
+    spanning: dict[int, int] = {}  # edge -> the translate that spans it, in spanning order
     queued: list[dict[int, int]] = []  # per translate: unspanned edge -> coefficient
     watchers: list[list[int]] = [[] for _ in relators]  # per edge: translates with it unspanned
     for r, (g, j) in enumerate(relators):
-        if r in spanned:
+        if r in spanning:
             continue
         fox = kept[g, j] = _fox_row(gamma, gens, tree, g, j)
         support = [(edge[k], x, c) for k, dk in enumerate(fox) for x, c in enumerate(dk) if c]
+        supports.append(support)
         todo = []
         for row in gamma.table:  # the translate by h, for row h: x -> h x
             t, coords = len(queued), {}
             for at, x, c in support:
                 f = at[row[x]]
-                if f is not None and f not in spanned:
+                if f is not None and f not in spanning:
                     coords[f] = c
                     watchers[f].append(t)
             queued.append(coords)
             todo.append(t)
         while todo:
-            coords = queued[todo.pop()]
+            u = todo.pop()
+            coords = queued[u]
             if len(coords) == 1 and abs(*coords.values()) == 1:
                 (f,) = coords
-                spanned.add(f)
+                spanning[f] = u
                 for t in watchers[f]:
                     del queued[t][f]
                     if len(queued[t]) == 1:
                         todo.append(t)
+    if syzygies is not None:
+        q, table = gamma.order, gamma.table
+        rank = {f: k for k, f in enumerate(spanning)}  # the spanning order
+
+        def coordinates(t: int) -> list[tuple[int, int]]:
+            """(rank of edge, coefficient) of translate t, h . r for the kept
+            relator r = t // q and h = t % q, over the non-tree edges."""
+            row = table[t % q]
+            return [(rank[f], c) for at, x, c in supports[t // q] if (f := at[row[x]]) is not None]
+
+        basis = []  # per edge, in spanning order: b_f, its +-1 at f and its coordinates
+        for k, b in enumerate(spanning.values()):
+            vb = coordinates(b)
+            basis.append((b, dict(vb)[k], vb))
+        spans = set(spanning.values())
+        for u in range(len(queued)):
+            if u in spans:
+                continue
+            syzygy = [0] * len(queued)  # per translate, as queued
+            syzygy[u] = 1
+            x = [0] * len(spanning)
+            for k, c in coordinates(u):
+                x[k] = c
+            for k in range(len(x) - 1, -1, -1):
+                if x[k]:
+                    b, unit, vb = basis[k]
+                    a = x[k] * unit
+                    syzygy[b] -= a
+                    for e, c in vb:
+                        x[e] -= a * c
+            syzygies.append([syzygy[t:t + q] for t in range(0, len(queued), q)])
     return kept
 
 
@@ -358,18 +423,16 @@ def _resolution(gamma: FiniteGroup, i: int) -> list[list[list[list[int]]]]:
     """The boundaries of P in degrees 1..i+1, one list per degree: that of a
     cell is one element of Z[Gamma], its q coefficients, per cell of the
     degree below.  They are s - e for each generator s, the Fox rows of the
-    relators R', and the rows of the Hermite basis K of the lattice ker d2,
-    whose row (r, g) holds the coefficients of g . d r / d s."""
+    relators R', and the syzygies of ``_spanning_fox``, a Z-basis of the
+    lattice ker d2, whose coefficient at (r, g) is that of the translate
+    g . r.  No elimination runs, and the syzygies are built only for i = 2."""
     gens, tree = _cayley_tree(gamma)
     out = [[[[(x == s) - (x == gamma.identity) for x in gamma.elements()]] for s in gens]]
+    syzygies: Optional[list] = [] if i > 1 else None
     if i > 0:
-        out.append(list(_spanning_fox(gamma, gens, tree).values()))
-    if i > 1:
-        q, inv = gamma.order, [gamma.inverse(g) for g in gamma.elements()]
-        d2 = tuple(tuple(dj[gamma.mul(inv[g], x)] for dj in d for x in gamma.elements())
-                   for d in out[1] for g in gamma.elements())
-        k = kernel_basis(IntMatrix(d2, q * len(gens)))
-        out.append([[kr[q * r:q * r + q] for r in range(len(out[1]))] for kr in k.data])
+        out.append(list(_spanning_fox(gamma, gens, tree, syzygies).values()))
+    if syzygies is not None:
+        out.append(syzygies)
     return out
 
 
@@ -388,9 +451,10 @@ def _cochain_map(module: GammaModule, boundaries: Sequence[list], i: int) -> AbH
 def presentation_differential(module: GammaModule, i: int) -> AbHom:
     """The degree-i map of Hom_Gamma(P, M) for the resolution
     P: Z[Gamma]^K -> Z[Gamma]^R' -> Z[Gamma]^S -> Z[Gamma] -> Z of
-    ``_resolution``: d0 : M -> M^S has the block M_s - M_e at s, d1 : M^S -> M^R'
-    the block d r / d s at (s, r), and the cocycle test z2 : M^R' -> M^K the
-    block sum_g K[k][(r, g)] M_g at (r, k)."""
+    ``_resolution``, K the syzygies peeled with R': d0 : M -> M^S has the
+    block M_s - M_e at s, d1 : M^S -> M^R' the block d r / d s at (s, r),
+    and the cocycle test z2 : M^R' -> M^K the block sum_g k[(r, g)] M_g at
+    (r, k), k[(r, g)] the coefficient of the translate g . r in syzygy k."""
     return _cochain_map(module, _resolution(module.gamma, i), i)
 
 
@@ -399,10 +463,11 @@ def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:
     of ``presentation_differential`` (Brown, Cohomology of Groups, GTM 87,
     II.5; Lyndon, Ann. of Math. 52, 1950): H^0 = ker d0, H^1 = ker d1 / im d0
     and H^2 = ker z2 / im d1, where z2 tests that a 2-cochain vanishes on
-    ker d2.  R' maps onto the same lattice ker(Z[Gamma]^S -> Z[Gamma]) as all
-    the relators, so the resolution is still exact at Z[Gamma]^S: H^0 and H^1
-    are the same subgroups of M and M^S as with all of them, and H^2 is
-    isomorphic.  The boundaries are built once per call."""
+    the syzygies, a Z-basis of ker d2 read off the peeling of R' with no
+    elimination.  R' maps onto the same lattice ker(Z[Gamma]^S -> Z[Gamma])
+    as all the relators, so the resolution is still exact at Z[Gamma]^S: H^0
+    and H^1 are the same subgroups of M and M^S as with all of them, and H^2
+    is isomorphic.  The boundaries are built once per call."""
     if i not in (0, 1, 2):
         raise ValueError(f"unsupported cohomology degree {i}")
     boundaries = _resolution(module.gamma, i)

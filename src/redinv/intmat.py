@@ -61,7 +61,6 @@ reads or writes ``_pivots`` or ``_solved``.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass, field
 from itertools import compress, count
 from math import gcd
@@ -178,7 +177,7 @@ class IntMatrix:
     def from_json(obj: Iterable[Iterable[str]], cols: Optional[int] = None) -> "IntMatrix":
         if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
             raise ValueError("a matrix is a list of rows, each a list")
-        rows = [tuple(int_from_json(a) for a in r) for r in obj]
+        rows = list(map(_row_from_json, obj))
         if cols is None:
             if not rows:
                 raise ValueError("column count required for an empty matrix")
@@ -189,7 +188,6 @@ class IntMatrix:
 # Most decimal digits of an input integer: Python's default limit on int/str
 # conversion, which the CLI lifts so that results may be longer.
 MAX_INPUT_DIGITS = 4300
-_DECIMAL = re.compile(f"-?[0-9]{{1,{MAX_INPUT_DIGITS}}}")
 
 # Most decimal digits, summed over all entries, of a matrix read by the
 # ``matrix`` command, whose shorter side is also capped at abgrp.MAX_RANK
@@ -205,12 +203,30 @@ MAX_MATRIX_DIGITS = 16384
 
 
 def int_from_json(a: object) -> int:
-    """A JSON integer that is no boolean, or a string matching -?[0-9]+ of
-    at most MAX_INPUT_DIGITS digits.  As ``parse_int`` of ``json.loads`` it
-    bounds the number literals of a JSON text too."""
-    if not (type(a) is int or isinstance(a, str) and _DECIMAL.fullmatch(a)):
-        raise ValueError(f"not an integer of at most {MAX_INPUT_DIGITS} digits: {a!r:.80}")
-    return int(a)
+    """A JSON integer that is no boolean, or a string of an optional "-"
+    and 1 to MAX_INPUT_DIGITS ASCII digits (``isdigit`` alone would take
+    "²" or "١" too).  As ``parse_int`` of ``json.loads`` it bounds the
+    number literals of a JSON text too."""
+    if isinstance(a, str):
+        digits = a.removeprefix("-")  # "".isdigit() is False
+        if digits.isdigit() and digits.isascii() and len(digits) <= MAX_INPUT_DIGITS:
+            return int(a)
+    elif type(a) is int:
+        return a
+    raise ValueError(f"not an integer of at most {MAX_INPUT_DIGITS} digits: {a!r:.80}")
+
+
+# int_from_json of the decimal strings of -99..99
+_SMALL_DECIMALS = {str(i): i for i in range(-99, 100)}
+
+
+def _row_from_json(row: list) -> tuple[int, ...]:
+    """int_from_json of each entry; a row of small decimal strings, such as
+    the 0/1 entries of a permutation action, is read by one lookup each."""
+    try:
+        return tuple(map(_SMALL_DECIMALS.__getitem__, row))
+    except (KeyError, TypeError):  # another entry, or one that is no dict key
+        return tuple(map(int_from_json, row))
 
 
 def mat(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> IntMatrix:
@@ -522,7 +538,8 @@ class _Solve:
     """One matrix m solved against one set of relations rels, which m keeps
     for the next call with equal rels.  rels is a certified Hermite basis
     (``_solve`` takes ``hermite_basis`` of the relations given, and zeros(0,
-    cols) for none), and ``rows`` are the rows of m, each reduced by it:
+    cols) for none), ``given`` the relations object as the last call gave it
+    (None for none), and ``rows`` are the rows of m, each reduced by rels:
     that changes x @ m only by lattice vectors.  On first need they are
     extended to [m' | I; rels | 0] and eliminated once, with
     balanced quotients, and split at the rank: the rows above hold the
@@ -531,10 +548,11 @@ class _Solve:
     {x : x @ m lies in the lattice of rels} (``kernel``, Cohen, GTM 138,
     2.4.3).  Each reader keeps its result and drops the rows it read."""
 
-    __slots__ = ("rels", "shape", "rows", "piv", "above", "below", "_kernel", "_image", "_basis")
+    __slots__ = ("rels", "given", "shape", "rows", "piv", "above", "below",
+                 "_kernel", "_image", "_basis")
 
     def __init__(self, m: IntMatrix, rels: IntMatrix) -> None:
-        self.rels, self.shape = rels, m.shape
+        self.rels, self.given, self.shape = rels, rels, m.shape
         self.rows = m.to_lists()
         for x in self.rows:
             echelon_reduce(rels, x)
@@ -588,14 +606,19 @@ class _Solve:
 
 def _solve(m: IntMatrix, rels: Optional[IntMatrix]) -> _Solve:
     """The solved state of m against the Hermite basis of rels, built on
-    first use; a matrix keeps only the last one."""
+    first use; a matrix keeps only the last one.  When rels is the object
+    that the last call gave, which the state holds, the state is returned
+    with no ``hermite_basis`` of rels taken again."""
     if rels is not None and rels.cols != m.cols:
         raise DimensionMismatch(f"relations of width {rels.cols} for {m.cols} columns")
-    rels = zeros(0, m.cols) if rels is None else hermite_basis(rels)
     s = m._solved
-    if s is None or not (s.rels is rels or s.rels == rels):
-        s = _Solve(m, rels)
+    if s is not None and s.given is rels:
+        return s
+    basis = zeros(0, m.cols) if rels is None else hermite_basis(rels)
+    if s is None or not (s.rels is basis or s.rels == basis):
+        s = _Solve(m, basis)
         object.__setattr__(m, "_solved", s)
+    s.given = rels
     return s
 
 

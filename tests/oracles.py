@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
-from redinv.intmat import DimensionMismatch, IntMatrix, identity, mat, vstack
+from redinv.intmat import (
+    MAX_INPUT_DIGITS, DimensionMismatch, IntMatrix, identity, kernel_basis, mat, vstack)
 from redinv.abgrp import AbHom, FgAbelianGroup, homology_at, power
 from redinv.gammamod import FiniteGroup, GammaModule, cyclic_group
 from redinv.homcx import ChainMap
@@ -594,3 +596,30 @@ def cech_lambda_from_formula(nx: int, ng: int, i: int) -> list[list[int]]:
         for r in range(ng):
             rows[_cech_offset(nx, ng, s) + r][_cech_offset(nx, ng, t) + r] = sign
     return rows
+
+
+# the decimal strings ``intmat.int_from_json`` accepted by regular expression
+_DECIMAL = re.compile(f"-?[0-9]{{1,{MAX_INPUT_DIGITS}}}")
+
+
+def is_json_integer(a: object) -> bool:
+    """Whether ``int_from_json`` reads a: a JSON integer that is no boolean,
+    or a string matching -?[0-9]+ of at most MAX_INPUT_DIGITS digits."""
+    return type(a) is int or isinstance(a, str) and _DECIMAL.fullmatch(a) is not None
+
+
+def is_associative(gamma: FiniteGroup) -> bool:
+    """(ab)c = a(bc) for every triple, q^3 lookups."""
+    t = gamma.table
+    return all(t[ab][c] == row[t[b][c]]
+               for row in t for b, ab in enumerate(row) for c in gamma.elements())
+
+
+def fox_kernel_basis(gamma: FiniteGroup, fox_rows: Sequence[list[list[int]]]) -> IntMatrix:
+    """The Hermite basis of ker d2, by elimination: row (r, g) of d2 is the
+    translate g . r of Fox row r, in the coordinates (s, x) of Z[Gamma]^S."""
+    q = gamma.order
+    width = q * (len(fox_rows[0]) if fox_rows else 0)
+    d2 = [[dj[gamma.mul(gamma.inverse(g), x)] for dj in d for x in gamma.elements()]
+          for d in fox_rows for g in gamma.elements()]
+    return kernel_basis(mat(d2, width))

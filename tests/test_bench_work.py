@@ -14,8 +14,10 @@ bounds guard a speed-up without timing anything:
   result and cokernels took the image basis, 156 after;
 - runs of the elimination kernel ``intmat._echelon``, of any kind: 3041,
   579 and 1283 on ``cli_mix``, ``rank_sweep`` and ``bar_cohomology``
-  while subquotients stacked their denominator, 2269, 444 and 1045 since
-  it is the image basis;
+  while subquotients stacked their denominator, 2295, 444 and 1045 since
+  it is the image basis, and 790 on ``bar_cohomology`` since H^2 reads
+  ker d2 off the relator peeling (``gammamod._spanning_fox``) instead of
+  eliminating d2;
 - solves (``intmat._Solve``) against relations with no certificate, none
   on any stream since the solver takes ``hermite_basis`` of what it is
   given (1021, 164 and 329 before).
@@ -33,7 +35,7 @@ from redinv import abgrp, intmat  # noqa: E402
 BOUNDS = {
     "cli_mix": {"uncertified groups": 300, "echelon runs": 2500, "uncertified solves": 0},
     "rank_sweep": {"carried": 260, "echelon runs": 500, "uncertified solves": 0},
-    "bar_cohomology": {"echelon runs": 1150, "uncertified solves": 0},
+    "bar_cohomology": {"echelon runs": 850, "uncertified solves": 0},
 }
 
 

@@ -37,8 +37,10 @@ from oracles import (
     cochain_group,
     dihedral_group,
     direct_product,
+    fox_kernel_basis,
     full_bar_cohomology,
     in_row_lattice,
+    is_associative,
     normalized_bar_cohomology,
     quaternion_group,
     sign_module,
@@ -377,6 +379,125 @@ class TestSpanningRelators:
                   quaternion_group(), dihedral_group(3), D6, S4]
         counts = [len(gammamod._spanning_fox(g, *gammamod._cayley_tree(g))) for g in groups]
         assert counts == [6, 3, 2, 3, 3, 3]
+
+
+def signed_permutation_group(n):
+    """W(B_n), of order 2^n n!: the permutations of the 2n points +-(i + 1),
+    as i and n + i, that commute with the sign.  Its generators swap i and
+    i + 1 for i < n - 1, and the sign of the last point."""
+    def swaps(*pairs):
+        p = list(range(2 * n))
+        for a, b in pairs:
+            p[a], p[b] = p[b], p[a]
+        return tuple(p)
+    return permutation_group(*(swaps((i, i + 1), (n + i, n + i + 1)) for i in range(n - 1)),
+                             swaps((n - 1, 2 * n - 1)))
+
+
+class TestSyzygies:
+    """The syzygies peeled with the kept relators against the elimination
+    of d2 that they replace."""
+
+    def test_basis_of_the_kernel_of_d2(self):
+        for gamma in presentation_groups() + [A4, D6, S4]:
+            gens, tree = gammamod._cayley_tree(gamma)
+            syzygies = []
+            kept = gammamod._spanning_fox(gamma, gens, tree, syzygies)
+            want = fox_kernel_basis(gamma, list(kept.values()))
+            got = mat([[c for row in cell for c in row] for cell in syzygies], want.cols)
+            assert got.rows == want.rows  # a basis: as many rows as the rank
+            assert hermite_basis(got) == want
+            assert gammamod._resolution(gamma, 2)[2] == syzygies
+
+    def test_no_syzygies_below_degree_two(self):
+        assert [len(gammamod._resolution(S4, i)) for i in range(3)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("name, order, h2", [("S5", 120, (2,)), ("W(B4)", 384, (2, 2))])
+    def test_h2_trivial_of_larger_groups(self, name, order, h2):
+        # H^2(Gamma, Z) is the dual of Gamma^ab: Z/2 for S5, (Z/2)^2 for W(B4)
+        gamma = {"S5": lambda: permutation_group((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)),
+                 "W(B4)": lambda: signed_permutation_group(4)}[name]()
+        assert gamma.order == order
+        gamma.check()
+        m = trivial_module(gamma, FgAbelianGroup.free(1))
+        assert group_cohomology(m, 2).invariants() == (0, h2)
+
+
+def tables_with_identity_and_inverses(rng):
+    """Seeded relabellings of groups, each also with one entry off the
+    identity's row and column changed and the identity kept in every row,
+    and random tables with identity 0 and the identity in every row."""
+    groups = all_small_groups() + [A4, D6]
+    for _ in range(40):
+        table = [list(row) for row in seeded_relabelling(rng.choice(groups), rng).table]
+        yield table
+        q = len(table)
+        e = next(x for x in range(q) if table[x] == list(range(q)))
+        cells = [(x, y) for x in range(q) for y in range(q)
+                 if e not in (x, y) and table[x][y] != e]
+        if cells:
+            x, y = rng.choice(cells)
+            table = [list(row) for row in table]
+            table[x][y] = rng.choice([z for z in range(q) if z != table[x][y]])
+            yield table
+    for q in range(2, 7):
+        for _ in range(10):
+            table = [list(range(q))] + [[x] + [rng.randrange(q) for _ in range(q - 1)]
+                                        for x in range(1, q)]
+            for row in table[1:]:
+                if 0 not in row:
+                    row[rng.randrange(1, q)] = 0
+            yield table
+
+
+class TestLightsCheck:
+    """``FiniteGroup.check`` tests (xy)s = x(ys) only for the generators s
+    of the Cayley tree; its verdict is that of every triple."""
+
+    def test_same_verdict_as_every_triple(self):
+        verdicts = []
+        for table in tables_with_identity_and_inverses(random.Random(31)):
+            gamma = FiniteGroup(tuple(map(tuple, table)))
+            try:
+                gamma.check()
+                passed = True
+            except InvalidGroupTable as exc:
+                assert str(exc) == "associativity fails"
+                passed = False
+            assert passed == is_associative(gamma)
+            verdicts.append(passed)
+        assert verdicts.count(True) >= 40 and verdicts.count(False) >= 70
+
+    @pytest.mark.parametrize("table", [
+        ((0, 1, 2, 3), (1, 0, 0, 1), (2, 3, 0, 1), (3, 2, 1, 0)),
+        ((0, 1, 2, 3), (1, 0, 0, 3), (2, 0, 0, 3), (3, 2, 0, 3)),
+        ((0, 1, 2, 3), (1, 0, 0, 3), (2, 0, 0, 3), (3, 0, 0, 3)),
+    ], ids=["first", "second", "third"])
+    def test_every_generator_is_tested(self, table):
+        # each passes (xy)s = x(ys) for the generator s of its tree named
+        # by the id, and fails it for another
+        gamma = FiniteGroup(table)
+        assert not is_associative(gamma)
+        with pytest.raises(InvalidGroupTable, match="^associativity fails$"):
+            gamma.check()
+
+    def test_non_associative_latin_square(self):
+        table = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+                 (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+        gamma = FiniteGroup(table)
+        assert not is_associative(gamma)
+        with pytest.raises(InvalidGroupTable, match="^associativity fails$"):
+            gamma.check()
+
+    def test_check_keeps_the_tree_for_the_resolution(self):
+        gamma = seeded_relabelling(S4, random.Random(4))
+        gamma.check()
+        tree = gammamod._cayley_tree(gamma)
+        group_cohomology(trivial_module(gamma, FgAbelianGroup.free(1)), 2)
+        assert gammamod._cayley_tree(gamma) is tree
+        # the kept tree is neither compared nor hashed
+        fresh = FiniteGroup(gamma.table)
+        assert fresh == gamma and hash(fresh) == hash(gamma)
 
 
 class TestCohomology:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from redinv.abgrp import FgAbelianGroup
 from redinv.intmat import (
     _echelon,
     _with_identity,
+    MAX_INPUT_DIGITS,
     DimensionMismatch,
     IntMatrix,
     block_diag,
@@ -19,6 +21,7 @@ from redinv.intmat import (
     hstack,
     identity,
     image_basis,
+    int_from_json,
     invariant_factors,
     kernel_basis,
     mat,
@@ -33,6 +36,7 @@ from oracles import (
     det,
     gcd_of_minors_invariants,
     in_row_lattice,
+    is_json_integer,
     is_unimodular,
     leading_entries,
     random_matrix,
@@ -215,6 +219,36 @@ class TestMisc:
     def test_json_round_trip(self):
         m = mat([[10**30, -2], [0, 5]])
         assert IntMatrix.from_json(m.to_json()).data == m.data
+
+    @pytest.mark.parametrize("a", [
+        "", "-", "--1", "+1", " 1", "1 ", "1\n", "1_0", "1-2", "²", "١", "0x1", True, False,
+        1.0, None, [1], "0", "-0", "007", "-12", 0, -7, 10**40,
+        pytest.param("7" * MAX_INPUT_DIGITS, id="most-digits"),
+        pytest.param("7" * (MAX_INPUT_DIGITS + 1), id="one-digit-too-many"),
+        pytest.param("-" + "7" * MAX_INPUT_DIGITS, id="negative-most-digits"),
+        pytest.param("-" + "7" * (MAX_INPUT_DIGITS + 1), id="negative-one-too-many"),
+    ])
+    def test_int_from_json_reads_what_the_decimal_pattern_matches(self, a):
+        if is_json_integer(a):
+            assert int_from_json(a) == int(a)
+        else:
+            with pytest.raises(ValueError, match="^not an integer of at most"):
+                int_from_json(a)
+
+    @pytest.mark.parametrize("row", [
+        ["0", "1", "-1"], ["-99", "99", "100", "-100"], ["-0", "07"], ["1", 5, -5, "2"],
+        [], ["1", True], ["1", 1.0], ["1", None], ["1", [1]], ["1", {"1": 1}], ["1", "²"],
+        ["1", "+1"], ["1", " 1"],
+        pytest.param(["1", "7" * (MAX_INPUT_DIGITS + 1)], id="one-digit-too-many"),
+        pytest.param(["1", "7" * 40], id="forty-digits"),
+    ], ids=str)
+    def test_from_json_reads_each_entry_as_int_from_json(self, row):
+        # small decimal strings are read by table lookup, the rest entry by entry
+        if all(map(is_json_integer, row)):
+            assert IntMatrix.from_json([row, row], cols=len(row)).data == (tuple(map(int, row)),) * 2
+        else:
+            with pytest.raises(ValueError, match="^not an integer of at most"):
+                IntMatrix.from_json([row], cols=len(row))
 
     def test_big_integers(self):
         m = mat([[10**40, 1], [1, 10**40]])
@@ -772,12 +806,23 @@ class TestSharedSolve:
     @given(_systems_mod_relations(), st.permutations(["kernel", "coords", "image"]),
            st.sampled_from(["stacked", "hermite", "none"]))
     def test_every_call_order(self, system, order, kind):
+        # the second round reads only what the first kept: no elimination,
+        # not even of the stacked relations, which are no Hermite basis
         gens, rels, vecs = system
         rels = {"stacked": rels, "hermite": hermite_basis(rels), "none": None}[kind]
         want = _solved_results(gens, rels, vecs)
-        for name in order + order:
+        for name in order:
             self._check(name, gens, rels, vecs, want)
-        assert image_basis(gens, rels) == want["image"]
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args[1])
+            return _echelon(*args, **kwargs)
+        with mock.patch.object(intmat, "_echelon", counting):
+            for name in order:
+                self._check(name, gens, rels, vecs, want)
+            assert image_basis(gens, rels) == want["image"]
+        assert runs == []
 
     @settings(max_examples=100, deadline=None)
     @given(_systems_mod_relations(), st.permutations(["kernel", "coords", "image"]))
