@@ -27,10 +27,11 @@ triangular Z-basis of the cycle lattice, and back-substitution writes every
 other translate u in it: e_u minus that sum is a syzygy, and these
 syzygies are a Z-basis of ker(Z[Gamma]^R' -> Z[Gamma]^S) with no
 elimination.  The third term of P is free on them, so a 2-cochain is a
-cocycle when it vanishes on them.  Each degree of Hom_Gamma(P, M)
-follows one rule from the boundaries of P: its block (a, b) is row a of
-the boundary of cell b, an element sum c_g g of Z[Gamma] acting on M as
-sum c_g M_g, which ``intmat.block_sum`` adds up in place.
+cocycle when it vanishes on them.  Every cell of P is stored in one
+format, its boundary as a list of triples (a, g, c), c != 0, meaning
+c g e_a over the cells e_a of the degree below.  Each degree of
+Hom_Gamma(P, M) follows one rule from them: the triple (a, g, c) of cell b
+adds c M_g to block (a, b), which ``intmat.block_sum`` adds up in place.
 """
 
 from __future__ import annotations
@@ -197,19 +198,14 @@ class GammaModule:
 
 
 def induced_module(gamma: FiniteGroup, k: int) -> GammaModule:
-    """Z[Gamma]^k with the left-translation action."""
+    """Z[Gamma]^k with the left-translation action: M_g takes the basis
+    vector of (j, x) to that of (j, g x), so its rows are rows of one
+    identity matrix, picked through the row of g in the table."""
     q = gamma.order
-    n = k * q
-    actions = []
-    for g in gamma.elements():
-        rows = []
-        for j in range(k):
-            for x in gamma.elements():
-                row = [0] * n
-                row[j * q + gamma.mul(g, x)] = 1
-                rows.append(row)
-        actions.append(mat(rows, n))
-    return GammaModule(gamma, FgAbelianGroup.free(n), tuple(actions))
+    ones = identity(k * q).data
+    actions = tuple(mat([ones[j * q + y] for j in range(k) for y in row], k * q)
+                    for row in gamma.table)
+    return GammaModule(gamma, FgAbelianGroup.free(k * q), actions)
 
 
 @dataclass(frozen=True)
@@ -281,10 +277,12 @@ def _cayley_tree(gamma: FiniteGroup) -> tuple[tuple[int, ...], dict]:
     tree[e] = None, in the order the walk finds the elements.
 
     Each generator, picked greedily, makes the generated subgroup largest,
-    the smallest label winning ties; S is kept in label order.  The same
-    walk sizes each candidate subgroup and, once S generates Gamma, gives
-    the tree.  Gamma keeps both, so ``FiniteGroup.check`` and every
-    resolution of Gamma walk it once.
+    the smallest label winning ties; S is kept in label order.  The
+    candidates are tried in label order, so the first that generates all of
+    Gamma wins and the rest are not walked.  The same walk sizes each
+    candidate subgroup and, once S generates Gamma, gives the tree.  Gamma
+    keeps both, so ``FiniteGroup.check`` and every resolution of Gamma walk
+    it once.
     """
     if gamma._tree is not None:
         return gamma._tree
@@ -302,74 +300,84 @@ def _cayley_tree(gamma: FiniteGroup) -> tuple[tuple[int, ...], dict]:
 
     gens: list[int] = []
     while len(tree := walk(gens)) < gamma.order:
-        best = min((-len(walk(gens + [x])), x) for x in gamma.elements() if x not in tree)
-        gens = sorted(gens + [best[1]])
+        best, size = 0, 0
+        for x in gamma.elements():
+            if x not in tree and (n := len(walk(gens + [x]))) > size:
+                best, size = x, n
+                if n == gamma.order:
+                    break
+        gens = sorted(gens + [best])
     object.__setattr__(gamma, "_tree", (tuple(gens), tree))
     return gamma._tree
 
 
-def _fox_row(gamma: FiniteGroup, gens: Sequence[int], tree: dict, g: int, j: int) -> list[list[int]]:
+def _fox_row(gamma: FiniteGroup, gens: Sequence[int], tree: dict, g: int,
+             j: int) -> list[tuple[int, int, int]]:
     """The left Fox derivatives of the relator of the non-tree edge (g, S[j]):
     the tree path from e to g, the edge, then the tree path from e to g S[j]
-    walked back.  Row j counts the passes of that loop along each edge
-    (h, S[j]), at h, forward minus backward (Brown, GTM 87, II.5)."""
-    out = [[0] * gamma.order for _ in gens]
-    out[j][g] = 1
+    walked back.  A triple (k, h, c) says that the loop passes the edge
+    (h, S[k]) c times, forward minus backward (Brown, GTM 87, II.5)."""
+    out = {(j, g): 1}
     for x, sign in ((g, 1), (gamma.mul(g, gens[j]), -1)):
         while tree[x] is not None:
             x, k = tree[x]
-            out[k][x] += sign
-    return out
+            out[k, x] = out.get((k, x), 0) + sign
+    return [(k, x, c) for (k, x), c in out.items() if c]
 
 
-def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int], tree: dict,
-                  syzygies: Optional[list] = None) -> dict:
-    """The Fox rows of a set R' of relators whose Gamma-translates already
-    span ker(Z[Gamma]^S -> Z[Gamma]), keyed by their non-tree edge (g, j).
+def _resolution(gamma: FiniteGroup, i: int) -> list[list[list[tuple[int, int, int]]]]:
+    """The cells of P in degrees 1..i+1, one list per degree.  A cell is its
+    boundary, the list of triples (a, g, c) with c != 0 that is the sum of
+    c g e_a over the cells e_a of the degree below, no (a, g) twice.
 
-    That kernel is the cycle lattice of the Cayley graph, free on the
-    q (|S| - 1) + 1 non-tree edges: the relator of edge (g, S[j]) has
-    coordinate 1 there and 0 at every other.  The relators are walked in
-    breadth-first order, and one is kept when its edge is not yet spanned; a
-    kept relator's q translates are queued, and an edge is spanned once a
-    queued translate has coefficient +-1 there and only spanned edges
-    besides.  Every edge ends spanned, so the resolution
-    Z[Gamma]^R' -> Z[Gamma]^S -> Z[Gamma] -> Z stays exact at Z[Gamma]^S.
+    Degree 1 has the cell s - e for each generator s.  Degree 2 has the Fox
+    rows of a set R' of relators whose Gamma-translates already span
+    ker(Z[Gamma]^S -> Z[Gamma]).  That kernel is the cycle lattice of the
+    Cayley graph, free on the q (|S| - 1) + 1 non-tree edges: the relator
+    of edge (g, S[j]) has coordinate 1 there and 0 at every other.  The
+    relators are walked in breadth-first order, and one is kept when its
+    edge is not yet spanned; a kept relator's q translates are queued, and
+    an edge is spanned once a queued translate has coefficient +-1 there and
+    only spanned edges besides.  Every edge ends spanned, so P stays exact
+    at Z[Gamma]^S.
 
-    The translate b_f that spans edge f has +-1 at f and is otherwise
-    supported on edges spanned before f, so the b_f are a unimodular
-    triangular Z-basis of the cycle lattice.  Given a list ``syzygies``, it
-    receives a Z-basis of the relations among all the translates, the
-    lattice ker d2: for each other translate u, in queue order, e_u minus
-    the sum of a_f e_{b_f} with u = sum a_f b_f, the a_f read off by
-    back-substitution from the edge spanned last down to the first.  Each
-    syzygy comes in the shape of a boundary of ``_resolution``: per kept
-    relator r, the q coefficients of its translates h . r.
+    Degree 3, built only for i = 2, holds syzygies, a Z-basis of the
+    relations ker d2 among the translates, so no elimination runs.  The
+    translate b_f that spans edge f has +-1 at f and is otherwise supported
+    on edges spanned before f, so the b_f are a unimodular triangular
+    Z-basis of the cycle lattice.  For each other translate u = h . r, in
+    queue order, the syzygy is e_u minus the sum of a_f e_{b_f} with
+    u = sum a_f b_f, the a_f read off by back-substitution from the edge
+    spanned last down to the first.  Its triple (r, h, c) is the coefficient
+    c of the translate h . r of the kept relator r.
     """
+    gens, tree = _cayley_tree(gamma)
+    out = [[[(0, s, 1), (0, gamma.identity, -1)] for s in gens]]
+    if i == 0:
+        return out
+    q, table = gamma.order, gamma.table
     # edge[j][g]: the index of the relator of the non-tree edge (g, S[j]), None on the tree
-    edge: list[list[int | None]] = [[None] * gamma.order for _ in gens]
+    edge: list[list[int | None]] = [[None] * q for _ in gens]
     relators = []
     for g in tree:
         for j, s in enumerate(gens):
-            if tree[gamma.mul(g, s)] != (g, j):
+            if tree[table[g][s]] != (g, j):
                 edge[j][g] = len(relators)
                 relators.append((g, j))
-    kept = {}
-    supports = []  # per kept relator: (edge row, x, c) for each nonzero Fox entry
+    kept: list[list[tuple[int, int, int]]] = []
     spanning: dict[int, int] = {}  # edge -> the translate that spans it, in spanning order
     queued: list[dict[int, int]] = []  # per translate: unspanned edge -> coefficient
     watchers: list[list[int]] = [[] for _ in relators]  # per edge: translates with it unspanned
     for r, (g, j) in enumerate(relators):
         if r in spanning:
             continue
-        fox = kept[g, j] = _fox_row(gamma, gens, tree, g, j)
-        support = [(edge[k], x, c) for k, dk in enumerate(fox) for x, c in enumerate(dk) if c]
-        supports.append(support)
+        cell = _fox_row(gamma, gens, tree, g, j)
+        kept.append(cell)
         todo = []
-        for row in gamma.table:  # the translate by h, for row h: x -> h x
+        for row in table:  # the translate by h, for row h: x -> h x
             t, coords = len(queued), {}
-            for at, x, c in support:
-                f = at[row[x]]
+            for k, x, c in cell:
+                f = edge[k][row[x]]
                 if f is not None and f not in spanning:
                     coords[f] = c
                     watchers[f].append(t)
@@ -385,91 +393,68 @@ def _spanning_fox(gamma: FiniteGroup, gens: Sequence[int], tree: dict,
                     del queued[t][f]
                     if len(queued[t]) == 1:
                         todo.append(t)
-    if syzygies is not None:
-        q, table = gamma.order, gamma.table
-        rank = {f: k for k, f in enumerate(spanning)}  # the spanning order
+    out.append(kept)
+    if i == 1:
+        return out
+    rank = {f: k for k, f in enumerate(spanning)}  # the spanning order
 
-        def coordinates(t: int) -> list[tuple[int, int]]:
-            """(rank of edge, coefficient) of translate t, h . r for the kept
-            relator r = t // q and h = t % q, over the non-tree edges."""
-            row = table[t % q]
-            return [(rank[f], c) for at, x, c in supports[t // q] if (f := at[row[x]]) is not None]
+    def coordinates(t: int) -> list[tuple[int, int]]:
+        """(rank of edge, coefficient) of translate t, h . r for the kept
+        relator r = t // q and h = t % q, over the non-tree edges."""
+        row = table[t % q]
+        return [(rank[f], c) for k, x, c in kept[t // q] if (f := edge[k][row[x]]) is not None]
 
-        basis = []  # per edge, in spanning order: b_f, its +-1 at f and its coordinates
-        for k, b in enumerate(spanning.values()):
-            vb = coordinates(b)
-            basis.append((b, dict(vb)[k], vb))
-        spans = set(spanning.values())
-        for u in range(len(queued)):
-            if u in spans:
-                continue
-            syzygy = [0] * len(queued)  # per translate, as queued
-            syzygy[u] = 1
-            x = [0] * len(spanning)
-            for k, c in coordinates(u):
-                x[k] = c
-            for k in range(len(x) - 1, -1, -1):
-                if x[k]:
-                    b, unit, vb = basis[k]
-                    a = x[k] * unit
-                    syzygy[b] -= a
-                    for e, c in vb:
-                        x[e] -= a * c
-            syzygies.append([syzygy[t:t + q] for t in range(0, len(queued), q)])
-    return kept
-
-
-def _resolution(gamma: FiniteGroup, i: int) -> list[list[list[list[int]]]]:
-    """The boundaries of P in degrees 1..i+1, one list per degree: that of a
-    cell is one element of Z[Gamma], its q coefficients, per cell of the
-    degree below.  They are s - e for each generator s, the Fox rows of the
-    relators R', and the syzygies of ``_spanning_fox``, a Z-basis of the
-    lattice ker d2, whose coefficient at (r, g) is that of the translate
-    g . r.  No elimination runs, and the syzygies are built only for i = 2."""
-    gens, tree = _cayley_tree(gamma)
-    out = [[[[(x == s) - (x == gamma.identity) for x in gamma.elements()]] for s in gens]]
-    syzygies: Optional[list] = [] if i > 1 else None
-    if i > 0:
-        out.append(list(_spanning_fox(gamma, gens, tree, syzygies).values()))
-    if syzygies is not None:
-        out.append(syzygies)
+    basis = []  # per edge, in spanning order: b_f = h . r as (r, h), its +-1 at f, its coordinates
+    for k, b in enumerate(spanning.values()):
+        vb = coordinates(b)
+        basis.append((b // q, b % q, dict(vb)[k], vb))
+    spans = set(spanning.values())
+    syzygies = []
+    for u in range(len(queued)):
+        if u in spans:
+            continue
+        # each b_f enters once, at its own edge, and u is none of them
+        syzygy, x = [(u // q, u % q, 1)], [0] * len(spanning)
+        for k, c in coordinates(u):
+            x[k] = c
+        for k in range(len(x) - 1, -1, -1):
+            if x[k]:
+                r, h, unit, vb = basis[k]
+                a = x[k] * unit
+                syzygy.append((r, h, -a))
+                for e, c in vb:
+                    x[e] -= a * c
+        syzygies.append(syzygy)
+    out.append(syzygies)
     return out
 
 
-def _cochain_map(module: GammaModule, boundaries: Sequence[list], i: int) -> AbHom:
+def _cochain_map(module: GammaModule, cells: Sequence[list], i: int) -> AbHom:
     """Degree i of Hom_Gamma(P, M), one copy of M per cell of degree i to one
-    per cell of degree i + 1: block (a, b) is row a of the boundary of cell b,
-    the element sum c_g g of Z[Gamma], which acts on M as sum c_g M_g."""
-    cells, group, n = boundaries[i], module.group, module.group.ambient_rank
-    rows = len(boundaries[i - 1]) if i else 1
-    blocks = [(n * a, n * b, module.actions[g], c) for b, cell in enumerate(cells)
-              for a, row in enumerate(cell) for g, c in enumerate(row) if c]
-    return AbHom(power(group, rows), power(group, len(cells)),
-                 block_sum(n * rows, n * len(cells), blocks))
-
-
-def presentation_differential(module: GammaModule, i: int) -> AbHom:
-    """The degree-i map of Hom_Gamma(P, M) for the resolution
-    P: Z[Gamma]^K -> Z[Gamma]^R' -> Z[Gamma]^S -> Z[Gamma] -> Z of
-    ``_resolution``, K the syzygies peeled with R': d0 : M -> M^S has the
-    block M_s - M_e at s, d1 : M^S -> M^R' the block d r / d s at (s, r),
-    and the cocycle test z2 : M^R' -> M^K the block sum_g k[(r, g)] M_g at
-    (r, k), k[(r, g)] the coefficient of the translate g . r in syzygy k."""
-    return _cochain_map(module, _resolution(module.gamma, i), i)
+    per cell of degree i + 1: the triple (a, g, c) of cell b adds c M_g to
+    block (a, b)."""
+    group, n, acts = module.group, module.group.ambient_rank, module.actions
+    rows = len(cells[i - 1]) if i else 1
+    blocks = [(n * a, n * b, acts[g], c) for b, cell in enumerate(cells[i]) for a, g, c in cell]
+    return AbHom(power(group, rows), power(group, len(cells[i])),
+                 block_sum(n * rows, n * len(cells[i]), blocks))
 
 
 def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:
     """H^i(Gamma, M) for i in {0, 1, 2}, from the Fox-derivative resolution
-    of ``presentation_differential`` (Brown, Cohomology of Groups, GTM 87,
-    II.5; Lyndon, Ann. of Math. 52, 1950): H^0 = ker d0, H^1 = ker d1 / im d0
-    and H^2 = ker z2 / im d1, where z2 tests that a 2-cochain vanishes on
-    the syzygies, a Z-basis of ker d2 read off the peeling of R' with no
-    elimination.  R' maps onto the same lattice ker(Z[Gamma]^S -> Z[Gamma])
-    as all the relators, so the resolution is still exact at Z[Gamma]^S: H^0
-    and H^1 are the same subgroups of M and M^S as with all of them, and H^2
-    is isomorphic.  The boundaries are built once per call."""
+    P: Z[Gamma]^K -> Z[Gamma]^R' -> Z[Gamma]^S -> Z[Gamma] -> Z of
+    ``_resolution`` (Brown, Cohomology of Groups, GTM 87, II.5; Lyndon, Ann.
+    of Math. 52, 1950): H^0 = ker d0, H^1 = ker d1 / im d0 and
+    H^2 = ker z2 / im d1.  Here d0 : M -> M^S has the block M_s - M_e at s,
+    d1 : M^S -> M^R' the block d r / d s at (s, r), and z2 : M^R' -> M^K
+    tests that a 2-cochain vanishes on the syzygies K, a Z-basis of ker d2
+    read off the peeling of R' with no elimination.  R' maps onto the same
+    lattice ker(Z[Gamma]^S -> Z[Gamma]) as all the relators, so the
+    resolution is still exact at Z[Gamma]^S: H^0 and H^1 are the same
+    subgroups of M and M^S as with all of them, and H^2 is isomorphic.  The
+    cells are built once per call."""
     if i not in (0, 1, 2):
         raise ValueError(f"unsupported cohomology degree {i}")
-    boundaries = _resolution(module.gamma, i)
-    d_in = _cochain_map(module, boundaries, i - 1) if i > 0 else None
-    return homology_at(d_in, _cochain_map(module, boundaries, i)).group
+    cells = _resolution(module.gamma, i)
+    d_in = _cochain_map(module, cells, i - 1) if i > 0 else None
+    return homology_at(d_in, _cochain_map(module, cells, i)).group

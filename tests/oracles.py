@@ -623,3 +623,47 @@ def fox_kernel_basis(gamma: FiniteGroup, fox_rows: Sequence[list[list[int]]]) ->
     d2 = [[dj[gamma.mul(gamma.inverse(g), x)] for dj in d for x in gamma.elements()]
           for d in fox_rows for g in gamma.elements()]
     return kernel_basis(mat(d2, width))
+
+
+def greedy_cayley_tree(gamma: FiniteGroup) -> tuple[tuple[int, ...], dict]:
+    """Generators and breadth-first Cayley-graph tree by the rule that
+    ``gammamod._cayley_tree`` follows, with every candidate walked: each
+    generator makes the generated subgroup largest, the smallest label
+    winning ties, and S is kept in label order."""
+    def walk(gens: list[int]) -> dict:
+        tree, order = {gamma.identity: None}, [gamma.identity]
+        for g in order:
+            for j, s in enumerate(gens):
+                h = gamma.mul(g, s)
+                if h not in tree:
+                    tree[h] = (g, j)
+                    order.append(h)
+        return tree
+
+    gens: list[int] = []
+    while len(tree := walk(gens)) < gamma.order:
+        best = min((-len(walk(gens + [x])), x) for x in gamma.elements() if x not in tree)
+        gens = sorted(gens + [best[1]])
+    return tuple(gens), tree
+
+
+def dense_fox_row(gamma: FiniteGroup, gens: Sequence[int], tree: dict, g: int,
+                  j: int) -> list[list[int]]:
+    """The left Fox derivatives of the relator of the non-tree edge (g, S[j])
+    as |S| lists of q coefficients: entry [k][h] counts the passes of its
+    loop along the edge (h, S[k]), forward minus backward."""
+    out = [[0] * gamma.order for _ in gens]
+    out[j][g] = 1
+    for x, sign in ((g, 1), (gamma.mul(g, gens[j]), -1)):
+        while tree[x] is not None:
+            x, k = tree[x]
+            out[k][x] += sign
+    return out
+
+
+def induced_actions(gamma: FiniteGroup, k: int) -> list[list[list[int]]]:
+    """The matrices of Z[Gamma]^k under left translation, as plain lists:
+    row j q + x of M_g has its one 1 in column j q + g x."""
+    q = gamma.order
+    return [[[int(col == j * q + gamma.mul(g, x)) for col in range(k * q)]
+             for j in range(k) for x in gamma.elements()] for g in gamma.elements()]

@@ -16,7 +16,7 @@ bounds guard a speed-up without timing anything:
   579 and 1283 on ``cli_mix``, ``rank_sweep`` and ``bar_cohomology``
   while subquotients stacked their denominator, 2295, 444 and 1045 since
   it is the image basis, and 790 on ``bar_cohomology`` since H^2 reads
-  ker d2 off the relator peeling (``gammamod._spanning_fox``) instead of
+  ker d2 off the relator peeling (``gammamod._resolution``) instead of
   eliminating d2;
 - solves (``intmat._Solve``) against relations with no certificate, none
   on any stream since the solver takes ``hermite_basis`` of what it is

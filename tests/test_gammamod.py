@@ -27,7 +27,6 @@ from redinv.gammamod import (
     equivariant_kernel,
     group_cohomology,
     induced_module,
-    presentation_differential,
     subquotient_module,
     trivial_group,
 )
@@ -35,11 +34,14 @@ from redinv.gammamod import (
 from oracles import (
     bar_differential,
     cochain_group,
+    dense_fox_row,
     dihedral_group,
     direct_product,
     fox_kernel_basis,
     full_bar_cohomology,
+    greedy_cayley_tree,
     in_row_lattice,
+    induced_actions,
     is_associative,
     normalized_bar_cohomology,
     quaternion_group,
@@ -48,6 +50,20 @@ from oracles import (
 )
 
 Z4 = FgAbelianGroup(1, mat([[4]]))
+
+
+def differential(module, i):
+    """Degree i of Hom_Gamma(P, M) for the resolution P of ``_resolution``:
+    d0, d1 and the cocycle test z2."""
+    return gammamod._cochain_map(module, gammamod._resolution(module.gamma, i), i)
+
+
+def dense(cell, rows, q):
+    """A cell's boundary triples (a, g, c) as rows lists of q coefficients."""
+    out = [[0] * q for _ in range(rows)]
+    for a, g, c in cell:
+        out[a][g] += c
+    return out
 
 
 def all_small_groups():
@@ -207,6 +223,13 @@ class TestModules:
         for gamma in (cyclic_group(3), dihedral_group(3)):
             induced_module(gamma, 2).check()
 
+    def test_induced_module_actions_match_the_oracle(self):
+        for gamma in all_small_groups() + [A4]:
+            for k in (1, 2):
+                m = induced_module(gamma, k)
+                assert m.group == FgAbelianGroup.free(k * gamma.order)
+                assert [list(map(list, a.data)) for a in m.actions] == induced_actions(gamma, k)
+
     def test_torsion_action(self):
         # negation on Z/5 is a valid C2-action
         m = GammaModule(
@@ -254,11 +277,11 @@ class TestModuleCheck:
 class TestFixedPoints:
     def test_trivial_action(self):
         m = trivial_module(cyclic_group(3), FgAbelianGroup.free(2))
-        fix, _ = kernel(presentation_differential(m, 0))
+        fix, _ = kernel(differential(m, 0))
         assert fix.invariants() == (2, ())
 
     def test_sign_action(self):
-        fix, _ = kernel(presentation_differential(sign_module(), 0))
+        fix, _ = kernel(differential(sign_module(), 0))
         assert fix.is_trivial()
 
     def test_swap_action(self):
@@ -268,7 +291,7 @@ class TestFixedPoints:
             FgAbelianGroup.free(2),
             (identity(2), mat([[0, 1], [1, 0]])),
         )
-        fix, inc = kernel(presentation_differential(m, 0))
+        fix, inc = kernel(differential(m, 0))
         assert fix.invariants() == (1, ())
         # inc and (1, 1) generate the same subgroup: equal quotients of Z^2
         assert cokernel(inc)[0] == FgAbelianGroup(2, mat([[1, 1]]))
@@ -276,7 +299,7 @@ class TestFixedPoints:
     def test_induced_module_fixed_rank(self):
         # fixed points of Z[Gamma] are the norm line, rank 1 per copy
         for gamma in (cyclic_group(4), dihedral_group(3)):
-            fix, _ = kernel(presentation_differential(induced_module(gamma, 2), 0))
+            fix, _ = kernel(differential(induced_module(gamma, 2), 0))
             assert fix.invariants() == (2, ())
 
     def test_equals_kernel_of_all_elements(self):
@@ -287,7 +310,7 @@ class TestFixedPoints:
             ide = identity(m.group.ambient_rank)
             stacked = hstack(*(a - ide for a in m.actions))
             f = AbHom(m.group, power(m.group, m.gamma.order), stacked)
-            assert kernel(presentation_differential(m, 0)) == kernel(f)
+            assert kernel(differential(m, 0)) == kernel(f)
 
 
 def presentation_groups():
@@ -299,12 +322,18 @@ def presentation_groups():
     return all_small_groups() + relabelled
 
 
+def non_tree_edges(gamma, gens, tree):
+    return [(g, j) for g in tree for j, s in enumerate(gens) if tree[gamma.mul(g, s)] != (g, j)]
+
+
 def relator_rows(gamma):
     """Generators S, the Cayley-graph tree, and the Fox rows of the relator
-    of every non-tree edge (g, j), keyed by the edge in breadth-first order."""
+    of every non-tree edge (g, j), keyed by the edge in breadth-first order,
+    each as |S| lists of q coefficients."""
     gens, tree = gammamod._cayley_tree(gamma)
-    edges = [(g, j) for g in tree for j, s in enumerate(gens) if tree[gamma.mul(g, s)] != (g, j)]
-    return gens, tree, {edge: gammamod._fox_row(gamma, gens, tree, *edge) for edge in edges}
+    return gens, tree, {edge: dense(gammamod._fox_row(gamma, gens, tree, *edge), len(gens),
+                                    gamma.order)
+                        for edge in non_tree_edges(gamma, gens, tree)}
 
 
 class TestPresentation:
@@ -363,11 +392,14 @@ class TestSpanningRelators:
     def test_translates_span_the_relation_lattice(self):
         for gamma in presentation_groups() + [A4, D6, S4]:
             gens, tree, rows = relator_rows(gamma)
-            kept = gammamod._spanning_fox(gamma, gens, tree)
-            assert list(kept) == [edge for edge in rows if edge in kept]  # breadth-first
-            assert all(kept[edge] == rows[edge] for edge in kept)
+            kept = [dense(cell, len(gens), gamma.order)
+                    for cell in gammamod._resolution(gamma, 1)[1]]
+            # each kept cell is the Fox row of one relator, in breadth-first order
+            edges = [edge for cell in kept for edge in rows if rows[edge] == cell]
+            assert len(edges) == len(kept)
+            assert edges == [edge for edge in rows if edge in edges]
             width = gamma.order * len(gens)
-            assert (hermite_basis(translates(gamma, kept.values(), width))
+            assert (hermite_basis(translates(gamma, kept, width))
                     == hermite_basis(translates(gamma, rows.values(), width)))
             if not is_cyclic(gamma):
                 assert len(kept) < len(rows)
@@ -377,7 +409,7 @@ class TestSpanningRelators:
         c2 = cyclic_group(2)
         groups = [direct_product(direct_product(c2, c2), c2), dihedral_group(4),
                   quaternion_group(), dihedral_group(3), D6, S4]
-        counts = [len(gammamod._spanning_fox(g, *gammamod._cayley_tree(g))) for g in groups]
+        counts = [len(gammamod._resolution(g, 1)[1]) for g in groups]
         assert counts == [6, 3, 2, 3, 3, 3]
 
 
@@ -394,20 +426,65 @@ def signed_permutation_group(n):
                              swaps((n - 1, 2 * n - 1)))
 
 
+# built on use, for their size
+LARGER_GROUPS = {"S5": lambda: permutation_group((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)),
+                 "W(B4)": lambda: signed_permutation_group(4)}
+
+
+def test_cayley_tree_is_the_greedy_rule():
+    # the walk stops at the first candidate that generates Gamma; the oracle
+    # walks every candidate: the same generators, and the same tree in order
+    groups = presentation_groups() + [A4, D6, S4] + [make() for make in LARGER_GROUPS.values()]
+    for gamma in groups:
+        gens, tree = gammamod._cayley_tree(gamma)
+        want_gens, want_tree = greedy_cayley_tree(gamma)
+        assert gens == want_gens
+        assert list(tree.items()) == list(want_tree.items())
+
+
+def assert_sparse(cell):
+    assert all(c != 0 for _, _, c in cell)
+    assert len({(a, g) for a, g, _ in cell}) == len(cell)
+
+
+class TestCells:
+    """Every cell of ``_resolution`` is a list of triples (a, g, c), with no
+    zero c and no (a, g) twice."""
+
+    def test_cells_are_sparse_and_in_range(self):
+        for gamma in presentation_groups() + [A4, D6, S4]:
+            cells = gammamod._resolution(gamma, 2)
+            assert cells[0] == [[(0, s, 1), (0, gamma.identity, -1)]
+                                for s in gammamod._cayley_tree(gamma)[0]]
+            for below, degree in zip([[None]] + cells, cells):
+                for cell in degree:
+                    assert_sparse(cell)
+                    assert all(0 <= a < len(below) and 0 <= g < gamma.order for a, g, _ in cell)
+
+    def test_fox_triples_match_the_dense_oracle(self):
+        for gamma in presentation_groups() + [A4, D6, S4]:
+            gens, tree = gammamod._cayley_tree(gamma)
+            for edge in non_tree_edges(gamma, gens, tree):
+                cell = gammamod._fox_row(gamma, gens, tree, *edge)
+                assert_sparse(cell)
+                assert (dense(cell, len(gens), gamma.order)
+                        == dense_fox_row(gamma, gens, tree, *edge))
+
+
 class TestSyzygies:
     """The syzygies peeled with the kept relators against the elimination
     of d2 that they replace."""
 
     def test_basis_of_the_kernel_of_d2(self):
         for gamma in presentation_groups() + [A4, D6, S4]:
-            gens, tree = gammamod._cayley_tree(gamma)
-            syzygies = []
-            kept = gammamod._spanning_fox(gamma, gens, tree, syzygies)
-            want = fox_kernel_basis(gamma, list(kept.values()))
-            got = mat([[c for row in cell for c in row] for cell in syzygies], want.cols)
+            cells = gammamod._resolution(gamma, 2)
+            (generators, kept, syzygies), q = cells, gamma.order
+            want = fox_kernel_basis(gamma, [dense(cell, len(generators), q) for cell in kept])
+            got = mat([[c for row in dense(cell, len(kept), q) for c in row]
+                       for cell in syzygies], want.cols)
             assert got.rows == want.rows  # a basis: as many rows as the rank
             assert hermite_basis(got) == want
-            assert gammamod._resolution(gamma, 2)[2] == syzygies
+            assert gammamod._resolution(gamma, 1) == cells[:2]
 
     def test_no_syzygies_below_degree_two(self):
         assert [len(gammamod._resolution(S4, i)) for i in range(3)] == [1, 2, 3]
@@ -415,8 +492,7 @@ class TestSyzygies:
     @pytest.mark.parametrize("name, order, h2", [("S5", 120, (2,)), ("W(B4)", 384, (2, 2))])
     def test_h2_trivial_of_larger_groups(self, name, order, h2):
         # H^2(Gamma, Z) is the dual of Gamma^ab: Z/2 for S5, (Z/2)^2 for W(B4)
-        gamma = {"S5": lambda: permutation_group((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)),
-                 "W(B4)": lambda: signed_permutation_group(4)}[name]()
+        gamma = LARGER_GROUPS[name]()
         assert gamma.order == order
         gamma.check()
         m = trivial_module(gamma, FgAbelianGroup.free(1))
@@ -507,7 +583,7 @@ class TestCohomology:
             FgAbelianGroup.free(2),
             (identity(2), mat([[0, 1], [1, 0]])),
         )
-        fix, _ = kernel(presentation_differential(m, 0))
+        fix, _ = kernel(differential(m, 0))
         assert group_cohomology(m, 0).invariants() == fix.invariants()
 
     def test_h1_trivial_lattice_vanishes(self):
@@ -712,10 +788,10 @@ class TestRandomized:
             )
             m = induced_module(gamma, rng.randint(1, 2))
             m.check()
-            d0, d1, z2 = (presentation_differential(m, i) for i in (0, 1, 2))
+            d0, d1, z2 = (differential(m, i) for i in (0, 1, 2))
             assert d0.then(d1).is_zero()
             assert d1.then(z2).is_zero()
-            fix, _ = kernel(presentation_differential(m, 0))
+            fix, _ = kernel(differential(m, 0))
             h0 = group_cohomology(m, 0)
             assert h0.invariants() == fix.invariants()
 
@@ -729,7 +805,7 @@ class TestRandomized:
             gamma = seeded_relabelling(gamma, rng)
             for m in (trivial_module(gamma, FgAbelianGroup.free(1)),
                       trivial_module(gamma, Z4), induced_module(gamma, 1)):
-                d0, d1, z2 = (presentation_differential(m, i) for i in (0, 1, 2))
+                d0, d1, z2 = (differential(m, i) for i in (0, 1, 2))
                 assert d0.then(d1).is_zero()
                 assert d1.then(z2).is_zero()
 
