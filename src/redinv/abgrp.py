@@ -257,42 +257,6 @@ class ExactSequence:
         object.__setattr__(self, "checks", Checks(exactness(self.maps, names)))
 
 
-def six_term_sequence(u: AbHom, v: AbHom) -> ExactSequence:
-    """The kernel-cokernel exact sequence of the composable pair (u, v).
-
-    0 -> ker u -> ker vu -> ker v -> cok u -> cok vu -> cok v -> 0
-    """
-    if u.target != v.source:
-        raise NotComposable("target(u) != source(v)")
-    vu = u.then(v)
-    k_u, inc_u = kernel(u)
-    k_vu, inc_vu = kernel(vu)
-    k_v, inc_v = kernel(v)
-    c_u, proj_u = cokernel(u)
-    c_vu, proj_vu = cokernel(vu)
-    c_v, proj_v = cokernel(v)
-
-    def coords_in(sub_gens: IntMatrix, ambient: FgAbelianGroup, vecs: IntMatrix) -> IntMatrix:
-        c = member_coords(sub_gens, ambient.relations, vecs)
-        if c is None:
-            raise IllDefinedHom("canonical map escapes its target subgroup")
-        return c
-
-    # ker u -> ker vu: inclusion, expressed on the chosen generators.
-    f1 = AbHom(k_u, k_vu, coords_in(inc_vu.matrix, u.source, inc_u.matrix))
-    # ker vu -> ker v: apply u.
-    f2 = AbHom(k_vu, k_v, coords_in(inc_v.matrix, v.source, inc_vu.matrix @ u.matrix))
-    # ker v -> cok u: include into B, then project.
-    f3 = AbHom(k_v, c_u, inc_v.matrix)
-    # cok u -> cok vu: induced by v (ambients of cokernels are B and C).
-    f4 = AbHom(c_u, c_vu, v.matrix)
-    # cok vu -> cok v: identity on the ambient of C.
-    f5 = AbHom(c_vu, c_v, identity(v.target.ambient_rank))
-
-    labels = ("ker-u", "ker-vu", "ker-v", "cok-u", "cok-vu", "cok-v")
-    return ExactSequence(labels, (f1, f2, f3, f4, f5))
-
-
 def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
     return FgAbelianGroup(
         sum(g.ambient_rank for g in groups),

@@ -10,8 +10,10 @@ from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 from redinv.intmat import (
-    MAX_INPUT_DIGITS, DimensionMismatch, IntMatrix, identity, kernel_basis, mat, vstack)
-from redinv.abgrp import AbHom, FgAbelianGroup, homology_at, power
+    MAX_INPUT_DIGITS, DimensionMismatch, IntMatrix, identity, kernel_basis, mat, member_coords,
+    vstack)
+from redinv.abgrp import (
+    AbHom, ExactSequence, FgAbelianGroup, cokernel, homology_at, kernel, power)
 from redinv.gammamod import FiniteGroup, GammaModule, cyclic_group
 from redinv.homcx import ChainMap
 from redinv.rootdata import InvalidDatum, ReductiveDatum, cartan_matrix, from_catalog, pairing_map
@@ -209,6 +211,29 @@ def inexact_spots(seq) -> list[str]:
         if image != kernel_set:
             out.append(seq.labels[k])
     return out
+
+
+def six_term_by_maps(u: AbHom, v: AbHom) -> ExactSequence:
+    """0 -> ker u -> ker vu -> ker v -> cok u -> cok vu -> cok v -> 0 with
+    each group a kernel or cokernel and each map written down on its own,
+    with no complex or long exact sequence behind it."""
+    vu = u.then(v)
+    (k_u, inc_u), (k_vu, inc_vu), (k_v, inc_v) = kernel(u), kernel(vu), kernel(v)
+    c_u, c_vu, c_v = cokernel(u)[0], cokernel(vu)[0], cokernel(v)[0]
+
+    def coords_in(sub_gens: IntMatrix, ambient: FgAbelianGroup, vecs: IntMatrix) -> IntMatrix:
+        c = member_coords(sub_gens, ambient.relations, vecs)
+        assert c is not None, "canonical map escapes its target subgroup"
+        return c
+
+    maps = (
+        AbHom(k_u, k_vu, coords_in(inc_vu.matrix, u.source, inc_u.matrix)),  # inclusion
+        AbHom(k_vu, k_v, coords_in(inc_v.matrix, v.source, inc_vu.matrix @ u.matrix)),  # u
+        AbHom(k_v, c_u, inc_v.matrix),  # include into B, then project
+        AbHom(c_u, c_vu, v.matrix),  # induced by v
+        AbHom(c_vu, c_v, identity(v.target.ambient_rank)),  # identity on C
+    )
+    return ExactSequence(("ker-u", "ker-vu", "ker-v", "cok-u", "cok-vu", "cok-v"), maps)
 
 
 def leading_entries(h: IntMatrix) -> tuple[tuple[int, int], ...]:

@@ -30,9 +30,9 @@ from redinv.abgrp import (
     is_exact_at,
     kernel,
     power,
-    six_term_sequence,
     subquotient,
 )
+from redinv.homcx import six_term_sequence
 
 from oracles import (
     constructive_hom,
@@ -45,6 +45,7 @@ from oracles import (
     random_hom,
     random_matrix,
     reference_hermite_basis,
+    six_term_by_maps,
 )
 
 
@@ -334,6 +335,10 @@ class TestExactness:
         assert h.group.reduce(c5.row(0)) == h.group.reduce(c1.row(0))
 
 
+def _invariants(seq) -> list:
+    return [g.invariants() for g in seq.groups]
+
+
 class TestSixTerm:
     def test_multiplication_chain(self):
         # u = x2, v = x3 on Z: ker all trivial, cok Z/2 -> Z/6 -> Z/3.
@@ -363,6 +368,7 @@ class TestSixTerm:
             assert rep.checks.passed
             for f in rep.maps:
                 assert f.is_well_defined()
+            assert _invariants(rep) == _invariants(six_term_by_maps(u, v))
 
 
 def _fresh(f: AbHom) -> AbHom:
@@ -505,6 +511,7 @@ class TestSixTermByEnumeration:
         rep = six_term_sequence(u, v)
         assert inexact_spots(rep) == []
         assert rep.checks.passed
+        assert _invariants(rep) == _invariants(six_term_by_maps(u, v))
 
 
 def _is_zero_by_invariants(h: AbHom) -> bool:

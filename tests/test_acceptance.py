@@ -9,7 +9,7 @@ import random
 import time
 
 from redinv.intmat import snf
-from redinv.abgrp import FgAbelianGroup, six_term_sequence
+from redinv.abgrp import FgAbelianGroup
 from redinv.gammamod import (
     cyclic_group,
     group_cohomology,
@@ -22,6 +22,7 @@ from redinv.homcx import (
     induced_on_cohomology,
     is_quasi_iso,
     les_of_ses,
+    six_term_sequence,
     truncation_triangle_check,
 )
 from redinv.rootdata import (

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redinv.intmat import IntMatrix, hstack, identity, mat, vstack, zeros
+from redinv.intmat import IntMatrix, hstack, identity, mat, member_coords, vstack, zeros
 from redinv.abgrp import FgAbelianGroup, IllDefinedHom, direct_sum
 from redinv.gammamod import (
     GammaHom,
@@ -11,6 +11,7 @@ from redinv.gammamod import (
     cyclic_group,
     trivial_group,
 )
+from redinv import homcx
 from redinv.homcx import (
     BoundedComplex,
     ChainMap,
@@ -22,6 +23,8 @@ from redinv.homcx import (
     induced_on_cohomology,
     is_quasi_iso,
     les_of_ses,
+    levelwise_exact,
+    quotient,
     shift,
     single_term_complex,
     truncate,
@@ -230,6 +233,64 @@ class TestTruncation:
             for n in (-1, 0):
                 assert truncation_triangle_check(c, n).passed
 
+    def test_triangle_check_catches_a_doubled_kernel_generator(self, monkeypatch):
+        # Z -2-> Z -0-> Z: ker d^1 = Z, so H^1 = Z/2; a truncation that keeps
+        # 2Z instead still includes levelwise, but its top cohomology is 0
+        c = BoundedComplex(G1, 0, (free_mod(1),) * 3, (mat([[2]]), mat([[0]])))
+        real_truncate = homcx.truncate
+
+        def doubled(cx, n):
+            t, inc = real_truncate(cx, n)
+            k = inc.components.get(n)
+            if not cx.lo <= n < cx.hi or not k.rows:
+                return t, inc
+            k = IntMatrix((tuple(2 * e for e in k.row(0)),) + k.data[1:], k.cols)
+            diffs = list(t.diffs)
+            if n > cx.lo:
+                diffs[-1] = member_coords(k, cx.term(n).group.relations, cx.diff(n - 1).matrix)
+            t = BoundedComplex(G1, t.lo, t.terms, tuple(diffs))
+            return t, ChainMap(t, cx, {**inc.components, n: k})
+
+        assert truncation_triangle_check(c, 1).passed
+        monkeypatch.setattr(homcx, "truncate", doubled)
+        rep = truncation_triangle_check(c, 1)
+        assert rep.failures() == ["H^1(Q)"]
+
+
+def random_inclusion(rng: random.Random, torsion: int) -> ChainMap:
+    """The inclusion of A = [Z^p -x-> A^0] into B = [Z^p + Z^r -> A^0 + Z^s]
+    as the first summands, with d_B = (x 0; g h) for random x, g, h, and
+    A^0 = Z^q, or Z/torsion + Z^{q-1} when torsion is nonzero."""
+    p, q, r, s = (rng.randint(1, 2) for _ in range(4))
+    x, g, h = (random_matrix(rng, *shape, 4) for shape in ((p, q), (r, q), (r, s)))
+    a0 = FgAbelianGroup(q, mat([[torsion] + [0] * (q - 1)] if torsion else [], q))
+    b0 = direct_sum(a0, FgAbelianGroup.free(s))
+    a = two_term_complex(GammaHom(free_mod(p), trivial_module(G1, a0), x))
+    d_b = vstack(hstack(x, zeros(p, s)), hstack(g, h))
+    b = two_term_complex(GammaHom(free_mod(p + r), trivial_module(G1, b0), d_b))
+    return ChainMap(a, b, {-1: hstack(identity(p), zeros(p, r)),
+                           0: hstack(identity(q), zeros(q, s))})
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("torsion", [0, 4])
+    def test_random_inclusions(self, torsion):
+        rng = random.Random(16 + torsion)
+        for _ in range(30):
+            i = random_inclusion(rng, torsion)
+            i.check()
+            p = quotient(i)
+            p.check()
+            assert levelwise_exact(i, p)
+            assert les_of_ses(i, p).checks.passed
+
+    def test_non_injective_map_raises(self):
+        # [Z^2 -x-> Z] -> [Z -1-> Z] by x = (1; 1) in degree -1 is not injective
+        i = free_chain_pair(mat([[1], [1]]), mat([[1]]))
+        i.check()
+        with pytest.raises(InvalidComplex):
+            les_of_ses(i, quotient(i))
+
 
 class TestLongExactSequence:
     def test_split_ses_connecting_zero(self):
@@ -258,9 +319,13 @@ class TestLongExactSequence:
         # connecting maps of a split sequence vanish
         conn = [m for k, m in enumerate(rep.maps) if k % 3 == 2]
         assert all(m.is_zero() for m in conn)
-        # H^0 column: Z/2 -> Z/6 -> Z/3
-        invs = [g.invariants() for g in rep.groups]
-        assert invs[3:] == [(0, (2,)), (0, (6,)), (0, (3,))]
+        # H^0 column: Z/2 -> Z/6 -> Z/3, also onto the levelwise cokernel
+        q = quotient(i)
+        q.check()
+        assert levelwise_exact(i, q)
+        for seq in (rep, les_of_ses(i, q)):
+            invs = [g.invariants() for g in seq.groups]
+            assert invs[3:] == [(0, (2,)), (0, (6,)), (0, (3,))]
 
     def test_nonsplit_connecting(self):
         # 0 -> [Z --2--> Z] -> [Z -1-> Z] is not levelwise exact; use the
