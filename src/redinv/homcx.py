@@ -14,7 +14,7 @@ of a composable pair (u, v) of abelian groups, from [A -u-> B] inside
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .intmat import IntMatrix, block_diag, hstack, identity, member_coords, vstack, zeros
 from .abgrp import (
@@ -65,6 +65,8 @@ class BoundedComplex:
     lo: int
     terms: tuple[GammaModule, ...]
     diffs: tuple[IntMatrix, ...]  # diffs[k]: terms[k] -> terms[k+1]
+    # H^n of each degree in range, built once; neither compared nor hashed
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def hi(self) -> int:
@@ -102,8 +104,10 @@ class BoundedComplex:
         if n < self.lo or n > self.hi:
             trivial = FgAbelianGroup.trivial()
             return homology_at(None, AbHom.zero(trivial, trivial))
-        d_in = self.diff(n - 1).hom if n > self.lo else None
-        return homology_at(d_in, self.diff(n).hom)
+        if n not in self._kept:
+            d_in = self.diff(n - 1).hom if n > self.lo else None
+            self._kept[n] = homology_at(d_in, self.diff(n).hom)
+        return self._kept[n]
 
     def cohomology(self, n: int) -> GammaModule:
         return subquotient_module(self.term(n), self.cohomology_data(n))

@@ -8,10 +8,11 @@ Each matrix keeps one solved state, ``_Solve``, for the last relations it
 was solved against: its rows reduced by rels and, built on first need,
 that one elimination.  So the kernel and the coordinates cost one
 elimination per map and relations, and the state dies with the matrix.
-Only coordinates need the carried identity: ``image_basis(m, rels)``, the
-Hermite basis of the rows of m and rels that cokernels and yes/no
-verdicts read, comes off that elimination if it ran, is rels when every
-row of m reduces to zero, and is otherwise eliminated with no transform.
+Only coordinates and ``hnf`` need the carried identity: ``image_basis(m,
+rels)``, the Hermite basis of the rows of m and rels that cokernels and
+yes/no verdicts read, comes off that elimination if it ran, is rels when
+every row of m reduces to zero, and is otherwise eliminated with no
+transform.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
@@ -31,11 +32,12 @@ and V, and inherits its determinism.
 The Euclid steps that find a pivot take floor quotients, or balanced
 (nearest-integer) ones, which need about 30% fewer steps.  The balanced
 rule runs wherever no record pins the row operations: ``hermite_basis``
-(a lattice has one Hermite basis), the lattice solver (no record holds its
-coordinates) and ``hnf`` of a square m whose balanced elimination finds
-rank n, so that m is nonsingular and U = H @ m^-1.  Every other ``hnf``
-(only the ``matrix`` command runs it, and ``snf``) takes the floor rule,
-which pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
+(a lattice has one Hermite basis) and the lattice solver (no record holds
+its coordinates), whose elimination of a square m against no relations
+``hnf`` reads when it finds rank n, as U = H @ m^-1 is then unique.  Every
+other ``hnf`` (only the ``matrix`` command runs it, and ``snf``) takes the
+floor rule on [m | I], the only other carried elimination here, which
+pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
 
 ``identity(n)`` keeps the rows of each n up to 256 and wraps them in a new
 certified matrix on every call, so no solved state passes from one caller
@@ -327,12 +329,12 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> list[int]
     remainders of at most half the pivot and so need fewer steps (Knuth,
     TAOCP vol. 2, 4.5.3).  Either rule gives the same Hermite form of the
     first c columns; the further columns may differ, unless they are a
-    transform that is unique.  So ``hermite_basis``, the lattice solver and
-    the first pass of ``hnf`` on a square m pass ``balanced``; the floor
-    rule pins the U of the ``matrix`` records and ``reference_hnf``.  A row
-    operation subtracts a multiple of the pivot row over its nonzero
-    entries, found once per pivot row and not at all when no multiple is
-    nonzero.
+    transform that is unique.  So ``hermite_basis`` and the lattice solver,
+    whose elimination is also the first pass of ``hnf`` on a square m,
+    pass ``balanced``; the floor rule pins the U of the ``matrix`` records
+    and ``reference_hnf``.  A row operation subtracts a multiple of the
+    pivot row over its nonzero entries, found once per pivot row and not
+    at all when no multiple is nonzero.
 
     Once the echelon form is done, each pivot row from the last one up is
     reduced by floor quotients into [0, pivot) above the pivots of the
@@ -387,31 +389,26 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> list[int]
     return piv
 
 
-def _with_identity(m: IntMatrix) -> list[list[int]]:
-    """The rows of [m | I], whose last columns carry the transform."""
-    return [list(row + e) for row, e in zip(m.data, identity(m.rows).data)]
-
-
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form.
 
     Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
     with positive pivots and entries above each pivot reduced into
     [0, pivot).  U is the identity carried along the elimination of m.
-    A square m with no zero row or column takes balanced quotients first:
-    rank n proves it nonsingular, so that U = H @ m^-1 is unique.  A lower
-    rank starts again from [m | I] with the floor quotients that every
-    other m takes (such as the transposed Hermite forms that ``snf`` takes
-    of singular matrices); they pin the U of the ``matrix`` records.
+    A square m with no zero row or column is first solved against no
+    relations (``_solve``, balanced quotients): rank n proves it
+    nonsingular, so that U = H @ m^-1 is unique.  A lower rank, and every
+    other m (such as the transposed Hermite forms that ``snf`` takes of
+    singular matrices), takes the floor pass on [m | I], which pins the U
+    of the ``matrix`` records.
     """
     r, c = m.shape
-    rows = _with_identity(m)
     if r == c and all(map(any, m.data)) and all(map(any, zip(*m.data))):
-        if len(_echelon(rows, c, balanced=True)) < r:
-            rows = _with_identity(m)
-            _echelon(rows, c)
-    else:
-        _echelon(rows, c)
+        h, u = _solve(m, None).image()
+        if h.rows == r:
+            return h, u
+    rows = [list(row + e) for row, e in zip(m.data, identity(r).data)]
+    _echelon(rows, c)
     return mat([row[:c] for row in rows], c), mat([row[c:] for row in rows], r)
 
 
@@ -538,21 +535,21 @@ class _Solve:
     """One matrix m solved against one set of relations rels, which m keeps
     for the next call with equal rels.  rels is a certified Hermite basis
     (``_solve`` takes ``hermite_basis`` of the relations given, and zeros(0,
-    cols) for none), ``given`` the relations object as the last call gave it
-    (None for none), and ``rows`` are the rows of m, each reduced by rels:
+    cols) for none), and ``rows`` are the rows of m, each reduced by rels:
     that changes x @ m only by lattice vectors.  On first need they are
-    extended to [m' | I; rels | 0] and eliminated once, with
-    balanced quotients, and split at the rank: the rows above hold the
-    Hermite basis of the rows of m and rels with, carried, how to write it
-    on m modulo rels (``image``); the carried part of the rows below spans
-    {x : x @ m lies in the lattice of rels} (``kernel``, Cohen, GTM 138,
-    2.4.3).  Each reader keeps its result and drops the rows it read."""
+    extended to [m' | I; rels | 0] and eliminated once, with balanced
+    quotients, and split at the rank: the rows above hold the Hermite
+    basis of the rows of m and rels with, carried, how to write it on m
+    modulo rels (``image``, which is also the balanced pass of ``hnf``);
+    the carried part of the rows below spans {x : x @ m lies in the
+    lattice of rels} (``kernel``, Cohen, GTM 138, 2.4.3).  Each reader
+    keeps its result and drops the rows it read."""
 
-    __slots__ = ("rels", "given", "shape", "rows", "piv", "above", "below",
+    __slots__ = ("rels", "shape", "rows", "piv", "above", "below",
                  "_kernel", "_image", "_basis")
 
     def __init__(self, m: IntMatrix, rels: IntMatrix) -> None:
-        self.rels, self.given, self.shape = rels, rels, m.shape
+        self.rels, self.shape = rels, m.shape
         self.rows = m.to_lists()
         for x in self.rows:
             echelon_reduce(rels, x)
@@ -606,19 +603,17 @@ class _Solve:
 
 def _solve(m: IntMatrix, rels: Optional[IntMatrix]) -> _Solve:
     """The solved state of m against the Hermite basis of rels, built on
-    first use; a matrix keeps only the last one.  When rels is the object
-    that the last call gave, which the state holds, the state is returned
-    with no ``hermite_basis`` of rels taken again."""
+    first use; a matrix keeps only the last one.  Each call takes
+    ``hermite_basis`` of rels, which returns certified relations as they
+    are, and keeps the state when that basis is the one it holds, or equal
+    to it."""
     if rels is not None and rels.cols != m.cols:
         raise DimensionMismatch(f"relations of width {rels.cols} for {m.cols} columns")
-    s = m._solved
-    if s is not None and s.given is rels:
-        return s
     basis = zeros(0, m.cols) if rels is None else hermite_basis(rels)
+    s = m._solved
     if s is None or not (s.rels is basis or s.rels == basis):
         s = _Solve(m, basis)
         object.__setattr__(m, "_solved", s)
-    s.given = rels
     return s
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redinv.intmat import IntMatrix, hstack, identity, mat, member_coords, vstack, zeros
-from redinv.abgrp import FgAbelianGroup, IllDefinedHom, direct_sum
+from redinv.abgrp import AbHom, FgAbelianGroup, IllDefinedHom, direct_sum
 from redinv.gammamod import (
     GammaHom,
     GammaModule,
@@ -293,6 +293,21 @@ class TestQuotient:
 
 
 class TestLongExactSequence:
+    def test_each_cohomology_group_is_built_once(self, monkeypatch):
+        # a two-term six-term sequence has 6 distinct groups H^n of A, B
+        # and C, and reads each of them twice
+        runs = []
+        real = homcx.homology_at
+
+        def counting(d_in, d_out):
+            runs.append(d_out)
+            return real(d_in, d_out)
+        monkeypatch.setattr(homcx, "homology_at", counting)
+        z = FgAbelianGroup.free(1)
+        rep = homcx.six_term_sequence(AbHom(z, z, mat([[2]])), AbHom(z, z, mat([[3]])))
+        assert len(runs) == 6
+        assert rep.checks.passed
+
     def test_split_ses_connecting_zero(self):
         a = free_complex(mat([[2]]))
         b_m = free_mod(2)

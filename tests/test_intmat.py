@@ -10,7 +10,6 @@ from redinv import intmat
 from redinv.abgrp import FgAbelianGroup
 from redinv.intmat import (
     _echelon,
-    _with_identity,
     MAX_INPUT_DIGITS,
     DimensionMismatch,
     IntMatrix,
@@ -358,6 +357,11 @@ def _kernel_inputs(draw):
     if rels.rows and draw(st.booleans()):
         m = entries(m.rows, rels.rows, 3) @ rels
     return m, rels
+
+
+def _with_identity(m: IntMatrix) -> list[list[int]]:
+    """The rows of [m | I], whose last columns carry the transform."""
+    return [list(row + e) for row, e in zip(m.data, identity(m.rows).data)]
 
 
 class TestNormalFormProperties:
@@ -806,8 +810,11 @@ class TestSharedSolve:
     @given(_systems_mod_relations(), st.permutations(["kernel", "coords", "image"]),
            st.sampled_from(["stacked", "hermite", "none"]))
     def test_every_call_order(self, system, order, kind):
-        # the second round reads only what the first kept: no elimination,
-        # not even of the stacked relations, which are no Hermite basis
+        # the second round reads only what the first kept.  Certified
+        # relations and none cost no elimination; each call with the
+        # stacked ones, which are no Hermite basis, takes their Hermite
+        # basis again (one run, or one per block of a tall stack), which
+        # carries no transform, and keeps the solved state
         gens, rels, vecs = system
         rels = {"stacked": rels, "hermite": hermite_basis(rels), "none": None}[kind]
         want = _solved_results(gens, rels, vecs)
@@ -815,14 +822,20 @@ class TestSharedSolve:
             self._check(name, gens, rels, vecs, want)
         runs = []
 
-        def counting(*args, **kwargs):
-            runs.append(args[1])
-            return _echelon(*args, **kwargs)
+        def counting(rows, c, **kwargs):
+            runs.append(bool(rows) and len(rows[0]) > c)
+            return _echelon(rows, c, **kwargs)
         with mock.patch.object(intmat, "_echelon", counting):
+            if kind == "stacked":
+                hermite_basis(_twin(rels))
+            per_call, runs[:] = len(runs), []
             for name in order:
                 self._check(name, gens, rels, vecs, want)
             assert image_basis(gens, rels) == want["image"]
-        assert runs == []
+        if kind == "stacked":
+            assert not any(runs) and len(runs) == per_call * (len(order) + 1)
+        else:
+            assert runs == []
 
     @settings(max_examples=100, deadline=None)
     @given(_systems_mod_relations(), st.permutations(["kernel", "coords", "image"]))
@@ -880,6 +893,32 @@ class TestSharedSolve:
         assert kernel_basis(gens, rels) == k
         assert member_coords(gens, rels, mat([[1, 1], [3, 5]])) == c
         assert image_basis(gens, rels) == want and len(stacked) == 3
+
+    def test_hnf_shares_the_solver_elimination(self, monkeypatch):
+        # a square nonsingular m is eliminated once, with its transform,
+        # for its Hermite form and every solve against no relations after
+        carried = []
+        real = _echelon
+
+        def counting(rows, c, **kw):
+            if rows and len(rows[0]) > c:  # carries a transform
+                carried.append(c)
+            return real(rows, c, **kw)
+        monkeypatch.setattr(intmat, "_echelon", counting)
+        m = random_matrix(random.Random(41), 6, 6, 20)
+        assert det(m) != 0
+        h, u = hnf(m)
+        assert (h, u) == reference_hnf(m)
+        assert kernel_basis(m) == zeros(0, 6)
+        assert image_basis(m) == h
+        assert member_coords(m, None, h) == u  # unique, as m is nonsingular
+        assert len(carried) == 1
+        # a singular square m pays for the floor pass after the balanced
+        # one, which m keeps for its solves
+        s = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+        assert hnf(s) == reference_hnf(s) and len(carried) == 3
+        k = kernel_basis(s)
+        assert k.rows == 1 and (k @ s).is_zero() and len(carried) == 3
 
     def test_zero_modulo_relations_eliminates_nothing(self, monkeypatch):
         rels = hermite_basis(mat([[2, 0], [0, 3]]))
