@@ -11,7 +11,6 @@ Homomorphisms act on row vectors: f(x) = x @ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from .intmat import (
@@ -27,6 +26,7 @@ from .intmat import (
     member_coords,
     zeros,
 )
+from .value import Value
 
 
 # Largest ambient rank of a group read from JSON, and largest datum rank a
@@ -43,19 +43,24 @@ class NotComposable(ValueError):
     """target(f) and source(g) differ."""
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
-    ambient_rank: int
-    # stored as the certified Hermite basis of the rows given
-    # (``hermite_basis``): at most ambient_rank rows, however many the
-    # caller or a JSON file lists.
-    relations: IntMatrix
+class FgAbelianGroup(Value):
+    """Z^ambient_rank modulo the row lattice of its relations."""
+
+    FIELDS = ("ambient_rank", "relations")
+
+    def __init__(self, ambient_rank: int, relations: IntMatrix) -> None:
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "relations", relations)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.relations.cols != self.ambient_rank:
             raise DimensionMismatch(
                 f"relations of width {self.relations.cols} in ambient Z^{self.ambient_rank}"
             )
+        # stored as the certified Hermite basis of the rows given
+        # (``hermite_basis``): at most ambient_rank rows, however many the
+        # caller or a JSON file lists.
         object.__setattr__(self, "relations", hermite_basis(self.relations))
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
@@ -108,18 +113,20 @@ class FgAbelianGroup:
         return FgAbelianGroup(n, IntMatrix.from_json(obj["relations"], cols=n))
 
 
-@dataclass(frozen=True)
-class AbHom:
-    source: FgAbelianGroup
-    target: FgAbelianGroup
-    matrix: IntMatrix
+class AbHom(Value):
+    """A homomorphism source -> target, x -> x @ matrix on ambient coordinates."""
 
-    def __post_init__(self) -> None:
-        if self.matrix.shape != (self.source.ambient_rank, self.target.ambient_rank):
+    FIELDS = ("source", "target", "matrix")
+
+    def __init__(self, source: FgAbelianGroup, target: FgAbelianGroup, matrix: IntMatrix) -> None:
+        if matrix.shape != (source.ambient_rank, target.ambient_rank):
             raise DimensionMismatch(
-                f"hom matrix {self.matrix.shape} between ambients "
-                f"{self.source.ambient_rank} -> {self.target.ambient_rank}"
+                f"hom matrix {matrix.shape} between ambients "
+                f"{source.ambient_rank} -> {target.ambient_rank}"
             )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
 
     def is_well_defined(self) -> bool:
         return self.target.contains_rows(self.source.relations @ self.matrix)
@@ -180,14 +187,17 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
     return cokernel(f)[0].contains_rows(kernel_basis(g.matrix, g.target.relations))
 
 
-@dataclass(frozen=True)
-class SubquotientData:
+class SubquotientData(Value):
     """A subquotient ker/im with enough data to take classes of elements."""
 
-    group: FgAbelianGroup
-    gens: IntMatrix  # rows: lifts of the generators in the middle ambient
-    # the Hermite basis of the middle relations and the image rows, certified
-    denominator: IntMatrix
+    FIELDS = ("group", "gens", "denominator")
+
+    def __init__(self, group: FgAbelianGroup, gens: IntMatrix, denominator: IntMatrix) -> None:
+        object.__setattr__(self, "group", group)
+        # rows: lifts of the generators in the middle ambient
+        object.__setattr__(self, "gens", gens)
+        # the Hermite basis of the middle relations and the image rows, certified
+        object.__setattr__(self, "denominator", denominator)
 
     def class_coords(self, vecs: IntMatrix) -> Optional[IntMatrix]:
         """Class coordinates of the rows of vecs, or None if one is no cycle."""
@@ -213,11 +223,13 @@ def homology_at(d_in: Optional[AbHom], d_out: AbHom) -> SubquotientData:
     return subquotient(ker_gens, d_out.source.relations, img)
 
 
-@dataclass(frozen=True)
-class Checks:
+class Checks(Value):
     """Named verdicts of a verification, each with a witness (or None)."""
 
-    entries: tuple[tuple[str, bool, Any], ...]
+    FIELDS = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, bool, Any], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     @property
     def passed(self) -> bool:
@@ -240,21 +252,18 @@ def exactness(maps: Sequence[AbHom], names: Sequence[str]) -> tuple[tuple[str, b
     return tuple((name, ok, None) for name, ok in zip(names, oks, strict=True))
 
 
-@dataclass(frozen=True)
-class ExactSequence:
+class ExactSequence(Value):
     """0 -> G_0 -> ... -> G_k -> 0 with maps[i]: G_i -> G_{i+1}, and one
     exact-at-<label> check per group."""
 
-    labels: tuple[str, ...]
-    maps: tuple[AbHom, ...]
-    groups: tuple[FgAbelianGroup, ...] = field(init=False)
-    checks: Checks = field(init=False)
+    FIELDS = ("labels", "maps", "groups", "checks")
 
-    def __post_init__(self) -> None:
-        groups = tuple(f.source for f in self.maps) + (self.maps[-1].target,)
-        object.__setattr__(self, "groups", groups)
-        names = [f"exact-at-{label}" for label in self.labels]
-        object.__setattr__(self, "checks", Checks(exactness(self.maps, names)))
+    def __init__(self, labels: tuple[str, ...], maps: tuple[AbHom, ...]) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "groups", tuple(f.source for f in maps) + (maps[-1].target,))
+        names = [f"exact-at-{label}" for label in labels]
+        object.__setattr__(self, "checks", Checks(exactness(maps, names)))
 
 
 def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:

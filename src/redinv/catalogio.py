@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 from .intmat import IntMatrix, int_from_json
@@ -26,6 +25,7 @@ from .rootdata import (
     pi1,
     validate,
 )
+from .value import Value
 
 SCHEMA_VERSION = 1
 
@@ -52,17 +52,26 @@ def datum_invariants(d: ReductiveDatum) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    spec: str
-    expected: dict  # the stored invariants, keyed as datum_invariants keys them
-    provenance: str
+class CatalogEntry(Value):
+    """One group spec of the catalog with its stored invariants."""
+
+    FIELDS = ("spec", "expected", "provenance")
+
+    def __init__(self, spec: str, expected: dict, provenance: str) -> None:
+        object.__setattr__(self, "spec", spec)
+        # the stored invariants, keyed as datum_invariants keys them
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class CatalogFile:
-    schema_version: int
-    entries: tuple[CatalogEntry, ...]
+class CatalogFile(Value):
+    """The parsed catalog: its schema version and entries."""
+
+    FIELDS = ("schema_version", "entries")
+
+    def __init__(self, schema_version: int, entries: tuple[CatalogEntry, ...]) -> None:
+        object.__setattr__(self, "schema_version", schema_version)
+        object.__setattr__(self, "entries", entries)
 
     def specs(self) -> list[str]:
         return [e.spec for e in self.entries]
@@ -162,12 +171,16 @@ def verify_catalog(catalog: CatalogFile) -> None:
                  f"recomputed invariants {got} differ from stored {want}")
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    command: str
-    input_digest: str
-    outputs: dict
-    verdicts: dict
+class ResultRecord(Value):
+    """What a command prints: its outputs and verdicts, keyed by its input's digest."""
+
+    FIELDS = ("command", "input_digest", "outputs", "verdicts")
+
+    def __init__(self, command: str, input_digest: str, outputs: dict, verdicts: dict) -> None:
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "input_digest", input_digest)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "verdicts", verdicts)
 
     def to_json(self) -> str:
         return _dump({

@@ -32,8 +32,6 @@ slot of the source to a slot of the target (``intmat.block_sum``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intmat import IntMatrix, block_sum, identity
 from .abgrp import (
     AbHom,
@@ -43,6 +41,7 @@ from .abgrp import (
     homology_at,
     power,
 )
+from .value import Value
 
 
 MAX_DEGREE_CAP = 8
@@ -52,14 +51,16 @@ class DegreeCapExceeded(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CechInput:
-    fx: FgAbelianGroup
-    fg: FgAbelianGroup
-    phi: AbHom
+class CechInput(Value):
+    """A torsor's unit groups F(X), F(G) and the map phi between them."""
 
-    def __post_init__(self) -> None:
-        if self.phi.source != self.fx or self.phi.target != self.fg:
+    FIELDS = ("fx", "fg", "phi")
+
+    def __init__(self, fx: FgAbelianGroup, fg: FgAbelianGroup, phi: AbHom) -> None:
+        object.__setattr__(self, "fx", fx)
+        object.__setattr__(self, "fg", fg)
+        object.__setattr__(self, "phi", phi)
+        if phi.source != fx or phi.target != fg:
             raise ValueError("phi must map F(X) to F(G)")
 
     @staticmethod
@@ -70,21 +71,28 @@ class CechInput:
         return CechInput(fx, fg, phi)
 
 
-@dataclass(frozen=True)
-class CechComplex:
-    inp: CechInput
-    max_degree: int
-    groups: tuple[FgAbelianGroup, ...]  # C^0 .. C^max_degree
-    deltas: tuple[AbHom, ...]  # delta^0 .. delta^{max_degree - 1}
+class CechComplex(Value):
+    """The Cech cochain groups C^0 .. C^max_degree of an input and their differentials."""
+
+    FIELDS = ("inp", "max_degree", "groups", "deltas")
+
+    def __init__(self, inp: CechInput, max_degree: int, groups: tuple[FgAbelianGroup, ...],
+                 deltas: tuple[AbHom, ...]) -> None:
+        object.__setattr__(self, "inp", inp)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "groups", groups)  # C^0 .. C^max_degree
+        object.__setattr__(self, "deltas", deltas)  # delta^0 .. delta^{max_degree - 1}
 
 
 def _slot_map(inp: CechInput, i: int, j: int, blocks) -> IntMatrix:
     """The map C^i -> C^j that sends slot s to slot t by c * m, summed over
-    the blocks (s, t, m, c)."""
+    the blocks (s, t, m, c): block b is the triple (s, b, c) of slot t."""
     nx, ng = inp.fx.ambient_rank, inp.fg.ambient_rank
     at = [0] + [nx + k * ng for k in range(max(i, j))]  # the offset of each slot
-    return block_sum(nx + i * ng, nx + j * ng,
-                     [(at[s], at[t], m, c) for s, t, m, c in blocks])
+    cells = [[] for _ in range(j + 1)]
+    for b, (s, t, _, c) in enumerate(blocks):
+        cells[t].append((s, b, c))
+    return block_sum(nx + i * ng, nx + j * ng, [m for _, _, m, _ in blocks], at, at, cells)
 
 
 def _delta_matrix(inp: CechInput, i: int) -> IntMatrix:

@@ -36,7 +36,6 @@ adds c M_g to block (a, b), which ``intmat.block_sum`` adds up in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .intmat import IntMatrix, block_sum, identity, int_from_json, mat
@@ -49,6 +48,7 @@ from .abgrp import (
     cokernel,
     power,
 )
+from .value import Value
 
 
 class InvalidGroupTable(ValueError):
@@ -59,25 +59,27 @@ class InvalidAction(ValueError):
     """The action matrices do not define a Gamma-module structure."""
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    table: tuple[tuple[int, ...], ...]
-    # found once from the table; _inverses[a] is the b with ab = identity
-    identity: int = field(init=False, repr=False, compare=False)
-    _inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+class FiniteGroup(Value):
+    """A finite group on the labels 0..q-1, given by its multiplication table."""
+
+    FIELDS = ("table",)
+    # Memos, neither compared nor printed.  Found once from the table:
+    # _inverses[a] is the b with ab = identity.
+    identity: int
+    _inverses: tuple[int, ...]
     # the generators and Cayley-graph tree of ``_cayley_tree``, built on first use
-    _tree: Optional[tuple[tuple[int, ...], dict]] = field(
-        default=None, init=False, repr=False, compare=False)
+    _tree: Optional[tuple[tuple[int, ...], dict]] = None
 
     @property
     def order(self) -> int:
         return len(self.table)
 
-    def __post_init__(self) -> None:
+    def __init__(self, table: tuple[tuple[int, ...], ...]) -> None:
         """Raise InvalidGroupTable unless the table is square over valid
         indices, has an identity and every row contains it (a right
         inverse)."""
-        n, t = self.order, self.table
+        object.__setattr__(self, "table", table)
+        n, t = len(table), table
         for row in t:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise InvalidGroupTable("table is not square over valid indices")
@@ -136,17 +138,20 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
 
 
-@dataclass(frozen=True)
-class GammaModule:
-    gamma: FiniteGroup
-    group: FgAbelianGroup
-    actions: tuple[IntMatrix, ...]  # one matrix per element, m -> m @ M_g
+class GammaModule(Value):
+    """An abelian group with one action matrix per element of gamma."""
 
-    def __post_init__(self) -> None:
-        if len(self.actions) != self.gamma.order:
+    FIELDS = ("gamma", "group", "actions")
+
+    def __init__(self, gamma: FiniteGroup, group: FgAbelianGroup,
+                 actions: tuple[IntMatrix, ...]) -> None:
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "actions", actions)  # one matrix per element, m -> m @ M_g
+        if len(actions) != gamma.order:
             raise InvalidAction("one action matrix per group element required")
-        n = self.group.ambient_rank
-        for m in self.actions:
+        n = group.ambient_rank
+        for m in actions:
             if m.shape != (n, n):
                 raise InvalidAction("action matrices must be square of ambient rank")
 
@@ -165,7 +170,12 @@ class GammaModule:
         modulo L, and M_e @ M_g = M_g + R @ M_g is M_g modulo L once M_g
         keeps the relations, which the loop has tested before the
         composition law.  So the first failure, and its message, are those
-        of testing e too."""
+        of testing e too.
+
+        The law M_{gh} = M_h @ M_g is tested for h a generator s of
+        ``_cayley_tree`` only, (q - 1) |S| products, which is exact by
+        induction on the word length of h: M_{ghs} = M_s @ M_{gh} = M_s @
+        M_h @ M_g = M_{hs} @ M_g modulo L, since every M keeps L."""
         e = self.gamma.identity
         m_e = self.actions[e]
         if not m_e.is_identity() and not self.group.contains_rows(
@@ -179,10 +189,10 @@ class GammaModule:
                 raise InvalidAction(f"action of element {g} breaks the relations")
             if not h.is_isomorphism():
                 raise InvalidAction(f"action of element {g} is not invertible")
-        for g in others:
-            for h in others:
-                lhs = self.actions[h] @ self.actions[g]
-                if not self.group.contains_rows(lhs - self.actions[self.gamma.mul(g, h)]):
+        acts = self.actions
+        for s in _cayley_tree(self.gamma)[0]:
+            for g in others:
+                if not self.group.contains_rows(acts[s] @ acts[g] - acts[self.gamma.mul(g, s)]):
                     raise InvalidAction("composition law fails")
 
     @staticmethod
@@ -208,18 +218,18 @@ def induced_module(gamma: FiniteGroup, k: int) -> GammaModule:
     return GammaModule(gamma, FgAbelianGroup.free(k * q), actions)
 
 
-@dataclass(frozen=True)
-class GammaHom:
+class GammaHom(Value):
     """A map of Gamma-modules: one matrix, with the modules as its ends."""
 
-    source: GammaModule
-    target: GammaModule
-    matrix: IntMatrix
-    hom: AbHom = field(init=False, repr=False, compare=False)
+    FIELDS = ("source", "target", "matrix")
+    hom: AbHom  # the same map of the underlying groups; neither compared nor printed
 
-    def __post_init__(self) -> None:
+    def __init__(self, source: GammaModule, target: GammaModule, matrix: IntMatrix) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
         # AbHom raises DimensionMismatch for a matrix of the wrong shape
-        object.__setattr__(self, "hom", AbHom(self.source.group, self.target.group, self.matrix))
+        object.__setattr__(self, "hom", AbHom(source.group, target.group, matrix))
 
     def is_equivariant(self) -> bool:
         """M_g @ a - a @ N_g lies in the target's relations for every g; an
@@ -433,11 +443,11 @@ def _cochain_map(module: GammaModule, cells: Sequence[list], i: int) -> AbHom:
     """Degree i of Hom_Gamma(P, M), one copy of M per cell of degree i to one
     per cell of degree i + 1: the triple (a, g, c) of cell b adds c M_g to
     block (a, b)."""
-    group, n, acts = module.group, module.group.ambient_rank, module.actions
-    rows = len(cells[i - 1]) if i else 1
-    blocks = [(n * a, n * b, acts[g], c) for b, cell in enumerate(cells[i]) for a, g, c in cell]
-    return AbHom(power(group, rows), power(group, len(cells[i])),
-                 block_sum(n * rows, n * len(cells[i]), blocks))
+    group, n = module.group, module.group.ambient_rank
+    rows, cols = len(cells[i - 1]) if i else 1, len(cells[i])
+    return AbHom(power(group, rows), power(group, cols),
+                 block_sum(n * rows, n * cols, module.actions, [n * a for a in range(rows)],
+                           [n * b for b in range(cols)], cells[i]))
 
 
 def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:

@@ -14,8 +14,6 @@ of a composable pair (u, v) of abelian groups, from [A -u-> B] inside
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .intmat import IntMatrix, block_diag, hstack, identity, member_coords, vstack, zeros
 from .abgrp import (
     AbHom,
@@ -39,6 +37,7 @@ from .gammamod import (
     subquotient_module,
     trivial_group,
 )
+from .value import Value
 
 
 class InvalidComplex(ValueError):
@@ -59,26 +58,30 @@ def direct_sum_modules(a: GammaModule, b: GammaModule) -> GammaModule:
     )
 
 
-@dataclass(frozen=True)
-class BoundedComplex:
-    gamma: FiniteGroup
-    lo: int
-    terms: tuple[GammaModule, ...]
-    diffs: tuple[IntMatrix, ...]  # diffs[k]: terms[k] -> terms[k+1]
+class BoundedComplex(Value):
+    """Gamma-modules terms[k] in degrees lo + k, with diffs between them."""
+
+    FIELDS = ("gamma", "lo", "terms", "diffs")
     # H^n of each degree in range, built once; neither compared nor hashed
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict
 
     @property
     def hi(self) -> int:
         return self.lo + len(self.terms) - 1
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, gamma: FiniteGroup, lo: int, terms: tuple[GammaModule, ...],
+                 diffs: tuple[IntMatrix, ...]) -> None:
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "diffs", diffs)  # diffs[k]: terms[k] -> terms[k+1]
+        object.__setattr__(self, "_kept", {})
+        if not terms:
             raise InvalidComplex("a complex needs at least one term")
-        if len(self.diffs) != len(self.terms) - 1:
+        if len(diffs) != len(terms) - 1:
             raise InvalidComplex("need one differential per adjacent pair of terms")
-        for k, d in enumerate(self.diffs):
-            ends = (self.terms[k].group.ambient_rank, self.terms[k + 1].group.ambient_rank)
+        for k, d in enumerate(diffs):
+            ends = (terms[k].group.ambient_rank, terms[k + 1].group.ambient_rank)
             if d.shape != ends:
                 raise InvalidComplex(f"differential {k} has shape {d.shape}, not {ends}")
 
@@ -128,11 +131,17 @@ def single_term_complex(m: GammaModule, degree: int) -> BoundedComplex:
     return BoundedComplex(m.gamma, degree, (m,), ())
 
 
-@dataclass(frozen=True)
-class ChainMap:
-    source: BoundedComplex
-    target: BoundedComplex
-    components: dict[int, IntMatrix]  # degree -> component; missing means zero
+class ChainMap(Value):
+    """A map of complexes: one component matrix per degree."""
+
+    FIELDS = ("source", "target", "components")
+
+    def __init__(self, source: BoundedComplex, target: BoundedComplex,
+                 components: dict[int, IntMatrix]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        # degree -> component; a missing degree means zero
+        object.__setattr__(self, "components", components)
 
     def component(self, n: int) -> GammaHom:
         src, tgt = self.source.term(n), self.target.term(n)

@@ -41,10 +41,10 @@ pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
 
 ``identity(n)`` keeps the rows of each n up to 256 and wraps them in a new
 certified matrix on every call, so no solved state passes from one caller
-to another.  ``block_sum`` adds up blocks, each placed at an offset with a
-coefficient and read only over its nonzero entries, found once per matrix
-in a call: the cochain differentials of ``gammamod`` and ``cech`` are such
-sums.
+to another.  ``block_sum`` adds up blocks c * m, each m from one list and
+placed at a row and a column offset, read only over its nonzero entries,
+found once per matrix in a call: the cochain differentials of
+``gammamod`` and ``cech`` are such sums.
 
 One rule covers every relation lattice: reduction modulo a lattice reads
 its Hermite basis with the certificate ``_pivots``, the (row, column) of
@@ -63,43 +63,49 @@ reads or writes ``_pivots`` or ``_solved``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from itertools import compress, count
 from math import gcd
 from typing import Iterable, Optional, Sequence
+
+from .value import Value
 
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix in row-major order.
 
     ``cols`` is stored explicitly so 0-row matrices keep their width.
     """
 
-    data: tuple[tuple[int, ...], ...]
-    cols: int
+    FIELDS = ("data", "cols")
     # Work that depends on data alone: ``_pivots`` certifies a Hermite basis
     # (see above), ``_solved`` holds the solved state (``_Solve``: kernel,
     # coordinates and image basis) for the last relations asked for.
-    # Neither is compared or printed.
-    _pivots: Optional[tuple[tuple[int, int], ...]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _solved: Optional["_Solve"] = field(default=None, init=False, repr=False, compare=False)
+    # Neither is compared or printed; each is None until set.
+    _pivots: Optional[tuple[tuple[int, int], ...]] = None
+    _solved: Optional["_Solve"] = None
+
+    def __init__(self, data: tuple[tuple[int, ...], ...], cols: int) -> None:
+        for row in data:
+            if len(row) != cols:
+                raise DimensionMismatch(f"row of length {len(row)} in matrix with {cols} columns")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "cols", cols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.data, self.cols) == (other.data, other.cols)
+
+    def __hash__(self) -> int:
+        return hash((self.data, self.cols))
 
     @property
     def rows(self) -> int:
         return len(self.data)
-
-    def __post_init__(self) -> None:
-        for row in self.data:
-            if len(row) != self.cols:
-                raise DimensionMismatch(
-                    f"row of length {len(row)} in matrix with {self.cols} columns"
-                )
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -285,23 +291,30 @@ def hstack(*ms: IntMatrix) -> IntMatrix:
                      sum(m.cols for m in ms))
 
 
-def block_sum(rows: int, cols: int,
-              blocks: Iterable[tuple[int, int, IntMatrix, int]]) -> IntMatrix:
-    """The rows x cols sum of c * m with its top left entry at (r, k), over
-    the blocks (r, k, m, c).  Each m is read only over its nonzero entries,
-    found once per matrix object in a call, so an identity or permutation
-    block costs one entry per row."""
+def block_sum(rows: int, cols: int, mats: Sequence[IntMatrix], row_at: Sequence[int],
+              col_at: Sequence[int], cells: Iterable[Iterable[tuple[int, int, int]]]) -> IntMatrix:
+    """The rows x cols sum, over each cell b and each triple (a, g, c) of
+    it, of c * mats[g] with its top left entry at (row_at[a], col_at[b]).
+    Each mats[g] is read only over its nonzero entries, found once per
+    call, so an identity or permutation block costs one entry per row.  A
+    block reaching outside the bounds raises DimensionMismatch."""
+    if min(row_at, default=0) < 0 or min(col_at, default=0) < 0:
+        raise DimensionMismatch(f"block at a negative offset of {rows} x {cols}")
     out = [[0] * cols for _ in range(rows)]
-    supports: dict[int, tuple[IntMatrix, list[tuple[int, int, int]]]] = {}
-    for r, k, m, c in blocks:
-        if r < 0 or k < 0 or r + m.rows > rows or k + m.cols > cols:
-            raise DimensionMismatch(f"{m.shape} block at ({r}, {k}) of {rows} x {cols}")
-        kept = supports.get(id(m))
-        if kept is None:  # kept with m, so that no other block takes its id
-            kept = supports[id(m)] = (m, [(i, j, x) for i, row in enumerate(m.data)
-                                          for j, x in enumerate(row) if x])
-        for i, j, x in kept[1]:
-            out[r + i][k + j] += c * x
+    supports: list = [None] * len(mats)
+    try:
+        for b, cell in enumerate(cells):
+            k = col_at[b]
+            for a, g, c in cell:
+                support = supports[g]
+                if support is None:
+                    support = supports[g] = [(i, j, x) for i, row in enumerate(mats[g].data)
+                                             for j, x in enumerate(row) if x]
+                r = row_at[a]
+                for i, j, x in support:
+                    out[r + i][k + j] += c * x
+    except IndexError:
+        raise DimensionMismatch(f"block outside {rows} x {cols}") from None
     return IntMatrix(tuple(map(tuple, out)), cols)
 
 

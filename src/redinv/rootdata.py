@@ -19,7 +19,6 @@ datum of that rank.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
@@ -35,6 +34,7 @@ from .gammamod import (
     equivariant_kernel,
     trivial_group,
 )
+from .value import Value
 
 
 class InvalidDatum(ValueError):
@@ -45,11 +45,16 @@ class UnknownGroupSpec(ValueError):
     """The group-spec string does not parse."""
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    rank: int
-    simple_roots: tuple[tuple[int, ...], ...]
-    simple_coroots: tuple[tuple[int, ...], ...]
+class RootDatum(Value):
+    """Simple roots in X = Z^rank and simple coroots in its dual."""
+
+    FIELDS = ("rank", "simple_roots", "simple_coroots")
+
+    def __init__(self, rank: int, simple_roots: tuple[tuple[int, ...], ...],
+                 simple_coroots: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "simple_roots", simple_roots)
+        object.__setattr__(self, "simple_coroots", simple_coroots)
 
     @property
     def semisimple_rank(self) -> int:
@@ -109,16 +114,22 @@ def is_finite_cartan_matrix(c: IntMatrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ReductiveDatum:
-    name: str
-    datum: RootDatum
-    gamma: FiniteGroup
-    actions: tuple[IntMatrix, ...]  # one matrix per group element, on X
+class ReductiveDatum(Value):
+    """A root datum with a finite group acting on X by based automorphisms."""
+
+    FIELDS = ("name", "datum", "gamma", "actions")
     # What the datum's invariants read more than once, built on first use
     # and kept here, so that it dies with the datum: the root permutations,
     # the weight module and the pairing map.  Neither compared nor hashed.
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict
+
+    def __init__(self, name: str, datum: RootDatum, gamma: FiniteGroup,
+                 actions: tuple[IntMatrix, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "actions", actions)  # one matrix per group element, on X
+        object.__setattr__(self, "_kept", {})
 
     @staticmethod
     def untwisted(name: str, datum: RootDatum) -> "ReductiveDatum":

@@ -9,8 +9,6 @@ the finite group mu' = coker[X -> X_rad (+) P] into an induced torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intmat import IntMatrix, hstack, identity, mat, member_coords, unit_pivots, vstack, zeros
 from .abgrp import (
     AbHom,
@@ -42,15 +40,21 @@ from .rootdata import (
     pairing_map,
     radical_characters,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TResolutionData:
-    datum: ReductiveDatum
-    rho_star: GammaHom  # R* -> T*
-    l_star: GammaHom  # T* -> mu*
-    char_map: GammaHom  # character group -> R*
-    provenance: str  # "canonical" | "pushout"
+class TResolutionData(Value):
+    """A torus resolution rho*: R* -> T* of a datum, with its maps to and from the ends."""
+
+    FIELDS = ("datum", "rho_star", "l_star", "char_map", "provenance")
+
+    def __init__(self, datum: ReductiveDatum, rho_star: GammaHom, l_star: GammaHom,
+                 char_map: GammaHom, provenance: str) -> None:
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "rho_star", rho_star)  # R* -> T*
+        object.__setattr__(self, "l_star", l_star)  # T* -> mu*
+        object.__setattr__(self, "char_map", char_map)  # character group -> R*
+        object.__setattr__(self, "provenance", provenance)  # "canonical" | "pushout"
 
 
 def canonical_pi1d(d: ReductiveDatum) -> BoundedComplex:
@@ -202,10 +206,14 @@ def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
     return to_hm1.hom, from_h0.hom, to_hm1.is_equivariant(), from_h0.is_equivariant()
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    verdict: str  # "certified" | "mismatch"
-    checks: Checks
+class ComparisonVerdict(Value):
+    """Whether two resolutions of one datum present the same H^-1 and H^0."""
+
+    FIELDS = ("verdict", "checks")
+
+    def __init__(self, verdict: str, checks: Checks) -> None:
+        object.__setattr__(self, "verdict", verdict)  # "certified" | "mismatch"
+        object.__setattr__(self, "checks", checks)
 
     @property
     def agrees(self) -> bool:
@@ -234,15 +242,21 @@ def compare_resolutions(
     return ComparisonVerdict("certified" if checks.passed else "mismatch", checks)
 
 
-@dataclass(frozen=True)
-class SESData:
-    g1: ReductiveDatum
-    g2: ReductiveDatum
-    g3: ReductiveDatum
-    x3_to_x2: IntMatrix
-    x2_to_x1: IntMatrix
-    part1: tuple[int, ...]  # indices of g2's simple roots coming from g1
-    part3: tuple[int, ...]  # indices coming from g3
+class SESData(Value):
+    """A short exact sequence G1 -> G2 -> G3, with X(G3) -> X(G2) -> X(G1)."""
+
+    FIELDS = ("g1", "g2", "g3", "x3_to_x2", "x2_to_x1", "part1", "part3")
+
+    def __init__(self, g1: ReductiveDatum, g2: ReductiveDatum, g3: ReductiveDatum,
+                 x3_to_x2: IntMatrix, x2_to_x1: IntMatrix, part1: tuple[int, ...],
+                 part3: tuple[int, ...]) -> None:
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "g3", g3)
+        object.__setattr__(self, "x3_to_x2", x3_to_x2)
+        object.__setattr__(self, "x2_to_x1", x2_to_x1)
+        object.__setattr__(self, "part1", part1)  # indices of g2's simple roots coming from g1
+        object.__setattr__(self, "part3", part3)  # indices coming from g3
 
 
 def validate_ses_data(s: SESData) -> Checks:

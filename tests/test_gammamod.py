@@ -262,6 +262,26 @@ class TestModuleCheck:
         with pytest.raises(InvalidAction, match=f"^{message}$"):
             m.check()
 
+    @pytest.mark.parametrize("gamma", [S4, dihedral_group(4), quaternion_group()],
+                             ids=["S4", "D4", "Q8"])
+    def test_perturbed_non_generator_breaks_composition(self, gamma):
+        # the law is tested on pairs (g, s) with s a generator only; M_g
+        # for g no generator enters those pairs as g and as g s
+        gens = gammamod._cayley_tree(gamma)[0]
+        good = induced_module(gamma, 1)
+        good.check()
+        for g in gamma.elements():
+            if g == gamma.identity or g in gens:
+                continue
+            # M_{s g}: a permutation matrix, keeps the relations, invertible
+            actions = list(good.actions)
+            actions[g] = good.actions[g] @ good.actions[gens[0]]
+            m = GammaModule(gamma, good.group, tuple(actions))
+            # the oracle's q^2 products are slow over S4
+            assert gamma.order > 8 or reference_check(m) == "composition law fails"
+            with pytest.raises(InvalidAction, match="^composition law fails$"):
+                m.check()
+
     @pytest.mark.parametrize("gamma, group, actions", [
         (trivial_group(), FgAbelianGroup(1, mat([[2]])), ([[3]],)),
         (cyclic_group(2), FgAbelianGroup(1, mat([[2]])), ([[3]], [[-1]])),

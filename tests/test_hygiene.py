@@ -11,7 +11,7 @@ Every parameter of a function or lambda in ``src/`` is read in its body,
 except ``self``, ``cls`` and names that start with ``_``.  No module of
 ``src/redinv`` imports a name that starts with ``_`` from another, and only
 ``intmat.py`` reads or writes the certificate ``_pivots`` or the solved
-state ``_solved`` of a matrix.
+state ``_solved`` of a matrix.  No module of ``src/`` imports ``dataclasses``.
 
 A reach guard runs the command line over a small corpus and lists the
 public functions and methods of ``src/`` that no command calls; each must
@@ -112,6 +112,31 @@ def test_scan_flags_an_unused_parameter():
 def test_no_unused_parameters(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert unused_parameters(fh.read()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that source imports, relative
+    imports left out."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_import_scan():
+    src = "import os.path, re as r\nfrom json import dumps\nfrom . import x\n"
+    assert imported_modules(src) == {"os", "re", "json"}
+
+
+@pytest.mark.parametrize("path", sorted(_python_files(("src",))))
+def test_no_dataclasses_in_src(path):
+    # a frozen dataclass costs its import (inspect, ast, dis, tokenize) and
+    # an exec per generated method on every cold start; src uses redinv.value
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        assert "dataclasses" not in imported_modules(fh.read())
 
 
 PRIVATE_STATE = {"_pivots", "_solved"}

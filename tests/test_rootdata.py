@@ -1,5 +1,3 @@
-from dataclasses import fields, is_dataclass
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +6,7 @@ from redinv.cli import main
 from redinv import intmat
 from redinv.intmat import IntMatrix, identity, kernel_basis, mat
 from redinv.abgrp import FgAbelianGroup
+from redinv.value import Value
 from redinv.gammamod import GammaModule, cyclic_group, group_cohomology
 from redinv.rootdata import (
     _FAMILIES,
@@ -34,6 +33,7 @@ from redinv.rootdata import (
 
 from oracles import bareiss_is_finite_cartan, det, root_cartan_matrix
 from regen import CATALOG_SPECS
+from test_gammamod import reference_check
 
 
 @st.composite
@@ -137,6 +137,8 @@ class TestValidation:
             d = from_catalog(spec)
             rep = validate(d)
             assert rep.passed, (spec, rep.failures())
+            # the action verdict agrees with the check that tests every pair
+            assert reference_check(d.x_module()) is None
 
     def test_bad_pairing_rejected(self):
         # alpha paired with its own coroot must give 2, not 3
@@ -336,15 +338,15 @@ def test_saturation_is_the_double_complement(n, short, data):
 
 
 def matrices(obj, found=None) -> dict[int, IntMatrix]:
-    """Every IntMatrix reachable from obj through dataclass fields (kept
-    ones too), tuples, lists and dict values, by id; a matrix's own memos
-    are not walked."""
+    """Every IntMatrix reachable from obj through the attributes of value
+    objects (kept ones too), tuples, lists and dict values, by id; a
+    matrix's own memos are not walked."""
     found = {} if found is None else found
     if isinstance(obj, IntMatrix):
         found[id(obj)] = obj
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            matrices(getattr(obj, f.name), found)
+    elif isinstance(obj, Value):
+        for x in vars(obj).values():
+            matrices(x, found)
     elif isinstance(obj, (tuple, list)):
         for x in obj:
             matrices(x, found)
@@ -392,6 +394,8 @@ class TestKeptPerDatum:
             datum_invariants(d)
             validate(d)
         assert first._kept and second._kept
+        # the walk reaches what a datum keeps: its pairing map's matrix
+        assert id(pairing_map(first).matrix) in matrices(first)
         assert not matrices(first).keys() & matrices(second).keys()
 
     @pytest.mark.parametrize("spec", KEPT_SPECS + ("T(2)",))

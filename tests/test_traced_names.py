@@ -38,3 +38,16 @@ def test_every_layer_imports(layer):
 def test_every_traced_method_resolves(layer, cls, meth):
     klass = getattr(importlib.import_module(f"redinv.{layer}"), cls)
     assert callable(vars(klass)[meth])
+
+
+def test_group_construction_runs_the_wrapped_post_init(monkeypatch):
+    # the tracer's FgAbelianGroup.init span wraps __post_init__, so every
+    # group built must call it through the class
+    from redinv.abgrp import FgAbelianGroup
+    from redinv.intmat import mat
+
+    built, post_init = [], FgAbelianGroup.__post_init__
+    monkeypatch.setattr(FgAbelianGroup, "__post_init__",
+                        lambda g: built.append(g) or post_init(g))
+    g = FgAbelianGroup(2, mat([[2, 4], [0, 6]]))
+    assert built == [g] and g.relations._pivots is not None

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -218,6 +217,12 @@ class TestSESFixtures:
 def _flipped(d: ReductiveDatum, m) -> ReductiveDatum:
     """d with Gamma = Z/2 acting on X by m."""
     return ReductiveDatum(d.name, d.datum, cyclic_group(2), (identity(d.datum.rank), m))
+
+
+def replace(value, **changes):
+    """A new value of the same class with some fields changed, built through
+    its ``__init__`` as ``dataclasses.replace`` built one."""
+    return type(value)(**{**{name: getattr(value, name) for name in value.FIELDS}, **changes})
 
 
 def _with_coroots(d: ReductiveDatum, coroots) -> ReductiveDatum:
