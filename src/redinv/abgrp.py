@@ -190,14 +190,9 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
 class SubquotientData(Value):
     """A subquotient ker/im with enough data to take classes of elements."""
 
+    # gens: rows, lifts of the generators in the middle ambient; denominator:
+    # the Hermite basis of the middle relations and the image rows, certified
     FIELDS = ("group", "gens", "denominator")
-
-    def __init__(self, group: FgAbelianGroup, gens: IntMatrix, denominator: IntMatrix) -> None:
-        object.__setattr__(self, "group", group)
-        # rows: lifts of the generators in the middle ambient
-        object.__setattr__(self, "gens", gens)
-        # the Hermite basis of the middle relations and the image rows, certified
-        object.__setattr__(self, "denominator", denominator)
 
     def class_coords(self, vecs: IntMatrix) -> Optional[IntMatrix]:
         """Class coordinates of the rows of vecs, or None if one is no cycle."""
@@ -226,10 +221,7 @@ def homology_at(d_in: Optional[AbHom], d_out: AbHom) -> SubquotientData:
 class Checks(Value):
     """Named verdicts of a verification, each with a witness (or None)."""
 
-    FIELDS = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[str, bool, Any], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
+    FIELDS = ("entries",)  # (name, ok, witness) triples
 
     @property
     def passed(self) -> bool:

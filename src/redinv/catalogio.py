@@ -55,23 +55,14 @@ def datum_invariants(d: ReductiveDatum) -> dict:
 class CatalogEntry(Value):
     """One group spec of the catalog with its stored invariants."""
 
+    # expected: the stored invariants, keyed as datum_invariants keys them
     FIELDS = ("spec", "expected", "provenance")
-
-    def __init__(self, spec: str, expected: dict, provenance: str) -> None:
-        object.__setattr__(self, "spec", spec)
-        # the stored invariants, keyed as datum_invariants keys them
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "provenance", provenance)
 
 
 class CatalogFile(Value):
     """The parsed catalog: its schema version and entries."""
 
     FIELDS = ("schema_version", "entries")
-
-    def __init__(self, schema_version: int, entries: tuple[CatalogEntry, ...]) -> None:
-        object.__setattr__(self, "schema_version", schema_version)
-        object.__setattr__(self, "entries", entries)
 
     def specs(self) -> list[str]:
         return [e.spec for e in self.entries]
@@ -144,13 +135,13 @@ def _copy_expected(expected: dict) -> dict:
             for key, inv in expected.items()}
 
 
-def load_catalog(path: Optional[str] = None, self_test: bool = True) -> CatalogFile:
-    """The catalog at path, with its own copy of every expected dict."""
+def load_catalog(path: Optional[str] = None) -> CatalogFile:
+    """The catalog at path, with its own copy of every expected dict, once
+    verify_catalog has recomputed every entry."""
     catalog = CatalogFile(SCHEMA_VERSION, tuple(
         CatalogEntry(e.spec, _copy_expected(e.expected), e.provenance)
         for e in _parsed_catalog(path).entries))
-    if self_test:
-        verify_catalog(catalog)
+    verify_catalog(catalog)
     return catalog
 
 
@@ -175,12 +166,6 @@ class ResultRecord(Value):
     """What a command prints: its outputs and verdicts, keyed by its input's digest."""
 
     FIELDS = ("command", "input_digest", "outputs", "verdicts")
-
-    def __init__(self, command: str, input_digest: str, outputs: dict, verdicts: dict) -> None:
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "input_digest", input_digest)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "verdicts", verdicts)
 
     def to_json(self) -> str:
         return _dump({

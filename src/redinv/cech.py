@@ -74,14 +74,8 @@ class CechInput(Value):
 class CechComplex(Value):
     """The Cech cochain groups C^0 .. C^max_degree of an input and their differentials."""
 
+    # groups: C^0 .. C^max_degree; deltas: delta^0 .. delta^{max_degree - 1}
     FIELDS = ("inp", "max_degree", "groups", "deltas")
-
-    def __init__(self, inp: CechInput, max_degree: int, groups: tuple[FgAbelianGroup, ...],
-                 deltas: tuple[AbHom, ...]) -> None:
-        object.__setattr__(self, "inp", inp)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "groups", groups)  # C^0 .. C^max_degree
-        object.__setattr__(self, "deltas", deltas)  # delta^0 .. delta^{max_degree - 1}
 
 
 def _slot_map(inp: CechInput, i: int, j: int, blocks) -> IntMatrix:

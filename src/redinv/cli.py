@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Any, Callable
 
-from .intmat import MAX_MATRIX_DIGITS, IntMatrix, hnf, int_from_json, snf
+from .intmat import IntMatrix, hnf, int_from_json, snf
 from .abgrp import MAX_RANK, Checks
 from .catalogio import (
     ResultRecord,
@@ -29,6 +29,20 @@ from .rootdata import from_catalog, radical_characters, validate
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+
+# Most decimal digits in the text of a file that a command reads, counted
+# before the JSON parse, so that no file makes unbounded work; a matrix is
+# also capped at abgrp.MAX_RANK on its shorter side and 4 * MAX_RANK on its
+# longer (the 216 x 36 bar differential of Z[S3] is a golden record).  The
+# whole command at the bound on 2 vCPUs (Python 3.11), one run of each tall
+# shape and best of 3 of each square one: matrix 256 x 64 of 1-digit
+# entries, 15 s for hnf and 13 s for snf, with a 50 MB record; 128 x 64 of
+# 2-digit entries, 11 s for each; 64 x 64 of 4-digit entries, 1.1 s for hnf
+# and 0.9 s for snf; 32 x 32 of 16-digit entries, 0.3 s; 16 x 16 of 64-digit
+# entries, 0.2 s.  Tall matrices cost the most, in the kernel rows of U,
+# which is not unique (floor quotients).  cech with 64 x 64 relations of
+# 1- or 2-digit entries in F(X) or F(G), at --max-degree 8: 1.0-1.9 s.
+MAX_FILE_DIGITS = 16384
 
 
 def _fmt_group(inv: dict) -> str:
@@ -51,9 +65,15 @@ def _load(parse: Callable[[], Any]) -> Any:
         return None
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=int_from_json)
+def _read(path: str) -> bytes:
+    """The bytes of the file at path, if they hold at most MAX_FILE_DIGITS
+    decimal digits; every command that reads a file reads it here."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digits = len(data) - len(data.translate(None, b"0123456789"))
+    if digits > MAX_FILE_DIGITS:
+        raise ValueError(f"file of {digits} decimal digits: at most {MAX_FILE_DIGITS}")
+    return data
 
 
 def _parse_file(path: str, parse: Callable[[str], Any]) -> tuple[dict, Any]:
@@ -64,8 +84,7 @@ def _parse_file(path: str, parse: Callable[[str], Any]) -> tuple[dict, Any]:
     """
     import hashlib
 
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read(path)
     return {"fileSha256": hashlib.sha256(data).hexdigest()}, parse(data.decode("utf-8"))
 
 
@@ -199,22 +218,19 @@ def cmd_cech(args) -> int:
 
 
 def _bounded_matrix(obj) -> IntMatrix:
-    """The matrix of obj, if its shorter side is at most MAX_RANK, its
-    longer side at most 4 * MAX_RANK and its entries have at most
-    MAX_MATRIX_DIGITS digits in all, so that its normal forms stay cheap."""
+    """The matrix of obj, if its shorter side is at most MAX_RANK and its
+    longer side at most 4 * MAX_RANK, so that its normal forms stay cheap."""
     m = IntMatrix.from_json(obj)
     short, long = sorted(m.shape)
     if short > MAX_RANK or long > 4 * MAX_RANK:
         raise ValueError(f"matrix of shape {m.shape}: at most {MAX_RANK} on the "
                          f"shorter side and {4 * MAX_RANK} on the longer")
-    digits = sum(len(str(abs(a))) for r in m.data for a in r)
-    if digits > MAX_MATRIX_DIGITS:
-        raise ValueError(f"matrix of {digits} digits: at most {MAX_MATRIX_DIGITS}")
     return m
 
 
 def cmd_matrix(args) -> int:
-    m = _load(lambda: _bounded_matrix(_read_json(args.file)))
+    m = _load(lambda: _bounded_matrix(
+        json.loads(_read(args.file).decode("utf-8"), parse_int=int_from_json)))
     if m is None:
         return EXIT_INPUT_ERROR
     if args.kind == "hnf":

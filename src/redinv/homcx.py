@@ -134,14 +134,8 @@ def single_term_complex(m: GammaModule, degree: int) -> BoundedComplex:
 class ChainMap(Value):
     """A map of complexes: one component matrix per degree."""
 
+    # components: degree -> matrix; a missing degree means zero
     FIELDS = ("source", "target", "components")
-
-    def __init__(self, source: BoundedComplex, target: BoundedComplex,
-                 components: dict[int, IntMatrix]) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        # degree -> component; a missing degree means zero
-        object.__setattr__(self, "components", components)
 
     def component(self, n: int) -> GammaHom:
         src, tgt = self.source.term(n), self.target.term(n)

@@ -197,18 +197,6 @@ class IntMatrix(Value):
 # conversion, which the CLI lifts so that results may be longer.
 MAX_INPUT_DIGITS = 4300
 
-# Most decimal digits, summed over all entries, of a matrix read by the
-# ``matrix`` command, whose shorter side is also capped at abgrp.MAX_RANK
-# and its longer side at 4 * MAX_RANK (the 216 x 36 bar differential
-# of Z[S3] is a golden record).  The whole command at the bound on 2 vCPUs
-# (Python 3.11), one run of each tall shape and best of 3 of each square
-# one: 256 x 64 of 1-digit entries, 15 s for hnf and 13 s for snf, with a
-# 50 MB record; 128 x 64 of 2-digit entries, 11 s for each; 64 x 64 of
-# 4-digit entries, 1.1 s for hnf and 0.9 s for snf; 32 x 32 of 16-digit
-# entries, 0.3 s; 16 x 16 of 64-digit entries, 0.2 s.  Tall matrices cost
-# the most, in the kernel rows of U, which is not unique (floor quotients).
-MAX_MATRIX_DIGITS = 16384
-
 
 def int_from_json(a: object) -> int:
     """A JSON integer that is no boolean, or a string of an optional "-"

@@ -50,12 +50,6 @@ class RootDatum(Value):
 
     FIELDS = ("rank", "simple_roots", "simple_coroots")
 
-    def __init__(self, rank: int, simple_roots: tuple[tuple[int, ...], ...],
-                 simple_coroots: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "simple_roots", simple_roots)
-        object.__setattr__(self, "simple_coroots", simple_coroots)
-
     @property
     def semisimple_rank(self) -> int:
         return len(self.simple_roots)

@@ -46,15 +46,9 @@ from .value import Value
 class TResolutionData(Value):
     """A torus resolution rho*: R* -> T* of a datum, with its maps to and from the ends."""
 
+    # rho_star: R* -> T*; l_star: T* -> mu*; char_map: character group -> R*;
+    # provenance: "canonical" | "pushout"
     FIELDS = ("datum", "rho_star", "l_star", "char_map", "provenance")
-
-    def __init__(self, datum: ReductiveDatum, rho_star: GammaHom, l_star: GammaHom,
-                 char_map: GammaHom, provenance: str) -> None:
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "rho_star", rho_star)  # R* -> T*
-        object.__setattr__(self, "l_star", l_star)  # T* -> mu*
-        object.__setattr__(self, "char_map", char_map)  # character group -> R*
-        object.__setattr__(self, "provenance", provenance)  # "canonical" | "pushout"
 
 
 def canonical_pi1d(d: ReductiveDatum) -> BoundedComplex:
@@ -66,13 +60,7 @@ def canonical_tresolution(d: ReductiveDatum) -> TResolutionData:
     beta = pairing_map(d)
     _, char_map = equivariant_kernel(beta)
     _, l_star = equivariant_cokernel(beta)
-    return TResolutionData(
-        datum=d,
-        rho_star=beta,
-        l_star=l_star,
-        char_map=char_map,
-        provenance="canonical",
-    )
+    return TResolutionData(d, beta, l_star, char_map, "canonical")
 
 
 def _orbit_representatives(mu_prime: GammaModule) -> list[int]:
@@ -145,13 +133,7 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     if char_matrix is None:
         raise InvalidDatum("character group does not land in R*")
 
-    return TResolutionData(
-        datum=d,
-        rho_star=rho_star,
-        l_star=l_star,
-        char_map=GammaHom(x0, r_star, char_matrix),
-        provenance="pushout",
-    )
+    return TResolutionData(d, rho_star, l_star, GammaHom(x0, r_star, char_matrix), "pushout")
 
 
 def pi1d_from_resolution(res: TResolutionData) -> BoundedComplex:
@@ -209,11 +191,7 @@ def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
 class ComparisonVerdict(Value):
     """Whether two resolutions of one datum present the same H^-1 and H^0."""
 
-    FIELDS = ("verdict", "checks")
-
-    def __init__(self, verdict: str, checks: Checks) -> None:
-        object.__setattr__(self, "verdict", verdict)  # "certified" | "mismatch"
-        object.__setattr__(self, "checks", checks)
+    FIELDS = ("verdict", "checks")  # verdict: "certified" | "mismatch"
 
     @property
     def agrees(self) -> bool:
@@ -245,18 +223,8 @@ def compare_resolutions(
 class SESData(Value):
     """A short exact sequence G1 -> G2 -> G3, with X(G3) -> X(G2) -> X(G1)."""
 
+    # part1: the indices of g2's simple roots coming from g1; part3: those from g3
     FIELDS = ("g1", "g2", "g3", "x3_to_x2", "x2_to_x1", "part1", "part3")
-
-    def __init__(self, g1: ReductiveDatum, g2: ReductiveDatum, g3: ReductiveDatum,
-                 x3_to_x2: IntMatrix, x2_to_x1: IntMatrix, part1: tuple[int, ...],
-                 part3: tuple[int, ...]) -> None:
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "g3", g3)
-        object.__setattr__(self, "x3_to_x2", x3_to_x2)
-        object.__setattr__(self, "x2_to_x1", x2_to_x1)
-        object.__setattr__(self, "part1", part1)  # indices of g2's simple roots coming from g1
-        object.__setattr__(self, "part3", part3)  # indices coming from g3
 
 
 def validate_ses_data(s: SESData) -> Checks:

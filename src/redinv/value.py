@@ -1,6 +1,8 @@
 """Immutable value classes: a subclass names its compared fields in
-``FIELDS`` and sets them, and any memo outside them, in its own
-``__init__`` through ``object.__setattr__``."""
+``FIELDS`` and inherits a constructor that takes one value per field, in
+that order.  A class that checks its input or keeps a memo outside
+``FIELDS`` writes its own ``__init__`` instead, setting every field
+through ``object.__setattr__``."""
 
 from operator import attrgetter
 
@@ -14,6 +16,13 @@ class Value:
     def __init_subclass__(cls) -> None:
         # one field reads as its value, several as a tuple of them
         cls._values = attrgetter(*cls.FIELDS)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.FIELDS):
+            raise TypeError(f"{self.__class__.__qualname__}() takes {len(self.FIELDS)} "
+                            f"values {self.FIELDS}, got {len(values)}")
+        for name, value in zip(self.FIELDS, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -116,7 +116,7 @@ def test_criterion_1_adjoint_mu_orders(capsys):
 
 def test_criterion_2_cohomology_of_fundamental_complex(capsys):
     start = time.monotonic()
-    catalog = load_catalog(self_test=False)
+    catalog = load_catalog()
     specs = catalog.specs()
     ok = len(specs) >= 15 and any("xGamma:" in s for s in specs)
     for spec in specs:
@@ -135,7 +135,7 @@ def test_criterion_2_cohomology_of_fundamental_complex(capsys):
 
 def test_criterion_3_resolution_independence(capsys):
     start = time.monotonic()
-    catalog = load_catalog(self_test=False)
+    catalog = load_catalog()
     ok = True
     for spec in catalog.specs():
         d = from_catalog(spec)
@@ -155,7 +155,7 @@ def test_criterion_3_resolution_independence(capsys):
 
 def test_criterion_4_four_term_sequences(capsys):
     start = time.monotonic()
-    catalog = load_catalog(self_test=False)
+    catalog = load_catalog()
     ok = True
     for spec in catalog.specs():
         d = from_catalog(spec)

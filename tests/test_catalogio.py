@@ -39,7 +39,7 @@ class TestShippedCatalog:
         assert any("xGamma:" in s for s in specs)
 
     def test_round_trip_byte_identical(self):
-        catalog = load_catalog(self_test=False)
+        catalog = load_catalog()
         with open(default_catalog_path(), "rb") as fh:
             original = fh.read()
         assert catalog_to_json(catalog).encode() == original
@@ -103,9 +103,8 @@ class TestDiagnostics:
         entry = self._base_entry()
         entry["expected"]["pi1"] = {"rank": 0, "torsion": [7]}
         path = self._write(tmp_path, {"schemaVersion": 1, "entries": [entry]})
-        load_catalog(path, self_test=False)  # schema alone is fine
         with pytest.raises(CatalogError, match="SL\\(2\\)"):
-            load_catalog(path, self_test=True)
+            load_catalog(path)
 
     def test_boolean_rank(self, tmp_path):
         with open(default_catalog_path(), encoding="utf-8") as fh:

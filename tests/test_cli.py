@@ -251,7 +251,7 @@ class TestCatalogCache:
     def test_mutating_a_returned_entry_changes_no_later_call(self, capsys, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text(self.GOOD)
-        entry = load_catalog(str(path), self_test=False).entries[0]
+        entry = load_catalog(str(path)).entries[0]
         want = json.loads(self.GOOD)["entries"][0]["expected"]
         assert entry.expected == want
         entry.expected["muDual"]["torsion"].append(7)
@@ -614,3 +614,44 @@ def test_json_group_rank_bound(capsys, tmp_path):
         assert code == want, rank
         if want == 2:
             assert err.startswith("input error:") and not out
+
+
+def _long_entries(digits: int) -> list:
+    """A 16 x 16 matrix of random entries of the given number of digits."""
+    rng = random.Random(digits)
+    return [[str(rng.randrange(10 ** (digits - 1), 10 ** digits)) for _ in range(16)]
+            for _ in range(16)]
+
+
+_IDENTITY_16 = mat([[int(i == j) for j in range(16)] for i in range(16)]).to_json()
+_LONG_1000, _LONG_4300 = _long_entries(1000), _long_entries(4300)
+
+# Files far over the digit budget that each took seconds or more before
+# the budget was counted on the file's text, ahead of its JSON parse.
+HOSTILE = {
+    # F(X) = F(G) with phi the identity: read, verified and exit 0 after 9 s
+    "cech-1000-digit-relations": ("cech", {
+        "fx": {"ambientRank": 16, "relations": _LONG_1000},
+        "fg": {"ambientRank": 16, "relations": _LONG_1000}, "phi": _IDENTITY_16}),
+    # into a free F(G): exit 2 after 66 s
+    "cech-4300-digit-relations": ("cech", {
+        "fx": {"ambientRank": 16, "relations": _LONG_4300},
+        "fg": {"ambientRank": 16, "relations": []}, "phi": _IDENTITY_16}),
+    # both maps of a sequence of tori: exit 1 after 9 s
+    "ses-1000-digit-maps": ("check-ses", {
+        "g1": "T(16)", "g2": "T(16)", "g3": "T(16)", "part1": [], "part3": [],
+        "x3ToX2": _LONG_1000, "x2ToX1": _LONG_1000}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_file_over_the_digit_budget_exit_2_at_once(capsys, tmp_path, case):
+    command, content = HOSTILE[case]
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(content))
+    for fmt in ("human", "json"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(p), "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert err.startswith("input error: file of") and f"at most {cli.MAX_FILE_DIGITS}" in err

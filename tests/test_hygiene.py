@@ -11,7 +11,9 @@ Every parameter of a function or lambda in ``src/`` is read in its body,
 except ``self``, ``cls`` and names that start with ``_``.  No module of
 ``src/redinv`` imports a name that starts with ``_`` from another, and only
 ``intmat.py`` reads or writes the certificate ``_pivots`` or the solved
-state ``_solved`` of a matrix.  No module of ``src/`` imports ``dataclasses``.
+state ``_solved`` of a matrix.  No module of ``src/`` imports ``dataclasses``,
+and no ``Value`` subclass writes an ``__init__`` that only copies its
+parameters into its fields, which the constructor of ``Value`` does.
 
 A reach guard runs the command line over a small corpus and lists the
 public functions and methods of ``src/`` that no command calls; each must
@@ -137,6 +139,62 @@ def test_no_dataclasses_in_src(path):
     # an exec per generated method on every cold start; src uses redinv.value
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert "dataclasses" not in imported_modules(fh.read())
+
+
+def copy_only_inits(source: str) -> list[str]:
+    """The ``Value`` subclasses whose ``__init__`` does nothing but
+    ``object.__setattr__(self, "<field>", <parameter>)`` for names in their
+    ``FIELDS``: the constructor that ``Value`` gives them already does so."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id == "Value" for b in cls.bases)):
+            continue
+        fields, init = set(), None
+        for node in cls.body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+                    and any(isinstance(t, ast.Name) and t.id == "FIELDS" for t in node.targets)):
+                fields = {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                init = node
+        if init is None:
+            continue
+        self_name, *params = [a.arg for a in init.args.args]
+
+        def copies(stmt) -> bool:
+            call = stmt.value if isinstance(stmt, ast.Expr) else None
+            return (isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
+                    and len(call.args) == 3 and not call.keywords
+                    and ast.unparse(call.args[0]) == self_name
+                    and isinstance(call.args[1], ast.Constant) and call.args[1].value in fields
+                    and isinstance(call.args[2], ast.Name) and call.args[2].id in params)
+
+        if all(map(copies, init.body)):
+            out.append(cls.name)
+    return out
+
+
+def test_scan_flags_a_copy_only_init():
+    src = ("class A(Value):\n    FIELDS = ('x', 'y')\n"
+           "    def __init__(self, x, y):\n"
+           "        object.__setattr__(self, 'x', x)\n        object.__setattr__(self, 'y', y)\n"
+           "class Checked(Value):\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
+           "        object.__setattr__(self, 'x', x)\n        if x < 0: raise ValueError\n"
+           "class Memo(Value):\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
+           "        object.__setattr__(self, 'x', x)\n        object.__setattr__(self, '_m', x)\n"
+           "class Computed(Value):\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
+           "        object.__setattr__(self, 'x', abs(x))\n"
+           "class Plain:\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
+           "        object.__setattr__(self, 'x', x)\n"
+           "class Inherits(Value):\n    FIELDS = ('x',)\n")
+    assert copy_only_inits(src) == ["A"]
+
+
+@pytest.mark.parametrize("path", sorted(_python_files(("src",))))
+def test_no_copy_only_init(path):
+    # Value.__init__ sets one value per field; writing it out again is boilerplate
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        assert copy_only_inits(fh.read()) == []
 
 
 PRIVATE_STATE = {"_pivots", "_solved"}

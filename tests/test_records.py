@@ -57,7 +57,7 @@ MATRIX_INPUTS = {
 
 def test_every_catalog_spec_and_fixture_is_covered():
     want = set()
-    for spec in load_catalog(default_catalog_path(), self_test=False).specs():
+    for spec in load_catalog(default_catalog_path()).specs():
         want |= {
             f"invariants {spec} --format json",
             f"pi1d {spec} --format json",

@@ -97,7 +97,7 @@ class TestCartanMatrices:
             return all(det(mat([[c[i, j] for j in range(k)] for i in range(k)], k)) > 0
                        for k in range(1, c.rows + 1))
 
-        specs = load_catalog(default_catalog_path(), self_test=False).specs()
+        specs = load_catalog(default_catalog_path()).specs()
         cartans = [from_catalog(spec).datum.cartan_pairing() for spec in specs]
         cartans = [c for c in cartans if c.rows]
         cartans += [cartan_matrix(kind, rank) for kind, rank in self.DETS]
@@ -315,7 +315,7 @@ class TestTwisted:
     def test_dual_action_is_inverse_transpose(self, monkeypatch):
         # every catalog spec, every spec of the reach corpus in
         # tests/test_hygiene.py and both twists; no elimination runs
-        specs = set(load_catalog(default_catalog_path(), self_test=False).specs())
+        specs = set(load_catalog(default_catalog_path()).specs())
         specs |= {f"{head}({least + 2})" for (head, _), (least, _, _) in _FAMILIES.items()}
         specs |= {"G2", "SL(3)xGamma:flip", "PSO(8)xGamma:triality"}
         data = [from_catalog(spec) for spec in sorted(specs)]

@@ -221,8 +221,9 @@ def _flipped(d: ReductiveDatum, m) -> ReductiveDatum:
 
 def replace(value, **changes):
     """A new value of the same class with some fields changed, built through
-    its ``__init__`` as ``dataclasses.replace`` built one."""
-    return type(value)(**{**{name: getattr(value, name) for name in value.FIELDS}, **changes})
+    its ``__init__`` from one value per field in ``FIELDS`` order."""
+    assert set(changes) <= set(value.FIELDS), sorted(set(changes) - set(value.FIELDS))
+    return type(value)(*(changes.get(name, getattr(value, name)) for name in value.FIELDS))
 
 
 def _with_coroots(d: ReductiveDatum, coroots) -> ReductiveDatum:

@@ -1,6 +1,9 @@
 """The value classes of ``src/redinv``: each is equal, hashed and printed by
 the fields its ``FIELDS`` names, keeps its memos out of all three, and
-refuses to assign or delete any attribute."""
+refuses to assign or delete any attribute.  A class that only copies its
+fields takes the constructor of ``Value``, one value per field in order."""
+
+import inspect
 
 import pytest
 
@@ -115,3 +118,42 @@ class TestValueClass:
             with pytest.raises(AttributeError):
                 delattr(a, name)
         assert a == BUILDERS[cls]()
+
+
+# The classes that neither check their input nor keep a memo take the
+# constructor of Value; the others write their own and set their fields
+# directly, without calling it.
+INHERITED = [cls for cls in CLASSES if cls.__init__ is Value.__init__]
+
+
+def test_the_copying_classes_inherit_the_constructor():
+    assert {cls.__qualname__ for cls in INHERITED} == {
+        "SubquotientData", "Checks", "CatalogEntry", "CatalogFile", "ResultRecord",
+        "CechComplex", "ChainMap", "RootDatum", "TResolutionData", "ComparisonVerdict",
+        "SESData"}
+    for cls in set(CLASSES) - set(INHERITED):
+        assert "super()" not in inspect.getsource(cls.__init__)
+
+
+@pytest.mark.parametrize("cls", INHERITED, ids=[c.__qualname__ for c in INHERITED])
+class TestInheritedConstructor:
+    def test_one_value_per_field_in_order(self, cls):
+        a = BUILDERS[cls]()
+        values = [getattr(a, name) for name in cls.FIELDS]
+        b = cls(*values)
+        assert b == a and all(getattr(b, n) is v for n, v in zip(cls.FIELDS, values))
+
+    def test_one_field_too_few_raises(self, cls):
+        values = [getattr(BUILDERS[cls](), name) for name in cls.FIELDS]
+        with pytest.raises(TypeError, match=f"{cls.__qualname__}.. takes {len(values)}"):
+            cls(*values[:-1])
+
+    def test_one_field_too_many_raises(self, cls):
+        values = [getattr(BUILDERS[cls](), name) for name in cls.FIELDS]
+        with pytest.raises(TypeError, match=f"got {len(values) + 1}"):
+            cls(*values, values[0])
+
+    def test_fields_are_not_keywords(self, cls):
+        a = BUILDERS[cls]()
+        with pytest.raises(TypeError):
+            cls(**{name: getattr(a, name) for name in cls.FIELDS})
