@@ -144,7 +144,7 @@ class AbHom(Value):
         return AbHom(self.source, g.target, self.matrix @ g.matrix)
 
     def is_zero(self) -> bool:
-        return self.target.contains_rows(self.matrix)
+        return self.matrix.is_zero() or self.target.contains_rows(self.matrix)
 
     def is_injective(self) -> bool:
         """From a free source: the image rows are independent modulo the
@@ -263,7 +263,3 @@ def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
         sum(g.ambient_rank for g in groups),
         block_diag(*(g.relations for g in groups)),
     )
-
-
-def power(group: FgAbelianGroup, k: int) -> FgAbelianGroup:
-    return direct_sum(*([group] * k))

@@ -28,19 +28,22 @@ contracting homotopy in degrees >= 2 is
 which drops b_2 and satisfies delta^{i-1} lambda_i + lambda_{i+1} delta^i
 = id.  Both are built by one rule, ``_slot_map``: a sum of blocks from a
 slot of the source to a slot of the target (``intmat.block_sum``).
+
+So H^0 = ker phi, H^1 = coker phi and H^i = 0 for i >= 2.
+``cohomology_groups`` reads each H^i with i >= 2 off the homotopy identity
+that ``contraction_check`` verifies: modulo the relations a cocycle x is
+(x lambda_i) delta^{i-1} + (x delta^i) lambda_{i+1}, and the second term is
+a relation, since x delta^i is one and each block of lambda_{i+1} is +-1
+from a slot to a slot of the same group; so x is a coboundary.
+``cech_cohomology`` stays the direct route: a subquotient in any degree.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .intmat import IntMatrix, block_sum, identity
-from .abgrp import (
-    AbHom,
-    Checks,
-    FgAbelianGroup,
-    direct_sum,
-    homology_at,
-    power,
-)
+from .abgrp import AbHom, Checks, FgAbelianGroup, direct_sum, homology_at
 from .value import Value
 
 
@@ -106,10 +109,6 @@ def _lambda_matrix(inp: CechInput, i: int) -> IntMatrix:
     return _slot_map(inp, i, i - 1, blocks)
 
 
-def cochain_group(inp: CechInput, i: int) -> FgAbelianGroup:
-    return direct_sum(inp.fx, power(inp.fg, i))
-
-
 def build_complex(inp: CechInput, max_degree: int) -> CechComplex:
     """C^0 .. C^max_degree; 3 is the least degree whose homotopy identity
     (in degree 2) can be checked."""
@@ -117,12 +116,14 @@ def build_complex(inp: CechInput, max_degree: int) -> CechComplex:
         raise DegreeCapExceeded(f"max degree must be between 3 and {MAX_DEGREE_CAP}")
     if not inp.phi.is_well_defined():
         raise ValueError("phi does not map the relations of F(X) into those of F(G)")
-    groups = tuple(cochain_group(inp, i) for i in range(max_degree + 1))
+    groups = [inp.fx]  # C^{i+1} = C^i (+) F(G)
+    for _ in range(max_degree):
+        groups.append(direct_sum(groups[-1], inp.fg))
     deltas = tuple(
         AbHom(groups[i], groups[i + 1], _delta_matrix(inp, i))
         for i in range(max_degree)
     )
-    return CechComplex(inp, max_degree, groups, deltas)
+    return CechComplex(inp, max_degree, tuple(groups), deltas)
 
 
 def homotopy_map(cx: CechComplex, i: int) -> AbHom:
@@ -131,18 +132,34 @@ def homotopy_map(cx: CechComplex, i: int) -> AbHom:
     return AbHom(cx.groups[i], cx.groups[i - 1], _lambda_matrix(cx.inp, i))
 
 
+def _outside(grp: FgAbelianGroup, m: IntMatrix) -> Optional[dict]:
+    """The first row of m outside the relations of grp, with its reduced
+    coordinates, or None if every row lies in them."""
+    for k, row in enumerate(m.data):
+        residue = grp.reduce(row)
+        if any(residue):
+            return {"row": k, "residue": [str(a) for a in residue]}
+    return None
+
+
 def contraction_check(cx: CechComplex) -> Checks:
     """Verify delta o delta = 0 and the homotopy identity in degrees
-    2 <= i <= max_degree - 1."""
+    2 <= i <= max_degree - 1.  The witness of a failure is the first row
+    outside the relations of delta^i delta^{i+1}, or of
+    delta^{i-1} lambda_i + lambda_{i+1} delta^i - id, whose row k is what
+    the identity makes of the k-th basis vector, minus that vector."""
     checks = []
+    d = [delta.matrix for delta in cx.deltas]
     for i in range(cx.max_degree - 1):
-        checks.append((f"delta-squared-{i}", cx.deltas[i].then(cx.deltas[i + 1]).is_zero(), None))
-    lam = {i: homotopy_map(cx, i) for i in range(2, cx.max_degree + 1)}
+        sq = d[i] @ d[i + 1]
+        bad = None if sq.is_zero() else _outside(cx.groups[i + 2], sq)
+        checks.append((f"delta-squared-{i}", bad is None, bad))
+    lam = {i: homotopy_map(cx, i).matrix for i in range(2, cx.max_degree + 1)}
     for i in range(2, cx.max_degree):
-        combo = lam[i].then(cx.deltas[i - 1]).matrix + cx.deltas[i].then(lam[i + 1]).matrix
+        combo = lam[i] @ d[i - 1] + d[i] @ lam[i + 1]
         grp = cx.groups[i]
-        ok = grp.contains_rows(combo - identity(grp.ambient_rank))
-        checks.append((f"homotopy-identity-{i}", ok, None))
+        bad = None if combo.is_identity() else _outside(grp, combo - identity(grp.ambient_rank))
+        checks.append((f"homotopy-identity-{i}", bad is None, bad))
     return Checks(tuple(checks))
 
 
@@ -151,3 +168,12 @@ def cech_cohomology(cx: CechComplex, i: int) -> FgAbelianGroup:
         raise ValueError("degree out of range for this complex")
     d_in = cx.deltas[i - 1] if i > 0 else None
     return homology_at(d_in, cx.deltas[i]).group
+
+
+def cohomology_groups(cx: CechComplex, checks: Checks) -> list[FgAbelianGroup]:
+    """H^0 .. H^{max_degree - 1}, given the checks of ``contraction_check``:
+    a degree i >= 2 whose homotopy identity passed is acyclic, and every
+    other degree is ``cech_cohomology``."""
+    contracted = {name for name, ok, _ in checks.entries if ok}
+    return [FgAbelianGroup.trivial() if f"homotopy-identity-{i}" in contracted
+            else cech_cohomology(cx, i) for i in range(cx.max_degree)]

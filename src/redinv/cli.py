@@ -200,21 +200,19 @@ def cmd_check_ses(args) -> int:
 
 
 def cmd_cech(args) -> int:
-    from .cech import CechInput, build_complex, cech_cohomology, contraction_check
+    from .cech import CechInput, build_complex, cohomology_groups, contraction_check
 
     loaded = _load(lambda: _parse_file(args.file, lambda text: build_complex(
         CechInput.from_json(json.loads(text, parse_int=int_from_json)), args.max_degree)))
     if loaded is None:
         return EXIT_INPUT_ERROR
     payload, cx = loaded
-    cohs = {
-        str(i): invariants_json(cech_cohomology(cx, i))
-        for i in range(args.max_degree)
-    }
+    checks = contraction_check(cx)
+    cohs = {str(i): invariants_json(h) for i, h in enumerate(cohomology_groups(cx, checks))}
     lines = [f"input: {args.file} (degrees up to {args.max_degree})"]
     lines += [f"H^{i} = {_fmt_group(cohs[str(i)])}" for i in range(args.max_degree)]
     payload["maxDegree"] = args.max_degree
-    return _emit(args, "cech", payload, {"cohomology": cohs}, contraction_check(cx), lines)
+    return _emit(args, "cech", payload, {"cohomology": cohs}, checks, lines)
 
 
 def _bounded_matrix(obj) -> IntMatrix:

@@ -46,7 +46,7 @@ from .abgrp import (
     SubquotientData,
     homology_at,
     cokernel,
-    power,
+    direct_sum,
 )
 from .value import Value
 
@@ -445,7 +445,7 @@ def _cochain_map(module: GammaModule, cells: Sequence[list], i: int) -> AbHom:
     block (a, b)."""
     group, n = module.group, module.group.ambient_rank
     rows, cols = len(cells[i - 1]) if i else 1, len(cells[i])
-    return AbHom(power(group, rows), power(group, cols),
+    return AbHom(direct_sum(*[group] * rows), direct_sum(*[group] * cols),
                  block_sum(n * rows, n * cols, module.actions, [n * a for a in range(rows)],
                            [n * b for b in range(cols)], cells[i]))
 

@@ -153,7 +153,7 @@ class IntMatrix(Value):
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.data for a in r)
+        return not any(map(any, self.data))
 
     def is_identity(self) -> bool:
         """Square with ones on the diagonal and zeros elsewhere, found

@@ -13,7 +13,7 @@ from redinv.intmat import (
     MAX_INPUT_DIGITS, DimensionMismatch, IntMatrix, identity, kernel_basis, mat, member_coords,
     vstack)
 from redinv.abgrp import (
-    AbHom, ExactSequence, FgAbelianGroup, cokernel, homology_at, kernel, power)
+    AbHom, ExactSequence, FgAbelianGroup, cokernel, direct_sum, homology_at, kernel)
 from redinv.gammamod import FiniteGroup, GammaModule, cyclic_group
 from redinv.homcx import ChainMap
 from redinv.rootdata import InvalidDatum, ReductiveDatum, cartan_matrix, from_catalog, pairing_map
@@ -473,6 +473,11 @@ def constructive_hom(rng: random.Random, src, src_diag, tgt, tgt_diag,
     return AbHom(src, tgt, mat(rows, tgt.ambient_rank))
 
 
+def power(group: FgAbelianGroup, k: int) -> FgAbelianGroup:
+    """The direct sum of k copies of group."""
+    return direct_sum(*[group] * k)
+
+
 def full_bar_differential(module, i: int) -> AbHom:
     """Degree-i differential of the full inhomogeneous bar complex.
 
@@ -621,6 +626,42 @@ def cech_lambda_from_formula(nx: int, ng: int, i: int) -> list[list[int]]:
         for r in range(ng):
             rows[_cech_offset(nx, ng, s) + r][_cech_offset(nx, ng, t) + r] = sign
     return rows
+
+
+def _presented_invariants(gens: int, rels: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion) of Z^gens modulo the rows rels, by gcd of minors."""
+    d = gcd_of_minors_invariants(mat(rels, gens))
+    return gens - len(d), tuple(x for x in d if x > 1)
+
+
+def kernel_cokernel_invariants(phi: AbHom) -> tuple[tuple, tuple]:
+    """(free rank, torsion) of ker phi and of coker phi, from the gcd of
+    minors and ``reference_hnf``, with no kernel or cokernel of ``abgrp``.
+
+    coker phi is Z^b modulo the target relations and the rows of phi.  ker
+    phi is K / Rel(source), where K holds the x in Z^a with x phi in
+    Rel(target): the first a coordinates of the left kernel of
+    [phi; Rel(target)], which is spanned by the rows of U = reference_hnf's
+    transform whose rows of H are zero.  Each source relation lies in K and
+    is written in the Hermite basis of K by back-substitution on its
+    pivots."""
+    (a, b), rels = phi.matrix.shape, phi.target.relations
+    coker = _presented_invariants(b, rels.to_lists() + phi.matrix.to_lists())
+    h, u = reference_hnf(vstack(phi.matrix, rels))
+    k = [row[:a] for hrow, row in zip(h.data, u.data) if not any(hrow)]
+    basis = reference_hermite_basis(mat(k, a)).to_lists()
+    coords = []
+    for r in phi.source.relations.to_lists():
+        c = []
+        for row in basis:
+            j = next(j for j, x in enumerate(row) if x)
+            q, rem = divmod(r[j], row[j])
+            assert rem == 0, "a source relation outside K: phi is not well defined"
+            c.append(q)
+            r = [x - q * y for x, y in zip(r, row)]
+        assert not any(r), "a source relation outside K: phi is not well defined"
+        coords.append(c)
+    return _presented_invariants(len(basis), coords), coker
 
 
 # the decimal strings ``intmat.int_from_json`` accepted by regular expression

@@ -2,8 +2,8 @@
 
 The same in-process replay as ``tests/test_bench_records.py`` (warm-up op
 first, input files in a scratch working directory, ``REDINV_CATALOG``
-unset) counts four kinds of lattice work, which are deterministic, so the
-bounds guard a speed-up without timing anything:
+unset) counts five kinds of work, which are deterministic, so the bounds
+guard a speed-up without timing anything:
 
 - carried eliminations, the solver's eliminations of [m | I; rels | 0]
   (``intmat._Solve._eliminate``), on ``rank_sweep``: 373 before yes/no
@@ -15,12 +15,17 @@ bounds guard a speed-up without timing anything:
 - runs of the elimination kernel ``intmat._echelon``, of any kind: 3041,
   579 and 1283 on ``cli_mix``, ``rank_sweep`` and ``bar_cohomology``
   while subquotients stacked their denominator, 2295, 444 and 1045 since
-  it is the image basis, and 790 on ``bar_cohomology`` since H^2 reads
+  it is the image basis, 790 on ``bar_cohomology`` since H^2 reads
   ker d2 off the relator peeling (``gammamod._resolution``) instead of
-  eliminating d2;
+  eliminating d2, and 1795 on ``cli_mix`` since ``redinv cech`` reads
+  H^i for i >= 2 off the homotopy identity it verifies;
 - solves (``intmat._Solve``) against relations with no certificate, none
   on any stream since the solver takes ``hermite_basis`` of what it is
-  given (1021, 164 and 329 before).
+  given (1021, 164 and 329 before);
+- Cech cohomology groups computed as subquotients
+  (``cech.cech_cohomology``) on ``cli_mix``: 466 while every degree was
+  one, 156 since only degrees 0 and 1 and those whose homotopy identity
+  fails are.
 
 It reads ``perfbench/`` and changes nothing in it.
 """
@@ -30,10 +35,11 @@ import pytest
 from test_bench_records import _execute  # puts the repository root on sys.path
 
 from perfbench import run, workloads  # noqa: E402
-from redinv import abgrp, intmat  # noqa: E402
+from redinv import abgrp, cech, intmat  # noqa: E402
 
 BOUNDS = {
-    "cli_mix": {"uncertified groups": 300, "echelon runs": 2500, "uncertified solves": 0},
+    "cli_mix": {"uncertified groups": 300, "echelon runs": 1900, "uncertified solves": 0,
+                "cech subquotients": 160},
     "rank_sweep": {"carried": 260, "echelon runs": 500, "uncertified solves": 0},
     "bar_cohomology": {"echelon runs": 850, "uncertified solves": 0},
 }
@@ -44,9 +50,9 @@ def test_seed_one_work_counts_stay_bounded(workload, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("REDINV_CATALOG", raising=False)
     _execute(workloads.WARMUP[workload])
-    counts = dict.fromkeys(
-        ("carried", "uncertified groups", "echelon runs", "uncertified solves"), 0)
-    eliminate, echelon = intmat._Solve._eliminate, intmat._echelon
+    counts = dict.fromkeys(("carried", "uncertified groups", "echelon runs",
+                            "uncertified solves", "cech subquotients"), 0)
+    eliminate, echelon, cohomology = intmat._Solve._eliminate, intmat._echelon, cech.cech_cohomology
     solve, group = intmat._Solve.__init__, abgrp.FgAbelianGroup.__post_init__
 
     def counting_eliminate(s):
@@ -64,10 +70,15 @@ def test_seed_one_work_counts_stay_bounded(workload, tmp_path, monkeypatch):
     def counting_group(g):
         counts["uncertified groups"] += g.relations._pivots is None
         group(g)
+
+    def counting_cohomology(cx, i):
+        counts["cech subquotients"] += 1
+        return cohomology(cx, i)
     monkeypatch.setattr(intmat._Solve, "_eliminate", counting_eliminate)
     monkeypatch.setattr(intmat, "_echelon", counting_echelon)
     monkeypatch.setattr(intmat._Solve, "__init__", counting_solve)
     monkeypatch.setattr(abgrp.FgAbelianGroup, "__post_init__", counting_group)
+    monkeypatch.setattr(cech, "cech_cohomology", counting_cohomology)
     for op in workloads.stream(workload, 1, str(run.DATA)):
         _execute(op)
     over = {name: counts[name] for name, bound in BOUNDS[workload].items()

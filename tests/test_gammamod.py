@@ -12,7 +12,6 @@ from redinv.abgrp import (
     homology_at,
     is_exact_at,
     kernel,
-    power,
     subquotient,
 )
 from redinv import gammamod
@@ -44,6 +43,7 @@ from oracles import (
     induced_actions,
     is_associative,
     normalized_bar_cohomology,
+    power,
     quaternion_group,
     sign_module,
     trivial_module,

@@ -608,7 +608,7 @@ class TestCertificate:
         monkeypatch.setattr(abgrp, "hermite_basis", recording)
         rng.shuffle(groups)
         s = abgrp.direct_sum(*groups)
-        p = abgrp.power(groups[0], 3)
+        p = abgrp.direct_sum(*[groups[0]] * 3)
         assert scans == []
         assert s.relations == hermite_basis(block_diag(*(g.relations for g in groups)))
         assert p.relations == hermite_basis(block_diag(*[groups[0].relations] * 3))
