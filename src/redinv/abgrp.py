@@ -131,10 +131,6 @@ class AbHom(Value):
     def is_well_defined(self) -> bool:
         return self.target.contains_rows(self.source.relations @ self.matrix)
 
-    def check_well_defined(self) -> None:
-        if not self.is_well_defined():
-            raise IllDefinedHom("matrix does not preserve relation lattices")
-
     def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         return self.target.reduce(self.matrix.apply_to_row(coords))
 

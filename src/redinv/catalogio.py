@@ -1,12 +1,10 @@
-"""Catalog files, result records, and SES fixture parsing.
+"""Catalog files and result records.
 
 All JSON is written with sorted keys and explicit separators so that
 identical inputs produce byte-identical files.  Matrices are stored as
-arrays of arrays of decimal integer strings.
-
-``ses_from_json`` imports ``tres`` itself and ``input_digest`` imports
-``hashlib``, so loading the catalog or printing a human-format result
-imports neither.
+arrays of arrays of decimal integer strings.  ``input_digest`` imports
+``hashlib`` itself, so loading the catalog or printing a human-format
+result does not import it.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import json
 import os
 from typing import Optional
 
-from .intmat import IntMatrix, int_from_json
+from .intmat import int_from_json
 from .abgrp import FgAbelianGroup
 from .rootdata import (
     ReductiveDatum,
@@ -183,26 +181,3 @@ def input_digest(payload) -> str:
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 
-
-# --- SES fixture parsing ---------------------------------------------------
-
-def _indices(obj, field: str) -> tuple[int, ...]:
-    if not (isinstance(obj, list) and all(type(i) is int for i in obj)):
-        raise ValueError(f"{field}: expected a list of integer root indices")
-    return tuple(obj)
-
-
-def ses_from_json(text: str) -> "SESData":
-    from .tres import SESData
-
-    obj = json.loads(text, parse_int=int_from_json)
-    g1 = from_catalog(obj["g1"])
-    g2 = from_catalog(obj["g2"])
-    g3 = from_catalog(obj["g3"])
-    return SESData(
-        g1, g2, g3,
-        IntMatrix.from_json(obj["x3ToX2"], cols=g2.datum.rank),
-        IntMatrix.from_json(obj["x2ToX1"], cols=g1.datum.rank),
-        _indices(obj["part1"], "part1"),
-        _indices(obj["part3"], "part3"),
-    )

@@ -19,7 +19,6 @@ from .catalogio import (
     datum_invariants,
     input_digest,
     invariants_json,
-    ses_from_json,
 )
 from .rootdata import from_catalog, radical_characters, validate
 
@@ -141,12 +140,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_pi1d(args) -> int:
-    from .tres import (
-        canonical_tresolution,
-        four_term_check,
-        pi1d_from_resolution,
-        pushout_tresolution,
-    )
+    from .homcx import two_term_complex
+    from .tres import canonical_tresolution, four_term_check, pushout_tresolution
 
     d = _load(lambda: from_catalog(args.spec))
     if d is None:
@@ -156,7 +151,7 @@ def cmd_pi1d(args) -> int:
         if args.resolution == "canonical"
         else pushout_tresolution(d)
     )
-    cx = pi1d_from_resolution(res)
+    cx = two_term_complex(res.rho_star)
     outputs = {
         "resolution": args.resolution,
         "rhoStar": res.rho_star.matrix.to_json(),
@@ -178,9 +173,10 @@ def cmd_pi1d(args) -> int:
 
 
 def cmd_check_ses(args) -> int:
-    from .tres import ses_to_complex_ses
+    from .tres import SESData, ses_to_complex_ses
 
-    loaded = _load(lambda: _parse_file(args.file, ses_from_json))
+    loaded = _load(lambda: _parse_file(args.file, lambda text: SESData.from_json(
+        json.loads(text, parse_int=int_from_json))))
     if loaded is None:
         return EXIT_INPUT_ERROR
     payload, ses = loaded
@@ -253,12 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     later one: ``parse_args`` keeps no state between calls, and no default
     depends on the environment (the catalog path is read per command)."""
     global _parser
-    if _parser is None:
-        _parser = _new_parser()
-    return _parser
-
-
-def _new_parser() -> argparse.ArgumentParser:
+    if _parser is not None:
+        return _parser
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "json"), default="human")
     parser = argparse.ArgumentParser(
@@ -288,6 +280,7 @@ def _new_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", parents=[common], help="normal forms of an integer matrix")
     p.add_argument("kind", choices=("snf", "hnf"))
     p.add_argument("file")
+    _parser = parser
     return parser
 
 

@@ -155,9 +155,6 @@ class GammaModule(Value):
             if m.shape != (n, n):
                 raise InvalidAction("action matrices must be square of ambient rank")
 
-    def action_hom(self, g: int) -> AbHom:
-        return AbHom(self.group, self.group, self.actions[g])
-
     def check(self) -> None:
         """Raise InvalidAction unless the identity element e acts trivially,
         every action keeps the relations and is invertible, and the
@@ -184,7 +181,7 @@ class GammaModule(Value):
             raise InvalidAction("identity element does not act trivially")
         others = [g for g in self.gamma.elements() if g != e]
         for g in others:
-            h = self.action_hom(g)
+            h = AbHom(self.group, self.group, self.actions[g])
             if not h.is_well_defined():
                 raise InvalidAction(f"action of element {g} breaks the relations")
             if not h.is_isomorphism():
@@ -245,7 +242,8 @@ class GammaHom(Value):
         )
 
     def check(self) -> None:
-        self.hom.check_well_defined()
+        if not self.hom.is_well_defined():
+            raise IllDefinedHom("matrix does not preserve relation lattices")
         if not self.is_equivariant():
             raise IllDefinedHom("hom does not commute with the group action")
 

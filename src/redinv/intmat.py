@@ -95,6 +95,9 @@ class IntMatrix(Value):
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "cols", cols)
 
+    # Value's __eq__ and __hash__, repeated for speed in the type built most: on
+    # two equal 3 x 3 matrices (timeit, 2 vCPUs, Python 3.11) == takes 0.16 us
+    # here against 0.26 us through Value's attrgetter, and hash 0.20 against 0.27.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

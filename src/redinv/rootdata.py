@@ -257,21 +257,13 @@ def mu_dual(d: ReductiveDatum) -> GammaModule:
     return module
 
 
-def cocharacter_module(d: ReductiveDatum) -> GammaModule:
-    return GammaModule(
-        d.gamma, FgAbelianGroup.free(d.datum.rank), d.dual_actions()
-    )
-
-
-def coroot_lattice_map(d: ReductiveDatum) -> GammaHom:
-    """The map Z^r -> X-dual sending basis vector j to the j-th coroot."""
-    n = d.datum.rank
-    return GammaHom(weight_module(d), cocharacter_module(d), mat(d.datum.simple_coroots, n))
-
-
 def pi1(d: ReductiveDatum) -> GammaModule:
-    """pi_1 = X-dual / (coroot lattice)."""
-    module, _ = equivariant_cokernel(coroot_lattice_map(d))
+    """pi_1 = X-dual / (coroot lattice): the cokernel of Z^r -> X-dual,
+    which sends basis vector j to the j-th coroot."""
+    n = d.datum.rank
+    cocharacters = GammaModule(d.gamma, FgAbelianGroup.free(n), d.dual_actions())
+    coroots = GammaHom(weight_module(d), cocharacters, mat(d.datum.simple_coroots, n))
+    module, _ = equivariant_cokernel(coroots)
     return module
 
 

@@ -5,6 +5,8 @@ R* with a map rho*: R* -> T* whose cone (the two-term complex in
 degrees -1, 0) has H^-1 = the character group and H^0 = mu*.  The
 canonical resolution is (X --beta--> P); the pushout resolution embeds
 the finite group mu' = coker[X -> X_rad (+) P] into an induced torus.
+Either way the fundamental complex is ``homcx.two_term_complex(rho*)``.
+``SESData.from_json`` reads a short-exact-sequence fixture.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from .gammamod import (
     equivariant_cokernel,
     equivariant_kernel,
     induced_module,
-    subquotient_module,
 )
 from .homcx import (
-    BoundedComplex,
     ChainMap,
     direct_sum_modules,
     les_of_ses,
@@ -37,6 +37,7 @@ from .homcx import (
 from .rootdata import (
     InvalidDatum,
     ReductiveDatum,
+    from_catalog,
     pairing_map,
     radical_characters,
 )
@@ -49,11 +50,6 @@ class TResolutionData(Value):
     # rho_star: R* -> T*; l_star: T* -> mu*; char_map: character group -> R*;
     # provenance: "canonical" | "pushout"
     FIELDS = ("datum", "rho_star", "l_star", "char_map", "provenance")
-
-
-def canonical_pi1d(d: ReductiveDatum) -> BoundedComplex:
-    """The complex [X --beta--> P] in degrees -1, 0."""
-    return two_term_complex(pairing_map(d))
 
 
 def canonical_tresolution(d: ReductiveDatum) -> TResolutionData:
@@ -136,11 +132,6 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     return TResolutionData(d, rho_star, l_star, GammaHom(x0, r_star, char_matrix), "pushout")
 
 
-def pi1d_from_resolution(res: TResolutionData) -> BoundedComplex:
-    """The two-term complex [R* --rho*--> T*] in degrees -1, 0."""
-    return two_term_complex(res.rho_star)
-
-
 def four_term_check(res: TResolutionData) -> Checks:
     """Exactness of 0 -> (G^tor)* -> R* -> T* -> mu* -> 0, and for pushout
     resolutions also of 0 -> R*/(G^tor)* -> T* -> mu* -> 0."""
@@ -171,18 +162,15 @@ def four_term_check(res: TResolutionData) -> Checks:
 def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
     """The comparison maps X_0 -> H^-1(cone) and H^0(cone) -> mu*, with
     equivariance verdicts."""
-    cx = pi1d_from_resolution(res)
-    hm1_data = cx.cohomology_data(-1)
+    cx = two_term_complex(res.rho_star)
+    hm1, h0 = cx.cohomology(-1), cx.cohomology(0)
     h0_data = cx.cohomology_data(0)
-    hm1 = subquotient_module(cx.term(-1), hm1_data)
-    h0 = subquotient_module(cx.term(0), h0_data)
-    x0 = res.char_map.source
     mu = res.l_star.target
 
-    classes = hm1_data.class_coords(res.char_map.matrix)
+    classes = cx.cohomology_data(-1).class_coords(res.char_map.matrix)
     if classes is None:
         raise InvalidDatum("character classes are not rho*-cocycles")
-    to_hm1 = GammaHom(x0, hm1, classes)
+    to_hm1 = GammaHom(res.char_map.source, hm1, classes)
     from_h0 = GammaHom(h0, mu, mat(
         map(res.l_star.hom.apply_coords, h0_data.gens.data), mu.group.ambient_rank))
     return to_hm1.hom, from_h0.hom, to_hm1.is_equivariant(), from_h0.is_equivariant()
@@ -225,6 +213,21 @@ class SESData(Value):
 
     # part1: the indices of g2's simple roots coming from g1; part3: those from g3
     FIELDS = ("g1", "g2", "g3", "x3_to_x2", "x2_to_x1", "part1", "part3")
+
+    @staticmethod
+    def from_json(obj: dict) -> "SESData":
+        """The fixture of a parsed SES file, read field by field in the order
+        of FIELDS; a malformed one raises ValueError, KeyError or TypeError."""
+        g1, g2, g3 = (from_catalog(obj[key]) for key in ("g1", "g2", "g3"))
+        x32 = IntMatrix.from_json(obj["x3ToX2"], cols=g2.datum.rank)
+        x21 = IntMatrix.from_json(obj["x2ToX1"], cols=g1.datum.rank)
+        parts = []
+        for field in ("part1", "part3"):
+            idx = obj[field]
+            if not (isinstance(idx, list) and all(type(i) is int for i in idx)):
+                raise ValueError(f"{field}: expected a list of integer root indices")
+            parts.append(tuple(idx))
+        return SESData(g1, g2, g3, x32, x21, *parts)
 
 
 def validate_ses_data(s: SESData) -> Checks:
@@ -284,9 +287,9 @@ def ses_to_complex_ses(
     checks = list(validate_ses_data(s).entries)
     if not all(ok for _, ok, _ in checks):
         return None, None, Checks(tuple(checks)), None  # type: ignore[return-value]
-    c3 = canonical_pi1d(s.g3)
-    c2 = canonical_pi1d(s.g2)
-    c1 = canonical_pi1d(s.g1)
+    c3 = two_term_complex(pairing_map(s.g3))
+    c2 = two_term_complex(pairing_map(s.g2))
+    c1 = two_term_complex(pairing_map(s.g1))
     r1, r2, r3 = (g.datum.semisimple_rank for g in (s.g1, s.g2, s.g3))
     # degree 0: P3 -> P2 places the g3 coordinates, P2 -> P1 projects
     p32 = mat([[1 if j == s.part3[i] else 0 for j in range(r2)] for i in range(r3)], r2)

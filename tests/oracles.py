@@ -15,9 +15,8 @@ from redinv.intmat import (
 from redinv.abgrp import (
     AbHom, ExactSequence, FgAbelianGroup, cokernel, direct_sum, homology_at, kernel)
 from redinv.gammamod import FiniteGroup, GammaModule, cyclic_group
-from redinv.homcx import ChainMap
+from redinv.homcx import ChainMap, two_term_complex
 from redinv.rootdata import InvalidDatum, ReductiveDatum, cartan_matrix, from_catalog, pairing_map
-from redinv.tres import canonical_pi1d
 
 
 def det(m: IntMatrix) -> int:
@@ -154,8 +153,8 @@ def induced_map(
     simple coroot of d1 in the simple coroots of d2 (one row per coroot
     of d1).  Compatibility F @ beta_1 = beta_2 @ N^T is required.
     """
-    c2 = canonical_pi1d(d2)
-    c1 = canonical_pi1d(d1)
+    c2 = two_term_complex(pairing_map(d2))
+    c1 = two_term_complex(pairing_map(d1))
     b1 = pairing_map(d1).matrix
     b2 = pairing_map(d2).matrix
     f0 = coroot_matrix.transpose()

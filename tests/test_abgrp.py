@@ -21,7 +21,6 @@ from redinv.abgrp import (
     MAX_RANK,
     AbHom,
     FgAbelianGroup,
-    IllDefinedHom,
     NotComposable,
     cokernel,
     direct_sum,
@@ -148,8 +147,6 @@ class TestHoms:
     def test_ill_defined(self):
         f = AbHom(C2, C4, mat([[1]]))
         assert not f.is_well_defined()
-        with pytest.raises(IllDefinedHom):
-            f.check_well_defined()
 
     def test_apply(self):
         f = AbHom(Z2, Z, mat([[1], [1]]))

@@ -11,14 +11,12 @@ from redinv.catalogio import (
     input_digest,
     invariants_json,
     load_catalog,
-    ses_from_json,
     verify_catalog,
 )
 from redinv.intmat import mat
 from redinv.abgrp import FgAbelianGroup
-from redinv.tres import validate_ses_data
 
-from regen import DATA, build_catalog, catalog_to_json, data_files, ses_gm_gl_pgl, ses_to_json
+from regen import DATA, build_catalog, catalog_to_json, data_files
 
 
 class TestInvariantsJson:
@@ -163,31 +161,3 @@ class TestResultRecords:
     def test_json_ends_with_newline(self):
         rec = ResultRecord("x", "y", {}, {})
         assert rec.to_json().endswith("\n")
-
-
-class TestSesSerialization:
-    def test_round_trip(self):
-        s = ses_gm_gl_pgl(3)
-        back = ses_from_json(ses_to_json(s))
-        assert back.x3_to_x2.data == s.x3_to_x2.data
-        assert back.x2_to_x1.data == s.x2_to_x1.data
-        assert back.part1 == s.part1 and back.part3 == s.part3
-        assert validate_ses_data(back).passed
-
-    def test_shipped_fixtures_valid(self):
-        data_dir = os.path.join(
-            os.path.dirname(os.path.dirname(default_catalog_path())), "data"
-        )
-        names = sorted(
-            f for f in os.listdir(data_dir) if f.startswith("ses_")
-        )
-        assert len(names) == 10
-        for name in names:
-            with open(os.path.join(data_dir, name), encoding="utf-8") as fh:
-                s = ses_from_json(fh.read())
-            checks = validate_ses_data(s)
-            assert checks.passed, (name, checks.failures())
-
-    def test_byte_identical(self):
-        s = ses_gm_gl_pgl(2)
-        assert ses_to_json(s) == ses_to_json(ses_from_json(ses_to_json(s)))

@@ -114,6 +114,28 @@ class TestPi1d:
         assert rec["outputs"]["H0"] == {"rank": 0, "torsion": [2, 2]}
 
 
+TWISTED_SPECS = [s for s in load_catalog().specs() if "xGamma:" in s]
+
+
+@pytest.mark.parametrize("argv", [["invariants"], ["pi1d"],
+                                  ["pi1d", "--resolution", "pushout"]],
+                         ids=["invariants", "pi1d-canonical", "pi1d-pushout"])
+def test_twist_alias_gives_the_same_record(capsys, argv):
+    # xΓ: spells xGamma:; the catalog names only the ASCII spelling, so
+    # invariants checks the catalog for that spelling alone
+    assert len(TWISTED_SPECS) == 4
+    for spec in TWISTED_SPECS:
+        recs = []
+        for spelling in (spec, spec.replace("xGamma:", "xΓ:")):
+            code, out, _ = run(capsys, argv[0], spelling, *argv[1:], "--format", "json")
+            assert code == 0, spelling
+            recs.append(json.loads(out))
+        ascii_rec, alias_rec = recs
+        assert alias_rec["outputs"] == ascii_rec["outputs"], spec
+        ascii_rec["verdicts"].pop("matches-catalog", None)
+        assert alias_rec["verdicts"] == ascii_rec["verdicts"], spec
+
+
 # A twist needs a datum of its Dynkin type's rank and Cartan matrix (flip:
 # A2, triality: D4); none of the first ten has both.
 # The last four are no specs at all: a non-ASCII digit (Arabic-Indic,
@@ -204,7 +226,8 @@ class TestParserReuse:
             init(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        cli._new_parser()
+        monkeypatch.setattr(cli, "_parser", None)
+        cli.build_parser()
         per_build = len(built)
         monkeypatch.setattr(cli, "_parser", None)
         built.clear()

@@ -8,6 +8,7 @@ from redinv.intmat import DimensionMismatch, hermite_basis, hstack, identity, ma
 from redinv.abgrp import (
     AbHom,
     FgAbelianGroup,
+    IllDefinedHom,
     cokernel,
     homology_at,
     is_exact_at,
@@ -236,7 +237,7 @@ class TestModules:
             cyclic_group(2), FgAbelianGroup(1, mat([[5]])), (identity(1), mat([[-1]]))
         )
         m.check()
-        assert m.action_hom(1).apply_coords((2,)) == m.group.reduce((-2,))
+        assert AbHom(m.group, m.group, m.actions[1]).apply_coords((2,)) == m.group.reduce((-2,))
 
 
 # C2 with its identity labelled 1
@@ -765,6 +766,16 @@ class TestEquivariantHoms:
         assert good.is_equivariant()
         assert not bad.is_equivariant()
 
+    def test_ill_defined_map_raises(self):
+        # x -> x from Z/2 to Z/4 sends the relation 2 to 2, which is not 0 in Z/4
+        gamma = cyclic_group(2)
+        c2 = trivial_module(gamma, FgAbelianGroup(1, mat([[2]])))
+        c4 = trivial_module(gamma, FgAbelianGroup(1, mat([[4]])))
+        f = GammaHom(c2, c4, mat([[1]]))
+        assert f.is_equivariant()
+        with pytest.raises(IllDefinedHom, match="relation lattices"):
+            f.check()
+
     def test_wrong_shape_rejected(self):
         m = self._swap()
         t = trivial_module(cyclic_group(2), FgAbelianGroup.free(1))
@@ -838,7 +849,7 @@ def reference_check(m: GammaModule):
     if not in_row_lattice(rels, m.actions[m.gamma.identity] - identity(n)):
         return "identity element does not act trivially"
     for g in m.gamma.elements():
-        h = m.action_hom(g)
+        h = AbHom(m.group, m.group, m.actions[g])
         if not in_row_lattice(rels, rels @ m.actions[g]):
             return f"action of element {g} breaks the relations"
         if not h.is_isomorphism():

@@ -1,21 +1,22 @@
+import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 from redinv import abgrp, tres
-from redinv.intmat import hstack, identity, mat, zeros
+from redinv.intmat import hstack, identity, int_from_json, mat, zeros
 from redinv.abgrp import AbHom, FgAbelianGroup, cokernel, direct_sum
 from redinv.gammamod import GammaHom, cyclic_group, group_cohomology
-from redinv.homcx import identity_chain_map, induced_on_cohomology
+from redinv.homcx import identity_chain_map, induced_on_cohomology, two_term_complex
+from redinv.catalogio import default_catalog_path
 from redinv.rootdata import ReductiveDatum, from_catalog
 from redinv.tres import (
     SESData,
-    canonical_pi1d,
     canonical_tresolution,
     compare_resolutions,
     four_term_check,
-    pi1d_from_resolution,
     pushout_tresolution,
     ses_to_complex_ses,
     validate_ses_data,
@@ -23,7 +24,7 @@ from redinv.tres import (
 from redinv.rootdata import character_group, mu_dual, pairing_map, radical_characters
 
 from oracles import induced_map, sl_to_pgl_induced_map
-from regen import CATALOG_SPECS, ses_gm_gl_pgl, ses_sl_gl_gm
+from regen import CATALOG_SPECS, ses_gm_gl_pgl, ses_sl_gl_gm, ses_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
@@ -43,7 +44,7 @@ class TestCanonicalResolution:
     def test_complex_cohomology_matches_invariants(self):
         for spec in SPECS:
             d = from_catalog(spec)
-            cx = canonical_pi1d(d)
+            cx = two_term_complex(pairing_map(d))
             hm1 = cx.cohomology_data(-1).group
             h0 = cx.cohomology_data(0).group
             assert hm1.invariants() == character_group(d).group.invariants(), spec
@@ -57,7 +58,7 @@ class TestCanonicalResolution:
 
     def test_simply_connected_h0_trivial(self):
         for spec in ("SL(2)", "SL(4)", "Spin(8)", "G2", "F4", "E8"):
-            cx = canonical_pi1d(from_catalog(spec))
+            cx = two_term_complex(pairing_map(from_catalog(spec)))
             assert cx.cohomology_data(0).group.is_trivial(), spec
 
 
@@ -138,8 +139,8 @@ class TestComparison:
     def test_cohomology_agrees(self):
         for spec in ("PGL(4)", "SO(5)", "E7ad"):
             d = from_catalog(spec)
-            c1 = pi1d_from_resolution(canonical_tresolution(d))
-            c2 = pi1d_from_resolution(pushout_tresolution(d))
+            c1 = two_term_complex(canonical_tresolution(d).rho_star)
+            c2 = two_term_complex(pushout_tresolution(d).rho_star)
             for deg in (-1, 0):
                 g1 = c1.cohomology_data(deg).group
                 g2 = c2.cohomology_data(deg).group
@@ -147,8 +148,8 @@ class TestComparison:
 
     def test_twisted_fixed_points_agree(self):
         d = from_catalog("Spin(8)xGamma:triality")
-        c1 = pi1d_from_resolution(canonical_tresolution(d))
-        c2 = pi1d_from_resolution(pushout_tresolution(d))
+        c1 = two_term_complex(canonical_tresolution(d).rho_star)
+        c2 = two_term_complex(pushout_tresolution(d).rho_star)
         for deg in (-1, 0):
             f1 = group_cohomology(c1.cohomology(deg), 0)
             f2 = group_cohomology(c2.cohomology(deg), 0)
@@ -212,6 +213,50 @@ class TestSESFixtures:
         assert not checks.passed
         failed = checks.failures()
         assert "g3-roots-match" in failed or "lattice-exact" in failed
+
+
+def ses_from_text(text: str) -> SESData:
+    return SESData.from_json(json.loads(text, parse_int=int_from_json))
+
+
+class TestSesSerialization:
+    def test_round_trip(self):
+        s = ses_gm_gl_pgl(3)
+        back = ses_from_text(ses_to_json(s))
+        assert back.x3_to_x2.data == s.x3_to_x2.data
+        assert back.x2_to_x1.data == s.x2_to_x1.data
+        assert back.part1 == s.part1 and back.part3 == s.part3
+        assert validate_ses_data(back).passed
+
+    def test_shipped_fixtures_valid(self):
+        data_dir = os.path.join(
+            os.path.dirname(os.path.dirname(default_catalog_path())), "data"
+        )
+        names = sorted(
+            f for f in os.listdir(data_dir) if f.startswith("ses_")
+        )
+        assert len(names) == 10
+        for name in names:
+            with open(os.path.join(data_dir, name), encoding="utf-8") as fh:
+                s = ses_from_text(fh.read())
+            checks = validate_ses_data(s)
+            assert checks.passed, (name, checks.failures())
+
+    def test_byte_identical(self):
+        s = ses_gm_gl_pgl(2)
+        assert ses_to_json(s) == ses_to_json(ses_from_text(ses_to_json(s)))
+
+    # one malformed field each, in a fixture of GL(2) over T(1) and PGL(2)
+    @pytest.mark.parametrize("change, error, message", [
+        ({"part1": 0}, ValueError, "part1: expected a list of integer root indices"),
+        ({"part3": [True]}, ValueError, "part3: expected a list of integer root indices"),
+        ({"g2": 7}, TypeError, "not iterable"),
+        ({"x2ToX1": [["1"], []]}, ValueError, "row of length 0 in matrix with 1 columns"),
+    ], ids=["non-list-part1", "bool-index", "number-spec", "short-row"])
+    def test_malformed_field_raises(self, change, error, message):
+        obj = json.loads(ses_to_json(ses_gm_gl_pgl(2)), parse_int=int_from_json)
+        with pytest.raises(error, match=message):
+            SESData.from_json({**obj, **change})
 
 
 def _flipped(d: ReductiveDatum, m) -> ReductiveDatum:
