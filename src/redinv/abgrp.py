@@ -49,8 +49,7 @@ class FgAbelianGroup(Value):
     FIELDS = ("ambient_rank", "relations")
 
     def __init__(self, ambient_rank: int, relations: IntMatrix) -> None:
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "relations", relations)
+        self.__dict__.update(ambient_rank=ambient_rank, relations=relations)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -61,7 +60,7 @@ class FgAbelianGroup(Value):
         # stored as the certified Hermite basis of the rows given
         # (``hermite_basis``): at most ambient_rank rows, however many the
         # caller or a JSON file lists.
-        object.__setattr__(self, "relations", hermite_basis(self.relations))
+        self.__dict__["relations"] = hermite_basis(self.relations)
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion invariants d1 | d2 | ..., each > 1)."""
@@ -124,9 +123,7 @@ class AbHom(Value):
                 f"hom matrix {matrix.shape} between ambients "
                 f"{source.ambient_rank} -> {target.ambient_rank}"
             )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
+        self.__dict__.update(source=source, target=target, matrix=matrix)
 
     def is_well_defined(self) -> bool:
         return self.target.contains_rows(self.source.relations @ self.matrix)
@@ -247,11 +244,10 @@ class ExactSequence(Value):
     FIELDS = ("labels", "maps", "groups", "checks")
 
     def __init__(self, labels: tuple[str, ...], maps: tuple[AbHom, ...]) -> None:
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "groups", tuple(f.source for f in maps) + (maps[-1].target,))
         names = [f"exact-at-{label}" for label in labels]
-        object.__setattr__(self, "checks", Checks(exactness(maps, names)))
+        self.__dict__.update(labels=labels, maps=maps,
+                             groups=tuple(f.source for f in maps) + (maps[-1].target,),
+                             checks=Checks(exactness(maps, names)))
 
 
 def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:

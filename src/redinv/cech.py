@@ -60,11 +60,9 @@ class CechInput(Value):
     FIELDS = ("fx", "fg", "phi")
 
     def __init__(self, fx: FgAbelianGroup, fg: FgAbelianGroup, phi: AbHom) -> None:
-        object.__setattr__(self, "fx", fx)
-        object.__setattr__(self, "fg", fg)
-        object.__setattr__(self, "phi", phi)
         if phi.source != fx or phi.target != fg:
             raise ValueError("phi must map F(X) to F(G)")
+        self.__dict__.update(fx=fx, fg=fg, phi=phi)
 
     @staticmethod
     def from_json(obj: dict) -> "CechInput":
@@ -126,12 +124,6 @@ def build_complex(inp: CechInput, max_degree: int) -> CechComplex:
     return CechComplex(inp, max_degree, tuple(groups), deltas)
 
 
-def homotopy_map(cx: CechComplex, i: int) -> AbHom:
-    if not 2 <= i <= cx.max_degree:
-        raise ValueError("homotopy defined for degrees 2 and up")
-    return AbHom(cx.groups[i], cx.groups[i - 1], _lambda_matrix(cx.inp, i))
-
-
 def _outside(grp: FgAbelianGroup, m: IntMatrix) -> Optional[dict]:
     """The first row of m outside the relations of grp, with its reduced
     coordinates, or None if every row lies in them."""
@@ -154,7 +146,7 @@ def contraction_check(cx: CechComplex) -> Checks:
         sq = d[i] @ d[i + 1]
         bad = None if sq.is_zero() else _outside(cx.groups[i + 2], sq)
         checks.append((f"delta-squared-{i}", bad is None, bad))
-    lam = {i: homotopy_map(cx, i).matrix for i in range(2, cx.max_degree + 1)}
+    lam = {i: _lambda_matrix(cx.inp, i) for i in range(2, cx.max_degree + 1)}
     for i in range(2, cx.max_degree):
         combo = lam[i] @ d[i - 1] + d[i] @ lam[i + 1]
         grp = cx.groups[i]

@@ -64,27 +64,28 @@ def _load(parse: Callable[[], Any]) -> Any:
         return None
 
 
-def _read(path: str) -> bytes:
+def _read(path: str) -> tuple[bytes, Any]:
     """The bytes of the file at path, if they hold at most MAX_FILE_DIGITS
-    decimal digits; every command that reads a file reads it here."""
+    decimal digits, and the JSON they hold; every command that reads a file
+    reads it here."""
     with open(path, "rb") as fh:
         data = fh.read()
     digits = len(data) - len(data.translate(None, b"0123456789"))
     if digits > MAX_FILE_DIGITS:
         raise ValueError(f"file of {digits} decimal digits: at most {MAX_FILE_DIGITS}")
-    return data
+    return data, json.loads(data.decode("utf-8"), parse_int=int_from_json)
 
 
-def _parse_file(path: str, parse: Callable[[str], Any]) -> tuple[dict, Any]:
-    """The digest payload of the file's bytes, and parse() of its text.
+def _parse_file(path: str, parse: Callable[[Any], Any]) -> tuple[dict, Any]:
+    """The digest payload of the file's bytes, and parse() of its JSON.
 
     The digest names the content, not the path, so a file gives the
     same record from any directory.
     """
     import hashlib
 
-    data = _read(path)
-    return {"fileSha256": hashlib.sha256(data).hexdigest()}, parse(data.decode("utf-8"))
+    data, obj = _read(path)
+    return {"fileSha256": hashlib.sha256(data).hexdigest()}, parse(obj)
 
 
 def _emit(args, command: str, digest_payload: dict, outputs: dict,
@@ -175,8 +176,7 @@ def cmd_pi1d(args) -> int:
 def cmd_check_ses(args) -> int:
     from .tres import SESData, ses_to_complex_ses
 
-    loaded = _load(lambda: _parse_file(args.file, lambda text: SESData.from_json(
-        json.loads(text, parse_int=int_from_json))))
+    loaded = _load(lambda: _parse_file(args.file, SESData.from_json))
     if loaded is None:
         return EXIT_INPUT_ERROR
     payload, ses = loaded
@@ -198,8 +198,8 @@ def cmd_check_ses(args) -> int:
 def cmd_cech(args) -> int:
     from .cech import CechInput, build_complex, cohomology_groups, contraction_check
 
-    loaded = _load(lambda: _parse_file(args.file, lambda text: build_complex(
-        CechInput.from_json(json.loads(text, parse_int=int_from_json)), args.max_degree)))
+    loaded = _load(lambda: _parse_file(args.file, lambda obj: build_complex(
+        CechInput.from_json(obj), args.max_degree)))
     if loaded is None:
         return EXIT_INPUT_ERROR
     payload, cx = loaded
@@ -223,8 +223,7 @@ def _bounded_matrix(obj) -> IntMatrix:
 
 
 def cmd_matrix(args) -> int:
-    m = _load(lambda: _bounded_matrix(
-        json.loads(_read(args.file).decode("utf-8"), parse_int=int_from_json)))
+    m = _load(lambda: _bounded_matrix(_read(args.file)[1]))
     if m is None:
         return EXIT_INPUT_ERROR
     if args.kind == "hnf":

@@ -78,7 +78,6 @@ class FiniteGroup(Value):
         """Raise InvalidGroupTable unless the table is square over valid
         indices, has an identity and every row contains it (a right
         inverse)."""
-        object.__setattr__(self, "table", table)
         n, t = len(table), table
         for row in t:
             if len(row) != n or any(not (0 <= x < n) for x in row):
@@ -90,8 +89,8 @@ class FiniteGroup(Value):
         for a, row in enumerate(t):
             if e not in row:
                 raise InvalidGroupTable(f"element {a} has no inverse")
-        object.__setattr__(self, "identity", e)
-        object.__setattr__(self, "_inverses", tuple(row.index(e) for row in t))
+        self.__dict__.update(table=table, identity=e,
+                             _inverses=tuple(row.index(e) for row in t))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -145,15 +144,14 @@ class GammaModule(Value):
 
     def __init__(self, gamma: FiniteGroup, group: FgAbelianGroup,
                  actions: tuple[IntMatrix, ...]) -> None:
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "actions", actions)  # one matrix per element, m -> m @ M_g
         if len(actions) != gamma.order:
             raise InvalidAction("one action matrix per group element required")
         n = group.ambient_rank
         for m in actions:
             if m.shape != (n, n):
                 raise InvalidAction("action matrices must be square of ambient rank")
+        # one action matrix per element, m -> m @ M_g
+        self.__dict__.update(gamma=gamma, group=group, actions=actions)
 
     def check(self) -> None:
         """Raise InvalidAction unless the identity element e acts trivially,
@@ -222,11 +220,9 @@ class GammaHom(Value):
     hom: AbHom  # the same map of the underlying groups; neither compared nor printed
 
     def __init__(self, source: GammaModule, target: GammaModule, matrix: IntMatrix) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
         # AbHom raises DimensionMismatch for a matrix of the wrong shape
-        object.__setattr__(self, "hom", AbHom(source.group, target.group, matrix))
+        self.__dict__.update(source=source, target=target, matrix=matrix,
+                             hom=AbHom(source.group, target.group, matrix))
 
     def is_equivariant(self) -> bool:
         """M_g @ a - a @ N_g lies in the target's relations for every g; an
@@ -315,7 +311,7 @@ def _cayley_tree(gamma: FiniteGroup) -> tuple[tuple[int, ...], dict]:
                 if n == gamma.order:
                     break
         gens = sorted(gens + [best])
-    object.__setattr__(gamma, "_tree", (tuple(gens), tree))
+    gamma.__dict__["_tree"] = tuple(gens), tree
     return gamma._tree
 
 

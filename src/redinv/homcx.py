@@ -71,11 +71,6 @@ class BoundedComplex(Value):
 
     def __init__(self, gamma: FiniteGroup, lo: int, terms: tuple[GammaModule, ...],
                  diffs: tuple[IntMatrix, ...]) -> None:
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "diffs", diffs)  # diffs[k]: terms[k] -> terms[k+1]
-        object.__setattr__(self, "_kept", {})
         if not terms:
             raise InvalidComplex("a complex needs at least one term")
         if len(diffs) != len(terms) - 1:
@@ -84,6 +79,8 @@ class BoundedComplex(Value):
             ends = (terms[k].group.ambient_rank, terms[k + 1].group.ambient_rank)
             if d.shape != ends:
                 raise InvalidComplex(f"differential {k} has shape {d.shape}, not {ends}")
+        # diffs[k]: terms[k] -> terms[k+1]
+        self.__dict__.update(gamma=gamma, lo=lo, terms=terms, diffs=diffs, _kept={})
 
     def term(self, n: int) -> GammaModule:
         if self.lo <= n <= self.hi:

@@ -119,11 +119,8 @@ class ReductiveDatum(Value):
 
     def __init__(self, name: str, datum: RootDatum, gamma: FiniteGroup,
                  actions: tuple[IntMatrix, ...]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "actions", actions)  # one matrix per group element, on X
-        object.__setattr__(self, "_kept", {})
+        # one action matrix per group element, on X
+        self.__dict__.update(name=name, datum=datum, gamma=gamma, actions=actions, _kept={})
 
     @staticmethod
     def untwisted(name: str, datum: RootDatum) -> "ReductiveDatum":
@@ -237,10 +234,7 @@ def pairing_map(d: ReductiveDatum) -> GammaHom:
     cokernel of beta."""
     beta = d._kept.get("beta")
     if beta is None:
-        n, r = d.datum.rank, d.datum.semisimple_rank
-        b = mat(
-            [[d.datum.simple_coroots[j][i] for j in range(r)] for i in range(n)], r
-        )
+        b = mat(d.datum.simple_coroots, d.datum.rank).transpose()
         beta = d._kept["beta"] = GammaHom(d.x_module(), weight_module(d), b)
     return beta
 

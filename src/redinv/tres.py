@@ -54,6 +54,7 @@ class TResolutionData(Value):
 
 def canonical_tresolution(d: ReductiveDatum) -> TResolutionData:
     beta = pairing_map(d)
+    # the kernel of beta first: its elimination gives the cokernel too
     _, char_map = equivariant_kernel(beta)
     _, l_star = equivariant_cokernel(beta)
     return TResolutionData(d, beta, l_star, char_map, "canonical")
@@ -113,16 +114,15 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     rho_matrix = mat((row[n:] for row in r_inc.matrix.data), k * q)
     rho_star = GammaHom(r_star, t_star, rho_matrix)
 
-    # the kernel of beta first: its elimination gives the cokernel too
-    x0, chi_inc = equivariant_kernel(beta)
-    mu, _ = equivariant_cokernel(beta)
+    # X_0 -> X and mu* are those of the canonical resolution
+    canonical = canonical_tresolution(d)
 
     # l* = s followed by the projection mu' -> mu (drop the X_rad part)
     drop = vstack(zeros(n, r), identity(r))
-    l_star = GammaHom(t_star, mu, s_matrix @ drop)
+    l_star = GammaHom(t_star, canonical.l_star.target, s_matrix @ drop)
 
     # character group included into R* as chi -> (chi mod rad span, 0)
-    chi = chi_inc.matrix
+    x0, chi = canonical.char_map.source, canonical.char_map.matrix
     char_matrix = member_coords(
         r_inc.matrix, src.group.relations, hstack(chi, zeros(chi.rows, k * q))
     )

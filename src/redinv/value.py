@@ -1,8 +1,8 @@
 """Immutable value classes: a subclass names its compared fields in
 ``FIELDS`` and inherits a constructor that takes one value per field, in
 that order.  A class that checks its input or keeps a memo outside
-``FIELDS`` writes its own ``__init__`` instead, setting every field
-through ``object.__setattr__``."""
+``FIELDS`` writes its own ``__init__`` instead, setting every field in one
+``self.__dict__.update(...)``; a memo goes into ``__dict__`` too."""
 
 from operator import attrgetter
 
@@ -21,8 +21,7 @@ class Value:
         if len(values) != len(self.FIELDS):
             raise TypeError(f"{self.__class__.__qualname__}() takes {len(self.FIELDS)} "
                             f"values {self.FIELDS}, got {len(values)}")
-        for name, value in zip(self.FIELDS, values):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(self.FIELDS, values))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

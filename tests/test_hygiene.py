@@ -11,9 +11,10 @@ Every parameter of a function or lambda in ``src/`` is read in its body,
 except ``self``, ``cls`` and names that start with ``_``.  No module of
 ``src/redinv`` imports a name that starts with ``_`` from another, and only
 ``intmat.py`` reads or writes the certificate ``_pivots`` or the solved
-state ``_solved`` of a matrix.  No module of ``src/`` imports ``dataclasses``,
-and no ``Value`` subclass writes an ``__init__`` that only copies its
-parameters into its fields, which the constructor of ``Value`` does.
+state ``_solved`` of a matrix.  No module of ``src/`` imports ``dataclasses``
+or names ``object.__setattr__``, and no ``Value`` subclass writes an
+``__init__`` that only copies its parameters into its fields, which the
+constructor of ``Value`` does.
 
 A reach guard runs the command line over a small corpus and lists the
 public functions and methods of ``src/`` that no command calls; each must
@@ -141,10 +142,37 @@ def test_no_dataclasses_in_src(path):
         assert "dataclasses" not in imported_modules(fh.read())
 
 
+def setattr_bypasses(source: str) -> list[int]:
+    """The lines that name ``object.__setattr__``: in code, however it is
+    spaced, or in a comment or docstring."""
+    lines = {node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+             and isinstance(node.value, ast.Name) and node.value.id == "object"}
+    lines |= {k for k, line in enumerate(source.splitlines(), 1) if "object.__setattr__" in line}
+    return sorted(lines)
+
+
+def test_scan_flags_object_setattr():
+    src = ("x = 1  # object.__setattr__ in a comment\nobject.__setattr__(a, 'b', 1)\n"
+           "put = object . __setattr__\na.__dict__.update(b=1)\n"
+           "a.__dict__['c'] = 2\ntype(a).__setattr__(a, 'b', 1)\n")
+    assert setattr_bypasses(src) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(_python_files(("src",))))
+def test_no_object_setattr_in_src(path):
+    # a Value writes its fields in one self.__dict__.update and its memos
+    # into __dict__, not one object.__setattr__ call a field
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        assert setattr_bypasses(fh.read()) == []
+
+
 def copy_only_inits(source: str) -> list[str]:
     """The ``Value`` subclasses whose ``__init__`` does nothing but
     ``object.__setattr__(self, "<field>", <parameter>)`` for names in their
-    ``FIELDS``: the constructor that ``Value`` gives them already does so."""
+    ``FIELDS``, or ``self.__dict__.update(<field>=<field>, ...)`` with each
+    key a field and each value the parameter of that name: the constructor
+    that ``Value`` gives them already does so."""
     out = []
     for cls in ast.walk(ast.parse(source)):
         if not (isinstance(cls, ast.ClassDef)
@@ -163,7 +191,14 @@ def copy_only_inits(source: str) -> list[str]:
 
         def copies(stmt) -> bool:
             call = stmt.value if isinstance(stmt, ast.Expr) else None
-            return (isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
+            if not isinstance(call, ast.Call):
+                return False
+            if ast.unparse(call.func) == f"{self_name}.__dict__.update":
+                return not call.args and all(
+                    k.arg in fields and k.arg in params
+                    and isinstance(k.value, ast.Name) and k.value.id == k.arg
+                    for k in call.keywords)
+            return (ast.unparse(call.func) == "object.__setattr__"
                     and len(call.args) == 3 and not call.keywords
                     and ast.unparse(call.args[0]) == self_name
                     and isinstance(call.args[1], ast.Constant) and call.args[1].value in fields
@@ -186,8 +221,22 @@ def test_scan_flags_a_copy_only_init():
            "        object.__setattr__(self, 'x', abs(x))\n"
            "class Plain:\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
            "        object.__setattr__(self, 'x', x)\n"
-           "class Inherits(Value):\n    FIELDS = ('x',)\n")
-    assert copy_only_inits(src) == ["A"]
+           "class Inherits(Value):\n    FIELDS = ('x',)\n"
+           "class B(Value):\n    FIELDS = ('x', 'y')\n"
+           "    def __init__(self, x, y):\n        self.__dict__.update(x=x, y=y)\n"
+           "class BChecked(Value):\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
+           "        if x < 0: raise ValueError\n        self.__dict__.update(x=x)\n"
+           "class BMemo(Value):\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
+           "        self.__dict__.update(x=x, _m={})\n"
+           "class BComputed(Value):\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
+           "        self.__dict__.update(x=abs(x))\n"
+           "class BSwapped(Value):\n    FIELDS = ('x', 'y')\n    def __init__(self, x, y):\n"
+           "        self.__dict__.update(x=y, y=x)\n"
+           "class BZipped(Value):\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
+           "        self.__dict__.update(zip(self.FIELDS, (x,)))\n"
+           "class BOther(Value):\n    FIELDS = ('x',)\n    def __init__(self, x):\n"
+           "        x.__dict__.update(x=x)\n")
+    assert copy_only_inits(src) == ["A", "B"]
 
 
 @pytest.mark.parametrize("path", sorted(_python_files(("src",))))
@@ -202,8 +251,8 @@ PRIVATE_STATE = {"_pivots", "_solved"}
 
 def private_reaches(source: str) -> list[str]:
     """Private names imported from another ``redinv`` module, and the
-    attributes of ``PRIVATE_STATE`` read or written, by name or as the
-    string that ``setattr`` takes."""
+    attributes of ``PRIVATE_STATE`` read or written: by name, as a string
+    (``setattr`` or ``__dict__[...]``) or as a keyword (``__dict__.update``)."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (
@@ -213,6 +262,8 @@ def private_reaches(source: str) -> list[str]:
             out.append(f".{node.attr}")
         elif isinstance(node, ast.Constant) and node.value in PRIVATE_STATE:
             out.append(f".{node.value}")
+        elif isinstance(node, ast.keyword) and node.arg in PRIVATE_STATE:
+            out.append(f".{node.arg}")
     return out
 
 
@@ -220,9 +271,11 @@ def test_private_scan_flags_imports_and_state():
     src = ("from .intmat import _echelon, mat\nfrom redinv.abgrp import _x\n"
            "from os import _exit\nfrom __future__ import annotations\n"
            "m._pivots = 1\nprint(m._solved)\nobject.__setattr__(m, '_pivots', 2)\n"
-           "print(m.pivots, '_pivots are listed')\n")
+           "print(m.pivots, '_pivots are listed')\nm.__dict__['_solved'] = 3\n"
+           "m.__dict__.update(_pivots=4, pivots=5)\nf(_solved=6)\n")
     assert private_reaches(src) == ["import _echelon", "import _x", "._pivots",
-                                    "._solved", "._pivots"]
+                                    "._solved", "._pivots", "._solved", "._pivots",
+                                    "._solved"]
 
 
 @pytest.mark.parametrize("path", sorted(_python_files(("src",))))

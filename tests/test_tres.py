@@ -110,6 +110,14 @@ class TestPushoutResolution:
         assert beta not in seen
         assert res.l_star.target.group == FgAbelianGroup(beta.cols, beta)
 
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_ends_are_the_canonical_resolutions(self, spec):
+        # X_0 and mu* are built once, by the canonical resolution
+        d = from_catalog(spec)
+        push, canon = pushout_tresolution(d), canonical_tresolution(from_catalog(spec))
+        assert push.char_map.source == canon.char_map.source
+        assert push.l_star.target == canon.l_star.target
+
     def test_induced_torus_shape(self):
         # with a twist, T* is a module induced from the twisting group
         d = from_catalog("PGL(3)xGamma:flip")
