@@ -68,7 +68,7 @@ class FgAbelianGroup(Value):
         return self.ambient_rank - len(factors), tuple(d for d in factors if d > 1)
 
     def is_trivial(self) -> bool:
-        return self.relations == identity(self.ambient_rank)
+        return self.relations.is_identity()
 
     def order(self) -> Optional[int]:
         rank, torsion = self.invariants()
@@ -128,9 +128,6 @@ class AbHom(Value):
     def is_well_defined(self) -> bool:
         return self.target.contains_rows(self.source.relations @ self.matrix)
 
-    def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
-        return self.target.reduce(self.matrix.apply_to_row(coords))
-
     def then(self, g: "AbHom") -> "AbHom":
         if g.source != self.target:
             raise NotComposable("target(f) != source(g)")
@@ -152,10 +149,6 @@ class AbHom(Value):
 
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
-
-    @staticmethod
-    def zero(source: FgAbelianGroup, target: FgAbelianGroup) -> "AbHom":
-        return AbHom(source, target, zeros(source.ambient_rank, target.ambient_rank))
 
 
 def kernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:

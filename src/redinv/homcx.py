@@ -103,7 +103,7 @@ class BoundedComplex(Value):
     def cohomology_data(self, n: int) -> SubquotientData:
         if n < self.lo or n > self.hi:
             trivial = FgAbelianGroup.trivial()
-            return homology_at(None, AbHom.zero(trivial, trivial))
+            return homology_at(None, AbHom(trivial, trivial, zeros(0, 0)))
         if n not in self._kept:
             d_in = self.diff(n - 1).hom if n > self.lo else None
             self._kept[n] = homology_at(d_in, self.diff(n).hom)

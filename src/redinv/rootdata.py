@@ -148,19 +148,15 @@ class ReductiveDatum(Value):
 
     def _find_permutation(self, m: IntMatrix) -> Optional[tuple[int, ...]]:
         roots = self.datum.simple_roots
-        # the identity fixes distinct roots of its width; others take the loop
+        # the identity fixes distinct roots of its width; others take the product
         if (m.is_identity() and len(set(roots)) == len(roots)
                 and all(len(a) == m.rows for a in roots)):
             return tuple(range(len(roots)))
-        perm = []
-        for a in roots:
-            try:
-                perm.append(roots.index(m.apply_to_row(a)))
-            except ValueError:
-                return None
-        if sorted(perm) != list(range(len(roots))):
+        try:
+            perm = tuple(map(roots.index, (mat(roots, m.rows) @ m).data))
+        except ValueError:  # a root of another length, or moved off the roots
             return None
-        return tuple(perm)
+        return perm if sorted(perm) == list(range(len(roots))) else None
 
 
 def validate(d: ReductiveDatum) -> Checks:
@@ -202,11 +198,9 @@ def validate(d: ReductiveDatum) -> Checks:
             checks.append((f"action-{g}-permutes-roots", False, ""))
             continue
         checks.append((f"action-{g}-permutes-roots", True, str(perm)))
-        ok_co = (perm == tuple(range(r)) and duals[g].is_identity()) or all(
-            tuple(duals[g].apply_to_row(rd.simple_coroots[i]))
-            == rd.simple_coroots[perm[i]]
-            for i in range(r)
-        )
+        ok_co = (perm == tuple(range(r)) and duals[g].is_identity()) or (
+            (mat(rd.simple_coroots, n) @ duals[g]).data
+            == tuple(rd.simple_coroots[i] for i in perm))
         checks.append((f"action-{g}-permutes-coroots", ok_co, str(perm)))
     return Checks(tuple(checks))
 

@@ -78,7 +78,7 @@ def _orbit_representatives(mu_prime: GammaModule) -> list[int]:
         if cls in seen:
             continue
         # the actions cover every element of Gamma, so this is the whole orbit
-        seen |= {cls} | {grp.reduce(m.apply_to_row(cls)) for m in moving}
+        seen |= {cls} | {grp.reduce((mat([cls]) @ m).data[0]) for m in moving}
         reps.append(j)
     return reps
 
@@ -172,7 +172,7 @@ def canonical_h_maps(res: TResolutionData) -> tuple[AbHom, AbHom, bool, bool]:
         raise InvalidDatum("character classes are not rho*-cocycles")
     to_hm1 = GammaHom(res.char_map.source, hm1, classes)
     from_h0 = GammaHom(h0, mu, mat(
-        map(res.l_star.hom.apply_coords, h0_data.gens.data), mu.group.ambient_rank))
+        map(mu.group.reduce, (h0_data.gens @ res.l_star.matrix).data), mu.group.ambient_rank))
     return to_hm1.hom, from_h0.hom, to_hm1.is_equivariant(), from_h0.is_equivariant()
 
 

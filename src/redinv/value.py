@@ -2,7 +2,8 @@
 ``FIELDS`` and inherits a constructor that takes one value per field, in
 that order.  A class that checks its input or keeps a memo outside
 ``FIELDS`` writes its own ``__init__`` instead, setting every field in one
-``self.__dict__.update(...)``; a memo goes into ``__dict__`` too."""
+``self.__dict__.update(...)``; a memo goes into ``__dict__`` too.  No
+subclass defines ``__eq__`` or ``__hash__``; those below compare ``FIELDS``."""
 
 from operator import attrgetter
 

@@ -1,0 +1,161 @@
+"""A/B replay of the seed-1 benchmark streams in one process.
+
+Runs every op of a workload on a parent checkout's ``redinv`` and on this
+checkout's ``src/``, alternating the two op by op, and keeps each side's
+best time per op over ``--rounds`` rounds (the side that goes first swaps
+every round).  Machine drift between two separate benchmark runs so
+cancels out of the ratio.  For each workload it prints the op count, the
+two sums of per-op best times, their ratio (change over parent) and the
+number of ops whose exit code, output or uncaught error differ, and it
+exits 1 if any does.
+
+The parent's ``redinv`` is copied to a temporary directory under the name
+``redinv_parent``, so both packages import side by side.  A module of the
+copy that imported ``redinv`` by absolute name would run this checkout's
+code instead, so the replay refuses such a copy.  Ops come from
+``perfbench.workloads.stream`` and run through ``perfbench.run.execute``,
+as in the benchmark, in a temporary working directory; nothing under
+``perfbench/`` is written.  ``dense_normal_forms`` stops after its first
+48 ops unless ``--max-ops`` says otherwise.
+
+From the repository root, with the parent commit checked out beside it:
+
+    git worktree add ../parent HEAD~1
+    python3 tests/ab_replay.py --parent-src ../parent/src
+    python3 tests/ab_replay.py --parent-src ../parent/src --rounds 5 --workload cli_mix
+    git worktree remove ../parent
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import importlib
+import itertools
+import os
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+SEED = 1
+DENSE_OPS = 48  # the whole dense_normal_forms stream takes minutes a round
+PARENT = "redinv_parent"
+MODULES = ("cli", "gammamod", "catalogio")  # what perfbench.run.execute takes
+
+
+def absolute_redinv_imports(package: Path) -> list[str]:
+    """``file:line`` of each import of ``redinv`` by absolute name in the
+    modules of package."""
+    out = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "redinv" or n.startswith("redinv.") for n in names):
+                out.append(f"{path.relative_to(package)}:{node.lineno}")
+    return out
+
+
+def replay(workload: str, sides: list[tuple], rounds: int, max_ops) -> tuple:
+    """(ops, parent seconds, change seconds, differing ops, first differing
+    op's argv) of one workload; sides holds the parent's modules, then the
+    change's."""
+    from perfbench import workloads
+    from perfbench.run import execute
+
+    def run(op, modules):
+        for name, text in op.files:
+            Path(name).write_text(text, encoding="utf-8")
+        try:
+            t0 = time.perf_counter()
+            result = execute(op, *modules)
+            return time.perf_counter() - t0, result
+        finally:
+            for name, _ in op.files:
+                os.remove(name)
+
+    for modules in sides:
+        run(workloads.WARMUP[workload], modules)
+    ops = workloads.stream(workload, SEED, str(SRC / "redinv" / "data"))
+    n, total, differ, first = 0, [0.0, 0.0], 0, None
+    for op in itertools.islice(ops, max_ops):
+        best, results = [float("inf")] * 2, [None, None]
+        for r in range(rounds):
+            for k in ((0, 1), (1, 0))[r % 2]:
+                dt, result = run(op, sides[k])
+                best[k] = min(best[k], dt)
+                results[k] = results[k] or result
+        n += 1
+        total[0] += best[0]
+        total[1] += best[1]
+        if results[0] != results[1]:
+            differ += 1
+            first = first or op.argv or f"bar module, degree {op.degree}"
+    return n, total[0], total[1], differ, first
+
+
+def main(argv=None) -> int:
+    from perfbench import workloads
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent-src", required=True,
+                        help="the src directory of the parent checkout (it holds redinv/)")
+    parser.add_argument("--rounds", type=int, default=3, help="runs of each op a side")
+    parser.add_argument("--workload", nargs="+", choices=sorted(workloads.STREAMS),
+                        default=list(workloads.STREAMS))
+    parser.add_argument("--max-ops", type=int, default=None,
+                        help=f"ops replayed a workload (default: all, {DENSE_OPS} of "
+                             "dense_normal_forms)")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    parent = Path(args.parent_src) / "redinv"
+    if not (parent / "__init__.py").is_file():
+        parser.error(f"no redinv package in {args.parent_src}")
+
+    os.environ.pop("REDINV_CATALOG", None)  # both sides read their shipped catalog
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(parent, Path(tmp) / "pkg" / PARENT,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        bad = absolute_redinv_imports(Path(tmp) / "pkg" / PARENT)
+        if bad:
+            print(f"the parent's redinv imports redinv by absolute name at {', '.join(bad)}; "
+                  "its copy would run this checkout's code", file=sys.stderr)
+            return 2
+        sys.path[:0] = [str(Path(tmp) / "pkg"), str(SRC)]
+        change = tuple(importlib.import_module(f"redinv.{m}") for m in MODULES)
+        if Path(change[0].__file__).resolve().parent != SRC / "redinv":
+            print(f"redinv imported from {change[0].__file__}, not from {SRC}", file=sys.stderr)
+            return 2
+        sides = [tuple(importlib.import_module(f"{PARENT}.{m}") for m in MODULES), change]
+        work = Path(tmp) / "work"
+        work.mkdir()
+        os.chdir(work)
+        differing = 0
+        for w in args.workload:
+            limit = args.max_ops
+            if limit is None and w == "dense_normal_forms":
+                limit = DENSE_OPS
+            n, t_parent, t_change, differ, first = replay(w, sides, args.rounds, limit)
+            ratio = t_change / t_parent if t_parent else float("nan")
+            print(f"{w}: {n} ops, parent {t_parent:.4f} s, change {t_change:.4f} s, "
+                  f"change/parent {ratio:.3f}, {differ} differing outputs", flush=True)
+            if differ:
+                print(f"  first differing op: {first}", flush=True)
+            differing += differ
+        os.chdir(ROOT)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    sys.exit(main())

@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 from redinv.intmat import (
     MAX_INPUT_DIGITS, DimensionMismatch, IntMatrix, identity, kernel_basis, mat, member_coords,
-    vstack)
+    vstack, zeros)
 from redinv.abgrp import (
     AbHom, ExactSequence, FgAbelianGroup, cokernel, direct_sum, homology_at, kernel)
 from redinv.gammamod import FiniteGroup, GammaModule, cyclic_group
@@ -201,11 +201,15 @@ def inexact_spots(seq) -> list[str]:
     """Labels of the groups of a finite ExactSequence where the image of the
     incoming map and the kernel of the outgoing one differ, element by element."""
     groups, maps = seq.groups, seq.maps
+
+    def apply(f: AbHom, x: tuple[int, ...]) -> tuple[int, ...]:
+        return f.target.reduce((mat([x], f.source.ambient_rank) @ f.matrix).data[0])
+
     out = []
     for k, g in enumerate(groups):
-        image = ({maps[k - 1].apply_coords(x) for x in elements(groups[k - 1])}
+        image = ({apply(maps[k - 1], x) for x in elements(groups[k - 1])}
                  if k > 0 else {g.reduce([0] * g.ambient_rank)})
-        kernel_set = ({y for y in elements(g) if not any(maps[k].apply_coords(y))}
+        kernel_set = ({y for y in elements(g) if not any(apply(maps[k], y))}
                       if k < len(maps) else elements(g))
         if image != kernel_set:
             out.append(seq.labels[k])
@@ -429,7 +433,7 @@ def random_hom(rng: random.Random, src: FgAbelianGroup, tgt: FgAbelianGroup,
         h = AbHom(src, tgt, random_matrix(rng, src.ambient_rank, tgt.ambient_rank, bound))
         if h.is_well_defined():
             return h
-    return AbHom.zero(src, tgt)
+    return AbHom(src, tgt, zeros(src.ambient_rank, tgt.ambient_rank))
 
 
 def random_diagonal_group(rng: random.Random, max_rank: int, max_torsion: int) -> FgAbelianGroup:

@@ -1,0 +1,28 @@
+"""The A/B replay ``tests/ab_replay.py`` finds no differing output when it
+replays this checkout against itself, and its scan finds the absolute
+imports of ``redinv`` that would make a parent's copy run this checkout."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+from ab_replay import absolute_redinv_imports
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_replay_against_itself_differs_nowhere():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "ab_replay.py"), "--parent-src", str(ROOT / "src"),
+         "--rounds", "1", "--max-ops", "5", "--workload", "cli_mix", "bar_cohomology"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["cli_mix", "bar_cohomology"]
+    assert all(": 5 ops," in line and line.endswith(", 0 differing outputs") for line in lines)
+
+
+def test_scan_flags_absolute_redinv_imports(tmp_path):
+    (tmp_path / "a.py").write_text("from . import b\nimport redinv.intmat\n")
+    (tmp_path / "b.py").write_text("from redinv import cli\nimport redinvx\nfrom .redinv import c\n")
+    assert absolute_redinv_imports(tmp_path) == ["a.py:2", "b.py:1"]

@@ -148,10 +148,6 @@ class TestHoms:
         f = AbHom(C2, C4, mat([[1]]))
         assert not f.is_well_defined()
 
-    def test_apply(self):
-        f = AbHom(Z2, Z, mat([[1], [1]]))
-        assert f.apply_coords((2, 3)) == (5,)
-
     def test_compose(self):
         f = AbHom(Z, Z, mat([[2]]))
         g = AbHom(Z, C4, mat([[1]]))

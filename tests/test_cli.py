@@ -121,19 +121,22 @@ TWISTED_SPECS = [s for s in load_catalog().specs() if "xGamma:" in s]
                                   ["pi1d", "--resolution", "pushout"]],
                          ids=["invariants", "pi1d-canonical", "pi1d-pushout"])
 def test_twist_alias_gives_the_same_record(capsys, argv):
-    # xΓ: spells xGamma:; the catalog names only the ASCII spelling, so
+    # xΓ: spells xGamma:, and a leading zero spells the same argument
+    # (PGL(03) is PGL(3)); the catalog names only the spelling it lists, so
     # invariants checks the catalog for that spelling alone
     assert len(TWISTED_SPECS) == 4
     for spec in TWISTED_SPECS:
-        recs = []
-        for spelling in (spec, spec.replace("xGamma:", "xΓ:")):
+        recs = {}
+        for spelling in (spec, spec.replace("xGamma:", "xΓ:"), spec.replace("(", "(0", 1)):
             code, out, _ = run(capsys, argv[0], spelling, *argv[1:], "--format", "json")
             assert code == 0, spelling
-            recs.append(json.loads(out))
-        ascii_rec, alias_rec = recs
-        assert alias_rec["outputs"] == ascii_rec["outputs"], spec
+            recs[spelling] = json.loads(out)
+        ascii_rec = recs.pop(spec)
         ascii_rec["verdicts"].pop("matches-catalog", None)
-        assert alias_rec["verdicts"] == ascii_rec["verdicts"], spec
+        assert len(recs) == 2, spec  # three distinct spellings
+        for spelling, alias_rec in recs.items():
+            assert alias_rec["outputs"] == ascii_rec["outputs"], spelling
+            assert alias_rec["verdicts"] == ascii_rec["verdicts"], spelling
 
 
 # A twist needs a datum of its Dynkin type's rank and Cartan matrix (flip:

@@ -237,7 +237,7 @@ class TestModules:
             cyclic_group(2), FgAbelianGroup(1, mat([[5]])), (identity(1), mat([[-1]]))
         )
         m.check()
-        assert AbHom(m.group, m.group, m.actions[1]).apply_coords((2,)) == m.group.reduce((-2,))
+        assert m.group.reduce((mat([[2]]) @ m.actions[1]).data[0]) == m.group.reduce((-2,))
 
 
 # C2 with its identity labelled 1
@@ -911,7 +911,8 @@ class TestIdentityShortcuts:
     def test_subquotient_actions_agree_with_class_coords(self, m, seed, quotient):
         f = equivariant_endomorphism(random.Random(seed), m)
         if quotient:  # m / im f, degree 0 of [m --f--> m]
-            data = homology_at(f.hom, AbHom.zero(m.group, FgAbelianGroup.trivial()))
+            data = homology_at(f.hom, AbHom(m.group, FgAbelianGroup.trivial(),
+                                            zeros(m.group.ambient_rank, 0)))
         else:
             data = homology_at(None, f.hom)
         sub = subquotient_module(m, data)

@@ -146,14 +146,12 @@ class TestSolveLinear:
         rng = random.Random(3)
         for _ in range(100):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 5).transpose()
-            xs = [rng.randint(-4, 4) for _ in range(m.rows)]
-            b = m.apply_to_row(xs)
-            x = member_coords(m, None, mat([b], m.cols))
+            b = mat([[rng.randint(-4, 4) for _ in range(m.rows)]], m.rows) @ m
+            x = member_coords(m, None, b)
             assert x is not None
-            assert m.apply_to_row(x.row(0)) == b
+            assert x @ m == b
             k = kernel_basis(m)
-            for i in range(k.rows):
-                assert all(a == 0 for a in m.apply_to_row(k.row(i)))
+            assert (k @ m).is_zero()
 
     def test_batch_and_empty_rhs(self):
         m = mat([[2, 0], [0, 3]])
@@ -186,8 +184,7 @@ class TestKernelBasis:
             k = kernel_basis(m)
             assert hermite_basis(k).rows == k.rows
             assert k.rows + hermite_basis(m).rows == m.rows
-            for i in range(k.rows):
-                assert all(a == 0 for a in m.apply_to_row(k.row(i)))
+            assert (k @ m).is_zero()
 
 
 class TestMisc:
@@ -743,7 +740,7 @@ def _systems_mod_relations(draw):
     gens = exact(draw(st.integers(0, 3)), cols)
     rels = exact(draw(st.integers(1, 3)), cols)
     i, j = draw(st.integers(0, rels.rows - 1)), draw(st.integers(0, rels.rows - 1))
-    rels = vstack(rels, mat([rels.apply_to_row([(k == i) + (k == j) for k in range(rels.rows)])]))
+    rels = vstack(rels, mat([[(k == i) + (k == j) for k in range(rels.rows)]]) @ rels)
     rows = draw(st.integers(1, 3))
     if draw(st.booleans()):
         return gens, rels, exact(rows, gens.rows) @ gens + exact(rows, rels.rows) @ rels

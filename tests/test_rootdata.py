@@ -187,21 +187,22 @@ class TestValidation:
 class TestIdentityActions:
     """An element acting by the identity matrix permutes distinct roots by
     the identity, found without moving a root; repeated roots and roots of
-    the wrong length take the loop and keep its verdict."""
+    the wrong length take the product and keep its verdict."""
 
     @pytest.mark.parametrize("spec", ("GL(4)", "Sp(6)", "SL(3)xGamma:flip",
                                       "PSO(8)xGamma:triality"))
     def test_identity_element_moves_no_root(self, spec, monkeypatch):
         d = from_catalog(spec)
         r = d.datum.semisimple_rank
-        moved = []
-        real = IntMatrix.apply_to_row
-        monkeypatch.setattr(IntMatrix, "apply_to_row",
-                            lambda m, v: moved.append(m.is_identity()) or real(m, v))
-        assert validate(d).passed
+        products = []
+        real = IntMatrix.__matmul__
+        monkeypatch.setattr(IntMatrix, "__matmul__",
+                            lambda a, b: products.append((a.shape, b.shape)) or real(a, b))
+        # a fresh datum: the identity element's permutation is found, not kept
         assert d.root_permutation(0) == tuple(range(r))
-        assert not any(moved)
-        # the loop's answer, from the roots moved by hand
+        assert not products
+        assert validate(d).passed
+        # the product's answer, from the roots moved by hand
         for g, m in enumerate(d.actions):
             moved_roots = [tuple(sum(a[i] * m[i, j] for i in range(m.rows))
                                  for j in range(m.cols)) for a in d.datum.simple_roots]

@@ -358,7 +358,7 @@ def _reps_by_reducing_every_generator(mu_prime) -> list[int]:
         cls = grp.reduce(e_j)
         if cls in seen or not any(cls):
             continue
-        seen |= {grp.reduce(m.apply_to_row(cls)) for m in mu_prime.actions}
+        seen |= {grp.reduce((mat([cls]) @ m).data[0]) for m in mu_prime.actions}
         reps.append(j)
     return reps
 
