@@ -35,12 +35,12 @@ EXIT_INPUT_ERROR = 2
 # longer (the 216 x 36 bar differential of Z[S3] is a golden record).  The
 # whole command at the bound on 2 vCPUs (Python 3.11), one run of each tall
 # shape and best of 3 of each square one: matrix 256 x 64 of 1-digit
-# entries, 15 s for hnf and 13 s for snf, with a 50 MB record; 128 x 64 of
-# 2-digit entries, 11 s for each; 64 x 64 of 4-digit entries, 1.1 s for hnf
-# and 0.9 s for snf; 32 x 32 of 16-digit entries, 0.3 s; 16 x 16 of 64-digit
-# entries, 0.2 s.  Tall matrices cost the most, in the kernel rows of U,
-# which is not unique (floor quotients).  cech with 64 x 64 relations of
-# 1- or 2-digit entries in F(X) or F(G), at --max-degree 8: 1.0-1.9 s.
+# entries, 4.9 s for hnf and 4.8 s for snf, with a 27 MB record; 128 x 64 of
+# 2-digit entries, 3.4 s for hnf and 3.5 s for snf, with 21 MB; 64 x 64 of
+# 4-digit entries, 0.8 s for each; 32 x 32 of 16-digit entries, 0.3 s; 16 x
+# 16 of 64-digit entries, 0.2 s.  Tall matrices cost the most, in the kernel
+# rows of U, which is not unique.  cech with 64 x 64 relations of 1- or
+# 2-digit entries in F(X) or F(G), at --max-degree 8: 1.0-1.9 s.
 MAX_FILE_DIGITS = 16384
 
 

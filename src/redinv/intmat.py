@@ -18,26 +18,18 @@ All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
 One elimination kernel, ``_echelon``, serves every Hermite form.  Its
 pivots are always chosen with minimal nonzero absolute value, ties broken
-by lowest row index, so the transform U of ``hnf`` (the identity carried
-along as extra columns) is reproducible.  Its row operations touch only
-the nonzero entries of the pivot row, so sparse input (such as the 0/+-1
-presentation differentials) costs in proportion to its nonzeros rather
-than its width.  Entries above the pivots are reduced only once the
-echelon form is done, bottom up, which keeps the intermediate entries
-small.  Callers that never read U take ``hermite_basis``, which carries no
-transform.  ``invariant_factors`` alternates such Hermite bases of a
-matrix and its transpose; ``snf`` is the same loop on ``hnf``, carrying U
-and V, and inherits its determinism.
-
-The Euclid steps that find a pivot take floor quotients, or balanced
-(nearest-integer) ones, which need about 30% fewer steps.  The balanced
-rule runs wherever no record pins the row operations: ``hermite_basis``
-(a lattice has one Hermite basis) and the lattice solver (no record holds
-its coordinates), whose elimination of a square m against no relations
-``hnf`` reads when it finds rank n, as U = H @ m^-1 is then unique.  Every
-other ``hnf`` (only the ``matrix`` command runs it, and ``snf``) takes the
-floor rule on [m | I], the only other carried elimination here, which
-pins the non-unique U of the ``matrix hnf`` and ``snf`` records.
+by lowest row index, and its Euclid steps take nearest-integer quotients,
+so the transform U of ``hnf`` (the identity carried along as extra
+columns) is reproducible.  Its row operations touch only the nonzero
+entries of the pivot row, so sparse input (such as the 0/+-1 presentation
+differentials) costs in proportion to its nonzeros rather than its width.
+Entries above the pivots are reduced only once the echelon form is done,
+bottom up, which keeps the intermediate entries small.  Callers that never
+read U take ``hermite_basis``, which carries no transform.
+``invariant_factors`` alternates such Hermite bases of a matrix and its
+transpose; ``snf`` is the same loop on ``hnf``, carrying U and V, and
+inherits its determinism.  ``hnf`` and the lattice solver run the only two
+carried eliminations here.
 
 ``identity(n)`` keeps the rows of each n up to 256 and wraps them in a new
 certified matrix on every call, so no solved state passes from one caller
@@ -294,22 +286,17 @@ def block_diag(*ms: IntMatrix) -> IntMatrix:
     return _certify(b, piv) if all(m._pivots is not None for m in ms) else b
 
 
-def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> list[int]:
+def _echelon(rows: list[list[int]], c: int) -> list[int]:
     """Bring the first c columns of ``rows`` to row Hermite form in place,
     carrying any further columns along, and return the pivot columns.
 
     Each pivot has minimal nonzero absolute value in its column, ties
-    broken by lowest row index.  The Euclid steps that find it take floor
-    quotients, or with ``balanced`` nearest-integer ones, which leave
-    remainders of at most half the pivot and so need fewer steps (Knuth,
-    TAOCP vol. 2, 4.5.3).  Either rule gives the same Hermite form of the
-    first c columns; the further columns may differ, unless they are a
-    transform that is unique.  So ``hermite_basis`` and the lattice solver,
-    whose elimination is also the first pass of ``hnf`` on a square m,
-    pass ``balanced``; the floor rule pins the U of the ``matrix`` records
-    and ``reference_hnf``.  A row operation subtracts a multiple of the
-    pivot row over its nonzero entries, found once per pivot row and not
-    at all when no multiple is nonzero.
+    broken by lowest row index.  The Euclid steps that find it take
+    nearest-integer quotients, which leave remainders of at most half the
+    pivot and so need fewer steps than floor ones (Knuth, TAOCP vol. 2,
+    4.5.3).  A row operation subtracts a multiple of the pivot row over its
+    nonzero entries, found once per pivot row and not at all when no
+    multiple is nonzero.
 
     Once the echelon form is done, each pivot row from the last one up is
     reduced by floor quotients into [0, pivot) above the pivots of the
@@ -325,7 +312,7 @@ def _echelon(rows: list[list[int]], c: int, balanced: bool = False) -> list[int]
         p2 = 2 * p
         support = None
         for i in targets:
-            q = (2 * rows[i][col] + p) // p2 if balanced else rows[i][col] // p
+            q = (2 * rows[i][col] + p) // p2
             if not q or i == k:
                 continue
             if support is None:
@@ -369,19 +356,10 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
     with positive pivots and entries above each pivot reduced into
-    [0, pivot).  U is the identity carried along the elimination of m.
-    A square m with no zero row or column is first solved against no
-    relations (``_solve``, balanced quotients): rank n proves it
-    nonsingular, so that U = H @ m^-1 is unique.  A lower rank, and every
-    other m (such as the transposed Hermite forms that ``snf`` takes of
-    singular matrices), takes the floor pass on [m | I], which pins the U
-    of the ``matrix`` records.
+    [0, pivot).  U is the identity carried along one elimination of
+    [m | I]; it is unique when m is square and nonsingular.
     """
     r, c = m.shape
-    if r == c and all(map(any, m.data)) and all(map(any, zip(*m.data))):
-        h, u = _solve(m, None).image()
-        if h.rows == r:
-            return h, u
     rows = [list(row + e) for row, e in zip(m.data, identity(r).data)]
     _echelon(rows, c)
     return mat([row[:c] for row in rows], c), mat([row[c:] for row in rows], r)
@@ -417,7 +395,7 @@ def hermite_basis(m: IntMatrix) -> IntMatrix:
     basis: list[list[int]] = []
     for k in range(0, len(rows), step):
         block = basis + rows[k:k + step]
-        piv = _echelon(block, c, balanced=True)
+        piv = _echelon(block, c)
         basis = block[:len(piv)]
     return _certify(mat(basis, c), piv)
 
@@ -512,13 +490,12 @@ class _Solve:
     (``_solve`` takes ``hermite_basis`` of the relations given, and zeros(0,
     cols) for none), and ``rows`` are the rows of m, each reduced by rels:
     that changes x @ m only by lattice vectors.  On first need they are
-    extended to [m' | I; rels | 0] and eliminated once, with balanced
-    quotients, and split at the rank: the rows above hold the Hermite
-    basis of the rows of m and rels with, carried, how to write it on m
-    modulo rels (``image``, which is also the balanced pass of ``hnf``);
-    the carried part of the rows below spans {x : x @ m lies in the
-    lattice of rels} (``kernel``, Cohen, GTM 138, 2.4.3).  Each reader
-    keeps its result and drops the rows it read."""
+    extended to [m' | I; rels | 0], eliminated once and split at the rank:
+    the rows above hold the Hermite basis of the rows of m and rels with,
+    carried, how to write it on m modulo rels (``image``); the carried part
+    of the rows below spans {x : x @ m lies in the lattice of rels}
+    (``kernel``, Cohen, GTM 138, 2.4.3).  Each reader keeps its result and
+    drops the rows it read."""
 
     __slots__ = ("rels", "shape", "rows", "piv", "above", "below",
                  "_kernel", "_image", "_basis")
@@ -540,7 +517,7 @@ class _Solve:
         for x, e in zip(rows, identity(r).data):
             x.extend(e)
         rows += [list(row) + [0] * r for row in self.rels.data]
-        self.piv = piv = _echelon(rows, c, balanced=True)
+        self.piv = piv = _echelon(rows, c)
         self.above, self.below = rows[:len(piv)], rows[len(piv):]
 
     def kernel(self) -> IntMatrix:

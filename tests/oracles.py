@@ -267,9 +267,11 @@ def reference_hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form by a loop that updates m and U separately,
     with which ``intmat.hnf`` must give the same H and U: U is not unique
     for singular or non-square m, so the records of ``matrix hnf`` and
-    ``snf`` pin the U of this sequence of row operations.  It reduces above
-    each new pivot at once, not bottom up after the echelon form as
-    ``intmat._echelon`` does, so it checks that reorder independently.
+    ``snf`` pin the U of this sequence of row operations.  Its Euclid steps
+    take nearest-integer quotients and the reduction above a pivot floor
+    ones, as in ``intmat._echelon``; it reduces above each new pivot at
+    once, not bottom up after the echelon form as ``_echelon`` does, so it
+    checks that reorder independently.
 
     Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
     with positive pivots and entries above each pivot reduced into
@@ -279,15 +281,16 @@ def reference_hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     a = m.to_lists()
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
-    def reduce_by(k: int, rows: Iterable[int], col: int) -> None:
-        """Subtract from each row i != k of ``rows`` the multiple
-        a[i][col] // a[k][col] of row k, touching only the nonzero
-        entries of row k in a and in u.  The support of row k is found
-        at the first nonzero multiple, and not at all without one."""
+    def reduce_by(k: int, rows: Iterable[int], col: int, nearest: bool) -> None:
+        """Subtract from each row i != k of ``rows`` the multiple of row k
+        that a[i][col] / a[k][col] rounds to, to the nearest integer or
+        down, touching only the nonzero entries of row k in a and in u.
+        The support of row k is found at the first nonzero multiple, and
+        not at all without one."""
         p = a[k][col]
         support = None
         for i in rows:
-            q = a[i][col] // p
+            q = (2 * a[i][col] + p) // (2 * p) if nearest else a[i][col] // p
             if not q or i == k:
                 continue
             if support is None:
@@ -307,7 +310,7 @@ def reference_hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             live = [i for i in range(pr, r) if a[i][col] != 0]
             if len(live) <= 1:
                 break
-            reduce_by(_min_abs_pivot(a, live, col), live, col)
+            reduce_by(_min_abs_pivot(a, live, col), live, col, True)
         live = [i for i in range(pr, r) if a[i][col] != 0]
         if not live:
             continue
@@ -318,7 +321,7 @@ def reference_hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if a[pr][col] < 0:
             a[pr] = [-x for x in a[pr]]
             u[pr] = [-x for x in u[pr]]
-        reduce_by(pr, range(pr), col)
+        reduce_by(pr, range(pr), col, False)
         pr += 1
     return mat(a, c), mat(u, r)
 
@@ -413,6 +416,19 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMa
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
         cols,
     )
+
+
+def random_unimodular(rng: random.Random, n: int, bound: int = 2) -> IntMatrix:
+    """L @ R @ P: unit lower and unit upper triangular factors with entries
+    in [-bound, bound] below and above the diagonal, and a signed
+    permutation P, so the determinant is +-1."""
+    lower = [[rng.randint(-bound, bound) if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    upper = [[rng.randint(-bound, bound) if j > i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    perm = rng.sample(range(n), n)
+    signed = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    return mat(lower, n) @ mat(upper, n) @ mat(signed, n)
 
 
 def random_group(rng: random.Random, max_rank: int, max_torsion: int) -> FgAbelianGroup:

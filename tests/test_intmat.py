@@ -371,9 +371,12 @@ def _kernel_inputs(draw):
     return m, rels
 
 
-def _with_identity(m: IntMatrix) -> list[list[int]]:
-    """The rows of [m | I], whose last columns carry the transform."""
-    return [list(row + e) for row, e in zip(m.data, identity(m.rows).data)]
+def _singular_square() -> IntMatrix:
+    """An 8 x 8 matrix of rank 7 whose column 4 is a combination of the
+    others, so its U is not unique."""
+    a = random_matrix(random.Random(23), 8, 7, 20)
+    return mat([r[:4] + (sum((j + 1) * x for j, x in enumerate(r)),) + r[4:]
+                for r in a.data], 8)
 
 
 class TestNormalFormProperties:
@@ -398,16 +401,17 @@ class TestNormalFormProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(_hnf_inputs(max_size=12))
+    @example(mat([[32749, 1], [0, 1]]))
+    @example(_singular_square())
     def test_hnf_matches_reference(self, m):
         # U is not unique unless m is square and nonsingular, so records
-        # depend on the Euclid steps, though not on when the entries above
-        # the pivots are reduced; square nonsingular input takes balanced
-        # quotients, the rest floor ones
+        # depend on the Euclid steps (nearest-integer quotients), though not
+        # on when the entries above the pivots are reduced
         assert hnf(m) == reference_hnf(m)
 
     def test_singular_in_the_last_column_only(self):
-        # balanced quotients would give another U here, and an elimination
-        # meets the missing pivot only at the last column
+        # U is not unique here, and the elimination meets the missing pivot
+        # only at the last column
         rng = random.Random(17)
         a = random_matrix(rng, 8, 7, 20)
         m = mat([r + (sum((j + 1) * x for j, x in enumerate(r)),) for r in a.data], 8)
@@ -415,33 +419,17 @@ class TestNormalFormProperties:
         assert hnf(m) == reference_hnf(m)
 
     def test_determinant_divisible_by_the_prime(self):
-        # nonsingular though its determinant is 0 modulo 32749, so a test
-        # of nonsingularity modulo a prime would send it to the floor rule;
-        # the rank of the balanced pass keeps it on the balanced one
+        # nonsingular though its determinant is 0 modulo 32749, which a test
+        # of nonsingularity modulo that prime would take for singular
         m = mat([[32749, 1], [0, 1]])
         assert det(m) % 32749 == 0 and det(m) != 0
-        assert len(_echelon(_with_identity(m), 2, balanced=True)) == 2
         assert hnf(m) == reference_hnf(m)
-
-    def test_singular_square_retakes_the_floor_rule(self):
-        # no zero row or column, so the balanced pass runs first; its rank
-        # is 7 of 8 and its U differs from the floor one that records pin
-        rng = random.Random(23)
-        a = random_matrix(rng, 8, 7, 20)
-        m = mat([r[:4] + (sum((j + 1) * x for j, x in enumerate(r)),) + r[4:]
-                 for r in a.data], 8)
-        rows = _with_identity(m)
-        assert len(_echelon(rows, 8, balanced=True)) == 7
-        h, u = reference_hnf(m)
-        assert mat([row[8:] for row in rows], 8) != u
-        assert hnf(m) == (h, u)
-        uu, d, v = snf(m)
-        assert (uu @ m @ v).data == d.data
 
     @pytest.mark.parametrize("shape", [(30, 30), (40, 40), (64, 16)])
     def test_hnf_matches_reference_at_benchmark_sizes(self, shape):
         # dense input at the sizes of the benchmark, where the entries
-        # inside the elimination grow; the tall one takes the floor rule
+        # inside the elimination grow; the tall one has a U that is not
+        # unique, with 48 kernel rows
         m = random_matrix(random.Random(shape[0]), *shape, 99)
         assert hnf(m) == reference_hnf(m)
 
@@ -622,7 +610,7 @@ class TestCertificate:
         calls = []
         real = _echelon
         monkeypatch.setattr(intmat, "_echelon",
-                            lambda rows, c, **kw: calls.append(c) or real(rows, c, **kw))
+                            lambda rows, c: calls.append(c) or real(rows, c))
         assert invariant_factors(d) == (2, 2, 12)
         assert calls == []
         # the same rows with no certificate are found to be a Hermite basis
@@ -834,9 +822,9 @@ class TestSharedSolve:
             self._check(name, gens, rels, vecs, want)
         runs = []
 
-        def counting(rows, c, **kwargs):
+        def counting(rows, c):
             runs.append(bool(rows) and len(rows[0]) > c)
-            return _echelon(rows, c, **kwargs)
+            return _echelon(rows, c)
         with mock.patch.object(intmat, "_echelon", counting):
             if kind == "stacked":
                 hermite_basis(_twin(rels))
@@ -885,10 +873,10 @@ class TestSharedSolve:
         stacked = []
         real = _echelon
 
-        def counting(rows, c, **kw):
+        def counting(rows, c):
             if rows and len(rows[0]) > c:  # carries a transform
                 stacked.append(c)
-            return real(rows, c, **kw)
+            return real(rows, c)
         monkeypatch.setattr(intmat, "_echelon", counting)
         gens, rels = mat([[2, 4], [6, 3], [1, 1]]), mat([[4, 0], [0, 6]])
         want = hermite_basis(vstack(rels, gens))
@@ -906,31 +894,30 @@ class TestSharedSolve:
         assert member_coords(gens, rels, mat([[1, 1], [3, 5]])) == c
         assert image_basis(gens, rels) == want and len(stacked) == 3
 
-    def test_hnf_shares_the_solver_elimination(self, monkeypatch):
-        # a square nonsingular m is eliminated once, with its transform,
-        # for its Hermite form and every solve against no relations after
+    def test_hnf_and_the_solver_eliminate_once_each(self, monkeypatch):
+        # hnf runs one carried elimination of its own and keeps nothing on
+        # m; the kernel, image and coordinates of m after it share one more
         carried = []
         real = _echelon
 
-        def counting(rows, c, **kw):
+        def counting(rows, c):
             if rows and len(rows[0]) > c:  # carries a transform
                 carried.append(c)
-            return real(rows, c, **kw)
+            return real(rows, c)
         monkeypatch.setattr(intmat, "_echelon", counting)
-        m = random_matrix(random.Random(41), 6, 6, 20)
-        assert det(m) != 0
-        h, u = hnf(m)
-        assert (h, u) == reference_hnf(m)
-        assert kernel_basis(m) == zeros(0, 6)
-        assert image_basis(m) == h
-        assert member_coords(m, None, h) == u  # unique, as m is nonsingular
-        assert len(carried) == 1
-        # a singular square m pays for the floor pass after the balanced
-        # one, which m keeps for its solves
-        s = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        assert hnf(s) == reference_hnf(s) and len(carried) == 3
-        k = kernel_basis(s)
-        assert k.rows == 1 and (k @ s).is_zero() and len(carried) == 3
+        for m in (random_matrix(random.Random(41), 6, 6, 20),
+                  mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])):
+            carried.clear()
+            h, u = hnf(m)
+            assert (h, u) == reference_hnf(m) and len(carried) == 1
+            assert m._solved is None
+            k = kernel_basis(m)
+            assert k.rows == m.rows - hermite_basis(m).rows and (k @ m).is_zero()
+            assert image_basis(m) == mat([r for r in h.data if any(r)], m.cols)
+            x = member_coords(m, None, h)
+            assert (x @ m).data == h.data and len(carried) == 2
+            if det(m):  # U is unique, so the solver's coordinates are U
+                assert x == u
 
     def test_zero_modulo_relations_eliminates_nothing(self, monkeypatch):
         rels = hermite_basis(mat([[2, 0], [0, 3]]))
