@@ -26,8 +26,8 @@ contracting homotopy in degrees >= 2 is
     lambda_i(a, b_1, ..., b_i) = (a, -b_1, b_3, ..., b_i),
 
 which drops b_2 and satisfies delta^{i-1} lambda_i + lambda_{i+1} delta^i
-= id.  Both are built by one rule, ``_slot_map``: a sum of blocks from a
-slot of the source to a slot of the target (``intmat.block_sum``).
+= id.  Both are built by one rule, ``_slot_map``: a sum of blocks, each
+placed at the offsets of a source and a target slot (``intmat.block_sum``).
 
 So H^0 = ker phi, H^1 = coker phi and H^i = 0 for i >= 2.
 ``cohomology_groups`` reads each H^i with i >= 2 off the homotopy identity
@@ -81,13 +81,10 @@ class CechComplex(Value):
 
 def _slot_map(inp: CechInput, i: int, j: int, blocks) -> IntMatrix:
     """The map C^i -> C^j that sends slot s to slot t by c * m, summed over
-    the blocks (s, t, m, c): block b is the triple (s, b, c) of slot t."""
+    the blocks (s, t, m, c), each placed at the offsets of its slots."""
     nx, ng = inp.fx.ambient_rank, inp.fg.ambient_rank
     at = [0] + [nx + k * ng for k in range(max(i, j))]  # the offset of each slot
-    cells = [[] for _ in range(j + 1)]
-    for b, (s, t, _, c) in enumerate(blocks):
-        cells[t].append((s, b, c))
-    return block_sum(nx + i * ng, nx + j * ng, [m for _, _, m, _ in blocks], at, at, cells)
+    return block_sum(nx + i * ng, nx + j * ng, ((at[s], at[t], m, c) for s, t, m, c in blocks))
 
 
 def _delta_matrix(inp: CechInput, i: int) -> IntMatrix:

@@ -31,7 +31,7 @@ cocycle when it vanishes on them.  Every cell of P is stored in one
 format, its boundary as a list of triples (a, g, c), c != 0, meaning
 c g e_a over the cells e_a of the degree below.  Each degree of
 Hom_Gamma(P, M) follows one rule from them: the triple (a, g, c) of cell b
-adds c M_g to block (a, b), which ``intmat.block_sum`` adds up in place.
+is c M_g placed at (n a, n b), n = rank M, summed by ``intmat.block_sum``.
 """
 
 from __future__ import annotations
@@ -435,13 +435,14 @@ def _resolution(gamma: FiniteGroup, i: int) -> list[list[list[tuple[int, int, in
 
 def _cochain_map(module: GammaModule, cells: Sequence[list], i: int) -> AbHom:
     """Degree i of Hom_Gamma(P, M), one copy of M per cell of degree i to one
-    per cell of degree i + 1: the triple (a, g, c) of cell b adds c M_g to
-    block (a, b)."""
+    per cell of degree i + 1: the triple (a, g, c) of cell b places c M_g
+    at (n a, n b)."""
     group, n = module.group, module.group.ambient_rank
     rows, cols = len(cells[i - 1]) if i else 1, len(cells[i])
+    blocks = ((n * a, n * b, module.actions[g], c)
+              for b, cell in enumerate(cells[i]) for a, g, c in cell)
     return AbHom(direct_sum(*[group] * rows), direct_sum(*[group] * cols),
-                 block_sum(n * rows, n * cols, module.actions, [n * a for a in range(rows)],
-                           [n * b for b in range(cols)], cells[i]))
+                 block_sum(n * rows, n * cols, blocks))
 
 
 def group_cohomology(module: GammaModule, i: int) -> FgAbelianGroup:

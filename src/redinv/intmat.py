@@ -33,9 +33,9 @@ carried eliminations here.
 
 ``identity(n)`` keeps the rows of each n up to 256 and wraps them in a new
 certified matrix on every call, so no solved state passes from one caller
-to another.  ``block_sum`` adds up blocks c * m, each m from one list and
-placed at a row and a column offset, read only over its nonzero entries,
-found once per matrix in a call: the cochain differentials of
+to another.  ``block_sum`` adds up placed blocks (r, k, m, c), c * m with
+its top left entry at (r, k), reading each distinct m only over its
+nonzero entries, found once per call: the cochain differentials of
 ``gammamod`` and ``cech`` are such sums.
 
 One rule covers every relation lattice: reduction modulo a lattice reads
@@ -57,7 +57,7 @@ from __future__ import annotations
 import operator
 from itertools import compress, count
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .value import Value
 
@@ -245,28 +245,25 @@ def hstack(*ms: IntMatrix) -> IntMatrix:
                      sum(m.cols for m in ms))
 
 
-def block_sum(rows: int, cols: int, mats: Sequence[IntMatrix], row_at: Sequence[int],
-              col_at: Sequence[int], cells: Iterable[Iterable[tuple[int, int, int]]]) -> IntMatrix:
-    """The rows x cols sum, over each cell b and each triple (a, g, c) of
-    it, of c * mats[g] with its top left entry at (row_at[a], col_at[b]).
-    Each mats[g] is read only over its nonzero entries, found once per
-    call, so an identity or permutation block costs one entry per row.  A
-    block reaching outside the bounds raises DimensionMismatch."""
-    if min(row_at, default=0) < 0 or min(col_at, default=0) < 0:
-        raise DimensionMismatch(f"block at a negative offset of {rows} x {cols}")
+def block_sum(rows: int, cols: int, blocks: Iterable[tuple[int, int, IntMatrix, int]]) -> IntMatrix:
+    """The rows x cols sum, over the blocks (r, k, m, c), of c * m with its
+    top left entry at (r, k).  Each distinct m is read only over its nonzero
+    entries, found once per call, so an identity or permutation block costs
+    one entry per row.  A block reaching outside the bounds raises
+    DimensionMismatch."""
     out = [[0] * cols for _ in range(rows)]
-    supports: list = [None] * len(mats)
+    alive, supports = [], {}  # supports by id(m); alive keeps each m, so no id is reused
     try:
-        for b, cell in enumerate(cells):
-            k = col_at[b]
-            for a, g, c in cell:
-                support = supports[g]
-                if support is None:
-                    support = supports[g] = [(i, j, x) for i, row in enumerate(mats[g].data)
+        for r, k, m, c in blocks:
+            if r < 0 or k < 0:
+                raise DimensionMismatch(f"block at a negative offset of {rows} x {cols}")
+            support = supports.get(id(m))
+            if support is None:
+                alive.append(m)
+                support = supports[id(m)] = [(i, j, x) for i, row in enumerate(m.data)
                                              for j, x in enumerate(row) if x]
-                r = row_at[a]
-                for i, j, x in support:
-                    out[r + i][k + j] += c * x
+            for i, j, x in support:
+                out[r + i][k + j] += c * x
     except IndexError:
         raise DimensionMismatch(f"block outside {rows} x {cols}") from None
     return IntMatrix(tuple(map(tuple, out)), cols)

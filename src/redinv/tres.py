@@ -276,7 +276,7 @@ def validate_ses_data(s: SESData) -> Checks:
 
 def ses_to_complex_ses(
     s: SESData,
-) -> tuple[ChainMap, ChainMap, Checks, ExactSequence | None]:
+) -> tuple[ChainMap | None, ChainMap | None, Checks, ExactSequence | None]:
     """Build 0 -> pi1D(G3) -> pi1D(G2) -> pi1D(G1) -> 0 and its long
     exact cohomology sequence.
 
@@ -286,7 +286,7 @@ def ses_to_complex_ses(
     """
     checks = list(validate_ses_data(s).entries)
     if not all(ok for _, ok, _ in checks):
-        return None, None, Checks(tuple(checks)), None  # type: ignore[return-value]
+        return None, None, Checks(tuple(checks)), None
     c3 = two_term_complex(pairing_map(s.g3))
     c2 = two_term_complex(pairing_map(s.g2))
     c1 = two_term_complex(pairing_map(s.g1))

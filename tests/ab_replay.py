@@ -102,25 +102,34 @@ def replay(workload: str, sides: list[tuple], rounds: int, max_ops) -> tuple:
     return n, total[0], total[1], differ, first
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The options; each ``--workload`` adds to the list, which is every
+    workload when none is given."""
     from perfbench import workloads
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent-src", required=True,
                         help="the src directory of the parent checkout (it holds redinv/)")
     parser.add_argument("--rounds", type=int, default=3, help="runs of each op a side")
-    parser.add_argument("--workload", nargs="+", choices=sorted(workloads.STREAMS),
-                        default=list(workloads.STREAMS))
+    # a list default would be extended in place, so every stream is filled in after parsing
+    parser.add_argument("--workload", nargs="+", action="extend", default=None,
+                        choices=sorted(workloads.STREAMS))
     parser.add_argument("--max-ops", type=int, default=None,
                         help=f"ops replayed a workload (default: all, {DENSE_OPS} of "
                              "dense_normal_forms)")
     args = parser.parse_args(argv)
+    if args.workload is None:
+        args.workload = list(workloads.STREAMS)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    parent = Path(args.parent_src) / "redinv"
-    if not (parent / "__init__.py").is_file():
+    if not (Path(args.parent_src) / "redinv" / "__init__.py").is_file():
         parser.error(f"no redinv package in {args.parent_src}")
+    return args
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    parent = Path(args.parent_src) / "redinv"
     os.environ.pop("REDINV_CATALOG", None)  # both sides read their shipped catalog
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(parent, Path(tmp) / "pkg" / PARENT,

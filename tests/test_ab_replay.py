@@ -1,14 +1,17 @@
 """The A/B replay ``tests/ab_replay.py`` finds no differing output when it
-replays this checkout against itself, and its scan finds the absolute
-imports of ``redinv`` that would make a parent's copy run this checkout."""
+replays this checkout against itself, its scan finds the absolute
+imports of ``redinv`` that would make a parent's copy run this checkout,
+and ``--workload`` given twice replays both lists."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-from ab_replay import absolute_redinv_imports
+from ab_replay import absolute_redinv_imports, parse_args
 
 ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:  # for perfbench.workloads
+    sys.path.insert(0, str(ROOT))
 
 
 def test_replay_against_itself_differs_nowhere():
@@ -26,3 +29,14 @@ def test_scan_flags_absolute_redinv_imports(tmp_path):
     (tmp_path / "a.py").write_text("from . import b\nimport redinv.intmat\n")
     (tmp_path / "b.py").write_text("from redinv import cli\nimport redinvx\nfrom .redinv import c\n")
     assert absolute_redinv_imports(tmp_path) == ["a.py:2", "b.py:1"]
+
+
+def test_workload_lists_extend_and_default_to_every_stream():
+    from perfbench import workloads
+
+    parent = ["--parent-src", str(ROOT / "src")]
+    both = ["bar_cohomology", "cli_mix"]
+    for spelling in (["--workload", *both], ["--workload", both[0], "--workload", both[1]]):
+        assert parse_args(parent + spelling).workload == both
+    # after the lists above, so a default extended in place would show here
+    assert parse_args(parent).workload == list(workloads.STREAMS)

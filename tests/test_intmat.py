@@ -262,17 +262,6 @@ def _dense_block_sum(rows, cols, blocks):
     return out
 
 
-def _block_sum(rows, cols, blocks):
-    """block_sum of the blocks (r, k, m, c), each its own cell at (r, k);
-    blocks that share a matrix object share its index."""
-    index = {}
-    for _, _, m, _ in blocks:
-        index.setdefault(id(m), (len(index), m))
-    return block_sum(rows, cols, [m for _, m in index.values()],
-                     [r for r, _, _, _ in blocks], [k for _, k, _, _ in blocks],
-                     [[(b, index[id(m)][0], c)] for b, (_, _, m, c) in enumerate(blocks)])
-
-
 class TestBlockSum:
     @pytest.mark.parametrize("seed", range(40))
     def test_against_dense_placement(self, seed):
@@ -288,7 +277,7 @@ class TestBlockSum:
             m = rng.choice(pool)
             blocks.append((rng.randint(0, rows - m.rows), rng.randint(0, cols - m.cols), m,
                            rng.randint(-3, 3)))
-        got = _block_sum(rows, cols, blocks)
+        got = block_sum(rows, cols, blocks)
         assert got.shape == (rows, cols)
         assert got.to_lists() == _dense_block_sum(rows, cols, blocks)
 
@@ -296,20 +285,28 @@ class TestBlockSum:
         a = mat([[1, 2], [0, 3]])
         blocks = [(0, 0, a, 2), (1, 1, a, -1), (0, 1, a, 0), (0, 0, identity(2), 1),
                   (2, 0, zeros(0, 3), 5)]
-        assert _block_sum(3, 3, blocks) == mat([[3, 4, 0], [0, 6, -2], [0, 0, -3]])
-        # one cell of several triples, two of them reading one matrix
-        cells = [[(0, 0, 2), (1, 0, -1), (0, 1, 1)]]
-        assert block_sum(3, 2, [a, identity(2)], [0, 1], [0], cells) == _block_sum(
-            3, 2, [(0, 0, a, 2), (1, 0, a, -1), (0, 0, identity(2), 1)])
+        assert block_sum(3, 3, blocks) == mat([[3, 4, 0], [0, 6, -2], [0, 0, -3]])
+        # several blocks at one column offset, two of them one matrix object
+        blocks = [(0, 0, a, 2), (1, 0, a, -1), (0, 0, identity(2), 1)]
+        assert block_sum(3, 2, blocks) == mat([[3, 4], [-1, 5], [0, -3]])
+
+    def test_matrices_built_on_the_fly(self):
+        # each block's matrix is new and dropped once read, so a memo keyed
+        # by id(m) alone would meet a reused id and read a stale support
+        def blocks():
+            for k in range(6):
+                yield k, 0, mat([[k + 1] * (1 + k % 3)]), 1
+
+        assert block_sum(6, 3, blocks()).to_lists() == _dense_block_sum(6, 3, blocks())
 
     def test_no_blocks(self):
-        assert _block_sum(2, 3, []) == zeros(2, 3)
-        assert _block_sum(0, 4, []).shape == (0, 4)
+        assert block_sum(2, 3, []) == zeros(2, 3)
+        assert block_sum(0, 4, []).shape == (0, 4)
 
     @pytest.mark.parametrize("r, k", [(2, 0), (0, 2), (-1, 0), (0, -1)])
     def test_block_outside_raises(self, r, k):
         with pytest.raises(DimensionMismatch):
-            _block_sum(3, 3, [(r, k, identity(2), 1)])
+            block_sum(3, 3, [(r, k, identity(2), 1)])
 
 
 def _matrices(max_rows: int = 5, max_cols: int = 5):
