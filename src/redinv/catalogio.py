@@ -27,6 +27,13 @@ from .value import Value
 
 SCHEMA_VERSION = 1
 
+# Most bytes of any file that redinv reads, so that no file, /dev/zero
+# among them, makes an unbounded read.  A file is read in one block of
+# _BLOCK bytes, and read on only when it fills that block, so a small file
+# costs no buffer of the bound's size.
+MAX_FILE_BYTES = 1 << 24
+_BLOCK = 1 << 16
+
 
 class CatalogError(ValueError):
     """Schema violation or failed self-test, with a field diagnostic."""
@@ -71,6 +78,17 @@ def default_catalog_path() -> str:
     if env:
         return env
     return os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+
+
+def read_bounded(path: str) -> bytes:
+    """The bytes of the file at path, if it holds at most MAX_FILE_BYTES."""
+    with open(path, "rb") as fh:
+        data = fh.read(_BLOCK)
+        if len(data) == _BLOCK:
+            data += fh.read(MAX_FILE_BYTES + 1 - _BLOCK)
+    if len(data) > MAX_FILE_BYTES:
+        raise ValueError(f"file of more than {MAX_FILE_BYTES} bytes")
+    return data
 
 
 def _require(cond: bool, field: str, msg: str) -> None:
@@ -121,8 +139,7 @@ def _parsed_catalog(path: Optional[str]) -> CatalogFile:
     """The parsed catalog at path, read on every call and parsed again only
     when its bytes differ from those parsed last."""
     global _parsed
-    with open(path or default_catalog_path(), "rb") as fh:
-        data = fh.read()
+    data = read_bounded(path or default_catalog_path())
     if _parsed is None or _parsed[0] != data:
         _parsed = data, _parse_catalog(data.decode("utf-8"))
     return _parsed[1]

@@ -19,6 +19,7 @@ from .catalogio import (
     datum_invariants,
     input_digest,
     invariants_json,
+    read_bounded,
 )
 from .rootdata import from_catalog, radical_characters, validate
 
@@ -49,8 +50,12 @@ def _fmt_group(inv: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+class _InputError(Exception):
+    """An input error, which ``main`` reports as one line on stderr."""
+
+
 def _load(parse: Callable[[], Any]) -> Any:
-    """parse(), or None after reporting an input error on stderr.
+    """parse(); an input error it raises is raised again as _InputError.
 
     Unknown specs, invalid data and bad values raise ValueError (which
     covers UnknownGroupSpec, InvalidDatum and JSONDecodeError); a file of
@@ -60,16 +65,14 @@ def _load(parse: Callable[[], Any]) -> Any:
     try:
         return parse()
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return None
+        raise _InputError(exc) from None
 
 
 def _read(path: str) -> tuple[bytes, Any]:
-    """The bytes of the file at path, if they hold at most MAX_FILE_DIGITS
-    decimal digits, and the JSON they hold; every command that reads a file
-    reads it here."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The bytes of the file at path, if they are at most
+    catalogio.MAX_FILE_BYTES and hold at most MAX_FILE_DIGITS decimal digits,
+    and the JSON they hold; every command that reads a file reads it here."""
+    data = read_bounded(path)
     digits = len(data) - len(data.translate(None, b"0123456789"))
     if digits > MAX_FILE_DIGITS:
         raise ValueError(f"file of {digits} decimal digits: at most {MAX_FILE_DIGITS}")
@@ -113,8 +116,6 @@ def _emit(args, command: str, digest_payload: dict, outputs: dict,
 
 def cmd_invariants(args) -> int:
     d = _load(lambda: from_catalog(args.spec))
-    if d is None:
-        return EXIT_INPUT_ERROR
     rep = validate(d)
     got = datum_invariants(d)
     outputs = dict(got, radicalCharacters=invariants_json(radical_characters(d).group))
@@ -145,8 +146,6 @@ def cmd_pi1d(args) -> int:
     from .tres import canonical_tresolution, four_term_check, pushout_tresolution
 
     d = _load(lambda: from_catalog(args.spec))
-    if d is None:
-        return EXIT_INPUT_ERROR
     res = (
         canonical_tresolution(d)
         if args.resolution == "canonical"
@@ -176,10 +175,7 @@ def cmd_pi1d(args) -> int:
 def cmd_check_ses(args) -> int:
     from .tres import SESData, ses_to_complex_ses
 
-    loaded = _load(lambda: _parse_file(args.file, SESData.from_json))
-    if loaded is None:
-        return EXIT_INPUT_ERROR
-    payload, ses = loaded
+    payload, ses = _load(lambda: _parse_file(args.file, SESData.from_json))
     _, _, checks, les = ses_to_complex_ses(ses)
     outputs = {}
     lines = [f"fixture: {args.file}"]
@@ -198,11 +194,8 @@ def cmd_check_ses(args) -> int:
 def cmd_cech(args) -> int:
     from .cech import CechInput, build_complex, cohomology_groups, contraction_check
 
-    loaded = _load(lambda: _parse_file(args.file, lambda obj: build_complex(
+    payload, cx = _load(lambda: _parse_file(args.file, lambda obj: build_complex(
         CechInput.from_json(obj), args.max_degree)))
-    if loaded is None:
-        return EXIT_INPUT_ERROR
-    payload, cx = loaded
     checks = contraction_check(cx)
     cohs = {str(i): invariants_json(h) for i, h in enumerate(cohomology_groups(cx, checks))}
     lines = [f"input: {args.file} (degrees up to {args.max_degree})"]
@@ -224,8 +217,6 @@ def _bounded_matrix(obj) -> IntMatrix:
 
 def cmd_matrix(args) -> int:
     m = _load(lambda: _bounded_matrix(_read(args.file)[1]))
-    if m is None:
-        return EXIT_INPUT_ERROR
     if args.kind == "hnf":
         h, u = hnf(m)
         outputs = {"H": h.to_json(), "U": u.to_json()}
@@ -296,6 +287,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return command(args)
+    except _InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

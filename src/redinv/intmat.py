@@ -491,11 +491,11 @@ class _Solve:
     the rows above hold the Hermite basis of the rows of m and rels with,
     carried, how to write it on m modulo rels (``image``); the carried part
     of the rows below spans {x : x @ m lies in the lattice of rels}
-    (``kernel``, Cohen, GTM 138, 2.4.3).  Each reader keeps its result and
-    drops the rows it read."""
+    (``kernel``, Cohen, GTM 138, 2.4.3).  The kernel and the basis are kept;
+    ``image`` reads the rows above on each call."""
 
     __slots__ = ("rels", "shape", "rows", "piv", "above", "below",
-                 "_kernel", "_image", "_basis")
+                 "_kernel", "_basis")
 
     def __init__(self, m: IntMatrix, rels: IntMatrix) -> None:
         self.rels, self.shape = rels, m.shape
@@ -503,7 +503,7 @@ class _Solve:
         for x in self.rows:
             echelon_reduce(rels, x)
         self.piv: Optional[list[int]] = None
-        self.above = self.below = self._image = self._basis = None
+        self.above = self.below = self._basis = None
         # every row in the lattice: all of Z^r, with no elimination
         self._kernel = None if any(map(any, self.rows)) else identity(m.rows)
 
@@ -528,13 +528,10 @@ class _Solve:
     def image(self) -> tuple[IntMatrix, IntMatrix]:
         """(H, X): the Hermite basis H of the rows of m and rels, and X with
         X @ m = H modulo rels."""
-        if self._image is None:
-            r, c = self.shape
-            self._eliminate()
-            above, self.above = self.above, None
-            self._image = (_certify(mat([row[:c] for row in above], c), self.piv),
-                           mat([row[c:] for row in above], r))
-        return self._image
+        r, c = self.shape
+        self._eliminate()
+        return (_certify(mat([row[:c] for row in self.above], c), self.piv),
+                mat([row[c:] for row in self.above], r))
 
     def basis(self) -> IntMatrix:
         """The Hermite basis of the rows of m and rels: read off the

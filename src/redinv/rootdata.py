@@ -112,9 +112,9 @@ class ReductiveDatum(Value):
     """A root datum with a finite group acting on X by based automorphisms."""
 
     FIELDS = ("name", "datum", "gamma", "actions")
-    # What the datum's invariants read more than once, built on first use
-    # and kept here, so that it dies with the datum: the root permutations,
-    # the weight module and the pairing map.  Neither compared nor hashed.
+    # The pairing map, built on first use and kept here, so that it dies
+    # with the datum: its matrix carries the one elimination that the
+    # kernel and the cokernel of beta share.  Neither compared nor hashed.
     _kept: dict
 
     def __init__(self, name: str, datum: RootDatum, gamma: FiniteGroup,
@@ -140,14 +140,8 @@ class ReductiveDatum(Value):
 
     def root_permutation(self, g: int) -> Optional[tuple[int, ...]]:
         """The permutation sigma with alpha_i . M_g = alpha_{sigma(i)}, or
-        None; found once per element, and kept."""
-        perms = self._kept.setdefault("perms", {})
-        if g not in perms:
-            perms[g] = self._find_permutation(self.actions[g])
-        return perms[g]
-
-    def _find_permutation(self, m: IntMatrix) -> Optional[tuple[int, ...]]:
-        roots = self.datum.simple_roots
+        None."""
+        m, roots = self.actions[g], self.datum.simple_roots
         # the identity fixes distinct roots of its width; others take the product
         if (m.is_identity() and len(set(roots)) == len(roots)
                 and all(len(a) == m.rows for a in roots)):
@@ -207,19 +201,15 @@ def validate(d: ReductiveDatum) -> Checks:
 
 def weight_module(d: ReductiveDatum) -> GammaModule:
     """P = Hom(Z Phi-dual, Z) on the fundamental-weight basis, with the
-    permutation action induced by the root permutations; built once per
-    datum."""
-    p = d._kept.get("weights")
-    if p is None:
-        r = d.datum.semisimple_rank
-        one, actions = identity(r), []
-        for g in d.gamma.elements():
-            perm = d.root_permutation(g)
-            if perm is None:
-                raise InvalidDatum("action does not permute the simple roots")
-            actions.append(mat(map(one.row, perm), r))
-        p = d._kept["weights"] = GammaModule(d.gamma, FgAbelianGroup.free(r), tuple(actions))
-    return p
+    permutation action induced by the root permutations."""
+    r = d.datum.semisimple_rank
+    one, actions = identity(r), []
+    for g in d.gamma.elements():
+        perm = d.root_permutation(g)
+        if perm is None:
+            raise InvalidDatum("action does not permute the simple roots")
+        actions.append(mat(map(one.row, perm), r))
+    return GammaModule(d.gamma, FgAbelianGroup.free(r), tuple(actions))
 
 
 def pairing_map(d: ReductiveDatum) -> GammaHom:

@@ -5,12 +5,15 @@ import os
 import pytest
 
 from redinv.catalogio import (
+    _BLOCK,
+    MAX_FILE_BYTES,
     CatalogError,
     ResultRecord,
     default_catalog_path,
     input_digest,
     invariants_json,
     load_catalog,
+    read_bounded,
     verify_catalog,
 )
 from redinv.intmat import mat
@@ -161,3 +164,21 @@ class TestResultRecords:
     def test_json_ends_with_newline(self):
         rec = ResultRecord("x", "y", {}, {})
         assert rec.to_json().endswith("\n")
+
+
+class TestReadBounded:
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK])
+    def test_every_byte_is_read_around_the_block(self, tmp_path, size):
+        data = bytes(i % 251 for i in range(size))
+        p = tmp_path / "f.bin"
+        p.write_bytes(data)
+        assert read_bounded(str(p)) == data
+
+    def test_the_bound_is_inclusive(self, tmp_path):
+        p = tmp_path / "f.bin"
+        p.write_bytes(b"7" * MAX_FILE_BYTES)
+        assert len(read_bounded(str(p))) == MAX_FILE_BYTES
+        with open(p, "ab") as fh:
+            fh.write(b"7")
+        with pytest.raises(ValueError, match=f"more than {MAX_FILE_BYTES} bytes"):
+            read_bounded(str(p))

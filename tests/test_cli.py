@@ -10,7 +10,7 @@ import pytest
 
 from redinv import cli
 from redinv.cli import main
-from redinv.catalogio import catalog_expected, default_catalog_path, load_catalog
+from redinv.catalogio import MAX_FILE_BYTES, catalog_expected, default_catalog_path, load_catalog
 from redinv.intmat import MAX_INPUT_DIGITS, mat
 
 from oracles import reference_hnf
@@ -681,3 +681,47 @@ def test_file_over_the_digit_budget_exit_2_at_once(capsys, tmp_path, case):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and not out
         assert err.startswith("input error: file of") and f"at most {cli.MAX_FILE_DIGITS}" in err
+
+
+@pytest.fixture(scope="module")
+def over_the_byte_bound(tmp_path_factory):
+    """A file of MAX_FILE_BYTES + 1 spaces: no digits, and no JSON value."""
+    p = tmp_path_factory.mktemp("bytes") / "spaces.json"
+    with open(p, "wb") as fh:
+        fh.write(b" " * (MAX_FILE_BYTES + 1))
+    return str(p)
+
+
+BYTE_BOUND_PATHS = ["OVER"] + (["/dev/zero"] if os.path.exists("/dev/zero") else [])
+
+
+@pytest.mark.parametrize("path", BYTE_BOUND_PATHS)
+@pytest.mark.parametrize("command", [["matrix", "hnf"], ["matrix", "snf"], ["check-ses"],
+                                     ["cech"]], ids="-".join)
+def test_file_over_the_byte_bound_exit_2(capsys, over_the_byte_bound, command, path):
+    path = over_the_byte_bound if path == "OVER" else path
+    for fmt in ("human", "json"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, path, "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert err == f"input error: file of more than {MAX_FILE_BYTES} bytes\n"
+
+
+@pytest.mark.parametrize("path", BYTE_BOUND_PATHS)
+def test_catalog_over_the_byte_bound_gives_no_verdict(capsys, over_the_byte_bound, path):
+    path = over_the_byte_bound if path == "OVER" else path
+    code, out, err = run(capsys, "invariants", "SL(2)", "--catalog", path, "--format", "json")
+    assert code == 0 and not err
+    assert "matches-catalog" not in json.loads(out)["verdicts"]
+
+
+def test_an_error_after_the_input_is_read_is_not_an_input_error(monkeypatch):
+    # only reading and parsing the input can give exit 2; a ValueError
+    # raised by the algebra is a fault of redinv, and propagates
+    def fail(_):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "datum_invariants", fail)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["invariants", "SL(2)"])
