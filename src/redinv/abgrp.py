@@ -93,8 +93,11 @@ class FgAbelianGroup(Value):
         return not any(self.reduce(coords))
 
     def contains_rows(self, m: IntMatrix) -> bool:
-        """True iff every row of m lies in the relation lattice."""
-        return all(self.contains_in_relations(r) for r in m.data)
+        """True iff every row of m lies in the relation lattice; a zero row
+        does, and is not reduced."""
+        if m.data and m.cols != self.ambient_rank:
+            raise DimensionMismatch(f"coords of length {m.cols} in ambient Z^{self.ambient_rank}")
+        return all(map(self.contains_in_relations, filter(any, m.data)))
 
     @staticmethod
     def free(n: int) -> "FgAbelianGroup":
@@ -166,10 +169,13 @@ def cokernel(f: AbHom) -> tuple[FgAbelianGroup, AbHom]:
 
 def is_exact_at(f: AbHom, g: AbHom) -> bool:
     """True iff image(f) = kernel(g) inside target(f) = source(g): g kills
-    the image, and every kernel generator lies in the lattice of the image
-    and the relations."""
-    if not f.then(g).is_zero():
-        return False
+    the image, and the image holds the kernel."""
+    return f.then(g).is_zero() and image_holds_kernel(f, g)
+
+
+def image_holds_kernel(f: AbHom, g: AbHom) -> bool:
+    """True iff every generator of kernel(g) lies in the lattice of the
+    image of f and the relations of source(g)."""
     return cokernel(f)[0].contains_rows(kernel_basis(g.matrix, g.target.relations))
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .intmat import IntMatrix, block_sum, identity, int_from_json, mat
+from .intmat import IntMatrix, block_sum, identity, int_from_json, kernel_basis, mat, zeros
 from .abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -47,6 +47,7 @@ from .abgrp import (
     homology_at,
     cokernel,
     direct_sum,
+    subquotient,
 )
 from .value import Value
 
@@ -264,9 +265,15 @@ def subquotient_module(module: GammaModule, data: SubquotientData) -> GammaModul
 
 
 def equivariant_kernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:
-    data = homology_at(None, f.hom)
-    km = subquotient_module(f.source, data)
-    return km, GammaHom(km, f.source, data.gens)
+    return submodule(f.source, kernel_basis(f.matrix, f.target.group.relations))
+
+
+def submodule(module: GammaModule, gens: IntMatrix) -> tuple[GammaModule, GammaHom]:
+    """The subgroup of module that the rows of gens generate, which the
+    action must keep, with the action it inherits and its inclusion."""
+    data = subquotient(gens, module.group.relations, zeros(0, module.group.ambient_rank))
+    sub = subquotient_module(module, data)
+    return sub, GammaHom(sub, module, data.gens)
 
 
 def equivariant_cokernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:

@@ -12,7 +12,13 @@ Only coordinates and ``hnf`` need the carried identity: ``image_basis(m,
 rels)``, the Hermite basis of the rows of m and rels that cokernels and
 yes/no verdicts read, comes off that elimination if it ran, is rels when
 every row of m reduces to zero, and is otherwise eliminated with no
-transform.
+transform.  A kernel asked for before any elimination reads a kept image
+basis of rels.rows + m.rows rows, which makes it zero, and is otherwise
+solved alone on what the relations leave: each zero row of m gives a unit
+vector, and the other rows, which vanish at the unit pivots of rels, are
+eliminated on its other columns only (a Tietze step, ``non_unit_part``).
+The image basis without elimination takes the same step.  Each of these
+is the unique Hermite basis of its lattice, whatever way it is found.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
@@ -41,11 +47,12 @@ nonzero entries, found once per call: the cochain differentials of
 One rule covers every relation lattice: reduction modulo a lattice reads
 its Hermite basis with the certificate ``_pivots``, the (row, column) of
 each pivot, and ``hermite_basis(m)`` is the one door to such a basis.  It
-returns a certified m as it is, certifies in one pass an m whose rows
-already form the basis, and eliminates any other m.  Code that has just
-made a basis certifies it too: ``_echelon`` returns the pivot columns, so
-the solver's kernel and image are certified, as are ``identity(n)``,
-``zeros(0, n)`` and ``block_diag`` of certified parts.  The solver takes
+returns a certified m as it is, certifies in one pass an m whose nonzero
+rows already form the basis, and eliminates any other m.  Code that has
+just made a basis certifies it too: ``_echelon`` returns the pivot
+columns, so the solver's kernel and image are certified, as are
+``identity(n)``, ``zeros(0, n)``, ``block_diag`` of certified parts and
+``non_unit_part`` of a certified basis.  The solver takes
 ``hermite_basis`` of the relations it is given, so it always reduces by a
 certified basis, and ``echelon_reduce`` and ``unit_pivots`` read the
 certificate of the basis they are given.  Nothing outside this module
@@ -365,11 +372,12 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 def hermite_basis(m: IntMatrix) -> IntMatrix:
     """The Hermite basis of the lattice of the rows of m, certified.
 
-    A certified m is returned as it is.  An m whose rows already form a
-    Hermite basis (no row is zero, the leading entries are positive and
-    stand in strictly increasing columns, and every entry above a pivot
-    lies in [0, pivot)) is certified in one pass and returned: such rows
-    are the unique Hermite basis of their lattice.  Any other m gives the
+    A certified m is returned as it is.  When the nonzero rows of m already
+    form a Hermite basis (the leading entries are positive and stand in
+    strictly increasing columns, and every entry above a pivot lies in
+    [0, pivot)), one pass over the columns of those pivots certifies them,
+    and they are returned, as m itself when no row is zero: such rows are
+    the unique Hermite basis of their lattice.  Any other m gives the
     nonzero rows of its Hermite form, with no transform.  A tall m is taken
     cols rows at a time, each block reduced together with the basis of the
     rows before it, so no elimination has more than 2 * cols rows; the
@@ -379,14 +387,22 @@ def hermite_basis(m: IntMatrix) -> IntMatrix:
     if m._pivots is not None:
         return m
     piv: list[int] = []
+    nonzero, columns = [], None
     for i, row in enumerate(m.data):
         j = next(compress(count(), row), None)
-        if (j is None or piv and j <= piv[-1] or row[j] < 0
-                or not all(0 <= above[j] < row[j] for above in m.data[:i])):
+        if j is None:
+            continue
+        if piv and j <= piv[-1] or row[j] < 0:
             break
+        if i:
+            columns = columns or list(zip(*m.data))
+            above = columns[j][:i]
+            if min(above) < 0 or max(above) >= row[j]:
+                break
         piv.append(j)
+        nonzero.append(row)
     else:
-        return _certify(m, piv)
+        return _certify(m if len(nonzero) == len(m.data) else IntMatrix(tuple(nonzero), m.cols), piv)
     c, step = m.cols, max(m.cols, 1)
     rows = m.to_lists()
     basis: list[list[int]] = []
@@ -441,6 +457,22 @@ def unit_pivots(h: IntMatrix) -> dict[int, int]:
     return {j: i for i, j in h._pivots if h.data[i][j] == 1}
 
 
+def non_unit_part(h: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """The columns of the certified Hermite basis h that hold no unit pivot,
+    and the rows of h with their pivot there, restricted to those columns:
+    a certified Hermite basis again.  A vector that is zero at every unit
+    pivot column lies in the lattice of h exactly when its restriction lies
+    in the lattice of that part, since a unit pivot's column is zero in
+    every other row of h (a Tietze step)."""
+    unit = unit_pivots(h)
+    keep = [j for j in range(h.cols) if j not in unit]
+    if not unit:
+        return keep, h
+    rest = [(i, j) for i, j in h._pivots if j not in unit]
+    return keep, _certify(mat([[h.data[i][k] for k in keep] for i, _ in rest], len(keep)),
+                          [keep.index(j) for _, j in rest])
+
+
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, with no transforms.  Each unit
     pivot of the Hermite basis of m gives a factor 1, and its row and
@@ -448,11 +480,7 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     transpose take Hermite bases in turn until one is diagonal, then
     (gcd, lcm) swaps sort the positive diagonal into a divisibility chain."""
     h = hermite_basis(m)
-    unit = unit_pivots(h)
-    keep = [j for j in range(h.cols) if j not in unit]
-    rest = [(i, j) for i, j in h._pivots if j not in unit]
-    a = _certify(mat([[h.data[i][k] for k in keep] for i, _ in rest], len(keep)),
-                 [keep.index(j) for _, j in rest])
+    keep, a = non_unit_part(h)
     # an echelon form is diagonal when no row has an entry right of it
     while any(any(row[i + 1:]) for i, row in enumerate(a.data)):
         a = hermite_basis(a.transpose())
@@ -461,14 +489,16 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
         for j in range(i + 1, len(d)):
             g = gcd(d[i], d[j])
             d[i], d[j] = g, d[i] // g * d[j]
-    return (1,) * len(unit) + tuple(d)
+    return (1,) * (h.cols - len(keep)) + tuple(d)
 
 
 def echelon_reduce(h: IntMatrix, x: list[int]) -> list[int]:
     """Subtract x[j] // h[i, j] times row i of h from x, for each pivot (i, j)
     in turn, touching only the row's nonzero entries; return those
     multiples.  h must be a certified Hermite basis (``hermite_basis``):
-    its certificate lists the pivots."""
+    its certificate lists the pivots.  A zero x is left as it is."""
+    if not any(x):
+        return [0] * len(h._pivots)
     qs = []
     for i, j in h._pivots:
         row = h.data[i]
@@ -492,59 +522,145 @@ class _Solve:
     carried, how to write it on m modulo rels (``image``); the carried part
     of the rows below spans {x : x @ m lies in the lattice of rels}
     (``kernel``, Cohen, GTM 138, 2.4.3).  The kernel and the basis are kept;
-    ``image`` reads the rows above on each call."""
+    ``image`` reads the carried rows above on each call.  A kept basis of
+    rels.rows + m.rows rows, the most there can be, says that the rows of m
+    are independent modulo rels: the kernel is zero, and is read off it
+    with no elimination.  A kernel read before the elimination, when rels
+    has a unit pivot or m a zero row, is solved alone on the rest
+    (``_kernel_alone``), which leaves the elimination to a later ``image``
+    and keeps the basis it finds."""
 
-    __slots__ = ("rels", "shape", "rows", "piv", "above", "below",
+    __slots__ = ("rels", "units", "shape", "rows", "piv", "above", "below",
                  "_kernel", "_basis")
 
     def __init__(self, m: IntMatrix, rels: IntMatrix) -> None:
         self.rels, self.shape = rels, m.shape
+        self.units = unit_pivots(rels)
         self.rows = m.to_lists()
-        for x in self.rows:
-            echelon_reduce(rels, x)
+        if rels.rows:
+            for x in self.rows:
+                echelon_reduce(rels, x)
         self.piv: Optional[list[int]] = None
         self.above = self.below = self._basis = None
         # every row in the lattice: all of Z^r, with no elimination
         self._kernel = None if any(map(any, self.rows)) else identity(m.rows)
 
     def _eliminate(self) -> None:
-        if self.piv is not None:
-            return
-        (r, c), rows, self.rows = self.shape, self.rows, None
-        for x, e in zip(rows, identity(r).data):
-            x.extend(e)
-        rows += [list(row) + [0] * r for row in self.rels.data]
-        self.piv = piv = _echelon(rows, c)
-        self.above, self.below = rows[:len(piv)], rows[len(piv):]
+        if self.piv is None:
+            rows, self.rows = self.rows, None
+            self.piv, rows = _carried(rows, self.rels)
+            self.above, self.below = rows[:len(self.piv)], rows[len(self.piv):]
 
     def kernel(self) -> IntMatrix:
         if self._kernel is None:
             r, c = self.shape
-            self._eliminate()
-            below, self.below = self.below, None
-            self._kernel = hermite_basis(mat([row[c:] for row in below], r))
+            if self._basis is not None and self._basis.rows == self.rels.rows + r:
+                self._kernel = zeros(0, r)
+            elif self.piv is None and (self.units or not all(map(any, self.rows))):
+                self._kernel = self._kernel_alone()
+            else:
+                self._eliminate()
+                below, self.below = self.below, None
+                self._kernel = hermite_basis(mat([row[c:] for row in below], r))
         return self._kernel
+
+    def _kernel_alone(self) -> IntMatrix:
+        """The kernel with no elimination kept for the image.  A zero row i
+        of m gives e_i; the other rows, which are zero at the unit pivots of
+        rels, are eliminated on its other columns against its other rows
+        (``non_unit_part``), and their kernel is placed beside the e_i.  The
+        rows above the rank give the basis too."""
+        r = self.shape[0]
+        live = [i for i, x in enumerate(self.rows) if any(x)]
+        keep, rest, rows = self._rest([self.rows[i] for i in live])
+        piv, rows = _carried(rows, rest)
+        c = len(keep)
+        if self._basis is None:
+            self._basis = self._joined(
+                _certify(mat([row[:c] for row in rows[:len(piv)]], c), piv), keep)
+        sub = hermite_basis(mat([row[c:] for row in rows[len(piv):]], len(live)))
+        one, live_set = identity(r).data, set(live)
+        return _join({i: one[i] for i in range(r) if i not in live_set}, sub, live)
 
     def image(self) -> tuple[IntMatrix, IntMatrix]:
         """(H, X): the Hermite basis H of the rows of m and rels, and X with
         X @ m = H modulo rels."""
         r, c = self.shape
         self._eliminate()
-        return (_certify(mat([row[:c] for row in self.above], c), self.piv),
-                mat([row[c:] for row in self.above], r))
+        return self.basis(), mat([row[c:] for row in self.above], r)
 
     def basis(self) -> IntMatrix:
         """The Hermite basis of the rows of m and rels: read off the
-        elimination if it ran, rels itself if they hold every row of m, and
-        otherwise a Hermite basis with no transform."""
+        elimination if it ran, with no carried part, rels itself if they
+        hold every row of m, and otherwise a Hermite basis with no
+        transform, taken on the columns of no unit pivot of rels (the rows
+        of m are zero at the others)."""
         if self._basis is None:
+            c = self.shape[1]
             if self.piv is not None:
-                self._basis = self.image()[0]
+                self._basis = _certify(mat([row[:c] for row in self.above], c), self.piv)
             elif not any(map(any, self.rows)):
                 self._basis = self.rels
+            elif self.units:
+                keep, rest, rows = self._rest(self.rows)
+                self._basis = self._joined(hermite_basis(mat(list(rest.data) + rows, len(keep))),
+                                           keep)
             else:
-                self._basis = hermite_basis(mat(list(self.rels.data) + self.rows, self.shape[1]))
+                self._basis = hermite_basis(mat(list(self.rels.data) + self.rows, c))
         return self._basis
+
+    def _rest(self, rows: list[list[int]]) -> tuple[list[int], IntMatrix, list[list[int]]]:
+        """The columns where rels has no unit pivot, the rest of rels on
+        them (``non_unit_part``), and new lists of rows on them."""
+        keep, rest = non_unit_part(self.rels)
+        if rest is self.rels:
+            return keep, rest, [list(x) for x in rows]
+        return keep, rest, [[x[j] for j in keep] for x in rows]
+
+    def _joined(self, sub: IntMatrix, keep: list[int]) -> IntMatrix:
+        """The Hermite basis of the rows of m and rels from sub, that of the
+        rows of m and the rest of rels on the columns keep, which hold no
+        unit pivot of rels: sub joined to the unit rows of rels."""
+        if not self.units:
+            return sub
+        return _join({j: self.rels.data[i] for j, i in self.units.items()}, sub, keep)
+
+
+def _carried(rows: list[list[int]], rels: IntMatrix) -> tuple[list[int], list[list[int]]]:
+    """The pivot columns and rows of [rows | I; rels | 0] eliminated on the
+    columns of rels; rows is extended in place."""
+    r = len(rows)
+    for x, e in zip(rows, identity(r).data):
+        x.extend(e)
+    rows += [list(row) + [0] * r for row in rels.data]
+    return _echelon(rows, rels.cols), rows
+
+
+def _join(units: dict[int, tuple[int, ...]], sub: IntMatrix, cols: list[int]) -> IntMatrix:
+    """The certified Hermite basis of the rows units[j], each with a unit
+    pivot at column j and zero at the other columns of units, and of the
+    certified Hermite basis sub placed on the columns cols, the rest: the
+    unit rows, each reduced by placed sub, and placed sub, in pivot order.
+    Each row is zero left of its pivot and each pivot's column is reduced
+    above it, so these rows are the Hermite basis of their lattice."""
+    c = len(units) + len(cols)
+    placed = []
+    for row in sub.data:
+        full = [0] * c
+        for j, x in zip(cols, row):
+            full[j] = x
+        placed.append(tuple(full))
+    placed_piv = [cols[j] for _, j in sub._pivots]
+    lift = _certify(IntMatrix(tuple(placed), c), placed_piv)
+    out = dict(zip(placed_piv, placed))
+    for j, row in units.items():
+        if any(map(row.__getitem__, placed_piv)):
+            x = list(row)
+            echelon_reduce(lift, x)
+            row = tuple(x)
+        out[j] = row
+    order = sorted(out)
+    return _certify(IntMatrix(tuple(map(out.__getitem__, order)), c), order)
 
 
 def _solve(m: IntMatrix, rels: Optional[IntMatrix]) -> _Solve:
@@ -585,18 +701,20 @@ def member_coords(gens: IntMatrix, rels: Optional[IntMatrix],
     rels, and exactly without rels; None when a row of vecs is outside the
     subgroup that the rows of gens generate modulo rels.  Every row of vecs
     is reduced against the Hermite basis above the rank of the elimination
-    that gens keeps for rels, the one ``kernel_basis`` reads."""
+    that gens keeps for rels, the one ``kernel_basis`` reads.  A certified
+    Hermite basis gens with no rels has independent rows, so C is unique,
+    and the reduction by gens itself gives it, with no elimination."""
     g, c = gens.shape
-    s = _solve(gens, rels)
+    s = None if rels is None and gens._pivots is not None else _solve(gens, rels)
     if vecs.cols != c:
         raise DimensionMismatch(f"vectors of width {vecs.cols} for {gens.shape}")
     if not vecs.rows:
         return zeros(0, g)
-    h, x = s.image()
+    h, x = (gens, None) if s is None else s.image()
     qs = []
     for v in vecs.data:
         y = list(v)
         qs.append(echelon_reduce(h, y))
         if any(y):
             return None
-    return mat(qs, h.rows) @ x
+    return mat(qs, h.rows) if x is None else mat(qs, h.rows) @ x

@@ -22,7 +22,7 @@ import re
 from math import gcd
 from typing import Optional
 
-from .intmat import IntMatrix, hermite_basis, identity, kernel_basis, mat
+from .intmat import IntMatrix, hermite_basis, identity, image_basis, kernel_basis, mat, unit_pivots
 from .abgrp import MAX_RANK as MAX_SPEC_RANK, Checks, FgAbelianGroup
 from .gammamod import (
     FiniteGroup,
@@ -215,11 +215,15 @@ def weight_module(d: ReductiveDatum) -> GammaModule:
 def pairing_map(d: ReductiveDatum) -> GammaHom:
     """beta: X -> P, chi -> (<chi, alpha_j-dual>)_j; built once per datum,
     so that its matrix keeps one solved state for the kernel and the
-    cokernel of beta."""
+    cokernel of beta.  A square beta takes its image basis first, with no
+    transform: when it has full rank, its kernel is zero and is read off
+    that basis with no carried elimination."""
     beta = d._kept.get("beta")
     if beta is None:
         b = mat(d.datum.simple_coroots, d.datum.rank).transpose()
         beta = d._kept["beta"] = GammaHom(d.x_module(), weight_module(d), b)
+        if b.rows == b.cols:
+            image_basis(b, beta.target.group.relations)
     return beta
 
 
@@ -247,11 +251,16 @@ def pi1(d: ReductiveDatum) -> GammaModule:
 
 def saturation(rows: IntMatrix) -> IntMatrix:
     """Basis of the saturation of the row span (double orthogonal complement).
-    n rows of rank n in Z^n span a lattice of finite index, whose saturation
-    is Z^n, so a square matrix takes the cheaper rank test first."""
+    The Hermite basis of the rows is read first: n rows of rank n in Z^n
+    span a lattice of finite index, whose saturation is Z^n, and a basis
+    whose pivots are all 1 spans a saturated lattice (Z^n is its span plus
+    the coordinates of no pivot), the one it is the Hermite basis of."""
     n = rows.cols
-    if rows.rows == n and hermite_basis(rows).rows == n:
+    h = hermite_basis(rows)
+    if h.rows == n:
         return identity(n)
+    if len(unit_pivots(h)) == h.rows:
+        return h
     return kernel_basis(kernel_basis(rows.transpose()).transpose())
 
 

@@ -6,12 +6,29 @@ degrees -1, 0) has H^-1 = the character group and H^0 = mu*.  The
 canonical resolution is (X --beta--> P); the pushout resolution embeds
 the finite group mu' = coker[X -> X_rad (+) P] into an induced torus.
 Either way the fundamental complex is ``homcx.two_term_complex(rho*)``.
-``SESData.from_json`` reads a short-exact-sequence fixture.
+The pushout reads mu' in closed form off the Hermite basis H of the image
+of beta (``_mu_prime``) and solves R* only on the columns where H has no
+unit pivot; every lattice it builds is the one a stacked elimination
+would give, with the same Hermite basis.  ``SESData.from_json`` reads a
+short-exact-sequence fixture.
 """
 
 from __future__ import annotations
 
-from .intmat import IntMatrix, hstack, identity, mat, member_coords, unit_pivots, vstack, zeros
+from .intmat import (
+    IntMatrix,
+    hermite_basis,
+    hstack,
+    identity,
+    image_basis,
+    kernel_basis,
+    mat,
+    member_coords,
+    non_unit_part,
+    unit_pivots,
+    vstack,
+    zeros,
+)
 from .abgrp import (
     AbHom,
     Checks,
@@ -19,6 +36,7 @@ from .abgrp import (
     FgAbelianGroup,
     cokernel,
     exactness,
+    image_holds_kernel,
     is_exact_at,
 )
 from .gammamod import (
@@ -27,6 +45,7 @@ from .gammamod import (
     equivariant_cokernel,
     equivariant_kernel,
     induced_module,
+    submodule,
 )
 from .homcx import (
     ChainMap,
@@ -83,78 +102,123 @@ def _orbit_representatives(mu_prime: GammaModule) -> list[int]:
     return reps
 
 
+def _mu_prime(x_rad: GammaModule, beta: GammaHom) -> tuple[GammaModule, FgAbelianGroup, IntMatrix]:
+    """mu' = coker[X -> X_rad (+) P, chi -> (chi, beta(chi))], the group
+    P/H of P modulo H, and B'.
+
+    With S the Hermite basis of the relations of X_rad and B the matrix of
+    beta, mu' is Z^n (+) Z^r modulo the rows of [S | 0] and [I | B] (P is
+    free).  That lattice holds [0 | S B] = S [I | B] - [S | 0], so its
+    Hermite basis is [I | B'; 0 | H] in closed form, H the Hermite basis of
+    S B and B' the rows of B reduced by H.  The embedding is injective
+    exactly when H has as many rows as S.  For a semisimple datum S = I,
+    and H is the image basis of beta, which ``pairing_map`` keeps and which
+    holds the rows of B, so B' = 0."""
+    (n, r), s = beta.matrix.shape, x_rad.group.relations
+    semisimple = s.is_identity()
+    if semisimple:
+        h = image_basis(beta.matrix, beta.target.group.relations)
+    else:
+        h = hermite_basis(s @ beta.matrix)
+    if h.rows != s.rows:
+        raise InvalidDatum("character embedding into X_rad (+) P is not injective")
+    p_mod_h = FgAbelianGroup(r, h)
+    # the image of beta holds every row of B
+    b_prime = zeros(n, r) if semisimple else mat(map(p_mod_h.reduce, beta.matrix.data), r)
+    rels = [e + b for e, b in zip(identity(n).data, b_prime.data)]
+    rels += [(0,) * n + row for row in h.data]
+    actions = direct_sum_modules(x_rad, beta.target).actions
+    return (GammaModule(x_rad.gamma, FgAbelianGroup(n + r, mat(rels, n + r)), actions),
+            p_mod_h, b_prime)
+
+
 def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
-    """Resolve through the induced torus covering mu' = coker[X -> X_rad (+) P]."""
+    """Resolve through the induced torus covering mu' = coker[X -> X_rad (+) P]
+    (``_mu_prime``).
+
+    R* is the kernel of a map [A | C] into mu'.  A row x [A | C] lies in the
+    lattice [I | B'; 0 | H] of mu' exactly when x (C - A B') lies in that of
+    H, and those rows reduced by H are zero at its unit pivots, so the
+    kernel is solved on H's other columns against its other rows
+    (``intmat.non_unit_part``): the same lattice, so the same Hermite basis.
+    """
     n = d.datum.rank
     r = d.datum.semisimple_rank
     gamma = d.gamma
     q = gamma.order
     x_rad = radical_characters(d)
-    beta = pairing_map(d)
-    target = direct_sum_modules(x_rad, beta.target)
-    # X -> X_rad (+) P, chi -> (chi mod saturated root span, beta(chi))
-    emb = AbHom(FgAbelianGroup.free(n), target.group, hstack(identity(n), beta.matrix))
-    if not emb.is_injective():
-        raise InvalidDatum("character embedding into X_rad (+) P is not injective")
-    mu_prime = GammaModule(gamma, cokernel(emb)[0], target.actions)
+    mu_prime, p_mod_h, b_prime = _mu_prime(x_rad, pairing_map(d))
 
     reps = _orbit_representatives(mu_prime)
     k = len(reps)
     t_star = induced_module(gamma, k)
     # s: T* -> mu', basis vector (i, g) -> g . (ambient generator reps[i]),
     # which is row reps[i] of M_g
-    s_matrix = mat((m.row(j) for j in reps for m in mu_prime.actions), n + r)
+    s_rows = [m.row(j) for j in reps for m in mu_prime.actions]
 
-    # R* = ker[(a, b) in X_rad (+) T* -> q(a, 0) + s(b)]
+    # R* = ker[(a, b) in X_rad (+) T* -> q(a, 0) + s(b)], the map [A | C]
+    # whose rows are (e_i, 0) for X_rad and those of s for T*, so that the
+    # rows of C - A B' are those of -B' and of s_P - s_X B'
+    s_p = mat((row[n:] for row in s_rows), r)
+    y = vstack(-b_prime, s_p - mat((row[:n] for row in s_rows), n) @ b_prime)
+    keep, h_rest = non_unit_part(p_mod_h.relations)
+    ker = kernel_basis(
+        mat(([x[j] for j in keep] for x in map(p_mod_h.reduce, y.data)), len(keep)), h_rest)
     src = direct_sum_modules(x_rad, t_star)
-    top = hstack(identity(n), zeros(n, r))  # X_rad ambient -> mu' ambient
-    r_star, r_inc = equivariant_kernel(GammaHom(src, mu_prime, vstack(top, s_matrix)))
+
+    r_star, r_inc = submodule(src, ker)
+
+    # X_0 -> X and mu* are those of the canonical resolution
+    canonical = canonical_tresolution(d)
+    # the character group included into R* as chi -> (chi mod rad span, 0):
+    # the kernel holds the relations of X_rad (+) T*, so a row lands in R*
+    # when it lies in the lattice of ker, and its coordinates on that basis
+    # need no elimination
+    x0, chi = canonical.char_map.source, canonical.char_map.matrix
+    char_matrix = member_coords(ker, None, hstack(chi, zeros(chi.rows, k * q)))
+    if char_matrix is None:
+        raise InvalidDatum("character group does not land in R*")
 
     # rho* = T*-coordinate projection of the kernel inclusion
     rho_matrix = mat((row[n:] for row in r_inc.matrix.data), k * q)
     rho_star = GammaHom(r_star, t_star, rho_matrix)
 
-    # X_0 -> X and mu* are those of the canonical resolution
-    canonical = canonical_tresolution(d)
-
     # l* = s followed by the projection mu' -> mu (drop the X_rad part)
-    drop = vstack(zeros(n, r), identity(r))
-    l_star = GammaHom(t_star, canonical.l_star.target, s_matrix @ drop)
-
-    # character group included into R* as chi -> (chi mod rad span, 0)
-    x0, chi = canonical.char_map.source, canonical.char_map.matrix
-    char_matrix = member_coords(
-        r_inc.matrix, src.group.relations, hstack(chi, zeros(chi.rows, k * q))
-    )
-    if char_matrix is None:
-        raise InvalidDatum("character group does not land in R*")
-
+    l_star = GammaHom(t_star, canonical.l_star.target, s_p)
     return TResolutionData(d, rho_star, l_star, GammaHom(x0, r_star, char_matrix), "pushout")
 
 
 def four_term_check(res: TResolutionData) -> Checks:
     """Exactness of 0 -> (G^tor)* -> R* -> T* -> mu* -> 0, and for pushout
-    resolutions also of 0 -> R*/(G^tor)* -> T* -> mu* -> 0."""
+    resolutions also of 0 -> R*/(G^tor)* -> T* -> mu* -> 0.
+
+    The induced map R*/(G^tor)* -> T* has the matrix of rho*, so it is
+    injective when ker rho* lies in the image of (G^tor)*, the second half
+    of exactness at R*, and exact at T* when rho* is: each containment and
+    composite is computed once, and every verdict is printed."""
     cm = res.char_map.hom
     rho = res.rho_star.hom
     l = res.l_star.hom
-    names = ("char-map-injective", "exact-at-Rstar", "exact-at-Tstar", "l-star-surjective")
-    injective, *exact = exactness((cm, rho, l), names)
+    # ker rho* in the image of the character group, computed even when the
+    # composite is not zero, since the quotient's injectivity reads it
+    rho_kernel_in_image = image_holds_kernel(cm, rho)
+    exact_at_t = is_exact_at(rho, l)
     checks = [
-        injective,
+        ("char-map-injective", cm.is_injective(), None),
         ("char-map-equivariant", res.char_map.is_equivariant(), None),
         ("rho-equivariant", res.rho_star.is_equivariant(), None),
         ("l-equivariant", res.l_star.is_equivariant(), None),
-        *exact,
+        ("exact-at-Rstar", cm.then(rho).is_zero() and rho_kernel_in_image, None),
+        ("exact-at-Tstar", exact_at_t, None),
+        ("l-star-surjective", l.is_surjective(), None),
     ]
     if res.provenance == "pushout":
-        r1_grp, _ = cokernel(cm)
         # induced map R*/(G^tor)* -> T* (rho* kills the character group)
-        induced = AbHom(r1_grp, l.source, rho.matrix)
+        induced = AbHom(cokernel(cm)[0], l.source, rho.matrix)
         checks += [
             ("quotient-map-well-defined", induced.is_well_defined(), None),
-            ("quotient-injective", induced.is_injective(), None),
-            ("quotient-exact-at-Tstar", is_exact_at(induced, l), None),
+            ("quotient-injective", rho_kernel_in_image, None),
+            ("quotient-exact-at-Tstar", exact_at_t, None),
         ]
     return Checks(tuple(checks))
 

@@ -7,7 +7,9 @@ every round).  Machine drift between two separate benchmark runs so
 cancels out of the ratio.  For each workload it prints the op count, the
 two sums of per-op best times, their ratio (change over parent) and the
 number of ops whose exit code, output or uncaught error differ, and it
-exits 1 if any does.
+exits 1 if any does.  A second line gives the ratios of the Harrell-Davis
+p50 and p90 of the per-op best times (``perfbench.run.harrell_davis``, as
+the benchmark's ``latency_p50_ms`` and ``latency_p90_ms`` take them).
 
 The parent's ``redinv`` is copied to a temporary directory under the name
 ``redinv_parent``, so both packages import side by side.  A module of the
@@ -65,9 +67,9 @@ def absolute_redinv_imports(package: Path) -> list[str]:
 
 
 def replay(workload: str, sides: list[tuple], rounds: int, max_ops) -> tuple:
-    """(ops, parent seconds, change seconds, differing ops, first differing
-    op's argv) of one workload; sides holds the parent's modules, then the
-    change's."""
+    """(per-op best seconds of the parent, the same of the change, differing
+    ops, first differing op's argv) of one workload; sides holds the
+    parent's modules, then the change's."""
     from perfbench import workloads
     from perfbench.run import execute
 
@@ -85,7 +87,7 @@ def replay(workload: str, sides: list[tuple], rounds: int, max_ops) -> tuple:
     for modules in sides:
         run(workloads.WARMUP[workload], modules)
     ops = workloads.stream(workload, SEED, str(SRC / "redinv" / "data"))
-    n, total, differ, first = 0, [0.0, 0.0], 0, None
+    times, differ, first = ([], []), 0, None
     for op in itertools.islice(ops, max_ops):
         best, results = [float("inf")] * 2, [None, None]
         for r in range(rounds):
@@ -93,13 +95,16 @@ def replay(workload: str, sides: list[tuple], rounds: int, max_ops) -> tuple:
                 dt, result = run(op, sides[k])
                 best[k] = min(best[k], dt)
                 results[k] = results[k] or result
-        n += 1
-        total[0] += best[0]
-        total[1] += best[1]
+        for k in (0, 1):
+            times[k].append(best[k])
         if results[0] != results[1]:
             differ += 1
             first = first or op.argv or f"bar module, degree {op.degree}"
-    return n, total[0], total[1], differ, first
+    return times[0], times[1], differ, first
+
+
+def ratio(change: float, parent: float) -> float:
+    return change / parent if parent else float("nan")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -128,6 +133,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    from perfbench.run import harrell_davis
+
     args = parse_args(argv)
     parent = Path(args.parent_src) / "redinv"
     os.environ.pop("REDINV_CATALOG", None)  # both sides read their shipped catalog
@@ -153,10 +160,16 @@ def main(argv=None) -> int:
             limit = args.max_ops
             if limit is None and w == "dense_normal_forms":
                 limit = DENSE_OPS
-            n, t_parent, t_change, differ, first = replay(w, sides, args.rounds, limit)
-            ratio = t_change / t_parent if t_parent else float("nan")
-            print(f"{w}: {n} ops, parent {t_parent:.4f} s, change {t_change:.4f} s, "
-                  f"change/parent {ratio:.3f}, {differ} differing outputs", flush=True)
+            parent_s, change_s, differ, first = replay(w, sides, args.rounds, limit)
+            t_parent, t_change = sum(parent_s), sum(change_s)
+            print(f"{w}: {len(parent_s)} ops, parent {t_parent:.4f} s, change {t_change:.4f} s, "
+                  f"change/parent {ratio(t_change, t_parent):.3f}, {differ} differing outputs",
+                  flush=True)
+            if parent_s:
+                p50, p90 = (ratio(harrell_davis(change_s, q), harrell_davis(parent_s, q))
+                            for q in (0.5, 0.9))
+                print(f"  {w} quantiles of per-op best times: p50 change/parent {p50:.3f}, "
+                      f"p90 change/parent {p90:.3f}", flush=True)
             if differ:
                 print(f"  first differing op: {first}", flush=True)
             differing += differ

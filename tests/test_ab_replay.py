@@ -1,8 +1,10 @@
 """The A/B replay ``tests/ab_replay.py`` finds no differing output when it
-replays this checkout against itself, its scan finds the absolute
-imports of ``redinv`` that would make a parent's copy run this checkout,
-and ``--workload`` given twice replays both lists."""
+replays this checkout against itself and prints the Harrell-Davis p50 and
+p90 ratios beside each sum, its scan finds the absolute imports of
+``redinv`` that would make a parent's copy run this checkout, and
+``--workload`` given twice replays both lists."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +23,16 @@ def test_replay_against_itself_differs_nowhere():
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["cli_mix", "bar_cohomology"]
-    assert all(": 5 ops," in line and line.endswith(", 0 differing outputs") for line in lines)
+    sums, quantiles = lines[0::2], lines[1::2]
+    assert [line.split(":")[0] for line in sums] == ["cli_mix", "bar_cohomology"]
+    assert all(": 5 ops," in line and line.endswith(", 0 differing outputs") for line in sums)
+    # each workload's sum line is followed by its Harrell-Davis quantile ratios
+    pattern = (r"  (\w+) quantiles of per-op best times: "
+               r"p50 change/parent (\d+\.\d{3}), p90 change/parent (\d+\.\d{3})")
+    matches = [re.fullmatch(pattern, line) for line in quantiles]
+    assert all(matches), quantiles
+    assert [m[1] for m in matches] == ["cli_mix", "bar_cohomology"]
+    assert all(float(ratio) > 0 for m in matches for ratio in m.groups()[1:])
 
 
 def test_scan_flags_absolute_redinv_imports(tmp_path):

@@ -7,18 +7,26 @@ guard a speed-up without timing anything:
 
 - carried eliminations, the solver's eliminations of [m | I; rels | 0]
   (``intmat._Solve._eliminate``), on ``rank_sweep``: 373 before yes/no
-  verdicts and cokernels read the image basis, 236 after;
+  verdicts and cokernels read the image basis, 236 after, 33 since the
+  pushout resolution builds mu' in closed form, a kernel read alone is
+  eliminated on the rows and columns that the relations leave (not
+  counted here), and a square beta's zero kernel is read off its image
+  basis;
 - groups built from relations with no certificate
   (``abgrp.FgAbelianGroup``), which ``hermite_basis`` scans and may
   eliminate, on ``cli_mix``: 1874 before ``block_diag`` certified its
-  result and cokernels took the image basis, 156 after;
+  result and cokernels took the image basis, 156 after, 286 since the
+  130 pushout ops build mu' from its closed-form Hermite basis, which
+  ``hermite_basis`` certifies in one pass;
 - runs of the elimination kernel ``intmat._echelon``, of any kind: 3041,
   579 and 1283 on ``cli_mix``, ``rank_sweep`` and ``bar_cohomology``
   while subquotients stacked their denominator, 2295, 444 and 1045 since
   it is the image basis, 790 on ``bar_cohomology`` since H^2 reads
   ker d2 off the relator peeling (``gammamod._resolution``) instead of
   eliminating d2, and 1795 on ``cli_mix`` since ``redinv cech`` reads
-  H^i for i >= 2 off the homotopy identity it verifies;
+  H^i for i >= 2 off the homotopy identity it verifies, and 1526 on
+  ``cli_mix`` and 343 on ``rank_sweep`` since the change that cut the
+  carried eliminations above;
 - solves (``intmat._Solve``) against relations with no certificate, none
   on any stream since the solver takes ``hermite_basis`` of what it is
   given (1021, 164 and 329 before);
@@ -40,7 +48,7 @@ from redinv import abgrp, cech, intmat  # noqa: E402
 BOUNDS = {
     "cli_mix": {"uncertified groups": 300, "echelon runs": 1900, "uncertified solves": 0,
                 "cech subquotients": 160},
-    "rank_sweep": {"carried": 260, "echelon runs": 500, "uncertified solves": 0},
+    "rank_sweep": {"carried": 40, "echelon runs": 360, "uncertified solves": 0},
     "bar_cohomology": {"echelon runs": 850, "uncertified solves": 0},
 }
 

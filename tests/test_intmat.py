@@ -39,6 +39,7 @@ from oracles import (
     is_unimodular,
     leading_entries,
     random_matrix,
+    random_unimodular,
     reference_hermite_basis,
     reference_hnf,
 )
@@ -437,16 +438,8 @@ class TestNormalFormProperties:
     @example((zeros(3, 0), zeros(2, 0)))
     @example((mat([[4, 6], [2, -3], [0, 0]]), mat([[2, 0], [0, 3]])))
     def test_kernel_basis_matches_reference(self, m_rels):
-        # {x : x @ m in L(rels)} is the projection to the first m.rows
-        # coordinates of the kernel of [m; rels]: of the lower rows of any
-        # unimodular U, whose Hermite basis is unique
         m, rels = m_rels
-        stacked = m if rels is None else vstack(m, rels)
-        h, u = reference_hnf(stacked)
-        k = sum(1 for r in h.data if any(r))
-        lower = mat([r[: m.rows] for r in u.data[k:]], m.rows)
-        basis = [r for r in reference_hnf(lower)[0].data if any(r)]
-        assert kernel_basis(m, rels) == mat(basis, m.rows)
+        assert kernel_basis(m, rels) == _reference_kernel(m, rels)
 
     @settings(max_examples=150, deadline=None)
     @given(_matrices())
@@ -470,6 +463,17 @@ class TestNormalFormProperties:
         assert (k @ m).is_zero()
         # saturated: the maximal minors of k are coprime (independent oracle)
         assert gcd_of_minors_invariants(k) == [1] * k.rows
+
+
+def _reference_kernel(m: IntMatrix, rels) -> IntMatrix:
+    """{x : x @ m in L(rels)} by the reference elimination: the projection
+    to the first m.rows coordinates of the kernel of [m; rels], that is of
+    the lower rows of any unimodular U, whose Hermite basis is unique."""
+    stacked = m if rels is None else vstack(m, rels)
+    h, u = reference_hnf(stacked)
+    k = sum(1 for r in h.data if any(r))
+    lower = mat([r[: m.rows] for r in u.data[k:]], m.rows)
+    return mat([r for r in reference_hnf(lower)[0].data if any(r)], m.rows)
 
 
 class TestHermiteShortcut:
@@ -923,6 +927,86 @@ class TestSharedSolve:
         assert kernel_basis(gens, rels) == identity(2)
         assert image_basis(gens, rels) is rels
         assert image_basis(zeros(3, 2)) == zeros(0, 2)
+
+
+def _unit_heavy_system(seed: int) -> tuple[IntMatrix, IntMatrix]:
+    """(gens, rels): rels the Hermite basis of random rows and of d Z^c for a
+    small d, mostly unit pivots and a few others; gens of random rows, zero
+    rows and rows in the lattice of rels."""
+    rng = random.Random(seed)
+    c = rng.randint(2, 7)
+    d = rng.randint(2, 6)
+    rels = hermite_basis(vstack(random_matrix(rng, c, c, 3),
+                                mat([[d * (i == j) for j in range(c)] for i in range(c)])))
+    kinds = (lambda: random_matrix(rng, 1, c, 6), lambda: zeros(1, c),
+             lambda: random_matrix(rng, 1, c, 2) @ rels)
+    return vstack(*(rng.choice(kinds)() for _ in range(rng.randint(1, 6)))), rels
+
+
+class TestKernelAlone:
+    """A kernel read before any elimination is solved on what the relations
+    leave (the nonzero rows, the columns of no unit pivot) or read off a
+    kept full-rank image basis, with no carried elimination; it is still
+    the reference kernel, and the image basis it finds is kept."""
+
+    def test_systems_have_unit_pivots_and_zero_rows(self):
+        systems = [_unit_heavy_system(seed) for seed in range(60)]
+        assert sum(bool(unit_pivots(rels)) for _, rels in systems) > 40
+        assert sum(not all(map(any, gens.data)) for gens, _ in systems) > 20
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_kernel_alone_is_the_reference_kernel(self, seed, monkeypatch):
+        gens, rels = _unit_heavy_system(seed)
+        carried = []
+        real = intmat._Solve._eliminate
+        monkeypatch.setattr(intmat._Solve, "_eliminate",
+                            lambda s: carried.append(s.piv is None) or real(s))
+        assert kernel_basis(gens, rels) == _reference_kernel(gens, rels)
+        assert not any(carried)
+        image = image_basis(gens, rels)
+        assert image == reference_hermite_basis(vstack(rels, gens)) and _certificate_holds(image)
+        # the coordinates after it, by the carried elimination, against the
+        # reference: a row lies in a lattice when adding it keeps the basis
+        lattice = reference_hermite_basis(vstack(gens, rels))
+        vecs = mat([[1] * gens.cols])
+        c = member_coords(gens, rels, vecs)
+        assert (c is not None) == (reference_hermite_basis(vstack(lattice, vecs)) == lattice)
+        if c is not None:
+            assert (reference_hermite_basis(vstack(rels, c @ gens - vecs))
+                    == reference_hermite_basis(rels))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_image_basis_with_no_elimination_on_unit_pivots(self, seed):
+        gens, rels = _unit_heavy_system(seed)
+        image = image_basis(gens, rels)
+        assert image == reference_hermite_basis(vstack(rels, gens)) and _certificate_holds(image)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_full_rank_kernel_is_read_off_the_basis(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        m = random_unimodular(rng, n) @ mat([[(i == j) * rng.randint(1, 4) for j in range(n)]
+                                             for i in range(n)])
+        assert image_basis(m) == reference_hermite_basis(m)
+        monkeypatch.setattr(intmat, "_echelon", lambda *a, **kw: pytest.fail("eliminated"))
+        assert kernel_basis(m) == zeros(0, n)
+
+    def test_hermite_basis_drops_zero_rows_in_one_pass(self, monkeypatch):
+        rows = mat([[0, 0, 0], [2, 1, 5], [0, 0, 0], [0, 3, 1], [0, 0, 0]])
+        monkeypatch.setattr(intmat, "_echelon", lambda *a, **kw: pytest.fail("eliminated"))
+        h = hermite_basis(rows)
+        assert h == mat([[2, 1, 5], [0, 3, 1]]) and _certificate_holds(h)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_coordinates_on_a_certified_basis_need_no_elimination(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        basis = hermite_basis(random_matrix(rng, 4, 5, 9))
+        vecs = vstack(random_matrix(rng, 2, basis.rows, 5) @ basis, random_matrix(rng, 1, 5, 9))
+        want = member_coords(_twin(basis), None, vecs)
+        monkeypatch.setattr(intmat, "_echelon", lambda *a, **kw: pytest.fail("eliminated"))
+        assert member_coords(basis, None, vecs) == want
+        inside = mat(vecs.data[:2], vecs.cols)
+        assert member_coords(basis, None, inside) @ basis == inside
 
 
 def test_invariant_factors_match_sympy():

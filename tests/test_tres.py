@@ -5,13 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from redinv import abgrp, tres
-from redinv.intmat import hstack, identity, int_from_json, mat, zeros
+from redinv import abgrp, intmat, tres
+from redinv.intmat import hstack, identity, int_from_json, mat, vstack, zeros
 from redinv.abgrp import AbHom, FgAbelianGroup, cokernel, direct_sum
 from redinv.gammamod import GammaHom, cyclic_group, group_cohomology
 from redinv.homcx import identity_chain_map, induced_on_cohomology, two_term_complex
 from redinv.catalogio import default_catalog_path
-from redinv.rootdata import ReductiveDatum, from_catalog
+from redinv.rootdata import InvalidDatum, ReductiveDatum, RootDatum, from_catalog
 from redinv.tres import (
     SESData,
     canonical_tresolution,
@@ -23,8 +23,9 @@ from redinv.tres import (
 )
 from redinv.rootdata import character_group, mu_dual, pairing_map, radical_characters
 
-from oracles import induced_map, sl_to_pgl_induced_map
+from oracles import induced_map, reference_hermite_basis, sl_to_pgl_induced_map
 from regen import CATALOG_SPECS, ses_gm_gl_pgl, ses_sl_gl_gm, ses_to_json
+from test_random_lattices import _datum, _factors
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
@@ -91,24 +92,35 @@ class TestPushoutResolution:
 
     @pytest.mark.parametrize("spec", [s for s in SPECS if s != "T(2)"])
     def test_mu_reads_the_kernels_elimination(self, spec, monkeypatch):
-        # the kernel of beta comes first, so the cokernel takes the Hermite
-        # basis of the image of beta from its elimination, not from a
-        # hermite_basis of its own (a torus has no beta to eliminate).  Every
-        # group passes its relations through hermite_basis, so only inputs
-        # with no certificate, which it may eliminate, are recorded.
-        d = from_catalog(spec)
-        seen = []
-        hermite_basis = abgrp.hermite_basis
+        # the cokernel takes the Hermite basis of the image of beta from the
+        # state that beta keeps, not from a hermite_basis of its own (a torus
+        # has no beta to eliminate).  A square beta keeps that basis first,
+        # with no transform, and its zero kernel is read off it with no
+        # carried elimination; any other beta's kernel is eliminated, and
+        # the basis is read off that elimination.  Every group passes its
+        # relations through hermite_basis, so only inputs with no
+        # certificate, which it may eliminate, are recorded.
+        seen, eliminated = [], []
+        hermite_basis, eliminate = abgrp.hermite_basis, intmat._Solve._eliminate
 
         def recording(m):
             if m._pivots is None:
                 seen.append(m)
             return hermite_basis(m)
+
+        def recording_eliminate(s):
+            if s.piv is None:
+                eliminated.append(s)
+            eliminate(s)
         monkeypatch.setattr(abgrp, "hermite_basis", recording)
+        monkeypatch.setattr(intmat._Solve, "_eliminate", recording_eliminate)
+        d = from_catalog(spec)
         res = pushout_tresolution(d)
         beta = pairing_map(d).matrix
         assert beta not in seen
         assert res.l_star.target.group == FgAbelianGroup(beta.cols, beta)
+        square = beta.rows == beta.cols
+        assert any(s is beta._solved for s in eliminated) != square
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS)
     def test_ends_are_the_canonical_resolutions(self, spec):
@@ -332,8 +344,6 @@ class TestInducedMaps:
             assert g.source.is_trivial()
 
     def test_incompatible_data_rejected(self):
-        from redinv.rootdata import InvalidDatum
-
         sl = from_catalog("SL(3)")
         pgl = from_catalog("PGL(3)")
         with pytest.raises(InvalidDatum):
@@ -377,3 +387,54 @@ def test_orbit_representatives_match_reducing_every_generator(spec, monkeypatch)
     pushout_tresolution(from_catalog(spec))
     [(mu_prime, reps)] = calls
     assert reps == _reps_by_reducing_every_generator(mu_prime)
+
+
+def _stacked_mu_prime_relations(d: ReductiveDatum):
+    """The Hermite basis, by the reference elimination of
+    ``tests/oracles.py``, of the lattice of [S | 0] and [I | B]: S the
+    relations of X_rad, B the matrix of beta.  The relations of mu' as
+    a cokernel of the embedding X -> X_rad (+) P."""
+    n = d.datum.rank
+    s, b = radical_characters(d).group.relations, pairing_map(d).matrix
+    return reference_hermite_basis(vstack(hstack(s, zeros(s.rows, b.cols)),
+                                          hstack(identity(n), b)))
+
+
+def _closed_form_mu_prime_relations(d: ReductiveDatum):
+    mu_prime, _, _ = tres._mu_prime(radical_characters(d), pairing_map(d))
+    return mu_prime.group.relations
+
+
+RANDOM_SEEDS = range(100)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + RANK_SWEEP_SPECS)
+def test_closed_form_mu_prime_is_the_stacked_lattices_basis(spec):
+    d = from_catalog(spec)
+    assert _closed_form_mu_prime_relations(d) == _stacked_mu_prime_relations(d)
+
+
+def test_random_data_cover_tori():
+    # the seeds below hold data with a central torus, like GL(n), and without
+    tori = [_factors(seed)[1] for seed in RANDOM_SEEDS]
+    assert 0 < tori.count(0) < len(tori)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_closed_form_mu_prime_on_random_lattices(seed):
+    d = _datum(*_factors(seed))
+    assert _closed_form_mu_prime_relations(d) == _stacked_mu_prime_relations(d)
+
+
+def test_non_injective_embedding_is_rejected():
+    # two coroots along one line: beta = [[1, 1], [0, 0]] has rank 1, and
+    # X = Z^2 does not embed into X_rad (+) P
+    bad = ReductiveDatum.untwisted("bad", RootDatum(2, ((1, 0), (0, 1)), ((1, 0), (1, 0))))
+    n = bad.datum.rank
+    beta = pairing_map(bad)
+    target = direct_sum(radical_characters(bad).group, beta.target.group)
+    assert not AbHom(FgAbelianGroup.free(n), target,
+                     hstack(identity(n), beta.matrix)).is_injective()
+    with pytest.raises(InvalidDatum, match=r"^character embedding into X_rad \(\+\) P is not "
+                                           r"injective$"):
+        pushout_tresolution(bad)
