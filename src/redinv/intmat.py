@@ -26,7 +26,8 @@ One elimination kernel, ``_echelon``, serves every Hermite form.  Its
 pivots are always chosen with minimal nonzero absolute value, ties broken
 by lowest row index, and its Euclid steps take nearest-integer quotients,
 so the transform U of ``hnf`` (the identity carried along as extra
-columns) is reproducible.  Its row operations touch only the nonzero
+columns, or, for independent rows, packed into one extra column) is
+reproducible.  Its row operations touch only the nonzero
 entries of the pivot row, so sparse input (such as the 0/+-1 presentation
 differentials) costs in proportion to its nonzeros rather than its width.
 Entries above the pivots are reduced only once the echelon form is done,
@@ -35,7 +36,14 @@ read U take ``hermite_basis``, which carries no transform.
 ``invariant_factors`` alternates such Hermite bases of a matrix and its
 transpose; ``snf`` is the same loop on ``hnf``, carrying U and V, and
 inherits its determinism.  ``hnf`` and the lattice solver run the only two
-carried eliminations here.
+carried eliminations here.  When m has no more rows than columns,
+``hnf`` first carries row i of I packed into the one integer 2^(s i),
+with s past a Hadamard bound on the entries of U for independent rows.
+The pass is linear in that integer, so when it finds a pivot in every
+row, the balanced base-2^s digits of each row's integer are the entries
+of U; otherwise, and for more rows than columns, ``hnf`` carries [m | I]
+entry by entry.  The solver carries kernel rows, whose entries have no
+such bound, so it always carries entry by entry.
 
 ``identity(n)`` keeps the rows of each n up to 256 and wraps them in a new
 certified matrix on every call, so no solved state passes from one caller
@@ -63,7 +71,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress, count
-from math import gcd
+from math import gcd, isqrt, prod
 from typing import Iterable, Optional
 
 from .value import Value
@@ -361,9 +369,29 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
     with positive pivots and entries above each pivot reduced into
     [0, pivot).  U is the identity carried along one elimination of
-    [m | I]; it is unique when m is square and nonsingular.
+    [m | I]; it is unique when the rows of m are independent.
+
+    An m of r <= c rows first carries row i of I as the one entry
+    2^(s i): ``_echelon`` reads only the first c columns, so it acts on
+    that entry as on the r entries.  If the pass finds r pivots, in the
+    columns P, then U = H_P adj(m_P) / det m_P, and each entry of H_P is
+    at most |det m_P|, so by Hadamard |U_ij| <= B, r times the product of
+    the r - 1 largest row norms of m (each taken as the integer root of
+    its square, plus 1).  With s = B.bit_length() + 1 the balanced
+    base-2^s digits of row i's entry are row i of U.  Fewer pivots, or
+    r > c, take [m | I] entry by entry.
     """
     r, c = m.shape
+    if r <= c:
+        norms = sorted(isqrt(sum(x * x for x in row)) + 1 for row in m.data)
+        s = (r * prod(norms[1:])).bit_length() + 1
+        rows = [list(row) + [1 << s * i] for i, row in enumerate(m.data)]
+        if len(_echelon(rows, c)) == r:
+            mask, half = (1 << s) - 1, 1 << (s - 1)
+            bias = half * ((1 << s * r) - 1) // mask  # half in each of the r slots
+            u = [[((x >> s * j) & mask) - half for j in range(r)]
+                 for x in (row[c] + bias for row in rows)]
+            return mat([row[:c] for row in rows], c), mat(u, r)
     rows = [list(row + e) for row, e in zip(m.data, identity(r).data)]
     _echelon(rows, c)
     return mat([row[:c] for row in rows], c), mat([row[c:] for row in rows], r)

@@ -17,8 +17,10 @@ copy that imported ``redinv`` by absolute name would run this checkout's
 code instead, so the replay refuses such a copy.  Ops come from
 ``perfbench.workloads.stream`` and run through ``perfbench.run.execute``,
 as in the benchmark, in a temporary working directory; nothing under
-``perfbench/`` is written.  ``dense_normal_forms`` stops after its first
-48 ops unless ``--max-ops`` says otherwise.
+``perfbench/`` is written.  Every op of a stream is replayed unless
+``--max-ops`` says otherwise: one round of the whole 160-op
+``dense_normal_forms`` stream takes about 5 s for both sides together (2
+vCPUs, Python 3.11), and the other streams less.
 
 From the repository root, with the parent commit checked out beside it:
 
@@ -44,7 +46,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SEED = 1
-DENSE_OPS = 48  # the whole dense_normal_forms stream takes minutes a round
 PARENT = "redinv_parent"
 MODULES = ("cli", "gammamod", "catalogio")  # what perfbench.run.execute takes
 
@@ -120,8 +121,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--workload", nargs="+", action="extend", default=None,
                         choices=sorted(workloads.STREAMS))
     parser.add_argument("--max-ops", type=int, default=None,
-                        help=f"ops replayed a workload (default: all, {DENSE_OPS} of "
-                             "dense_normal_forms)")
+                        help="ops replayed a workload (default: all)")
     args = parser.parse_args(argv)
     if args.workload is None:
         args.workload = list(workloads.STREAMS)
@@ -157,10 +157,7 @@ def main(argv=None) -> int:
         os.chdir(work)
         differing = 0
         for w in args.workload:
-            limit = args.max_ops
-            if limit is None and w == "dense_normal_forms":
-                limit = DENSE_OPS
-            parent_s, change_s, differ, first = replay(w, sides, args.rounds, limit)
+            parent_s, change_s, differ, first = replay(w, sides, args.rounds, args.max_ops)
             t_parent, t_change = sum(parent_s), sum(change_s)
             print(f"{w}: {len(parent_s)} ops, parent {t_parent:.4f} s, change {t_change:.4f} s, "
                   f"change/parent {ratio(t_change, t_parent):.3f}, {differ} differing outputs",

@@ -418,6 +418,19 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMa
     )
 
 
+def with_dependent_column(a: IntMatrix, k: int) -> IntMatrix:
+    """a with a column inserted at k: the sum of (j + 1) times its column j,
+    so the rank stays that of a."""
+    return mat([r[:k] + (sum((j + 1) * x for j, x in enumerate(r)),) + r[k:] for r in a.data],
+               a.cols + 1)
+
+
+def lower_bidiagonal(n: int, a: int) -> IntMatrix:
+    """The unimodular n x n matrix with 1 on the diagonal and a below it; its
+    inverse has the entries a^(i - j) on and below the diagonal."""
+    return mat([[1 if i == j else a if i == j + 1 else 0 for j in range(n)] for i in range(n)], n)
+
+
 def random_unimodular(rng: random.Random, n: int, bound: int = 2) -> IntMatrix:
     """L @ R @ P: unit lower and unit upper triangular factors with entries
     in [-bound, bound] below and above the diagonal, and a signed

@@ -2,7 +2,7 @@
 
 The same in-process replay as ``tests/test_bench_records.py`` (warm-up op
 first, input files in a scratch working directory, ``REDINV_CATALOG``
-unset) counts five kinds of work, which are deterministic, so the bounds
+unset) counts six kinds of work, which are deterministic, so the bounds
 guard a speed-up without timing anything:
 
 - carried eliminations, the solver's eliminations of [m | I; rels | 0]
@@ -33,14 +33,23 @@ guard a speed-up without timing anything:
 - Cech cohomology groups computed as subquotients
   (``cech.cech_cohomology``) on ``cli_mix``: 466 while every degree was
   one, 156 since only degrees 0 and 1 and those whose homotopy identity
-  fails are.
+  fails are;
+- eliminations in ``intmat.hnf`` that carry U entry by entry, more than
+  one carried entry a row, on the first 32 ops of ``dense_normal_forms``
+  (as ``tests/test_bench_records.py`` takes them): 88, those of every
+  ``hnf`` call, while U was always carried so, 0 since independent rows
+  carry it packed into one integer a row (the stream's matrices are
+  square and nonsingular).
 
 It reads ``perfbench/`` and changes nothing in it.
 """
 
+import sys
+from itertools import islice
+
 import pytest
 
-from test_bench_records import _execute  # puts the repository root on sys.path
+from test_bench_records import DENSE_OPS, _execute  # puts the repository root on sys.path
 
 from perfbench import run, workloads  # noqa: E402
 from redinv import abgrp, cech, intmat  # noqa: E402
@@ -50,6 +59,7 @@ BOUNDS = {
                 "cech subquotients": 160},
     "rank_sweep": {"carried": 40, "echelon runs": 360, "uncertified solves": 0},
     "bar_cohomology": {"echelon runs": 850, "uncertified solves": 0},
+    "dense_normal_forms": {"entrywise hnf eliminations": 0},
 }
 
 
@@ -59,17 +69,21 @@ def test_seed_one_work_counts_stay_bounded(workload, tmp_path, monkeypatch):
     monkeypatch.delenv("REDINV_CATALOG", raising=False)
     _execute(workloads.WARMUP[workload])
     counts = dict.fromkeys(("carried", "uncertified groups", "echelon runs",
-                            "uncertified solves", "cech subquotients"), 0)
+                            "uncertified solves", "cech subquotients",
+                            "entrywise hnf eliminations"), 0)
     eliminate, echelon, cohomology = intmat._Solve._eliminate, intmat._echelon, cech.cech_cohomology
+    hnf = intmat.hnf.__code__
     solve, group = intmat._Solve.__init__, abgrp.FgAbelianGroup.__post_init__
 
     def counting_eliminate(s):
         counts["carried"] += s.piv is None
         eliminate(s)
 
-    def counting_echelon(*args, **kwargs):
+    def counting_echelon(rows, c):
         counts["echelon runs"] += 1
-        return echelon(*args, **kwargs)
+        if sys._getframe(1).f_code is hnf and rows and len(rows[0]) > c + 1:
+            counts["entrywise hnf eliminations"] += 1
+        return echelon(rows, c)
 
     def counting_solve(s, m, rels):
         counts["uncertified solves"] += rels is not None and rels._pivots is None
@@ -87,7 +101,10 @@ def test_seed_one_work_counts_stay_bounded(workload, tmp_path, monkeypatch):
     monkeypatch.setattr(intmat._Solve, "__init__", counting_solve)
     monkeypatch.setattr(abgrp.FgAbelianGroup, "__post_init__", counting_group)
     monkeypatch.setattr(cech, "cech_cohomology", counting_cohomology)
-    for op in workloads.stream(workload, 1, str(run.DATA)):
+    ops = workloads.stream(workload, 1, str(run.DATA))
+    if workload == "dense_normal_forms":
+        ops = islice(ops, DENSE_OPS)
+    for op in ops:
         _execute(op)
     over = {name: counts[name] for name, bound in BOUNDS[workload].items()
             if counts[name] > bound}

@@ -38,10 +38,12 @@ from oracles import (
     is_json_integer,
     is_unimodular,
     leading_entries,
+    lower_bidiagonal,
     random_matrix,
     random_unimodular,
     reference_hermite_basis,
     reference_hnf,
+    with_dependent_column,
 )
 
 
@@ -372,9 +374,7 @@ def _kernel_inputs(draw):
 def _singular_square() -> IntMatrix:
     """An 8 x 8 matrix of rank 7 whose column 4 is a combination of the
     others, so its U is not unique."""
-    a = random_matrix(random.Random(23), 8, 7, 20)
-    return mat([r[:4] + (sum((j + 1) * x for j, x in enumerate(r)),) + r[4:]
-                for r in a.data], 8)
+    return with_dependent_column(random_matrix(random.Random(23), 8, 7, 20), 4)
 
 
 class TestNormalFormProperties:
@@ -401,8 +401,18 @@ class TestNormalFormProperties:
     @given(_hnf_inputs(max_size=12))
     @example(mat([[32749, 1], [0, 1]]))
     @example(_singular_square())
+    # the golden matrix records' wide 12 x 20 of rank 12 and 16 x 16 of rank
+    # 15, and a U of 259-bit entries, near the bound of hnf's packed slots
+    @example(random_matrix(random.Random(20), 12, 20, 99))
+    @example(with_dependent_column(random_matrix(random.Random(16), 16, 15, 20), 7))
+    @example(lower_bidiagonal(40, -99))
+    @example(mat([[0]]))
+    @example(mat([[0, 0]]))
+    @example(mat([[3, 1, 4], [0, 0, 0], [1, 5, 9]]))
+    @example(zeros(0, 3))
+    @example(zeros(3, 0))
     def test_hnf_matches_reference(self, m):
-        # U is not unique unless m is square and nonsingular, so records
+        # U is not unique unless the rows of m are independent, so records
         # depend on the Euclid steps (nearest-integer quotients), though not
         # on when the entries above the pivots are reduced
         assert hnf(m) == reference_hnf(m)
@@ -412,7 +422,7 @@ class TestNormalFormProperties:
         # only at the last column
         rng = random.Random(17)
         a = random_matrix(rng, 8, 7, 20)
-        m = mat([r + (sum((j + 1) * x for j, x in enumerate(r)),) for r in a.data], 8)
+        m = with_dependent_column(a, 7)
         assert hermite_basis(a).rows == 7 and hermite_basis(m).rows == 7
         assert hnf(m) == reference_hnf(m)
 
@@ -896,27 +906,29 @@ class TestSharedSolve:
         assert image_basis(gens, rels) == want and len(stacked) == 3
 
     def test_hnf_and_the_solver_eliminate_once_each(self, monkeypatch):
-        # hnf runs one carried elimination of its own and keeps nothing on
-        # m; the kernel, image and coordinates of m after it share one more
-        carried = []
+        # hnf keeps nothing on m and carries U packed, one entry a row,
+        # which finds the singular m singular, so it then carries U entry by
+        # entry; the kernel, image and coordinates of m after it share one
+        # more carried elimination
+        widths = []
         real = _echelon
 
         def counting(rows, c):
             if rows and len(rows[0]) > c:  # carries a transform
-                carried.append(c)
+                widths.append(len(rows[0]) - c)
             return real(rows, c)
         monkeypatch.setattr(intmat, "_echelon", counting)
-        for m in (random_matrix(random.Random(41), 6, 6, 20),
-                  mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])):
-            carried.clear()
+        for m, passes in ((random_matrix(random.Random(41), 6, 6, 20), [1]),
+                          (mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]]), [1, 3])):
+            widths.clear()
             h, u = hnf(m)
-            assert (h, u) == reference_hnf(m) and len(carried) == 1
+            assert (h, u) == reference_hnf(m) and widths == passes
             assert m._solved is None
             k = kernel_basis(m)
             assert k.rows == m.rows - hermite_basis(m).rows and (k @ m).is_zero()
             assert image_basis(m) == mat([r for r in h.data if any(r)], m.cols)
             x = member_coords(m, None, h)
-            assert (x @ m).data == h.data and len(carried) == 2
+            assert (x @ m).data == h.data and widths == passes + [m.rows]
             if det(m):  # U is unique, so the solver's coordinates are U
                 assert x == u
 

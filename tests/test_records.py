@@ -12,8 +12,12 @@ fixture in the shipped data directory, or the cech input written below.
 ``check-ses`` runs from the data directory and ``cech`` from the directory
 of its input, since their human output names the file as given.
 ``matrix hnf`` and ``matrix snf`` records pin H, U, D and V byte for byte
-on three matrices written below: a sparse 0/+-1 bar matrix and two dense
-ones.
+on six matrices written below: a sparse 0/+-1 bar matrix (tall, so its U
+is not unique), two dense square ones, a wide one of full row rank, a
+square one of rank one less than its size, and a unimodular one whose U,
+its inverse, has entries of 259 bits.  ``hnf`` carries U packed into one
+integer per row unless the rows are more than the columns or dependent,
+and these records pin both routes.
 """
 
 import hashlib
@@ -28,7 +32,13 @@ from redinv.catalogio import default_catalog_path, load_catalog
 from redinv.cli import main
 from redinv.gammamod import induced_module
 
-from oracles import dihedral_group, full_bar_differential, random_matrix
+from oracles import (
+    dihedral_group,
+    full_bar_differential,
+    lower_bidiagonal,
+    random_matrix,
+    with_dependent_column,
+)
 
 
 DATA_DIR = os.path.dirname(default_catalog_path())
@@ -47,11 +57,16 @@ CECH_INPUT = {
 LARGE_SPECS = ("SL(17)", "PGL(17)", "GL(16)", "Sp(32)", "PSO(32)")
 
 # the transposed degree-1 bar differential of Z[S3] (216 x 36), as the
-# kernel computations of group cohomology see it, and two dense matrices
+# kernel computations of group cohomology see it, two dense square matrices,
+# a wide 12 x 20 one of rank 12, a 16 x 16 one of rank 15 and the 40 x 40
+# lower bidiagonal one with -99 below the diagonal
 MATRIX_INPUTS = {
     "bar.json": full_bar_differential(induced_module(dihedral_group(3), 1), 1).matrix.transpose(),
     "dense12.json": random_matrix(random.Random(12), 12, 12, 9),
     "dense24.json": random_matrix(random.Random(24), 24, 24, 9),
+    "wide12x20.json": random_matrix(random.Random(20), 12, 20, 99),
+    "rank15.json": with_dependent_column(random_matrix(random.Random(16), 16, 15, 20), 7),
+    "bidiagonal40.json": lower_bidiagonal(40, -99),
 }
 
 
