@@ -22,28 +22,31 @@ is the unique Hermite basis of its lattice, whatever way it is found.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
-One elimination kernel, ``_echelon``, serves every Hermite form.  Its
-pivots are always chosen with minimal nonzero absolute value, ties broken
-by lowest row index, and its Euclid steps take nearest-integer quotients,
-so the transform U of ``hnf`` (the identity carried along as extra
-columns, or, for independent rows, packed into one extra column) is
-reproducible.  Its row operations touch only the nonzero
-entries of the pivot row, so sparse input (such as the 0/+-1 presentation
-differentials) costs in proportion to its nonzeros rather than its width.
-Entries above the pivots are reduced only once the echelon form is done,
-bottom up, which keeps the intermediate entries small.  Callers that never
-read U take ``hermite_basis``, which carries no transform.
-``invariant_factors`` alternates such Hermite bases of a matrix and its
-transpose; ``snf`` is the same loop on ``hnf``, carrying U and V, and
-inherits its determinism.  ``hnf`` and the lattice solver run the only two
-carried eliminations here.  When m has no more rows than columns,
-``hnf`` first carries row i of I packed into the one integer 2^(s i),
-with s past a Hadamard bound on the entries of U for independent rows.
-The pass is linear in that integer, so when it finds a pivot in every
-row, the balanced base-2^s digits of each row's integer are the entries
-of U; otherwise, and for more rows than columns, ``hnf`` carries [m | I]
-entry by entry.  The solver carries kernel rows, whose entries have no
-such bound, so it always carries entry by entry.
+The elimination kernel ``_echelon`` serves every Hermite form but the
+packed one of ``hnf`` below.  Its pivots are always chosen with minimal
+nonzero absolute value, ties broken by lowest row index, and its Euclid
+steps take nearest-integer quotients, so the transform U of ``hnf``,
+where it carries the identity along as extra columns, is reproducible.
+Its row operations touch only the nonzero entries of the pivot row, so
+sparse input (such as the 0/+-1 presentation differentials) costs in
+proportion to its nonzeros rather than its width.  Entries above the
+pivots are reduced only once the echelon form is done, bottom up, which
+keeps the intermediate entries small.  Callers that never read U take
+``hermite_basis``, which carries no transform.  ``invariant_factors``
+alternates such Hermite bases of a matrix and its transpose; ``snf`` is
+the same loop on ``hnf``, carrying U and V, and inherits its
+determinism.  ``hnf`` and the lattice solver are the only callers that
+carry a transform.  When m has no more rows than columns, ``hnf``
+carries row i of I packed into the one integer 2^(s i), with s past a
+Hadamard bound on the entries of U for independent rows, and inserts the
+rows one at a time into a reduced Hermite form (``_inserted``, Kannan
+and Bachem's order), whose entries stay of the size of the minors of
+the rows inserted so far.  Each step is linear in that integer, so when
+every row finds a pivot, the balanced base-2^s digits of each row's
+integer are the entries of U, the unique one; a row that reduces to
+zero, or more rows than columns, send ``hnf`` to ``_echelon`` on [m | I],
+carried entry by entry.  The solver carries kernel rows, whose entries
+have no such bound, so it always carries entry by entry.
 
 ``identity(n)`` keeps the rows of each n up to 256 and wraps them in a new
 certified matrix on every call, so no solved state passes from one caller
@@ -363,30 +366,106 @@ def _echelon(rows: list[list[int]], c: int) -> list[int]:
     return piv
 
 
+def _xgcd(p: int, a: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = u p + v a = gcd(p, a) > 0, for a nonzero a."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while a:
+        q, r = divmod(p, a)
+        p, a, u0, v0, u1, v1 = a, r, u1, v1, u0 - q * u1, v0 - q * v1
+    return (p, u0, v0) if p > 0 else (-p, -u0, -v0)
+
+
+def _inserted(rows: list[list[int]], c: int) -> Optional[list[list[int]]]:
+    """The rows brought to reduced row Hermite form on their first c
+    columns, carrying any further columns along, by inserting them one at
+    a time into the Hermite form of the rows before them (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979); None as soon as a row reduces to zero
+    on those columns, that is, when the rows are dependent.
+
+    A row x walks its nonzero columns j in order.  At the pivot p of a row
+    y of the form, x loses x_j // p times y when p divides x_j; otherwise,
+    with g = u p + v x_j > 0 by the extended gcd, y becomes u y + v x and x
+    becomes (p / g) x - (x_j / g) y, a unimodular step.  At the first
+    column of no pivot, x joins the form, its pivot made positive.  Then,
+    bottom up, each new or changed row is reduced by floor quotients into
+    [0, pivot) above the pivots below it, and each other row above the
+    pivots of the rows below it from the first new or changed one on, as
+    in ``_echelon``.  So the form is always the unique reduced Hermite form
+    of the rows inserted so far, with entries of the size of their minors
+    (gcd steps alone, with no reduction, let the entries explode).
+    A row operation by a row whose pivot is in column j touches the entries
+    from j on only, and changes the rows given in place.
+    """
+    form: list[list[int]] = []
+    piv: list[int] = []
+    for x in rows:
+        changed, t = [], 0
+        for j in range(c):
+            a = x[j]
+            if not a:
+                continue
+            while t < len(piv) and piv[t] < j:
+                t += 1
+            if t == len(piv) or piv[t] != j:
+                break
+            y = form[t]
+            p = y[j]
+            q, rem = divmod(a, p)
+            if rem:
+                g, u, v = _xgcd(p, a)
+                form[t] = y[:j] + [u * b + v * d for b, d in zip(y[j:], x[j:])]
+                pg, ag = p // g, a // g
+                x = x[:j] + [pg * d - ag * b for b, d in zip(y[j:], x[j:])]
+                changed.append(t)
+            else:
+                x[j:] = [d - q * b for b, d in zip(y[j:], x[j:])]
+        else:
+            return None
+        form.insert(t, x if x[j] > 0 else [-d for d in x])
+        piv.insert(t, j)
+        changed.append(t)
+        start = None  # the first new or changed row below the current one
+        for i in range(len(form) - 1, -1, -1):
+            first = i + 1 if i in changed else start
+            if i in changed:
+                start = i
+            if first is None:
+                continue
+            y = form[i]
+            for k in range(first, len(form)):
+                j, b = piv[k], form[k]
+                q = y[j] // b[j]
+                if q:
+                    y[j:] = [d - q * e for d, e in zip(y[j:], b[j:])]
+    return form
+
+
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form.
 
     Returns (H, U) with H = U @ m, U unimodular, H in row-echelon form
     with positive pivots and entries above each pivot reduced into
-    [0, pivot).  U is the identity carried along one elimination of
-    [m | I]; it is unique when the rows of m are independent.
+    [0, pivot).  U is unique when the rows of m are independent; otherwise
+    it is the identity carried along one elimination of [m | I].
 
-    An m of r <= c rows first carries row i of I as the one entry
-    2^(s i): ``_echelon`` reads only the first c columns, so it acts on
-    that entry as on the r entries.  If the pass finds r pivots, in the
-    columns P, then U = H_P adj(m_P) / det m_P, and each entry of H_P is
-    at most |det m_P|, so by Hadamard |U_ij| <= B, r times the product of
-    the r - 1 largest row norms of m (each taken as the integer root of
-    its square, plus 1).  With s = B.bit_length() + 1 the balanced
-    base-2^s digits of row i's entry are row i of U.  Fewer pivots, or
-    r > c, take [m | I] entry by entry.
+    An m of r <= c rows carries row i of I as the one entry 2^(s i) and
+    inserts its rows one at a time into a reduced Hermite form
+    (``_inserted``), which acts on that entry as it would on the r
+    entries.  If every row finds a pivot, in the columns P, then U = H_P
+    adj(m_P) / det m_P, and each entry of H_P is at most |det m_P|, so by
+    Hadamard |U_ij| <= B, r times the product of the r - 1 largest row
+    norms of m (each taken as the integer root of its square, plus 1).
+    With s = B.bit_length() + 1 the balanced base-2^s digits of row i's
+    entry are row i of U.  The first row that reduces to zero stops the
+    insertion, and such an m, like one of r > c, goes to ``_echelon`` on
+    [m | I], entry by entry.
     """
     r, c = m.shape
     if r <= c:
         norms = sorted(isqrt(sum(x * x for x in row)) + 1 for row in m.data)
         s = (r * prod(norms[1:])).bit_length() + 1
-        rows = [list(row) + [1 << s * i] for i, row in enumerate(m.data)]
-        if len(_echelon(rows, c)) == r:
+        rows = _inserted([list(row) + [1 << s * i] for i, row in enumerate(m.data)], c)
+        if rows is not None:
             mask, half = (1 << s) - 1, 1 << (s - 1)
             bias = half * ((1 << s * r) - 1) // mask  # half in each of the r slots
             u = [[((x >> s * j) & mask) - half for j in range(r)]

@@ -19,7 +19,7 @@ code instead, so the replay refuses such a copy.  Ops come from
 as in the benchmark, in a temporary working directory; nothing under
 ``perfbench/`` is written.  Every op of a stream is replayed unless
 ``--max-ops`` says otherwise: one round of the whole 160-op
-``dense_normal_forms`` stream takes about 5 s for both sides together (2
+``dense_normal_forms`` stream takes about 3 s for both sides together (2
 vCPUs, Python 3.11), and the other streams less.
 
 From the repository root, with the parent commit checked out beside it:

@@ -431,6 +431,16 @@ def lower_bidiagonal(n: int, a: int) -> IntMatrix:
     return mat([[1 if i == j else a if i == j + 1 else 0 for j in range(n)] for i in range(n)], n)
 
 
+def permuted_triangular(rng: random.Random, n: int, bound: int) -> IntMatrix:
+    """The rows, in random order, of an n x n upper triangular matrix whose
+    diagonal entries are at least 2 in absolute value, of random sign, and
+    whose entries above the diagonal lie in [-bound, bound]."""
+    rows = [[0] * i + [rng.choice((-1, 1)) * rng.randint(2, bound)]
+            + [rng.randint(-bound, bound) for _ in range(n - i - 1)] for i in range(n)]
+    rng.shuffle(rows)
+    return mat(rows, n)
+
+
 def random_unimodular(rng: random.Random, n: int, bound: int = 2) -> IntMatrix:
     """L @ R @ P: unit lower and unit upper triangular factors with entries
     in [-bound, bound] below and above the diagonal, and a signed

@@ -411,6 +411,14 @@ class TestNormalFormProperties:
     @example(mat([[3, 1, 4], [0, 0, 0], [1, 5, 9]]))
     @example(zeros(0, 3))
     @example(zeros(3, 0))
+    # inserted one at a time: a gcd step whose Bezout coefficients are
+    # negative, a second row whose pivot lies left of the first's, a
+    # dependent row before an independent one (the entrywise elimination)
+    # and a row whose pivot is negative
+    @example(mat([[5, 1], [-3, 2]]))
+    @example(mat([[0, 2, 1], [3, 1, 0]]))
+    @example(mat([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]]))
+    @example(mat([[-4, 6, 1]]))
     def test_hnf_matches_reference(self, m):
         # U is not unique unless the rows of m are independent, so records
         # depend on the Euclid steps (nearest-integer quotients), though not
@@ -906,10 +914,11 @@ class TestSharedSolve:
         assert image_basis(gens, rels) == want and len(stacked) == 3
 
     def test_hnf_and_the_solver_eliminate_once_each(self, monkeypatch):
-        # hnf keeps nothing on m and carries U packed, one entry a row,
-        # which finds the singular m singular, so it then carries U entry by
-        # entry; the kernel, image and coordinates of m after it share one
-        # more carried elimination
+        # hnf keeps nothing on m and carries U packed, one entry a row, into
+        # the rows it inserts one at a time, which runs no elimination; a
+        # dependent row sends the singular m to one elimination that carries
+        # U entry by entry; the kernel, image and coordinates of m after it
+        # share one more carried elimination
         widths = []
         real = _echelon
 
@@ -918,8 +927,8 @@ class TestSharedSolve:
                 widths.append(len(rows[0]) - c)
             return real(rows, c)
         monkeypatch.setattr(intmat, "_echelon", counting)
-        for m, passes in ((random_matrix(random.Random(41), 6, 6, 20), [1]),
-                          (mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]]), [1, 3])):
+        for m, passes in ((random_matrix(random.Random(41), 6, 6, 20), []),
+                          (mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]]), [3])):
             widths.clear()
             h, u = hnf(m)
             assert (h, u) == reference_hnf(m) and widths == passes

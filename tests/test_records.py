@@ -12,12 +12,14 @@ fixture in the shipped data directory, or the cech input written below.
 ``check-ses`` runs from the data directory and ``cech`` from the directory
 of its input, since their human output names the file as given.
 ``matrix hnf`` and ``matrix snf`` records pin H, U, D and V byte for byte
-on six matrices written below: a sparse 0/+-1 bar matrix (tall, so its U
-is not unique), two dense square ones, a wide one of full row rank, a
-square one of rank one less than its size, and a unimodular one whose U,
-its inverse, has entries of 259 bits.  ``hnf`` carries U packed into one
-integer per row unless the rows are more than the columns or dependent,
-and these records pin both routes.
+on seven matrices written below: a sparse 0/+-1 bar matrix (tall, so its
+U is not unique), two dense square ones, a wide one of full row rank, a
+square one of rank one less than its size, a unimodular one whose U, its
+inverse, has entries of 259 bits, and the rows of an upper triangular one
+with no unit on its diagonal in random order, so that rows inserted into
+a Hermite form land between its pivots and meet pivots other than 1.
+``hnf`` carries U packed into one integer per row unless the rows are
+more than the columns or dependent, and these records pin both routes.
 """
 
 import hashlib
@@ -36,6 +38,7 @@ from oracles import (
     dihedral_group,
     full_bar_differential,
     lower_bidiagonal,
+    permuted_triangular,
     random_matrix,
     with_dependent_column,
 )
@@ -58,8 +61,9 @@ LARGE_SPECS = ("SL(17)", "PGL(17)", "GL(16)", "Sp(32)", "PSO(32)")
 
 # the transposed degree-1 bar differential of Z[S3] (216 x 36), as the
 # kernel computations of group cohomology see it, two dense square matrices,
-# a wide 12 x 20 one of rank 12, a 16 x 16 one of rank 15 and the 40 x 40
-# lower bidiagonal one with -99 below the diagonal
+# a wide 12 x 20 one of rank 12, a 16 x 16 one of rank 15, the 40 x 40
+# lower bidiagonal one with -99 below the diagonal and the rows of a 20 x 20
+# upper triangular one with diagonal entries of 2 to 9 in absolute value
 MATRIX_INPUTS = {
     "bar.json": full_bar_differential(induced_module(dihedral_group(3), 1), 1).matrix.transpose(),
     "dense12.json": random_matrix(random.Random(12), 12, 12, 9),
@@ -67,6 +71,7 @@ MATRIX_INPUTS = {
     "wide12x20.json": random_matrix(random.Random(20), 12, 20, 99),
     "rank15.json": with_dependent_column(random_matrix(random.Random(16), 16, 15, 20), 7),
     "bidiagonal40.json": lower_bidiagonal(40, -99),
+    "triangular20.json": permuted_triangular(random.Random(50), 20, 9),
 }
 
 
