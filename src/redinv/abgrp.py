@@ -30,7 +30,9 @@ from .value import Value
 
 
 # Largest ambient rank of a group read from JSON, and largest datum rank a
-# group spec may ask for.  At rank 64 every command takes a few seconds; an
+# group spec may ask for.  At rank 64 each paper command takes 0.17-0.27 s
+# as one process, of which 0.15 s is the interpreter's start (2 vCPUs,
+# Python 3.11), and only ``matrix`` at its size bound takes seconds; an
 # unbounded rank would allocate and compute without limit.
 MAX_RANK = 64
 

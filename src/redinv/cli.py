@@ -38,13 +38,11 @@ EXIT_INPUT_ERROR = 2
 # shape and best of 3 of each square one: matrix 256 x 64 of 1-digit
 # entries, 4.4-5.1 s for hnf and for snf, with a 27 MB record; 128 x 64 of
 # 2-digit entries, 3.1-3.4 s for each, with 21 MB; 64 x 64 of 4-digit
-# entries, 0.35 s for hnf and 0.45-0.7 s for snf (0.65-0.7 s for hnf while
-# it eliminated the rows of square input instead of inserting them one at
-# a time); 32 x 32 of 16-digit entries, 0.2-0.3 s; 16 x 16 of 64-digit
-# entries, 0.15-0.25 s.  Tall matrices cost the most, in the kernel rows of
-# U, which is not unique and is carried entry by entry.  cech with 64 x
-# 64 relations of 1- or 2-digit entries in F(X) or F(G), at --max-degree 8:
-# 1.0-1.9 s.
+# entries, 0.35 s for hnf and 0.45-0.7 s for snf; 32 x 32 of 16-digit
+# entries, 0.2-0.3 s; 16 x 16 of 64-digit entries, 0.15-0.25 s.  Tall
+# matrices cost the most, in the kernel rows of U, which is not unique and
+# is carried entry by entry.  cech with 64 x 64 relations of 1- or 2-digit
+# entries in F(X) or F(G), at --max-degree 8: 1.0-1.9 s.
 MAX_FILE_DIGITS = 16384
 
 

@@ -1,24 +1,21 @@
 """Exact integer matrices: Hermite/Smith normal forms, kernels, solving.
 
-Vectors are rows (f(x) = x @ matrix).  One lattice solver, the
-elimination of [m | I; rels | 0], gives the kernel modulo relations
-``kernel_basis(m, rels)``, {x : x @ m lies in the lattice of the rows of
-rels}, and ``member_coords(gens, rels, vecs)``: C @ gens = vecs modulo it.
-Each matrix keeps one solved state, ``_Solve``, for the last relations it
-was solved against: its rows reduced by rels and, built on first need,
-that one elimination.  So the kernel and the coordinates cost one
-elimination per map and relations, and the state dies with the matrix.
-Only coordinates and ``hnf`` need the carried identity: ``image_basis(m,
-rels)``, the Hermite basis of the rows of m and rels that cokernels and
-yes/no verdicts read, comes off that elimination if it ran, is rels when
-every row of m reduces to zero, and is otherwise eliminated with no
-transform.  A kernel asked for before any elimination reads a kept image
-basis of rels.rows + m.rows rows, which makes it zero, and is otherwise
-solved alone on what the relations leave: each zero row of m gives a unit
-vector, and the other rows, which vanish at the unit pivots of rels, are
-eliminated on its other columns only (a Tietze step, ``non_unit_part``).
-The image basis without elimination takes the same step.  Each of these
-is the unique Hermite basis of its lattice, whatever way it is found.
+Vectors are rows (f(x) = x @ matrix).  One lattice solver gives the
+kernel modulo relations ``kernel_basis(m, rels)``, {x : x @ m lies in the
+lattice of the rows of rels}, ``member_coords(gens, rels, vecs)``: C @ gens
+= vecs modulo it, and ``image_basis(m, rels)``, the Hermite basis of the
+rows of m and rels that cokernels and yes/no verdicts read.  Each matrix
+keeps one solved state, ``_Solve``, for the last relations it was solved
+against.  It starts with a Tietze step (Havas, Holt and Rees, LAA 192,
+1993): the rows of m reduced by rels vanish at the unit pivots of rels, so
+they are kept on its other columns, against the rest of rels there
+(``non_unit_part``), and the rows that reduce to zero are noted.  The
+kernel and the coordinates share one elimination of the other rows, each
+carrying its own unit vector, with that rest (Cohen, GTM 138, 2.4.3), run
+on first need; the state dies with the matrix.  The image basis comes off
+that elimination if it ran, is rels when every row of m reduces to zero,
+and is otherwise found with no transform on the same columns.  Each of
+these is the unique Hermite basis of its lattice, whatever way it is found.
 
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of the normal-form reductions routinely exceed any fixed width.
@@ -75,7 +72,7 @@ from __future__ import annotations
 import operator
 from itertools import compress, count
 from math import gcd, isqrt, prod
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .value import Value
 
@@ -564,7 +561,7 @@ def unit_pivots(h: IntMatrix) -> dict[int, int]:
     return {j: i for i, j in h._pivots if h.data[i][j] == 1}
 
 
-def non_unit_part(h: IntMatrix) -> tuple[list[int], IntMatrix]:
+def non_unit_part(h: IntMatrix) -> tuple[Sequence[int], IntMatrix]:
     """The columns of the certified Hermite basis h that hold no unit pivot,
     and the rows of h with their pivot there, restricted to those columns:
     a certified Hermite basis again.  A vector that is zero at every unit
@@ -572,9 +569,9 @@ def non_unit_part(h: IntMatrix) -> tuple[list[int], IntMatrix]:
     in the lattice of that part, since a unit pivot's column is zero in
     every other row of h (a Tietze step)."""
     unit = unit_pivots(h)
-    keep = [j for j in range(h.cols) if j not in unit]
     if not unit:
-        return keep, h
+        return range(h.cols), h
+    keep = [j for j in range(h.cols) if j not in unit]
     rest = [(i, j) for i, j in h._pivots if j not in unit]
     return keep, _certify(mat([[h.data[i][k] for k in keep] for i, _ in rest], len(keep)),
                           [keep.index(j) for _, j in rest])
@@ -622,128 +619,97 @@ class _Solve:
     """One matrix m solved against one set of relations rels, which m keeps
     for the next call with equal rels.  rels is a certified Hermite basis
     (``_solve`` takes ``hermite_basis`` of the relations given, and zeros(0,
-    cols) for none), and ``rows`` are the rows of m, each reduced by rels:
-    that changes x @ m only by lattice vectors.  On first need they are
-    extended to [m' | I; rels | 0], eliminated once and split at the rank:
-    the rows above hold the Hermite basis of the rows of m and rels with,
-    carried, how to write it on m modulo rels (``image``); the carried part
-    of the rows below spans {x : x @ m lies in the lattice of rels}
-    (``kernel``, Cohen, GTM 138, 2.4.3).  The kernel and the basis are kept;
-    ``image`` reads the carried rows above on each call.  A kept basis of
-    rels.rows + m.rows rows, the most there can be, says that the rows of m
-    are independent modulo rels: the kernel is zero, and is read off it
-    with no elimination.  A kernel read before the elimination, when rels
-    has a unit pivot or m a zero row, is solved alone on the rest
-    (``_kernel_alone``), which leaves the elimination to a later ``image``
-    and keeps the basis it finds."""
+    cols) for none).  Each row of m is reduced by rels, which changes x @ m
+    only by lattice vectors and leaves it zero at the unit pivots of rels,
+    and kept on the other columns, ``keep``, where the rest of rels is
+    ``rest`` (``restrict``, ``non_unit_part``): a vector lies in the lattice
+    of rels exactly when its restriction lies in that of rest.  These rows
+    are ``rows``.  On first need each nonzero row i is extended by e_i,
+    row i of I, the rows of [rest | 0] are put below, and the whole is
+    eliminated once and split at the rank: the rows above hold the Hermite
+    basis of rows and rest with, carried, how to write it on m modulo rels
+    (``image``); the carried part of the rows below, with the e_i of the
+    zero rows (``zero``), spans {x : x @ m lies in the lattice of rels}
+    (``kernel``, Cohen, GTM 138, 2.4.3).  The kernel and the basis, joined
+    to the unit rows of rels, are kept; ``image`` reads the carried rows
+    above on each call.  A kept basis of rels.rows + m.rows rows, the most
+    there can be, says that the rows of m are independent modulo rels: the
+    kernel is zero, and is read off it with no elimination."""
 
-    __slots__ = ("rels", "units", "shape", "rows", "piv", "above", "below",
+    __slots__ = ("rels", "keep", "rest", "shape", "rows", "zero", "piv", "above", "below",
                  "_kernel", "_basis")
 
     def __init__(self, m: IntMatrix, rels: IntMatrix) -> None:
         self.rels, self.shape = rels, m.shape
-        self.units = unit_pivots(rels)
-        self.rows = m.to_lists()
         if rels.rows:
-            for x in self.rows:
-                echelon_reduce(rels, x)
+            self.keep, self.rest = non_unit_part(rels)
+            self.rows = list(map(self.restrict, m.data))
+        else:
+            self.keep, self.rest, self.rows = range(m.cols), rels, m.to_lists()
         self.piv: Optional[list[int]] = None
-        self.above = self.below = self._basis = None
+        self.zero = self.above = self.below = self._basis = None
         # every row in the lattice: all of Z^r, with no elimination
         self._kernel = None if any(map(any, self.rows)) else identity(m.rows)
 
+    def restrict(self, v: tuple[int, ...]) -> list[int]:
+        """v reduced by rels, on the columns keep: a new list."""
+        x = list(v)
+        echelon_reduce(self.rels, x)
+        return x if self.rest is self.rels else [x[j] for j in self.keep]
+
     def _eliminate(self) -> None:
         if self.piv is None:
-            rows, self.rows = self.rows, None
-            self.piv, rows = _carried(rows, self.rels)
+            r, rows, self.zero = self.shape[0], [], []
+            for x, e in zip(self.rows, identity(r).data):
+                if any(x):
+                    x.extend(e)
+                    rows.append(x)
+                else:
+                    self.zero.append(e)
+            rows += [list(row) + [0] * r for row in self.rest.data]
+            self.piv, self.rows = _echelon(rows, self.rest.cols), None
             self.above, self.below = rows[:len(self.piv)], rows[len(self.piv):]
 
     def kernel(self) -> IntMatrix:
         if self._kernel is None:
-            r, c = self.shape
+            r = self.shape[0]
             if self._basis is not None and self._basis.rows == self.rels.rows + r:
                 self._kernel = zeros(0, r)
-            elif self.piv is None and (self.units or not all(map(any, self.rows))):
-                self._kernel = self._kernel_alone()
             else:
                 self._eliminate()
                 below, self.below = self.below, None
-                self._kernel = hermite_basis(mat([row[c:] for row in below], r))
+                c = self.rest.cols
+                self._kernel = hermite_basis(mat([x[c:] for x in below] + self.zero, r))
         return self._kernel
 
-    def _kernel_alone(self) -> IntMatrix:
-        """The kernel with no elimination kept for the image.  A zero row i
-        of m gives e_i; the other rows, which are zero at the unit pivots of
-        rels, are eliminated on its other columns against its other rows
-        (``non_unit_part``), and their kernel is placed beside the e_i.  The
-        rows above the rank give the basis too."""
-        r = self.shape[0]
-        live = [i for i, x in enumerate(self.rows) if any(x)]
-        keep, rest, rows = self._rest([self.rows[i] for i in live])
-        piv, rows = _carried(rows, rest)
-        c = len(keep)
-        if self._basis is None:
-            self._basis = self._joined(
-                _certify(mat([row[:c] for row in rows[:len(piv)]], c), piv), keep)
-        sub = hermite_basis(mat([row[c:] for row in rows[len(piv):]], len(live)))
-        one, live_set = identity(r).data, set(live)
-        return _join({i: one[i] for i in range(r) if i not in live_set}, sub, live)
-
     def image(self) -> tuple[IntMatrix, IntMatrix]:
-        """(H, X): the Hermite basis H of the rows of m and rels, and X with
-        X @ m = H modulo rels."""
-        r, c = self.shape
+        """(H, X): the Hermite basis H of rows and rest, and X with X @ m =
+        H modulo rels on the columns keep, where a vector is read through
+        ``restrict``."""
+        c = self.rest.cols
         self._eliminate()
-        return self.basis(), mat([row[c:] for row in self.above], r)
+        return (_certify(mat([row[:c] for row in self.above], c), self.piv),
+                mat([row[c:] for row in self.above], self.shape[0]))
 
     def basis(self) -> IntMatrix:
-        """The Hermite basis of the rows of m and rels: read off the
-        elimination if it ran, with no carried part, rels itself if they
-        hold every row of m, and otherwise a Hermite basis with no
-        transform, taken on the columns of no unit pivot of rels (the rows
-        of m are zero at the others)."""
+        """The Hermite basis of the rows of m and rels: rels itself if they
+        hold every row of m, and otherwise that of rows and rest, read off
+        the elimination if it ran and found with no transform if not,
+        joined to the unit rows of rels."""
         if self._basis is None:
-            c = self.shape[1]
-            if self.piv is not None:
-                self._basis = _certify(mat([row[:c] for row in self.above], c), self.piv)
-            elif not any(map(any, self.rows)):
+            if self.piv is None and not any(map(any, self.rows)):
                 self._basis = self.rels
-            elif self.units:
-                keep, rest, rows = self._rest(self.rows)
-                self._basis = self._joined(hermite_basis(mat(list(rest.data) + rows, len(keep))),
-                                           keep)
             else:
-                self._basis = hermite_basis(mat(list(self.rels.data) + self.rows, c))
+                sub = (self.image()[0] if self.piv is not None else
+                       hermite_basis(mat(list(self.rest.data) + self.rows, self.rest.cols)))
+                if self.rest is not self.rels:
+                    units = unit_pivots(self.rels).items()
+                    sub = _join({j: self.rels.data[i] for j, i in units}, sub, self.keep)
+                self._basis = sub
         return self._basis
 
-    def _rest(self, rows: list[list[int]]) -> tuple[list[int], IntMatrix, list[list[int]]]:
-        """The columns where rels has no unit pivot, the rest of rels on
-        them (``non_unit_part``), and new lists of rows on them."""
-        keep, rest = non_unit_part(self.rels)
-        if rest is self.rels:
-            return keep, rest, [list(x) for x in rows]
-        return keep, rest, [[x[j] for j in keep] for x in rows]
 
-    def _joined(self, sub: IntMatrix, keep: list[int]) -> IntMatrix:
-        """The Hermite basis of the rows of m and rels from sub, that of the
-        rows of m and the rest of rels on the columns keep, which hold no
-        unit pivot of rels: sub joined to the unit rows of rels."""
-        if not self.units:
-            return sub
-        return _join({j: self.rels.data[i] for j, i in self.units.items()}, sub, keep)
-
-
-def _carried(rows: list[list[int]], rels: IntMatrix) -> tuple[list[int], list[list[int]]]:
-    """The pivot columns and rows of [rows | I; rels | 0] eliminated on the
-    columns of rels; rows is extended in place."""
-    r = len(rows)
-    for x, e in zip(rows, identity(r).data):
-        x.extend(e)
-    rows += [list(row) + [0] * r for row in rels.data]
-    return _echelon(rows, rels.cols), rows
-
-
-def _join(units: dict[int, tuple[int, ...]], sub: IntMatrix, cols: list[int]) -> IntMatrix:
+def _join(units: dict[int, tuple[int, ...]], sub: IntMatrix, cols: Sequence[int]) -> IntMatrix:
     """The certified Hermite basis of the rows units[j], each with a unit
     pivot at column j and zero at the other columns of units, and of the
     certified Hermite basis sub placed on the columns cols, the rest: the
@@ -806,11 +772,14 @@ def member_coords(gens: IntMatrix, rels: Optional[IntMatrix],
                   vecs: IntMatrix) -> Optional[IntMatrix]:
     """Some C with C @ gens = vecs modulo the lattice spanned by the rows of
     rels, and exactly without rels; None when a row of vecs is outside the
-    subgroup that the rows of gens generate modulo rels.  Every row of vecs
-    is reduced against the Hermite basis above the rank of the elimination
-    that gens keeps for rels, the one ``kernel_basis`` reads.  A certified
-    Hermite basis gens with no rels has independent rows, so C is unique,
-    and the reduction by gens itself gives it, with no elimination."""
+    subgroup that the rows of gens generate modulo rels.  Every row of vecs,
+    reduced by rels on the columns of no unit pivot, is reduced against the
+    Hermite basis above the rank of the elimination that gens keeps for
+    rels, the one ``kernel_basis`` reads.  C is one solution among those
+    that differ by ``kernel_basis(gens, rels)``, and which one depends on
+    that reduction: read only C @ gens modulo rels.  A certified Hermite
+    basis gens with no rels has independent rows, so C is unique, and the
+    reduction by gens itself gives it, with no elimination."""
     g, c = gens.shape
     s = None if rels is None and gens._pivots is not None else _solve(gens, rels)
     if vecs.cols != c:
@@ -820,7 +789,7 @@ def member_coords(gens: IntMatrix, rels: Optional[IntMatrix],
     h, x = (gens, None) if s is None else s.image()
     qs = []
     for v in vecs.data:
-        y = list(v)
+        y = list(v) if s is None else s.restrict(v)
         qs.append(echelon_reduce(h, y))
         if any(y):
             return None

@@ -7,10 +7,10 @@ canonical resolution is (X --beta--> P); the pushout resolution embeds
 the finite group mu' = coker[X -> X_rad (+) P] into an induced torus.
 Either way the fundamental complex is ``homcx.two_term_complex(rho*)``.
 The pushout reads mu' in closed form off the Hermite basis H of the image
-of beta (``_mu_prime``) and solves R* only on the columns where H has no
-unit pivot; every lattice it builds is the one a stacked elimination
-would give, with the same Hermite basis.  ``SESData.from_json`` reads a
-short-exact-sequence fixture.
+of beta (``_mu_prime``) and solves R* modulo H alone; every lattice it
+builds is the one a stacked elimination would give, with the same
+Hermite basis.  ``SESData.from_json`` reads a short-exact-sequence
+fixture.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .intmat import (
     kernel_basis,
     mat,
     member_coords,
-    non_unit_part,
     unit_pivots,
     vstack,
     zeros,
@@ -138,9 +137,8 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
 
     R* is the kernel of a map [A | C] into mu'.  A row x [A | C] lies in the
     lattice [I | B'; 0 | H] of mu' exactly when x (C - A B') lies in that of
-    H, and those rows reduced by H are zero at its unit pivots, so the
-    kernel is solved on H's other columns against its other rows
-    (``intmat.non_unit_part``): the same lattice, so the same Hermite basis.
+    H, so R* is the kernel of C - A B' modulo H: the same lattice, so the
+    same Hermite basis.
     """
     n = d.datum.rank
     r = d.datum.semisimple_rank
@@ -161,9 +159,7 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     # rows of C - A B' are those of -B' and of s_P - s_X B'
     s_p = mat((row[n:] for row in s_rows), r)
     y = vstack(-b_prime, s_p - mat((row[:n] for row in s_rows), n) @ b_prime)
-    keep, h_rest = non_unit_part(p_mod_h.relations)
-    ker = kernel_basis(
-        mat(([x[j] for j in keep] for x in map(p_mod_h.reduce, y.data)), len(keep)), h_rest)
+    ker = kernel_basis(y, p_mod_h.relations)
     src = direct_sum_modules(x_rad, t_star)
 
     r_star, r_inc = submodule(src, ker)

@@ -2,16 +2,22 @@
 
 The same in-process replay as ``tests/test_bench_records.py`` (warm-up op
 first, input files in a scratch working directory, ``REDINV_CATALOG``
-unset) counts six kinds of work, which are deterministic, so the bounds
+unset) counts seven kinds of work, which are deterministic, so the bounds
 guard a speed-up without timing anything:
 
 - carried eliminations, the solver's eliminations of [m | I; rels | 0]
+  over every row and column of m against all of rels
   (``intmat._Solve._eliminate``), on ``rank_sweep``: 373 before yes/no
-  verdicts and cokernels read the image basis, 236 after, 33 since the
+  verdicts and cokernels read the image basis, 236 after, 18 since the
   pushout resolution builds mu' in closed form, a kernel read alone is
   eliminated on the rows and columns that the relations leave (not
   counted here), and a square beta's zero kernel is read off its image
-  basis;
+  basis, and 15 since every solve eliminates only those rows and columns
+  (not counted here);
+- eliminations, every elimination of the solver, restricted or not, on
+  ``cli_mix``, ``rank_sweep`` and ``bar_cohomology``: 788, 120 and 457
+  while a kernel read before the coordinates was eliminated alone and
+  again with them, 785, 120 and 457 since one elimination serves both;
 - groups built from relations with no certificate
   (``abgrp.FgAbelianGroup``), which ``hermite_basis`` scans and may
   eliminate, on ``cli_mix``: 1874 before ``block_diag`` certified its
@@ -60,9 +66,10 @@ from redinv import abgrp, cech, intmat  # noqa: E402
 
 BOUNDS = {
     "cli_mix": {"uncertified groups": 300, "echelon runs": 1900, "uncertified solves": 0,
-                "cech subquotients": 160},
-    "rank_sweep": {"carried": 40, "echelon runs": 360, "uncertified solves": 0},
-    "bar_cohomology": {"echelon runs": 850, "uncertified solves": 0},
+                "cech subquotients": 160, "eliminations": 788},
+    "rank_sweep": {"carried": 40, "echelon runs": 360, "uncertified solves": 0,
+                   "eliminations": 120},
+    "bar_cohomology": {"echelon runs": 850, "uncertified solves": 0, "eliminations": 457},
     "dense_normal_forms": {"echelon runs": 0, "entrywise hnf eliminations": 0},
 }
 
@@ -72,7 +79,7 @@ def test_seed_one_work_counts_stay_bounded(workload, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("REDINV_CATALOG", raising=False)
     _execute(workloads.WARMUP[workload])
-    counts = dict.fromkeys(("carried", "uncertified groups", "echelon runs",
+    counts = dict.fromkeys(("carried", "eliminations", "uncertified groups", "echelon runs",
                             "uncertified solves", "cech subquotients",
                             "entrywise hnf eliminations"), 0)
     eliminate, echelon, cohomology = intmat._Solve._eliminate, intmat._echelon, cech.cech_cohomology
@@ -80,7 +87,9 @@ def test_seed_one_work_counts_stay_bounded(workload, tmp_path, monkeypatch):
     solve, group = intmat._Solve.__init__, abgrp.FgAbelianGroup.__post_init__
 
     def counting_eliminate(s):
-        counts["carried"] += s.piv is None
+        if s.piv is None:
+            counts["eliminations"] += 1
+            counts["carried"] += s.rest is s.rels and all(map(any, s.rows))
         eliminate(s)
 
     def counting_echelon(rows, c):

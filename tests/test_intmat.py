@@ -770,6 +770,10 @@ class TestAgainstSmithOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(_systems_mod_relations())
+    # vectors not reduced by relations with no unit pivot: C is pinned only
+    # modulo the kernel, so only C @ gens - vecs is checked
+    @example((mat([[1], [1]]), mat([[3]]), mat([[5]])))
+    @example((mat([[1, 0], [0, 1], [1, 1]]), mat([[2, 0], [0, 3]]), mat([[7, 8], [-5, 4]])))
     def test_member_coords_modulo_relations(self, system):
         gens, rels, vecs = system
         c = member_coords(gens, rels, vecs)
@@ -965,10 +969,10 @@ def _unit_heavy_system(seed: int) -> tuple[IntMatrix, IntMatrix]:
 
 
 class TestKernelAlone:
-    """A kernel read before any elimination is solved on what the relations
-    leave (the nonzero rows, the columns of no unit pivot) or read off a
-    kept full-rank image basis, with no carried elimination; it is still
-    the reference kernel, and the image basis it finds is kept."""
+    """The solver eliminates once per matrix and relations, on what the
+    relations leave (the nonzero rows, the columns of no unit pivot), or
+    reads a zero kernel off a kept full-rank image basis; the kernel, the
+    image basis and the coordinates are still the reference ones."""
 
     def test_systems_have_unit_pivots_and_zero_rows(self):
         systems = [_unit_heavy_system(seed) for seed in range(60)]
@@ -978,16 +982,20 @@ class TestKernelAlone:
     @pytest.mark.parametrize("seed", range(60))
     def test_kernel_alone_is_the_reference_kernel(self, seed, monkeypatch):
         gens, rels = _unit_heavy_system(seed)
-        carried = []
+        eliminated = []
         real = intmat._Solve._eliminate
-        monkeypatch.setattr(intmat._Solve, "_eliminate",
-                            lambda s: carried.append(s.piv is None) or real(s))
+
+        def counting(s):
+            fresh = s.piv is None
+            real(s)
+            if fresh:
+                eliminated.append((s.shape[0] - len(s.zero), s.rest))
+        monkeypatch.setattr(intmat._Solve, "_eliminate", counting)
         assert kernel_basis(gens, rels) == _reference_kernel(gens, rels)
-        assert not any(carried)
         image = image_basis(gens, rels)
         assert image == reference_hermite_basis(vstack(rels, gens)) and _certificate_holds(image)
-        # the coordinates after it, by the carried elimination, against the
-        # reference: a row lies in a lattice when adding it keeps the basis
+        # the coordinates, against the reference: a row lies in a lattice
+        # when adding it keeps the basis
         lattice = reference_hermite_basis(vstack(gens, rels))
         vecs = mat([[1] * gens.cols])
         c = member_coords(gens, rels, vecs)
@@ -995,6 +1003,34 @@ class TestKernelAlone:
         if c is not None:
             assert (reference_hermite_basis(vstack(rels, c @ gens - vecs))
                     == reference_hermite_basis(rels))
+        # all three ran one elimination, of the rows outside the lattice of
+        # rels against the rows of rels with no unit pivot, on their columns
+        basis = reference_hermite_basis(rels)
+        live = sum(reference_hermite_basis(vstack(basis, mat([row]))) != basis
+                   for row in gens.data)
+        unit = {j for i, j in leading_entries(basis) if basis[i, j] == 1}
+        keep = [j for j in range(rels.cols) if j not in unit]
+        rest = [[basis[i, k] for k in keep] for i, j in leading_entries(basis) if j not in unit]
+        assert eliminated == [(live, mat(rest, len(keep)))]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_every_call_order_eliminates_at_most_once(self, seed, monkeypatch):
+        # in particular a kernel read first, then coordinates, share one
+        gens, rels = _unit_heavy_system(seed)
+        vecs = mat([[1] * gens.cols])
+        want = _solved_results(gens, rels, vecs)
+        runs = []
+
+        def counting(rows, c):
+            runs.append(bool(rows) and len(rows[0]) > c)  # carries a transform
+            return _echelon(rows, c)
+        monkeypatch.setattr(intmat, "_echelon", counting)
+        for order in itertools.permutations(["kernel", "coords", "image"]):
+            runs.clear()
+            fresh = _twin(gens)
+            for name in order:
+                TestSharedSolve._check(name, fresh, rels, vecs, want)
+            assert sum(runs) <= 1, order
 
     @pytest.mark.parametrize("seed", range(30))
     def test_image_basis_with_no_elimination_on_unit_pivots(self, seed):

@@ -25,6 +25,7 @@ from redinv.rootdata import character_group, mu_dual, pairing_map, radical_chara
 
 from oracles import induced_map, reference_hermite_basis, sl_to_pgl_induced_map
 from regen import CATALOG_SPECS, ses_gm_gl_pgl, ses_sl_gl_gm, ses_to_json
+from test_intmat import _reference_kernel
 from test_random_lattices import _datum, _factors
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -387,6 +388,31 @@ def test_orbit_representatives_match_reducing_every_generator(spec, monkeypatch)
     pushout_tresolution(from_catalog(spec))
     [(mu_prime, reps)] = calls
     assert reps == _reps_by_reducing_every_generator(mu_prime)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + RANK_SWEEP_SPECS)
+def test_r_star_is_the_reference_kernel_of_the_stacked_map(spec, monkeypatch):
+    # R* is the kernel of [A | C]: X_rad (+) T* -> mu' modulo the relations
+    # of mu', rows (e_i, 0) for X_rad and row reps[i] of M_g for the basis
+    # vector (i, g) of T*, by the reference elimination of the whole system
+    seen = {}
+    representatives, submodule = tres._orbit_representatives, tres.submodule
+
+    def recording_representatives(mu_prime):
+        seen["mu_prime"], seen["reps"] = mu_prime, representatives(mu_prime)
+        return seen["reps"]
+
+    def recording_submodule(module, gens):
+        seen["r_star"] = gens
+        return submodule(module, gens)
+    monkeypatch.setattr(tres, "_orbit_representatives", recording_representatives)
+    monkeypatch.setattr(tres, "submodule", recording_submodule)
+    d = from_catalog(spec)
+    pushout_tresolution(d)
+    n, mu_prime = d.datum.rank, seen["mu_prime"]
+    a = hstack(identity(n), zeros(n, mu_prime.group.ambient_rank - n))
+    c = mat([m.row(j) for j in seen["reps"] for m in mu_prime.actions], a.cols)
+    assert seen["r_star"] == _reference_kernel(vstack(a, c), mu_prime.group.relations)
 
 
 def _stacked_mu_prime_relations(d: ReductiveDatum):
