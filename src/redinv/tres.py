@@ -6,11 +6,11 @@ degrees -1, 0) has H^-1 = the character group and H^0 = mu*.  The
 canonical resolution is (X --beta--> P); the pushout resolution embeds
 the finite group mu' = coker[X -> X_rad (+) P] into an induced torus.
 Either way the fundamental complex is ``homcx.two_term_complex(rho*)``.
-The pushout reads mu' in closed form off the Hermite basis H of the image
-of beta (``_mu_prime``) and solves R* modulo H alone; every lattice it
-builds is the one a stacked elimination would give, with the same
-Hermite basis.  ``SESData.from_json`` reads a short-exact-sequence
-fixture.
+The pushout presents mu' as P/H, H the Hermite basis of the image of
+beta in closed form, with Gamma acting as on P (``_mu_prime``), and
+solves R* modulo H alone; every lattice it builds is the one an
+elimination over X_rad (+) P would give, with the same Hermite basis.
+``SESData.from_json`` reads a short-exact-sequence fixture.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .intmat import (
     kernel_basis,
     mat,
     member_coords,
-    unit_pivots,
     vstack,
     zeros,
 )
@@ -78,22 +77,15 @@ def canonical_tresolution(d: ReductiveDatum) -> TResolutionData:
     return TResolutionData(d, beta, l_star, char_map, "canonical")
 
 
-def _orbit_representatives(mu_prime: GammaModule) -> list[int]:
-    """The first ambient generator j of each orbit of nonzero classes of
-    generators.  Modulo the Hermite basis of mu', the class of e_j is e_j
-    unless column j holds a unit pivot, and zero when that pivot's row is
-    e_j; an identity action fixes a class, which reduce leaves as it is."""
-    grp, rels = mu_prime.group, mu_prime.group.relations
-    unit = {j: rels.data[i] for j, i in unit_pivots(rels).items()}
+def _orbit_representatives(mu_prime: GammaModule, gens: IntMatrix) -> list[int]:
+    """The first row of gens in each orbit of nonzero classes of mu'."""
+    grp = mu_prime.group
     moving = [m for m in mu_prime.actions if not m.is_identity()]
     seen: set[tuple[int, ...]] = set()
     reps: list[int] = []
-    for j, e_j in enumerate(identity(grp.ambient_rank).data):
-        row = unit.get(j)
-        if row == e_j:
-            continue
-        cls = e_j if row is None else grp.reduce(e_j)
-        if cls in seen:
+    for j, row in enumerate(gens.data):
+        cls = grp.reduce(row)
+        if cls in seen or not any(cls):
             continue
         # the actions cover every element of Gamma, so this is the whole orbit
         seen |= {cls} | {grp.reduce((mat([cls]) @ m).data[0]) for m in moving}
@@ -101,18 +93,18 @@ def _orbit_representatives(mu_prime: GammaModule) -> list[int]:
     return reps
 
 
-def _mu_prime(x_rad: GammaModule, beta: GammaHom) -> tuple[GammaModule, FgAbelianGroup, IntMatrix]:
-    """mu' = coker[X -> X_rad (+) P, chi -> (chi, beta(chi))], the group
-    P/H of P modulo H, and B'.
+def _mu_prime(x_rad: GammaModule, beta: GammaHom) -> tuple[GammaModule, IntMatrix]:
+    """mu' = coker[X -> X_rad (+) P, chi -> (chi, beta(chi))] as P/H, with
+    Gamma acting as on P, and B': the class of (a, p) is p - a B'.
 
     With S the Hermite basis of the relations of X_rad and B the matrix of
     beta, mu' is Z^n (+) Z^r modulo the rows of [S | 0] and [I | B] (P is
     free).  That lattice holds [0 | S B] = S [I | B] - [S | 0], so its
     Hermite basis is [I | B'; 0 | H] in closed form, H the Hermite basis of
-    S B and B' the rows of B reduced by H.  The embedding is injective
-    exactly when H has as many rows as S.  For a semisimple datum S = I,
-    and H is the image basis of beta, which ``pairing_map`` keeps and which
-    holds the rows of B, so B' = 0."""
+    S B and B' the rows of B reduced by H, and (a, p) - a [I | B'] lies in
+    P.  The embedding is injective exactly when H has as many rows as S.
+    For a semisimple datum S = I, and H is the image basis of beta, which
+    ``pairing_map`` keeps and which holds the rows of B, so B' = 0."""
     (n, r), s = beta.matrix.shape, x_rad.group.relations
     semisimple = s.is_identity()
     if semisimple:
@@ -124,42 +116,32 @@ def _mu_prime(x_rad: GammaModule, beta: GammaHom) -> tuple[GammaModule, FgAbelia
     p_mod_h = FgAbelianGroup(r, h)
     # the image of beta holds every row of B
     b_prime = zeros(n, r) if semisimple else mat(map(p_mod_h.reduce, beta.matrix.data), r)
-    rels = [e + b for e, b in zip(identity(n).data, b_prime.data)]
-    rels += [(0,) * n + row for row in h.data]
-    actions = direct_sum_modules(x_rad, beta.target).actions
-    return (GammaModule(x_rad.gamma, FgAbelianGroup(n + r, mat(rels, n + r)), actions),
-            p_mod_h, b_prime)
+    return GammaModule(x_rad.gamma, p_mod_h, beta.target.actions), b_prime
 
 
 def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
-    """Resolve through the induced torus covering mu' = coker[X -> X_rad (+) P]
-    (``_mu_prime``).
+    """Resolve through the induced torus covering mu' = P/H (``_mu_prime``).
 
-    R* is the kernel of a map [A | C] into mu'.  A row x [A | C] lies in the
-    lattice [I | B'; 0 | H] of mu' exactly when x (C - A B') lies in that of
-    H, so R* is the kernel of C - A B' modulo H: the same lattice, so the
-    same Hermite basis.
+    The generators (e_j, 0) of X_rad and (0, e_c) of P have the classes
+    gens = [-B'; I] in P/H.  R* is the kernel of the map X_rad (+) T* ->
+    mu' whose rows are -B' and those of s: T* -> mu', the lattice, so the
+    Hermite basis, that an elimination modulo [I | B'; 0 | H] would give.
     """
     n = d.datum.rank
-    r = d.datum.semisimple_rank
     gamma = d.gamma
     q = gamma.order
     x_rad = radical_characters(d)
-    mu_prime, p_mod_h, b_prime = _mu_prime(x_rad, pairing_map(d))
+    mu_prime, b_prime = _mu_prime(x_rad, pairing_map(d))
+    gens = vstack(-b_prime, identity(d.datum.semisimple_rank))
 
-    reps = _orbit_representatives(mu_prime)
+    reps = _orbit_representatives(mu_prime, gens)
     k = len(reps)
     t_star = induced_module(gamma, k)
-    # s: T* -> mu', basis vector (i, g) -> g . (ambient generator reps[i]),
-    # which is row reps[i] of M_g
-    s_rows = [m.row(j) for j in reps for m in mu_prime.actions]
-
-    # R* = ker[(a, b) in X_rad (+) T* -> q(a, 0) + s(b)], the map [A | C]
-    # whose rows are (e_i, 0) for X_rad and those of s for T*, so that the
-    # rows of C - A B' are those of -B' and of s_P - s_X B'
-    s_p = mat((row[n:] for row in s_rows), r)
-    y = vstack(-b_prime, s_p - mat((row[:n] for row in s_rows), n) @ b_prime)
-    ker = kernel_basis(y, p_mod_h.relations)
+    # s: T* -> mu', basis vector (i, g) -> g . gens[reps[i]], row i of g_reps M_g
+    g_reps = mat((gens.row(j) for j in reps), gens.cols)
+    moved = [g_reps @ m for m in mu_prime.actions]
+    s = mat((g.row(i) for i in range(k) for g in moved), gens.cols)
+    ker = kernel_basis(vstack(-b_prime, s), mu_prime.group.relations)
     src = direct_sum_modules(x_rad, t_star)
 
     r_star, r_inc = submodule(src, ker)
@@ -179,8 +161,8 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     rho_matrix = mat((row[n:] for row in r_inc.matrix.data), k * q)
     rho_star = GammaHom(r_star, t_star, rho_matrix)
 
-    # l* = s followed by the projection mu' -> mu (drop the X_rad part)
-    l_star = GammaHom(t_star, canonical.l_star.target, s_p)
+    # l* = s followed by P/H -> mu* = P/im beta
+    l_star = GammaHom(t_star, canonical.l_star.target, s)
     return TResolutionData(d, rho_star, l_star, GammaHom(x0, r_star, char_matrix), "pushout")
 
 

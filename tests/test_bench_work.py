@@ -23,7 +23,9 @@ guard a speed-up without timing anything:
   eliminate, on ``cli_mix``: 1874 before ``block_diag`` certified its
   result and cokernels took the image basis, 156 after, 286 since the
   130 pushout ops build mu' from its closed-form Hermite basis, which
-  ``hermite_basis`` certifies in one pass;
+  ``hermite_basis`` certifies in one pass, and 156 again since mu' is
+  P/H, whose relations H come certified; on ``rank_sweep`` 55, one per
+  pushout op, while mu' was built on X_rad (+) P, and 0 since;
 - runs of the elimination kernel ``intmat._echelon``, of any kind: 3041,
   579 and 1283 on ``cli_mix``, ``rank_sweep`` and ``bar_cohomology``
   while subquotients stacked their denominator, 2295, 444 and 1045 since
@@ -65,10 +67,10 @@ from perfbench import run, workloads  # noqa: E402
 from redinv import abgrp, cech, intmat  # noqa: E402
 
 BOUNDS = {
-    "cli_mix": {"uncertified groups": 300, "echelon runs": 1900, "uncertified solves": 0,
+    "cli_mix": {"uncertified groups": 160, "echelon runs": 1900, "uncertified solves": 0,
                 "cech subquotients": 160, "eliminations": 788},
-    "rank_sweep": {"carried": 40, "echelon runs": 360, "uncertified solves": 0,
-                   "eliminations": 120},
+    "rank_sweep": {"carried": 40, "uncertified groups": 0, "echelon runs": 360,
+                   "uncertified solves": 0, "eliminations": 120},
     "bar_cohomology": {"echelon runs": 850, "uncertified solves": 0, "eliminations": 457},
     "dense_normal_forms": {"echelon runs": 0, "entrywise hnf eliminations": 0},
 }

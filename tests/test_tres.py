@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from redinv import abgrp, intmat, tres
-from redinv.intmat import hstack, identity, int_from_json, mat, vstack, zeros
+from redinv.intmat import (
+    IntMatrix, block_diag, hstack, identity, int_from_json, mat, vstack, zeros,
+)
 from redinv.abgrp import AbHom, FgAbelianGroup, cokernel, direct_sum
-from redinv.gammamod import GammaHom, cyclic_group, group_cohomology
+from redinv.gammamod import GammaHom, GammaModule, cyclic_group, group_cohomology
 from redinv.homcx import identity_chain_map, induced_on_cohomology, two_term_complex
 from redinv.catalogio import default_catalog_path
 from redinv.rootdata import InvalidDatum, ReductiveDatum, RootDatum, from_catalog
@@ -360,6 +362,17 @@ class TestInducedMaps:
             assert f.target.contains_rows(g.matrix - f.matrix)
 
 
+def _stacked_mu_prime(d: ReductiveDatum) -> GammaModule:
+    """mu' on the n + r generators of X_rad (+) P, built apart from
+    ``tres``: the relations of ``_stacked_mu_prime_relations``, and each
+    element of Gamma acting by the block sum of its actions on X_rad and
+    on P."""
+    x_rad, p = radical_characters(d), pairing_map(d).target
+    relations = _stacked_mu_prime_relations(d)
+    return GammaModule(d.gamma, FgAbelianGroup(relations.cols, relations),
+                       tuple(map(block_diag, x_rad.actions, p.actions)))
+
+
 def _reps_by_reducing_every_generator(mu_prime) -> list[int]:
     """The first generator of each orbit of nonzero classes, with every
     generator and every image under every action reduced."""
@@ -374,9 +387,18 @@ def _reps_by_reducing_every_generator(mu_prime) -> list[int]:
     return reps
 
 
+def _stacked_t_star_rows(mu_prime) -> IntMatrix:
+    """T* -> mu' on the stacked generators: for the basis vector (i, g) of
+    T*, row reps[i] of M_g, reps those of ``_reps_by_reducing_every_generator``."""
+    reps = _reps_by_reducing_every_generator(mu_prime)
+    return mat([m.row(j) for j in reps for m in mu_prime.actions], mu_prime.group.ambient_rank)
+
+
 # each family of the benchmark's rank_sweep workload at its least rank
 RANK_SWEEP_SPECS = [workloads.classical(family, ranks.start)[0]
                     for family, (ranks, _) in workloads.RANK_SWEEP_FAMILIES.items()]
+
+RANDOM_SEEDS = range(100)
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS + RANK_SWEEP_SPECS)
@@ -384,35 +406,44 @@ def test_orbit_representatives_match_reducing_every_generator(spec, monkeypatch)
     calls = []
     real = tres._orbit_representatives
     monkeypatch.setattr(tres, "_orbit_representatives",
-                        lambda mu_prime: calls.append((mu_prime, real(mu_prime))) or calls[-1][1])
-    pushout_tresolution(from_catalog(spec))
-    [(mu_prime, reps)] = calls
-    assert reps == _reps_by_reducing_every_generator(mu_prime)
+                        lambda mu_prime, gens: calls.append(real(mu_prime, gens)) or calls[-1])
+    d = from_catalog(spec)
+    pushout_tresolution(d)
+    assert calls == [_reps_by_reducing_every_generator(_stacked_mu_prime(d))]
+
+
+@pytest.mark.parametrize("case", CATALOG_SPECS + RANK_SWEEP_SPECS + list(RANDOM_SEEDS))
+def test_r_star_is_the_reference_kernel_of_the_stacked_map(case, monkeypatch):
+    # R* is the kernel of [A | C]: X_rad (+) T* -> mu' modulo the stacked
+    # relations of mu', rows (e_i, 0) for X_rad and row reps[i] of M_g for
+    # the basis vector (i, g) of T*, by the reference elimination of the
+    # whole system; a seed stands for a random datum
+    seen = []
+    submodule = tres.submodule
+
+    def recording_submodule(module, gens):
+        seen.append(gens)
+        return submodule(module, gens)
+    monkeypatch.setattr(tres, "submodule", recording_submodule)
+    d = from_catalog(case) if isinstance(case, str) else _datum(*_factors(case))
+    pushout_tresolution(d)
+    n, mu_prime = d.datum.rank, _stacked_mu_prime(d)
+    a = hstack(identity(n), zeros(n, mu_prime.group.ambient_rank - n))
+    c = _stacked_t_star_rows(mu_prime)
+    assert seen == [_reference_kernel(vstack(a, c), mu_prime.group.relations)]
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS + RANK_SWEEP_SPECS)
-def test_r_star_is_the_reference_kernel_of_the_stacked_map(spec, monkeypatch):
-    # R* is the kernel of [A | C]: X_rad (+) T* -> mu' modulo the relations
-    # of mu', rows (e_i, 0) for X_rad and row reps[i] of M_g for the basis
-    # vector (i, g) of T*, by the reference elimination of the whole system
-    seen = {}
-    representatives, submodule = tres._orbit_representatives, tres.submodule
-
-    def recording_representatives(mu_prime):
-        seen["mu_prime"], seen["reps"] = mu_prime, representatives(mu_prime)
-        return seen["reps"]
-
-    def recording_submodule(module, gens):
-        seen["r_star"] = gens
-        return submodule(module, gens)
-    monkeypatch.setattr(tres, "_orbit_representatives", recording_representatives)
-    monkeypatch.setattr(tres, "submodule", recording_submodule)
+def test_l_star_is_the_p_part_of_the_stacked_map(spec):
+    # l*: T* -> mu* = P/im beta is the P-part of the stacked T* -> mu'
+    # modulo im beta.  Where an X_rad generator is a representative (GL(n))
+    # its rows are -B'_j M_g in l* and 0 in that P-part
     d = from_catalog(spec)
-    pushout_tresolution(d)
-    n, mu_prime = d.datum.rank, seen["mu_prime"]
-    a = hstack(identity(n), zeros(n, mu_prime.group.ambient_rank - n))
-    c = mat([m.row(j) for j in seen["reps"] for m in mu_prime.actions], a.cols)
-    assert seen["r_star"] == _reference_kernel(vstack(a, c), mu_prime.group.relations)
+    res = pushout_tresolution(d)
+    n, c = d.datum.rank, _stacked_t_star_rows(_stacked_mu_prime(d))
+    c_p = mat((row[n:] for row in c.data), c.cols - n)
+    assert res.l_star.matrix.shape == c_p.shape
+    assert res.l_star.target.group.contains_rows(res.l_star.matrix - c_p)
 
 
 def _stacked_mu_prime_relations(d: ReductiveDatum):
@@ -427,11 +458,10 @@ def _stacked_mu_prime_relations(d: ReductiveDatum):
 
 
 def _closed_form_mu_prime_relations(d: ReductiveDatum):
-    mu_prime, _, _ = tres._mu_prime(radical_characters(d), pairing_map(d))
-    return mu_prime.group.relations
-
-
-RANDOM_SEEDS = range(100)
+    """[I | B'; 0 | H], from the P/H and B' that ``_mu_prime`` returns."""
+    mu_prime, b_prime = tres._mu_prime(radical_characters(d), pairing_map(d))
+    h, n = mu_prime.group.relations, b_prime.rows
+    return vstack(hstack(identity(n), b_prime), hstack(zeros(h.rows, n), h))
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS + RANK_SWEEP_SPECS)
