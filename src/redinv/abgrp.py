@@ -184,32 +184,31 @@ def image_holds_kernel(f: AbHom, g: AbHom) -> bool:
 class SubquotientData(Value):
     """A subquotient ker/im with enough data to take classes of elements."""
 
-    # gens: rows, lifts of the generators in the middle ambient; denominator:
-    # the Hermite basis of the middle relations and the image rows, certified
-    FIELDS = ("group", "gens", "denominator")
+    # gens: the certified kernel basis, lifts of the generators in the middle
+    # ambient; its lattice holds the middle relations and the image
+    FIELDS = ("group", "gens")
 
     def class_coords(self, vecs: IntMatrix) -> Optional[IntMatrix]:
-        """Class coordinates of the rows of vecs, or None if one is no cycle."""
-        return member_coords(self.gens, self.denominator, vecs)
-
-
-def subquotient(
-    ker_gens: IntMatrix, middle_rels: IntMatrix, image_gens: IntMatrix
-) -> SubquotientData:
-    """Presents (subgroup gen by ker_gens) / (subgroup gen by image_gens).
-    The denominator is the image basis of image_gens modulo middle_rels,
-    which a cokernel reads too; on identity generators (H^0 of a two-term
-    complex) it is the relations as well."""
-    denom = image_basis(image_gens, middle_rels)
-    rels = denom if ker_gens.is_identity() else kernel_basis(ker_gens, denom)
-    return SubquotientData(FgAbelianGroup(ker_gens.rows, rels), ker_gens, denom)
+        """Class coordinates of the rows of vecs, or None if one is no cycle.
+        A cycle lies in the lattice of gens, so its exact coordinates on
+        that basis, read by back-substitution with no solve, are class
+        coordinates; a non-cycle has none."""
+        return member_coords(self.gens, None, vecs)
 
 
 def homology_at(d_in: Optional[AbHom], d_out: AbHom) -> SubquotientData:
-    """ker(d_out) / im(d_in); d_in may be None for the left edge."""
+    """ker(d_out) / im(d_in); d_in may be None for the left edge.
+
+    Every subquotient is built here.  The kernel basis holds the middle
+    relations (d_out is well defined) and the image (d_in d_out = 0).  The
+    relations are the kernel, on that basis, of the image basis of the
+    image rows and the middle relations, which a cokernel reads too; on
+    identity generators (H^0 of a two-term complex) they are that basis."""
     ker_gens = kernel_basis(d_out.matrix, d_out.target.relations)
     img = d_in.matrix if d_in is not None else zeros(0, d_out.source.ambient_rank)
-    return subquotient(ker_gens, d_out.source.relations, img)
+    denom = image_basis(img, d_out.source.relations)
+    rels = denom if ker_gens.is_identity() else kernel_basis(ker_gens, denom)
+    return SubquotientData(FgAbelianGroup(ker_gens.rows, rels), ker_gens)
 
 
 class Checks(Value):

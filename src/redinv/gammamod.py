@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .intmat import IntMatrix, block_sum, identity, int_from_json, kernel_basis, mat, zeros
+from .intmat import IntMatrix, block_sum, identity, int_from_json, mat
 from .abgrp import (
     AbHom,
     FgAbelianGroup,
@@ -47,7 +47,6 @@ from .abgrp import (
     homology_at,
     cokernel,
     direct_sum,
-    subquotient,
 )
 from .value import Value
 
@@ -248,10 +247,8 @@ class GammaHom(Value):
 def subquotient_module(module: GammaModule, data: SubquotientData) -> GammaModule:
     """A subquotient of the ambient of ``module`` with the action it inherits:
     M_g writes the moved generators, data.gens @ M_g, in class coordinates.
-    An identity matrix moves no generator, and the identity writes each in
-    class coordinates, so it is taken without a solve; any class
-    coordinates of the generators differ from it only by relations of
-    data.group, which are the c with c @ data.gens in the denominator."""
+    An identity matrix moves no generator, and the class coordinates of the
+    generators are exactly the identity, so it is taken without a solve."""
     actions = []
     for act in module.actions:
         if act.is_identity():
@@ -265,15 +262,10 @@ def subquotient_module(module: GammaModule, data: SubquotientData) -> GammaModul
 
 
 def equivariant_kernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:
-    return submodule(f.source, kernel_basis(f.matrix, f.target.group.relations))
-
-
-def submodule(module: GammaModule, gens: IntMatrix) -> tuple[GammaModule, GammaHom]:
-    """The subgroup of module that the rows of gens generate, which the
-    action must keep, with the action it inherits and its inclusion."""
-    data = subquotient(gens, module.group.relations, zeros(0, module.group.ambient_rank))
-    sub = subquotient_module(module, data)
-    return sub, GammaHom(sub, module, data.gens)
+    """ker f with the action it inherits, and its inclusion."""
+    data = homology_at(None, f.hom)
+    sub = subquotient_module(f.source, data)
+    return sub, GammaHom(sub, f.source, data.gens)
 
 
 def equivariant_cokernel(f: GammaHom) -> tuple[GammaModule, GammaHom]:

@@ -244,8 +244,8 @@ def truncate(c: BoundedComplex, n: int) -> tuple[BoundedComplex, ChainMap]:
     terms = list(c.terms[: n - c.lo]) + [ker_mod]
     diffs = list(c.diffs[: max(0, n - 1 - c.lo)])
     if n > c.lo:
-        # corestrict d^{n-1} through the kernel inclusion
-        m = member_coords(ker_inc.matrix, c.term(n).group.relations, c.diff(n - 1).matrix)
+        # corestrict d^{n-1} through the kernel inclusion, read on its basis
+        m = member_coords(ker_inc.matrix, None, c.diff(n - 1).matrix)
         if m is None:
             raise InvalidComplex("d^{n-1} does not land in ker d^n")
         diffs.append(m)

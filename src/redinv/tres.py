@@ -8,8 +8,9 @@ the finite group mu' = coker[X -> X_rad (+) P] into an induced torus.
 Either way the fundamental complex is ``homcx.two_term_complex(rho*)``.
 The pushout presents mu' as P/H, H the Hermite basis of the image of
 beta in closed form, with Gamma acting as on P (``_mu_prime``), and
-solves R* modulo H alone; every lattice it builds is the one an
-elimination over X_rad (+) P would give, with the same Hermite basis.
+R* is ``equivariant_kernel`` of X_rad (+) T* -> P/H; every lattice it
+builds is the one an elimination over X_rad (+) P would give, with the
+same Hermite basis.
 ``SESData.from_json`` reads a short-exact-sequence fixture.
 """
 
@@ -21,7 +22,6 @@ from .intmat import (
     hstack,
     identity,
     image_basis,
-    kernel_basis,
     mat,
     member_coords,
     vstack,
@@ -43,7 +43,6 @@ from .gammamod import (
     equivariant_cokernel,
     equivariant_kernel,
     induced_module,
-    submodule,
 )
 from .homcx import (
     ChainMap,
@@ -141,19 +140,14 @@ def pushout_tresolution(d: ReductiveDatum) -> TResolutionData:
     g_reps = mat((gens.row(j) for j in reps), gens.cols)
     moved = [g_reps @ m for m in mu_prime.actions]
     s = mat((g.row(i) for i in range(k) for g in moved), gens.cols)
-    ker = kernel_basis(vstack(-b_prime, s), mu_prime.group.relations)
     src = direct_sum_modules(x_rad, t_star)
-
-    r_star, r_inc = submodule(src, ker)
+    r_star, r_inc = equivariant_kernel(GammaHom(src, mu_prime, vstack(-b_prime, s)))
 
     # X_0 -> X and mu* are those of the canonical resolution
     canonical = canonical_tresolution(d)
-    # the character group included into R* as chi -> (chi mod rad span, 0):
-    # the kernel holds the relations of X_rad (+) T*, so a row lands in R*
-    # when it lies in the lattice of ker, and its coordinates on that basis
-    # need no elimination
+    # chi -> (chi mod rad span, 0), read on the kernel basis as a class is
     x0, chi = canonical.char_map.source, canonical.char_map.matrix
-    char_matrix = member_coords(ker, None, hstack(chi, zeros(chi.rows, k * q)))
+    char_matrix = member_coords(r_inc.matrix, None, hstack(chi, zeros(chi.rows, k * q)))
     if char_matrix is None:
         raise InvalidDatum("character group does not land in R*")
 

@@ -28,7 +28,6 @@ from redinv.abgrp import (
     homology_at,
     is_exact_at,
     kernel,
-    subquotient,
 )
 from redinv.homcx import six_term_sequence
 
@@ -430,17 +429,40 @@ class TestSharedSolve:
     @settings(max_examples=100, deadline=None)
     @given(_matrices(3, 3), _matrices(2, 3), _matrices(2, 3), _matrices(3, 3), st.data())
     def test_class_coords_modulo_a_redundant_denominator(self, ker_gens, middle, image, vecs, data):
-        # the image rows and their sum have a redundant row, which the
-        # denominator, the Hermite basis of the image and middle relations,
-        # drops
+        # the image rows, taken in the kernel, and their sum have a
+        # redundant row, which the image basis drops
+        image = image @ ker_gens
         image = vstack(image, mat([list(map(sum, zip(*image.data)))]))
-        sq = subquotient(ker_gens, middle, image)
+        sq = _cycles_modulo_image(middle, ker_gens, image)
         if data.draw(st.booleans()):
-            vecs = vecs @ ker_gens + data.draw(_matrices(3, sq.denominator.rows)) @ sq.denominator
+            vecs = vecs @ ker_gens + data.draw(_matrices(3, 2)) @ middle
         c = sq.class_coords(vecs)
-        assert (c is not None) == in_row_lattice(vstack(ker_gens, sq.denominator), vecs)
+        assert (c is not None) == in_row_lattice(vstack(ker_gens, middle), vecs)
         if c is not None:
-            assert in_row_lattice(sq.denominator, c @ ker_gens - vecs)
+            assert c @ sq.gens == vecs
+
+    def test_class_coords_are_read_with_no_elimination(self, monkeypatch):
+        # H^0 of [Z --6--> Z]: the image basis [[6]] has a non-unit pivot,
+        # and 7 is not reduced modulo it; the coordinates on the kernel
+        # basis are exact, and read by back-substitution alone
+        h = homology_at(AbHom(Z, Z, mat([[6]])), AbHom(Z, FgAbelianGroup.trivial(), zeros(1, 0)))
+        runs = []
+        echelon = intmat._echelon
+        monkeypatch.setattr(intmat, "_echelon", lambda rows, c: runs.append(c) or echelon(rows, c))
+        vecs = mat([[7], [-13]])
+        c = h.class_coords(vecs)
+        assert c @ h.gens == vecs
+        assert runs == []
+
+
+def _cycles_modulo_image(middle: IntMatrix, ker_gens: IntMatrix, image: IntMatrix):
+    """``homology_at`` of A --image--> B --> B / <ker_gens>, B = Z^n / <middle>,
+    A free on the image rows: ker is the lattice of ker_gens and middle,
+    which must hold the image rows for the maps to compose to zero."""
+    n = middle.cols
+    b = FgAbelianGroup(n, middle)
+    d_in = AbHom(FgAbelianGroup.free(image.rows), b, image)
+    return homology_at(d_in, AbHom(b, FgAbelianGroup(n, vstack(ker_gens, middle)), identity(n)))
 
 
 def _kills(f: AbHom, g: AbHom, diag: list[int]) -> bool:
@@ -623,25 +645,34 @@ class TestVerdictsFromTheImageBasis:
             middle = random_group(rng, 4, 6)
             n = middle.ambient_rank
             image = random_matrix(rng, rng.randint(0, 3), n, 5)
-            sq = subquotient(identity(n), middle.relations, image)
+            # H^0 of [A --image--> middle]: every element is a cycle
+            d_in = AbHom(FgAbelianGroup.free(image.rows), middle, image)
+            sq = homology_at(d_in, AbHom(middle, FgAbelianGroup.trivial(), zeros(n, 0)))
             rels = sq.group.relations
-            assert in_row_lattice(rels, sq.denominator)
-            assert in_row_lattice(sq.denominator, rels)
+            assert sq.gens == identity(n)
+            assert rels._pivots == leading_entries(rels)
+            assert rels == reference_hermite_basis(vstack(middle.relations, image))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_subquotient_denominator_is_the_certified_image_basis(self, seed):
+        # the denominator, [middle; image], is the certified Hermite basis
+        # of the relations on identity generators, and else the lattice
+        # that the relations span on the kernel basis
         rng = random.Random(40 + seed)
         for k in range(40):
             middle = random_group(rng, 4, 6)
             n = middle.ambient_rank
-            image = random_matrix(rng, rng.randint(0, 3), n, 5)
             ker_gens = identity(n) if k % 2 else random_matrix(rng, rng.randint(0, n), n, 4)
-            denom = subquotient(ker_gens, middle.relations, image).denominator
-            assert denom._pivots == leading_entries(denom)
-            assert denom == reference_hermite_basis(denom)
+            image = random_matrix(rng, rng.randint(0, 3), ker_gens.rows, 5) @ ker_gens
+            sq = _cycles_modulo_image(middle.relations, ker_gens, image)
+            rels = sq.group.relations
             stacked = vstack(middle.relations, image)
-            assert in_row_lattice(stacked, denom)
-            assert in_row_lattice(denom, stacked)
+            if sq.gens.is_identity():
+                assert rels._pivots == leading_entries(rels)
+                assert rels == reference_hermite_basis(stacked)
+            else:
+                assert in_row_lattice(stacked, rels @ sq.gens)
+                assert in_row_lattice(rels @ sq.gens, stacked)
 
 
 class TestExactnessEntries:

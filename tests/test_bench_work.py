@@ -17,7 +17,9 @@ guard a speed-up without timing anything:
 - eliminations, every elimination of the solver, restricted or not, on
   ``cli_mix``, ``rank_sweep`` and ``bar_cohomology``: 788, 120 and 457
   while a kernel read before the coordinates was eliminated alone and
-  again with them, 785, 120 and 457 since one elimination serves both;
+  again with them, 785, 120 and 457 since one elimination serves both,
+  and 703 on ``cli_mix`` since class coordinates are read on the kernel
+  basis by back-substitution, so an identity kernel basis needs no solve;
 - groups built from relations with no certificate
   (``abgrp.FgAbelianGroup``), which ``hermite_basis`` scans and may
   eliminate, on ``cli_mix``: 1874 before ``block_diag`` certified its
@@ -34,7 +36,10 @@ guard a speed-up without timing anything:
   eliminating d2, and 1795 on ``cli_mix`` since ``redinv cech`` reads
   H^i for i >= 2 off the homotopy identity it verifies, and 1526 on
   ``cli_mix`` and 343 on ``rank_sweep`` since the change that cut the
-  carried eliminations above; on the first 32 ops of
+  carried eliminations above; 1453, 334 and 785 on the three streams
+  while class coordinates were solved modulo the image basis, and 1371 on
+  ``cli_mix`` (the others unchanged) since they are read on the kernel
+  basis; on the first 32 ops of
   ``dense_normal_forms`` (as below) 88, one for every ``hnf`` call, while
   ``hnf`` eliminated its rows, and 0 since it inserts them one at a time
   into a Hermite form (the stream's matrices are square and nonsingular,
@@ -68,7 +73,7 @@ from redinv import abgrp, cech, intmat  # noqa: E402
 
 BOUNDS = {
     "cli_mix": {"uncertified groups": 160, "echelon runs": 1900, "uncertified solves": 0,
-                "cech subquotients": 160, "eliminations": 788},
+                "cech subquotients": 160, "eliminations": 703},
     "rank_sweep": {"carried": 40, "uncertified groups": 0, "echelon runs": 360,
                    "uncertified solves": 0, "eliminations": 120},
     "bar_cohomology": {"echelon runs": 850, "uncertified solves": 0, "eliminations": 457},

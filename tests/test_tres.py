@@ -419,18 +419,20 @@ def test_r_star_is_the_reference_kernel_of_the_stacked_map(case, monkeypatch):
     # the basis vector (i, g) of T*, by the reference elimination of the
     # whole system; a seed stands for a random datum
     seen = []
-    submodule = tres.submodule
+    equivariant_kernel = tres.equivariant_kernel
 
-    def recording_submodule(module, gens):
-        seen.append(gens)
-        return submodule(module, gens)
-    monkeypatch.setattr(tres, "submodule", recording_submodule)
+    def recording_kernel(f):
+        seen.append(equivariant_kernel(f))
+        return seen[-1]
+    monkeypatch.setattr(tres, "equivariant_kernel", recording_kernel)
     d = from_catalog(case) if isinstance(case, str) else _datum(*_factors(case))
     pushout_tresolution(d)
     n, mu_prime = d.datum.rank, _stacked_mu_prime(d)
     a = hstack(identity(n), zeros(n, mu_prime.group.ambient_rank - n))
     c = _stacked_t_star_rows(mu_prime)
-    assert seen == [_reference_kernel(vstack(a, c), mu_prime.group.relations)]
+    # the pushout's own R* first, then that of ``canonical_tresolution``
+    assert len(seen) == 2
+    assert seen[0][1].matrix == _reference_kernel(vstack(a, c), mu_prime.group.relations)
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS + RANK_SWEEP_SPECS)

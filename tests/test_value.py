@@ -39,7 +39,7 @@ BUILDERS = {
     IntMatrix: lambda: mat([[1, 2], [3, 4]]),
     FgAbelianGroup: _group,
     AbHom: lambda: AbHom(_group(), _group(), identity(2)),
-    SubquotientData: lambda: SubquotientData(_group(), identity(2), mat([[2, 0]])),
+    SubquotientData: lambda: SubquotientData(_group(), identity(2)),
     Checks: lambda: Checks((("a", True, None), ("b", False, "witness"))),
     ExactSequence: lambda: ExactSequence(
         ("A", "B"), (AbHom(FgAbelianGroup.free(1), FgAbelianGroup.free(1), mat([[1]])),)),
